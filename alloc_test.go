@@ -36,30 +36,85 @@ func simRunFixture(tb testing.TB) (*nicsim.Sim, *workload.Trace) {
 	return sim, tr
 }
 
+// simScanFixture builds a steady-state fixture dominated by the simulated
+// memory path rather than by CIR dispatch: "vnfchain-1400" walks the DPI
+// automaton over ~1400-byte payloads whose tails spill out of packet memory,
+// and "lpm10k-64kflows" spreads 64k flows over a 10k-rule LPM table with no
+// flow cache in front, so every packet pays the full rule scan. (A flow
+// cache would hold the fixture's few hundred flows after the warm-up run.)
+func simScanFixture(tb testing.TB, name string) (*nicsim.Sim, *workload.Trace) {
+	tb.Helper()
+	prof := workload.DefaultProfile()
+	prof.Packets = 256
+	var spec nf.Spec
+	switch name {
+	case "vnfchain-1400":
+		spec = nf.VNFChain()
+		prof.Flows = 200
+		prof.PayloadBytes = 1400
+		prof.PayloadJitter = 64
+	case "lpm10k-64kflows":
+		spec = nf.LPM(10000)
+		prof.Flows = 65536
+	default:
+		tb.Fatalf("unknown scan fixture %q", name)
+	}
+	prog := spec.MustCompile()
+	nic := lnic.Netronome()
+	sim, err := nicsim.New(nicsim.Config{
+		NIC: nic, Prog: prog, Place: nicsim.DefaultPlacement(nic, prog),
+		Preload: spec.PreloadEntries, Seed: 11,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := workload.Generate(prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr.Decoded()
+	return sim, tr
+}
+
+// simScanFixtures names the simScanFixture variants.
+var simScanFixtures = []string{"vnfchain-1400", "lpm10k-64kflows"}
+
 // TestAllocBudget enforces the hot path's allocation contract (DESIGN.md
 // "Hot path"): with timeline and faults off, a steady-state simulator run
 // stays within 2 allocations per packet. The real figure is a small per-run
 // constant (Result, interpreter, exec scratch) amortized over the trace —
 // well under the budget — so this trips on any per-packet regression (a
 // fresh exec, per-vcall argument slices, per-packet decode) long before it
-// reaches 2/packet.
+// reaches 2/packet. The contract covers the dispatch-bound firewall fixture
+// of BenchmarkSimRun and the memory-bound fixtures of BenchmarkSimRunScan.
 func TestAllocBudget(t *testing.T) {
-	sim, tr := simRunFixture(t)
-	// One warm run fills flow tables and lazy server pools so the measured
-	// runs are steady-state.
-	if _, err := sim.Run(tr); err != nil {
-		t.Fatal(err)
-	}
-	perRun := testing.AllocsPerRun(10, func() {
+	check := func(t *testing.T, sim *nicsim.Sim, tr *workload.Trace) {
+		// One warm run fills flow tables and lazy server pools so the
+		// measured runs are steady-state.
 		if _, err := sim.Run(tr); err != nil {
 			t.Fatal(err)
 		}
+		perRun := testing.AllocsPerRun(10, func() {
+			if _, err := sim.Run(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perPacket := perRun / float64(len(tr.Packets))
+		t.Logf("sim hot path: %.1f allocs/run, %.4f allocs/packet over %d packets",
+			perRun, perPacket, len(tr.Packets))
+		if perPacket > 2 {
+			t.Errorf("steady-state simulator allocates %.4f per packet (%.1f per run), budget is 2",
+				perPacket, perRun)
+		}
+	}
+	t.Run("firewall", func(t *testing.T) {
+		sim, tr := simRunFixture(t)
+		check(t, sim, tr)
 	})
-	perPacket := perRun / float64(len(tr.Packets))
-	t.Logf("sim hot path: %.1f allocs/run, %.4f allocs/packet over %d packets",
-		perRun, perPacket, len(tr.Packets))
-	if perPacket > 2 {
-		t.Errorf("steady-state simulator allocates %.4f per packet (%.1f per run), budget is 2",
-			perPacket, perRun)
+	for _, name := range simScanFixtures {
+		t.Run(name, func(t *testing.T) {
+			sim, tr := simScanFixture(t, name)
+			check(t, sim, tr)
+		})
 	}
 }

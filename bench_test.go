@@ -374,6 +374,12 @@ func BenchmarkSimRunInterp(b *testing.B) {
 func benchmarkSimRun(b *testing.B, forceInterp bool) {
 	sim, tr := simRunFixture(b)
 	sim.ForceInterp(forceInterp)
+	benchmarkSteadyRuns(b, sim, tr)
+}
+
+// benchmarkSteadyRuns times repeated runs of tr on one reused Sim, after a
+// warm-up run has filled its flow tables and lazy server pools.
+func benchmarkSteadyRuns(b *testing.B, sim *nicsim.Sim, tr *workload.Trace) {
 	if _, err := sim.Run(tr); err != nil {
 		b.Fatal(err)
 	}
@@ -384,6 +390,20 @@ func benchmarkSimRun(b *testing.B, forceInterp bool) {
 		if _, err := sim.Run(tr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimRunScan measures the simulator where the memory path, not
+// CIR dispatch, dominates: the simScanFixture variants (DPI over 1400-byte
+// payloads, and full LPM-10k rule scans over 64k flows), in steady state
+// like BenchmarkSimRun. TestAllocBudget holds the same fixtures to the
+// allocs-per-packet contract.
+func BenchmarkSimRunScan(b *testing.B) {
+	for _, name := range simScanFixtures {
+		b.Run(name, func(b *testing.B) {
+			sim, tr := simScanFixture(b, name)
+			benchmarkSteadyRuns(b, sim, tr)
+		})
 	}
 }
 

@@ -80,17 +80,14 @@ func (ac *acAutomaton) States() int { return len(ac.next) }
 // state), used to place the pattern state in LNIC memory.
 func (ac *acAutomaton) FootprintBytes() int { return ac.States() * 256 * 4 }
 
-// Scan walks data and returns the total number of pattern matches. visit,
-// when non-nil, observes each per-byte automaton state so the simulator can
-// issue one automaton memory access per byte.
-func (ac *acAutomaton) Scan(data []byte, visit func(state int32)) int {
+// Scan walks data and returns the total number of pattern matches. The
+// simulator's dpiScan walks next itself, pricing each transition; Scan is
+// its match-count oracle.
+func (ac *acAutomaton) Scan(data []byte) int {
 	matches := 0
 	s := int32(0)
 	for _, b := range data {
 		s = ac.next[s][b]
-		if visit != nil {
-			visit(s)
-		}
 		matches += int(ac.outputs[s])
 	}
 	return matches

@@ -31,6 +31,13 @@ type cache struct {
 	tags  []int64
 	lru   []uint64
 	clock uint64
+	// mruLine and mruSlot remember the most recent access (mruSlot < 0 when
+	// there is none). Nothing can evict a line between two accesses, so
+	// touching the line just touched again is a hit at the same slot — the
+	// DPI walk fetches one automaton row many times in a row — and access
+	// answers it without the set-index arithmetic or the way scan.
+	mruLine uint64
+	mruSlot int
 
 	hits, misses uint64
 }
@@ -58,7 +65,7 @@ func newCache(capacityBytes int64, lineBytes int) *cache {
 	if sets < 1 {
 		sets = 1
 	}
-	c := &cache{lineBytes: lineBytes, sets: sets, ways: ways, lineShift: -1}
+	c := &cache{lineBytes: lineBytes, sets: sets, ways: ways, lineShift: -1, mruSlot: -1}
 	if lineBytes&(lineBytes-1) == 0 {
 		c.lineShift = bits.TrailingZeros(uint(lineBytes))
 	}
@@ -88,6 +95,11 @@ func (c *cache) access(addr uint64) bool {
 	} else {
 		line = addr / uint64(c.lineBytes)
 	}
+	if line == c.mruLine && c.mruSlot >= 0 {
+		c.lru[c.mruSlot] = c.clock
+		c.hits++
+		return true
+	}
 	// Sequential lines must spread across sets, so the set index is the
 	// modulo class of the line — computed by mask-and-shift or reciprocal
 	// multiplication (see the field comments), never a hardware divide.
@@ -111,6 +123,7 @@ func (c *cache) access(addr uint64) bool {
 		if t == tag {
 			c.lru[base+w] = c.clock
 			c.hits++
+			c.mruLine, c.mruSlot = line, base+w
 			return true
 		}
 	}
@@ -126,6 +139,7 @@ func (c *cache) access(addr uint64) bool {
 	}
 	c.tags[victim] = tag
 	c.lru[victim] = c.clock
+	c.mruLine, c.mruSlot = line, victim
 	return false
 }
 
@@ -139,6 +153,7 @@ func (c *cache) reset() {
 		c.lru[i] = 0
 	}
 	c.clock = 0
+	c.mruSlot = -1
 	c.hits = 0
 	c.misses = 0
 }

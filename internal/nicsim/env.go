@@ -21,7 +21,6 @@ type exec struct {
 	pktCopy  packet.Packet
 	pktOwned bool
 	wire     []byte
-	pktIndex int
 
 	now     float64
 	bd      Breakdown
@@ -31,6 +30,11 @@ type exec struct {
 	parsed   [8]bool // indexed by proto constant; charged once per packet
 	latched  []latchedEnt
 	lastLine int64 // last packet-memory line touched (streaming amortization)
+
+	// pktBase and spillBase are the packet's simulated base addresses in the
+	// packet and spill regions, rotated per packet so consecutive packets do
+	// not alias; spillBase is already reduced modulo the spill region.
+	pktBase, spillBase uint64
 }
 
 // latchedEnt associates a map-state name with the entry the NF last touched.
@@ -86,13 +90,14 @@ func (e *exec) reset(wire []byte, pktIndex int) {
 	e.pkt = nil // the caller points it at this packet's decode before any use
 	e.pktOwned = false
 	e.wire = wire
-	e.pktIndex = pktIndex
 	e.now = 0
 	e.bd = Breakdown{}
 	e.emitted = false
 	e.steps = 0
 	e.parsed = [8]bool{}
 	e.lastLine = 0
+	e.pktBase = uint64(pktIndex) * 2048 % e.s.pktSpanMod
+	e.spillBase = uint64(pktIndex) * 4096 % uint64(e.s.nic.Mems[e.s.nic.PktSpillMem].Bytes)
 }
 
 // onInstr prices non-vcall instructions from the Sim's precomputed per-op
@@ -109,33 +114,22 @@ func (e *exec) onInstr(_ int, in *cir.Instr) {
 	e.bd.Compute += cost
 }
 
-// pktBase returns the packet's simulated base address in the packet region,
-// rotated per packet so consecutive packets do not alias.
-func (e *exec) pktBase() uint64 {
-	region := e.s.nic.Mems[e.s.nic.PktMem]
-	span := uint64(region.Bytes)
-	if span < 4096 {
-		span = 4096
-	}
-	return (uint64(e.pktIndex) * 2048) % (span - 2048)
-}
-
 // payloadRead charges one payload byte read at payload offset i, amortized
 // by memory line for sequential access, honoring tail spill to the
 // secondary packet region for large packets (§3.2).
 func (e *exec) payloadRead(i int) {
+	s := e.s
 	off := len(e.wire) - len(e.pkt.Payload) + i
-	region := e.s.nic.PktMem
-	addr := e.pktBase() + uint64(off)
-	if off >= e.s.nic.PktMemResident {
-		region = e.s.nic.PktSpillMem
-		addr = (uint64(e.pktIndex)*4096 + uint64(off)) % uint64(e.s.nic.Mems[region].Bytes)
+	region := s.nic.PktMem
+	addr := e.pktBase + uint64(off)
+	if off >= s.nic.PktMemResident {
+		region = s.nic.PktSpillMem
+		addr = e.spillBase + uint64(off)
+		if span := uint64(s.nic.Mems[region].Bytes); addr >= span {
+			addr %= span
+		}
 	}
-	lineBytes := e.s.nic.Mems[region].LineBytes
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
-	line := int64(region)<<56 | int64(addr)/int64(lineBytes)
+	line := int64(region)<<56 | s.lines[region].line(addr)
 	if line == e.lastLine {
 		// Same line as the previous byte: register-file speed.
 		e.now++
@@ -143,7 +137,7 @@ func (e *exec) payloadRead(i int) {
 		return
 	}
 	e.lastLine = line
-	e.now += e.s.memAccess(region, addr, false, &e.bd)
+	e.now += s.memAccess(region, addr, false, &e.bd)
 }
 
 func (e *exec) charge(c float64) {
@@ -237,13 +231,7 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		// plus packet-memory reads line by line (the ~1700-extra-cycles
 		// path of §2.1).
 		e.charge(100 + float64(seg))
-		lineBytes := s.nic.Mems[s.nic.PktMem].LineBytes
-		if lineBytes <= 0 {
-			lineBytes = 64
-		}
-		for off := 0; off < seg; off += lineBytes {
-			e.payloadRead(off)
-		}
+		e.checksumReads(seg)
 		return 0, nil
 
 	case cir.VCCksumUpdate:
@@ -500,19 +488,73 @@ func (e *exec) lpmScan(l *lpmState, addr uint32) uint64 {
 	if entrySize <= 0 {
 		entrySize = 8
 	}
-	lineBytes := s.nic.Mems[l.region].LineBytes
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
-	total := l.entries() * entrySize
-	for off := 0; off < total; off += lineBytes {
-		e.now += s.memAccess(l.region, l.base+uint64(off), false, &e.bd)
-	}
+	e.loadLines(l.region, l.base, l.entries()*entrySize, int(s.lines[l.region].bytes))
 	// Two compare/mask ALU ops per rule.
 	e.charge(float64(l.entries()) * 2 * s.npu.ClassCycles[cir.ClassALU])
 	return l.lookup(addr)
 }
 
+// checksumReads charges the software checksum's read of a seg-byte L4
+// segment: one payloadRead per packet-region line stride. After the first
+// read, every step that stays resident lands on a fresh line, so those go
+// through loadLines; the spilled tail, whose lines may be larger than the
+// stride, keeps payloadRead's line amortization.
+func (e *exec) checksumReads(seg int) {
+	s := e.s
+	step := int(s.lines[s.nic.PktMem].bytes)
+	hdr := len(e.wire) - len(e.pkt.Payload)
+	off := 0
+	if resident := min(seg, s.nic.PktMemResident-hdr); resident > 0 {
+		e.payloadRead(0)
+		if off = step; off < resident {
+			base := e.pktBase + uint64(hdr)
+			e.loadLines(s.nic.PktMem, base+uint64(off), resident-off, step)
+			last := off + (resident-off-1)/step*step
+			e.lastLine = int64(s.nic.PktMem)<<56 | s.lines[s.nic.PktMem].line(base+uint64(last))
+			off = last + step
+		}
+	}
+	for ; off < seg; off += step {
+		e.payloadRead(off)
+	}
+}
+
+// loadPort is memAccess for loads from one region with the cache, price and
+// fault-rate lookups resolved once, for loops that issue many loads there.
+type loadPort struct {
+	region          int
+	c               *cache
+	load, hit, rate float64
+}
+
+func (s *Sim) loadPort(region int) loadPort {
+	p := s.memCost[region]
+	return loadPort{region: region, c: s.caches[region], load: p.load, hit: p.hit,
+		rate: s.memFaultRate(region)}
+}
+
+// load charges e one load at addr through p: the same cache access, fault
+// draw and float additions, in the same order, as e.now += memAccess(...).
+func (e *exec) load(p *loadPort, addr uint64) {
+	cost := p.load
+	if p.c != nil && p.c.access(addr) {
+		cost = p.hit
+	}
+	e.now += e.s.bookMem(p.region, p.rate, cost, &e.bd)
+}
+
+// loadLines charges one load per step bytes over [base, base+n) in region,
+// in address order.
+func (e *exec) loadLines(region int, base uint64, n, step int) {
+	p := e.s.loadPort(region)
+	for off := 0; off < n; off += step {
+		e.load(&p, base+uint64(off))
+	}
+}
+
+// dpiScan walks the pattern automaton over the payload (up to the run's DPI
+// byte budget). Each byte costs a payload read, one fetch of the next
+// state's DFA row and two ALU ops.
 func (e *exec) dpiScan(name string) (uint64, error) {
 	s := e.s
 	p, ok := s.patterns[name]
@@ -524,15 +566,17 @@ func (e *exec) dpiScan(name string) (uint64, error) {
 		// DPI byte budget: scan only the first m payload bytes.
 		payload = payload[:m]
 	}
-	i := 0
-	matches := p.ac.Scan(payload, func(state int32) {
+	rows := s.loadPort(p.region)
+	next, outputs := p.ac.next, p.ac.outputs
+	matches := 0
+	state := int32(0)
+	for i, b := range payload {
+		state = next[state][b]
 		e.payloadRead(i)
-		i++
-		// One automaton transition fetch: the DFA row of the next state.
-		rowAddr := p.base + uint64(state)*1024
-		e.now += s.memAccess(p.region, rowAddr, false, &e.bd)
+		e.load(&rows, p.base+uint64(state)*1024)
 		e.charge(2)
-	})
+		matches += int(outputs[state])
+	}
 	return uint64(matches), nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -265,6 +266,15 @@ type Sim struct {
 	// override folded in), so the per-instruction hook indexes an array
 	// instead of hashing into ClassCycles a million times per run.
 	costByOp [256]float64
+	// memCost does the same for memory: one access from the representative
+	// core into each region, indexed by region ID (see memPrice). lines
+	// holds each region's line geometry and pktSpanMod the modulus of the
+	// per-packet base rotation in the packet region. All three depend only
+	// on the NIC and npuUnit, so reset and the co-location rewiring leave
+	// them valid.
+	memCost    []memPrice
+	lines      []lineGeom
+	pktSpanMod uint64
 
 	maps     map[string]*mapState
 	lpms     map[string]*lpmState
@@ -442,6 +452,18 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		}
 		s.costByOp[op] = cost
 	}
+
+	s.memCost = make([]memPrice, len(s.nic.Mems))
+	s.lines = make([]lineGeom, len(s.nic.Mems))
+	for r := range s.nic.Mems {
+		s.memCost[r] = priceRegion(s.nic, s.npuUnit, r)
+		s.lines[r] = newLineGeom(s.nic.Mems[r].LineBytes)
+	}
+	span := uint64(s.nic.Mems[s.nic.PktMem].Bytes)
+	if span < 4096 {
+		span = 4096
+	}
+	s.pktSpanMod = span - 2048
 
 	// Thread pool across all general cores.
 	total := 0
@@ -954,36 +976,93 @@ func classify(p *packet.Packet) string {
 	}
 }
 
+// memPrice is what one access from the representative core into a region
+// costs: lnic.AccessCycles for a load and a store (the raw latency when no
+// edge connects the core to the region), and the cache-hit latency. NewContext
+// folds AccessCycles into one memPrice per region, so the per-access path
+// indexes a table instead of scanning the NIC's comp-mem edges.
+type memPrice struct {
+	load, store, hit float64
+}
+
+func priceRegion(nic *lnic.LNIC, unit, region int) memPrice {
+	m := &nic.Mems[region]
+	p := memPrice{hit: m.CacheHitCycles}
+	var ok bool
+	if p.load, ok = nic.AccessCycles(unit, region, false); !ok {
+		p.load = m.LoadCycles
+	}
+	if p.store, ok = nic.AccessCycles(unit, region, true); !ok {
+		p.store = m.StoreCycles
+	}
+	return p
+}
+
+// lineGeom numbers a region's memory lines: shift is log2(bytes) when the
+// line size is a power of two (every shipped profile), -1 when a true
+// division is needed. Line size 0 means the 64-byte default.
+type lineGeom struct {
+	bytes int64
+	shift int
+}
+
+func newLineGeom(lineBytes int) lineGeom {
+	if lineBytes <= 0 {
+		lineBytes = 64
+	}
+	g := lineGeom{bytes: int64(lineBytes), shift: -1}
+	if lineBytes&(lineBytes-1) == 0 {
+		g.shift = bits.TrailingZeros(uint(lineBytes))
+	}
+	return g
+}
+
+// line returns the line holding addr (addr < 2^63, as every region is).
+func (g lineGeom) line(addr uint64) int64 {
+	if g.shift >= 0 {
+		return int64(addr >> uint(g.shift))
+	}
+	return int64(addr) / g.bytes
+}
+
 // memAccess charges one access from the general cores into a region at a
 // concrete address, consulting the region's cache if it has one. An injected
 // soft fault (per-region rate) retries the access once, doubling its cost.
 func (s *Sim) memAccess(region int, addr uint64, store bool, bd *Breakdown) float64 {
-	m := &s.nic.Mems[region]
-	var base float64
-	if c := s.caches[region]; c != nil && c.access(addr) {
-		base = m.CacheHitCycles
-	} else {
-		var ok bool
-		base, ok = s.nic.AccessCycles(s.npuUnit, region, store)
-		if !ok {
-			// Region unreachable from the cores; price it as the raw latency.
-			base = m.LoadCycles
-			if store {
-				base = m.StoreCycles
-			}
-		}
+	p := &s.memCost[region]
+	cost := p.load
+	if store {
+		cost = p.store
 	}
-	if f := s.faults; f != nil {
-		if rate := f.MemFault[m.Name]; rate > 0 && s.frandFloat() < rate {
-			s.noteMemFault(m.Name)
-			base *= 2 // one retry
-		}
+	if c := s.caches[region]; c != nil && c.access(addr) {
+		cost = p.hit
+	}
+	return s.bookMem(region, s.memFaultRate(region), cost, bd)
+}
+
+// memFaultRate is the injected soft-fault probability of one access into
+// region (0 with fault injection off).
+func (s *Sim) memFaultRate(region int) float64 {
+	if s.faults == nil {
+		return 0
+	}
+	return s.faults.MemFault[s.nic.Mems[region].Name]
+}
+
+// bookMem finishes one priced access into region: when the region's fault
+// rate is positive it draws the fault RNG once, and a fault retries the
+// access, doubling its cost. The cost then goes to the tracer's per-region
+// total and to bd.Mem, and is returned.
+func (s *Sim) bookMem(region int, rate, cost float64, bd *Breakdown) float64 {
+	if rate > 0 && s.frandFloat() < rate {
+		s.noteMemFault(s.nic.Mems[region].Name)
+		cost *= 2
 	}
 	if s.memCycles != nil {
-		s.memCycles[region] += base
+		s.memCycles[region] += cost
 	}
-	bd.Mem += base
-	return base
+	bd.Mem += cost
+	return cost
 }
 
 // accelVisit models an accelerator visit with head-of-line blocking: the

@@ -376,7 +376,7 @@ func TestAhoCorasick(t *testing.T) {
 		{"", 0},
 	}
 	for _, c := range cases {
-		if got := ac.Scan([]byte(c.text), nil); got != c.want {
+		if got := ac.Scan([]byte(c.text)); got != c.want {
 			t.Errorf("Scan(%q) = %d, want %d", c.text, got, c.want)
 		}
 	}
@@ -390,7 +390,7 @@ func TestAhoCorasick(t *testing.T) {
 
 func TestAhoCorasickOverlapping(t *testing.T) {
 	ac := buildAC([]string{"aa"})
-	if got := ac.Scan([]byte("aaaa"), nil); got != 3 {
+	if got := ac.Scan([]byte("aaaa")); got != 3 {
 		t.Errorf("overlapping matches = %d, want 3", got)
 	}
 }

@@ -47,7 +47,7 @@ func TestAhoCorasickMatchesNaive(t *testing.T) {
 		}
 		text := randStr(60)
 		ac := buildAC(patterns)
-		got := ac.Scan([]byte(text), nil)
+		got := ac.Scan([]byte(text))
 		want := naiveMatchCount(patterns, text)
 		if got != want {
 			t.Fatalf("patterns %q text %q: ac=%d naive=%d", patterns, text, got, want)
@@ -60,7 +60,7 @@ func TestAhoCorasickMatchesNaive(t *testing.T) {
 // occurrence reports len(dups) matches only if out counts were summed).
 func TestAhoCorasickDuplicatePatterns(t *testing.T) {
 	ac := buildAC([]string{"ab", "ab"})
-	if got := ac.Scan([]byte("ab"), nil); got != 2 {
+	if got := ac.Scan([]byte("ab")); got != 2 {
 		t.Errorf("duplicate patterns matched %d times, want 2 (both registered)", got)
 	}
 }
@@ -107,6 +107,41 @@ func TestCacheAssociativityWithinSet(t *testing.T) {
 	// First round: 8 misses; the other 9 rounds: all hits.
 	if c.misses != 8 {
 		t.Errorf("misses = %d, want 8 (LRU should retain a full set)", c.misses)
+	}
+}
+
+// TestCacheRepeatShortcutIsExact: access's most-recent-line shortcut must
+// leave the cache exactly as the full set scan would. Two caches see one
+// random stream, rich in immediate repeats, evictions and set conflicts;
+// the second forgets its shortcut before every access, so it always scans.
+func TestCacheRepeatShortcutIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, geom := range []struct {
+		capacity int64
+		line     int
+	}{{8192, 64}, {3 << 10, 48}, {192, 64}} {
+		fast, scan := newCache(geom.capacity, geom.line), newCache(geom.capacity, geom.line)
+		addr := uint64(0)
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(3) > 0 { // otherwise repeat the previous address's line
+				addr = uint64(rng.Intn(64 * geom.line))
+			}
+			scan.mruSlot = -1
+			if hf, hs := fast.access(addr), scan.access(addr); hf != hs {
+				t.Fatalf("geometry %+v, access %d at %d: shortcut hit=%v, scan hit=%v", geom, i, addr, hf, hs)
+			}
+		}
+		if fast.hits != scan.hits || fast.misses != scan.misses || fast.clock != scan.clock {
+			t.Fatalf("geometry %+v: counters diverged", geom)
+		}
+		for i := range fast.tags {
+			if fast.tags[i] != scan.tags[i] || fast.lru[i] != scan.lru[i] {
+				t.Fatalf("geometry %+v: slot %d diverged", geom, i)
+			}
+		}
+		if fast.hits == 0 || fast.misses == 0 {
+			t.Fatalf("geometry %+v: stream saw %d hits, %d misses", geom, fast.hits, fast.misses)
+		}
 	}
 }
 

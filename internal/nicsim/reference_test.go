@@ -92,7 +92,8 @@ func referenceRunContext(s *Sim, ctx context.Context, tr *workload.Trace) (*Resu
 			s.pktFaulted = true
 		}
 
-		e := &exec{s: s, wire: data, pktIndex: i}
+		e := &exec{s: s}
+		e.reset(data, i)
 		e.pkt = &e.pktCopy
 		e.pktOwned = true
 		if err := e.pkt.Decode(data); err != nil {
