@@ -118,3 +118,26 @@ func TestAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// mapBytesBudget bounds the bytes one BenchmarkMapILP solve allocates
+// (vnfchain on netronome). The dense tableau allocated 778 KB per solve;
+// the sparse one allocates about 118 KB. The figure is deterministic for
+// the fixed input, so the budget needs no slack for timing.
+const mapBytesBudget = 320_000
+
+// TestMapAllocBudget keeps the ILP solve's transient allocation down: with
+// a live heap of about 1.2 MB under the runtime's 4 MB heap goal, the bytes
+// the advise path allocates set how often the collector runs (DESIGN.md
+// "ILP solve").
+func TestMapAllocBudget(t *testing.T) {
+	res := testing.Benchmark(BenchmarkMapILP)
+	if res.N == 0 {
+		t.Fatal("BenchmarkMapILP did not run")
+	}
+	perOp := res.AllocedBytesPerOp()
+	t.Logf("vnfchain/netronome ILP mapping: %d B/op, %d allocs/op over %d solves",
+		perOp, res.AllocsPerOp(), res.N)
+	if perOp > mapBytesBudget {
+		t.Errorf("ILP mapping allocates %d B/op, budget is %d", perOp, mapBytesBudget)
+	}
+}

@@ -13,7 +13,7 @@ func TestSimpleLP(t *testing.T) {
 	y := m.Continuous("y", 0, 3)
 	m.SetObjectiveTerm(x, -1)
 	m.SetObjectiveTerm(y, -1)
-	m.AddConstraint("cap", map[VarID]float64{x: 1, y: 1}, LE, 4)
+	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 4)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestMaximize(t *testing.T) {
 	y := m.Continuous("y", 0, math.Inf(1))
 	m.SetObjectiveTerm(x, 3)
 	m.SetObjectiveTerm(y, 2)
-	m.AddConstraint("cap", map[VarID]float64{x: 1, y: 1}, LE, 4)
+	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 4)
 	m.Maximize()
 	s, err := m.Solve()
 	if err != nil {
@@ -57,12 +57,12 @@ func TestKnapsack(t *testing.T) {
 	w := []float64{3, 4, 5, 8}
 	v := []float64{4, 5, 6, 10}
 	var vars []VarID
-	terms := map[VarID]float64{}
+	var terms []Term
 	for i := range w {
 		x := m.Binary("x")
 		vars = append(vars, x)
 		m.SetObjectiveTerm(x, v[i])
-		terms[x] = w[i]
+		terms = append(terms, Term{x, w[i]})
 	}
 	m.AddConstraint("cap", terms, LE, 10)
 	m.Maximize()
@@ -85,8 +85,8 @@ func TestEqualityAndGE(t *testing.T) {
 	y := m.Continuous("y", 0, math.Inf(1))
 	m.SetObjectiveTerm(x, 1)
 	m.SetObjectiveTerm(y, 2)
-	m.AddConstraint("sum", map[VarID]float64{x: 1, y: 1}, EQ, 5)
-	m.AddConstraint("min-y", map[VarID]float64{y: 1}, GE, 2)
+	m.AddConstraint("sum", []Term{{x, 1}, {y, 1}}, EQ, 5)
+	m.AddConstraint("min-y", []Term{{y, 1}}, GE, 2)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestEqualityAndGE(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.Binary("x")
-	m.AddConstraint("a", map[VarID]float64{x: 1}, GE, 2) // x ≤ 1 as binary
+	m.AddConstraint("a", []Term{{x, 1}}, GE, 2) // x ≤ 1 as binary
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleContinuous(t *testing.T) {
 	m := NewModel()
 	x := m.Continuous("x", 0, 10)
-	m.AddConstraint("a", map[VarID]float64{x: 1}, GE, 5)
-	m.AddConstraint("b", map[VarID]float64{x: 1}, LE, 3)
+	m.AddConstraint("a", []Term{{x, 1}}, GE, 5)
+	m.AddConstraint("b", []Term{{x, 1}}, LE, 3)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -144,16 +144,16 @@ func TestAssignmentProblem(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		terms := map[VarID]float64{}
+		var terms []Term
 		for j := 0; j < 3; j++ {
-			terms[x[i][j]] = 1
+			terms = append(terms, Term{x[i][j], 1})
 		}
 		m.AddConstraint("task", terms, EQ, 1)
 	}
 	for j := 0; j < 3; j++ {
-		terms := map[VarID]float64{}
+		var terms []Term
 		for i := 0; i < 3; i++ {
-			terms[x[i][j]] = 1
+			terms = append(terms, Term{x[i][j], 1})
 		}
 		m.AddConstraint("machine", terms, LE, 1)
 	}
@@ -175,7 +175,7 @@ func TestFix(t *testing.T) {
 	y := m.Binary("y")
 	m.SetObjectiveTerm(x, 1)
 	m.SetObjectiveTerm(y, 10)
-	m.AddConstraint("one", map[VarID]float64{x: 1, y: 1}, EQ, 1)
+	m.AddConstraint("one", []Term{{x, 1}, {y, 1}}, EQ, 1)
 	m.Fix(x, 0) // force the expensive choice
 	s, err := m.Solve()
 	if err != nil {
@@ -210,11 +210,11 @@ func TestSetCover(t *testing.T) {
 		m.SetObjectiveTerm(vars[i], s.cost)
 	}
 	for e := 1; e <= 5; e++ {
-		terms := map[VarID]float64{}
+		var terms []Term
 		for i, s := range sets {
 			for _, x := range s.elems {
 				if x == e {
-					terms[vars[i]] = 1
+					terms = append(terms, Term{vars[i], 1})
 				}
 			}
 		}
@@ -263,8 +263,8 @@ func TestNodeLimit(t *testing.T) {
 	y := m.Binary("y")
 	m.SetObjectiveTerm(x, 1)
 	m.SetObjectiveTerm(y, 1)
-	m.AddConstraint("frac", map[VarID]float64{x: 2, y: 2}, EQ, 2)
-	m.AddConstraint("tie", map[VarID]float64{x: 1, y: -1}, LE, 0)
+	m.AddConstraint("frac", []Term{{x, 2}, {y, 2}}, EQ, 2)
+	m.AddConstraint("tie", []Term{{x, 1}, {y, -1}}, LE, 0)
 	if _, err := m.SolveWithLimit(1); err == nil {
 		// The relaxation might be integral already; only fail if it also
 		// reports no error with an obviously fractional relaxation.
@@ -339,9 +339,9 @@ func TestRandomILPAgainstBruteForce(t *testing.T) {
 			m.SetObjectiveTerm(vars[i], obj[i])
 		}
 		for ci, c := range cons {
-			terms := map[VarID]float64{}
+			var terms []Term
 			for i, cf := range c.coef {
-				terms[vars[i]] = cf
+				terms = append(terms, Term{vars[i], cf})
 			}
 			m.AddConstraint("c", terms, c.sense, c.rhs)
 			_ = ci
@@ -363,7 +363,7 @@ func TestModelString(t *testing.T) {
 	m := NewModel()
 	x := m.Binary("x0")
 	m.SetObjectiveTerm(x, 2)
-	m.AddConstraint("c0", map[VarID]float64{x: 1}, LE, 1)
+	m.AddConstraint("c0", []Term{{x, 1}}, LE, 1)
 	s := m.String()
 	if s == "" {
 		t.Error("empty model string")
@@ -375,7 +375,7 @@ func TestAddObjectiveTermAccumulates(t *testing.T) {
 	x := m.Binary("x")
 	m.AddObjectiveTerm(x, 2)
 	m.AddObjectiveTerm(x, 3)
-	m.AddConstraint("on", map[VarID]float64{x: 1}, EQ, 1)
+	m.AddConstraint("on", []Term{{x, 1}}, EQ, 1)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -405,16 +405,16 @@ func BenchmarkAssignment10x10(b *testing.B) {
 			}
 		}
 		for i := 0; i < 10; i++ {
-			terms := map[VarID]float64{}
+			var terms []Term
 			for j := 0; j < 10; j++ {
-				terms[x[i][j]] = 1
+				terms = append(terms, Term{x[i][j], 1})
 			}
 			m.AddConstraint("t", terms, EQ, 1)
 		}
 		for j := 0; j < 10; j++ {
-			terms := map[VarID]float64{}
+			var terms []Term
 			for i := 0; i < 10; i++ {
-				terms[x[i][j]] = 1
+				terms = append(terms, Term{x[i][j], 1})
 			}
 			m.AddConstraint("m", terms, LE, 1)
 		}

@@ -1,17 +1,19 @@
 // Package ilp implements a small exact solver for the 0/1 integer linear
 // programs Clara's mapper produces (§3.4 of the paper: compute constraints
 // Π, memory constraints Γ and switching constraints Θ solved together to
-// emulate a compilation process). The solver pairs a dense two-phase primal
-// simplex (LP relaxation, Bland's rule) with depth-first branch and bound.
+// emulate a compilation process). The solver pairs a two-phase primal
+// simplex on a sparse tableau (LP relaxation, Bland's rule) with
+// depth-first branch and bound.
 // Mapping instances are tiny — tens of dataflow nodes against tens of LNIC
 // units — so exact search is fast and dependency-free.
 package ilp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -47,39 +49,68 @@ type variable struct {
 	lo, hi  float64
 }
 
+// Term is one coefficient of a constraint row.
+type Term struct {
+	Var  VarID
+	Coef float64
+}
+
 type constraint struct {
 	name  string
-	terms map[VarID]float64
+	terms []Term // sorted by Var, no zero coefficients
 	sense Sense
 	rhs   float64
+}
+
+// Namer supplies the names of variables and constraints added with an
+// empty name. VarName and String consult it on demand, so a model built on
+// a hot path pays for its names only when they are printed.
+type Namer interface {
+	VarName(VarID) string
+	ConstraintName(index int) string
 }
 
 // Model is an ILP under construction. All variables are non-negative.
 type Model struct {
 	vars     []variable
 	cons     []constraint
-	obj      map[VarID]float64
+	obj      []float64 // objective coefficient per variable
 	maximize bool
+	namer    Namer
 }
 
 // NewModel returns an empty minimization model.
 func NewModel() *Model {
-	return &Model{obj: map[VarID]float64{}}
+	return &Model{}
 }
+
+// SetNamer installs n as the source of names left empty at construction.
+func (m *Model) SetNamer(n Namer) { m.namer = n }
 
 // Binary adds a 0/1 variable.
 func (m *Model) Binary(name string) VarID {
-	m.vars = append(m.vars, variable{name: name, integer: true, lo: 0, hi: 1})
-	return VarID(len(m.vars) - 1)
+	return m.addVar(variable{name: name, integer: true, lo: 0, hi: 1})
 }
 
 // Continuous adds a bounded continuous variable with 0 ≤ lo ≤ x ≤ hi.
 func (m *Model) Continuous(name string, lo, hi float64) VarID {
-	if lo < 0 {
-		lo = 0
+	if lo <= 0 {
+		lo = 0 // also turns −0 into +0
 	}
-	m.vars = append(m.vars, variable{name: name, lo: lo, hi: hi})
+	return m.addVar(variable{name: name, lo: lo, hi: hi})
+}
+
+func (m *Model) addVar(v variable) VarID {
+	m.vars = append(m.vars, v)
+	m.obj = append(m.obj, 0)
 	return VarID(len(m.vars) - 1)
+}
+
+// Grow reserves room for vars more variables and cons more constraints.
+func (m *Model) Grow(vars, cons int) {
+	m.vars = slices.Grow(m.vars, vars)
+	m.obj = slices.Grow(m.obj, vars)
+	m.cons = slices.Grow(m.cons, cons)
 }
 
 // NumVars returns the variable count.
@@ -89,13 +120,24 @@ func (m *Model) NumVars() int { return len(m.vars) }
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // VarName returns the name of v.
-func (m *Model) VarName(v VarID) string { return m.vars[v].name }
+func (m *Model) VarName(v VarID) string {
+	if name := m.vars[v].name; name != "" || m.namer == nil {
+		return name
+	}
+	return m.namer.VarName(v)
+}
+
+func (m *Model) constraintName(i int) string {
+	if name := m.cons[i].name; name != "" || m.namer == nil {
+		return name
+	}
+	return m.namer.ConstraintName(i)
+}
 
 // SetObjectiveTerm sets the objective coefficient of v.
 func (m *Model) SetObjectiveTerm(v VarID, coeff float64) {
 	if coeff == 0 {
-		delete(m.obj, v)
-		return
+		coeff = 0 // a −0 coefficient is no coefficient
 	}
 	m.obj[v] = coeff
 }
@@ -108,24 +150,33 @@ func (m *Model) AddObjectiveTerm(v VarID, coeff float64) {
 // Maximize flips the model to maximization.
 func (m *Model) Maximize() { m.maximize = true }
 
-// AddConstraint adds Σ terms[v]·v  sense  rhs. The terms map is copied.
-func (m *Model) AddConstraint(name string, terms map[VarID]float64, sense Sense, rhs float64) {
-	t := make(map[VarID]float64, len(terms))
-	for v, c := range terms {
-		if int(v) < 0 || int(v) >= len(m.vars) {
-			panic(fmt.Sprintf("ilp: constraint %q references unknown variable %d", name, v))
-		}
-		if c != 0 {
-			t[v] = c
+// AddConstraint adds Σ t.Coef·t.Var  sense  rhs. The terms are copied,
+// sorted by variable; repeated variables are summed and zero coefficients
+// dropped.
+func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float64) {
+	t := slices.Clone(terms)
+	for _, tm := range t {
+		if int(tm.Var) < 0 || int(tm.Var) >= len(m.vars) {
+			panic(fmt.Sprintf("ilp: constraint %q references unknown variable %d", name, tm.Var))
 		}
 	}
+	slices.SortStableFunc(t, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	merged := t[:0]
+	for _, tm := range t {
+		if n := len(merged); n > 0 && merged[n-1].Var == tm.Var {
+			merged[n-1].Coef += tm.Coef
+		} else {
+			merged = append(merged, tm)
+		}
+	}
+	t = slices.DeleteFunc(merged, func(tm Term) bool { return tm.Coef == 0 })
 	m.cons = append(m.cons, constraint{name: name, terms: t, sense: sense, rhs: rhs})
 }
 
 // Fix pins a variable to a value via an equality constraint (used by the
 // mapper's strategy hints to emulate hand-tuning decisions).
 func (m *Model) Fix(v VarID, val float64) {
-	m.AddConstraint(fmt.Sprintf("fix:%s", m.vars[v].name), map[VarID]float64{v: 1}, EQ, val)
+	m.AddConstraint("fix:"+m.VarName(v), []Term{{v, 1}}, EQ, val)
 }
 
 // Status reports the outcome of a solve.
@@ -177,30 +228,25 @@ func (m *Model) String() string {
 		dir = "max"
 	}
 	fmt.Fprintf(&b, "%s ", dir)
-	ids := make([]VarID, 0, len(m.obj))
-	for v := range m.obj {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, v := range ids {
-		if i > 0 {
+	first := true
+	for v, c := range m.obj {
+		if c == 0 {
+			continue
+		}
+		if !first {
 			b.WriteString(" + ")
 		}
-		fmt.Fprintf(&b, "%g·%s", m.obj[v], m.vars[v].name)
+		first = false
+		fmt.Fprintf(&b, "%g·%s", c, m.VarName(VarID(v)))
 	}
 	b.WriteString("\n")
-	for _, c := range m.cons {
-		vids := make([]VarID, 0, len(c.terms))
-		for v := range c.terms {
-			vids = append(vids, v)
-		}
-		sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-		fmt.Fprintf(&b, "  %s: ", c.name)
-		for i, v := range vids {
+	for ci, c := range m.cons {
+		fmt.Fprintf(&b, "  %s: ", m.constraintName(ci))
+		for i, t := range c.terms {
 			if i > 0 {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%g·%s", c.terms[v], m.vars[v].name)
+			fmt.Fprintf(&b, "%g·%s", t.Coef, m.VarName(t.Var))
 		}
 		fmt.Fprintf(&b, " %s %g\n", c.sense, c.rhs)
 	}
@@ -220,16 +266,28 @@ func (m *Model) Solve() (*Solution, error) {
 
 // SolveWithLimit is Solve with an explicit branch-and-bound node budget.
 func (m *Model) SolveWithLimit(maxNodes int) (*Solution, error) {
+	return m.solve(maxNodes, solveLP)
+}
+
+// lpSolver solves the LP relaxation of m minimizing obj under the bounds
+// lo ≤ x ≤ hi, returning the values, the objective and the status.
+type lpSolver func(m *Model, obj, lo, hi []float64) ([]float64, float64, Status)
+
+// solve runs branch and bound with lp solving each node's relaxation.
+func (m *Model) solve(maxNodes int, lp lpSolver) (*Solution, error) {
 	// Internally always minimize.
 	obj := make([]float64, len(m.vars))
 	for v, c := range m.obj {
+		if c == 0 {
+			continue // leave +0: negating it would give −0
+		}
 		if m.maximize {
 			obj[v] = -c
 		} else {
 			obj[v] = c
 		}
 	}
-	bb := &bnb{m: m, obj: obj, best: math.Inf(1), maxNodes: maxNodes}
+	bb := &bnb{m: m, lp: lp, obj: obj, best: math.Inf(1), maxNodes: maxNodes}
 	lo := make([]float64, len(m.vars))
 	hi := make([]float64, len(m.vars))
 	for i, v := range m.vars {
@@ -250,6 +308,7 @@ func (m *Model) SolveWithLimit(maxNodes int) (*Solution, error) {
 
 type bnb struct {
 	m        *Model
+	lp       lpSolver
 	obj      []float64
 	best     float64
 	bestVals []float64
@@ -262,7 +321,7 @@ func (b *bnb) search(lo, hi []float64) error {
 	if b.nodes > b.maxNodes {
 		return ErrNodeLimit
 	}
-	vals, objv, status := solveLP(b.m, b.obj, lo, hi)
+	vals, objv, status := b.lp(b.m, b.obj, lo, hi)
 	switch status {
 	case StatusInfeasible:
 		return nil

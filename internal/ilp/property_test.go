@@ -47,9 +47,9 @@ func TestRandomLPFeasibility(t *testing.T) {
 				sense, rhs = EQ, lhs
 			}
 			cons = append(cons, con{coef, sense, rhs})
-			terms := map[VarID]float64{}
+			var terms []Term
 			for i, cf := range coef {
-				terms[vars[i]] = cf
+				terms = append(terms, Term{vars[i], cf})
 			}
 			m.AddConstraint("c", terms, sense, rhs)
 		}
@@ -119,9 +119,9 @@ func TestMixedIntegerRelaxationBound(t *testing.T) {
 				}
 				m.SetObjectiveTerm(vars[i], float64(r.Intn(19)-9))
 			}
-			terms := map[VarID]float64{}
+			var terms []Term
 			for i := range vars {
-				terms[vars[i]] = 1
+				terms = append(terms, Term{vars[i], 1})
 			}
 			// At least one variable must be on.
 			m.AddConstraint("cover", terms, GE, 1)
@@ -153,11 +153,11 @@ func TestBinarySolutionsAreBinary(t *testing.T) {
 		m := NewModel()
 		n := 3 + rng.Intn(4)
 		vars := make([]VarID, n)
-		terms := map[VarID]float64{}
+		var terms []Term
 		for i := range vars {
 			vars[i] = m.Binary("x")
 			m.SetObjectiveTerm(vars[i], rng.Float64()*10-5)
-			terms[vars[i]] = rng.Float64()*3 + 0.5
+			terms = append(terms, Term{vars[i], rng.Float64()*3 + 0.5})
 		}
 		m.AddConstraint("cap", terms, LE, rng.Float64()*float64(n))
 		s, err := m.Solve()

@@ -6,10 +6,15 @@ import "math"
 // per-variable bounds lo/hi. It returns variable values in the model's
 // original space, the objective value, and a status.
 //
-// The implementation is a dense two-phase primal simplex on the tableau with
+// The implementation is a two-phase primal simplex on the full tableau with
 // Bland's anti-cycling rule. Variables are shifted by their lower bounds;
-// finite upper bounds become explicit rows.
-func solveLP(m *Model, obj []float64, lo, hi []float64) ([]float64, float64, Status) {
+// finite upper bounds become explicit rows x_k + s_k = hi_k − lo_k. The
+// tableau stores only nonzero entries, and a pivot computes only the
+// columns where the pivot row is nonzero (see tableau). That skips nothing
+// but subtractions of an exact zero, so every pivot, and every nonzero
+// tableau entry, is the one the dense tableau (reference_test.go) produces;
+// at most the sign of a zero entry differs.
+func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 	n := len(m.vars)
 	for i := 0; i < n; i++ {
 		if hi[i] < lo[i]-feasTol {
@@ -17,218 +22,159 @@ func solveLP(m *Model, obj []float64, lo, hi []float64) ([]float64, float64, Sta
 		}
 	}
 
-	type row struct {
-		coef  []float64
-		sense Sense
-		rhs   float64
-	}
-	var rows []row
-	addRow := func(coef []float64, sense Sense, rhs float64) {
-		rows = append(rows, row{coef, sense, rhs})
-	}
-	// Model constraints, shifted by lower bounds.
-	for _, c := range m.cons {
-		coef := make([]float64, n)
-		rhs := c.rhs
-		for v, cv := range c.terms {
-			coef[v] = cv
-			rhs -= cv * lo[v]
+	// Shifted right-hand sides: model rows, then one upper-bound row per
+	// finitely bounded variable. A negative one flips its row's sense,
+	// which decides the column layout before any row is written.
+	nCons := len(m.cons)
+	rhs := make([]float64, nCons, nCons+n)
+	for ci, c := range m.cons {
+		r := c.rhs
+		for _, t := range c.terms {
+			r -= t.Coef * lo[t.Var]
 		}
-		addRow(coef, c.sense, rhs)
+		rhs[ci] = r
 	}
-	// Upper-bound rows for shifted variables.
-	for i := 0; i < n; i++ {
-		if math.IsInf(hi[i], 1) {
-			continue
+	ubVar := make([]int, 0, n)
+	for k := 0; k < n; k++ {
+		if !math.IsInf(hi[k], 1) {
+			ubVar = append(ubVar, k)
+			rhs = append(rhs, hi[k]-lo[k])
 		}
-		coef := make([]float64, n)
-		coef[i] = 1
-		addRow(coef, LE, hi[i]-lo[i])
 	}
-
-	mRows := len(rows)
-	// Normalize to rhs ≥ 0.
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			for j := range rows[i].coef {
-				rows[i].coef[j] = -rows[i].coef[j]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].sense {
+	mRows := len(rhs)
+	sense := func(i int) Sense {
+		s := LE
+		if i < nCons {
+			s = m.cons[i].sense
+		}
+		if rhs[i] < 0 {
+			switch s {
 			case LE:
-				rows[i].sense = GE
+				s = GE
 			case GE:
-				rows[i].sense = LE
+				s = LE
 			}
 		}
+		return s
 	}
-	// Column layout: [structural n][slack/surplus s][artificial a].
-	nSlack := 0
-	nArt := 0
-	for _, r := range rows {
-		if r.sense != EQ {
+	// Column layout: [structural n][slack/surplus s][artificial a][rhs].
+	nSlack, nArt := 0, 0
+	for i := 0; i < mRows; i++ {
+		s := sense(i)
+		if s != EQ {
 			nSlack++
 		}
-		if r.sense != LE {
+		if s != LE {
 			nArt++
 		}
 	}
 	total := n + nSlack + nArt
-	// tab has mRows+1 rows; the last row is the objective (phase-dependent).
-	tab := make([][]float64, mRows+1)
-	for i := range tab {
-		tab[i] = make([]float64, total+1) // +1 for rhs column
+	words := (total + 63) / 64
+	t := &tableau{
+		rows:  make([][]entry, mRows),
+		rhs:   rhs,
+		cols:  make([]uint64, mRows*words),
+		words: words,
+		obj:   make([]float64, total+1),
+		basis: make([]int, mRows),
+		total: total,
+		prow:  make([]float64, total),
 	}
-	basis := make([]int, mRows)
-	isArt := make([]bool, total)
+	// Every row's initial entries go into one slab; a row that outgrows
+	// its share on a pivot moves out.
+	size := 3 * mRows
+	for _, c := range m.cons {
+		size += len(c.terms)
+	}
+	slab := make([]entry, 0, size)
 	slackIdx, artIdx := n, n+nSlack
-	for i, r := range rows {
-		copy(tab[i], r.coef)
-		tab[i][total] = r.rhs
-		switch r.sense {
+	for i := 0; i < mRows; i++ {
+		s, sign := sense(i), 1.0
+		if rhs[i] < 0 {
+			sign, rhs[i] = -1, -rhs[i]
+		}
+		start := len(slab)
+		if i < nCons {
+			for _, tm := range m.cons[i].terms {
+				slab = append(slab, entry{int(tm.Var), sign * tm.Coef})
+			}
+		} else {
+			slab = append(slab, entry{ubVar[i-nCons], sign})
+		}
+		switch s {
 		case LE:
-			tab[i][slackIdx] = 1
-			basis[i] = slackIdx
+			slab = append(slab, entry{slackIdx, 1})
+			t.basis[i] = slackIdx
 			slackIdx++
 		case GE:
-			tab[i][slackIdx] = -1
+			slab = append(slab, entry{slackIdx, -1}, entry{artIdx, 1})
+			t.basis[i] = artIdx
 			slackIdx++
-			tab[i][artIdx] = 1
-			basis[i] = artIdx
-			isArt[artIdx] = true
 			artIdx++
 		case EQ:
-			tab[i][artIdx] = 1
-			basis[i] = artIdx
-			isArt[artIdx] = true
+			slab = append(slab, entry{artIdx, 1})
+			t.basis[i] = artIdx
 			artIdx++
 		}
-	}
-
-	objRow := tab[mRows]
-	pivot := func(pr, pc int) {
-		pv := tab[pr][pc]
-		for j := 0; j <= total; j++ {
-			tab[pr][j] /= pv
+		t.rows[i] = slab[start:len(slab):len(slab)]
+		for _, e := range t.rows[i] {
+			t.colsOf(i).add(e.j)
 		}
-		for i := 0; i <= mRows; i++ {
-			if i == pr {
-				continue
-			}
-			f := tab[i][pc]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j <= total; j++ {
-				tab[i][j] -= f * tab[pr][j]
-			}
-		}
-		if pr < mRows {
-			basis[pr] = pc
-		}
-	}
-	// runSimplex pivots until optimality. allowed filters entering columns.
-	runSimplex := func(allowed func(int) bool) Status {
-		for iter := 0; iter < 100000; iter++ {
-			// Bland: entering = smallest index with negative reduced cost.
-			pc := -1
-			for j := 0; j < total; j++ {
-				if allowed != nil && !allowed(j) {
-					continue
-				}
-				if objRow[j] < -feasTol {
-					pc = j
-					break
-				}
-			}
-			if pc == -1 {
-				return StatusOptimal
-			}
-			// Ratio test, Bland tie-break on basis index.
-			pr := -1
-			bestRatio := math.Inf(1)
-			for i := 0; i < mRows; i++ {
-				if tab[i][pc] > feasTol {
-					ratio := tab[i][total] / tab[i][pc]
-					if ratio < bestRatio-feasTol ||
-						(ratio < bestRatio+feasTol && (pr == -1 || basis[i] < basis[pr])) {
-						bestRatio = ratio
-						pr = i
-					}
-				}
-			}
-			if pr == -1 {
-				return StatusUnbounded
-			}
-			pivot(pr, pc)
-		}
-		return StatusUnbounded // cycling guard tripped; treat as failure
 	}
 
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
-		for j := 0; j <= total; j++ {
-			objRow[j] = 0
-		}
 		for j := n + nSlack; j < total; j++ {
-			objRow[j] = 1
+			t.obj[j] = 1
 		}
 		// Make the objective row consistent with the basic artificials.
 		for i := 0; i < mRows; i++ {
-			if isArt[basis[i]] {
-				for j := 0; j <= total; j++ {
-					objRow[j] -= tab[i][j]
-				}
+			if t.basis[i] >= n+nSlack {
+				t.subRow(1, i)
 			}
 		}
-		if st := runSimplex(nil); st != StatusOptimal {
+		if st := t.simplex(total); st != StatusOptimal {
 			return nil, 0, StatusInfeasible
 		}
-		if -objRow[total] > 1e-6 { // phase-1 optimum is -objRow[rhs]
+		if -t.obj[total] > 1e-6 { // phase-1 optimum is -obj[rhs]
 			return nil, 0, StatusInfeasible
 		}
-		// Pivot remaining basic artificials out where possible.
+		// Pivot remaining basic artificials out where possible, on the
+		// first structural or slack column with a usable entry.
 		for i := 0; i < mRows; i++ {
-			if !isArt[basis[i]] {
+			if t.basis[i] < n+nSlack {
 				continue
 			}
-			for j := 0; j < n+nSlack; j++ {
-				if math.Abs(tab[i][j]) > feasTol {
-					pivot(i, j)
-					break
+			pc := -1
+			for _, e := range t.rows[i] {
+				if e.j < n+nSlack && math.Abs(e.v) > feasTol && (pc == -1 || e.j < pc) {
+					pc = e.j
 				}
+			}
+			if pc != -1 {
+				t.pivot(i, pc)
 			}
 		}
 	}
 
 	// Phase 2: real objective over structural columns; artificials barred.
-	for j := 0; j <= total; j++ {
-		objRow[j] = 0
-	}
-	for j := 0; j < n; j++ {
-		objRow[j] = obj[j]
-	}
+	clear(t.obj)
+	copy(t.obj, obj[:n])
 	// Reduce objective row against the current basis.
 	for i := 0; i < mRows; i++ {
-		b := basis[i]
-		f := objRow[b]
-		if f == 0 {
-			continue
-		}
-		for j := 0; j <= total; j++ {
-			objRow[j] -= f * tab[i][j]
+		if f := t.obj[t.basis[i]]; f != 0 {
+			t.subRow(f, i)
 		}
 	}
-	st := runSimplex(func(j int) bool { return !isArt[j] })
-	if st == StatusUnbounded {
+	if t.simplex(n+nSlack) == StatusUnbounded {
 		return nil, 0, StatusUnbounded
 	}
 
 	// Extract solution (shift lower bounds back in).
 	vals := make([]float64, n)
 	for i := 0; i < mRows; i++ {
-		if basis[i] < n {
-			vals[basis[i]] = tab[i][total]
+		if t.basis[i] < n {
+			vals[t.basis[i]] = t.rhs[i]
 		}
 	}
 	objv := 0.0
@@ -240,4 +186,193 @@ func solveLP(m *Model, obj []float64, lo, hi []float64) ([]float64, float64, Sta
 		objv += obj[i] * vals[i]
 	}
 	return vals, objv, StatusOptimal
+}
+
+// tableau is the simplex tableau: one row per constraint, model rows first,
+// then the upper-bound rows, plus the objective row. Columns are
+// [structural][slack/surplus][artificial], then the rhs column.
+//
+// A constraint row holds only its nonzero entries, in no particular order,
+// with a bitset of the columns they occupy; the rhs column is kept apart,
+// dense. The mapper's tableaux stay a few percent dense through a solve:
+// an upper-bound row keeps its two initial entries (x_k and its slack) until
+// x_k enters the basis, and most never change. The objective row, which
+// Bland's rule scans in full, is dense.
+type tableau struct {
+	rows  [][]entry
+	rhs   []float64 // the rhs column
+	cols  []uint64  // the rows' column sets, words uint64s each (colsOf)
+	words int
+	obj   []float64 // objective row; obj[total] is its rhs entry
+	basis []int     // basic column of each row
+	total int       // column count, and the index of the objective's rhs
+	prow  []float64 // the pivot row over all columns during a pivot, else zero
+}
+
+// entry is one nonzero of a constraint row.
+type entry struct {
+	j int
+	v float64
+}
+
+// bitset is a set of column indices.
+type bitset []uint64
+
+func (b bitset) has(j int) bool { return b[j>>6]&(1<<(j&63)) != 0 }
+func (b bitset) add(j int)      { b[j>>6] |= 1 << (j & 63) }
+func (b bitset) remove(j int)   { b[j>>6] &^= 1 << (j & 63) }
+
+// colsOf returns the set of columns row i has entries in.
+func (t *tableau) colsOf(i int) bitset { return t.cols[i*t.words : (i+1)*t.words] }
+
+// has reports whether row i has an entry in column j.
+func (t *tableau) has(i, j int) bool { return t.cols[i*t.words+j>>6]&(1<<(j&63)) != 0 }
+
+// at returns entry (i, j) of a constraint row.
+func (t *tableau) at(i, j int) float64 {
+	if t.has(i, j) {
+		for _, e := range t.rows[i] {
+			if e.j == j {
+				return e.v
+			}
+		}
+	}
+	return 0
+}
+
+// subRow subtracts f times row i from the objective row.
+func (t *tableau) subRow(f float64, i int) {
+	if finite(f) {
+		for _, e := range t.rows[i] {
+			t.obj[e.j] -= f * e.v
+		}
+	} else {
+		// f·0 is not an exact zero: update every column, as the dense
+		// tableau does.
+		for j := 0; j < t.total; j++ {
+			t.obj[j] -= f * t.at(i, j)
+		}
+	}
+	t.obj[t.total] -= f * t.rhs[i]
+}
+
+// pivot makes column pc basic in row pr.
+func (t *tableau) pivot(pr, pc int) {
+	pv := t.at(pr, pc)
+	p := t.rows[pr][:0]
+	for _, e := range t.rows[pr] {
+		if e.v /= pv; e.v != 0 {
+			p = append(p, e)
+			t.prow[e.j] = e.v
+		} else {
+			t.colsOf(pr).remove(e.j)
+		}
+	}
+	t.rows[pr] = p
+	t.rhs[pr] /= pv
+	for i := range t.rows {
+		if i != pr && t.has(i, pc) {
+			if f := t.at(i, pc); f != 0 {
+				t.eliminate(i, f, pr)
+			}
+		}
+	}
+	if f := t.obj[pc]; f != 0 {
+		t.subRow(f, pr)
+	}
+	for _, e := range p {
+		t.prow[e.j] = 0
+	}
+	t.basis[pr] = pc
+}
+
+// eliminate subtracts f times the normalized pivot row pr from row i.
+// Where the pivot row has no entry the dense update subtracts f·0, an
+// exact zero, so only its columns are computed — unless f is infinite or
+// NaN, when every column is. Entries that cancel to zero are dropped; the
+// dense tableau would keep them as ±0.
+func (t *tableau) eliminate(i int, f float64, pr int) {
+	r, p, cols := t.rows[i], t.rows[pr], t.colsOf(i)
+	if finite(f) {
+		for k := range r {
+			if pv := t.prow[r[k].j]; pv != 0 {
+				r[k].v -= f * pv
+			}
+		}
+		fill := 0
+		for _, e := range p {
+			if !cols.has(e.j) {
+				fill++
+			}
+		}
+		if len(r)+fill > cap(r) {
+			r = append(make([]entry, 0, 2*(len(r)+fill)), r...)
+		}
+		for _, e := range p {
+			if !cols.has(e.j) {
+				r = append(r, entry{e.j, -(f * e.v)})
+				cols.add(e.j)
+			}
+		}
+	} else {
+		for j := 0; j < t.total; j++ {
+			if !cols.has(j) {
+				r = append(r, entry{j, 0})
+				cols.add(j)
+			}
+		}
+		for k := range r {
+			r[k].v -= f * t.prow[r[k].j]
+		}
+	}
+	kept := r[:0]
+	for _, e := range r {
+		if e.v != 0 {
+			kept = append(kept, e)
+		} else {
+			cols.remove(e.j)
+		}
+	}
+	t.rows[i] = kept
+	t.rhs[i] -= f * t.rhs[pr]
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// simplex pivots until optimality; only columns below limit may enter.
+func (t *tableau) simplex(limit int) Status {
+	for iter := 0; iter < 100000; iter++ {
+		// Bland: entering = smallest index with negative reduced cost.
+		pc := -1
+		for j := 0; j < limit; j++ {
+			if t.obj[j] < -feasTol {
+				pc = j
+				break
+			}
+		}
+		if pc == -1 {
+			return StatusOptimal
+		}
+		// Ratio test, Bland tie-break on basis index.
+		pr := -1
+		bestRatio := math.Inf(1)
+		for i := range t.rows {
+			if !t.has(i, pc) {
+				continue
+			}
+			if a := t.at(i, pc); a > feasTol {
+				ratio := t.rhs[i] / a
+				if ratio < bestRatio-feasTol ||
+					(ratio < bestRatio+feasTol && (pr == -1 || t.basis[i] < t.basis[pr])) {
+					bestRatio = ratio
+					pr = i
+				}
+			}
+		}
+		if pr == -1 {
+			return StatusUnbounded
+		}
+		t.pivot(pr, pc)
+	}
+	return StatusUnbounded // cycling guard tripped; treat as failure
 }

@@ -95,7 +95,7 @@ func (cm *CostModel) NodeMultiplier(n *cir.Node) float64 {
 }
 
 // nodeCost prices one execution of node n on unit j, excluding
-// state-placement-dependent table costs (priced by stateOptions).
+// state-placement-dependent table costs (priced by appendStateOptions).
 func (cm *CostModel) NodeCost(n *cir.Node, j int) float64 {
 	u := &cm.nic.Units[j]
 	switch u.Kind {
@@ -168,7 +168,7 @@ func (cm *CostModel) VCallSoftwareCost(vc cir.Instr) float64 {
 	case cir.VCMapGet:
 		return 1
 	default:
-		// Table ops: hashing here, memory in stateOptions.
+		// Table ops: hashing here, memory in appendStateOptions.
 		if cir.VCalls[vc.Callee].StateRef {
 			switch vc.Callee {
 			case cir.VCMapLookup, cir.VCMapPut, cir.VCMapDelete, cir.VCSketchAdd, cir.VCSketchRead:
@@ -226,10 +226,9 @@ func (cm *CostModel) LPMScanCost(obj cir.StateObj, region int) float64 {
 	return lines*acc + float64(obj.Capacity)*2*alu
 }
 
-// stateOptions enumerates Γ placements (region × flow-cache) with their
-// expected per-packet cost contributions.
-func (cm *CostModel) stateOptions(obj cir.StateObj, use Usage, h Hints) []stateOption {
-	var out []stateOption
+// appendStateOptions appends obj's Γ placements (region × flow-cache),
+// with their expected per-packet cost contributions, to out.
+func (cm *CostModel) appendStateOptions(out []stateOption, obj cir.StateObj, use Usage, h Hints) []stateOption {
 	fcAvail := len(cm.nic.Accelerators("flowcache")) > 0 && !h.DisableFlowCache &&
 		(obj.Kind == cir.StateMap || obj.Kind == cir.StateLPM) && use.Lookups > 0
 	var fcFixed float64

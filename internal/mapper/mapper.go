@@ -12,6 +12,7 @@ package mapper
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"clara/internal/cir"
@@ -163,6 +164,15 @@ func Map(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
 	return enc.decode(sol), nil
 }
 
+// Encode returns the §3.4 ILP that Map solves for g on nic, unsolved.
+func Encode(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*ilp.Model, error) {
+	enc, err := newEncoding(g, nic, wl, h)
+	if err != nil {
+		return nil, err
+	}
+	return enc.model, nil
+}
+
 // stateOption is one Γ choice for a state object: a region, optionally
 // fronted by the flow cache.
 type stateOption struct {
@@ -176,102 +186,120 @@ type stateOption struct {
 type encoding struct {
 	g     *cir.Graph
 	nic   *lnic.LNIC
-	wl    Workload
+	cm    *CostModel
 	model *ilp.Model
 
 	visits []float64
-	// x[i][j] assignment vars: node i → allowed unit j.
-	x []map[int]ilp.VarID
-	// y[state] option vars parallel to opts[state].
-	y    map[string][]ilp.VarID
-	opts map[string][]stateOption
+	// units lists every node's allowed units back to back: node i may run
+	// on units[xOff[i]:xOff[i+1]], and variable ilp.VarID(k) assigns it to
+	// units[k].
+	units []int
+	xOff  []int
+	// opts lists every state's Γ options back to back, in g.Prog.State
+	// order: state s chooses among opts[yOff[s]:yOff[s+1]], and variable
+	// yVar(k) selects opts[k].
+	opts []stateOption
+	yOff []int
 }
 
-func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, error) {
+// yVar is the variable selecting state option opts[k].
+func (enc *encoding) yVar(k int) ilp.VarID { return ilp.VarID(len(enc.units) + k) }
+
+// newDomains computes every node's allowed units and every state's Γ
+// options — the decisions a mapping chooses among — without building the
+// ILP over them.
+func newDomains(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, error) {
 	if err := nic.Validate(); err != nil {
 		return nil, err
 	}
 	enc := &encoding{
-		g: g, nic: nic, wl: wl,
-		model:  ilp.NewModel(),
+		g: g, nic: nic,
+		cm:     NewCostModel(nic, wl),
 		visits: g.ExpectedVisits(),
-		x:      make([]map[int]ilp.VarID, len(g.Nodes)),
-		y:      map[string][]ilp.VarID{},
-		opts:   map[string][]stateOption{},
+		xOff:   make([]int, 1, len(g.Nodes)+1),
+		yOff:   make([]int, 1, len(g.Prog.State)+1),
 	}
-	cm := NewCostModel(nic, wl)
-
-	// Π: node-to-unit assignment with capability filtering.
 	for i := range g.Nodes {
 		node := &g.Nodes[i]
-		allowed := enc.allowedUnits(node, h)
-		if len(allowed) == 0 {
+		enc.units = appendAllowedUnits(enc.units, nic, node, h)
+		enc.xOff = append(enc.xOff, len(enc.units))
+		if enc.xOff[i] == enc.xOff[i+1] {
 			return nil, &ErrInfeasible{Reason: fmt.Sprintf(
 				"node n%d (%s) has no capable compute unit on %s", node.ID, node.Kind, nic.Name)}
 		}
-		enc.x[i] = map[int]ilp.VarID{}
-		terms := map[ilp.VarID]float64{}
-		for _, j := range allowed {
-			v := enc.model.Binary(fmt.Sprintf("x_n%d_%s", i, nic.Units[j].Name))
-			enc.x[i][j] = v
-			terms[v] = 1
-			enc.model.SetObjectiveTerm(v, enc.visits[i]*cm.NodeCost(node, j))
-		}
-		enc.model.AddConstraint(fmt.Sprintf("assign_n%d", i), terms, ilp.EQ, 1)
 	}
-
-	// Π ordering: dataflow edges must not run backwards in pipeline stage.
-	for _, e := range g.Edges {
-		terms := map[ilp.VarID]float64{}
-		for j, v := range enc.x[e.To] {
-			terms[v] += float64(nic.Units[j].Stage)
-		}
-		for j, v := range enc.x[e.From] {
-			terms[v] -= float64(nic.Units[j].Stage)
-		}
-		enc.model.AddConstraint(fmt.Sprintf("order_n%d_n%d", e.From, e.To), terms, ilp.GE, 0)
-	}
-
-	// Γ: state placement options.
 	stateUse := enc.stateUsage()
-	for _, obj := range g.Prog.State {
-		opts := cm.stateOptions(obj, stateUse[obj.Name], h)
+	for s, obj := range g.Prog.State {
+		first := len(enc.opts)
+		enc.opts = enc.cm.appendStateOptions(enc.opts, obj, stateUse[obj.Name], h)
 		if pin, ok := h.PinState[obj.Name]; ok {
 			region, found := nic.MemByName(pin)
 			if !found {
 				return nil, fmt.Errorf("mapper: hint pins %s to unknown region %q", obj.Name, pin)
 			}
-			var kept []stateOption
-			for _, o := range opts {
-				if o.region == region {
-					kept = append(kept, o)
-				}
-			}
-			opts = kept
+			kept := slices.DeleteFunc(enc.opts[first:], func(o stateOption) bool { return o.region != region })
+			enc.opts = enc.opts[:first+len(kept)]
 		}
-		if len(opts) == 0 {
+		enc.yOff = append(enc.yOff, len(enc.opts))
+		if enc.yOff[s] == enc.yOff[s+1] {
 			return nil, &ErrInfeasible{Reason: fmt.Sprintf("state %s has no feasible placement", obj.Name)}
 		}
-		enc.opts[obj.Name] = opts
-		terms := map[ilp.VarID]float64{}
-		for oi, o := range opts {
-			v := enc.model.Binary(fmt.Sprintf("y_%s_%s_fc%v", obj.Name, nic.Mems[o.region].Name, o.flowCache))
-			enc.y[obj.Name] = append(enc.y[obj.Name], v)
-			terms[v] = 1
-			enc.model.SetObjectiveTerm(v, o.cost)
-			_ = oi
+	}
+	return enc, nil
+}
+
+// newEncoding builds the §3.4 ILP over the domains of g on nic.
+func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, error) {
+	enc, err := newDomains(g, nic, wl, h)
+	if err != nil {
+		return nil, err
+	}
+	enc.model = ilp.NewModel()
+	enc.model.SetNamer(enc)
+	enc.model.Grow(len(enc.units)+len(enc.opts),
+		len(g.Nodes)+len(g.Edges)+len(g.Prog.State)+len(nic.Mems)+1+len(nic.Units))
+	var terms []ilp.Term
+
+	// Π: node-to-unit assignment with capability filtering.
+	for i := range g.Nodes {
+		terms = terms[:0]
+		for _, j := range enc.units[enc.xOff[i]:enc.xOff[i+1]] {
+			v := enc.model.Binary("")
+			terms = append(terms, ilp.Term{Var: v, Coef: 1})
+			enc.model.SetObjectiveTerm(v, enc.visits[i]*enc.cm.NodeCost(&g.Nodes[i], j))
 		}
-		enc.model.AddConstraint("place_"+obj.Name, terms, ilp.EQ, 1)
+		enc.model.AddConstraint("", terms, ilp.EQ, 1)
+	}
+
+	// Π ordering: dataflow edges must not run backwards in pipeline stage.
+	for _, e := range g.Edges {
+		terms = terms[:0]
+		for k := enc.xOff[e.To]; k < enc.xOff[e.To+1]; k++ {
+			terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: float64(nic.Units[enc.units[k]].Stage)})
+		}
+		for k := enc.xOff[e.From]; k < enc.xOff[e.From+1]; k++ {
+			terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: -float64(nic.Units[enc.units[k]].Stage)})
+		}
+		enc.model.AddConstraint("", terms, ilp.GE, 0)
+	}
+
+	// Γ: state placement options.
+	for s := range g.Prog.State {
+		terms = terms[:0]
+		for k := enc.yOff[s]; k < enc.yOff[s+1]; k++ {
+			v := enc.model.Binary("")
+			terms = append(terms, ilp.Term{Var: v, Coef: 1})
+			enc.model.SetObjectiveTerm(v, enc.opts[k].cost)
+		}
+		enc.model.AddConstraint("", terms, ilp.EQ, 1)
 	}
 
 	// Γ capacity per region.
 	for mi := range nic.Mems {
-		terms := map[ilp.VarID]float64{}
-		for s, opts := range enc.opts {
-			for oi, o := range opts {
-				if o.region == mi {
-					terms[enc.y[s][oi]] += float64(o.bytes)
-				}
+		terms = terms[:0]
+		for k, o := range enc.opts {
+			if o.region == mi {
+				terms = append(terms, ilp.Term{Var: enc.yVar(k), Coef: float64(o.bytes)})
 			}
 		}
 		if len(terms) > 0 {
@@ -281,12 +309,10 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 
 	// Flow-cache table capacity.
 	if fcs := nic.Accelerators("flowcache"); len(fcs) > 0 {
-		terms := map[ilp.VarID]float64{}
-		for s, opts := range enc.opts {
-			for oi, o := range opts {
-				if o.flowCache {
-					terms[enc.y[s][oi]] += float64(o.fcEntries)
-				}
+		terms = terms[:0]
+		for k, o := range enc.opts {
+			if o.flowCache {
+				terms = append(terms, ilp.Term{Var: enc.yVar(k), Coef: float64(o.fcEntries)})
 			}
 		}
 		if len(terms) > 0 {
@@ -302,11 +328,11 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 			if u.Kind != lnic.UnitAccel {
 				continue
 			}
-			terms := map[ilp.VarID]float64{}
+			terms = terms[:0]
+			svc := u.FixedCycles + u.PerByteCycles*wl.AvgPayload
 			for i := range g.Nodes {
-				if v, ok := enc.x[i][j]; ok {
-					svc := u.FixedCycles + u.PerByteCycles*wl.AvgPayload
-					terms[v] = enc.visits[i] * svc * wl.RatePPS / cyclesPerSec
+				if k := enc.xVar(i, j); k >= 0 {
+					terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: enc.visits[i] * svc * wl.RatePPS / cyclesPerSec})
 				}
 			}
 			if len(terms) > 0 {
@@ -317,14 +343,52 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 	return enc, nil
 }
 
-func (enc *encoding) allowedUnits(n *cir.Node, h Hints) []int {
-	return AllowedUnits(enc.nic, n, h)
+// xVar returns the variable assigning node i to unit j, or -1 when j may
+// not host node i.
+func (enc *encoding) xVar(i, j int) int {
+	for k := enc.xOff[i]; k < enc.xOff[i+1]; k++ {
+		if enc.units[k] == j {
+			return k
+		}
+	}
+	return -1
+}
+
+// VarName names variables as x_n<node>_<unit> and y_<state>_<region>_fc<bool>.
+func (enc *encoding) VarName(v ilp.VarID) string {
+	k := int(v)
+	if k < len(enc.units) {
+		i := sort.SearchInts(enc.xOff, k+1) - 1
+		return fmt.Sprintf("x_n%d_%s", i, enc.nic.Units[enc.units[k]].Name)
+	}
+	k -= len(enc.units)
+	s := sort.SearchInts(enc.yOff, k+1) - 1
+	o := enc.opts[k]
+	return fmt.Sprintf("y_%s_%s_fc%v", enc.g.Prog.State[s].Name, enc.nic.Mems[o.region].Name, o.flowCache)
+}
+
+// ConstraintName names the rows added without a name: one assign_n<node>
+// per node, one order_n<from>_n<to> per edge, one place_<state> per state.
+func (enc *encoding) ConstraintName(c int) string {
+	if c < len(enc.g.Nodes) {
+		return fmt.Sprintf("assign_n%d", c)
+	}
+	c -= len(enc.g.Nodes)
+	if c < len(enc.g.Edges) {
+		e := enc.g.Edges[c]
+		return fmt.Sprintf("order_n%d_n%d", e.From, e.To)
+	}
+	return "place_" + enc.g.Prog.State[c-len(enc.g.Edges)].Name
 }
 
 // AllowedUnits filters LNIC units by node capability (the typed compute
 // units of §3.1) and hints.
 func AllowedUnits(nic *lnic.LNIC, n *cir.Node, h Hints) []int {
-	var out []int
+	return appendAllowedUnits(nil, nic, n, h)
+}
+
+// appendAllowedUnits appends n's allowed units to dst in unit order.
+func appendAllowedUnits(dst []int, nic *lnic.LNIC, n *cir.Node, h Hints) []int {
 	for j := range nic.Units {
 		u := &nic.Units[j]
 		ok := false
@@ -346,10 +410,10 @@ func AllowedUnits(nic *lnic.LNIC, n *cir.Node, h Hints) []int {
 			ok = u.Kind == lnic.UnitNPU || u.Kind == lnic.UnitMAU || u.Kind == lnic.UnitEgress
 		}
 		if ok {
-			out = append(out, j)
+			dst = append(dst, j)
 		}
 	}
-	return out
+	return dst
 }
 
 // Usage tallies, per state, the expected per-packet vcall op counts
@@ -415,8 +479,9 @@ func (enc *encoding) decode(sol *ilp.Solution) *Mapping {
 		SolverNodes:  sol.Nodes,
 	}
 	for i := range enc.g.Nodes {
-		for j, v := range enc.x[i] {
-			if sol.Bool(v) {
+		for k := enc.xOff[i]; k < enc.xOff[i+1]; k++ {
+			if sol.Bool(ilp.VarID(k)) {
+				j := enc.units[k]
 				m.NodeUnit[i] = j
 				u := &enc.nic.Units[j]
 				switch {
@@ -430,13 +495,13 @@ func (enc *encoding) decode(sol *ilp.Solution) *Mapping {
 			}
 		}
 	}
-	for s, vars := range enc.y {
-		for oi, v := range vars {
-			if sol.Bool(v) {
-				o := enc.opts[s][oi]
-				m.StateMem[s] = o.region
+	for s, obj := range enc.g.Prog.State {
+		for k := enc.yOff[s]; k < enc.yOff[s+1]; k++ {
+			if sol.Bool(enc.yVar(k)) {
+				o := enc.opts[k]
+				m.StateMem[obj.Name] = o.region
 				if o.flowCache {
-					m.UseFlowCache[s] = true
+					m.UseFlowCache[obj.Name] = true
 				}
 			}
 		}
@@ -449,11 +514,11 @@ func (enc *encoding) decode(sol *ilp.Solution) *Mapping {
 // states go to the fastest region with spare capacity; accelerators are
 // used whenever available.
 func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
-	enc, err := newEncoding(g, nic, wl, h)
+	enc, err := newDomains(g, nic, wl, h)
 	if err != nil {
 		return nil, err
 	}
-	cm := NewCostModel(nic, wl)
+	cm := enc.cm
 	m := &Mapping{
 		NodeUnit:     make([]int, len(g.Nodes)),
 		StateMem:     map[string]int{},
@@ -465,7 +530,8 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 	for _, i := range order {
 		node := &g.Nodes[i]
 		best, bestCost := -1, math.Inf(1)
-		for j := range enc.x[i] {
+		allowed := enc.units[enc.xOff[i]:enc.xOff[i+1]]
+		for _, j := range allowed {
 			if nic.Units[j].Stage < minStage {
 				continue
 			}
@@ -477,7 +543,7 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 		if best == -1 {
 			// Fall back to ignoring stage order (greedy is allowed to be
 			// wrong; the benchmark shows the difference).
-			for j := range enc.x[i] {
+			for _, j := range allowed {
 				c := cm.NodeCost(node, j)
 				if c < bestCost {
 					best, bestCost = j, c
@@ -513,7 +579,7 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 	sort.Slice(regionsByLatency, func(a, b int) bool {
 		return nic.Mems[regionsByLatency[a]].LoadCycles < nic.Mems[regionsByLatency[b]].LoadCycles
 	})
-	for _, obj := range g.Prog.State {
+	for s, obj := range g.Prog.State {
 		placed := false
 		for _, region := range regionsByLatency {
 			if pin, ok := h.PinState[obj.Name]; ok {
@@ -533,8 +599,8 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 		}
 		// Greedy uses the flow cache whenever permitted and applicable.
 		if !h.DisableFlowCache && len(nic.Accelerators("flowcache")) > 0 {
-			for oi := range enc.opts[obj.Name] {
-				if enc.opts[obj.Name][oi].flowCache {
+			for _, o := range enc.opts[enc.yOff[s]:enc.yOff[s+1]] {
+				if o.flowCache {
 					m.UseFlowCache[obj.Name] = true
 				}
 			}
