@@ -14,7 +14,6 @@ var guardedBenchmarks = map[string]func(*testing.B){
 	"BenchmarkPredict":          BenchmarkPredict,
 	"BenchmarkPredictColocated": BenchmarkPredictColocated,
 	"BenchmarkSimRun":           BenchmarkSimRun,
-	"BenchmarkSimRunCompiled":   BenchmarkSimRunCompiled,
 	"BenchmarkSimRunColocated":  BenchmarkSimRunColocated,
 	"BenchmarkSimRunSharded":    BenchmarkSimRunSharded,
 }

@@ -352,34 +352,13 @@ func BenchmarkSimulate(b *testing.B) {
 
 // BenchmarkSimRun measures the simulator hot path in steady state: one Sim
 // reused across iterations, trace decode cache warmed, timeline and fault
-// injection off. Since the CIR closure-chain compiler landed this is the
-// compiled dispatch path (the default); BenchmarkSimRunInterp measures the
-// same fixture on the reference interpreter. bench_guard pins both ns/op and
-// allocs/op for this benchmark (testdata/bench_baseline.json); see DESIGN.md
-// "Hot path" before re-baselining.
+// injection off. internal/nicsim's BenchmarkRunContextReference is the
+// contrast on the reference loop over the CIR interpreter. bench_guard pins
+// both ns/op and allocs/op for this benchmark
+// (testdata/bench_baseline.json); see DESIGN.md "Hot path" before
+// re-baselining.
 func BenchmarkSimRun(b *testing.B) {
-	benchmarkSimRun(b, false)
-}
-
-// BenchmarkSimRunCompiled is BenchmarkSimRun with compiled dispatch forced
-// explicitly rather than by default — it keeps measuring the closure-chain
-// engine even if the default dispatch ever changes, and bench_guard pins it
-// separately so a closure-chain regression is attributable.
-func BenchmarkSimRunCompiled(b *testing.B) {
-	benchmarkSimRun(b, false)
-}
-
-// BenchmarkSimRunInterp runs the same fixture on the reference
-// switch-dispatch interpreter — the contrast that prices what compiled
-// dispatch saves. Not guard-pinned: the interpreter is a reference, not a
-// hot path.
-func BenchmarkSimRunInterp(b *testing.B) {
-	benchmarkSimRun(b, true)
-}
-
-func benchmarkSimRun(b *testing.B, forceInterp bool) {
 	sim, tr := simRunFixture(b)
-	sim.ForceInterp(forceInterp)
 	benchmarkSteadyRuns(b, sim, tr)
 }
 

@@ -5,11 +5,12 @@
 // substituted with "virtual calls" (vcalls). Vcalls are bound to concrete
 // SmartNIC components later, during mapping.
 //
-// The package also provides an IR verifier, a reference interpreter (the
-// execution semantics the SmartNIC simulator reuses with timing attached),
-// and dataflow-graph extraction with the pattern matching that coarsens raw
-// basic blocks into semantically meaningful code blocks (header-parse
-// regions, payload loops, table operations).
+// The package also provides an IR verifier, a compiled execution engine (the
+// semantics the SmartNIC simulator, the predictor and the behaviour
+// enumerator run, with timing attached by hooks), the reference interpreter
+// it is tested against, and dataflow-graph extraction with the pattern
+// matching that coarsens raw basic blocks into semantically meaningful code
+// blocks (header-parse regions, payload loops, table operations).
 package cir
 
 import (

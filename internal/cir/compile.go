@@ -7,194 +7,175 @@ import (
 	"math"
 )
 
-// This file implements the compile-once execution engine. Compile translates
-// each basic block into a chain of per-instruction closures: every opcode is
-// specialized at compile time (the closure captures Dst/Args/Imm/Size
-// directly, so the per-step opcode switch and operand indirection disappear),
-// terminators are resolved to direct block indices, and malformed programs —
-// unknown opcodes, wrong arg counts, out-of-range registers or targets — are
-// rejected at compile time instead of mid-run.
+// This file implements the production execution engine. Compile lowers every
+// instruction of the program into a record in one program-wide slab: the
+// record holds the opcode, which selects a static function from opFns, plus
+// the operands that function reads — destination, argument registers,
+// immediate and access size. Each basic block is a sub-slice of the slab,
+// and its terminator is flattened to direct block indices, so a compile
+// costs a constant number of allocations whatever the program size. The
+// predictor compiles once per prediction, so records hold no pointers: the
+// garbage collector never scans the slab and filling it needs no write
+// barriers. The source *Instr, which hooks and vcalls receive, is read from
+// the program alongside. Malformed programs — unknown opcodes, wrong arg
+// counts, out-of-range registers or targets — are rejected at compile time
+// instead of mid-run.
 //
-// On top of the per-instruction chains, a peephole pass (fuse.go) fuses
-// adjacent instruction pairs — const+binop, load+op, and a block-ending
-// compare feeding its own branch — into single superinstruction closures.
-// Fused closures charge exactly the steps their constituents would and
-// re-check the step budget at every original instruction boundary, so
-// mid-budget trips, error text and vcall traces stay byte-identical to the
-// interpreter. Fusion only ever pairs instructions inside one basic block;
-// jump targets are block heads, so no control flow can enter the middle of a
-// fused pair. CompileOpts.DisableFusion is the escape hatch.
+// Location text (the "block N instr M (...)" of compile errors and the
+// "cir: block N \"instr\"" prefix of runtime faults) is rendered only on the
+// error path, so neither Compile nor a faultless Run formats a string.
 //
-// The interpreter (interp.go) remains the reference implementation.
-// Compiled.Run replicates Interp.Run exactly: same register/scratch zeroing,
-// same step accounting (block entries and instructions each cost one step,
-// checked against MaxSteps before executing), same cancellation poll period,
-// same error text, same VerdictPass defaulting. Differential tests
-// (FuzzCompiledVsInterp, TestCompiledOps, TestRunContextMatchesReference)
-// hold the two engines to identical (value, error string, steps) triples.
+// The interpreter (interp.go) is the reference implementation and the test
+// oracle. Compiled.Run replicates Interp.Run exactly: same register/scratch
+// zeroing, same step accounting (block entries and instructions each cost
+// one step, checked against MaxSteps before executing), same cancellation
+// poll period, same hook event order, same error text, same VerdictPass
+// defaulting. Differential tests (FuzzCompiledVsInterp, TestCompiledOps,
+// TestRunContextMatchesReference) hold the two engines to identical (value,
+// error string, steps) triples.
 
-// state is the mutable execution context threaded through instruction
-// closures. One state is embedded in each Compiled and reused across Runs,
-// so steady-state execution performs no heap allocations (the same contract
-// Interp documents). steps/maxSteps live here (not in the driver loop) so
-// fused superinstructions can charge and re-check the budget at interior
-// instruction boundaries.
+// state is the mutable execution context the opcode functions run against.
+// One state is embedded in each Compiled and reused across Runs, so
+// steady-state execution performs no heap allocations (the same contract
+// Interp documents).
 type state struct {
+	// regs holds the program's registers plus one trailing sink register
+	// that instructions with a NoReg destination write to.
 	regs    []uint64
 	scratch []byte
 	// argbuf is the reusable vcall argument scratch, sized at Compile to the
 	// program's widest vcall; Env implementations must not retain it.
-	argbuf   []uint64
-	env      Env
-	steps    int
-	maxSteps int
+	argbuf []uint64
+	env    Env
 }
 
-// instrFn executes one compiled instruction (or fused pair) against the
-// state. A non-nil error is either errStepTrip — the budget expired at an
-// interior boundary of a fused pair — or a runtime fault (division by zero,
-// scratch bounds, vcall failure) already wrapped with the instruction's
-// pre-rendered location prefix.
-type instrFn func(*state) error
+// opFn executes one lowered instruction; in is its source instruction. A
+// non-nil error is a runtime fault (division by zero, scratch bounds, vcall
+// failure); Run prefixes it with the instruction's location.
+type opFn func(st *state, r *rec, in *Instr) error
 
-// errStepTrip is the internal signal a fused closure raises when the step
-// budget expires between its two halves. The driver converts it to the exact
-// instruction-trip error the interpreter would have produced at that point;
-// it never escapes Run.
-var errStepTrip = errors.New("cir: internal step trip")
+// rec is one lowered instruction. Which operand fields its function reads
+// depends on the opcode; a0/a1 hold Args[0]/Args[1] where the opcode has
+// them, and dst is the sink register when the destination is NoReg.
+// Register indices fit in int32 because Compile bounds the register file.
+type rec struct {
+	imm         uint64
+	dst, a0, a1 int32
+	op          Op
+	size        uint8
+}
 
-// cblock is one compiled basic block: the per-instruction closure chain
-// (code, used by the hooked paths, which need instruction granularity), the
-// fused superinstruction chain (fcode, used by the fast path), the source
-// instructions (for hooks, which receive the same *Instr pointers the
-// interpreter would pass), and the terminator flattened into direct fields.
-// When the peephole fused the block's trailing compare into its branch, cmp
-// holds the comparison kind and fcode excludes that compare; the hooked
-// paths ignore cmp and run the full code chain.
+// cblock is one compiled basic block: its slab records, the source
+// instructions they were lowered from (index for index), and the terminator
+// flattened into direct fields.
 type cblock struct {
-	code  []instrFn
-	fcode []instrFn
-	meta  []*Instr
-	kind  TermKind
-	cond  Reg // TermBranch condition register
-	then  int // TermJump/TermBranch target
-	els   int // TermBranch fallthrough
-	ret   Reg // TermReturn verdict register (NoReg → VerdictPass)
-
-	// Fused compare+branch terminator (fast path only): cmpNone when the
-	// branch is not fused, else the block's last instruction was
-	// "cmpDst = cmpA0 <cmp> cmpA1" with cmpDst == cond, evaluated (and still
-	// written, and still charged one step) by the terminator itself.
-	cmp          cmpKind
-	cmpDst       Reg
-	cmpA0, cmpA1 Reg
+	code   []rec
+	instrs []Instr
+	kind   TermKind
+	cond   Reg // TermBranch condition register
+	then   int // TermJump/TermBranch target
+	els    int // TermBranch fallthrough
+	ret    Reg // TermReturn verdict register (NoReg → VerdictPass)
 }
 
-// Compiled is a program translated into closure chains. Like Interp it is
-// reusable across packets but not safe for concurrent Runs: registers,
-// scratch and the vcall argument buffer are shared mutable state.
+// Compiled is a lowered program. Like Interp it is reusable across packets
+// but not safe for concurrent Runs: registers, scratch and the vcall
+// argument buffer are shared mutable state.
 type Compiled struct {
 	prog   *Program
 	blocks []cblock
 	st     state
-	fused  int
 }
 
-// CompileOpts tunes Compile. The zero value is the production default:
-// superinstruction fusion on.
-type CompileOpts struct {
-	// DisableFusion switches off the superinstruction peephole, leaving one
-	// closure per instruction on the fast path too. The escape hatch if a
-	// fusion divergence ever ships, and the CI fusion guard's baseline arm.
-	DisableFusion bool
-}
-
-// Compile translates p into a Compiled engine with default options (fusion
-// enabled). It validates what execution depends on — opcode known, arity
-// correct, registers and branch targets in range — and fails fast on
-// violations, so Run never encounters a malformed instruction. Compile does
-// not replace Verify (which additionally checks vcall catalogs, state
-// references and reachability); it refuses exactly the programs it could not
-// execute faithfully.
+// Compile lowers p into a Compiled engine. It validates what execution
+// depends on — opcode known, arity correct, registers and branch targets in
+// range — and fails fast on violations, so Run never encounters a malformed
+// instruction. Compile does not replace Verify (which additionally checks
+// vcall catalogs, state references and reachability); it refuses exactly
+// the programs it could not execute faithfully.
 func Compile(p *Program) (*Compiled, error) {
-	return CompileWith(p, CompileOpts{})
-}
-
-// CompileWith is Compile with explicit options.
-func CompileWith(p *Program, opts CompileOpts) (*Compiled, error) {
 	if len(p.Blocks) == 0 {
 		return nil, fmt.Errorf("cir: compile %s: program has no blocks", p.Name)
 	}
-	c := &Compiled{
-		prog:   p,
-		blocks: make([]cblock, len(p.Blocks)),
+	if p.NumRegs >= math.MaxInt32 {
+		return nil, fmt.Errorf("cir: compile %s: %d registers exceed the engine's limit", p.Name, p.NumRegs)
 	}
+	n := 0
+	for bi := range p.Blocks {
+		n += len(p.Blocks[bi].Instrs)
+	}
+	c := &Compiled{prog: p, blocks: make([]cblock, len(p.Blocks))}
+	slab := make([]rec, n)
 	maxArity := 0
 	for bi := range p.Blocks {
 		blk := &p.Blocks[bi]
 		cb := &c.blocks[bi]
-		cb.code = make([]instrFn, len(blk.Instrs))
-		cb.meta = make([]*Instr, len(blk.Instrs))
-		fails := make([]string, len(blk.Instrs))
+		k := len(blk.Instrs)
+		cb.code, slab = slab[:k:k], slab[k:]
+		cb.instrs = blk.Instrs
 		for ii := range blk.Instrs {
 			in := &blk.Instrs[ii]
-			where := fmt.Sprintf("block %d instr %d (%s)", bi, ii, in)
-			if err := checkArity(*in, where); err != nil {
-				return nil, err
+			if err := checkArity(in); err != nil {
+				return nil, fmt.Errorf("cir: %s: %w", instrWhere(bi, ii, in), err)
 			}
-			if err := checkCompileRegs(p, in, where); err != nil {
-				return nil, err
+			if err := checkCompileRegs(p, in); err != nil {
+				return nil, fmt.Errorf("cir: compile: %s: %w", instrWhere(bi, ii, in), err)
 			}
-			// fails[ii] is "cir: block %d %q" pre-rendered, so a faulting
-			// packet pays one fmt.Errorf, not two; fallible closures capture
-			// it and wrap their own errors.
-			fails[ii] = fmt.Sprintf("cir: block %d %q", bi, in.String())
-			fn, err := compileInstr(in, where, fails[ii])
-			if err != nil {
-				return nil, err
+			if opFns[in.Op] == nil {
+				return nil, fmt.Errorf("cir: compile: %s: unknown opcode %s", instrWhere(bi, ii, in), in.Op)
+			}
+			r := &cb.code[ii]
+			r.op, r.imm, r.size = in.Op, in.Imm, uint8(in.Size)
+			r.dst = int32(in.Dst)
+			if in.Dst == NoReg {
+				r.dst = int32(p.NumRegs)
+			}
+			if len(in.Args) > 0 {
+				r.a0 = int32(in.Args[0])
+			}
+			if len(in.Args) > 1 {
+				r.a1 = int32(in.Args[1])
 			}
 			if in.Op == OpVCall && len(in.Args) > maxArity {
 				maxArity = len(in.Args)
 			}
-			cb.code[ii] = fn
-			cb.meta[ii] = in
 		}
 		if err := compileTerm(p, bi, cb); err != nil {
 			return nil, err
 		}
-		if opts.DisableFusion {
-			cb.fcode = cb.code
-		} else {
-			c.fused += fuseBlock(blk, cb, fails)
-		}
 	}
+	// Registers, the sink and the vcall argument buffer share one backing
+	// array.
+	nregs := p.NumRegs + 1
+	words := make([]uint64, nregs+maxArity)
 	c.st = state{
-		regs:    make([]uint64, p.NumRegs),
+		regs:    words[:nregs:nregs],
 		scratch: make([]byte, p.ScratchBytes),
-		argbuf:  make([]uint64, maxArity),
+		argbuf:  words[nregs:],
 	}
 	return c, nil
 }
 
-// FusedCount reports how many superinstructions the peephole formed (pair
-// fusions plus compare+branch terminator fusions) — zero when compiled with
-// DisableFusion. Tests and the CI fusion guard use it to assert the pass
-// actually fired.
-func (c *Compiled) FusedCount() int { return c.fused }
+// instrWhere renders an instruction's location for compile errors; callers
+// reach it only on the error path.
+func instrWhere(bi, ii int, in *Instr) string {
+	return fmt.Sprintf("block %d instr %d (%s)", bi, ii, in)
+}
 
 // checkCompileRegs rejects instructions whose registers the engine could not
 // address: Dst outside the register file (NoReg is fine — "no destination"),
-// or any operand that is NoReg or out of range.
-func checkCompileRegs(p *Program, in *Instr, where string) error {
+// or any operand that is NoReg or out of range. The error carries no
+// location; the caller prefixes it.
+func checkCompileRegs(p *Program, in *Instr) error {
 	if in.Dst != NoReg && (int(in.Dst) < 0 || int(in.Dst) >= p.NumRegs) {
-		return fmt.Errorf("cir: compile: %s: register %s out of range (NumRegs=%d)", where, in.Dst, p.NumRegs)
+		return fmt.Errorf("register %s out of range (NumRegs=%d)", in.Dst, p.NumRegs)
 	}
 	for _, a := range in.Args {
 		if a == NoReg {
-			return fmt.Errorf("cir: compile: %s: NoReg used as operand", where)
+			return errors.New("NoReg used as operand")
 		}
 		if int(a) < 0 || int(a) >= p.NumRegs {
-			return fmt.Errorf("cir: compile: %s: register %s out of range (NumRegs=%d)", where, a, p.NumRegs)
+			return fmt.Errorf("register %s out of range (NumRegs=%d)", a, p.NumRegs)
 		}
 	}
 	return nil
@@ -231,8 +212,125 @@ func compileTerm(p *Program, bi int, cb *cblock) error {
 	return nil
 }
 
-// Float ops operate on IEEE-754 bit patterns stored in integer registers,
+// opFns maps every opcode to its function; nil marks an unknown opcode. It
+// spans the whole Op range, so indexing it needs no bounds check. Every
+// opcode in the Op enum must have an entry; TestCompiledEveryOpcodeHasACase
+// walks opNames to ensure a new opcode cannot land without one.
+var opFns = [1 << 8]opFn{
+	OpNop: opNop, OpConst: opConst, OpCopy: opCopy, OpNot: opNot,
+	OpAdd: opAdd, OpSub: opSub, OpMul: opMul, OpDiv: opDiv, OpMod: opMod,
+	OpAnd: opAnd, OpOr: opOr, OpXor: opXor, OpShl: opShl, OpShr: opShr,
+	OpEq: opEq, OpNe: opNe, OpLt: opLt, OpLe: opLe, OpGt: opGt, OpGe: opGe,
+	OpFAdd: opFAdd, OpFMul: opFMul, OpFDiv: opFDiv,
+	OpLoad: opLoad, OpStore: opStore, OpVCall: opVCall,
+}
+
+// The opcode functions. Every destination write lands in a real register or
+// the sink, so none checks for NoReg. Floats operate on IEEE-754 bit
+// patterns stored in integer registers and shift counts are masked to 63,
 // exactly as the interpreter does.
+func opNop(*state, *rec, *Instr) error { return nil }
+
+func opConst(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = r.imm
+	return nil
+}
+
+func opCopy(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0]
+	return nil
+}
+
+func opNot(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = ^st.regs[r.a0]
+	return nil
+}
+
+func opAdd(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] + st.regs[r.a1]
+	return nil
+}
+
+func opSub(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] - st.regs[r.a1]
+	return nil
+}
+
+func opMul(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] * st.regs[r.a1]
+	return nil
+}
+
+func opAnd(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] & st.regs[r.a1]
+	return nil
+}
+
+func opOr(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] | st.regs[r.a1]
+	return nil
+}
+
+func opXor(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] ^ st.regs[r.a1]
+	return nil
+}
+
+func opShl(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] << (st.regs[r.a1] & 63)
+	return nil
+}
+
+func opShr(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = st.regs[r.a0] >> (st.regs[r.a1] & 63)
+	return nil
+}
+
+func opEq(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] == st.regs[r.a1])
+	return nil
+}
+
+func opNe(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] != st.regs[r.a1])
+	return nil
+}
+
+func opLt(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] < st.regs[r.a1])
+	return nil
+}
+
+func opLe(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] <= st.regs[r.a1])
+	return nil
+}
+
+func opGt(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] > st.regs[r.a1])
+	return nil
+}
+
+func opGe(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = b2u(st.regs[r.a0] >= st.regs[r.a1])
+	return nil
+}
+
+func opFAdd(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = fAdd(st.regs[r.a0], st.regs[r.a1])
+	return nil
+}
+
+func opFMul(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = fMul(st.regs[r.a0], st.regs[r.a1])
+	return nil
+}
+
+func opFDiv(st *state, r *rec, _ *Instr) error {
+	st.regs[r.dst] = fDiv(st.regs[r.a0], st.regs[r.a1])
+	return nil
+}
+
 func fAdd(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 }
@@ -245,163 +343,51 @@ func fDiv(a, b uint64) uint64 {
 	return math.Float64bits(math.Float64frombits(a) / math.Float64frombits(b))
 }
 
-// nopFn is the shared closure for instructions with no effect: OpNop, and
-// any fault-free pure compute whose destination is NoReg (the interpreter
-// computes and discards the value; discarding at compile time is observably
-// identical because such instructions cannot fault).
-func nopFn(*state) error { return nil }
+func opDiv(st *state, r *rec, _ *Instr) error {
+	b := st.regs[r.a1]
+	if b == 0 {
+		return ErrDivByZero
+	}
+	st.regs[r.dst] = st.regs[r.a0] / b
+	return nil
+}
 
-// compileInstr builds the specialized closure for one instruction. fail is
-// the pre-rendered "cir: block %d %q" location prefix; closures that can
-// fault capture it and wrap their own errors, so the drivers return closure
-// errors as-is. Every opcode in the Op enum must have a case here;
-// TestCompiledOps walks opNames to ensure a new opcode cannot land without
-// one.
-func compileInstr(in *Instr, where, fail string) (instrFn, error) {
-	d := in.Dst
-	// bin specializes the pure two-operand ops: with a real destination the
-	// closure captures three register indices and the op body; with NoReg it
-	// degenerates to the shared no-op (no fault, no visible effect).
-	bin := func(f func(a, b uint64) uint64) instrFn {
-		if d == NoReg {
-			return nopFn
-		}
-		a0, a1 := in.Args[0], in.Args[1]
-		return func(st *state) error {
-			st.regs[d] = f(st.regs[a0], st.regs[a1])
-			return nil
-		}
+func opMod(st *state, r *rec, _ *Instr) error {
+	b := st.regs[r.a1]
+	if b == 0 {
+		return ErrModByZero
 	}
-	switch in.Op {
-	case OpNop:
-		return nopFn, nil
-	case OpConst:
-		if d == NoReg {
-			return nopFn, nil
-		}
-		imm := in.Imm
-		return func(st *state) error {
-			st.regs[d] = imm
-			return nil
-		}, nil
-	case OpCopy:
-		if d == NoReg {
-			return nopFn, nil
-		}
-		a0 := in.Args[0]
-		return func(st *state) error {
-			st.regs[d] = st.regs[a0]
-			return nil
-		}, nil
-	case OpAdd:
-		return bin(func(a, b uint64) uint64 { return a + b }), nil
-	case OpSub:
-		return bin(func(a, b uint64) uint64 { return a - b }), nil
-	case OpMul:
-		return bin(func(a, b uint64) uint64 { return a * b }), nil
-	case OpDiv:
-		a0, a1 := in.Args[0], in.Args[1]
-		return func(st *state) error {
-			b := st.regs[a1]
-			if b == 0 {
-				return fmt.Errorf("%s: %w", fail, ErrDivByZero)
-			}
-			if d != NoReg {
-				st.regs[d] = st.regs[a0] / b
-			}
-			return nil
-		}, nil
-	case OpMod:
-		a0, a1 := in.Args[0], in.Args[1]
-		return func(st *state) error {
-			b := st.regs[a1]
-			if b == 0 {
-				return fmt.Errorf("%s: %w", fail, ErrModByZero)
-			}
-			if d != NoReg {
-				st.regs[d] = st.regs[a0] % b
-			}
-			return nil
-		}, nil
-	case OpAnd:
-		return bin(func(a, b uint64) uint64 { return a & b }), nil
-	case OpOr:
-		return bin(func(a, b uint64) uint64 { return a | b }), nil
-	case OpXor:
-		return bin(func(a, b uint64) uint64 { return a ^ b }), nil
-	case OpShl:
-		return bin(func(a, b uint64) uint64 { return a << (b & 63) }), nil
-	case OpShr:
-		return bin(func(a, b uint64) uint64 { return a >> (b & 63) }), nil
-	case OpNot:
-		if d == NoReg {
-			return nopFn, nil
-		}
-		a0 := in.Args[0]
-		return func(st *state) error {
-			st.regs[d] = ^st.regs[a0]
-			return nil
-		}, nil
-	case OpEq:
-		return bin(func(a, b uint64) uint64 { return b2u(a == b) }), nil
-	case OpNe:
-		return bin(func(a, b uint64) uint64 { return b2u(a != b) }), nil
-	case OpLt:
-		return bin(func(a, b uint64) uint64 { return b2u(a < b) }), nil
-	case OpLe:
-		return bin(func(a, b uint64) uint64 { return b2u(a <= b) }), nil
-	case OpGt:
-		return bin(func(a, b uint64) uint64 { return b2u(a > b) }), nil
-	case OpGe:
-		return bin(func(a, b uint64) uint64 { return b2u(a >= b) }), nil
-	case OpFAdd:
-		return bin(fAdd), nil
-	case OpFMul:
-		return bin(fMul), nil
-	case OpFDiv:
-		return bin(fDiv), nil
-	case OpLoad:
-		a0, size := in.Args[0], in.Size
-		return func(st *state) error {
-			v, err := loadScratch(st.scratch, st.regs[a0], size)
-			if err != nil {
-				return fmt.Errorf("%s: %w", fail, err)
-			}
-			if d != NoReg {
-				st.regs[d] = v
-			}
-			return nil
-		}, nil
-	case OpStore:
-		a0, a1, size := in.Args[0], in.Args[1], in.Size
-		return func(st *state) error {
-			if err := storeScratch(st.scratch, st.regs[a0], st.regs[a1], size); err != nil {
-				return fmt.Errorf("%s: %w", fail, err)
-			}
-			return nil
-		}, nil
-	case OpVCall:
-		// The closure captures the instruction pointer: env.VCall receives
-		// the same *Instr the interpreter would pass, and the argument
-		// buffer follows the same reuse contract (valid only for the call).
-		args := in.Args
-		return func(st *state) error {
-			buf := st.argbuf[:len(args)]
-			for i, r := range args {
-				buf[i] = st.regs[r]
-			}
-			v, err := st.env.VCall(in, buf)
-			if err != nil {
-				return fmt.Errorf("%s: %w", fail, err)
-			}
-			if d != NoReg {
-				st.regs[d] = v
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("cir: compile: %s: unknown opcode %s", where, in.Op)
+	st.regs[r.dst] = st.regs[r.a0] % b
+	return nil
+}
+
+func opLoad(st *state, r *rec, _ *Instr) error {
+	v, err := loadScratch(st.scratch, st.regs[r.a0], int(r.size))
+	if err != nil {
+		return err
 	}
+	st.regs[r.dst] = v
+	return nil
+}
+
+func opStore(st *state, r *rec, _ *Instr) error {
+	return storeScratch(st.scratch, st.regs[r.a0], st.regs[r.a1], int(r.size))
+}
+
+// opVCall hands env.VCall the same *Instr the interpreter would pass, and
+// the argument buffer follows the same reuse contract (valid only for the
+// call).
+func opVCall(st *state, r *rec, in *Instr) error {
+	buf := st.argbuf[:len(in.Args)]
+	for i, a := range in.Args {
+		buf[i] = st.regs[a]
+	}
+	v, err := st.env.VCall(in, buf)
+	if err != nil {
+		return err
+	}
+	st.regs[r.dst] = v
+	return nil
 }
 
 // Reg returns the current value of a register (for tests), mirroring
@@ -410,207 +396,62 @@ func (c *Compiled) Reg(r Reg) uint64 { return c.st.regs[r] }
 
 // Run executes the compiled program for one packet and returns the verdict.
 // It mirrors Interp.Run clause for clause: registers and scratch are
-// re-zeroed, MaxSteps defaults to one million, and the hook-free case takes
-// the fused fast loop while any observation (OnInstr/OnBlock/Ctx) engages a
-// hooked loop — specialized per hook shape, since the nil checks are
-// loop-invariant — with identical step accounting and hook event ordering.
+// re-zeroed, MaxSteps defaults to one million, hooks fire in the same order,
+// and Ctx is polled every ctxPollMask+1 steps. The hooks are hoisted into
+// locals once, so with none installed the loop does the same work as the
+// interpreter's hook-free path.
 func (c *Compiled) Run(env Env, h *Hooks) (uint64, error) {
 	st := &c.st
-	for i := range st.regs {
-		st.regs[i] = 0
-	}
-	for i := range st.scratch {
-		st.scratch[i] = 0
-	}
+	clear(st.regs)
+	clear(st.scratch)
 	st.env = env
 	maxSteps := 1_000_000
-	if h != nil && h.MaxSteps > 0 {
-		maxSteps = h.MaxSteps
-	}
-	if h == nil || (h.OnInstr == nil && h.OnBlock == nil && h.Ctx == nil) {
-		return c.runFast(maxSteps)
-	}
-	if h.OnBlock == nil && h.OnInstr != nil {
-		// The simulator's exact shape (per-instruction pricing plus a
-		// cancellation context, no block hook) gets its own loop; so does
-		// the context-free OnInstr case profilers use.
-		if h.Ctx != nil {
-			return c.runHookedInstrCtx(h.OnInstr, h.Ctx, maxSteps)
+	var (
+		onInstr func(int, *Instr)
+		onBlock func(int)
+		ctx     context.Context
+	)
+	if h != nil {
+		if h.MaxSteps > 0 {
+			maxSteps = h.MaxSteps
 		}
-		return c.runHookedInstr(h.OnInstr, maxSteps)
+		onInstr, onBlock, ctx = h.OnInstr, h.OnBlock, h.Ctx
 	}
-	return c.runHooked(h, maxSteps)
-}
-
-// blockTrip and instrTrip render the two step-limit error texts; both match
-// the interpreter's byte for byte.
-func (c *Compiled) blockTrip(maxSteps int) error {
-	return fmt.Errorf("%w (%d blocks/instructions) in %s", ErrStepLimit, maxSteps, c.prog.Name)
-}
-
-func (c *Compiled) instrTrip(maxSteps int) error {
-	return fmt.Errorf("%w (%d instructions) in %s", ErrStepLimit, maxSteps, c.prog.Name)
-}
-
-func (c *Compiled) interrupted(err error) error {
-	return fmt.Errorf("cir: %s interrupted: %w", c.prog.Name, err)
-}
-
-// runFast is the hook-free closure-chain loop over the fused chains;
-// semantics and step accounting match Interp.runFast exactly. The loop
-// charges one step per fcode entry (the first instruction of a fused pair);
-// fused closures charge and re-check the budget for their interior
-// instructions through st.steps, raising errStepTrip — converted here to the
-// interpreter's exact instruction-trip error — when it expires between
-// halves.
-func (c *Compiled) runFast(maxSteps int) (uint64, error) {
-	st := &c.st
-	st.steps = 0
-	st.maxSteps = maxSteps
-	bi := 0
-	for {
-		st.steps++
-		if st.steps > maxSteps {
-			return 0, c.blockTrip(maxSteps)
-		}
-		blk := &c.blocks[bi]
-		for _, fn := range blk.fcode {
-			st.steps++
-			if st.steps > maxSteps {
-				return 0, c.instrTrip(maxSteps)
-			}
-			if err := fn(st); err != nil {
-				if err == errStepTrip {
-					return 0, c.instrTrip(maxSteps)
-				}
-				return 0, err
-			}
-		}
-		switch blk.kind {
-		case TermJump:
-			bi = blk.then
-		case TermBranch:
-			if blk.cmp != cmpNone {
-				// Fused compare+branch: the compare is still an instruction —
-				// it charges its step, may trip the budget, and writes its
-				// destination — but its result feeds the branch directly.
-				st.steps++
-				if st.steps > maxSteps {
-					return 0, c.instrTrip(maxSteps)
-				}
-				v := cmpEval(blk.cmp, st.regs[blk.cmpA0], st.regs[blk.cmpA1])
-				st.regs[blk.cmpDst] = v
-				if v != 0 {
-					bi = blk.then
-				} else {
-					bi = blk.els
-				}
-			} else if st.regs[blk.cond] != 0 {
-				bi = blk.then
-			} else {
-				bi = blk.els
-			}
-		case TermReturn:
-			if blk.ret == NoReg {
-				return VerdictPass, nil
-			}
-			return st.regs[blk.ret], nil
-		}
-	}
-}
-
-// runHooked is the fully general observed loop, running hooks and polling
-// the context exactly as Interp.runHooked does — block entries count one
-// step, each instruction counts one step, the limit is checked before
-// executing, and Ctx is polled every ctxPollMask+1 steps. It walks the
-// unfused per-instruction chain: hooks observe instruction granularity, so
-// fused superinstructions (and the fused compare+branch) never run here.
-func (c *Compiled) runHooked(h *Hooks, maxSteps int) (uint64, error) {
-	st := &c.st
 	steps := 0
 	bi := 0
 	for {
+		// Block entries count against the budget too: an empty self-looping
+		// block must still trip the limit.
 		steps++
 		if steps > maxSteps {
-			return 0, c.blockTrip(maxSteps)
+			return 0, fmt.Errorf("%w (%d blocks/instructions) in %s", ErrStepLimit, maxSteps, c.prog.Name)
 		}
-		if h.Ctx != nil && steps&ctxPollMask == 0 {
-			if err := h.Ctx.Err(); err != nil {
-				return 0, c.interrupted(err)
-			}
-		}
-		if h.OnBlock != nil {
-			h.OnBlock(bi)
-		}
-		blk := &c.blocks[bi]
-		for ii, fn := range blk.code {
-			steps++
-			if steps > maxSteps {
-				return 0, c.instrTrip(maxSteps)
-			}
-			if h.Ctx != nil && steps&ctxPollMask == 0 {
-				if err := h.Ctx.Err(); err != nil {
-					return 0, c.interrupted(err)
-				}
-			}
-			if h.OnInstr != nil {
-				h.OnInstr(bi, blk.meta[ii])
-			}
-			if err := fn(st); err != nil {
-				return 0, err
-			}
-		}
-		switch blk.kind {
-		case TermJump:
-			bi = blk.then
-		case TermBranch:
-			if st.regs[blk.cond] != 0 {
-				bi = blk.then
-			} else {
-				bi = blk.els
-			}
-		case TermReturn:
-			if blk.ret == NoReg {
-				return VerdictPass, nil
-			}
-			return st.regs[blk.ret], nil
-		}
-	}
-}
-
-// runHookedInstrCtx is runHooked specialized for the simulator's hook shape:
-// OnInstr set, OnBlock nil, Ctx set. The per-step OnBlock and Ctx nil checks
-// are loop-invariant, so they are resolved here once; step accounting, hook
-// event ordering and the ctxPollMask cadence are identical to runHooked.
-func (c *Compiled) runHookedInstrCtx(onInstr func(int, *Instr), ctx context.Context, maxSteps int) (uint64, error) {
-	st := &c.st
-	steps := 0
-	bi := 0
-	for {
-		steps++
-		if steps > maxSteps {
-			return 0, c.blockTrip(maxSteps)
-		}
-		if steps&ctxPollMask == 0 {
+		if steps&ctxPollMask == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return 0, c.interrupted(err)
 			}
 		}
+		if onBlock != nil {
+			onBlock(bi)
+		}
 		blk := &c.blocks[bi]
-		meta := blk.meta
-		for ii, fn := range blk.code {
+		instrs := blk.instrs[:len(blk.code)]
+		for i := range blk.code {
+			r, in := &blk.code[i], &instrs[i]
 			steps++
 			if steps > maxSteps {
-				return 0, c.instrTrip(maxSteps)
+				return 0, fmt.Errorf("%w (%d instructions) in %s", ErrStepLimit, maxSteps, c.prog.Name)
 			}
-			if steps&ctxPollMask == 0 {
+			if steps&ctxPollMask == 0 && ctx != nil {
 				if err := ctx.Err(); err != nil {
 					return 0, c.interrupted(err)
 				}
 			}
-			onInstr(bi, meta[ii])
-			if err := fn(st); err != nil {
-				return 0, err
+			if onInstr != nil {
+				onInstr(bi, in)
+			}
+			if err := opFns[r.op](st, r, in); err != nil {
+				return 0, fmt.Errorf("cir: block %d %q: %w", bi, in.String(), err)
 			}
 		}
 		switch blk.kind {
@@ -631,44 +472,6 @@ func (c *Compiled) runHookedInstrCtx(onInstr func(int, *Instr), ctx context.Cont
 	}
 }
 
-// runHookedInstr is runHooked specialized for OnInstr set, OnBlock nil,
-// Ctx nil: no cancellation polls at all (matching the generic loop's
-// behavior when Ctx is nil), no per-step hook nil checks.
-func (c *Compiled) runHookedInstr(onInstr func(int, *Instr), maxSteps int) (uint64, error) {
-	st := &c.st
-	steps := 0
-	bi := 0
-	for {
-		steps++
-		if steps > maxSteps {
-			return 0, c.blockTrip(maxSteps)
-		}
-		blk := &c.blocks[bi]
-		meta := blk.meta
-		for ii, fn := range blk.code {
-			steps++
-			if steps > maxSteps {
-				return 0, c.instrTrip(maxSteps)
-			}
-			onInstr(bi, meta[ii])
-			if err := fn(st); err != nil {
-				return 0, err
-			}
-		}
-		switch blk.kind {
-		case TermJump:
-			bi = blk.then
-		case TermBranch:
-			if st.regs[blk.cond] != 0 {
-				bi = blk.then
-			} else {
-				bi = blk.els
-			}
-		case TermReturn:
-			if blk.ret == NoReg {
-				return VerdictPass, nil
-			}
-			return st.regs[blk.ret], nil
-		}
-	}
+func (c *Compiled) interrupted(err error) error {
+	return fmt.Errorf("cir: %s interrupted: %w", c.prog.Name, err)
 }

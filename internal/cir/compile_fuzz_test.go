@@ -130,10 +130,10 @@ type fuzzOutcome struct {
 	blocks  int
 }
 
-// Hook shapes exercised by the fuzz harness. Beyond fast and the fully
-// hooked loop, the two specialized hooked paths (OnInstr+Ctx — the
-// simulator's shape — and OnInstr alone) get their own arms, since each is a
-// distinct loop in the compiled engine.
+// Hook shapes exercised by the fuzz harness: none, the full set, and the two
+// shapes production callers install (OnInstr+Ctx — the simulator's — and
+// OnInstr alone — the predictor's). Each is a distinct hook-nil pattern
+// through the compiled engine's one loop.
 const (
 	fuzzFast = iota
 	fuzzHookedFull
@@ -143,9 +143,8 @@ const (
 
 // FuzzCompiledVsInterp is the differential battery's randomized arm: any
 // program the builder can express must produce identical (verdict, error
-// string, vcall trace, step count) tuples from the interpreter, the fused
-// compiled engine, and the fusion-disabled compiled engine, across the fast
-// path and every hooked-loop specialization.
+// string, vcall trace, step count) tuples from the interpreter and the
+// compiled engine, under every hook shape.
 func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -156,22 +155,22 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		long[i] = byte(i*37 + 11)
 	}
 	f.Add(long)
-	// Fusion-adversarial seeds (byte streams decoded by genFuzzProgram):
-	// a fusable const+binop pair split across a block boundary — the const
-	// ends block 0, the binop opens block 1, so the peephole must NOT fuse
-	// across the jump.
+	// Seeds kept from the removed superinstruction pass, whose pair and
+	// compare+branch shapes still stress step accounting and fault text
+	// (byte streams decoded by genFuzzProgram): a const+binop pair split
+	// across a block boundary — the const ends block 0, the binop opens
+	// block 1.
 	f.Add([]byte{1, 1, 7, 3, 1, 1, 0, 9, 0, 0, 1, 1, 1, 0, 0, 1, 2, 0, 255, 255})
-	// A const+binop fused pair in one block with maxSteps=5: block entry (1)
-	// plus four consts (5) exhaust the budget exactly between the two halves
-	// of the fused const+add closure.
+	// A const+binop pair in one block with maxSteps=5: block entry (1) plus
+	// four consts (5) exhaust the budget exactly between the const and the
+	// add.
 	f.Add([]byte{1, 0, 7, 3, 1, 2, 0, 5, 0, 1, 0, 0, 1, 4, 0, 4})
 	// A single-block loop ending in compare+branch back to its own head with
-	// a tiny budget: the fused compare terminator re-executes every
-	// iteration and the trip lands either at a block entry or mid-compare.
+	// a tiny budget: the trip lands either at a block entry or on the
+	// compare.
 	f.Add([]byte{1, 0, 7, 3, 0, 1, 1, 10, 0, 2, 1, 3, 0, 0, 0, 9})
 	// A load+binop pair whose load faults (address 7 + 8-byte width against
-	// 8 scratch bytes): the fused closure's first half must report the
-	// load's own wrapped bounds error.
+	// 8 scratch bytes): the fault must carry the load's own location.
 	f.Add([]byte{1, 0, 7, 3, 1, 2, 4, 0, 3, 1, 0, 0, 1, 4, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -184,10 +183,6 @@ func FuzzCompiledVsInterp(f *testing.F) {
 			// Program() verified it; Compile accepts a strict superset of
 			// executable programs, so rejection here is an engine bug.
 			t.Fatalf("verified program failed to compile: %v\n%s", err, prog)
-		}
-		unfused, err := CompileWith(prog, CompileOpts{DisableFusion: true})
-		if err != nil {
-			t.Fatalf("program compiled fused but not unfused: %v\n%s", err, prog)
 		}
 		it := NewInterp(prog)
 
@@ -239,12 +234,10 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		iFast := run(it.Run, fuzzFast)
 		cFast := run(comp.Run, fuzzFast)
 		diff("fast", iFast, cFast)
-		diff("fast-unfused", iFast, run(unfused.Run, fuzzFast))
 
 		iHook := run(it.Run, fuzzHookedFull)
 		cHook := run(comp.Run, fuzzHookedFull)
 		diff("hooked", iHook, cHook)
-		diff("hooked-unfused", iHook, run(unfused.Run, fuzzHookedFull))
 
 		diff("hooked-instr-ctx", run(it.Run, fuzzHookedInstrCtx), run(comp.Run, fuzzHookedInstrCtx))
 		diff("hooked-instr", run(it.Run, fuzzHookedInstr), run(comp.Run, fuzzHookedInstr))

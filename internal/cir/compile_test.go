@@ -3,6 +3,7 @@ package cir
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -107,7 +108,7 @@ func TestCompiledUnaryAndConst(t *testing.T) {
 }
 
 // TestCompiledEveryOpcodeHasACase walks the whole opcode catalog: each must
-// compile (a new opcode added without a compileInstr case fails here), and
+// compile (a new opcode added without an opFns entry fails here), and
 // the first opcode past the catalog must be rejected at compile time.
 func TestCompiledEveryOpcodeHasACase(t *testing.T) {
 	instrFor := func(op Op) Instr {
@@ -218,6 +219,7 @@ func TestCompileRejectsMalformed(t *testing.T) {
 		want string
 	}{
 		{"no blocks", &Program{Name: "x"}, "no blocks"},
+		{"register file too large", &Program{Name: "x", NumRegs: math.MaxInt32, Blocks: []Block{{Term: ret}}}, "exceed the engine's limit"},
 		{"bad arity", &Program{Name: "x", NumRegs: 2, Blocks: []Block{{
 			Instrs: []Instr{{Op: OpAdd, Dst: 0, Args: []Reg{1}}}, Term: ret,
 		}}}, "wants 2 args"},
@@ -576,6 +578,223 @@ func TestScratchAddressOverflow(t *testing.T) {
 		}
 		if iErr.Error() != cErr.Error() {
 			t.Errorf("%s: error text diverged:\n  interp:   %v\n  compiled: %v", op, iErr, cErr)
+		}
+	}
+}
+
+// The tests below keep the program shapes a since-removed superinstruction
+// pass used to fuse (const+binop, load+op, a block-ending compare feeding
+// its own branch) and the shapes it had to leave alone. They stay as
+// regression cases: each pins step accounting, fault locations and register
+// writes at exactly the instruction boundaries a pairing engine could blur.
+
+// pairDiff runs prog through the interpreter and the compiled engine under
+// the given step budget and fails on any divergence in (verdict, error
+// text, vcall trace). It returns the interpreter's verdict and error text.
+func pairDiff(t *testing.T, prog *Program, maxSteps int) (uint64, string) {
+	t.Helper()
+	type out struct {
+		v     uint64
+		err   string
+		calls []string
+	}
+	runOne := func(engine func(Env, *Hooks) (uint64, error)) out {
+		env := &recordingEnv{}
+		v, err := engine(env, &Hooks{MaxSteps: maxSteps})
+		o := out{v: v, calls: env.calls}
+		if err != nil {
+			o.err = err.Error()
+		}
+		return o
+	}
+	comp, err := Compile(prog)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	ref, o := runOne(NewInterp(prog).Run), runOne(comp.Run)
+	if o.err != ref.err || (ref.err == "" && o.v != ref.v) || fmt.Sprint(o.calls) != fmt.Sprint(ref.calls) {
+		t.Fatalf("compiled diverged from interp:\n  interp:   v=%d err=%q calls=%v\n  compiled: v=%d err=%q calls=%v\n%s",
+			ref.v, ref.err, ref.calls, o.v, o.err, o.calls, prog)
+	}
+	return ref.v, ref.err
+}
+
+// TestFusionTemplates runs each former fusion template, and each shape the
+// pass had to refuse, through both engines.
+func TestFusionTemplates(t *testing.T) {
+	cases := []struct {
+		name string
+		prog *Program
+	}{
+		{
+			// A const feeding an add.
+			name: "const+binop",
+			prog: &Program{Name: "f", NumRegs: 3, Blocks: []Block{{
+				Instrs: []Instr{
+					{Op: OpConst, Dst: 0, Imm: 7},
+					{Op: OpConst, Dst: 1, Imm: 35},
+					{Op: OpAdd, Dst: 2, Args: []Reg{0, 1}},
+				},
+				Term: Terminator{Kind: TermReturn, Ret: 2},
+			}}},
+		},
+		{
+			// A load next to an op it does not feed.
+			name: "load+op",
+			prog: &Program{Name: "f", NumRegs: 3, ScratchBytes: 16, Blocks: []Block{{
+				Instrs: []Instr{
+					{Op: OpConst, Dst: 0, Imm: 4},
+					{Op: OpLoad, Dst: 1, Args: []Reg{0}, Size: 8},
+					{Op: OpXor, Dst: 2, Args: []Reg{0, 0}},
+				},
+				Term: Terminator{Kind: TermReturn, Ret: 2},
+			}}},
+		},
+		{
+			// A block-ending compare whose Dst is the branch condition.
+			name: "compare+branch",
+			prog: &Program{Name: "f", NumRegs: 2, Blocks: []Block{
+				{
+					Instrs: []Instr{
+						{Op: OpConst, Dst: 0, Imm: 3},
+						{Op: OpConst, Dst: 1, Imm: 3},
+						{Op: OpEq, Dst: 0, Args: []Reg{0, 1}},
+					},
+					Term: Terminator{Kind: TermBranch, Cond: 0, Then: 1, Else: 2},
+				},
+				{Term: Terminator{Kind: TermReturn, Ret: 0}},
+				{Term: Terminator{Kind: TermReturn, Ret: 1}},
+			}},
+		},
+		{
+			// A compare result parked in a different register than the
+			// branch condition.
+			name: "compare-not-cond",
+			prog: &Program{Name: "f", NumRegs: 3, Blocks: []Block{
+				{
+					Instrs: []Instr{
+						{Op: OpConst, Dst: 2, Imm: 1},
+						{Op: OpEq, Dst: 0, Args: []Reg{2, 2}},
+					},
+					Term: Terminator{Kind: TermBranch, Cond: 2, Then: 1, Else: 1},
+				},
+				{Term: Terminator{Kind: TermReturn, Ret: 0}},
+			}},
+		},
+		{
+			// A const feeding a division, which can fault.
+			name: "div-not-fused",
+			prog: &Program{Name: "f", NumRegs: 2, Blocks: []Block{{
+				Instrs: []Instr{
+					{Op: OpConst, Dst: 0, Imm: 8},
+					{Op: OpDiv, Dst: 1, Args: []Reg{0, 0}},
+				},
+				Term: Terminator{Kind: TermReturn, Ret: 1},
+			}}},
+		},
+		{
+			// A NoReg-destination op, which lowers to the shared no-op.
+			name: "noreg-second-half",
+			prog: &Program{Name: "f", NumRegs: 2, Blocks: []Block{{
+				Instrs: []Instr{
+					{Op: OpConst, Dst: 0, Imm: 8},
+					{Op: OpAdd, Dst: NoReg, Args: []Reg{0, 0}},
+				},
+				Term: Terminator{Kind: TermReturn, Ret: 0},
+			}}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pairDiff(t, tc.prog, 1000)
+		})
+	}
+}
+
+// TestFusionMidPairStepTrip expires the budget exactly between a const and
+// the add it feeds and checks both engines agree on the instruction-trip
+// error, byte for byte.
+func TestFusionMidPairStepTrip(t *testing.T) {
+	prog := &Program{Name: "trip", NumRegs: 3, Blocks: []Block{{
+		Instrs: []Instr{
+			{Op: OpConst, Dst: 0, Imm: 7},          // step 2 (block entry is 1)
+			{Op: OpConst, Dst: 1, Imm: 35},         // step 3
+			{Op: OpAdd, Dst: 2, Args: []Reg{0, 1}}, // step 4
+		},
+		Term: Terminator{Kind: TermReturn, Ret: 2},
+	}}}
+	// maxSteps=3 admits the second const but not the add.
+	_, errText := pairDiff(t, prog, 3)
+	want := "cir: step limit exceeded (3 instructions) in trip"
+	if errText != want {
+		t.Fatalf("mid-pair trip error = %q, want %q", errText, want)
+	}
+	// One step more and the add completes.
+	if v, errText := pairDiff(t, prog, 4); errText != "" || v != 42 {
+		t.Fatalf("post-pair run = (%d, %q), want (42, \"\")", v, errText)
+	}
+}
+
+// TestFusionLoadFault faults a load followed by an add and checks the
+// wrapped bounds error names the load, identically in both engines.
+func TestFusionLoadFault(t *testing.T) {
+	prog := &Program{Name: "oob", NumRegs: 3, ScratchBytes: 8, Blocks: []Block{{
+		Instrs: []Instr{
+			{Op: OpConst, Dst: 0, Imm: 7},
+			{Op: OpLoad, Dst: 1, Args: []Reg{0}, Size: 8}, // 7+8 > 8: faults
+			{Op: OpAdd, Dst: 2, Args: []Reg{1, 1}},
+		},
+		Term: Terminator{Kind: TermReturn, Ret: 2},
+	}}}
+	_, errText := pairDiff(t, prog, 1000)
+	want := `cir: block 0 "r1 = load r0 sz=8": scratch load out of bounds: addr=7 size=8 len=8`
+	if errText != want {
+		t.Fatalf("load fault = %q, want %q", errText, want)
+	}
+}
+
+// TestFusedBranchWritesRegister loops through a compare+branch whose result
+// register is read after the loop: the compare must still write it.
+func TestFusedBranchWritesRegister(t *testing.T) {
+	// r0 counts down from 5; block 1 returns the final compare result.
+	prog := &Program{Name: "loop", NumRegs: 3, Blocks: []Block{
+		{
+			Instrs: []Instr{
+				{Op: OpConst, Dst: 1, Imm: 1},
+				{Op: OpSub, Dst: 0, Args: []Reg{0, 1}},
+				{Op: OpConst, Dst: 2, Imm: ^uint64(0) - 2},
+				{Op: OpLt, Dst: 2, Args: []Reg{0, 2}},
+			},
+			Term: Terminator{Kind: TermBranch, Cond: 2, Then: 0, Else: 1},
+		},
+		{Term: Terminator{Kind: TermReturn, Ret: 2}},
+	}}
+	v, errText := pairDiff(t, prog, 1_000_000)
+	if errText != "" || v != 0 {
+		t.Fatalf("loop run = (%d, %q), want (0, \"\")", v, errText)
+	}
+}
+
+// TestFusedBranchAllCompares drives every comparison kind into a branch on
+// its own result, on operand pairs covering both outcomes.
+func TestFusedBranchAllCompares(t *testing.T) {
+	ops := []Op{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	pairs := [][2]uint64{{3, 3}, {3, 9}, {9, 3}}
+	for _, op := range ops {
+		for _, ab := range pairs {
+			prog := &Program{Name: "cmp", NumRegs: 3, Blocks: []Block{
+				{
+					Instrs: []Instr{
+						{Op: OpConst, Dst: 0, Imm: ab[0]},
+						{Op: OpConst, Dst: 1, Imm: ab[1]},
+						{Op: op, Dst: 2, Args: []Reg{0, 1}},
+					},
+					Term: Terminator{Kind: TermBranch, Cond: 2, Then: 1, Else: 2},
+				},
+				{Term: Terminator{Kind: TermReturn, Ret: 0}},
+				{Term: Terminator{Kind: TermReturn, Ret: 1}},
+			}}
+			pairDiff(t, prog, 1000)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cir
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Verify checks structural invariants of a program: branch targets in range,
 // registers within NumRegs, vcalls known, state references declared, and the
@@ -43,8 +46,8 @@ func Verify(p *Program) error {
 					return err
 				}
 			}
-			if err := checkArity(in, where); err != nil {
-				return err
+			if err := checkArity(&in); err != nil {
+				return fmt.Errorf("cir: %s: %w", where, err)
 			}
 			if in.Op == OpVCall {
 				info, ok := VCalls[in.Callee]
@@ -95,7 +98,9 @@ func Verify(p *Program) error {
 	return nil
 }
 
-func checkArity(in Instr, where string) error {
+// checkArity checks an instruction's operand shape against its opcode. The
+// error carries no location; the caller prefixes it.
+func checkArity(in *Instr) error {
 	want := -1 // -1: no fixed arity
 	switch in.Op {
 	case OpNop:
@@ -115,13 +120,13 @@ func checkArity(in Instr, where string) error {
 		return nil
 	}
 	if want >= 0 && len(in.Args) != want {
-		return fmt.Errorf("cir: %s: %s wants %d args, has %d", where, in.Op, want, len(in.Args))
+		return fmt.Errorf("%s wants %d args, has %d", in.Op, want, len(in.Args))
 	}
 	if (in.Op == OpLoad || in.Op == OpStore) && in.Size != 1 && in.Size != 2 && in.Size != 4 && in.Size != 8 {
-		return fmt.Errorf("cir: %s: invalid access size %d", where, in.Size)
+		return fmt.Errorf("invalid access size %d", in.Size)
 	}
 	if in.Op == OpStore && in.Dst != NoReg {
-		return fmt.Errorf("cir: %s: store must not produce a value", where)
+		return errors.New("store must not produce a value")
 	}
 	return nil
 }

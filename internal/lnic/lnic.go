@@ -239,6 +239,21 @@ func (l *LNIC) Validate() error {
 	return nil
 }
 
+// InstrCycles prices one instruction of class cl on unit u: the unit's class
+// cost, software emulation at FloatEmulation × the ALU cost for floats on a
+// core without an FPU, and the local memory's load latency for memory-class
+// instructions on a unit that has one. The simulator, the predictor and the
+// mapper's cost model all price instructions through this rule.
+func (l *LNIC) InstrCycles(u *ComputeUnit, cl cir.Class) float64 {
+	if cl == cir.ClassFloat && !u.HasFPU {
+		return u.ClassCycles[cir.ClassALU] * u.FloatEmulation
+	}
+	if cl == cir.ClassMem && u.LocalMem >= 0 {
+		return l.Mems[u.LocalMem].LoadCycles
+	}
+	return u.ClassCycles[cl]
+}
+
 // AccessCycles returns the latency of one load or store from unit into mem,
 // including the NUMA weight of the connecting edge. ok is false when no
 // edge connects them (the unit cannot reach that region).

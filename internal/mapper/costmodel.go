@@ -115,14 +115,7 @@ func (cm *CostModel) NodeCost(n *cir.Node, j int) float64 {
 	mult := cm.NodeMultiplier(n)
 	cost := 0.0
 	for cl, count := range n.ClassCount {
-		c := u.ClassCycles[cl]
-		if cl == cir.ClassFloat && !u.HasFPU {
-			c = u.ClassCycles[cir.ClassALU] * u.FloatEmulation
-		}
-		if cl == cir.ClassMem && u.LocalMem >= 0 {
-			c = cm.nic.Mems[u.LocalMem].LoadCycles
-		}
-		cost += c * float64(count)
+		cost += cm.nic.InstrCycles(u, cl) * float64(count)
 	}
 	for _, vc := range n.VCalls {
 		cost += cm.VCallSoftwareCost(vc)

@@ -8,7 +8,7 @@ import (
 )
 
 // exec is the per-packet execution context: it implements cir.Env, charging
-// cycles to e.now as the interpreter walks the program.
+// cycles to e.now as the compiled engine walks the program.
 type exec struct {
 	s *Sim
 	// pkt points at the trace's shared decoded packet (read-only) until the

@@ -254,13 +254,9 @@ type Sim struct {
 	nic  *lnic.LNIC
 	prog *cir.Program
 
-	// compiled is the closure-chain engine built once at New; interp is the
-	// reference switch-dispatch engine kept alongside it. The packet loop
-	// runs compiled unless forceInterp flips it back — tests use that to
-	// prove the two dispatchers produce DeepEqual results.
-	compiled    *cir.Compiled
-	interp      *cir.Interp
-	forceInterp bool
+	// compiled is the CIR engine built once at New and reused for every
+	// packet.
+	compiled *cir.Compiled
 	// costByOp precomputes the representative core's per-instruction cycle
 	// price for every opcode (class lookup, FPU emulation and local-memory
 	// override folded in), so the per-instruction hook indexes an array
@@ -424,33 +420,21 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	s.parserUnits = s.nic.UnitsOfKind(lnic.UnitParser)
 	s.egressUnits = s.nic.UnitsOfKind(lnic.UnitEgress)
 
-	// Both execution engines are built once per Sim: the compiled closure
-	// chains drive the packet loop, the interpreter stays as the reference
-	// dispatch (and the forceInterp escape hatch). Verify passed above, so a
-	// compile failure here is a real inconsistency, not a user error.
-	s.interp = cir.NewInterp(s.prog)
+	// Verify passed above, so a compile failure here is a real
+	// inconsistency, not a user error.
 	compiled, err := cir.Compile(s.prog)
 	if err != nil {
 		return nil, err
 	}
 	s.compiled = compiled
 
-	// Fold the pricing rules of exec.onInstr into one array indexed by
-	// opcode. Opcodes beyond the catalog price as ALU, matching ClassOf's
-	// default; OpVCall stays zero because vcall pricing happens inside VCall.
+	// Fold the instruction price rule into one array indexed by opcode.
+	// Opcodes beyond the catalog price as ALU, matching ClassOf's default;
+	// OpVCall stays zero because vcall pricing happens inside VCall.
 	for op := 0; op < len(s.costByOp); op++ {
-		cl := cir.ClassOf(cir.Op(op))
-		if cl == cir.ClassVCall {
-			continue
+		if cl := cir.ClassOf(cir.Op(op)); cl != cir.ClassVCall {
+			s.costByOp[op] = s.nic.InstrCycles(s.npu, cl)
 		}
-		cost := s.npu.ClassCycles[cl]
-		if cl == cir.ClassFloat && !s.npu.HasFPU {
-			cost = s.npu.ClassCycles[cir.ClassALU] * s.npu.FloatEmulation
-		}
-		if cl == cir.ClassMem && s.npu.LocalMem >= 0 {
-			cost = s.nic.Mems[s.npu.LocalMem].LoadCycles
-		}
-		s.costByOp[op] = cost
 	}
 
 	s.memCost = make([]memPrice, len(s.nic.Mems))
@@ -546,13 +530,6 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// ForceInterp switches the packet loop between the compiled closure-chain
-// engine (the default) and the reference switch-dispatch interpreter. The
-// two are proven equivalent (TestRunContextMatchesReference, cir's
-// differential battery); the toggle exists so tests and benchmarks can run
-// either dispatcher on an identical Sim.
-func (s *Sim) ForceInterp(v bool) { s.forceInterp = v }
-
 // Run replays the trace through the NF and returns per-packet results,
 // under default resource limits.
 func (s *Sim) Run(tr *workload.Trace) (*Result, error) {
@@ -560,7 +537,7 @@ func (s *Sim) Run(tr *workload.Trace) (*Result, error) {
 }
 
 // RunContext is Run under a cancellable, budgeted context. The per-packet
-// interpreter step cap and the total packet (event) cap come from the
+// CIR step cap and the total packet (event) cap come from the
 // budget.Limits on ctx; a tripped budget returns a *budget.ExceededError and
 // a cancellation a *budget.CanceledError, both carrying the *Result covering
 // the packets that did complete — enough to compare a prediction against a
@@ -816,13 +793,7 @@ func (rs *runState) step(i, g int) error {
 	e.bd.Queue += start - t
 	e.now = start
 
-	var verdict uint64
-	var err error
-	if s.forceInterp {
-		verdict, err = s.interp.Run(e, &rs.hooks)
-	} else {
-		verdict, err = s.compiled.Run(e, &rs.hooks)
-	}
+	verdict, err := s.compiled.Run(e, &rs.hooks)
 	rs.runSteps += e.steps
 	if err != nil {
 		s.bookThread(th, e.now)

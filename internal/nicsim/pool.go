@@ -8,7 +8,7 @@ import (
 // This file is the Sim pool behind the sharded and co-located engines. Both
 // engines build one fully fresh simulator per window (per tenant, when
 // co-located): the construction itself — state-table maps, cache arrays and
-// above all the compiled closure chains — dominated the allocation profile
+// above all the compiled CIR engine — dominated the allocation profile
 // of a sharded run. The pool recycles a finished window's Sim for the next
 // window of the same stream, replacing construction with reset(), which
 // restores every piece of mutable state to what NewContext would have built
@@ -59,7 +59,6 @@ func (s *Sim) reset(cfg Config) {
 		s.memCycles = make([]float64, len(cfg.NIC.Mems))
 	}
 	s.curPkt = 0
-	s.forceInterp = false
 
 	// Undo any co-location rewiring: point the shared-resource fields back
 	// at this Sim's own instances and clear the arbitration state.

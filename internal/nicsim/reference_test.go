@@ -236,31 +236,17 @@ func diffSim(t *testing.T, spec nf.Spec, faults *Faults, timeline bool) *Sim {
 	return sim
 }
 
-// runDiff runs the optimized loop (compiled dispatch), the optimized loop
-// forced onto the interpreter, and the reference loop on triplet simulators,
-// requiring indistinguishable outcomes: DeepEqual Results (packets,
-// breakdowns, fault reports, timelines, hit rates) and DeepEqual typed
-// errors, including the Partial results inside budget errors.
+// runDiff runs the optimized loop (compiled CIR) and the reference loop (the
+// CIR interpreter) on twin simulators, requiring indistinguishable outcomes:
+// DeepEqual Results (packets, breakdowns, fault reports, timelines, hit
+// rates) and DeepEqual typed errors, including the Partial results inside
+// budget errors.
 func runDiff(t *testing.T, name string, spec nf.Spec, faults *Faults, tr *workload.Trace, lim budget.Limits) {
 	t.Helper()
 	ctx := budget.With(context.Background(), lim)
 
 	fastSim := diffSim(t, spec, faults, true)
 	fastRes, fastErr := fastSim.RunContext(ctx, tr)
-
-	// The same hot path with engine dispatch flipped to the interpreter:
-	// proves the compiled engine is invisible to every observable output,
-	// budget trips included.
-	interpSim := diffSim(t, spec, faults, true)
-	interpSim.ForceInterp(true)
-	interpRes, interpErr := interpSim.RunContext(ctx, tr)
-	if !reflect.DeepEqual(fastErr, interpErr) {
-		t.Fatalf("%s: compiled vs interp dispatch error mismatch\ncompiled: %#v\ninterp:   %#v",
-			name, fastErr, interpErr)
-	}
-	if !reflect.DeepEqual(fastRes, interpRes) {
-		t.Fatalf("%s: compiled vs interp dispatch results differ", name)
-	}
 
 	refSim := diffSim(t, spec, faults, true)
 	refRes, refErr := referenceRunContext(refSim, ctx, tr)

@@ -64,13 +64,7 @@ func (e *costEnv) onInstr(_ int, in *cir.Instr) {
 	if cl == cir.ClassVCall || e.npu == nil {
 		return
 	}
-	cost := e.npu.ClassCycles[cl]
-	if cl == cir.ClassFloat && !e.npu.HasFPU {
-		cost = e.npu.ClassCycles[cir.ClassALU] * e.npu.FloatEmulation
-	}
-	if cl == cir.ClassMem && e.npu.LocalMem >= 0 {
-		cost = e.nic.Mems[e.npu.LocalMem].LoadCycles
-	}
+	cost := e.nic.InstrCycles(e.npu, cl)
 	e.cycles += cost
 	e.compute += cost
 }

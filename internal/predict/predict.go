@@ -1,7 +1,7 @@
 // Package predict produces Clara's output artifact: the performance profile
 // of an unported NF on a target SmartNIC under a given workload (§3.5 of the
 // paper). Given a solved mapping, it simulates how each packet *class*
-// traverses the parameterized LNIC — re-running the CIR interpreter with an
+// traverses the parameterized LNIC — re-running the compiled CIR with an
 // expectation-based cost environment rather than concrete
 // microarchitectural state — and aggregates the per-class latencies with
 // workload-derived class probabilities. It also estimates idealized
@@ -132,8 +132,14 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	probs := symexec.Normalize(classes, w)
 	cm := mapper.NewCostModel(nic, wl)
 
+	// One compiled engine serves every class; a program the engine cannot
+	// execute is refused here with the compile error.
+	comp, err := cir.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("predict: %w", err)
+	}
 	pred := &Prediction{NFName: prog.Name, NICName: nic.Name}
-	var meanExec, meanAccelUse, meanAccelSvc float64
+	var meanExec float64
 	accelUse := map[string]float64{} // accel class → expected visits/packet
 	accelSvc := map[string]float64{} // accel class → expected service/visit
 	var memCycles map[int]float64    // region → expected stall cycles/packet (ResourceLoad only)
@@ -148,7 +154,7 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 			env.memCycles = map[int]float64{}
 		}
 		hooks := &cir.Hooks{OnInstr: env.onInstr, MaxSteps: 2_000_000}
-		verdict, err := cir.NewInterp(prog).Run(env, hooks)
+		verdict, err := comp.Run(env, hooks)
 		if err != nil {
 			return nil, fmt.Errorf("predict: class %s: %w", classes[ci].Name(), err)
 		}
@@ -172,8 +178,6 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 			memCycles[region] += probs[ci] * cyc
 		}
 	}
-	_ = meanAccelUse
-	_ = meanAccelSvc
 	sort.Slice(pred.PerClass, func(i, j int) bool { return pred.PerClass[i].Name < pred.PerClass[j].Name })
 
 	// Fixed ingress/egress overhead, mirroring the datapath stages.

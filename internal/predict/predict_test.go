@@ -9,6 +9,7 @@ import (
 	"clara/internal/mapper"
 	"clara/internal/nf"
 	"clara/internal/nicsim"
+	"clara/internal/symexec"
 	"clara/internal/workload"
 )
 
@@ -339,5 +340,23 @@ func TestPerClassEnergyTracksCycles(t *testing.T) {
 	if syn.Cycles > est.Cycles && syn.EnergyNJ <= est.EnergyNJ {
 		t.Errorf("SYN class has more cycles (%v>%v) but less energy (%v≤%v)",
 			syn.Cycles, est.Cycles, syn.EnergyNJ, est.EnergyNJ)
+	}
+}
+
+// TestPredictRejectsUncompilableProgram is the regression test for a panic
+// on malformed input: PredictWithClasses on a program reading a register
+// outside its register file must return the compile error instead of
+// panicking while it prices the first class.
+func TestPredictRejectsUncompilableProgram(t *testing.T) {
+	prog := &cir.Program{Name: "bad", NumRegs: 1, Blocks: []cir.Block{{
+		Instrs: []cir.Instr{{Op: cir.OpAdd, Dst: 0, Args: []cir.Reg{0, 5}}},
+		Term:   cir.Terminator{Kind: cir.TermReturn, Ret: 0},
+	}}}
+	classes := []symexec.Class{{Attrs: symexec.Attrs{Proto: "tcp"}}}
+	wl := mapper.Workload{Flows: 1000, RatePPS: 1e5, AvgPayload: 256, AvgWire: 310}
+	_, err := PredictWithClasses(prog, classes, &mapper.Mapping{}, lnic.Netronome(), wl, Options{})
+	want := `predict: cir: compile: block 0 instr 0 (r0 = add r0 r5): register r5 out of range (NumRegs=1)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("PredictWithClasses(malformed) error = %v, want %q", err, want)
 	}
 }

@@ -3,7 +3,7 @@
 // to comprehensively enumerate all NF behaviors, and identify the packet
 // types that would exercise each behavior."
 //
-// Rather than a full SMT-backed explorer, it drives the CIR interpreter over
+// Rather than a full SMT-backed explorer, it drives the compiled CIR over
 // a finite attribute lattice — protocol, TCP SYN, flow-state presence, DPI
 // match, heavy-hitter status, meter conformance, payload size — and records,
 // per distinct execution path, the blocks executed, the vcalls issued and
@@ -89,7 +89,7 @@ func Enumerate(prog *cir.Program) ([]Class, error) {
 }
 
 // EnumerateContext is Enumerate under a cancellable, budgeted context. The
-// per-class interpreter step cap and the lattice-point cap come from the
+// per-class CIR step cap and the lattice-point cap come from the
 // budget.Limits carried on ctx (safe defaults otherwise). On cancellation it
 // returns a *budget.CanceledError wrapping ctx.Err(); on a tripped budget a
 // *budget.ExceededError whose Partial field holds the classes enumerated so
@@ -129,13 +129,12 @@ func EnumerateContext(ctx context.Context, prog *cir.Program) ([]Class, error) {
 		sort.Slice(classes, func(i, j int) bool { return classes[i].Name() < classes[j].Name() })
 		return classes
 	}
-	// Compile once and reuse the closure chains across every lattice point —
-	// the enumeration runs the same program dozens of times. A program that
-	// fails to compile (possible for unverified input) falls back to a fresh
-	// interpreter per point, the reference behaviour.
-	comp, compErr := cir.Compile(prog)
-	if compErr != nil {
-		comp = nil
+	// Compile once and reuse the engine across every lattice point — the
+	// enumeration runs the same program dozens of times. A program the
+	// engine cannot execute is refused here with the compile error.
+	comp, err := cir.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("symexec: %w", err)
 	}
 	for _, proto := range protos {
 		for _, syn := range bools {
@@ -160,7 +159,7 @@ func EnumerateContext(ctx context.Context, prog *cir.Program) ([]Class, error) {
 						}
 						a := Attrs{Proto: proto, SYN: syn, FlowSeen: flowSeen,
 							DPIMatch: dpi, Heavy: heavy, PayloadLen: payload}
-						cl, err := runClass(ctx, prog, comp, a, maxSteps, countStep)
+						cl, err := runClass(ctx, comp, a, maxSteps, countStep)
 						if err != nil {
 							if errors.Is(err, cir.ErrStepLimit) {
 								return nil, &budget.ExceededError{
@@ -216,10 +215,10 @@ func traceKey(blocks []int) string {
 	return b.String()
 }
 
-// runClass executes the program once under the attribute valuation, on the
-// compiled engine when one is available (the interpreter otherwise). onInstr,
-// when non-nil, observes every instruction (step accounting).
-func runClass(ctx context.Context, prog *cir.Program, comp *cir.Compiled, a Attrs, maxSteps int, onInstr func(int, *cir.Instr)) (*Class, error) {
+// runClass executes the compiled program once under the attribute
+// valuation. onInstr, when non-nil, observes every instruction (step
+// accounting).
+func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, onInstr func(int, *cir.Instr)) (*Class, error) {
 	cl := &Class{
 		Attrs:      a,
 		BlockCount: map[int]int{},
@@ -239,13 +238,7 @@ func runClass(ctx context.Context, prog *cir.Program, comp *cir.Compiled, a Attr
 		Ctx:      ctx,
 	}
 	env.onVCall = func(name string) { cl.VCalls[name]++ }
-	var v uint64
-	var err error
-	if comp != nil {
-		v, err = comp.Run(env, hooks)
-	} else {
-		v, err = cir.NewInterp(prog).Run(env, hooks)
-	}
+	v, err := comp.Run(env, hooks)
 	if err != nil {
 		return nil, err
 	}

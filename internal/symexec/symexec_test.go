@@ -189,3 +189,19 @@ func TestEnumerateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateRejectsUncompilableProgram is the regression test for a panic
+// on malformed input: a program reading a register outside its register
+// file must come back as the compile error, not an index-out-of-range panic
+// mid-enumeration.
+func TestEnumerateRejectsUncompilableProgram(t *testing.T) {
+	prog := &cir.Program{Name: "bad", NumRegs: 1, Blocks: []cir.Block{{
+		Instrs: []cir.Instr{{Op: cir.OpAdd, Dst: 0, Args: []cir.Reg{0, 5}}},
+		Term:   cir.Terminator{Kind: cir.TermReturn, Ret: 0},
+	}}}
+	_, err := Enumerate(prog)
+	want := `symexec: cir: compile: block 0 instr 0 (r0 = add r0 r5): register r5 out of range (NumRegs=1)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Enumerate(malformed) error = %v, want %q", err, want)
+	}
+}
