@@ -277,6 +277,18 @@ func TestInterpNarrowStore(t *testing.T) {
 	}
 }
 
+// wantVerifyError checks that Verify rejects p with exactly the message want.
+func wantVerifyError(t *testing.T, p *Program, want string) {
+	t.Helper()
+	err := Verify(p)
+	if err == nil {
+		t.Fatalf("Verify accepted the program, want error %q", want)
+	}
+	if got := err.Error(); got != want {
+		t.Errorf("Verify error %q, want %q", got, want)
+	}
+}
+
 func TestVerifyCatchesBadJump(t *testing.T) {
 	p := &Program{
 		Name:    "bad",
@@ -285,9 +297,7 @@ func TestVerifyCatchesBadJump(t *testing.T) {
 			{Term: Terminator{Kind: TermJump, Then: 7}},
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for out-of-range jump")
-	}
+	wantVerifyError(t, p, `cir: block 0 jump target 7 out of range`)
 }
 
 func TestVerifyCatchesUndeclaredState(t *testing.T) {
@@ -301,9 +311,7 @@ func TestVerifyCatchesUndeclaredState(t *testing.T) {
 			},
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for undeclared state")
-	}
+	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = vcall map_lookup[nosuch]): vcall references undeclared state "nosuch"`)
 }
 
 func TestVerifyCatchesUnknownVCall(t *testing.T) {
@@ -317,9 +325,7 @@ func TestVerifyCatchesUnknownVCall(t *testing.T) {
 			},
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for unknown vcall")
-	}
+	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = vcall bogus): unknown vcall "bogus"`)
 }
 
 func TestVerifyCatchesRegisterOutOfRange(t *testing.T) {
@@ -333,9 +339,7 @@ func TestVerifyCatchesRegisterOutOfRange(t *testing.T) {
 			},
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for register out of range")
-	}
+	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = copy r5): register r5 out of range (NumRegs=1)`)
 }
 
 func TestVerifyCatchesUnreachable(t *testing.T) {
@@ -347,9 +351,7 @@ func TestVerifyCatchesUnreachable(t *testing.T) {
 			{Term: Terminator{Kind: TermReturn, Ret: NoReg}}, // unreachable
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for unreachable block")
-	}
+	wantVerifyError(t, p, `cir: program bad has unreachable blocks`)
 }
 
 func TestVerifyCatchesBadArity(t *testing.T) {
@@ -363,8 +365,31 @@ func TestVerifyCatchesBadArity(t *testing.T) {
 			},
 		},
 	}
-	if err := Verify(p); err == nil {
-		t.Error("want error for wrong arity")
+	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = add r1): add wants 2 args, has 1`)
+}
+
+// TestVerifyCatchesBadRegisters covers the register checks on destinations,
+// operands and terminators, each with its location in the message.
+func TestVerifyCatchesBadRegisters(t *testing.T) {
+	ret := Terminator{Kind: TermReturn, Ret: NoReg}
+	cases := []struct {
+		name string
+		blk  Block
+		want string
+	}{
+		{"dst", Block{Instrs: []Instr{{Op: OpConst, Dst: 9}}, Term: ret},
+			`cir: block 0 instr 0 (r9 = const 0): register r9 out of range (NumRegs=1)`},
+		{"noreg-operand", Block{Instrs: []Instr{{Op: OpCopy, Dst: 0, Args: []Reg{NoReg}}}, Term: ret},
+			`cir: block 0 instr 0 (r0 = copy _): NoReg used as operand`},
+		{"branch-cond", Block{Term: Terminator{Kind: TermBranch, Cond: 3}},
+			`cir: block 0 terminator: register r3 out of range (NumRegs=1)`},
+		{"return-value", Block{Term: Terminator{Kind: TermReturn, Ret: 4}},
+			`cir: block 0 terminator: register r4 out of range (NumRegs=1)`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			wantVerifyError(t, &Program{Name: "bad", NumRegs: 1, Blocks: []Block{c.blk}}, c.want)
+		})
 	}
 }
 

@@ -26,3 +26,21 @@ func TestCompileAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyAllocs bounds Verify's allocations on every corpus NF. Verify
+// runs in every simulator build, front-end lowering and graph build, so a
+// valid program must not pay for error locations it never reports.
+func TestVerifyAllocs(t *testing.T) {
+	const maxAllocs = 8
+	for _, name := range nf.Names() {
+		prog := nf.All()[name].MustCompile()
+		n := testing.AllocsPerRun(20, func() {
+			if err := cir.Verify(prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > maxAllocs {
+			t.Errorf("%s: Verify allocates %.0f times, want <= %d", name, n, maxAllocs)
+		}
+	}
+}

@@ -23,49 +23,11 @@ func Verify(p *Program) error {
 		}
 		states[s.Name] = s
 	}
-	checkReg := func(r Reg, where string) error {
-		if r == NoReg {
-			return nil
-		}
-		if int(r) < 0 || int(r) >= p.NumRegs {
-			return fmt.Errorf("cir: %s: register %s out of range (NumRegs=%d)", where, r, p.NumRegs)
-		}
-		return nil
-	}
 	for bi, blk := range p.Blocks {
-		for ii, in := range blk.Instrs {
-			where := fmt.Sprintf("block %d instr %d (%s)", bi, ii, in)
-			if err := checkReg(in.Dst, where); err != nil {
-				return err
-			}
-			for _, a := range in.Args {
-				if a == NoReg {
-					return fmt.Errorf("cir: %s: NoReg used as operand", where)
-				}
-				if err := checkReg(a, where); err != nil {
-					return err
-				}
-			}
-			if err := checkArity(&in); err != nil {
-				return fmt.Errorf("cir: %s: %w", where, err)
-			}
-			if in.Op == OpVCall {
-				info, ok := VCalls[in.Callee]
-				if !ok {
-					return fmt.Errorf("cir: %s: unknown vcall %q", where, in.Callee)
-				}
-				if info.StateRef {
-					if in.State == "" {
-						return fmt.Errorf("cir: %s: vcall %s requires a state reference", where, in.Callee)
-					}
-					if _, ok := states[in.State]; !ok {
-						return fmt.Errorf("cir: %s: vcall references undeclared state %q", where, in.State)
-					}
-				} else if in.State != "" {
-					return fmt.Errorf("cir: %s: vcall %s must not reference state", where, in.Callee)
-				}
-			} else if in.Callee != "" || in.State != "" {
-				return fmt.Errorf("cir: %s: non-vcall carries callee/state", where)
+		for ii := range blk.Instrs {
+			in := &blk.Instrs[ii]
+			if err := verifyInstr(in, p.NumRegs, states); err != nil {
+				return fmt.Errorf("cir: block %d instr %d (%s): %w", bi, ii, *in, err)
 			}
 		}
 		t := blk.Term
@@ -78,15 +40,15 @@ func Verify(p *Program) error {
 			if t.Then < 0 || t.Then >= len(p.Blocks) || t.Else < 0 || t.Else >= len(p.Blocks) {
 				return fmt.Errorf("cir: block %d branch targets (%d,%d) out of range", bi, t.Then, t.Else)
 			}
-			if err := checkReg(t.Cond, fmt.Sprintf("block %d terminator", bi)); err != nil {
-				return err
+			if err := checkReg(t.Cond, p.NumRegs); err != nil {
+				return fmt.Errorf("cir: block %d terminator: %w", bi, err)
 			}
 			if t.Cond == NoReg {
 				return fmt.Errorf("cir: block %d branch without condition register", bi)
 			}
 		case TermReturn:
-			if err := checkReg(t.Ret, fmt.Sprintf("block %d terminator", bi)); err != nil {
-				return err
+			if err := checkReg(t.Ret, p.NumRegs); err != nil {
+				return fmt.Errorf("cir: block %d terminator: %w", bi, err)
 			}
 		default:
 			return fmt.Errorf("cir: block %d has invalid terminator kind %d", bi, t.Kind)
@@ -94,6 +56,56 @@ func Verify(p *Program) error {
 	}
 	if !allReachable(p) {
 		return fmt.Errorf("cir: program %s has unreachable blocks", p.Name)
+	}
+	return nil
+}
+
+// verifyInstr checks one instruction's registers, arity and vcall/state
+// references. The error carries no location; Verify prefixes it.
+func verifyInstr(in *Instr, numRegs int, states map[string]StateObj) error {
+	if err := checkReg(in.Dst, numRegs); err != nil {
+		return err
+	}
+	for _, a := range in.Args {
+		if a == NoReg {
+			return errors.New("NoReg used as operand")
+		}
+		if err := checkReg(a, numRegs); err != nil {
+			return err
+		}
+	}
+	if err := checkArity(in); err != nil {
+		return err
+	}
+	if in.Op == OpVCall {
+		info, ok := VCalls[in.Callee]
+		if !ok {
+			return fmt.Errorf("unknown vcall %q", in.Callee)
+		}
+		if info.StateRef {
+			if in.State == "" {
+				return fmt.Errorf("vcall %s requires a state reference", in.Callee)
+			}
+			if _, ok := states[in.State]; !ok {
+				return fmt.Errorf("vcall references undeclared state %q", in.State)
+			}
+		} else if in.State != "" {
+			return fmt.Errorf("vcall %s must not reference state", in.Callee)
+		}
+	} else if in.Callee != "" || in.State != "" {
+		return errors.New("non-vcall carries callee/state")
+	}
+	return nil
+}
+
+// checkReg reports a register outside [0, numRegs) (NoReg passes). The
+// error carries no location; the caller prefixes it.
+func checkReg(r Reg, numRegs int) error {
+	if r == NoReg {
+		return nil
+	}
+	if int(r) < 0 || int(r) >= numRegs {
+		return fmt.Errorf("register %s out of range (NumRegs=%d)", r, numRegs)
 	}
 	return nil
 }

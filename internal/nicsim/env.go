@@ -29,13 +29,17 @@ type exec struct {
 
 	parsed   [8]bool // indexed by proto constant; charged once per packet
 	latched  []latchedEnt
-	lastLine int64 // last packet-memory line touched (streaming amortization)
+	lastLine int64 // last packet-memory line key touched (streaming amortization), noLine at packet start
 
 	// pktBase and spillBase are the packet's simulated base addresses in the
 	// packet and spill regions, rotated per packet so consecutive packets do
 	// not alias; spillBase is already reduced modulo the spill region.
 	pktBase, spillBase uint64
 }
+
+// noLine is the lastLine of a packet that has read no payload yet. Line keys
+// are region<<56 | line, never negative, so the first read always prices.
+const noLine = -1
 
 // latchedEnt associates a map-state name with the entry the NF last touched.
 // A program declares at most a handful of map states, so a linear scan over
@@ -95,7 +99,7 @@ func (e *exec) reset(wire []byte, pktIndex int) {
 	e.emitted = false
 	e.steps = 0
 	e.parsed = [8]bool{}
-	e.lastLine = 0
+	e.lastLine = noLine
 	e.pktBase = uint64(pktIndex) * 2048 % e.s.pktSpanMod
 	e.spillBase = uint64(pktIndex) * 4096 % uint64(e.s.nic.Mems[e.s.nic.PktSpillMem].Bytes)
 }
@@ -118,18 +122,7 @@ func (e *exec) onInstr(_ int, in *cir.Instr) {
 // by memory line for sequential access, honoring tail spill to the
 // secondary packet region for large packets (§3.2).
 func (e *exec) payloadRead(i int) {
-	s := e.s
-	off := len(e.wire) - len(e.pkt.Payload) + i
-	region := s.nic.PktMem
-	addr := e.pktBase + uint64(off)
-	if off >= s.nic.PktMemResident {
-		region = s.nic.PktSpillMem
-		addr = e.spillBase + uint64(off)
-		if span := uint64(s.nic.Mems[region].Bytes); addr >= span {
-			addr %= span
-		}
-	}
-	line := int64(region)<<56 | s.lines[region].line(addr)
+	region, addr, line, _ := e.payloadLine(len(e.wire) - len(e.pkt.Payload) + i)
 	if line == e.lastLine {
 		// Same line as the previous byte: register-file speed.
 		e.now++
@@ -137,7 +130,30 @@ func (e *exec) payloadRead(i int) {
 		return
 	}
 	e.lastLine = line
-	e.now += s.memAccess(region, addr, false, &e.bd)
+	e.now += e.s.memAccess(region, addr, false, &e.bd)
+}
+
+// payloadLine resolves the wire byte at off to its packet region, address
+// and line key (region<<56 | line), and counts the bytes from off on that
+// share that line: a run ends at the line's end, at the resident boundary
+// and where the spill region wraps to address 0.
+func (e *exec) payloadLine(off int) (region int, addr uint64, line int64, run int) {
+	s := e.s
+	region = s.nic.PktMem
+	addr = e.pktBase + uint64(off)
+	limit := int64(s.nic.PktMemResident - off)
+	if off >= s.nic.PktMemResident {
+		region = s.nic.PktSpillMem
+		addr = e.spillBase + uint64(off)
+		span := uint64(s.nic.Mems[region].Bytes)
+		if addr >= span {
+			addr %= span
+		}
+		limit = int64(span - addr)
+	}
+	g := s.lines[region]
+	ln := g.line(addr)
+	return region, addr, int64(region)<<56 | ln, int(min(limit, (ln+1)*g.bytes-int64(addr)))
 }
 
 func (e *exec) charge(c float64) {
@@ -533,28 +549,40 @@ func (s *Sim) loadPort(region int) loadPort {
 		rate: s.memFaultRate(region)}
 }
 
-// load charges e one load at addr through p: the same cache access, fault
-// draw and float additions, in the same order, as e.now += memAccess(...).
-func (e *exec) load(p *loadPort, addr uint64) {
-	cost := p.load
-	if p.c != nil && p.c.access(addr) {
-		cost = p.hit
-	}
-	e.now += e.s.bookMem(p.region, p.rate, cost, &e.bd)
-}
-
 // loadLines charges one load per step bytes over [base, base+n) in region,
-// in address order.
+// in address order. The clock and Breakdown.Mem ride in locals and are
+// written back once; each load keeps memAccess's cache access, fault draw
+// and float additions, in the same order.
 func (e *exec) loadLines(region int, base uint64, n, step int) {
-	p := e.s.loadPort(region)
+	s := e.s
+	p := s.loadPort(region)
+	memCycles := s.memCycles
+	now, mem := e.now, e.bd.Mem
 	for off := 0; off < n; off += step {
-		e.load(&p, base+uint64(off))
+		cost := p.load
+		if p.c != nil && p.c.access(base+uint64(off)) {
+			cost = p.hit
+		}
+		cost = s.faultRetry(region, p.rate, cost)
+		if memCycles != nil {
+			memCycles[region] += cost
+		}
+		mem += cost
+		now += cost
 	}
+	e.now, e.bd.Mem = now, mem
 }
 
 // dpiScan walks the pattern automaton over the payload (up to the run's DPI
 // byte budget). Each byte costs a payload read, one fetch of the next
 // state's DFA row and two ALU ops.
+//
+// The payload is walked one memory line at a time (see payloadLine): only a
+// line's first byte can price an access, and only when the line differs
+// from lastLine; every other byte costs one cycle. The clock, Compute, Mem
+// and lastLine ride in locals and are written back when the scan ends, and
+// every access keeps memAccess's cache access, fault draw and float
+// additions, in the same per-byte order as a payloadRead per byte.
 func (e *exec) dpiScan(name string) (uint64, error) {
 	s := e.s
 	p, ok := s.patterns[name]
@@ -562,21 +590,58 @@ func (e *exec) dpiScan(name string) (uint64, error) {
 		return 0, fmt.Errorf("nicsim: %s is not a pattern state", name)
 	}
 	payload := e.pkt.Payload
+	hdr := len(e.wire) - len(payload)
 	if m := s.runDPI; m > 0 && int64(len(payload)) > m {
 		// DPI byte budget: scan only the first m payload bytes.
 		payload = payload[:m]
 	}
 	rows := s.loadPort(p.region)
+	memCycles := s.memCycles
 	next, outputs := p.ac.next, p.ac.outputs
+	now, compute, mem, lastLine := e.now, e.bd.Compute, e.bd.Mem, e.lastLine
 	matches := 0
 	state := int32(0)
-	for i, b := range payload {
-		state = next[state][b]
-		e.payloadRead(i)
-		e.load(&rows, p.base+uint64(state)*1024)
-		e.charge(2)
-		matches += int(outputs[state])
+	for i := 0; i < len(payload); {
+		region, addr, line, run := e.payloadLine(hdr + i)
+		end := min(len(payload), i+run)
+		priced := line != lastLine
+		lastLine = line
+		for ; i < end; i++ {
+			state = next[state][payload[i]]
+			if priced {
+				priced = false
+				pkt := s.loadPort(region)
+				cost := pkt.load
+				if pkt.c != nil && pkt.c.access(addr) {
+					cost = pkt.hit
+				}
+				cost = s.faultRetry(region, pkt.rate, cost)
+				if memCycles != nil {
+					memCycles[region] += cost
+				}
+				mem += cost
+				now += cost
+			} else {
+				// Same line as the previous byte: register-file speed.
+				now++
+				compute++
+			}
+			cost := rows.load
+			if rows.c != nil && rows.c.access(p.base+uint64(state)*1024) {
+				cost = rows.hit
+			}
+			cost = s.faultRetry(p.region, rows.rate, cost)
+			if memCycles != nil {
+				memCycles[p.region] += cost
+			}
+			mem += cost
+			now += cost
+			now += 2
+			compute += 2
+			matches += int(outputs[state])
+		}
 	}
+	e.now, e.bd.Compute, e.bd.Mem, e.lastLine = now, compute, mem, lastLine
 	return uint64(matches), nil
 }
 

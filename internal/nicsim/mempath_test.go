@@ -17,10 +17,10 @@ import (
 
 // memPathCase is one simulation whose every float the memory-path pin
 // hashes. The cases cover each way the simulator prices memory: per-byte
-// payload reads with tail spill, the DPI automaton's row fetches, the LPM
-// software scan behind flow-cache misses, the software checksum's line
-// walk, sketch and array slots, fault-injected retries, and a NIC whose
-// line sizes are not powers of two.
+// payload reads with tail spill (and its wrap past the spill region's end),
+// the DPI automaton's row fetches, the LPM software scan behind flow-cache
+// misses, the software checksum's line walk, sketch and array slots,
+// fault-injected retries, and a NIC whose line sizes are not powers of two.
 type memPathCase struct {
 	name     string
 	spec     nf.Spec
@@ -80,6 +80,13 @@ func memPathCases() []memPathCase {
 		p.PayloadJitter = 800
 		p.TCPFraction = 1
 	}
+	// spill4160 shrinks the spill region to 4160 bytes, so the tails of
+	// long payloads wrap past its end back to address 0.
+	spill4160 := func() *lnic.LNIC {
+		nic := lnic.Netronome()
+		nic.Mems[nic.PktSpillMem].Bytes = 4160
+		return nic
+	}
 	memFaults := func() *Faults {
 		return &Faults{MemFault: map[string]float64{"ctm": 0.01, "emem": 0.03}, Seed: 5}
 	}
@@ -99,6 +106,8 @@ func memPathCases() []memPathCase {
 		{name: "vnfchain-1400-memfault", spec: nf.VNFChain(), faults: memFaults(), prof: big},
 		{name: "lpm10k-memfault", spec: nf.LPM(10000), place: flowCache, faults: memFaults(), prof: manyFlows},
 		{name: "natfull-memfault", spec: nf.NAT(true), faults: memFaults(), prof: allTCP},
+		{name: "vnfchain-1400-spillwrap", spec: nf.VNFChain(), nic: spill4160, prof: allTCP},
+		{name: "natfull-spillwrap", spec: nf.NAT(true), nic: spill4160, prof: allTCP},
 	}
 }
 
@@ -159,7 +168,8 @@ func memPathDigest(s *Sim, res *Result) string {
 }
 
 // memPathPins are the digests of memPathCases, recorded on the simulator
-// before its memory path was table-driven. Any change to what a memory
+// before its memory path was table-driven (the two spillwrap cases were
+// recorded later, on the per-byte DPI walk the line-run walk replaced). Any change to what a memory
 // access costs, or to the order its cycles are added in, moves a digest;
 // the integer-rounded goldens would not notice a reordered float add.
 var memPathPins = map[string]string{
@@ -178,6 +188,8 @@ var memPathPins = map[string]string{
 	"vnfchain-1400-memfault":  "aeca0d971ba3785ab29cd6bad64dc2ea841bd2ba17fc044e03bd8ad5d9edb09c",
 	"lpm10k-memfault":         "1eff46f8dac90acc5630e4a9c53ca644cce91108832f70fe0d018adefd9f65b6",
 	"natfull-memfault":        "c73540c83db74f21ff4cd4175d37337f9e5c49c8f5aa1bf160369f69a28fdcb6",
+	"vnfchain-1400-spillwrap": "df8377a63476923de63f20c20c1406e17f0aedc675c52726fe310865887504a0",
+	"natfull-spillwrap":       "4413c72ef521817a88d321084567478587bee36113078e94213b86b636c0fa55",
 }
 
 // TestMemoryPathBitExact pins the simulated memory path bit for bit.
@@ -364,5 +376,33 @@ func TestDPIScanMatchesAutomaton(t *testing.T) {
 	}
 	if !sawMatch {
 		t.Error("no payload matched a pattern; the property never saw a match")
+	}
+}
+
+// TestPayloadReadPricesFirstLine checks that a packet's first payload read
+// is priced even when its line key is 0 — line 0 of region 0, which the
+// first packet's header-adjacent bytes land on when the packet region is
+// region 0. No shipped profile puts packets there, so this target does.
+func TestPayloadReadPricesFirstLine(t *testing.T) {
+	nic := lnic.Netronome()
+	nic.PktMem = 0
+	nic.Mems[0].LineBytes = 64
+	prog := nf.DPI().MustCompile()
+	sim, err := New(Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.memCost[0].load
+	if want == 1 {
+		t.Fatalf("region 0 load price is 1 cycle, the same as a repeat read; the test cannot tell them apart")
+	}
+	wire := make([]byte, 54+100)
+	e := &exec{s: sim}
+	e.reset(wire, 0)
+	e.pkt = &packet.Packet{Payload: wire[54:]}
+	e.payloadRead(0)
+	if e.now != want || e.bd.Mem != want || e.bd.Compute != 0 {
+		t.Errorf("first payload read charged now %v (Mem %v, Compute %v), want a %v-cycle load of region 0",
+			e.now, e.bd.Mem, e.bd.Compute, want)
 	}
 }

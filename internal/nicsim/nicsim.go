@@ -999,6 +999,8 @@ func (g lineGeom) line(addr uint64) int64 {
 // memAccess charges one access from the general cores into a region at a
 // concrete address, consulting the region's cache if it has one. An injected
 // soft fault (per-region rate) retries the access once, doubling its cost.
+// The cost then goes to the tracer's per-region total and to bd.Mem, and is
+// returned.
 func (s *Sim) memAccess(region int, addr uint64, store bool, bd *Breakdown) float64 {
 	p := &s.memCost[region]
 	cost := p.load
@@ -1008,7 +1010,12 @@ func (s *Sim) memAccess(region int, addr uint64, store bool, bd *Breakdown) floa
 	if c := s.caches[region]; c != nil && c.access(addr) {
 		cost = p.hit
 	}
-	return s.bookMem(region, s.memFaultRate(region), cost, bd)
+	cost = s.faultRetry(region, s.memFaultRate(region), cost)
+	if s.memCycles != nil {
+		s.memCycles[region] += cost
+	}
+	bd.Mem += cost
+	return cost
 }
 
 // memFaultRate is the injected soft-fault probability of one access into
@@ -1020,19 +1027,15 @@ func (s *Sim) memFaultRate(region int) float64 {
 	return s.faults.MemFault[s.nic.Mems[region].Name]
 }
 
-// bookMem finishes one priced access into region: when the region's fault
-// rate is positive it draws the fault RNG once, and a fault retries the
-// access, doubling its cost. The cost then goes to the tracer's per-region
-// total and to bd.Mem, and is returned.
-func (s *Sim) bookMem(region int, rate, cost float64, bd *Breakdown) float64 {
+// faultRetry returns the cost of one access into region after fault
+// injection: when the region's fault rate is positive it draws the fault RNG
+// once, and a fault retries the access, doubling its cost. It is small
+// enough to inline, so the scan loops in env.go keep the draw in-line.
+func (s *Sim) faultRetry(region int, rate, cost float64) float64 {
 	if rate > 0 && s.frandFloat() < rate {
 		s.noteMemFault(s.nic.Mems[region].Name)
 		cost *= 2
 	}
-	if s.memCycles != nil {
-		s.memCycles[region] += cost
-	}
-	bd.Mem += cost
 	return cost
 }
 
