@@ -213,10 +213,32 @@ func (b *Builder) Program() (*Program, error) {
 	b.prog.NumRegs = int(b.nextReg)
 	p := b.prog // copy
 	removeUnreachable(&p)
+	bindSlots(&p)
 	if err := Verify(&p); err != nil {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// bindSlots resolves every state reference to its index in p.State. A name
+// the program does not declare keeps Slot -1, which Verify reports as an
+// undeclared state.
+func bindSlots(p *Program) {
+	for bi := range p.Blocks {
+		for ii := range p.Blocks[bi].Instrs {
+			in := &p.Blocks[bi].Instrs[ii]
+			if in.State == "" {
+				continue
+			}
+			in.Slot = -1
+			for si := range p.State {
+				if p.State[si].Name == in.State {
+					in.Slot = si
+					break
+				}
+			}
+		}
+	}
 }
 
 // removeUnreachable drops blocks with no path from the entry and remaps

@@ -7,10 +7,11 @@
 //
 // The package also provides an IR verifier, a compiled execution engine (the
 // semantics the SmartNIC simulator, the predictor and the behaviour
-// enumerator run, with timing attached by hooks), the reference interpreter
-// it is tested against, and dataflow-graph extraction with the pattern
-// matching that coarsens raw basic blocks into semantically meaningful code
-// blocks (header-parse regions, payload loops, table operations).
+// enumerator run, with instructions priced through a Meter), the reference
+// interpreter it is tested against, and dataflow-graph extraction with the
+// pattern matching that coarsens raw basic blocks into semantically
+// meaningful code blocks (header-parse regions, payload loops, table
+// operations).
 package cir
 
 import (
@@ -159,7 +160,12 @@ type Instr struct {
 	Imm    uint64
 	Callee string // vcall name, OpVCall only
 	State  string // referenced state object, when the vcall addresses one
-	Size   int    // access width for OpLoad/OpStore, bytes
+	// Slot is State's index in Program.State, resolved when the program is
+	// built (Builder.Program) and checked by Verify, so an Env can bind a
+	// vcall to its state object without looking the name up. It means
+	// nothing when State is empty.
+	Slot int
+	Size int // access width for OpLoad/OpStore, bytes
 }
 
 func (in Instr) String() string {

@@ -222,9 +222,10 @@ func TestInterpStepLimit(t *testing.T) {
 
 func TestInterpHooks(t *testing.T) {
 	p := buildBranchy(t)
-	var instrs, blocks int
+	var instrs int64
+	var blocks int
 	h := &Hooks{
-		OnInstr: func(int, *Instr) { instrs++ },
+		Meter:   &Meter{Steps: &instrs},
 		OnBlock: func(int) { blocks++ },
 	}
 	if _, err := NewInterp(p).Run(&stubEnv{ret: map[string]uint64{VCHdrField: 6}}, h); err != nil {

@@ -16,10 +16,10 @@ import (
 // costs a constant number of allocations whatever the program size. The
 // predictor compiles once per prediction, so records hold no pointers: the
 // garbage collector never scans the slab and filling it needs no write
-// barriers. The source *Instr, which hooks and vcalls receive, is read from
-// the program alongside. Malformed programs — unknown opcodes, wrong arg
-// counts, out-of-range registers or targets — are rejected at compile time
-// instead of mid-run.
+// barriers. The source *Instr, which vcalls receive, is read from the
+// program alongside. Malformed programs — unknown opcodes, wrong arg counts,
+// out-of-range registers or targets — are rejected at compile time instead
+// of mid-run.
 //
 // Location text (the "block N instr M (...)" of compile errors and the
 // "cir: block N \"instr\"" prefix of runtime faults) is rendered only on the
@@ -29,10 +29,11 @@ import (
 // oracle. Compiled.Run replicates Interp.Run exactly: same register/scratch
 // zeroing, same step accounting (block entries and instructions each cost
 // one step, checked against MaxSteps before executing), same cancellation
-// poll period, same hook event order, same error text, same VerdictPass
-// defaulting. Differential tests (FuzzCompiledVsInterp, TestCompiledOps,
-// TestRunContextMatchesReference) hold the two engines to identical (value,
-// error string, steps) triples.
+// poll period, same meter bookings and hook event order, same error text,
+// same VerdictPass defaulting. Differential tests (FuzzCompiledVsInterp,
+// TestCompiledOps, the meter differential, TestRunContextMatchesReference)
+// hold the two engines to identical values, error strings and meter
+// bookings.
 
 // state is the mutable execution context the opcode functions run against.
 // One state is embedded in each Compiled and reused across Runs, so
@@ -47,6 +48,7 @@ type state struct {
 	// program's widest vcall; Env implementations must not retain it.
 	argbuf []uint64
 	env    Env
+	sink   meterSink
 }
 
 // opFn executes one lowered instruction; in is its source instruction. A
@@ -396,10 +398,10 @@ func (c *Compiled) Reg(r Reg) uint64 { return c.st.regs[r] }
 
 // Run executes the compiled program for one packet and returns the verdict.
 // It mirrors Interp.Run clause for clause: registers and scratch are
-// re-zeroed, MaxSteps defaults to one million, hooks fire in the same order,
-// and Ctx is polled every ctxPollMask+1 steps. The hooks are hoisted into
-// locals once, so with none installed the loop does the same work as the
-// interpreter's hook-free path.
+// re-zeroed, MaxSteps defaults to one million, the meter books and hooks
+// fire in the same order, and Ctx is polled every ctxPollMask+1 steps. The
+// hooks and the meter's pointers are hoisted into locals once; an absent
+// meter books into the engine's sink, so pricing costs no branch.
 func (c *Compiled) Run(env Env, h *Hooks) (uint64, error) {
 	st := &c.st
 	clear(st.regs)
@@ -407,15 +409,15 @@ func (c *Compiled) Run(env Env, h *Hooks) (uint64, error) {
 	st.env = env
 	maxSteps := 1_000_000
 	var (
-		onInstr func(int, *Instr)
 		onBlock func(int)
 		ctx     context.Context
 	)
+	prices, clock, compute, msteps := h.ports(&st.sink)
 	if h != nil {
 		if h.MaxSteps > 0 {
 			maxSteps = h.MaxSteps
 		}
-		onInstr, onBlock, ctx = h.OnInstr, h.OnBlock, h.Ctx
+		onBlock, ctx = h.OnBlock, h.Ctx
 	}
 	steps := 0
 	bi := 0
@@ -447,9 +449,10 @@ func (c *Compiled) Run(env Env, h *Hooks) (uint64, error) {
 					return 0, c.interrupted(err)
 				}
 			}
-			if onInstr != nil {
-				onInstr(bi, in)
-			}
+			*msteps++
+			p := prices[r.op]
+			*clock += p
+			*compute += p
 			if err := opFns[r.op](st, r, in); err != nil {
 				return 0, fmt.Errorf("cir: block %d %q: %w", bi, in.String(), err)
 			}

@@ -44,3 +44,12 @@ func TestVerifyAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMeterParityCorpus runs the meter differential (CheckMeterParity) over
+// every corpus NF: the interpreter and the compiled engine book the same
+// instruction prices, in the same order, around every vcall.
+func TestMeterParityCorpus(t *testing.T) {
+	for _, name := range nf.Names() {
+		cir.CheckMeterParity(t, nf.All()[name].MustCompile(), 200_000)
+	}
+}

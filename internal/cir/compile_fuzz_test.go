@@ -1,9 +1,6 @@
 package cir
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // fuzzRd consumes fuzz bytes one at a time, yielding zeros once exhausted so
 // every input decodes to some program.
@@ -119,32 +116,20 @@ func genFuzzProgram(data []byte) (*Program, int) {
 	return p, maxSteps
 }
 
-// fuzzOutcome is everything externally observable about one run: the
-// verdict, the error text, the vcall trace (callee + evaluated args), and —
-// on hooked runs — the per-instruction and per-block step counts.
+// fuzzOutcome is everything externally observable about one run without a
+// meter: the verdict, the error text and the vcall trace (callee + evaluated
+// args).
 type fuzzOutcome struct {
 	v       uint64
 	errText string
 	calls   []string
-	instrs  int
-	blocks  int
 }
-
-// Hook shapes exercised by the fuzz harness: none, the full set, and the two
-// shapes production callers install (OnInstr+Ctx — the simulator's — and
-// OnInstr alone — the predictor's). Each is a distinct hook-nil pattern
-// through the compiled engine's one loop.
-const (
-	fuzzFast = iota
-	fuzzHookedFull
-	fuzzHookedInstrCtx
-	fuzzHookedInstr
-)
 
 // FuzzCompiledVsInterp is the differential battery's randomized arm: any
 // program the builder can express must produce identical (verdict, error
-// string, vcall trace, step count) tuples from the interpreter and the
-// compiled engine, under every hook shape.
+// string, vcall trace) tuples from the interpreter and the compiled engine,
+// and under every metered hook shape identical meter bookings at every vcall
+// and block entry (checkMeterParity).
 func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -186,71 +171,41 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		}
 		it := NewInterp(prog)
 
-		run := func(engine func(Env, *Hooks) (uint64, error), shape int) fuzzOutcome {
+		run := func(engine func(Env, *Hooks) (uint64, error)) fuzzOutcome {
 			env := &recordingEnv{}
-			var o fuzzOutcome
-			h := &Hooks{MaxSteps: maxSteps}
-			switch shape {
-			case fuzzHookedFull:
-				h.OnInstr = func(int, *Instr) { o.instrs++ }
-				h.OnBlock = func(int) { o.blocks++ }
-				h.Ctx = context.Background()
-			case fuzzHookedInstrCtx:
-				h.OnInstr = func(int, *Instr) { o.instrs++ }
-				h.Ctx = context.Background()
-			case fuzzHookedInstr:
-				h.OnInstr = func(int, *Instr) { o.instrs++ }
-			}
-			v, err := engine(env, h)
-			o.v = v
+			v, err := engine(env, &Hooks{MaxSteps: maxSteps})
+			o := fuzzOutcome{v: v, calls: env.calls}
 			if err != nil {
 				o.errText = err.Error()
 			}
-			o.calls = env.calls
 			return o
 		}
-		diff := func(arm string, a, b fuzzOutcome) {
-			t.Helper()
-			if a.errText != b.errText {
-				t.Fatalf("%s: error diverged:\n  interp:   %q\n  compiled: %q\n%s", arm, a.errText, b.errText, prog)
-			}
-			if a.errText == "" && a.v != b.v {
-				t.Fatalf("%s: verdict diverged: interp %d, compiled %d\n%s", arm, a.v, b.v, prog)
-			}
-			if len(a.calls) != len(b.calls) {
-				t.Fatalf("%s: vcall count diverged: interp %d, compiled %d\n%s", arm, len(a.calls), len(b.calls), prog)
-			}
-			for i := range a.calls {
-				if a.calls[i] != b.calls[i] {
-					t.Fatalf("%s: vcall %d diverged: interp %s, compiled %s\n%s", arm, i, a.calls[i], b.calls[i], prog)
-				}
-			}
-			if a.instrs != b.instrs || a.blocks != b.blocks {
-				t.Fatalf("%s: step counts diverged: interp %d/%d, compiled %d/%d\n%s",
-					arm, a.instrs, a.blocks, b.instrs, b.blocks, prog)
+		iFast, cFast := run(it.Run), run(comp.Run)
+		if iFast.errText != cFast.errText {
+			t.Fatalf("fast: error diverged:\n  interp:   %q\n  compiled: %q\n%s", iFast.errText, cFast.errText, prog)
+		}
+		if iFast.errText == "" && iFast.v != cFast.v {
+			t.Fatalf("fast: verdict diverged: interp %d, compiled %d\n%s", iFast.v, cFast.v, prog)
+		}
+		if len(iFast.calls) != len(cFast.calls) {
+			t.Fatalf("fast: vcall count diverged: interp %d, compiled %d\n%s", len(iFast.calls), len(cFast.calls), prog)
+		}
+		for i := range iFast.calls {
+			if iFast.calls[i] != cFast.calls[i] {
+				t.Fatalf("fast: vcall %d diverged: interp %s, compiled %s\n%s", i, iFast.calls[i], cFast.calls[i], prog)
 			}
 		}
 
-		iFast := run(it.Run, fuzzFast)
-		cFast := run(comp.Run, fuzzFast)
-		diff("fast", iFast, cFast)
+		// Metered arms: every hook shape production installs, the meter
+		// equal bit for bit at every vcall, block entry and the end.
+		checkMeterParity(t, prog, maxSteps)
 
-		iHook := run(it.Run, fuzzHookedFull)
-		cHook := run(comp.Run, fuzzHookedFull)
-		diff("hooked", iHook, cHook)
-
-		diff("hooked-instr-ctx", run(it.Run, fuzzHookedInstrCtx), run(comp.Run, fuzzHookedInstrCtx))
-		diff("hooked-instr", run(it.Run, fuzzHookedInstr), run(comp.Run, fuzzHookedInstr))
-
-		// Each engine's fast and hooked paths must also agree with each other
-		// (cancellation polling aside, hooks must not perturb execution).
-		if iFast.errText != iHook.errText || (iFast.errText == "" && iFast.v != iHook.v) {
-			t.Fatalf("interp fast/hooked diverged: %q/%d vs %q/%d\n%s",
-				iFast.errText, iFast.v, iHook.errText, iHook.v, prog)
-		}
-		if cFast.errText != cHook.errText || (cFast.errText == "" && cFast.v != cHook.v) {
-			t.Fatalf("compiled fast/hooked diverged: %q/%d vs %q/%d\n%s",
-				cFast.errText, cFast.v, cHook.errText, cHook.v, prog)
+		// Metering must not perturb execution: the metered run's outcome
+		// is the fast run's (cancellation polling aside).
+		m := meterRun(comp.Run, maxSteps, true, true)
+		if m.errText != cFast.errText || (m.errText == "" && m.v != cFast.v) {
+			t.Fatalf("compiled fast/metered diverged: %q/%d vs %q/%d\n%s",
+				cFast.errText, cFast.v, m.errText, m.v, prog)
 		}
 	})
 }

@@ -357,9 +357,9 @@ func TestCompiledScratchBounds(t *testing.T) {
 }
 
 // TestCompiledMatchesInterp runs the shared program corpus through both
-// engines — fast and hooked paths each — and requires identical verdicts,
-// identical vcall traces (callee and evaluated arguments), identical hook
-// counts, and identical register state.
+// engines — fast and metered paths each — and requires identical verdicts,
+// identical vcall traces (callee and evaluated arguments), identical meter
+// bookings, and identical register state.
 func TestCompiledMatchesInterp(t *testing.T) {
 	for _, prog := range []*Program{buildLinear(t), buildBranchy(t), buildCountedLoop(t)} {
 		it := NewInterp(prog)
@@ -391,36 +391,9 @@ func TestCompiledMatchesInterp(t *testing.T) {
 			}
 		}
 
-		// Hooked arms: identical per-instruction and per-block sequences.
-		type ev struct {
-			block int
-			instr string
-		}
-		observe := func(run func(Env, *Hooks) (uint64, error)) (events []ev, v uint64, err error) {
-			h := &Hooks{
-				OnInstr: func(b int, in *Instr) { events = append(events, ev{b, in.String()}) },
-				OnBlock: func(b int) { events = append(events, ev{b, "<block>"}) },
-				Ctx:     context.Background(),
-			}
-			v, err = run(&recordingEnv{}, h)
-			return
-		}
-		iEvents, ihv, ihErr := observe(it.Run)
-		cEvents, chv, chErr := observe(comp.Run)
-		if ihErr != nil || chErr != nil {
-			t.Fatalf("%s hooked: interp err %v, compiled err %v", prog.Name, ihErr, chErr)
-		}
-		if ihv != chv {
-			t.Errorf("%s hooked: verdict %d interp, %d compiled", prog.Name, ihv, chv)
-		}
-		if len(iEvents) != len(cEvents) {
-			t.Fatalf("%s hooked: %d events interp, %d compiled", prog.Name, len(iEvents), len(cEvents))
-		}
-		for i := range iEvents {
-			if iEvents[i] != cEvents[i] {
-				t.Errorf("%s hooked: event %d = %+v interp, %+v compiled", prog.Name, i, iEvents[i], cEvents[i])
-			}
-		}
+		// Metered arms: the meter at every vcall, block entry and the end,
+		// under every hook shape, bit for bit.
+		checkMeterParity(t, prog, 0)
 
 		// Step-accounting parity: every MaxSteps budget up to completion must
 		// trip both engines identically, with identical error text.
@@ -543,8 +516,10 @@ func TestCompiledRunDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { run(nil) }); n > 0 {
 			t.Errorf("%s: compiled fast path allocates %.1f per Run, want 0", prog.Name, n)
 		}
-		nop := func(int, *Instr) {}
-		hooks := &Hooks{OnInstr: nop, MaxSteps: 10_000, Ctx: context.Background()}
+		var clock, compute float64
+		var steps int64
+		meter := &Meter{Prices: &testPrices, Clock: &clock, Compute: &compute, Steps: &steps}
+		hooks := &Hooks{Meter: meter, MaxSteps: 10_000, Ctx: context.Background()}
 		if n := testing.AllocsPerRun(50, func() { run(hooks) }); n > 0 {
 			t.Errorf("%s: compiled hooked path allocates %.1f per Run, want 0", prog.Name, n)
 		}

@@ -21,11 +21,10 @@ type Env interface {
 	VCall(in *Instr, args []uint64) (uint64, error)
 }
 
-// Hooks observe execution. Either hook may be nil. The simulator uses them
-// to charge cycle costs per instruction and per block.
+// Hooks configure and observe execution. Every field may be left zero.
 type Hooks struct {
-	// OnInstr runs before each instruction executes.
-	OnInstr func(block int, in *Instr)
+	// Meter, when non-nil, prices every instruction (see Meter).
+	Meter *Meter
 	// OnBlock runs when control enters a block.
 	OnBlock func(block int)
 	// MaxSteps bounds total instructions executed (0 means the default of
@@ -35,6 +34,58 @@ type Hooks struct {
 	// aborts Run promptly with the context's error wrapped, so even a
 	// tight NF loop cannot outlive its caller's deadline.
 	Ctx context.Context
+}
+
+// Prices is a per-opcode instruction price vector, indexed by Op: the cycles
+// one instruction costs on the unit that runs it. Vcalls price themselves
+// inside Env.VCall, so a price vector holds zero for OpVCall (see
+// lnic.InstrPrices).
+type Prices [1 << 8]float64
+
+// Meter books instruction pricing into counters the Env owns, so the Env's
+// own charges (vcalls, memory) and the instructions' land on one clock.
+// Before each instruction executes — after its step-limit and cancellation
+// checks — Run adds Prices[op] to *Clock, then the same price to *Compute,
+// and counts the instruction in *Steps (block entries are not counted). A nil
+// field is not booked; a nil Prices prices every instruction at zero.
+type Meter struct {
+	Prices         *Prices
+	Clock, Compute *float64
+	Steps          *int64
+}
+
+// zeroPrices backs a Meter without a price vector. It is never written.
+var zeroPrices Prices
+
+// meterSink absorbs the bookings of a Meter's nil fields. Each engine owns
+// one, so concurrent Runs on different engines never share it.
+type meterSink struct {
+	f float64
+	n int64
+}
+
+// ports resolves the meter of h into the pointers a run loop books through,
+// aiming nil fields (or a nil Hooks or Meter) at sink, so the loop books
+// every instruction unconditionally.
+func (h *Hooks) ports(sink *meterSink) (prices *Prices, clock, compute *float64, steps *int64) {
+	prices, clock, compute, steps = &zeroPrices, &sink.f, &sink.f, &sink.n
+	if h == nil || h.Meter == nil {
+		return
+	}
+	m := h.Meter
+	if m.Prices != nil {
+		prices = m.Prices
+	}
+	if m.Clock != nil {
+		clock = m.Clock
+	}
+	if m.Compute != nil {
+		compute = m.Compute
+	}
+	if m.Steps != nil {
+		steps = m.Steps
+	}
+	return
 }
 
 // ctxPollMask sets the cancellation poll period (power of two minus one):
@@ -59,6 +110,7 @@ type Interp struct {
 	// the program's widest vcall. Env implementations see argbuf[:arity]
 	// and must not retain it (see Env).
 	argbuf []uint64
+	sink   meterSink
 }
 
 // ErrStepLimit reports a runaway execution.
@@ -95,12 +147,12 @@ func NewInterp(p *Program) *Interp {
 func (it *Interp) Reg(r Reg) uint64 { return it.regs[r] }
 
 // Run executes the program for one packet and returns the verdict. The
-// inner loop is chosen once per Run: when no hooks observe execution (no
-// OnInstr/OnBlock callbacks and no cancellation context) a specialized loop
-// skips the per-instruction hook and poll checks entirely; otherwise the
-// full hooked loop runs, preserving the ctxPollMask cancellation contract.
-// Both loops count steps identically, so MaxSteps trips at the same point
-// either way.
+// inner loop is chosen once per Run: when no hooks are set (no Meter, no
+// OnBlock callback and no cancellation context) a specialized loop skips the
+// per-instruction pricing and poll checks entirely; otherwise the full
+// hooked loop runs, preserving the ctxPollMask cancellation contract. Both
+// loops count steps identically, so MaxSteps trips at the same point either
+// way.
 func (it *Interp) Run(env Env, h *Hooks) (uint64, error) {
 	for i := range it.regs {
 		it.regs[i] = 0
@@ -112,7 +164,7 @@ func (it *Interp) Run(env Env, h *Hooks) (uint64, error) {
 	if h != nil && h.MaxSteps > 0 {
 		maxSteps = h.MaxSteps
 	}
-	if h == nil || (h.OnInstr == nil && h.OnBlock == nil && h.Ctx == nil) {
+	if h == nil || (h.Meter == nil && h.OnBlock == nil && h.Ctx == nil) {
 		return it.runFast(env, maxSteps)
 	}
 	return it.runHooked(env, h, maxSteps)
@@ -159,9 +211,10 @@ func (it *Interp) runFast(env Env, maxSteps int) (uint64, error) {
 	}
 }
 
-// runHooked is the observed inner loop, running hooks and polling the
-// context exactly as Hooks documents.
+// runHooked is the observed inner loop, pricing instructions, running hooks
+// and polling the context exactly as Hooks documents.
 func (it *Interp) runHooked(env Env, h *Hooks, maxSteps int) (uint64, error) {
+	prices, clock, compute, msteps := h.ports(&it.sink)
 	steps := 0
 	bi := 0
 	for {
@@ -192,9 +245,10 @@ func (it *Interp) runHooked(env Env, h *Hooks, maxSteps int) (uint64, error) {
 					return 0, fmt.Errorf("cir: %s interrupted: %w", it.prog.Name, err)
 				}
 			}
-			if h.OnInstr != nil {
-				h.OnInstr(bi, in)
-			}
+			*msteps++
+			p := prices[in.Op]
+			*clock += p
+			*compute += p
 			if err := it.step(in, env); err != nil {
 				return 0, fmt.Errorf("cir: block %d %q: %w", bi, in.String(), err)
 			}

@@ -63,8 +63,10 @@ func TestInterpRunDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { run(nil) }); n > 0 {
 			t.Errorf("%s: fast path allocates %.1f per Run, want 0", prog.Name, n)
 		}
-		nop := func(int, *Instr) {}
-		hooks := &Hooks{OnInstr: nop, MaxSteps: 10_000, Ctx: context.Background()}
+		var clock, compute float64
+		var steps int64
+		meter := &Meter{Prices: &testPrices, Clock: &clock, Compute: &compute, Steps: &steps}
+		hooks := &Hooks{Meter: meter, MaxSteps: 10_000, Ctx: context.Background()}
 		if n := testing.AllocsPerRun(50, func() { run(hooks) }); n > 0 {
 			t.Errorf("%s: hooked path allocates %.1f per Run, want 0", prog.Name, n)
 		}
@@ -81,9 +83,9 @@ func TestInterpFastPathMatchesHooked(t *testing.T) {
 		fastV, fastErr := NewInterp(prog).Run(fastEnv, nil)
 
 		hookedEnv := &recordingEnv{}
-		instrs := 0
+		var instrs int64
 		hookedV, hookedErr := NewInterp(prog).Run(hookedEnv, &Hooks{
-			OnInstr: func(int, *Instr) { instrs++ },
+			Meter: &Meter{Steps: &instrs},
 		})
 		if fastErr != nil || hookedErr != nil {
 			t.Fatalf("%s: fast err %v, hooked err %v", prog.Name, fastErr, hookedErr)

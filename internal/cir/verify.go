@@ -6,22 +6,22 @@ import (
 )
 
 // Verify checks structural invariants of a program: branch targets in range,
-// registers within NumRegs, vcalls known, state references declared, and the
-// argument arity rules of each opcode. It is run on every program produced
-// by the builder and the front end.
+// registers within NumRegs, vcalls known, state references declared and bound
+// to their slots (Instr.Slot), and the argument arity rules of each opcode.
+// It is run on every program produced by the builder and the front end.
 func Verify(p *Program) error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("cir: program %s has no blocks", p.Name)
 	}
-	states := map[string]StateObj{}
-	for _, s := range p.State {
+	states := map[string]int{} // name → index in p.State
+	for i, s := range p.State {
 		if _, dup := states[s.Name]; dup {
 			return fmt.Errorf("cir: duplicate state object %q", s.Name)
 		}
 		if s.Capacity < 0 || s.KeySize < 0 || s.ValueSize < 0 {
 			return fmt.Errorf("cir: state %q has negative geometry", s.Name)
 		}
-		states[s.Name] = s
+		states[s.Name] = i
 	}
 	for bi, blk := range p.Blocks {
 		for ii := range blk.Instrs {
@@ -62,7 +62,7 @@ func Verify(p *Program) error {
 
 // verifyInstr checks one instruction's registers, arity and vcall/state
 // references. The error carries no location; Verify prefixes it.
-func verifyInstr(in *Instr, numRegs int, states map[string]StateObj) error {
+func verifyInstr(in *Instr, numRegs int, states map[string]int) error {
 	if err := checkReg(in.Dst, numRegs); err != nil {
 		return err
 	}
@@ -86,8 +86,12 @@ func verifyInstr(in *Instr, numRegs int, states map[string]StateObj) error {
 			if in.State == "" {
 				return fmt.Errorf("vcall %s requires a state reference", in.Callee)
 			}
-			if _, ok := states[in.State]; !ok {
+			slot, ok := states[in.State]
+			if !ok {
 				return fmt.Errorf("vcall references undeclared state %q", in.State)
+			}
+			if in.Slot != slot {
+				return fmt.Errorf("vcall state %q bound to slot %d, declared at %d", in.State, in.Slot, slot)
 			}
 		} else if in.State != "" {
 			return fmt.Errorf("vcall %s must not reference state", in.Callee)

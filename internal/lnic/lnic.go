@@ -103,6 +103,12 @@ type MemRegion struct {
 	NJPerAccess float64
 }
 
+// HubServers is the switching parallelism of every hub: fabrics move several
+// packets at once, so a hub is a small server pool rather than one FIFO. The
+// simulator books that many servers and the predictor divides hub demand by
+// it.
+const HubServers = 8
+
 // Hub is a switching node: the embedded NIC switch or a traffic manager.
 // Edges from and to a hub involve packet queues (§3.1).
 type Hub struct {
@@ -252,6 +258,18 @@ func (l *LNIC) InstrCycles(u *ComputeUnit, cl cir.Class) float64 {
 		return l.Mems[u.LocalMem].LoadCycles
 	}
 	return u.ClassCycles[cl]
+}
+
+// InstrPrices folds InstrCycles for unit u into the per-opcode price vector
+// a cir.Meter books from. It prices the opcode catalog, OpNop through
+// OpVCall (the last opcode); OpVCall stays zero because vcalls price
+// themselves, and so do opcodes past the catalog, which cir.Compile refuses.
+func (l *LNIC) InstrPrices(u *ComputeUnit) cir.Prices {
+	var p cir.Prices
+	for op := cir.OpNop; op < cir.OpVCall; op++ {
+		p[op] = l.InstrCycles(u, cir.ClassOf(op))
+	}
+	return p
 }
 
 // AccessCycles returns the latency of one load or store from unit into mem,

@@ -176,8 +176,10 @@ func threadShares(total int, tenants []Tenant, active []int) ([]int, error) {
 
 // shareIslands rewires the active tenants' fresh Sims into one NIC: hubs,
 // accelerator/engine servers, memory caches and the flow cache all point at
-// the lead tenant's instances, while each tenant's thread pool shrinks to
-// its weighted share. Called only with two or more active tenants.
+// the lead tenant's instances (flow-cache entries are keyed by tenant, so
+// tenants share its capacity, never its entries), while each tenant's thread
+// pool shrinks to its weighted share. Called only with two or more active
+// tenants.
 func shareIslands(sims []*Sim, active []int, shares []int) {
 	lead := sims[active[0]]
 	sh := &colocShared{
@@ -186,7 +188,7 @@ func shareIslands(sims []*Sim, active []int, shares []int) {
 		resNames:  map[int]string{},
 	}
 	for h := range sh.hubOwner {
-		own := make([]int, hubServers)
+		own := make([]int, lnic.HubServers)
 		for i := range own {
 			own[i] = -1
 		}

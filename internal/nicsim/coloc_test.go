@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clara/internal/budget"
@@ -264,5 +265,59 @@ func TestMergedContention(t *testing.T) {
 	}
 	if merged.Contention != nil {
 		t.Fatalf("contention-free merge allocated a ContentionReport: %+v", merged.Contention)
+	}
+}
+
+// TestColocFlowCacheIsPerTenant is the regression test for co-resident
+// tenants sharing flow-cache entries. Two firewalls replay one trace on a NIC
+// whose flow cache all tenants share. When entries were keyed by state name
+// alone, a lookup of tenant 1 hit the entry tenant 0 had cached for the same
+// flow under the same name, "conns", and latched tenant 0's table entry. The
+// run must equal, packet for packet, a control in which nothing could be
+// shared: there tenant 1's table is named "conns2" and sits in another state
+// slot, behind an unused array placed in another memory region, so its
+// table's address and every access it makes stay the same.
+func TestColocFlowCacheIsPerTenant(t *testing.T) {
+	tr := colocTrace(t, 400, 7, 4e7)
+	run := func(control bool) []*Result {
+		cfg := ColocConfig{NIC: lnic.Netronome(), Seed: 42}
+		for i := 0; i < 2; i++ {
+			spec := nf.Firewall(4096)
+			table := "conns"
+			if control && i == 1 {
+				table = "conns2"
+				spec.Source = strings.Replace(strings.ReplaceAll(spec.Source, "conns", table),
+					"state "+table, "state pad : array<8>[1];\n\tstate "+table, 1)
+			}
+			prog := spec.MustCompile()
+			pl := DefaultPlacement(cfg.NIC, prog)
+			pl.UseFlowCache[table] = true
+			if _, ok := pl.StateMem["pad"]; ok {
+				pl.StateMem["pad"] = 0
+			}
+			cfg.Tenants = append(cfg.Tenants, Tenant{Prog: prog, Place: pl, Weight: 1, Trace: tr})
+		}
+		res, err := RunColocated(cfg, ShardOpts{Workers: 1, Window: len(tr.Packets)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	shared, control := run(false), run(true)
+	for ti := range shared {
+		if !reflect.DeepEqual(shared[ti].Packets, control[ti].Packets) {
+			differ := 0
+			for i := range shared[ti].Packets {
+				if i < len(control[ti].Packets) && shared[ti].Packets[i] != control[ti].Packets[i] {
+					differ++
+				}
+			}
+			t.Errorf("tenant %d: %d of %d packets differ from the control, whose tenants share no flow-cache key",
+				ti, differ, len(shared[ti].Packets))
+		}
+		if shared[ti].FlowCacheHitRate != control[ti].FlowCacheHitRate {
+			t.Errorf("tenant %d: flow-cache hit rate %v, control %v",
+				ti, shared[ti].FlowCacheHitRate, control[ti].FlowCacheHitRate)
+		}
 	}
 }

@@ -8,9 +8,12 @@ import (
 )
 
 // exec is the per-packet execution context: it implements cir.Env, charging
-// cycles to e.now as the compiled engine walks the program.
+// cycles to e.now as the compiled engine walks the program. Instructions
+// other than vcalls are priced by the engine through meter, which books
+// into this exec's clock, Breakdown.Compute and step count.
 type exec struct {
-	s *Sim
+	s     *Sim
+	meter cir.Meter
 	// pkt points at the trace's shared decoded packet (read-only) until the
 	// NF writes a header field, when writeField copies it into pktCopy
 	// (copy-on-write): most NFs never write headers, and skipping the
@@ -27,9 +30,9 @@ type exec struct {
 	emitted bool
 	steps   int64 // instructions executed (budget-usage accounting)
 
-	parsed   [8]bool // indexed by proto constant; charged once per packet
-	latched  []latchedEnt
-	lastLine int64 // last packet-memory line key touched (streaming amortization), noLine at packet start
+	parsed   [8]bool     // indexed by proto constant; charged once per packet
+	latched  []*mapEntry // per state slot: the map entry this packet last touched (the Sim's latch)
+	lastLine int64       // last packet-memory line key touched (streaming amortization), noLine at packet start
 
 	// pktBase and spillBase are the packet's simulated base addresses in the
 	// packet and spill regions, rotated per packet so consecutive packets do
@@ -41,56 +44,22 @@ type exec struct {
 // are region<<56 | line, never negative, so the first read always prices.
 const noLine = -1
 
-// latchedEnt associates a map-state name with the entry the NF last touched.
-// A program declares at most a handful of map states, so a linear scan over
-// an association slice beats a map here — and clearing it per packet is a
-// length truncation instead of a bucket-array memclr (which profiled at ~8%
-// of SimRun). Names come from the program's instructions, so the string
-// compare in latchGet is usually a same-pointer fast path.
-type latchedEnt struct {
-	name string
-	ent  *mapEntry
+// newExec builds the packet context for s, its meter aimed at its own
+// clock, compute share and step count.
+func newExec(s *Sim) *exec {
+	e := &exec{s: s, latched: s.latch}
+	e.meter = cir.Meter{Prices: &s.costByOp, Clock: &e.now, Compute: &e.bd.Compute, Steps: &e.steps}
+	return e
 }
 
-func (e *exec) latchGet(name string) *mapEntry {
-	for i := range e.latched {
-		if e.latched[i].name == name {
-			return e.latched[i].ent
-		}
-	}
-	return nil
-}
-
-func (e *exec) latchSet(name string, ent *mapEntry) {
-	for i := range e.latched {
-		if e.latched[i].name == name {
-			e.latched[i].ent = ent
-			return
-		}
-	}
-	e.latched = append(e.latched, latchedEnt{name: name, ent: ent})
-}
-
-func (e *exec) latchDel(name string) {
-	for i := range e.latched {
-		if e.latched[i].name == name {
-			last := len(e.latched) - 1
-			e.latched[i] = e.latched[last]
-			e.latched[last] = latchedEnt{}
-			e.latched = e.latched[:last]
-			return
-		}
-	}
-}
-
-// reset re-arms the exec for the next packet, keeping the Sim pointer and
-// recycling the latched-entry slice (truncated, not reallocated). Every
-// field is restored to what a freshly allocated exec would hold EXCEPT
-// pktCopy, which is dead until writeField or the corruption path (re)own
-// it: skipping it here avoids zeroing and write-barriering the largest
-// field twice per packet.
+// reset re-arms the exec for the next packet, keeping the Sim pointer, the
+// meter and the latched-entry slots (cleared, not reallocated). Every other
+// field is restored to what a freshly built exec would hold EXCEPT pktCopy,
+// which is dead until writeField or the corruption path (re)own it: skipping
+// it here avoids zeroing and write-barriering the largest field twice per
+// packet.
 func (e *exec) reset(wire []byte, pktIndex int) {
-	e.latched = e.latched[:0]
+	clear(e.latched)
 	e.pkt = nil // the caller points it at this packet's decode before any use
 	e.pktOwned = false
 	e.wire = wire
@@ -102,20 +71,6 @@ func (e *exec) reset(wire []byte, pktIndex int) {
 	e.lastLine = noLine
 	e.pktBase = uint64(pktIndex) * 2048 % e.s.pktSpanMod
 	e.spillBase = uint64(pktIndex) * 4096 % uint64(e.s.nic.Mems[e.s.nic.PktSpillMem].Bytes)
-}
-
-// onInstr prices non-vcall instructions from the Sim's precomputed per-op
-// cost table (the class lookup, FPU emulation and local-memory rules are
-// folded in at New). VCall pricing happens inside VCall itself, so vcalls
-// only bump the step count here.
-func (e *exec) onInstr(_ int, in *cir.Instr) {
-	e.steps++
-	if in.Op == cir.OpVCall {
-		return
-	}
-	cost := e.s.costByOp[in.Op]
-	e.now += cost
-	e.bd.Compute += cost
 }
 
 // payloadRead charges one payload byte read at payload offset i, amortized
@@ -231,16 +186,14 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCChecksum:
 		seg := e.l4SegmentLen()
-		if s.cfg.Place.ChecksumOnAccel {
-			if accels := s.nic.Accelerators("checksum"); len(accels) > 0 {
-				if s.accelDown("checksum") {
-					s.noteFallback("checksum") // outage: software path below
-				} else if t, ok := s.accelVisit(accels[0], seg, e.now, &e.bd); ok {
-					e.now = t
-					return 0, nil
-				} else {
-					s.noteFallback("checksum") // queue overflow
-				}
+		if s.cfg.Place.ChecksumOnAccel && s.cksumUnit >= 0 {
+			if s.accelDown("checksum") {
+				s.noteFallback("checksum") // outage: software path below
+			} else if t, ok := s.accelVisit(s.cksumUnit, seg, e.now, &e.bd); ok {
+				e.now = t
+				return 0, nil
+			} else {
+				s.noteFallback("checksum") // queue overflow
 			}
 		}
 		// Software checksum on the core: fixed setup plus one ALU per byte
@@ -259,52 +212,52 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		return e.flowHash(), nil
 
 	case cir.VCMapLookup:
-		return e.mapLookup(in.State, args[0])
+		return e.mapLookup(in.Slot, args[0])
 
 	case cir.VCMapGet:
 		e.charge(1)
-		if ent := e.latchGet(in.State); ent != nil {
+		if ent := e.latched[in.Slot]; ent != nil {
 			idx := int(args[0]) & 1
 			return ent.v[idx], nil
 		}
 		return 0, nil
 
 	case cir.VCMapPut:
-		return e.mapPut(in.State, args)
+		return e.mapPut(in.Slot, args)
 
 	case cir.VCMapDelete:
-		m, err := e.mapFor(in.State)
-		if err != nil {
-			return 0, err
+		m := s.slots[in.Slot].m
+		if m == nil {
+			return 0, s.kindErr(in.Slot, "a map")
 		}
 		e.charge(s.nic.HashCycles)
 		e.now += s.memAccess(m.region, m.bucketAddr(args[0]), true, &e.bd)
 		m.del(args[0])
-		e.latchDel(in.State)
+		e.latched[in.Slot] = nil
 		if s.fc != nil {
-			s.fc.invalidate(in.State, args[0])
+			s.fc.invalidate(s.fcOwner(in.Slot), args[0])
 		}
 		return 0, nil
 
 	case cir.VCMapIncr:
-		return e.mapIncr(in.State, args)
+		return e.mapIncr(in.Slot, args)
 
 	case cir.VCLPMLookup:
-		return e.lpmLookup(in.State, uint32(args[0]))
+		return e.lpmLookup(in.Slot, uint32(args[0]))
 
 	case cir.VCArrRead:
-		a, ok := s.arrays[in.State]
-		if !ok {
-			return 0, fmt.Errorf("nicsim: %s is not an array state", in.State)
+		a := s.slots[in.Slot].a
+		if a == nil {
+			return 0, s.kindErr(in.Slot, "an array")
 		}
 		i := a.idx(args[0])
 		e.now += s.memAccess(a.region, a.addr(i), false, &e.bd)
 		return a.vals[i], nil
 
 	case cir.VCArrWrite:
-		a, ok := s.arrays[in.State]
-		if !ok {
-			return 0, fmt.Errorf("nicsim: %s is not an array state", in.State)
+		a := s.slots[in.Slot].a
+		if a == nil {
+			return 0, s.kindErr(in.Slot, "an array")
 		}
 		i := a.idx(args[0])
 		e.now += s.memAccess(a.region, a.addr(i), true, &e.bd)
@@ -312,9 +265,9 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		return 0, nil
 
 	case cir.VCSketchAdd, cir.VCSketchRead:
-		sk, ok := s.sketches[in.State]
-		if !ok {
-			return 0, fmt.Errorf("nicsim: %s is not a sketch state", in.State)
+		sk := s.slots[in.Slot].sk
+		if sk == nil {
+			return 0, s.kindErr(in.Slot, "a sketch")
 		}
 		e.charge(s.nic.HashCycles)
 		for r := 0; r < sk.rows; r++ {
@@ -327,20 +280,18 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		return sk.read(args[0]), nil
 
 	case cir.VCDPIScan:
-		return e.dpiScan(in.State)
+		return e.dpiScan(in.Slot)
 
 	case cir.VCCrypto:
 		n := int(args[1])
-		if s.cfg.Place.CryptoOnAccel {
-			if accels := s.nic.Accelerators("crypto"); len(accels) > 0 {
-				if s.accelDown("crypto") {
-					s.noteFallback("crypto") // outage: software path below
-				} else if t, ok := s.accelVisit(accels[0], n, e.now, &e.bd); ok {
-					e.now = t
-					return 0, nil
-				} else {
-					s.noteFallback("crypto") // queue overflow
-				}
+		if s.cfg.Place.CryptoOnAccel && s.cryptoUnit >= 0 {
+			if s.accelDown("crypto") {
+				s.noteFallback("crypto") // outage: software path below
+			} else if t, ok := s.accelVisit(s.cryptoUnit, n, e.now, &e.bd); ok {
+				e.now = t
+				return 0, nil
+			} else {
+				s.noteFallback("crypto") // queue overflow
 			}
 		}
 		// Software crypto: ~30 ALU ops per byte plus key schedule.
@@ -371,21 +322,37 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	}
 }
 
-func (e *exec) mapFor(name string) (*mapState, error) {
-	m, ok := e.s.maps[name]
-	if !ok {
-		return nil, fmt.Errorf("nicsim: %s is not a map state", name)
-	}
-	return m, nil
+// stateSlot binds one state object of the program: the table of its kind
+// (the other pointers stay nil) and whether the flow cache fronts its
+// lookups (Placement.UseFlowCache, resolved once at New).
+type stateSlot struct {
+	m  *mapState
+	l  *lpmState
+	a  *arrayState
+	sk *sketchState
+	p  *patternState
+	fc bool
 }
 
-func (e *exec) mapLookup(name string, key uint64) (uint64, error) {
+// kindErr reports a vcall addressing state slot of the wrong kind.
+func (s *Sim) kindErr(slot int, kind string) error {
+	return fmt.Errorf("nicsim: %s is not %s state", s.prog.State[slot].Name, kind)
+}
+
+// fcOwner is the flow-cache owner of state slot: co-resident tenants share
+// one flow cache, so entries are keyed by tenant as well as slot.
+func (s *Sim) fcOwner(slot int) fcOwner {
+	return fcOwner{tenant: int32(s.tenant), slot: int32(slot)}
+}
+
+func (e *exec) mapLookup(slot int, key uint64) (uint64, error) {
 	s := e.s
-	m, err := e.mapFor(name)
-	if err != nil {
-		return 0, err
+	sl := &s.slots[slot]
+	m := sl.m
+	if m == nil {
+		return 0, s.kindErr(slot, "a map")
 	}
-	useFC := s.cfg.Place.UseFlowCache[name] && s.fc != nil
+	useFC := sl.fc && s.fc != nil
 	if useFC && s.accelDown("flowcache") {
 		s.noteFallback("flowcache") // outage: direct memory lookup
 		useFC = false
@@ -393,9 +360,9 @@ func (e *exec) mapLookup(name string, key uint64) (uint64, error) {
 	if useFC {
 		if t, ok := s.accelVisit(s.fcUnit, 0, e.now, &e.bd); ok {
 			e.now = t
-			if ent, hit := s.fc.get(name, key); hit {
+			if ent, hit := s.fc.get(s.fcOwner(slot), key); hit {
 				if me, live := ent.(*mapEntry); live {
-					e.latchSet(name, me)
+					e.latched[slot] = me
 					return 1, nil
 				}
 			}
@@ -408,22 +375,23 @@ func (e *exec) mapLookup(name string, key uint64) (uint64, error) {
 	e.now += s.memAccess(m.region, m.bucketAddr(key), false, &e.bd)
 	ent, found := m.lookup(key)
 	if !found {
-		e.latchDel(name)
+		e.latched[slot] = nil
 		return 0, nil
 	}
 	e.now += s.memAccess(m.region, m.entryAddr(ent.idx), false, &e.bd)
-	e.latchSet(name, ent)
+	e.latched[slot] = ent
 	if useFC {
-		s.fc.put(name, key, ent)
+		s.fc.put(s.fcOwner(slot), key, ent)
 	}
 	return 1, nil
 }
 
-func (e *exec) mapPut(name string, args []uint64) (uint64, error) {
+func (e *exec) mapPut(slot int, args []uint64) (uint64, error) {
 	s := e.s
-	m, err := e.mapFor(name)
-	if err != nil {
-		return 0, err
+	sl := &s.slots[slot]
+	m := sl.m
+	if m == nil {
+		return 0, s.kindErr(slot, "a map")
 	}
 	var v0, v1 uint64
 	if len(args) > 1 {
@@ -436,22 +404,22 @@ func (e *exec) mapPut(name string, args []uint64) (uint64, error) {
 	e.now += s.memAccess(m.region, m.bucketAddr(args[0]), false, &e.bd)
 	ent := m.put(args[0], v0, v1)
 	e.now += s.memAccess(m.region, m.entryAddr(ent.idx), true, &e.bd)
-	e.latchSet(name, ent)
-	if s.cfg.Place.UseFlowCache[name] && s.fc != nil && !s.accelDown("flowcache") {
-		s.fc.put(name, args[0], ent)
+	e.latched[slot] = ent
+	if sl.fc && s.fc != nil && !s.accelDown("flowcache") {
+		s.fc.put(s.fcOwner(slot), args[0], ent)
 	}
 	return 0, nil
 }
 
-func (e *exec) mapIncr(name string, args []uint64) (uint64, error) {
+func (e *exec) mapIncr(slot int, args []uint64) (uint64, error) {
 	s := e.s
-	m, err := e.mapFor(name)
-	if err != nil {
-		return 0, err
+	m := s.slots[slot].m
+	if m == nil {
+		return 0, s.kindErr(slot, "a map")
 	}
 	key, idx, delta := args[0], int(args[1])&1, args[2]
-	ent := e.latchGet(name)
-	if ent == nil || e.s.maps[name].entries[key] != ent {
+	ent := e.latched[slot]
+	if ent == nil || m.entries[key] != ent {
 		e.charge(s.nic.HashCycles)
 		e.now += s.memAccess(m.region, m.bucketAddr(key), false, &e.bd)
 		var found bool
@@ -459,7 +427,7 @@ func (e *exec) mapIncr(name string, args []uint64) (uint64, error) {
 		if !found {
 			ent = m.put(key, 0, 0)
 		}
-		e.latchSet(name, ent)
+		e.latched[slot] = ent
 	}
 	// Read-modify-write of the entry.
 	e.now += s.memAccess(m.region, m.entryAddr(ent.idx), false, &e.bd)
@@ -468,13 +436,14 @@ func (e *exec) mapIncr(name string, args []uint64) (uint64, error) {
 	return ent.v[idx], nil
 }
 
-func (e *exec) lpmLookup(name string, addr uint32) (uint64, error) {
+func (e *exec) lpmLookup(slot int, addr uint32) (uint64, error) {
 	s := e.s
-	l, ok := s.lpms[name]
-	if !ok {
-		return 0, fmt.Errorf("nicsim: %s is not an lpm state", name)
+	sl := &s.slots[slot]
+	l := sl.l
+	if l == nil {
+		return 0, s.kindErr(slot, "an lpm")
 	}
-	if s.cfg.Place.UseFlowCache[name] && s.fc != nil {
+	if sl.fc && s.fc != nil {
 		if s.accelDown("flowcache") {
 			s.noteFallback("flowcache") // outage: software scan
 			return e.lpmScan(l, addr), nil
@@ -486,11 +455,11 @@ func (e *exec) lpmLookup(name string, addr uint32) (uint64, error) {
 			return e.lpmScan(l, addr), nil
 		}
 		e.now = t
-		if v, okc := s.fc.get(name, key); okc {
+		if v, okc := s.fc.get(s.fcOwner(slot), key); okc {
 			return v.(uint64), nil
 		}
 		nh := e.lpmScan(l, addr)
-		s.fc.put(name, key, nh)
+		s.fc.put(s.fcOwner(slot), key, nh)
 		return nh, nil
 	}
 	return e.lpmScan(l, addr), nil
@@ -583,11 +552,11 @@ func (e *exec) loadLines(region int, base uint64, n, step int) {
 // and lastLine ride in locals and are written back when the scan ends, and
 // every access keeps memAccess's cache access, fault draw and float
 // additions, in the same per-byte order as a payloadRead per byte.
-func (e *exec) dpiScan(name string) (uint64, error) {
+func (e *exec) dpiScan(slot int) (uint64, error) {
 	s := e.s
-	p, ok := s.patterns[name]
-	if !ok {
-		return 0, fmt.Errorf("nicsim: %s is not a pattern state", name)
+	p := s.slots[slot].p
+	if p == nil {
+		return 0, s.kindErr(slot, "a pattern")
 	}
 	payload := e.pkt.Payload
 	hdr := len(e.wire) - len(payload)
@@ -807,7 +776,7 @@ func (e *exec) writeField(proto, field, val uint64) {
 }
 
 // flowCache is the flow-cache accelerator's SRAM table: an LRU exact-match
-// cache from (state, key) to either a *mapEntry or an LPM result.
+// cache from (owner, key) to either a *mapEntry or an LPM result.
 type flowCache struct {
 	capacity     int
 	entries      map[fcKey]*fcNode
@@ -815,8 +784,15 @@ type flowCache struct {
 	hits, misses uint64
 }
 
+// fcOwner names the state object a flow-cache entry belongs to: its slot in
+// the tenant's program. Co-resident tenants share one cache, and their slots
+// (like their state names) may coincide, so the tenant is part of the key.
+type fcOwner struct {
+	tenant, slot int32
+}
+
 type fcKey struct {
-	state string
+	owner fcOwner
 	key   uint64
 }
 
@@ -833,8 +809,8 @@ func newFlowCache(capacity int) *flowCache {
 	return &flowCache{capacity: capacity, entries: map[fcKey]*fcNode{}}
 }
 
-func (f *flowCache) get(state string, key uint64) (interface{}, bool) {
-	n, ok := f.entries[fcKey{state, key}]
+func (f *flowCache) get(owner fcOwner, key uint64) (interface{}, bool) {
+	n, ok := f.entries[fcKey{owner, key}]
 	if !ok {
 		f.misses++
 		return nil, false
@@ -844,8 +820,8 @@ func (f *flowCache) get(state string, key uint64) (interface{}, bool) {
 	return n.v, true
 }
 
-func (f *flowCache) put(state string, key uint64, v interface{}) {
-	k := fcKey{state, key}
+func (f *flowCache) put(owner fcOwner, key uint64, v interface{}) {
+	k := fcKey{owner, key}
 	if n, ok := f.entries[k]; ok {
 		n.v = v
 		f.moveFront(n)
@@ -870,8 +846,8 @@ func (f *flowCache) reset() {
 	f.hits, f.misses = 0, 0
 }
 
-func (f *flowCache) invalidate(state string, key uint64) {
-	k := fcKey{state, key}
+func (f *flowCache) invalidate(owner fcOwner, key uint64) {
+	k := fcKey{owner, key}
 	if n, ok := f.entries[k]; ok {
 		f.unlink(n)
 		delete(f.entries, k)

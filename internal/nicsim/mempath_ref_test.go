@@ -80,11 +80,11 @@ func (e *exec) refLoadLines(region int, base uint64, n, step int) {
 	}
 }
 
-func (e *exec) refDPIScan(name string) (uint64, error) {
+func (e *exec) refDPIScan(slot int) (uint64, error) {
 	s := e.s
-	p, ok := s.patterns[name]
-	if !ok {
-		return 0, fmt.Errorf("nicsim: %s is not a pattern state", name)
+	p := s.slots[slot].p
+	if p == nil {
+		return 0, s.kindErr(slot, "a pattern")
 	}
 	payload := e.pkt.Payload
 	if m := s.runDPI; m > 0 && int64(len(payload)) > m {
@@ -103,6 +103,18 @@ func (e *exec) refDPIScan(name string) (uint64, error) {
 		matches += int(outputs[state])
 	}
 	return uint64(matches), nil
+}
+
+// slotNamed returns the state slot of s's state object name.
+func slotNamed(t testing.TB, s *Sim, name string) int {
+	t.Helper()
+	for i, obj := range s.prog.State {
+		if obj.Name == name {
+			return i
+		}
+	}
+	t.Fatalf("program %s has no state %q", s.prog.Name, name)
+	return -1
 }
 
 // scanWalkNICs are the targets the scan walk is held to the per-byte walk
@@ -165,7 +177,7 @@ func newScanWalkPair(t testing.TB, nic func() *lnic.LNIC, faults, timeline bool)
 		return s
 	}
 	p := &scanWalkPair{got: build(), ref: build()}
-	p.ge, p.re = &exec{s: p.got}, &exec{s: p.ref}
+	p.ge, p.re = newExec(p.got), newExec(p.ref)
 	return p
 }
 
@@ -187,11 +199,11 @@ func (p *scanWalkPair) packet(hdr int, payload []byte, pktIndex int) {
 func (p *scanWalkPair) dpi(t testing.TB, budget int64) {
 	t.Helper()
 	p.got.runDPI, p.ref.runDPI = budget, budget
-	got, err := p.ge.dpiScan("sigs")
+	got, err := p.ge.dpiScan(slotNamed(t, p.got, "sigs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.re.refDPIScan("sigs")
+	want, err := p.re.refDPIScan(slotNamed(t, p.ref, "sigs"))
 	if err != nil {
 		t.Fatal(err)
 	}

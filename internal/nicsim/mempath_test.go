@@ -338,9 +338,10 @@ func TestDPIScanMatchesAutomaton(t *testing.T) {
 		t.Fatal(err)
 	}
 	pats := prog.Patterns["sigs"]
-	ac := sim.patterns["sigs"].ac
+	slot := slotNamed(t, sim, "sigs")
+	ac := sim.slots[slot].p.ac
 	rng := rand.New(rand.NewSource(17))
-	e := &exec{s: sim}
+	e := newExec(sim)
 	sawMatch := false
 	for trial := 0; trial < 300; trial++ {
 		payload := make([]byte, rng.Intn(1600))
@@ -359,7 +360,7 @@ func TestDPIScanMatchesAutomaton(t *testing.T) {
 			wire := append(make([]byte, 54), payload...)
 			e.reset(wire, trial)
 			e.pkt = &packet.Packet{Payload: wire[54:]}
-			got, err := e.dpiScan("sigs")
+			got, err := e.dpiScan(slot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +398,7 @@ func TestPayloadReadPricesFirstLine(t *testing.T) {
 		t.Fatalf("region 0 load price is 1 cycle, the same as a repeat read; the test cannot tell them apart")
 	}
 	wire := make([]byte, 54+100)
-	e := &exec{s: sim}
+	e := newExec(sim)
 	e.reset(wire, 0)
 	e.pkt = &packet.Packet{Payload: wire[54:]}
 	e.payloadRead(0)

@@ -257,11 +257,10 @@ type Sim struct {
 	// compiled is the CIR engine built once at New and reused for every
 	// packet.
 	compiled *cir.Compiled
-	// costByOp precomputes the representative core's per-instruction cycle
-	// price for every opcode (class lookup, FPU emulation and local-memory
-	// override folded in), so the per-instruction hook indexes an array
-	// instead of hashing into ClassCycles a million times per run.
-	costByOp [256]float64
+	// costByOp is the representative core's per-opcode instruction price
+	// (lnic.InstrPrices: class lookup, FPU emulation and local-memory
+	// override folded in), which the compiled engine's meter books from.
+	costByOp cir.Prices
 	// memCost does the same for memory: one access from the representative
 	// core into each region, indexed by region ID (see memPrice). lines
 	// holds each region's line geometry and pktSpanMod the modulus of the
@@ -272,11 +271,11 @@ type Sim struct {
 	lines      []lineGeom
 	pktSpanMod uint64
 
-	maps     map[string]*mapState
-	lpms     map[string]*lpmState
-	sketches map[string]*sketchState
-	arrays   map[string]*arrayState
-	patterns map[string]*patternState
+	// slots binds each state object, indexed like prog.State and so by
+	// Instr.Slot; latch holds, per slot, the map entry the in-flight packet
+	// last touched (cleared per packet).
+	slots []stateSlot
+	latch []*mapEntry
 
 	// caches is indexed by memory region ID (Validate pins ID == index);
 	// nil entries are uncached regions. ownCaches always points at this
@@ -300,8 +299,12 @@ type Sim struct {
 	unitFree [][]float64
 	hubFree  [][]float64
 
-	fcUnit int // flow-cache accelerator unit ID, -1 when absent
-	fc     *flowCache
+	// fcUnit, cksumUnit and cryptoUnit are the first flow-cache, checksum
+	// and crypto accelerators' unit IDs, -1 when the NIC has none; vcalls
+	// read them instead of scanning the NIC's units per packet.
+	fcUnit, cksumUnit, cryptoUnit int
+
+	fc *flowCache
 
 	npu      *lnic.ComputeUnit // representative general core for pricing
 	npuUnit  int
@@ -374,15 +377,13 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	}
 	lim := budget.From(ctx)
 	s := &Sim{
-		cfg:  cfg,
-		nic:  cfg.NIC,
-		prog: cfg.Prog,
-		maps: map[string]*mapState{}, lpms: map[string]*lpmState{},
-		sketches: map[string]*sketchState{}, arrays: map[string]*arrayState{},
-		patterns: map[string]*patternState{},
+		cfg:      cfg,
+		nic:      cfg.NIC,
+		prog:     cfg.Prog,
+		slots:    make([]stateSlot, len(cfg.Prog.State)),
+		latch:    make([]*mapEntry, len(cfg.Prog.State)),
 		caches:   make([]*cache, len(cfg.NIC.Mems)),
 		unitFree: make([][]float64, len(cfg.NIC.Units)),
-		fcUnit:   -1,
 		rngState: uint64(cfg.Seed)*2862933555777941757 + 3037000493,
 		faults:   cfg.Faults,
 	}
@@ -428,14 +429,7 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	}
 	s.compiled = compiled
 
-	// Fold the instruction price rule into one array indexed by opcode.
-	// Opcodes beyond the catalog price as ALU, matching ClassOf's default;
-	// OpVCall stays zero because vcall pricing happens inside VCall.
-	for op := 0; op < len(s.costByOp); op++ {
-		if cl := cir.ClassOf(cir.Op(op)); cl != cir.ClassVCall {
-			s.costByOp[op] = s.nic.InstrCycles(s.npu, cl)
-		}
-	}
+	s.costByOp = s.nic.InstrPrices(s.npu)
 
 	s.memCost = make([]memPrice, len(s.nic.Mems))
 	s.lines = make([]lineGeom, len(s.nic.Mems))
@@ -466,8 +460,8 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		}
 	}
 	s.ownCaches = s.caches
-	if fcs := s.nic.Accelerators("flowcache"); len(fcs) > 0 {
-		s.fcUnit = fcs[0]
+	s.cksumUnit, s.cryptoUnit = firstAccel(s.nic, "checksum"), firstAccel(s.nic, "crypto")
+	if s.fcUnit = firstAccel(s.nic, "flowcache"); s.fcUnit >= 0 {
 		s.fc = newFlowCache(s.nic.Units[s.fcUnit].TableEntries)
 	}
 	s.ownFC = s.fc
@@ -487,7 +481,7 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		alloc[region] = base + uint64(bytes+63)&^63
 		return cfg.addrBase + base
 	}
-	for _, obj := range s.prog.State {
+	for i, obj := range s.prog.State {
 		if int64(obj.Capacity) > lim.FlowEntryLimit() {
 			return nil, &budget.ExceededError{
 				Resource: "flow-entries", Limit: lim.FlowEntryLimit(),
@@ -501,26 +495,27 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		if region < 0 || region >= len(s.nic.Mems) {
 			return nil, fmt.Errorf("nicsim: state %s placed in unknown region %d", obj.Name, region)
 		}
+		sl := &s.slots[i]
+		sl.fc = cfg.Place.UseFlowCache[obj.Name]
 		switch obj.Kind {
 		case cir.StateMap:
-			s.maps[obj.Name] = newMapState(obj, region, nextAddr(region, obj.Bytes()))
+			sl.m = newMapState(obj, region, nextAddr(region, obj.Bytes()))
 		case cir.StateLPM:
 			entries := cfg.Preload[obj.Name]
 			if entries <= 0 {
 				entries = obj.Capacity
 			}
-			s.lpms[obj.Name] = newLPMState(obj, region, nextAddr(region, obj.Bytes()), entries, stateSeed(stSeed, obj.Name))
+			sl.l = newLPMState(obj, region, nextAddr(region, obj.Bytes()), entries, stateSeed(stSeed, obj.Name))
 		case cir.StateSketch:
-			s.sketches[obj.Name] = newSketchState(obj, region, nextAddr(region, obj.Bytes()))
+			sl.sk = newSketchState(obj, region, nextAddr(region, obj.Bytes()))
 		case cir.StateArray:
-			arr := newArrayState(obj, region, nextAddr(region, obj.Bytes()))
+			sl.a = newArrayState(obj, region, nextAddr(region, obj.Bytes()))
 			if n := cfg.Preload[obj.Name]; n > 0 {
-				arr.preload(n, stateSeed(stSeed, obj.Name))
+				sl.a.preload(n, stateSeed(stSeed, obj.Name))
 			}
-			s.arrays[obj.Name] = arr
 		case cir.StatePattern:
 			ac := buildAC(s.prog.Patterns[obj.Name])
-			s.patterns[obj.Name] = &patternState{
+			sl.p = &patternState{
 				obj: obj, region: region,
 				base: nextAddr(region, ac.FootprintBytes()),
 				ac:   ac,
@@ -567,11 +562,11 @@ func (s *Sim) runRange(ctx context.Context, tr *workload.Trace, base, lo, hi int
 }
 
 // runState is the per-run scratch behind the simulation loop: one exec
-// serves every packet (reset between packets), the Hooks value is built once
-// since its fields are loop-invariant, and decoded packets come from the
-// trace's shared cache. Corruption copies recycle through corruptPool; the
-// slot is released at the top of the next step and in finish, covering every
-// early-return path.
+// serves every packet (reset between packets), the Hooks value — with the
+// exec's meter — is built once since its fields are loop-invariant, and
+// decoded packets come from the trace's shared cache. Corruption copies
+// recycle through corruptPool; the slot is released at the top of the next
+// step and in finish, covering every early-return path.
 type runState struct {
 	s   *Sim
 	ctx context.Context
@@ -622,8 +617,8 @@ func (s *Sim) initRunState(rs *runState, ctx context.Context, tr *workload.Trace
 		},
 	}
 	rs.decoded, rs.decodeErr = tr.Decoded()
-	rs.e = &exec{s: s}
-	rs.hooks = cir.Hooks{OnInstr: rs.e.onInstr, MaxSteps: rs.simSteps, Ctx: ctx}
+	rs.e = newExec(s)
+	rs.hooks = cir.Hooks{Meter: &rs.e.meter, MaxSteps: rs.simSteps, Ctx: ctx}
 }
 
 func (rs *runState) releaseCorrupt() {
@@ -863,6 +858,15 @@ func (rs *runState) step(i, g int) error {
 	return nil
 }
 
+// firstAccel returns the ID of nic's first accelerator of class, -1 when it
+// has none.
+func firstAccel(nic *lnic.LNIC, class string) int {
+	if ids := nic.Accelerators(class); len(ids) > 0 {
+		return ids[0]
+	}
+	return -1
+}
+
 // bookThread advances thread th's next-free time and restores the heap. th
 // is always the heap root (dispatch only ever books the earliest-free
 // thread), and free times only move forward, so one sift-down suffices. Shed
@@ -884,10 +888,6 @@ var corruptPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// hubServers is the switching parallelism of a hub: fabrics move several
-// packets at once, so a hub is a small server pool rather than one FIFO.
-const hubServers = 8
-
 // hubVisit books the hub's earliest-free server. Under fault injection with
 // a queue cap, a wait longer than QueueCap service times means the queue is
 // full and the packet is dropped (reported, not booked).
@@ -895,7 +895,7 @@ func (s *Sim) hubVisit(hub int, t float64, bd *Breakdown) (float64, bool) {
 	h := &s.nic.Hubs[hub]
 	servers := s.hubFree[hub]
 	if servers == nil {
-		servers = make([]float64, hubServers)
+		servers = make([]float64, lnic.HubServers)
 		s.hubFree[hub] = servers
 	}
 	best := 0

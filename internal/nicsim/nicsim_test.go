@@ -427,20 +427,21 @@ func TestCacheEviction(t *testing.T) {
 
 func TestFlowCacheLRU(t *testing.T) {
 	fc := newFlowCache(2)
-	fc.put("s", 1, uint64(10))
-	fc.put("s", 2, uint64(20))
-	if _, ok := fc.get("s", 1); !ok {
+	owner := fcOwner{slot: 3}
+	fc.put(owner, 1, uint64(10))
+	fc.put(owner, 2, uint64(20))
+	if _, ok := fc.get(owner, 1); !ok {
 		t.Fatal("key 1 missing")
 	}
-	fc.put("s", 3, uint64(30)) // evicts key 2 (LRU)
-	if _, ok := fc.get("s", 2); ok {
+	fc.put(owner, 3, uint64(30)) // evicts key 2 (LRU)
+	if _, ok := fc.get(owner, 2); ok {
 		t.Error("key 2 should have been evicted")
 	}
-	if v, ok := fc.get("s", 1); !ok || v.(uint64) != 10 {
+	if v, ok := fc.get(owner, 1); !ok || v.(uint64) != 10 {
 		t.Error("key 1 lost")
 	}
-	fc.invalidate("s", 1)
-	if _, ok := fc.get("s", 1); ok {
+	fc.invalidate(owner, 1)
+	if _, ok := fc.get(owner, 1); ok {
 		t.Error("invalidate failed")
 	}
 }

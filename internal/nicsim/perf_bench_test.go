@@ -1,10 +1,13 @@
 package nicsim
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
 	"clara/internal/benchguard"
+	"clara/internal/lnic"
+	"clara/internal/nf"
 )
 
 // Micro-benchmarks for the two data structures the packet loop leans on
@@ -80,6 +83,69 @@ func BenchmarkThreadHeapTieStorm(b *testing.B) {
 		// on one timestamp.
 		epoch := float64(i / 64)
 		h.book(epoch + 1)
+	}
+}
+
+// newContextConfig is the simulator configuration BenchmarkNewContext and
+// TestNewContextAllocs build: the named corpus NF on Netronome with its
+// default placement and preloads.
+func newContextConfig(tb testing.TB, spec nf.Spec) Config {
+	tb.Helper()
+	prog := spec.MustCompile()
+	nic := lnic.Netronome()
+	return Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog),
+		Preload: spec.PreloadEntries, Seed: 11}
+}
+
+// newContextCases are the construction shapes: a map-only NF, and a 10k-rule
+// LPM table, whose synthesis dominates its construction.
+var newContextCases = []struct {
+	name string
+	spec func() nf.Spec
+}{
+	{"firewall", func() nf.Spec { return nf.Firewall(65536) }},
+	{"lpm10k", func() nf.Spec { return nf.LPM(10000) }},
+}
+
+// BenchmarkNewContext measures building a simulator: validation, the
+// compiled engine, price tables, caches and the state objects with their
+// preloads. perfbench's simulate workload pays it for every case.
+func BenchmarkNewContext(b *testing.B) {
+	for _, c := range newContextCases {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := newContextConfig(b, c.spec())
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewContext(ctx, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// newContextAllocsLPM10k bounds NewContext's allocations on LPM-10k. The
+// flat rule table allocates its slot arrays once, presized for the rules it
+// synthesizes, and the whole construction measures 34 allocations; the
+// map-of-maps table it replaced grew one Go map per prefix length and the
+// rule list by appends, 466 allocations in all.
+const newContextAllocsLPM10k = 48
+
+// TestNewContextAllocs keeps the LPM-10k simulator build from going back to
+// per-rule-growth allocation.
+func TestNewContextAllocs(t *testing.T) {
+	cfg := newContextConfig(t, nf.LPM(10000))
+	ctx := context.Background()
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := NewContext(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewContext on LPM-10k: %.0f allocations", n)
+	if n > newContextAllocsLPM10k {
+		t.Errorf("NewContext on LPM-10k allocates %.0f times, want <= %d", n, newContextAllocsLPM10k)
 	}
 }
 

@@ -97,16 +97,20 @@ func (s *Sim) reset(cfg Config) {
 	if stSeed == 0 {
 		stSeed = cfg.Seed
 	}
-	for _, m := range s.maps {
-		m.reset()
-	}
-	for _, sk := range s.sketches {
-		sk.reset()
-	}
-	for name, arr := range s.arrays {
-		arr.reset()
-		if n := cfg.Preload[name]; n > 0 {
-			arr.preload(n, stateSeed(stSeed, name))
+	clear(s.latch)
+	for i := range s.slots {
+		sl := &s.slots[i]
+		switch {
+		case sl.m != nil:
+			sl.m.reset()
+		case sl.sk != nil:
+			sl.sk.reset()
+		case sl.a != nil:
+			sl.a.reset()
+			name := s.prog.State[i].Name
+			if n := cfg.Preload[name]; n > 0 {
+				sl.a.preload(n, stateSeed(stSeed, name))
+			}
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestCacheRepeatShortcutIsExact(t *testing.T) {
 func TestLPMMatchesLongestPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		l := &lpmState{byLen: map[uint8]map[uint32]uint32{}}
+		l := &lpmState{}
 		type rule struct {
 			prefix uint32
 			plen   uint8

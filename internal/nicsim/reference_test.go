@@ -17,7 +17,7 @@ import (
 
 // referenceRunContext is the pre-optimization RunContext loop, kept verbatim
 // as the behavioral reference for the zero-allocation hot path: a fresh exec
-// and Hooks value per packet, a fresh Decode of every frame, a fresh copy for
+// and Hooks value per packet, the interpreter instead of the compiled engine, a fresh Decode of every frame, a fresh copy for
 // corruption, and an O(threads) linear scan for dispatch. The differential
 // test below requires RunContext to be reflect.DeepEqual-indistinguishable
 // from this loop on the full NF corpus. When RunContext changes behavior
@@ -92,7 +92,7 @@ func referenceRunContext(s *Sim, ctx context.Context, tr *workload.Trace) (*Resu
 			s.pktFaulted = true
 		}
 
-		e := &exec{s: s}
+		e := newExec(s)
 		e.reset(data, i)
 		e.pkt = &e.pktCopy
 		e.pktOwned = true
@@ -151,7 +151,7 @@ func referenceRunContext(s *Sim, ctx context.Context, tr *workload.Trace) (*Resu
 		e.bd.Queue += start - t
 		e.now = start
 
-		verdict, err := interp.Run(e, &cir.Hooks{OnInstr: e.onInstr, MaxSteps: simSteps, Ctx: ctx})
+		verdict, err := interp.Run(e, &cir.Hooks{Meter: &e.meter, MaxSteps: simSteps, Ctx: ctx})
 		runSteps += e.steps
 		if err != nil {
 			s.threadFree[th] = e.now

@@ -344,7 +344,7 @@ func TestStateSeedDecollision(t *testing.T) {
 	}
 	a := newLPMState(mkObj("aaaa"), 0, 0, 64, stateSeed(42, "aaaa"))
 	b := newLPMState(mkObj("bbbb"), 0, 0, 64, stateSeed(42, "bbbb"))
-	if reflect.DeepEqual(a.rules, b.rules) {
+	if reflect.DeepEqual(a.keys, b.keys) && reflect.DeepEqual(a.nhs, b.nhs) {
 		t.Fatal("same-length-named LPM tables are byte-identical: contents still collide")
 	}
 }

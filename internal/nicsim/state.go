@@ -1,8 +1,8 @@
 package nicsim
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"clara/internal/cir"
 )
@@ -101,18 +101,27 @@ type lpmRule struct {
 // LPM semantics; the *cost* of a lookup is charged separately by the env as
 // a linear match/action scan over the table's memory (the software
 // implementation the paper's LPM NF uses when the flow cache is off).
+//
+// The rules live in one open-addressing table keyed by (plen, prefix):
+// keys[i] is lpmKey(prefix, plen), never 0, so 0 marks an empty slot, and
+// nhs[i] is that rule's next hop. The table is a power of two in size, probed
+// linearly from a Fibonacci hash and kept at most half full; newLPMState
+// presizes it for the rules it synthesizes. lens is the set of installed
+// prefix lengths (bit plen), which lookup walks longest first.
 type lpmState struct {
 	obj    cir.StateObj
 	region int
 	base   uint64
-	rules  []lpmRule
-	// byLen[plen] maps masked prefixes to next hops, longest first.
-	byLen map[uint8]map[uint32]uint32
-	lens  []uint8 // descending
+	keys   []uint64
+	nhs    []uint32
+	shift  uint   // 64 - log2(len(keys)): the hash keeps the product's top bits
+	n      int    // live rules: distinct (plen, prefix) pairs
+	lens   uint64 // bit plen set when a rule of that length is installed
 }
 
 func newLPMState(obj cir.StateObj, region int, base uint64, entries int, seed int64) *lpmState {
-	l := &lpmState{obj: obj, region: region, base: base, byLen: map[uint8]map[uint32]uint32{}}
+	l := &lpmState{obj: obj, region: region, base: base}
+	l.resize(lpmTableSize(entries + 1))
 	rng := rand.New(rand.NewSource(seed))
 	// Default route so every packet forwards (next hop 0).
 	l.install(lpmRule{prefix: 0, plen: 0, nh: 0})
@@ -136,32 +145,76 @@ func newLPMState(obj cir.StateObj, region int, base uint64, entries int, seed in
 	return l
 }
 
+// lpmTableSize is the smallest power-of-two table, at least 16 slots, that
+// holds n rules at most half full.
+func lpmTableSize(n int) int {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// lpmKey packs a rule's identity into a nonzero table key: plen+1 above the
+// 32 prefix bits.
+func lpmKey(prefix uint32, plen uint8) uint64 {
+	return uint64(plen+1)<<32 | uint64(prefix)
+}
+
+// find returns the index holding key k, or the empty index where k belongs.
+func (l *lpmState) find(k uint64) int {
+	m := len(l.keys) - 1
+	i := int(k * 0x9e3779b97f4a7c15 >> l.shift)
+	for l.keys[i] != 0 && l.keys[i] != k {
+		i = (i + 1) & m
+	}
+	return i
+}
+
+// resize rehashes the table into size slots.
+func (l *lpmState) resize(size int) {
+	keys, nhs := l.keys, l.nhs
+	l.keys, l.nhs = make([]uint64, size), make([]uint32, size)
+	l.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i, k := range keys {
+		if k != 0 {
+			j := l.find(k)
+			l.keys[j], l.nhs[j] = k, nhs[i]
+		}
+	}
+}
+
+// install adds r, or overwrites the next hop of the rule with r's plen and
+// prefix; only a new (plen, prefix) pair counts toward entries.
 func (l *lpmState) install(r lpmRule) {
-	m, ok := l.byLen[r.plen]
-	if !ok {
-		m = map[uint32]uint32{}
-		l.byLen[r.plen] = m
-		l.lens = append(l.lens, r.plen)
-		sort.Slice(l.lens, func(i, j int) bool { return l.lens[i] > l.lens[j] })
+	if 2*(l.n+1) > len(l.keys) {
+		l.resize(lpmTableSize(l.n + 1))
 	}
-	if _, dup := m[r.prefix]; !dup {
-		l.rules = append(l.rules, r)
+	k := lpmKey(r.prefix, r.plen)
+	i := l.find(k)
+	if l.keys[i] == 0 {
+		l.keys[i] = k
+		l.n++
+		l.lens |= 1 << r.plen
 	}
-	m[r.prefix] = r.nh
+	l.nhs[i] = r.nh
 }
 
 // lookup returns the next hop for addr, or ^uint64(0) on miss.
 func (l *lpmState) lookup(addr uint32) uint64 {
-	for _, plen := range l.lens {
-		if nh, ok := l.byLen[plen][mask(addr, plen)]; ok {
-			return uint64(nh)
+	for lens := l.lens; lens != 0; {
+		plen := uint8(bits.Len64(lens) - 1)
+		lens &^= 1 << plen
+		k := lpmKey(mask(addr, plen), plen)
+		if i := l.find(k); l.keys[i] == k {
+			return uint64(l.nhs[i])
 		}
 	}
 	return ^uint64(0)
 }
 
 // entries returns the live rule count (drives the scan cost).
-func (l *lpmState) entries() int { return len(l.rules) }
+func (l *lpmState) entries() int { return l.n }
 
 func mask(addr uint32, plen uint8) uint32 {
 	if plen == 0 {

@@ -41,15 +41,21 @@ type costEnv struct {
 	accelSvc    map[string]float64
 }
 
-func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, cm *mapper.CostModel, a symexec.Attrs) *costEnv {
+// pricingUnit is the representative general core that prices instruction
+// execution, with MAU stages standing in on core-less ASICs; nil when the NIC
+// has neither.
+func pricingUnit(nic *lnic.LNIC) *lnic.ComputeUnit {
 	gp := nic.UnitsOfKind(lnic.UnitNPU)
 	if len(gp) == 0 {
 		gp = nic.UnitsOfKind(lnic.UnitMAU)
 	}
-	var npu *lnic.ComputeUnit
-	if len(gp) > 0 {
-		npu = &nic.Units[gp[0]]
+	if len(gp) == 0 {
+		return nil
 	}
+	return &nic.Units[gp[0]]
+}
+
+func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.ComputeUnit, wl mapper.Workload, cm *mapper.CostModel, a symexec.Attrs) *costEnv {
 	return &costEnv{
 		sem: symexec.NewEnv(a), prog: prog, m: m, nic: nic, wl: wl, cm: cm, npu: npu,
 		parsed:      map[uint64]bool{},
@@ -59,14 +65,10 @@ func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.
 	}
 }
 
-func (e *costEnv) onInstr(_ int, in *cir.Instr) {
-	cl := cir.ClassOf(in.Op)
-	if cl == cir.ClassVCall || e.npu == nil {
-		return
-	}
-	cost := e.nic.InstrCycles(e.npu, cl)
-	e.cycles += cost
-	e.compute += cost
+// meter books each instruction's price from prices into cycles, then into
+// compute: the active core cycles the energy model charges at full power.
+func (e *costEnv) meter(prices *cir.Prices) cir.Meter {
+	return cir.Meter{Prices: prices, Clock: &e.cycles, Compute: &e.compute}
 }
 
 func (e *costEnv) accel(class string, svc float64) {

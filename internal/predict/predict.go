@@ -138,6 +138,13 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)
 	}
+	// Instructions are priced on the representative core; a NIC without one
+	// prices them at zero.
+	var prices cir.Prices
+	npu := pricingUnit(nic)
+	if npu != nil {
+		prices = nic.InstrPrices(npu)
+	}
 	pred := &Prediction{NFName: prog.Name, NICName: nic.Name}
 	var meanExec float64
 	accelUse := map[string]float64{} // accel class → expected visits/packet
@@ -149,12 +156,12 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	for ci := range classes {
 		attrs := classes[ci].Attrs
 		attrs.PayloadLen = int(wl.AvgPayload)
-		env := newCostEnv(prog, m, nic, wl, cm, attrs)
+		env := newCostEnv(prog, m, nic, npu, wl, cm, attrs)
 		if opts.ResourceLoad {
 			env.memCycles = map[int]float64{}
 		}
-		hooks := &cir.Hooks{OnInstr: env.onInstr, MaxSteps: 2_000_000}
-		verdict, err := comp.Run(env, hooks)
+		meter := env.meter(&prices)
+		verdict, err := comp.Run(env, &cir.Hooks{Meter: &meter, MaxSteps: 2_000_000})
 		if err != nil {
 			return nil, fmt.Errorf("predict: class %s: %w", classes[ci].Name(), err)
 		}
@@ -242,7 +249,7 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 		})
 	}
 	for _, h := range nic.Hubs {
-		resources = append(resources, resource{h.Name, rlKey("hub:", h.Name), 8, h.ServiceCycles})
+		resources = append(resources, resource{h.Name, rlKey("hub:", h.Name), lnic.HubServers, h.ServiceCycles})
 	}
 	if opts.ResourceLoad && wl.RatePPS > 0 {
 		pred.ResourceLoad = make(map[string]float64, len(resources)+len(memCycles))

@@ -109,14 +109,14 @@ func EnumerateContext(ctx context.Context, prog *cir.Program) ([]Class, error) {
 	seen := map[key]int{}
 	var out []Class
 	paths := int64(0)
-	// Step counting runs only when an observer asked for it: the per-
-	// instruction hook is pure overhead otherwise.
+	// Step counting runs only when an observer asked for it: the meter
+	// counts every instruction into steps.
 	m := obs.From(ctx)
 	usage := budget.UsageFrom(ctx)
 	steps := int64(0)
-	var countStep func(int, *cir.Instr)
+	var meter *cir.Meter
 	if m != nil || usage != nil {
-		countStep = func(int, *cir.Instr) { steps++ }
+		meter = &cir.Meter{Steps: &steps}
 		defer func() {
 			usage.AddSymExecPaths(paths)
 			usage.AddSymExecSteps(steps)
@@ -159,7 +159,7 @@ func EnumerateContext(ctx context.Context, prog *cir.Program) ([]Class, error) {
 						}
 						a := Attrs{Proto: proto, SYN: syn, FlowSeen: flowSeen,
 							DPIMatch: dpi, Heavy: heavy, PayloadLen: payload}
-						cl, err := runClass(ctx, comp, a, maxSteps, countStep)
+						cl, err := runClass(ctx, comp, a, maxSteps, meter)
 						if err != nil {
 							if errors.Is(err, cir.ErrStepLimit) {
 								return nil, &budget.ExceededError{
@@ -216,9 +216,9 @@ func traceKey(blocks []int) string {
 }
 
 // runClass executes the compiled program once under the attribute
-// valuation. onInstr, when non-nil, observes every instruction (step
+// valuation. meter, when non-nil, counts the instructions executed (step
 // accounting).
-func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, onInstr func(int, *cir.Instr)) (*Class, error) {
+func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, meter *cir.Meter) (*Class, error) {
 	cl := &Class{
 		Attrs:      a,
 		BlockCount: map[int]int{},
@@ -226,7 +226,7 @@ func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, on
 	}
 	env := NewEnv(a)
 	hooks := &cir.Hooks{
-		OnInstr: onInstr,
+		Meter: meter,
 		OnBlock: func(b int) {
 			// Bound the recorded trace; loops repeat blocks.
 			if len(cl.BlockTrace) < 4096 {
