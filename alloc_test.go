@@ -120,24 +120,47 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // mapBytesBudget bounds the bytes one BenchmarkMapILP solve allocates
-// (vnfchain on netronome). The dense tableau allocated 778 KB per solve;
-// the sparse one allocates about 118 KB. The figure is deterministic for
-// the fixed input, so the budget needs no slack for timing.
-const mapBytesBudget = 320_000
+// (vnfchain on netronome). The dense tableau allocated 778 KB per solve and
+// the sparse one 118 KB; with the tableau storage pooled across solves and
+// the constraint terms in one arena, a solve allocates about 29 KB. The
+// figure is deterministic for the fixed input, so the budget needs no slack
+// for timing.
+const mapBytesBudget = 44_000
 
 // TestMapAllocBudget keeps the ILP solve's transient allocation down: with
 // a live heap of about 1.2 MB under the runtime's 4 MB heap goal, the bytes
 // the advise path allocates set how often the collector runs (DESIGN.md
 // "ILP solve").
 func TestMapAllocBudget(t *testing.T) {
-	res := testing.Benchmark(BenchmarkMapILP)
+	checkBytesBudget(t, "vnfchain/netronome ILP mapping", BenchmarkMapILP, mapBytesBudget)
+}
+
+// adviseBytesBudget bounds the bytes one warm BenchmarkAdviseSerial call
+// allocates: three mappings and three predictions of the VNF chain. Built
+// fresh per call (targets, engines, tableaux, per-class tallies) they came
+// to about 230 KB; reused, about 66 KB.
+const adviseBytesBudget = 100_000
+
+// TestAdviseAllocBudget keeps a warm advise call from rebuilding what it
+// already has: the built-in targets, the NF's compiled engines, the LP
+// workspace and the predictor's cost environment.
+func TestAdviseAllocBudget(t *testing.T) {
+	checkBytesBudget(t, "vnfchain warm advise", BenchmarkAdviseSerial, adviseBytesBudget)
+}
+
+// checkBytesBudget runs bench and fails t when an op allocates more than
+// budget bytes.
+func checkBytesBudget(t *testing.T, what string, bench func(*testing.B), budget int64) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	res := testing.Benchmark(bench)
 	if res.N == 0 {
-		t.Fatal("BenchmarkMapILP did not run")
+		t.Fatalf("%s: benchmark did not run", what)
 	}
 	perOp := res.AllocedBytesPerOp()
-	t.Logf("vnfchain/netronome ILP mapping: %d B/op, %d allocs/op over %d solves",
-		perOp, res.AllocsPerOp(), res.N)
-	if perOp > mapBytesBudget {
-		t.Errorf("ILP mapping allocates %d B/op, budget is %d", perOp, mapBytesBudget)
+	t.Logf("%s: %d B/op, %d allocs/op over %d ops", what, perOp, res.AllocsPerOp(), res.N)
+	if perOp > budget {
+		t.Errorf("%s allocates %d B/op, budget is %d", what, perOp, budget)
 	}
 }

@@ -193,11 +193,21 @@ type NF struct {
 	// many targets, eval grids) share one read-only annotated graph.
 	annMu     sync.Mutex
 	annotated map[symexec.Weights]*cir.Graph
+
+	// engines holds compiled engines for Program that no prediction is
+	// running. An engine keeps its registers inside itself, so concurrent
+	// predictions each take their own; at most cap(engines) wait between
+	// calls, and they go away with the NF.
+	engines chan *cir.Compiled
 }
 
 // annotatedCacheCap bounds the per-NF annotated-graph cache; sweeps over
 // unbounded workload grids reset it rather than grow without limit.
 const annotatedCacheCap = 64
+
+// engineCacheCap bounds the compiled engines an NF keeps: one per target
+// of a concurrent Advise, and one more.
+const engineCacheCap = 4
 
 // CompileNF lowers NF-dialect source into Clara IR and extracts its
 // dataflow graph.
@@ -211,7 +221,10 @@ func CompileNF(source string) (*NF, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &NF{Source: source, Program: prog, Graph: g, Preload: map[string]int{}}, nil
+		return &NF{
+			Source: source, Program: prog, Graph: g, Preload: map[string]int{},
+			engines: make(chan *cir.Compiled, engineCacheCap),
+		}, nil
 	})
 }
 
@@ -230,7 +243,8 @@ func (nf *NF) Name() string { return nf.Program.Name }
 // Targets lists the built-in SmartNIC profiles.
 func Targets() []string { return lnic.ProfileNames() }
 
-// NewTarget instantiates a built-in SmartNIC profile by name.
+// NewTarget instantiates a built-in SmartNIC profile by name. Each call
+// returns a fresh copy the caller owns.
 func NewTarget(name string) (*Target, error) {
 	mk, ok := lnic.Profiles()[name]
 	if !ok {
@@ -238,6 +252,25 @@ func NewTarget(name string) (*Target, error) {
 	}
 	return mk(), nil
 }
+
+// builtinTarget is one built-in profile and its registry name.
+type builtinTarget struct {
+	name   string
+	target *Target
+}
+
+// builtinTargets returns one instance of every built-in profile, in
+// registry order, built on first use. Advise shares them across calls and
+// goroutines, so nothing may write to them: the mapper and the predictor
+// only read a target.
+var builtinTargets = sync.OnceValue(func() []builtinTarget {
+	names := Targets()
+	out := make([]builtinTarget, len(names))
+	for i, name := range names {
+		out[i] = builtinTarget{name, lnic.Profiles()[name]()}
+	}
+	return out
+})
 
 // ParseWorkload parses an abstract workload spec such as
 // "packets=20000,rate=60000,flows=10000,tcp=0.8,size=300" into expectations.
@@ -342,6 +375,30 @@ func (nf *NF) annotatedGraph(ctx context.Context, wl Workload) (*cir.Graph, erro
 	return g, nil
 }
 
+// engine returns a compiled engine for the NF's program that no one else is
+// running, compiling one when none is free. Hand it back with putEngine.
+func (nf *NF) engine() (*cir.Compiled, error) {
+	select {
+	case c := <-nf.engines:
+		return c, nil
+	default:
+	}
+	c, err := cir.Compile(nf.Program)
+	if err != nil {
+		return nil, fmt.Errorf("predict: %w", err)
+	}
+	return c, nil
+}
+
+// putEngine returns c to the NF's free engines, or drops it when enough
+// are waiting.
+func (nf *NF) putEngine(c *cir.Compiled) {
+	select {
+	case nf.engines <- c:
+	default:
+	}
+}
+
 // Map lowers the NF onto the target for the workload (§3.4). The dataflow
 // graph's edge probabilities are first refined by behaviour enumeration;
 // the refinement happens on a per-workload clone, so Map is safe to call
@@ -405,7 +462,13 @@ func (nf *NF) PredictMappedContext(ctx context.Context, t *Target, m *Mapping, w
 	}
 	defer obs.From(ctx).StageTimer("predict")()
 	return budget.Guard1("predict", nf.Program.Name, func() (*Prediction, error) {
-		return predict.PredictWithClasses(nf.Program, classes, m, t, wl, opts)
+		comp, err := nf.engine()
+		if err != nil {
+			return nil, err
+		}
+		p, err := predict.PredictCompiled(comp, classes, m, t, wl, opts)
+		nf.putEngine(comp)
+		return p, err
 	})
 }
 
@@ -752,8 +815,8 @@ func Advise(nf *NF, wl Workload) ([]Advice, error) {
 // AdviseParallel is Advise with an explicit worker count (values < 1 select
 // GOMAXPROCS, 1 forces the sequential loop). The ranking is identical at any
 // width: per-target results land in registry order before the final sort,
-// and an infeasible prediction is data, not an error — only target
-// construction failures abort the sweep.
+// and an infeasible prediction is data, not an error — only cancellation
+// and tripped budgets abort the sweep.
 func AdviseParallel(nf *NF, wl Workload, parallel int) ([]Advice, error) {
 	return AdviseContext(context.Background(), nf, wl, parallel)
 }
@@ -768,14 +831,10 @@ func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Ad
 	if _, err := nf.annotatedGraph(ctx, wl); err != nil {
 		return nil, err
 	}
-	names := Targets()
-	out, err := runner.Map(ctx, parallel, len(names),
+	targets := builtinTargets()
+	out, err := runner.Map(ctx, parallel, len(targets),
 		func(cctx context.Context, i int) (Advice, error) {
-			name := names[i]
-			t, err := NewTarget(name)
-			if err != nil {
-				return Advice{}, err
-			}
+			name, t := targets[i].name, targets[i].target
 			pred, err := nf.PredictContext(cctx, t, wl, Hints{})
 			if err != nil {
 				if retryable(err) {

@@ -1,9 +1,13 @@
 package clara
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
+
+	"clara/internal/lnic"
+	"clara/internal/nf"
 )
 
 // newSharedNF compiles a fresh firewall NF for concurrency tests.
@@ -112,5 +116,82 @@ func TestParallelWidthInvariance(t *testing.T) {
 		if !reflect.DeepEqual(an, seqPartial) {
 			t.Errorf("width %d: AnalyzePartial diverged from sequential", width)
 		}
+	}
+}
+
+// TestSharedTargetsStayReadOnly checks the contract that lets Advise share
+// one instance of each built-in target across calls and goroutines: after
+// concurrent Advise calls over every corpus NF, each shared target still
+// equals a freshly built profile. NewTarget keeps handing out copies the
+// caller owns: mutating one changes no Advise ranking.
+func TestSharedTargetsStayReadOnly(t *testing.T) {
+	wl, err := ParseWorkload("flows=2000,size=600,rate=400000,tcp=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := nf.All()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(all))
+	for _, name := range nf.Names() {
+		nfo, err := CompileNF(all[name].Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 2; k++ {
+				if _, err := AdviseContext(context.Background(), nfo, wl, 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, bt := range builtinTargets() {
+		if fresh := lnic.Profiles()[bt.name](); !reflect.DeepEqual(bt.target, fresh) {
+			t.Errorf("shared target %s differs from a fresh profile after concurrent Advise", bt.name)
+		}
+	}
+
+	nfo, err := CompileNF(all["vnfchain"].Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := Advise(nfo, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two NewTarget calls returned the same target")
+	}
+	for _, bt := range builtinTargets() {
+		if bt.target == a || bt.target == b {
+			t.Fatal("NewTarget returned the target Advise shares")
+		}
+	}
+	a.ClockGHz *= 4
+	a.Mems[0].LoadCycles *= 100
+	a.Units[0].Threads = 1
+	a.Hubs = nil
+	after, err := Advise(nfo, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("mutating a NewTarget copy changed the Advise ranking:\n%v\n%v", before, after)
 	}
 }

@@ -396,6 +396,9 @@ func opVCall(st *state, r *rec, in *Instr) error {
 // Interp.Reg.
 func (c *Compiled) Reg(r Reg) uint64 { return c.st.regs[r] }
 
+// Program returns the program c was compiled from.
+func (c *Compiled) Program() *Program { return c.prog }
+
 // Run executes the compiled program for one packet and returns the verdict.
 // It mirrors Interp.Run clause for clause: registers and scratch are
 // re-zeroed, MaxSteps defaults to one million, the meter books and hooks

@@ -477,21 +477,21 @@ func (g *Graph) topoOrder() []int {
 	for _, e := range g.Edges {
 		inDeg[e.To]++
 	}
-	var queue, order []int
+	// order doubles as the FIFO queue: nodes are appended when they become
+	// ready and visited in the order they were appended.
+	order := make([]int, 0, len(g.Nodes))
 	for i := range g.Nodes {
 		if inDeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
+	for head := 0; head < len(order); head++ {
+		n := order[head]
 		for _, e := range g.Edges {
 			if e.From == n {
 				inDeg[e.To]--
 				if inDeg[e.To] == 0 {
-					queue = append(queue, e.To)
+					order = append(order, e.To)
 				}
 			}
 		}

@@ -132,34 +132,47 @@ func TestSolveMatchesDenseOnOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nonFinite := 0
 	for trial := 0; trial < 4000; trial++ {
-		m := NewModel()
-		nv := 2 + rng.Intn(4)
-		for i := 0; i < nv; i++ {
-			v := m.Continuous(fmt.Sprintf("x%d", i), 0, math.Inf(1))
-			if rng.Intn(2) == 0 {
-				v = m.Binary(fmt.Sprintf("b%d", i))
-			}
-			m.SetObjectiveTerm(v, float64(rng.Intn(7)-3)*math.Pow(10, float64(rng.Intn(600)-300)))
-		}
-		for c := 0; c < 1+rng.Intn(4); c++ {
-			var terms []Term
-			for v := 0; v < nv; v++ {
-				if rng.Intn(3) > 0 {
-					terms = append(terms, Term{VarID(v), float64(rng.Intn(9)-4) * math.Pow(10, float64(rng.Intn(616)-308))})
-				}
-			}
-			m.AddConstraint(fmt.Sprintf("c%d", c), terms, Sense(rng.Intn(3)),
-				float64(rng.Intn(9)-4)*math.Pow(10, float64(rng.Intn(600)-300)))
-		}
+		m := overflowModel(rng)
 		checkMatchesDense(t, fmt.Sprintf("trial %d", trial), m)
-		if s, err := m.solve(2000, solveLP); err == nil && s.Status == StatusOptimal &&
-			(math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0)) {
+		if overflows(m) {
 			nonFinite++
 		}
 	}
 	if nonFinite == 0 {
 		t.Error("no trial overflowed; the test no longer reaches the non-finite path")
 	}
+}
+
+// overflowModel draws a small model whose coefficients span ±1e±308, so
+// that pivots may overflow.
+func overflowModel(rng *rand.Rand) *Model {
+	m := NewModel()
+	nv := 2 + rng.Intn(4)
+	for i := 0; i < nv; i++ {
+		v := m.Continuous(fmt.Sprintf("x%d", i), 0, math.Inf(1))
+		if rng.Intn(2) == 0 {
+			v = m.Binary(fmt.Sprintf("b%d", i))
+		}
+		m.SetObjectiveTerm(v, float64(rng.Intn(7)-3)*math.Pow(10, float64(rng.Intn(600)-300)))
+	}
+	for c := 0; c < 1+rng.Intn(4); c++ {
+		var terms []Term
+		for v := 0; v < nv; v++ {
+			if rng.Intn(3) > 0 {
+				terms = append(terms, Term{VarID(v), float64(rng.Intn(9)-4) * math.Pow(10, float64(rng.Intn(616)-308))})
+			}
+		}
+		m.AddConstraint(fmt.Sprintf("c%d", c), terms, Sense(rng.Intn(3)),
+			float64(rng.Intn(9)-4)*math.Pow(10, float64(rng.Intn(600)-300)))
+	}
+	return m
+}
+
+// overflows reports whether m solves to an optimum with a non-finite
+// objective: its pivots met an infinite or NaN multiplier.
+func overflows(m *Model) bool {
+	s, err := m.solve(2000, solveLP)
+	return err == nil && s.Status == StatusOptimal && (math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0))
 }
 
 // TestSolveMatchesDenseNegatedBounds pins the negated upper-bound row: a
@@ -187,5 +200,11 @@ func FuzzSolveMatchesDense(f *testing.F) {
 	f.Add([]byte("$002000000000\xff00AA010000\xffx00A00ax000AA00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMatchesDense(t, "fuzz", modelFromBytes(data))
+		// Again right after a model of another size, so the pooled
+		// workspace arrives resized and holding another solve's entries.
+		if _, err := assignModel(1, 6, 5).solve(2000, solveLP); err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesDense(t, "fuzz after a larger model", modelFromBytes(data))
 	})
 }

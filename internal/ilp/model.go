@@ -74,6 +74,7 @@ type Namer interface {
 type Model struct {
 	vars     []variable
 	cons     []constraint
+	terms    []Term    // arena the constraints' terms are cut from
 	obj      []float64 // objective coefficient per variable
 	maximize bool
 	namer    Namer
@@ -106,11 +107,13 @@ func (m *Model) addVar(v variable) VarID {
 	return VarID(len(m.vars) - 1)
 }
 
-// Grow reserves room for vars more variables and cons more constraints.
-func (m *Model) Grow(vars, cons int) {
+// Grow reserves room for vars more variables, and for cons more
+// constraints holding terms terms between them.
+func (m *Model) Grow(vars, cons, terms int) {
 	m.vars = slices.Grow(m.vars, vars)
 	m.obj = slices.Grow(m.obj, vars)
 	m.cons = slices.Grow(m.cons, cons)
+	m.terms = slices.Grow(m.terms, terms)
 }
 
 // NumVars returns the variable count.
@@ -150,16 +153,18 @@ func (m *Model) AddObjectiveTerm(v VarID, coeff float64) {
 // Maximize flips the model to maximization.
 func (m *Model) Maximize() { m.maximize = true }
 
-// AddConstraint adds Σ t.Coef·t.Var  sense  rhs. The terms are copied,
-// sorted by variable; repeated variables are summed and zero coefficients
-// dropped.
+// AddConstraint adds Σ t.Coef·t.Var  sense  rhs. The terms are copied into
+// the model's term arena, sorted by variable; repeated variables are summed
+// and zero coefficients dropped.
 func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float64) {
-	t := slices.Clone(terms)
-	for _, tm := range t {
+	for _, tm := range terms {
 		if int(tm.Var) < 0 || int(tm.Var) >= len(m.vars) {
 			panic(fmt.Sprintf("ilp: constraint %q references unknown variable %d", name, tm.Var))
 		}
 	}
+	start := len(m.terms)
+	m.terms = append(m.terms, terms...)
+	t := m.terms[start:]
 	slices.SortStableFunc(t, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	merged := t[:0]
 	for _, tm := range t {
@@ -170,7 +175,8 @@ func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float6
 		}
 	}
 	t = slices.DeleteFunc(merged, func(tm Term) bool { return tm.Coef == 0 })
-	m.cons = append(m.cons, constraint{name: name, terms: t, sense: sense, rhs: rhs})
+	m.terms = m.terms[:start+len(t)]
+	m.cons = append(m.cons, constraint{name: name, terms: t[:len(t):len(t)], sense: sense, rhs: rhs})
 }
 
 // Fix pins a variable to a value via an equality constraint (used by the

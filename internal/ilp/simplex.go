@@ -1,6 +1,10 @@
 package ilp
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync"
+)
 
 // solveLP solves the LP relaxation of m with objective obj (minimize) and
 // per-variable bounds lo/hi. It returns variable values in the model's
@@ -14,6 +18,9 @@ import "math"
 // but subtractions of an exact zero, so every pivot, and every nonzero
 // tableau entry, is the one the dense tableau (reference_test.go) produces;
 // at most the sign of a zero entry differs.
+//
+// The tableau's storage comes from tableauPool and goes back to it when the
+// solve returns; only the returned values are allocated per call.
 func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 	n := len(m.vars)
 	for i := 0; i < n; i++ {
@@ -21,12 +28,14 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 			return nil, 0, StatusInfeasible
 		}
 	}
+	t := tableauPool.Get().(*tableau)
+	defer t.release()
 
 	// Shifted right-hand sides: model rows, then one upper-bound row per
 	// finitely bounded variable. A negative one flips its row's sense,
 	// which decides the column layout before any row is written.
 	nCons := len(m.cons)
-	rhs := make([]float64, nCons, nCons+n)
+	rhs := slices.Grow(t.rhs[:0], nCons+n)[:nCons]
 	for ci, c := range m.cons {
 		r := c.rhs
 		for _, t := range c.terms {
@@ -34,13 +43,14 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 		}
 		rhs[ci] = r
 	}
-	ubVar := make([]int, 0, n)
+	ubVar := slices.Grow(t.ubVar[:0], n)
 	for k := 0; k < n; k++ {
 		if !math.IsInf(hi[k], 1) {
 			ubVar = append(ubVar, k)
 			rhs = append(rhs, hi[k]-lo[k])
 		}
 	}
+	t.ubVar = ubVar
 	mRows := len(rhs)
 	sense := func(i int) Sense {
 		s := LE
@@ -70,23 +80,26 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 	}
 	total := n + nSlack + nArt
 	words := (total + 63) / 64
-	t := &tableau{
-		rows:  make([][]entry, mRows),
-		rhs:   rhs,
-		cols:  make([]uint64, mRows*words),
-		words: words,
-		obj:   make([]float64, total+1),
-		basis: make([]int, mRows),
-		total: total,
-		prow:  make([]float64, total),
-	}
+	t.rows = resize(t.rows, mRows)
+	t.rhs = rhs
+	t.cols = resize(t.cols, mRows*words)
+	clear(t.cols)
+	t.words = words
+	t.obj = resize(t.obj, total+1)
+	clear(t.obj)
+	t.basis = resize(t.basis, mRows)
+	t.total = total
+	t.prow = resize(t.prow, total)
+	clear(t.prow)
 	// Every row's initial entries go into one slab; a row that outgrows
-	// its share on a pivot moves out.
+	// its share on a pivot moves to the spill slab (carve).
 	size := 3 * mRows
 	for _, c := range m.cons {
 		size += len(c.terms)
 	}
-	slab := make([]entry, 0, size)
+	slab := slices.Grow(t.slab[:0], size)
+	t.slab = slab
+	t.spill = t.spill[:0]
 	slackIdx, artIdx := n, n+nSlack
 	for i := 0; i < mRows; i++ {
 		s, sign := sense(i), 1.0
@@ -207,6 +220,47 @@ type tableau struct {
 	basis []int     // basic column of each row
 	total int       // column count, and the index of the objective's rhs
 	prow  []float64 // the pivot row over all columns during a pivot, else zero
+
+	// Backing storage kept for the next solve: the upper-bounded variables,
+	// the slab holding every row's initial entries, and the spill slab rows
+	// move to when they outgrow their share (carve).
+	ubVar []int
+	slab  []entry
+	spill []entry
+}
+
+// tableauPool recycles tableaux across solves. Branch and bound solves one
+// LP per node and the mapper solves one ILP per target, so without reuse
+// the tableau storage is most of the bytes a mapping allocates.
+var tableauPool = sync.Pool{New: func() any { return new(tableau) }}
+
+// release drops the rows, which may point into spill slabs the tableau no
+// longer holds, and returns t to the pool.
+func (t *tableau) release() {
+	clear(t.rows)
+	tableauPool.Put(t)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// carve returns an empty row with room for n entries, cut from the spill
+// slab. A full slab is replaced by one at least twice its size; rows
+// already cut from it keep it alive until the solve ends.
+func (t *tableau) carve(n int) []entry {
+	at := len(t.spill)
+	if at+n > cap(t.spill) {
+		t.spill = make([]entry, 0, max(2*cap(t.spill), n, 256))
+		at = 0
+	}
+	t.spill = t.spill[:at+n]
+	return t.spill[at : at : at+n]
 }
 
 // entry is one nonzero of a constraint row.
@@ -306,7 +360,7 @@ func (t *tableau) eliminate(i int, f float64, pr int) {
 			}
 		}
 		if len(r)+fill > cap(r) {
-			r = append(make([]entry, 0, 2*(len(r)+fill)), r...)
+			r = append(t.carve(2*(len(r)+fill)), r...)
 		}
 		for _, e := range p {
 			if !cols.has(e.j) {

@@ -326,6 +326,20 @@ func (l *LNIC) UnitsOfKind(k UnitKind) []int {
 	return out
 }
 
+// PricingUnit returns the ID of the representative unit that prices
+// instruction execution: the first general core, or the first MAU stage on
+// a core-less ASIC. ok is false when the NIC has neither.
+func (l *LNIC) PricingUnit() (id int, ok bool) {
+	for _, k := range [...]UnitKind{UnitNPU, UnitMAU} {
+		for _, u := range l.Units {
+			if u.Kind == k {
+				return u.ID, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Accelerators returns IDs of accelerator units of the given class.
 func (l *LNIC) Accelerators(class string) []int {
 	var out []int

@@ -20,14 +20,7 @@ type CostModel struct {
 }
 
 func NewCostModel(nic *lnic.LNIC, wl Workload) *CostModel {
-	gp := nic.UnitsOfKind(lnic.UnitNPU)
-	if len(gp) == 0 {
-		gp = nic.UnitsOfKind(lnic.UnitMAU)
-	}
-	npu := 0
-	if len(gp) > 0 {
-		npu = gp[0]
-	}
+	npu, _ := nic.PricingUnit()
 	return &CostModel{nic: nic, wl: wl, npu: npu}
 }
 

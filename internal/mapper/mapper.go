@@ -256,8 +256,22 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 	}
 	enc.model = ilp.NewModel()
 	enc.model.SetNamer(enc)
+	// Terms: every decision in its Π or Γ row, each edge's two domains,
+	// each Γ option in its capacity and flow-cache rows, and each
+	// accelerator decision in its Θ row.
+	nTerms := len(enc.units) + 3*len(enc.opts)
+	for _, e := range g.Edges {
+		nTerms += enc.xOff[e.To+1] - enc.xOff[e.To] + enc.xOff[e.From+1] - enc.xOff[e.From]
+	}
+	if wl.RatePPS > 0 {
+		for _, j := range enc.units {
+			if nic.Units[j].Kind == lnic.UnitAccel {
+				nTerms++
+			}
+		}
+	}
 	enc.model.Grow(len(enc.units)+len(enc.opts),
-		len(g.Nodes)+len(g.Edges)+len(g.Prog.State)+len(nic.Mems)+1+len(nic.Units))
+		len(g.Nodes)+len(g.Edges)+len(g.Prog.State)+len(nic.Mems)+1+len(nic.Units), nTerms)
 	var terms []ilp.Term
 
 	// Π: node-to-unit assignment with capability filtering.

@@ -201,13 +201,8 @@ func representativeCore(nic *lnic.LNIC) *lnic.ComputeUnit {
 }
 
 func representativeCoreID(nic *lnic.LNIC) int {
-	if ids := nic.UnitsOfKind(lnic.UnitNPU); len(ids) > 0 {
-		return ids[0]
-	}
-	if ids := nic.UnitsOfKind(lnic.UnitMAU); len(ids) > 0 {
-		return ids[0]
-	}
-	return 0
+	id, _ := nic.PricingUnit()
+	return id
 }
 
 // meanLatency runs a probe program over a small fixed trace and returns the

@@ -369,11 +369,8 @@ func coreThreads(l *lnic.LNIC) int {
 }
 
 func coreNJ(l *lnic.LNIC) float64 {
-	if ids := l.UnitsOfKind(lnic.UnitNPU); len(ids) > 0 {
-		return l.Units[ids[0]].NJPerCycle
-	}
-	if ids := l.UnitsOfKind(lnic.UnitMAU); len(ids) > 0 {
-		return l.Units[ids[0]].NJPerCycle
+	if id, ok := l.PricingUnit(); ok {
+		return l.Units[id].NJPerCycle
 	}
 	return 0
 }

@@ -14,14 +14,27 @@ import (
 // expectation-based cost model applied to the solved mapping. This is the
 // predictor's counterpart of the simulator's exec — same control flow,
 // expected values instead of concrete microarchitectural state.
+//
+// One costEnv serves every class of a prediction: what depends only on the
+// program, the mapping and the NIC is resolved when it is built, and reset
+// clears the per-class tallies before each class runs.
 type costEnv struct {
-	sem  *symexec.Env
-	prog *cir.Program
-	m    *mapper.Mapping
-	nic  *lnic.LNIC
-	wl   mapper.Workload
-	cm   *mapper.CostModel
-	npu  *lnic.ComputeUnit
+	sem symexec.Env
+	m   *mapper.Mapping
+	nic *lnic.LNIC
+	wl  mapper.Workload
+	cm  *mapper.CostModel
+	npu *lnic.ComputeUnit
+
+	// states binds each state slot (cir.Instr.Slot) to its placement;
+	// accels holds the first unit of each accelerator class, nil when the
+	// NIC has none, and accelUnits how many units the class has; pktLine
+	// and pktAccess price packet-memory reads.
+	states     []boundState
+	accels     [numAccels]*lnic.ComputeUnit
+	accelUnits [numAccels]int
+	pktLine    float64
+	pktAccess  float64
 
 	cycles float64
 	// Energy accounting (the §6 E3-style extension): compute holds active
@@ -30,39 +43,90 @@ type costEnv struct {
 	// accesses per region, and accel time is tracked per class below.
 	// memCycles splits memStall by region so the co-location predictor can
 	// report per-region utilization (Prediction.ResourceLoad); nil — the
-	// default — skips the tracking, keeping the solo Predict path free of
-	// the extra map work.
+	// default — skips the tracking.
 	compute     float64
 	memStall    float64
-	memAccesses map[int]float64
-	memCycles   map[int]float64 // nil unless Options.ResourceLoad
-	parsed      map[uint64]bool
-	accelUses   map[string]float64
-	accelSvc    map[string]float64
+	memAccesses []float64 // per region
+	memCycles   []float64 // per region; nil unless Options.ResourceLoad
+	parsed      []uint64  // headers parsed so far
+	accelUses   [numAccels]float64
+	accelSvc    [numAccels]float64
+}
+
+// Accelerator classes the predictor books time on, indexed in name order.
+const (
+	accelChecksum = iota
+	accelCrypto
+	accelFlowCache
+	numAccels
+)
+
+var accelClass = [numAccels]string{"checksum", "crypto", "flowcache"}
+
+// boundState is a state object with its placement under the mapping.
+type boundState struct {
+	obj       *cir.StateObj
+	region    int
+	flowCache bool
+	access    float64 // expected cycles of one access (CostModel.StateAccess)
 }
 
 // pricingUnit is the representative general core that prices instruction
 // execution, with MAU stages standing in on core-less ASICs; nil when the NIC
 // has neither.
 func pricingUnit(nic *lnic.LNIC) *lnic.ComputeUnit {
-	gp := nic.UnitsOfKind(lnic.UnitNPU)
-	if len(gp) == 0 {
-		gp = nic.UnitsOfKind(lnic.UnitMAU)
+	if id, ok := nic.PricingUnit(); ok {
+		return &nic.Units[id]
 	}
-	if len(gp) == 0 {
-		return nil
-	}
-	return &nic.Units[gp[0]]
+	return nil
 }
 
-func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.ComputeUnit, wl mapper.Workload, cm *mapper.CostModel, a symexec.Attrs) *costEnv {
-	return &costEnv{
-		sem: symexec.NewEnv(a), prog: prog, m: m, nic: nic, wl: wl, cm: cm, npu: npu,
-		parsed:      map[uint64]bool{},
-		memAccesses: map[int]float64{},
-		accelUses:   map[string]float64{},
-		accelSvc:    map[string]float64{},
+func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.ComputeUnit, wl mapper.Workload, cm *mapper.CostModel, resourceLoad bool) *costEnv {
+	e := &costEnv{
+		m: m, nic: nic, wl: wl, cm: cm, npu: npu,
+		states:      make([]boundState, len(prog.State)),
+		memAccesses: make([]float64, len(nic.Mems)),
+		pktLine:     float64(nic.Mems[nic.PktMem].LineBytes),
+		pktAccess:   cm.PktAccess(),
 	}
+	if e.pktLine <= 0 {
+		e.pktLine = 64
+	}
+	if resourceLoad {
+		e.memCycles = make([]float64, len(nic.Mems))
+	}
+	for k := range e.accels {
+		for j := range nic.Units {
+			if u := &nic.Units[j]; u.Kind == lnic.UnitAccel && u.AccelClass == accelClass[k] {
+				if e.accelUnits[k]++; e.accels[k] == nil {
+					e.accels[k] = u
+				}
+			}
+		}
+	}
+	for si := range prog.State {
+		obj := &prog.State[si]
+		region, ok := m.StateMem[obj.Name]
+		if !ok {
+			region = len(nic.Mems) - 1
+		}
+		e.states[si] = boundState{
+			obj: obj, region: region, flowCache: m.UseFlowCache[obj.Name],
+			access: cm.StateAccess(*obj, region),
+		}
+	}
+	return e
+}
+
+// reset readies e for the next class, with attribute valuation a.
+func (e *costEnv) reset(a symexec.Attrs) {
+	e.sem.Reset(a)
+	e.cycles, e.compute, e.memStall = 0, 0, 0
+	clear(e.memAccesses)
+	clear(e.memCycles)
+	e.parsed = e.parsed[:0]
+	e.accelUses = [numAccels]float64{}
+	e.accelSvc = [numAccels]float64{}
 }
 
 // meter books each instruction's price from prices into cycles, then into
@@ -71,10 +135,11 @@ func (e *costEnv) meter(prices *cir.Prices) cir.Meter {
 	return cir.Meter{Prices: prices, Clock: &e.cycles, Compute: &e.compute}
 }
 
-func (e *costEnv) accel(class string, svc float64) {
+// accel books one visit of svc cycles to accelerator class k.
+func (e *costEnv) accel(k int, svc float64) {
 	e.cycles += svc
-	e.accelUses[class]++
-	e.accelSvc[class] += svc
+	e.accelUses[k]++
+	e.accelSvc[k] += svc
 }
 
 // chargeCompute books active core cycles.
@@ -96,7 +161,8 @@ func (e *costEnv) chargeMem(region int, n, perAccess float64) {
 // energyNJ totals the class's energy under the coefficient model: active
 // core cycles at full unit power, memory-stall cycles at 10% (threads
 // yield), per-access memory energy, and accelerator service at the
-// accelerator's own coefficient.
+// accelerator's own coefficient. Regions, then accelerator classes, are
+// summed in index order.
 func (e *costEnv) energyNJ() float64 {
 	coreNJ := 0.0
 	if e.npu != nil {
@@ -104,11 +170,13 @@ func (e *costEnv) energyNJ() float64 {
 	}
 	total := e.compute*coreNJ + e.memStall*0.1*coreNJ
 	for region, n := range e.memAccesses {
-		total += n * e.nic.Mems[region].NJPerAccess
+		if n != 0 {
+			total += n * e.nic.Mems[region].NJPerAccess
+		}
 	}
-	for class, svc := range e.accelSvc {
-		if ids := e.nic.Accelerators(class); len(ids) > 0 {
-			total += svc * e.nic.Units[ids[0]].NJPerCycle
+	for k, uses := range e.accelUses {
+		if uses > 0 {
+			total += e.accelSvc[k] * e.accels[k].NJPerCycle
 		}
 	}
 	return total
@@ -117,8 +185,8 @@ func (e *costEnv) energyNJ() float64 {
 // newEntryAccess is the expected latency of touching a brand-new table
 // entry: a compulsory miss, except that consecutive insertions share cache
 // lines (entrySize/lineBytes of new entries open a fresh line).
-func (e *costEnv) newEntryAccess(obj cir.StateObj, region int) float64 {
-	m := &e.nic.Mems[region]
+func (e *costEnv) newEntryAccess(s *boundState) float64 {
+	m := &e.nic.Mems[s.region]
 	if m.CacheBytes == 0 {
 		return m.LoadCycles
 	}
@@ -126,35 +194,42 @@ func (e *costEnv) newEntryAccess(obj cir.StateObj, region int) float64 {
 	if line <= 0 {
 		line = 64
 	}
-	f := float64(obj.KeySize+obj.ValueSize) / float64(line)
+	f := float64(s.obj.KeySize+s.obj.ValueSize) / float64(line)
 	if f > 1 {
 		f = 1
 	}
-	warm := e.cm.StateAccess(obj, region)
-	return f*m.LoadCycles + (1-f)*warm
+	return f*m.LoadCycles + (1-f)*s.access
 }
 
 // missProbeAccess is the expected bucket-read latency on a lookup miss:
 // bucket lines are shared across many flows, so roughly half of first
 // probes find their line already resident.
-func (e *costEnv) missProbeAccess(obj cir.StateObj, region int) float64 {
-	m := &e.nic.Mems[region]
+func (e *costEnv) missProbeAccess(s *boundState) float64 {
+	m := &e.nic.Mems[s.region]
 	if m.CacheBytes == 0 {
 		return m.LoadCycles
 	}
-	return 0.5 * (m.LoadCycles + e.cm.StateAccess(obj, region))
+	return 0.5 * (m.LoadCycles + s.access)
 }
 
-func (e *costEnv) stateObj(name string) (cir.StateObj, int, error) {
-	obj, ok := e.prog.StateByName(name)
-	if !ok {
-		return cir.StateObj{}, 0, fmt.Errorf("predict: unknown state %q", name)
+// state returns the placement of the state in references.
+func (e *costEnv) state(in *cir.Instr) (*boundState, error) {
+	if s := in.Slot; s >= 0 && s < len(e.states) && e.states[s].obj.Name == in.State {
+		return &e.states[s], nil
 	}
-	region, ok := e.m.StateMem[name]
-	if !ok {
-		region = len(e.nic.Mems) - 1
+	return nil, fmt.Errorf("predict: unknown state %q", in.State)
+}
+
+// parse reports whether header proto was already parsed for this class,
+// and marks it parsed.
+func (e *costEnv) parse(proto uint64) bool {
+	for _, p := range e.parsed {
+		if p == proto {
+			return true
+		}
 	}
-	return obj, region, nil
+	e.parsed = append(e.parsed, proto)
+	return false
 }
 
 // VCall charges the expected cost of the call and delegates its value to
@@ -162,14 +237,10 @@ func (e *costEnv) stateObj(name string) (cir.StateObj, int, error) {
 func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	nic := e.nic
 	seen := e.sem.Attrs().FlowSeen
-	pktLine := float64(nic.Mems[nic.PktMem].LineBytes)
-	if pktLine <= 0 {
-		pktLine = 64
-	}
+	pktLine := e.pktLine
 	switch in.Callee {
 	case cir.VCGetHdr:
-		if !e.parsed[args[0]] {
-			e.parsed[args[0]] = true
+		if !e.parse(args[0]) {
 			if e.m.ParseOnEngine {
 				e.chargeCompute(nic.MetadataCycles)
 			} else {
@@ -190,19 +261,16 @@ func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCPayloadByte:
 		e.chargeCompute(1)
-		e.chargeMem(nic.PktMem, 1/pktLine, e.cm.PktAccess())
+		e.chargeMem(nic.PktMem, 1/pktLine, e.pktAccess)
 
 	case cir.VCChecksum:
-		if e.m.ChecksumOnAccel {
-			if ids := nic.Accelerators("checksum"); len(ids) > 0 {
-				u := &nic.Units[ids[0]]
-				e.accel("checksum", u.FixedCycles+u.PerByteCycles*e.cm.L4SegLen())
-				break
-			}
+		if u := e.accels[accelChecksum]; e.m.ChecksumOnAccel && u != nil {
+			e.accel(accelChecksum, u.FixedCycles+u.PerByteCycles*e.cm.L4SegLen())
+			break
 		}
 		seg := e.cm.L4SegLen()
 		e.chargeCompute(100 + seg)
-		e.chargeMem(nic.PktMem, seg/pktLine, e.cm.PktAccess())
+		e.chargeMem(nic.PktMem, seg/pktLine, e.pktAccess)
 
 	case cir.VCCksumUpdate:
 		e.chargeCompute(2*nic.MetadataCycles + 4)
@@ -212,134 +280,122 @@ func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCCrypto:
 		n := float64(args[1])
-		if e.m.CryptoOnAccel {
-			if ids := nic.Accelerators("crypto"); len(ids) > 0 {
-				u := &nic.Units[ids[0]]
-				e.accel("crypto", u.FixedCycles+u.PerByteCycles*n)
-				break
-			}
+		if u := e.accels[accelCrypto]; e.m.CryptoOnAccel && u != nil {
+			e.accel(accelCrypto, u.FixedCycles+u.PerByteCycles*n)
+			break
 		}
 		e.chargeCompute(200 + n*30)
 
 	case cir.VCMapLookup:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		acc := e.cm.StateAccess(obj, region)
+		acc := s.access
 		if !seen {
 			// First packet of a flow probes a partially-warm bucket region.
-			acc = e.missProbeAccess(obj, region)
+			acc = e.missProbeAccess(s)
 		}
-		if e.m.UseFlowCache[in.State] {
-			if ids := nic.Accelerators("flowcache"); len(ids) > 0 {
-				e.accel("flowcache", nic.Units[ids[0]].FixedCycles)
-				if !seen {
-					e.chargeCompute(nic.HashCycles)
-					e.chargeMem(region, 1, acc) // software miss probe
-				}
-				break
+		if u := e.accels[accelFlowCache]; s.flowCache && u != nil {
+			e.accel(accelFlowCache, u.FixedCycles)
+			if !seen {
+				e.chargeCompute(nic.HashCycles)
+				e.chargeMem(s.region, 1, acc) // software miss probe
 			}
+			break
 		}
 		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(region, 1, acc)
+		e.chargeMem(s.region, 1, acc)
 		if seen {
-			e.chargeMem(region, 1, acc) // entry fetch on hit
+			e.chargeMem(s.region, 1, acc) // entry fetch on hit
 		}
 
 	case cir.VCMapGet:
 		e.chargeCompute(1)
 
 	case cir.VCMapPut:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		acc := e.cm.StateAccess(obj, region)
 		e.chargeCompute(nic.HashCycles)
 		if !seen {
 			// Fresh entry: the bucket line was just pulled in by the failed
 			// lookup (warm); the entry itself is a compulsory first touch.
-			e.chargeMem(region, 1, acc)
-			e.chargeMem(region, 1, e.newEntryAccess(obj, region))
+			e.chargeMem(s.region, 1, s.access)
+			e.chargeMem(s.region, 1, e.newEntryAccess(s))
 			break
 		}
-		e.chargeMem(region, 2, acc)
+		e.chargeMem(s.region, 2, s.access)
 
 	case cir.VCMapDelete:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
 		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(region, 1, e.cm.StateAccess(obj, region))
+		e.chargeMem(s.region, 1, s.access)
 
 	case cir.VCMapIncr:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		e.chargeMem(region, 2, e.cm.StateAccess(obj, region))
+		e.chargeMem(s.region, 2, s.access)
 
 	case cir.VCLPMLookup:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		entry := obj.KeySize + obj.ValueSize
+		entry := s.obj.KeySize + s.obj.ValueSize
 		if entry <= 0 {
 			entry = 8
 		}
-		line := nic.Mems[region].LineBytes
+		line := nic.Mems[s.region].LineBytes
 		if line <= 0 {
 			line = 64
 		}
-		lines := float64((obj.Capacity*entry + line - 1) / line)
-		alu := float64(obj.Capacity) * 2
-		perLine := (e.cm.LPMScanCost(obj, region) - alu) / lines
-		scanMem := func() {
-			e.chargeCompute(alu)
-			e.chargeMem(region, lines, perLine)
+		lines := float64((s.obj.Capacity*entry + line - 1) / line)
+		alu := float64(s.obj.Capacity) * 2
+		perLine := (e.cm.LPMScanCost(*s.obj, s.region) - alu) / lines
+		if u := e.accels[accelFlowCache]; s.flowCache && u != nil {
+			// Unlike stateful map lookups, the LPM's control flow does not
+			// branch on flow history, so cache hits are not a path property
+			// — price the expected miss share directly.
+			e.accel(accelFlowCache, u.FixedCycles)
+			miss := 1 - e.wl.FlowReuse
+			e.chargeCompute(miss * alu)
+			e.chargeMem(s.region, miss*lines, perLine)
+			break
 		}
-		if e.m.UseFlowCache[in.State] {
-			if ids := nic.Accelerators("flowcache"); len(ids) > 0 {
-				// Unlike stateful map lookups, the LPM's control flow does
-				// not branch on flow history, so cache hits are not a path
-				// property — price the expected miss share directly.
-				e.accel("flowcache", nic.Units[ids[0]].FixedCycles)
-				miss := 1 - e.wl.FlowReuse
-				e.chargeCompute(miss * alu)
-				e.chargeMem(region, miss*lines, perLine)
-				break
-			}
-		}
-		scanMem()
+		e.chargeCompute(alu)
+		e.chargeMem(s.region, lines, perLine)
 
 	case cir.VCArrRead, cir.VCArrWrite:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		e.chargeMem(region, 1, e.cm.StateAccess(obj, region))
+		e.chargeMem(s.region, 1, s.access)
 
 	case cir.VCSketchAdd, cir.VCSketchRead:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
 		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(region, 4, e.cm.StateAccess(obj, region))
+		e.chargeMem(s.region, 4, s.access)
 
 	case cir.VCDPIScan:
-		obj, region, err := e.stateObj(in.State)
+		s, err := e.state(in)
 		if err != nil {
 			return 0, err
 		}
-		acc := e.cm.StateAccess(obj, region)
 		n := e.wl.AvgPayload
 		e.chargeCompute(n * 3) // per-byte ALU + payload-read compute share
-		e.chargeMem(nic.PktMem, n/pktLine, e.cm.PktAccess())
-		e.chargeMem(region, n, acc)
+		e.chargeMem(nic.PktMem, n/pktLine, e.pktAccess)
+		e.chargeMem(s.region, n, s.access)
 	}
 	return e.sem.VCall(in, args)
 }

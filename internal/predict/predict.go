@@ -122,6 +122,21 @@ func Predict(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Wor
 // program; they are read, never modified, so one enumeration can serve
 // concurrent predictions.
 func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
+	// A program the engine cannot execute is refused here with the compile
+	// error.
+	comp, err := cir.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("predict: %w", err)
+	}
+	return PredictCompiled(comp, classes, m, nic, wl, opts)
+}
+
+// PredictCompiled is PredictWithClasses on an engine compiled from the
+// program, which callers that predict one program repeatedly keep between
+// calls. The engine runs every class of this call, so it must not run
+// anything else until the call returns.
+func PredictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
+	prog := comp.Program()
 	w := symexec.WeightsFor(wl)
 	if opts.DPIMatchRate > 0 {
 		w.DPIMatch = opts.DPIMatchRate
@@ -132,12 +147,6 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	probs := symexec.Normalize(classes, w)
 	cm := mapper.NewCostModel(nic, wl)
 
-	// One compiled engine serves every class; a program the engine cannot
-	// execute is refused here with the compile error.
-	comp, err := cir.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("predict: %w", err)
-	}
 	// Instructions are priced on the representative core; a NIC without one
 	// prices them at zero.
 	var prices cir.Prices
@@ -145,44 +154,46 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	if npu != nil {
 		prices = nic.InstrPrices(npu)
 	}
-	pred := &Prediction{NFName: prog.Name, NICName: nic.Name}
+	env := newCostEnv(prog, m, nic, npu, wl, cm, opts.ResourceLoad)
+	meter := env.meter(&prices)
+	hooks := cir.Hooks{Meter: &meter, MaxSteps: 2_000_000}
+	pred := &Prediction{NFName: prog.Name, NICName: nic.Name, PerClass: make([]ClassPrediction, 0, len(classes))}
 	var meanExec float64
-	accelUse := map[string]float64{} // accel class → expected visits/packet
-	accelSvc := map[string]float64{} // accel class → expected service/visit
-	var memCycles map[int]float64    // region → expected stall cycles/packet (ResourceLoad only)
+	var accelUse [numAccels]float64 // expected visits/packet per accel class
+	var accelSvc [numAccels]float64 // expected service/visit per accel class
+	var memCycles []float64         // expected stall cycles/packet per region (ResourceLoad only)
 	if opts.ResourceLoad {
-		memCycles = map[int]float64{}
+		memCycles = make([]float64, len(nic.Mems))
 	}
 	for ci := range classes {
 		attrs := classes[ci].Attrs
 		attrs.PayloadLen = int(wl.AvgPayload)
-		env := newCostEnv(prog, m, nic, npu, wl, cm, attrs)
-		if opts.ResourceLoad {
-			env.memCycles = map[int]float64{}
-		}
-		meter := env.meter(&prices)
-		verdict, err := comp.Run(env, &cir.Hooks{Meter: &meter, MaxSteps: 2_000_000})
+		env.reset(attrs)
+		verdict, err := comp.Run(env, &hooks)
 		if err != nil {
 			return nil, fmt.Errorf("predict: class %s: %w", classes[ci].Name(), err)
 		}
+		energy := env.energyNJ()
 		pred.PerClass = append(pred.PerClass, ClassPrediction{
 			Name:     classes[ci].Name(),
 			Attrs:    classes[ci].Attrs,
 			Prob:     probs[ci],
 			Cycles:   env.cycles,
-			EnergyNJ: env.energyNJ(),
+			EnergyNJ: energy,
 			Verdict:  verdict,
 		})
 		meanExec += probs[ci] * env.cycles
-		pred.EnergyNJ += probs[ci] * env.energyNJ()
-		for class, uses := range env.accelUses {
-			accelUse[class] += probs[ci] * uses
+		pred.EnergyNJ += probs[ci] * energy
+		for k, uses := range env.accelUses {
 			if uses > 0 {
-				accelSvc[class] = env.accelSvc[class] / uses
+				accelUse[k] += probs[ci] * uses
+				accelSvc[k] = env.accelSvc[k] / uses
 			}
 		}
 		for region, cyc := range env.memCycles {
-			memCycles[region] += probs[ci] * cyc
+			if cyc != 0 {
+				memCycles[region] += probs[ci] * cyc
+			}
 		}
 	}
 	sort.Slice(pred.PerClass, func(i, j int) bool { return pred.PerClass[i].Name < pred.PerClass[j].Name })
@@ -222,30 +233,27 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 		}
 		return prefix + name
 	}
-	var resources []resource
-	resources = append(resources, resource{"cores", "cores", float64(coreServers(nic)), meanExec - totalAccelCycles(accelUse, accelSvc)})
-	// Iterate accelerator classes in sorted order so the resource list — and
-	// with it tie-breaking of the bottleneck and the floating-point summation
-	// order of the queueing correction — is deterministic across runs.
-	accelClasses := make([]string, 0, len(accelUse))
-	for class := range accelUse {
-		accelClasses = append(accelClasses, class)
-	}
-	sort.Strings(accelClasses)
-	for _, class := range accelClasses {
-		uses := accelUse[class]
-		if uses <= 0 {
-			continue
+	// Accelerator time leaves the cores' demand in class index order, and
+	// accelerators join the resource list in it, so the bottleneck's
+	// tie-breaking and the queueing correction's summation order are fixed.
+	accelCycles := 0.0
+	for k, uses := range accelUse {
+		if uses != 0 {
+			accelCycles += uses * accelSvc[k]
 		}
-		ids := nic.Accelerators(class)
-		if len(ids) == 0 {
+	}
+	resources := make([]resource, 0, 1+numAccels+len(nic.Hubs))
+	resources = append(resources, resource{"cores", "cores", float64(coreServers(nic)), meanExec - accelCycles})
+	for k, uses := range accelUse {
+		u := env.accels[k]
+		if uses <= 0 || u == nil {
 			continue
 		}
 		resources = append(resources, resource{
-			name:    nic.Units[ids[0]].Name,
-			key:     rlKey("accel:", class),
-			servers: float64(len(ids) * nic.Units[ids[0]].Threads),
-			demand:  uses * accelSvc[class],
+			name:    u.Name,
+			key:     rlKey("accel:", accelClass[k]),
+			servers: float64(env.accelUnits[k] * u.Threads),
+			demand:  uses * accelSvc[k],
 		})
 	}
 	for _, h := range nic.Hubs {
@@ -344,14 +352,6 @@ func erlangC(c int, a float64) float64 {
 	}
 	rho := a / float64(c)
 	return b / (1 - rho + rho*b)
-}
-
-func totalAccelCycles(use map[string]float64, svc map[string]float64) float64 {
-	total := 0.0
-	for class, u := range use {
-		total += u * svc[class]
-	}
-	return total
 }
 
 func coreServers(nic *lnic.LNIC) int {

@@ -45,7 +45,8 @@ type Attrs struct {
 }
 
 func (a Attrs) String() string {
-	parts := []string{a.Proto}
+	var buf [5]string
+	parts := append(buf[:0], a.Proto)
 	if a.SYN {
 		parts = append(parts, "syn")
 	}
@@ -256,6 +257,9 @@ type Env struct {
 
 // NewEnv builds a symbolic environment for one attribute valuation.
 func NewEnv(a Attrs) *Env { return &Env{a: a} }
+
+// Reset makes e answer for a exactly as NewEnv(a) would.
+func (e *Env) Reset(a Attrs) { *e = Env{a: a} }
 
 // Attrs returns the valuation the environment answers for.
 func (e *Env) Attrs() Attrs { return e.a }
