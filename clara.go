@@ -500,15 +500,7 @@ func (nf *NF) Classes() ([]Class, error) { return nf.enumerate(context.Backgroun
 func (nf *NF) ClassesContext(ctx context.Context) ([]Class, error) { return nf.enumerate(ctx) }
 
 // PlacementOf converts a mapping into the simulator's placement form.
-func PlacementOf(m *Mapping) Placement {
-	return Placement{
-		StateMem:        m.StateMem,
-		UseFlowCache:    m.UseFlowCache,
-		ChecksumOnAccel: m.ChecksumOnAccel,
-		CryptoOnAccel:   m.CryptoOnAccel,
-		ParseOnEngine:   m.ParseOnEngine,
-	}
-}
+func PlacementOf(m *Mapping) Placement { return nicsim.PlacementOf(m) }
 
 // Measure executes the NF under the mapping on the cycle-level simulator
 // against a concrete trace — the "Actual" side of the paper's validation.

@@ -1,7 +1,9 @@
 // Interference: predict what happens when NFs share a SmartNIC (§3.5). The
-// LNIC is sliced so each co-resident NF sees half the cores, caches and
-// queues; mappings are re-solved against the slice, and the predictions
-// show which NF suffers and by how much.
+// NFs are co-located with equal weights: each tenant's mapping is solved
+// against a half-NIC slice of the cores, and its service times on the shared
+// accelerators, hubs and memories are inflated by the contention the other
+// tenant's load causes (a slowdown model fitted on the simulator). The
+// predictions show which NF suffers and by how much.
 package main
 
 import (
@@ -10,7 +12,6 @@ import (
 
 	"clara"
 	"clara/internal/nf"
-	"clara/internal/predict"
 )
 
 func main() {
@@ -41,16 +42,18 @@ func main() {
 		fmt.Printf("  %-10s %8.0f cycles/pkt, %.1f Mpps\n", n.Name(), p.MeanCycles, p.ThroughputPPS/1e6)
 	}
 
-	fmt.Println("co-resident predictions (half-NIC slices, shared rate split):")
-	shared, err := predict.PredictCoResident([]predict.CoResident{
-		{Prog: fw.Program}, {Prog: dpi.Program},
-	}, target, wl, predict.Options{})
+	// Each tenant offers half the aggregate rate.
+	half := wl
+	half.RatePPS /= 2
+	fmt.Println("co-located predictions (half-NIC slices, shared rate split, contention):")
+	nfs := []*clara.NF{fw, dpi}
+	shared, err := clara.PredictColocated(nfs, []float64{1, 1}, target, []clara.Workload{half, half})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range shared {
-		fmt.Printf("  %-10s %8.0f cycles/pkt, %.1f Mpps (on %s)\n",
-			p.NFName, p.MeanCycles, p.ThroughputPPS/1e6, p.NICName)
+	for i, p := range shared {
+		fmt.Printf("  %-10s %8.0f cycles/pkt, %.1f Mpps\n",
+			nfs[i].Name(), p.MeanCycles, p.ThroughputPPS/1e6)
 	}
 	fmt.Println("\nthe compute-bound DPI loses half its capacity with the cores;")
 	fmt.Println("the firewall is accelerator-bound and mostly keeps its latency.")

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"clara/internal/eval"
+	"clara/internal/mapper"
+	"clara/internal/nf"
+	"clara/internal/workload"
 )
 
 // -update regenerates the golden files instead of comparing against them:
@@ -56,6 +59,50 @@ func TestGoldenEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "eval_all.txt", out)
+}
+
+// TestEvalAblationUsesProductionMapping holds the ILP-vs-greedy ablation to
+// the mappings production solves: each row's costs must equal NF.Map's and
+// NF.MapGreedy's on the same NF and workload, so the table prices the
+// enumerated class weights, not a uniform branch split.
+func TestEvalAblationUsesProductionMapping(t *testing.T) {
+	cfg := goldenEvalConfig()
+	rows, err := eval.ILPvsGreedy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []nf.Spec{nf.LPM(20000), nf.NAT(true), nf.Firewall(65536), nf.VNFChain()}
+	if len(rows) != len(specs) {
+		t.Fatalf("ablation rows = %d, want %d", len(rows), len(specs))
+	}
+	prof := workload.DefaultProfile()
+	prof.Packets, prof.Seed = cfg.Packets, cfg.Seed
+	wl := mapper.FromProfile(prof)
+	target, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		n, err := CompileNF(spec.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i].NF != n.Name() {
+			t.Fatalf("row %d is %s, want %s", i, rows[i].NF, n.Name())
+		}
+		opt, err := n.Map(target, wl, Hints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr, err := n.MapGreedy(target, wl, Hints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i].ILPCycles != opt.CostCycles || rows[i].GreedyCycles != gr.CostCycles {
+			t.Errorf("%s: eval ILP %v greedy %v, production Map %v MapGreedy %v",
+				n.Name(), rows[i].ILPCycles, rows[i].GreedyCycles, opt.CostCycles, gr.CostCycles)
+		}
+	}
 }
 
 // TestGoldenAdvise locks down `clara -advise examples/firewall.nf` with the

@@ -404,8 +404,16 @@ func (c *Compiled) Program() *Program { return c.prog }
 // re-zeroed, MaxSteps defaults to one million, the meter books and hooks
 // fire in the same order, and Ctx is polled every ctxPollMask+1 steps. The
 // hooks and the meter's pointers are hoisted into locals once; an absent
-// meter books into the engine's sink, so pricing costs no branch.
+// meter books into the engine's sink, so pricing costs no branch. The
+// engine drops env when Run returns, so an idle engine keeps nothing of its
+// last caller alive.
 func (c *Compiled) Run(env Env, h *Hooks) (uint64, error) {
+	v, err := c.run(env, h)
+	c.st.env = nil
+	return v, err
+}
+
+func (c *Compiled) run(env Env, h *Hooks) (uint64, error) {
 	st := &c.st
 	clear(st.regs)
 	clear(st.scratch)

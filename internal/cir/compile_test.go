@@ -491,6 +491,29 @@ func TestCompiledVCallFaultText(t *testing.T) {
 	}
 }
 
+// TestCompiledRunDropsEnv checks Run leaves no reference to its Env on the
+// engine, on a normal return and on an error return: an engine kept idle
+// between runs must not keep its last caller's environment reachable.
+func TestCompiledRunDropsEnv(t *testing.T) {
+	b := NewBuilder("env")
+	b.VCall(VCPayloadLen, "")
+	b.ReturnConst(VerdictPass)
+	p, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range []Env{&stubEnv{}, errEnv{err: errors.New("env exploded")}} {
+		comp.Run(env, nil)
+		if comp.st.env != nil {
+			t.Errorf("after Run with %T the engine still holds its Env", env)
+		}
+	}
+}
+
 type errEnv struct{ err error }
 
 func (e errEnv) VCall(*Instr, []uint64) (uint64, error) { return 0, e.err }

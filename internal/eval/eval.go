@@ -65,8 +65,48 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// run compiles, maps (with hints), simulates, and optionally predicts one
-// configuration. It is the shared engine behind every experiment.
+// prepared is one NF compiled and enumerated, with its dataflow graph
+// annotated by the behaviour-class weights of one workload: the steps
+// clara.NF.MapContext runs before it solves. Every experiment maps through
+// it, so eval prices the workload the production pipeline prices.
+type prepared struct {
+	prog    *cir.Program
+	classes []symexec.Class
+	g       *cir.Graph // annotated for wl
+	wl      mapper.Workload
+}
+
+// prepare compiles spec, enumerates its behaviour classes and annotates its
+// dataflow graph for wl.
+func prepare(ctx context.Context, spec nf.Spec, wl mapper.Workload) (*prepared, error) {
+	prog, err := spec.Compile()
+	if err != nil {
+		return nil, err
+	}
+	g, err := cir.BuildGraph(prog)
+	if err != nil {
+		return nil, err
+	}
+	classes, err := symexec.EnumerateContext(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
+	return &prepared{prog: prog, classes: classes, g: g, wl: wl}, nil
+}
+
+// mapOn solves the annotated graph's mapping onto nic.
+func (p *prepared) mapOn(nic *lnic.LNIC, h mapper.Hints) (*mapper.Mapping, error) {
+	return mapper.Map(p.g, nic, p.wl, h)
+}
+
+// predict predicts the NF under mapping m on nic for the prepared workload.
+func (p *prepared) predict(m *mapper.Mapping, nic *lnic.LNIC, opts predict.Options) (*predict.Prediction, error) {
+	return predict.PredictWithClasses(p.prog, p.classes, m, nic, p.wl, opts)
+}
+
+// run maps (with hints), simulates, and optionally predicts one
+// configuration. It is the shared engine behind the simulated experiments.
 type run struct {
 	cfg   Config
 	nic   *lnic.LNIC
@@ -76,6 +116,7 @@ type run struct {
 }
 
 type runResult struct {
+	NF        *prepared
 	Mapping   *mapper.Mapping
 	Pred      *predict.Prediction
 	Sim       *nicsim.Result
@@ -91,44 +132,29 @@ func (r run) executeContext(ctx context.Context, predictToo bool) (*runResult, e
 	mtr := obs.From(ctx)
 	mtr.Counter("clara_eval_cells_total").Add(1)
 	defer mtr.StageTimer("eval_cell")()
-	prog, err := r.spec.Compile()
+	p, err := prepare(ctx, r.spec, mapper.FromProfile(r.prof))
 	if err != nil {
 		return nil, err
 	}
-	g, err := cir.BuildGraph(prog)
+	m, err := p.mapOn(r.nic, r.hints)
 	if err != nil {
 		return nil, err
 	}
-	wl := mapper.FromProfile(r.prof)
-	classes, err := symexec.EnumerateContext(ctx, prog)
-	if err != nil {
-		return nil, err
-	}
-	symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
-	m, err := mapper.Map(g, r.nic, wl, r.hints)
-	if err != nil {
-		return nil, err
-	}
-	out := &runResult{Mapping: m}
+	out := &runResult{NF: p, Mapping: m}
 	if predictToo {
-		p, err := predict.PredictWithClasses(prog, classes, m, r.nic, wl, predict.Options{})
+		pred, err := p.predict(m, r.nic, predict.Options{})
 		if err != nil {
 			return nil, err
 		}
-		out.Pred = p
-		out.Predicted = p.MeanCycles
+		out.Pred = pred
+		out.Predicted = pred.MeanCycles
 	}
 	tr, err := workload.GenerateContext(ctx, r.prof)
 	if err != nil {
 		return nil, err
 	}
 	sim, err := nicsim.NewContext(ctx, nicsim.Config{
-		NIC: r.nic, Prog: prog,
-		Place: nicsim.Placement{
-			StateMem: m.StateMem, UseFlowCache: m.UseFlowCache,
-			ChecksumOnAccel: m.ChecksumOnAccel, CryptoOnAccel: m.CryptoOnAccel,
-			ParseOnEngine: m.ParseOnEngine,
-		},
+		NIC: r.nic, Prog: p.prog, Place: nicsim.PlacementOf(m),
 		Preload: r.spec.PreloadEntries, Seed: r.cfg.seed(),
 	})
 	if err != nil {
@@ -484,48 +510,46 @@ type InterferenceRow struct {
 	SharedPPS      float64
 }
 
-// Interference predicts FW and DPI solo and co-resident on half-NIC slices.
+// Interference predicts FW and DPI solo on the whole NIC and co-located
+// with equal weights, each offering half the aggregate rate. The shared
+// predictions are PredictColocated's: half-NIC slices plus the analytic
+// contention slowdown (no fitted model).
 func Interference(cfg Config) ([]InterferenceRow, error) {
+	ctx := cfg.ctx()
 	nic := lnic.Netronome()
-	prof := cfg.baseProfile()
-	wl := mapper.FromProfile(prof)
+	wl := mapper.FromProfile(cfg.baseProfile())
+	half := wl
+	half.RatePPS /= 2
 	specs := []nf.Spec{nf.Firewall(65536), nf.DPI()}
-	var progs []*cir.Program
-	var solos []*predict.Prediction
-	for _, s := range specs {
-		prog, err := s.Compile()
+	solos := make([]*predict.Prediction, len(specs))
+	tenants := make([]predict.ColocTenant, len(specs))
+	for i, s := range specs {
+		p, err := prepare(ctx, s, wl)
 		if err != nil {
 			return nil, err
 		}
-		g, err := cir.BuildGraph(prog)
+		m, err := p.mapOn(nic, mapper.Hints{})
 		if err != nil {
 			return nil, err
 		}
-		m, err := mapper.Map(g, nic, wl, mapper.Hints{})
-		if err != nil {
+		if solos[i], err = p.predict(m, nic, predict.Options{}); err != nil {
 			return nil, err
 		}
-		p, err := predict.Predict(prog, m, nic, wl, predict.Options{})
-		if err != nil {
-			return nil, err
-		}
-		progs = append(progs, prog)
-		solos = append(solos, p)
+		tenants[i] = predict.ColocTenant{Prog: p.prog, Classes: p.classes, Weight: 1, Workload: half}
 	}
-	shared, err := predict.PredictCoResident(
-		[]predict.CoResident{{Prog: progs[0]}, {Prog: progs[1]}}, nic, wl, predict.Options{})
+	shared, err := predict.PredictColocated(tenants, nic, nil, predict.Options{})
 	if err != nil {
 		return nil, err
 	}
-	var rows []InterferenceRow
+	rows := make([]InterferenceRow, len(specs))
 	for i := range specs {
-		rows = append(rows, InterferenceRow{
-			NF:             progs[i].Name,
+		rows[i] = InterferenceRow{
+			NF:             tenants[i].Prog.Name,
 			SoloCycles:     solos[i].MeanCycles,
 			SharedCycles:   shared[i].MeanCycles,
 			SoloThroughput: solos[i].ThroughputPPS,
 			SharedPPS:      shared[i].ThroughputPPS,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -541,7 +565,7 @@ type ColocateRow struct {
 	NF       string
 	Actual   float64 // simulated co-located mean cycles
 	Aware    float64 // PredictColocated mean cycles
-	Naive    float64 // PredictColocatedNaive mean cycles
+	Naive    float64 // solo full-NIC prediction mean cycles
 	AwareErr float64
 	NaiveErr float64
 }
@@ -562,40 +586,32 @@ func Colocate(cfg Config) ([]ColocateRow, error) {
 
 	ccfg := nicsim.ColocConfig{NIC: nic, Seed: cfg.seed()}
 	tenants := make([]predict.ColocTenant, len(specs))
+	naive := make([]*predict.Prediction, len(specs))
 	for i, s := range specs {
-		prog, err := s.Compile()
+		p, err := prepare(ctx, s, wl)
 		if err != nil {
 			return nil, err
 		}
-		g, err := cir.BuildGraph(prog)
+		m, err := p.mapOn(nic, mapper.Hints{})
 		if err != nil {
 			return nil, err
 		}
-		classes, err := symexec.EnumerateContext(ctx, prog)
-		if err != nil {
+		// The naive model: the tenant alone on the full NIC, under the
+		// mapping the simulator runs.
+		if naive[i], err = p.predict(m, nic, predict.Options{}); err != nil {
 			return nil, err
 		}
-		symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
-		m, err := mapper.Map(g, nic, wl, mapper.Hints{})
-		if err != nil {
-			return nil, err
-		}
-		p := prof
-		p.Seed = cfg.seed() + int64(i) // decorrelate tenant traffic
-		tr, err := workload.GenerateContext(ctx, p)
+		tp := prof
+		tp.Seed = cfg.seed() + int64(i) // decorrelate tenant traffic
+		tr, err := workload.GenerateContext(ctx, tp)
 		if err != nil {
 			return nil, err
 		}
 		ccfg.Tenants = append(ccfg.Tenants, nicsim.Tenant{
-			Prog: prog,
-			Place: nicsim.Placement{
-				StateMem: m.StateMem, UseFlowCache: m.UseFlowCache,
-				ChecksumOnAccel: m.ChecksumOnAccel, CryptoOnAccel: m.CryptoOnAccel,
-				ParseOnEngine: m.ParseOnEngine,
-			},
+			Prog: p.prog, Place: nicsim.PlacementOf(m),
 			Preload: s.PreloadEntries, Weight: 1, Trace: tr,
 		})
-		tenants[i] = predict.ColocTenant{Prog: prog, Classes: classes, Weight: 1, Workload: wl}
+		tenants[i] = predict.ColocTenant{Prog: p.prog, Classes: p.classes, Weight: 1, Workload: wl}
 	}
 	res, err := nicsim.RunColocatedContext(ctx, ccfg, nicsim.ShardOpts{})
 	if err != nil {
@@ -606,10 +622,6 @@ func Colocate(cfg Config) ([]ColocateRow, error) {
 		return nil, err
 	}
 	aware, err := predict.PredictColocated(tenants, nic, model, predict.Options{})
-	if err != nil {
-		return nil, err
-	}
-	naive, err := predict.PredictColocatedNaive(tenants, nic, predict.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -675,24 +687,20 @@ func ILPvsGreedy(cfg Config) ([]AblationRow, error) {
 	wl := mapper.FromProfile(cfg.baseProfile())
 	specs := []nf.Spec{nf.LPM(20000), nf.NAT(true), nf.Firewall(65536), nf.VNFChain()}
 	return runner.Map(cfg.ctx(), cfg.parallel(), len(specs),
-		func(_ context.Context, i int) (AblationRow, error) {
-			prog, err := specs[i].Compile()
+		func(cctx context.Context, i int) (AblationRow, error) {
+			p, err := prepare(cctx, specs[i], wl)
 			if err != nil {
 				return AblationRow{}, err
 			}
-			g, err := cir.BuildGraph(prog)
+			opt, err := p.mapOn(nic, mapper.Hints{})
 			if err != nil {
 				return AblationRow{}, err
 			}
-			opt, err := mapper.Map(g, nic, wl, mapper.Hints{})
+			gr, err := mapper.Greedy(p.g, nic, wl, mapper.Hints{})
 			if err != nil {
 				return AblationRow{}, err
 			}
-			gr, err := mapper.Greedy(g, nic, wl, mapper.Hints{})
-			if err != nil {
-				return AblationRow{}, err
-			}
-			return AblationRow{NF: prog.Name, ILPCycles: opt.CostCycles, GreedyCycles: gr.CostCycles}, nil
+			return AblationRow{NF: p.prog.Name, ILPCycles: opt.CostCycles, GreedyCycles: gr.CostCycles}, nil
 		})
 }
 
@@ -705,45 +713,27 @@ type QueueAblation struct {
 	QueueFreeOnly float64
 }
 
-// QueueAware runs the HH NF at a high rate and reports prediction error
-// with and without the Θ queueing correction.
+// QueueAware runs the DPI NF at a high rate and reports prediction error
+// with and without the Θ queueing correction, both on the mapping the
+// simulator runs.
 func QueueAware(cfg Config) (*QueueAblation, error) {
 	prof := cfg.baseProfile()
 	prof.RatePPS = 8_000_000 // ~90% core utilization for 1000B DPI
 	prof.PayloadBytes = 1000
 	prof.Poisson = true // stochastic arrivals so queueing actually forms
-	nic := lnic.Netronome()
-	spec := nf.DPI()
-	prog, err := spec.Compile()
+	r := run{cfg: cfg, nic: lnic.Netronome(), spec: nf.DPI(), prof: prof}
+	res, err := r.execute(true)
 	if err != nil {
 		return nil, err
 	}
-	g, err := cir.BuildGraph(prog)
-	if err != nil {
-		return nil, err
-	}
-	wl := mapper.FromProfile(prof)
-	m, err := mapper.Map(g, nic, wl, mapper.Hints{})
-	if err != nil {
-		return nil, err
-	}
-	withQ, err := predict.Predict(prog, m, nic, wl, predict.Options{})
-	if err != nil {
-		return nil, err
-	}
-	noQ, err := predict.Predict(prog, m, nic, wl, predict.Options{NoQueueing: true})
-	if err != nil {
-		return nil, err
-	}
-	r := run{cfg: cfg, nic: nic, spec: spec, prof: prof}
-	res, err := r.execute(false)
+	noQ, err := res.NF.predict(res.Mapping, r.nic, predict.Options{NoQueueing: true})
 	if err != nil {
 		return nil, err
 	}
 	return &QueueAblation{
 		RatePPS:       prof.RatePPS,
 		Actual:        res.Actual,
-		WithQueueing:  withQ.MeanCycles,
+		WithQueueing:  res.Predicted,
 		QueueFreeOnly: noQ.MeanCycles,
 	}, nil
 }
@@ -770,25 +760,16 @@ func Partial(cfg Config) ([]PartialRow, error) {
 	specs := []nf.Spec{nf.Firewall(65536), nf.DPI(), nf.NAT(true), nf.VNFChain()}
 	return runner.Map(cfg.ctx(), cfg.parallel(), len(specs),
 		func(cctx context.Context, i int) (PartialRow, error) {
-			prog, err := specs[i].Compile()
+			p, err := prepare(cctx, specs[i], wl)
 			if err != nil {
 				return PartialRow{}, err
 			}
-			g, err := cir.BuildGraph(prog)
-			if err != nil {
-				return PartialRow{}, err
-			}
-			classes, err := symexec.EnumerateContext(cctx, prog)
-			if err != nil {
-				return PartialRow{}, err
-			}
-			symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
-			an, err := partial.AnalyzeContext(cctx, g, nic, host, wl, partial.DefaultPCIe(), 0)
+			an, err := partial.AnalyzeContext(cctx, p.g, nic, host, wl, partial.DefaultPCIe(), 0)
 			if err != nil {
 				return PartialRow{}, err
 			}
 			return PartialRow{
-				NF:            prog.Name,
+				NF:            p.prog.Name,
 				BestCut:       an.Best.Index,
 				TotalCuts:     len(an.Cuts) - 1,
 				FullNICNanos:  an.FullNIC.TotalNanos,

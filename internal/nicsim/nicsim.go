@@ -23,6 +23,7 @@ import (
 	"clara/internal/budget"
 	"clara/internal/cir"
 	"clara/internal/lnic"
+	"clara/internal/mapper"
 	"clara/internal/obs"
 	"clara/internal/packet"
 	"clara/internal/workload"
@@ -46,6 +47,18 @@ type Placement struct {
 	// ParseOnEngine performs header parsing at the ingress parser engine,
 	// making get_hdr a cheap metadata read on the cores.
 	ParseOnEngine bool
+}
+
+// PlacementOf converts a solved mapping into the placement the simulator
+// honors.
+func PlacementOf(m *mapper.Mapping) Placement {
+	return Placement{
+		StateMem:        m.StateMem,
+		UseFlowCache:    m.UseFlowCache,
+		ChecksumOnAccel: m.ChecksumOnAccel,
+		CryptoOnAccel:   m.CryptoOnAccel,
+		ParseOnEngine:   m.ParseOnEngine,
+	}
 }
 
 // DefaultPlacement places every state object in the largest (last-level)

@@ -21,9 +21,9 @@ import (
 //     the loads coming from the solo predictions' ResourceLoad maps, whose
 //     keys match the simulator's contention-report keys.
 //
-// The naive alternative — predicting each tenant alone on the full NIC and
-// summing — ignores both effects; PredictColocatedNaive computes it as the
-// eval baseline.
+// The naive alternative — predicting each tenant alone on the full NIC —
+// ignores both effects; the eval harness computes it as a baseline from the
+// full-NIC mappings it simulates.
 
 // ColocTenant is one NF in a co-location scenario.
 type ColocTenant struct {
@@ -41,9 +41,9 @@ type ColocTenant struct {
 // PredictColocated predicts every active tenant's performance profile when
 // co-located on nic. With a single active tenant the result is exactly the
 // solo pipeline on the full NIC (no slicing, no inflation), so co-location
-// analysis degrades gracefully to Predict. model may be nil, selecting the
-// analytic fallback curves; fit one with microbench.FitContention for
-// simulator-calibrated slowdowns.
+// analysis degrades gracefully to a solo prediction. model may be nil,
+// selecting the analytic fallback curves; fit one with
+// microbench.FitContention for simulator-calibrated slowdowns.
 func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.ContentionModel, opts Options) ([]*Prediction, error) {
 	var active []int
 	total := 0.0
@@ -72,10 +72,10 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 	out := make([]*Prediction, len(tenants))
 
 	// One active tenant: the full NIC, the plain pipeline, byte-identical
-	// to a solo Predict.
+	// to a solo prediction.
 	if len(active) == 1 {
 		i := active[0]
-		p, _, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, nic, opts)
+		p, _, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, nic, mapper.Hints{}, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 	soloOpts.ResourceLoad = true
 	for _, i := range active {
 		sl := nic.Slice(tenants[i].Weight / total)
-		p, m, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, sl, soloOpts)
+		p, m, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, sl, mapper.Hints{}, soloOpts)
 		if err != nil {
 			return nil, fmt.Errorf("predict: co-located tenant %d: %w", i, err)
 		}
@@ -129,35 +129,11 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 	return out, nil
 }
 
-// PredictColocatedNaive is the contention-oblivious baseline: every active
-// tenant predicted alone on the full NIC, as if its neighbours did not
-// exist. The eval harness compares it against PredictColocated with the
-// multi-tenant simulator as ground truth.
-func PredictColocatedNaive(tenants []ColocTenant, nic *lnic.LNIC, opts Options) ([]*Prediction, error) {
-	out := make([]*Prediction, len(tenants))
-	any := false
-	for i, t := range tenants {
-		if t.Weight <= 0 {
-			continue
-		}
-		any = true
-		p, _, err := soloPredict(t.Prog, t.Classes, t.Workload, nic, opts)
-		if err != nil {
-			return nil, fmt.Errorf("predict: naive tenant %d: %w", i, err)
-		}
-		out[i] = p
-	}
-	if !any {
-		return nil, fmt.Errorf("predict: no active co-located tenants")
-	}
-	return out, nil
-}
-
 // soloPredict runs the standard pipeline (annotate → map → predict) for one
-// tenant against the given NIC view, returning the mapping for reuse by the
+// program against the given NIC view, returning the mapping for reuse by the
 // contended pass. The steps and their inputs match NF.PredictContext, so a
 // single-active-tenant co-location equals the solo prediction exactly.
-func soloPredict(prog *cir.Program, classes []symexec.Class, wl mapper.Workload, nic *lnic.LNIC, opts Options) (*Prediction, *mapper.Mapping, error) {
+func soloPredict(prog *cir.Program, classes []symexec.Class, wl mapper.Workload, nic *lnic.LNIC, h mapper.Hints, opts Options) (*Prediction, *mapper.Mapping, error) {
 	if classes == nil {
 		var err error
 		classes, err = symexec.Enumerate(prog)
@@ -170,7 +146,7 @@ func soloPredict(prog *cir.Program, classes []symexec.Class, wl mapper.Workload,
 		return nil, nil, err
 	}
 	ag := symexec.AnnotatedGraph(g, classes, symexec.WeightsFor(wl))
-	m, err := mapper.Map(ag, nic, wl, mapper.Hints{})
+	m, err := mapper.Map(ag, nic, wl, h)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapping %s on %s: %w", prog.Name, nic.Name, err)
 	}

@@ -105,22 +105,10 @@ func (p *Prediction) String() string {
 	return b.String()
 }
 
-// Predict computes the performance profile of prog mapped by m onto nic
-// under workload wl. It enumerates the program's behaviour classes first;
-// callers that already hold them (clara.NF memoizes the enumeration) should
-// use PredictWithClasses to skip the redundant pass.
-func Predict(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
-	classes, err := symexec.Enumerate(prog)
-	if err != nil {
-		return nil, err
-	}
-	return PredictWithClasses(prog, classes, m, nic, wl, opts)
-}
-
-// PredictWithClasses is Predict with the behaviour enumeration supplied by
-// the caller. The classes must come from symexec.Enumerate on the same
-// program; they are read, never modified, so one enumeration can serve
-// concurrent predictions.
+// PredictWithClasses computes the performance profile of prog mapped by m
+// onto nic under workload wl. The classes must come from symexec.Enumerate
+// on the same program; they are read, never modified, so one enumeration
+// can serve concurrent predictions.
 func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
 	// A program the engine cannot execute is refused here with the compile
 	// error.
@@ -365,42 +353,4 @@ func coreServers(nic *lnic.LNIC) int {
 		n = 1
 	}
 	return n
-}
-
-// CoResident predicts each NF's profile when sharing the NIC with the
-// others: every NF sees an equal slice of the cores, caches and queues
-// (§3.5's starting point for interference analysis).
-type CoResident struct {
-	Prog    *cir.Program
-	Mapping *mapper.Mapping
-}
-
-// PredictCoResident runs Predict for each NF against a 1/n LNIC slice.
-// Mappings are re-solved against the slice so placement decisions adapt to
-// the shrunken resources.
-func PredictCoResident(nfs []CoResident, nic *lnic.LNIC, wl mapper.Workload, opts Options) ([]*Prediction, error) {
-	if len(nfs) == 0 {
-		return nil, fmt.Errorf("predict: no co-resident NFs")
-	}
-	slice := nic.Slice(1 / float64(len(nfs)))
-	// Each slice sees its share of the aggregate rate.
-	swl := wl
-	swl.RatePPS = wl.RatePPS / float64(len(nfs))
-	var out []*Prediction
-	for _, item := range nfs {
-		g, err := cir.BuildGraph(item.Prog)
-		if err != nil {
-			return nil, err
-		}
-		m, err := mapper.Map(g, slice, swl, mapper.Hints{})
-		if err != nil {
-			return nil, fmt.Errorf("predict: remapping %s on slice: %w", item.Prog.Name, err)
-		}
-		p, err := Predict(item.Prog, m, slice, swl, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

@@ -13,42 +13,24 @@ import (
 	"clara/internal/workload"
 )
 
-// pipeline runs the full Clara workflow for a spec: compile → graph → map →
-// predict, returning the prediction and the mapping.
-func pipeline(t *testing.T, spec nf.Spec, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*Prediction, *mapper.Mapping, *cir.Program) {
-	t.Helper()
+// pipeline runs the production workflow for a spec: compile, then
+// soloPredict's enumerate → annotate → map → predict, the steps of
+// NF.PredictContext. It returns the prediction, the mapping and the program.
+func pipeline(tb testing.TB, spec nf.Spec, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*Prediction, *mapper.Mapping, *cir.Program) {
+	tb.Helper()
 	prog := spec.MustCompile()
-	g, err := cir.BuildGraph(prog)
+	p, m, err := soloPredict(prog, nil, wl, nic, h, Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mapper.Map(g, nic, wl, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Predict(prog, m, nic, wl, Options{})
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, m, prog
-}
-
-// placementOf converts a mapping into the simulator's placement.
-func placementOf(m *mapper.Mapping) nicsim.Placement {
-	return nicsim.Placement{
-		StateMem:        m.StateMem,
-		UseFlowCache:    m.UseFlowCache,
-		ChecksumOnAccel: m.ChecksumOnAccel,
-		CryptoOnAccel:   m.CryptoOnAccel,
-		ParseOnEngine:   m.ParseOnEngine,
-	}
 }
 
 // measure runs the simulator for the same spec and mapping.
 func measure(t *testing.T, spec nf.Spec, prog *cir.Program, nic *lnic.LNIC, m *mapper.Mapping, p workload.Profile) *nicsim.Result {
 	t.Helper()
 	sim, err := nicsim.New(nicsim.Config{
-		NIC: nic, Prog: prog, Place: placementOf(m),
+		NIC: nic, Prog: prog, Place: nicsim.PlacementOf(m),
 		Preload: spec.PreloadEntries, Seed: 11,
 	})
 	if err != nil {
@@ -197,16 +179,7 @@ func TestQueueingGrowsWithRate(t *testing.T) {
 
 func TestNoQueueingOption(t *testing.T) {
 	wl := mapper.FromProfile(workload.DefaultProfile())
-	prog := nf.Firewall(65536).MustCompile()
-	g, err := cir.BuildGraph(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mapper.Map(g, lnic.Netronome(), wl, mapper.Hints{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Predict(prog, m, lnic.Netronome(), wl, Options{NoQueueing: true})
+	p, _, err := soloPredict(nf.Firewall(65536).MustCompile(), nil, wl, lnic.Netronome(), mapper.Hints{}, Options{NoQueueing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +214,6 @@ func TestPredictionScalesWithLPMEntries(t *testing.T) {
 	}
 }
 
-func TestCoResidentInterference(t *testing.T) {
-	nic := lnic.Netronome()
-	wl := mapper.FromProfile(workload.DefaultProfile())
-	fw := nf.Firewall(65536).MustCompile()
-	dpi := nf.DPI().MustCompile()
-	solo, _, _ := pipeline(t, nf.Firewall(65536), nic, wl, mapper.Hints{})
-	shared, err := PredictCoResident([]CoResident{{Prog: fw}, {Prog: dpi}}, nic, wl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shared) != 2 {
-		t.Fatalf("predictions = %d", len(shared))
-	}
-	// The firewall's share of the NIC can only reduce its throughput.
-	if shared[0].ThroughputPPS > solo.ThroughputPPS {
-		t.Errorf("co-resident throughput %.0f > solo %.0f", shared[0].ThroughputPPS, solo.ThroughputPPS)
-	}
-}
-
 func TestPredictionStringSmoke(t *testing.T) {
 	wl := mapper.FromProfile(workload.DefaultProfile())
 	p, _, _ := pipeline(t, nf.Firewall(65536), lnic.Netronome(), wl, mapper.Hints{})
@@ -271,18 +225,14 @@ func TestPredictionStringSmoke(t *testing.T) {
 
 func BenchmarkPredictVNF(b *testing.B) {
 	wl := mapper.FromProfile(workload.DefaultProfile())
-	prog := nf.VNFChain().MustCompile()
-	g, err := cir.BuildGraph(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
 	nic := lnic.Netronome()
-	m, err := mapper.Map(g, nic, wl, mapper.Hints{})
+	_, m, prog := pipeline(b, nf.VNFChain(), nic, wl, mapper.Hints{})
+	classes, err := symexec.Enumerate(prog)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Predict(prog, m, nic, wl, Options{}); err != nil {
+		if _, err := PredictWithClasses(prog, classes, m, nic, wl, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,19 +244,7 @@ func TestEnergyEfficiencyOrdering(t *testing.T) {
 	// whose cores burn 3x more per cycle (and the host would be worse yet).
 	wl := mapper.FromProfile(workload.DefaultProfile())
 	energyOn := func(nic *lnic.LNIC) float64 {
-		prog := nf.Firewall(65536).MustCompile()
-		g, err := cir.BuildGraph(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := mapper.Map(g, nic, wl, mapper.Hints{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Predict(prog, m, nic, wl, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, _, _ := pipeline(t, nf.Firewall(65536), nic, wl, mapper.Hints{})
 		if p.EnergyNJ <= 0 {
 			t.Fatalf("%s: energy %v", nic.Name, p.EnergyNJ)
 		}

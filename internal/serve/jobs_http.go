@@ -136,7 +136,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
 			return body, nil
 		}
 		s.metrics.Counter("clara_serve_cache_misses_total", "endpoint", kind).Inc()
-		return s.computeBody(ctx, kind, key, hash, source, &reqCopy, compute)
+		return s.computeBody(ctx, kind, key, reqCopy.NF, &reqCopy, s.withNF(hash, source, &reqCopy, compute))
 	})
 	if err != nil {
 		// Queue full or draining: not accepted, try again later (or on

@@ -620,14 +620,16 @@ func resultKey(endpoint, hash string, req *Request) string {
 		strconv.FormatInt(req.Seed, 10), req.Faults}, "\x00")
 }
 
-// computeBody runs one full analysis — bounded concurrency, compile-or-
-// cached NF, clamped per-request context — and renders and caches the
-// result body. It is the shared execution core under both the synchronous
-// endpoints (via singleflight) and async job attempts; parent is s.base
-// for the former and the attempt context for the latter, so job
-// cancellation and drain aborts flow through the same plumbing.
-func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, hash, source string, req *Request,
-	compute func(ctx context.Context, nf *clara.NF, req *Request) (any, error)) ([]byte, error) {
+// computeBody runs one full analysis — bounded concurrency, clamped
+// per-request context — and renders and caches the result body. compute
+// resolves its NFs (compiled or cached) and runs under the clamped context;
+// name labels a rendering failure. It is the shared execution core under
+// the synchronous endpoints (via singleflight), /v1/colocate and async job
+// attempts; parent is s.base for the synchronous ones and the attempt
+// context for jobs, so job cancellation and drain aborts flow through the
+// same plumbing.
+func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, name string, req *Request,
+	compute func(ctx context.Context) (any, error)) ([]byte, error) {
 
 	// Bounded concurrency: at most MaxInflight computations execute; the
 	// rest queue here unless the computation is already aborted.
@@ -641,10 +643,6 @@ func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, hash, s
 	if s.testComputeGate != nil {
 		s.testComputeGate()
 	}
-	nf, err := s.compiledNF(hash, source)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel, err := cliutil.RequestContext(parent, req.Timeout, req.Budget, s.cfg.MaxTimeout, s.cfg.MaxBudget)
 	if err != nil {
 		return nil, err
@@ -654,13 +652,13 @@ func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, hash, s
 	ctx = budget.WithUsage(ctx, s.usage)
 
 	s.metrics.Counter("clara_serve_computations_total", "endpoint", endpoint).Inc()
-	out, err := compute(ctx, nf, req)
+	out, err := compute(ctx)
 	if err != nil {
 		return nil, err
 	}
 	rendered, err := json.Marshal(out)
 	if err != nil {
-		return nil, &budget.PanicError{Stage: "serve", NF: nf.Name(), Value: err}
+		return nil, &budget.PanicError{Stage: "serve", NF: name, Value: err}
 	}
 	s.results.add(cacheKey, rendered)
 	return rendered, nil
@@ -685,8 +683,21 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string
 	hash := hex.EncodeToString(sum[:])
 	key := resultKey(endpoint, hash, &req)
 	return s.cachedFlight(w, endpoint, key, req.Timeout, func() ([]byte, error) {
-		return s.computeBody(s.base, endpoint, key, hash, source, &req, compute)
+		return s.computeBody(s.base, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
 	})
+}
+
+// withNF adapts a single-NF analysis to computeBody: the NF is compiled, or
+// taken from the cache, inside the computation's admission slot.
+func (s *Server) withNF(hash, source string, req *Request,
+	compute func(ctx context.Context, nf *clara.NF, req *Request) (any, error)) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		nf, err := s.compiledNF(hash, source)
+		if err != nil {
+			return nil, err
+		}
+		return compute(ctx, nf, req)
+	}
 }
 
 // cachedFlight is the result-cache + singleflight + chaos-guard machinery
@@ -928,6 +939,7 @@ func (s *Server) handleColocate(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, errors.New(`"tenants" must name at least one NF`))
 	}
 	sources := make([]string, len(req.Tenants))
+	hashes := make([]string, len(req.Tenants))
 	workloads := make([]string, len(req.Tenants))
 	keyParts := []string{"colocate", req.Target, req.Workload, req.Budget}
 	for i, ts := range req.Tenants {
@@ -942,66 +954,44 @@ func (s *Server) handleColocate(w http.ResponseWriter, r *http.Request) int {
 			workloads[i] = req.Workload
 		}
 		sum := sha256.Sum256([]byte(src))
-		keyParts = append(keyParts, hex.EncodeToString(sum[:]),
+		hashes[i] = hex.EncodeToString(sum[:])
+		keyParts = append(keyParts, hashes[i],
 			strconv.FormatFloat(ts.weight(), 'g', -1, 64), ts.Workload)
 	}
 	key := strings.Join(keyParts, "\x00")
 
 	return s.cachedFlight(w, "colocate", key, req.Timeout, func() ([]byte, error) {
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.base.Done():
-			return nil, &budget.CanceledError{Stage: "serve", Err: s.base.Err()}
-		}
-		defer func() { <-s.sem }()
-		if s.testComputeGate != nil {
-			s.testComputeGate()
-		}
-
-		nfs := make([]*clara.NF, len(req.Tenants))
-		weights := make([]float64, len(req.Tenants))
-		wls := make([]clara.Workload, len(req.Tenants))
-		for i := range req.Tenants {
-			sum := sha256.Sum256([]byte(sources[i]))
-			nf, err := s.compiledNF(hex.EncodeToString(sum[:]), sources[i])
+		return s.computeBody(s.base, "colocate", key, "colocate", &req, func(ctx context.Context) (any, error) {
+			nfs := make([]*clara.NF, len(req.Tenants))
+			weights := make([]float64, len(req.Tenants))
+			wls := make([]clara.Workload, len(req.Tenants))
+			for i := range req.Tenants {
+				nf, err := s.compiledNF(hashes[i], sources[i])
+				if err != nil {
+					return nil, fmt.Errorf("tenant %d: %w", i, err)
+				}
+				wl, err := clara.ParseWorkload(workloads[i])
+				if err != nil {
+					return nil, fmt.Errorf("tenant %d: %w", i, err)
+				}
+				nfs[i], weights[i], wls[i] = nf, req.Tenants[i].weight(), wl
+			}
+			t, err := clara.NewTarget(req.Target)
 			if err != nil {
-				return nil, fmt.Errorf("tenant %d: %w", i, err)
+				return nil, err
 			}
-			wl, err := clara.ParseWorkload(workloads[i])
+			preds, err := clara.PredictColocatedContext(ctx, nfs, weights, t, wls)
 			if err != nil {
-				return nil, fmt.Errorf("tenant %d: %w", i, err)
+				return nil, err
 			}
-			nfs[i], weights[i], wls[i] = nf, req.Tenants[i].weight(), wl
-		}
-		t, err := clara.NewTarget(req.Target)
-		if err != nil {
-			return nil, err
-		}
-		ctx, cancel, err := cliutil.RequestContext(s.base, req.Timeout, req.Budget, s.cfg.MaxTimeout, s.cfg.MaxBudget)
-		if err != nil {
-			return nil, err
-		}
-		defer cancel()
-		ctx = obs.With(ctx, s.metrics)
-		ctx = budget.WithUsage(ctx, s.usage)
-
-		s.metrics.Counter("clara_serve_computations_total", "endpoint", "colocate").Inc()
-		preds, err := clara.PredictColocatedContext(ctx, nfs, weights, t, wls)
-		if err != nil {
-			return nil, err
-		}
-		out := colocateResponse{Target: req.Target, Tenants: make([]colocateTenant, len(preds))}
-		for i, p := range preds {
-			out.Tenants[i] = colocateTenant{
-				NF: nfs[i].Name(), Weight: weights[i], Workload: workloads[i], Prediction: p,
+			out := colocateResponse{Target: req.Target, Tenants: make([]colocateTenant, len(preds))}
+			for i, p := range preds {
+				out.Tenants[i] = colocateTenant{
+					NF: nfs[i].Name(), Weight: weights[i], Workload: workloads[i], Prediction: p,
+				}
 			}
-		}
-		rendered, err := json.Marshal(out)
-		if err != nil {
-			return nil, &budget.PanicError{Stage: "serve", NF: "colocate", Value: err}
-		}
-		s.results.add(key, rendered)
-		return rendered, nil
+			return out, nil
+		})
 	})
 }
 

@@ -620,6 +620,61 @@ func TestColocateEndpoint(t *testing.T) {
 	}
 }
 
+// TestColocateCountsAgainstMaxInflight holds a /v1/colocate computation at
+// the compute gate under MaxInflight 1: it must occupy the only admission
+// slot, so a concurrent advise queues behind it instead of computing.
+func TestColocateCountsAgainstMaxInflight(t *testing.T) {
+	var entered atomic.Int32
+	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	t.Cleanup(open) // runs before the server closes, so a failed check cannot hang it
+	s.testComputeGate = func() { entered.Add(1); <-gate }
+
+	codes := make(chan int, 2)
+	go func() {
+		resp, _ := post(t, ts.URL+"/v1/colocate", Request{Target: "netronome", Workload: testWorkload,
+			Tenants: []TenantSpec{{NF: "firewall"}, {NF: "firewall"}}})
+		codes <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("colocate computation never reached the gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(s.sem); n != 1 {
+		t.Fatalf("admission slots taken by the gated colocate = %d, want 1", n)
+	}
+
+	go func() {
+		resp, _ := post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
+		codes <- resp.StatusCode
+	}()
+	for s.flight.waiters() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("advise request never joined a flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // give a wrongly admitted advise time to reach the gate
+	if n := entered.Load(); n != 1 {
+		t.Fatalf("%d computations passed admission with MaxInflight 1", n)
+	}
+
+	open()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("request got %d, want 200", code)
+		}
+	}
+	if n := entered.Load(); n != 2 {
+		t.Errorf("computations = %d, want 2", n)
+	}
+}
+
 // TestMeasureEndpoint exercises POST /v1/measure: a simulator run with an
 // explicit seed, a second request differing only in worker count answered
 // from the cache (shard-count invariance makes "shards" a scheduling knob,
