@@ -28,10 +28,10 @@ package clara
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -179,35 +179,10 @@ type NF struct {
 	// tables); keyed by state name.
 	Preload map[string]int
 
-	// classMu guards the memoized behaviour enumeration (§3.5); classes are
-	// read-only once published. A canceled or budget-exceeded enumeration is
-	// not memoized, so a retry under a healthier context can still succeed;
-	// real failures are latched.
-	classMu   sync.Mutex
-	classDone bool
-	classes   []symexec.Class
-	classErr  error
-
-	// annotated caches workload-annotated clones of Graph keyed by the
-	// weight vector, so repeated analyses of the same workload (Advise over
-	// many targets, eval grids) share one read-only annotated graph.
-	annMu     sync.Mutex
-	annotated map[symexec.Weights]*cir.Graph
-
-	// engines holds compiled engines for Program that no prediction is
-	// running. An engine keeps its registers inside itself, so concurrent
-	// predictions each take their own; at most cap(engines) wait between
-	// calls, and they go away with the NF.
-	engines chan *cir.Compiled
+	// pipe owns Program's memoized enumeration, annotated graphs and
+	// compiled engines, and runs every analysis stage.
+	pipe *predict.Pipeline
 }
-
-// annotatedCacheCap bounds the per-NF annotated-graph cache; sweeps over
-// unbounded workload grids reset it rather than grow without limit.
-const annotatedCacheCap = 64
-
-// engineCacheCap bounds the compiled engines an NF keeps: one per target
-// of a concurrent Advise, and one more.
-const engineCacheCap = 4
 
 // CompileNF lowers NF-dialect source into Clara IR and extracts its
 // dataflow graph.
@@ -217,14 +192,11 @@ func CompileNF(source string) (*NF, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := cir.BuildGraph(prog)
+		p, err := predict.NewPipeline(prog)
 		if err != nil {
 			return nil, err
 		}
-		return &NF{
-			Source: source, Program: prog, Graph: g, Preload: map[string]int{},
-			engines: make(chan *cir.Compiled, engineCacheCap),
-		}, nil
+		return &NF{Source: source, Program: prog, Graph: p.Graph, Preload: map[string]int{}, pipe: p}, nil
 	})
 }
 
@@ -311,94 +283,6 @@ func GenerateTraceContext(ctx context.Context, p TrafficProfile) (*Trace, error)
 	return workload.GenerateContext(ctx, p)
 }
 
-// retryable reports whether err reflects the caller's context or budget
-// rather than the NF itself, in which case the result must not be memoized:
-// a later call with a looser budget or live context may succeed.
-func retryable(err error) bool {
-	return errors.Is(err, budget.Exceeded) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// enumerate returns the NF's behaviour classes, running symbolic enumeration
-// at most once per NF. The returned slice is shared and must be treated as
-// read-only. Enumeration runs inside a panic-isolation boundary; canceled or
-// budget-exceeded runs are reported but not memoized.
-func (nf *NF) enumerate(ctx context.Context) ([]symexec.Class, error) {
-	m := obs.From(ctx)
-	nf.classMu.Lock()
-	defer nf.classMu.Unlock()
-	if nf.classDone {
-		m.Counter("clara_enum_cache_hits_total").Inc()
-		return nf.classes, nf.classErr
-	}
-	m.Counter("clara_enum_cache_misses_total").Inc()
-	defer m.StageTimer("enumerate")()
-	classes, err := budget.Guard1("enumerate", nf.Program.Name, func() ([]symexec.Class, error) {
-		return symexec.EnumerateContext(ctx, nf.Program)
-	})
-	if err != nil && retryable(err) {
-		return classes, err
-	}
-	nf.classDone = true
-	nf.classes, nf.classErr = classes, err
-	return nf.classes, nf.classErr
-}
-
-// annotatedGraph returns a read-only clone of the dataflow graph with edge
-// probabilities refined for the workload. Clones are cached per weight
-// vector; nf.Graph itself is never mutated, which is what makes the analysis
-// pipeline re-entrant.
-func (nf *NF) annotatedGraph(ctx context.Context, wl Workload) (*cir.Graph, error) {
-	classes, err := nf.enumerate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	m := obs.From(ctx)
-	w := symexec.WeightsFor(wl)
-	nf.annMu.Lock()
-	defer nf.annMu.Unlock()
-	if g, ok := nf.annotated[w]; ok {
-		m.Counter("clara_annot_cache_hits_total").Inc()
-		return g, nil
-	}
-	m.Counter("clara_annot_cache_misses_total").Inc()
-	defer m.StageTimer("annotate")()
-	g := symexec.AnnotatedGraph(nf.Graph, classes, w)
-	if len(nf.annotated) >= annotatedCacheCap {
-		nf.annotated = nil
-	}
-	if nf.annotated == nil {
-		nf.annotated = map[symexec.Weights]*cir.Graph{}
-	}
-	nf.annotated[w] = g
-	return g, nil
-}
-
-// engine returns a compiled engine for the NF's program that no one else is
-// running, compiling one when none is free. Hand it back with putEngine.
-func (nf *NF) engine() (*cir.Compiled, error) {
-	select {
-	case c := <-nf.engines:
-		return c, nil
-	default:
-	}
-	c, err := cir.Compile(nf.Program)
-	if err != nil {
-		return nil, fmt.Errorf("predict: %w", err)
-	}
-	return c, nil
-}
-
-// putEngine returns c to the NF's free engines, or drops it when enough
-// are waiting.
-func (nf *NF) putEngine(c *cir.Compiled) {
-	select {
-	case nf.engines <- c:
-	default:
-	}
-}
-
 // Map lowers the NF onto the target for the workload (§3.4). The dataflow
 // graph's edge probabilities are first refined by behaviour enumeration;
 // the refinement happens on a per-workload clone, so Map is safe to call
@@ -410,17 +294,7 @@ func (nf *NF) Map(t *Target, wl Workload, h Hints) (*Mapping, error) {
 // MapContext is Map bounded by ctx and its budget; the solve runs inside a
 // panic-isolation boundary.
 func (nf *NF) MapContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Mapping, error) {
-	g, err := nf.annotatedGraph(ctx, wl)
-	if err != nil {
-		return nil, err
-	}
-	if err := budget.Canceled(ctx, "map", nf.Program.Name); err != nil {
-		return nil, err
-	}
-	defer obs.From(ctx).StageTimer("map")()
-	return budget.Guard1("map", nf.Program.Name, func() (*Mapping, error) {
-		return mapper.Map(g, t, wl, h)
-	})
+	return nf.pipe.Map(ctx, t, wl, h)
 }
 
 // MapGreedy is the no-solver baseline mapping (ablation). It prices against
@@ -431,17 +305,7 @@ func (nf *NF) MapGreedy(t *Target, wl Workload, h Hints) (*Mapping, error) {
 
 // MapGreedyContext is MapGreedy bounded by ctx and its budget.
 func (nf *NF) MapGreedyContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Mapping, error) {
-	g, err := nf.annotatedGraph(ctx, wl)
-	if err != nil {
-		return nil, err
-	}
-	if err := budget.Canceled(ctx, "map", nf.Program.Name); err != nil {
-		return nil, err
-	}
-	defer obs.From(ctx).StageTimer("map")()
-	return budget.Guard1("map", nf.Program.Name, func() (*Mapping, error) {
-		return mapper.Greedy(g, t, wl, h)
-	})
+	return nf.pipe.Greedy(ctx, t, wl, h)
 }
 
 // PredictMapped produces the performance profile for an existing mapping,
@@ -453,23 +317,7 @@ func (nf *NF) PredictMapped(t *Target, m *Mapping, wl Workload, opts PredictOpti
 // PredictMappedContext is PredictMapped bounded by ctx and its budget; the
 // prediction runs inside a panic-isolation boundary.
 func (nf *NF) PredictMappedContext(ctx context.Context, t *Target, m *Mapping, wl Workload, opts PredictOptions) (*Prediction, error) {
-	classes, err := nf.enumerate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := budget.Canceled(ctx, "predict", nf.Program.Name); err != nil {
-		return nil, err
-	}
-	defer obs.From(ctx).StageTimer("predict")()
-	return budget.Guard1("predict", nf.Program.Name, func() (*Prediction, error) {
-		comp, err := nf.engine()
-		if err != nil {
-			return nil, err
-		}
-		p, err := predict.PredictCompiled(comp, classes, m, t, wl, opts)
-		nf.putEngine(comp)
-		return p, err
-	})
+	return nf.pipe.PredictMapped(ctx, t, m, wl, opts)
 }
 
 // Predict runs the full workflow: map, then predict.
@@ -481,23 +329,19 @@ func (nf *NF) Predict(t *Target, wl Workload, h Hints) (*Prediction, error) {
 // tripped budget aborts whichever stage (enumerate, map, predict) is running
 // with a typed error.
 func (nf *NF) PredictContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Prediction, error) {
-	m, err := nf.MapContext(ctx, t, wl, h)
-	if err != nil {
-		return nil, err
-	}
-	return nf.PredictMappedContext(ctx, t, m, wl, PredictOptions{})
+	return nf.pipe.Predict(ctx, t, wl, h, PredictOptions{})
 }
 
 // Classes enumerates the NF's distinct behaviours (§3.5). The enumeration
 // runs once per NF and is cached; the returned slice is shared — treat it as
 // read-only.
-func (nf *NF) Classes() ([]Class, error) { return nf.enumerate(context.Background()) }
+func (nf *NF) Classes() ([]Class, error) { return nf.pipe.Classes(context.Background()) }
 
 // ClassesContext is Classes bounded by ctx and its budget. On cancellation
 // or a tripped budget the typed error's Partial field carries the classes
 // enumerated so far, and the enumeration is not memoized (a retry with a
 // looser budget can complete it).
-func (nf *NF) ClassesContext(ctx context.Context) ([]Class, error) { return nf.enumerate(ctx) }
+func (nf *NF) ClassesContext(ctx context.Context) ([]Class, error) { return nf.pipe.Classes(ctx) }
 
 // PlacementOf converts a mapping into the simulator's placement form.
 func PlacementOf(m *Mapping) Placement { return nicsim.PlacementOf(m) }
@@ -622,16 +466,27 @@ func FitContentionContext(ctx context.Context, t *Target) (*ContentionModel, err
 	})
 }
 
-// contModels memoizes one fitted contention model per target name: the fit
-// runs a dozen short simulations, built-in profiles are immutable, and the
-// result is deterministic, so every PredictColocated call on the same target
-// can share it.
+// contModels memoizes one fitted contention model per built-in profile:
+// the fit runs a dozen short simulations and is deterministic, so every
+// PredictColocated call on an unmodified built-in target can share it. A
+// target that differs from the built-in profile of its name (a modified
+// NewTarget copy) is fitted on every call.
 var (
 	contModelMu sync.Mutex
 	contModels  = map[string]*ContentionModel{}
 )
 
 func contentionModelFor(ctx context.Context, t *Target) (*ContentionModel, error) {
+	builtin := false
+	for _, b := range builtinTargets() {
+		if b.target.Name == t.Name {
+			builtin = reflect.DeepEqual(b.target, t)
+			break
+		}
+	}
+	if !builtin {
+		return FitContentionContext(ctx, t)
+	}
 	contModelMu.Lock()
 	if m, ok := contModels[t.Name]; ok {
 		contModelMu.Unlock()
@@ -660,8 +515,8 @@ func PredictColocated(nfs []*NF, weights []float64, t *Target, wls []Workload) (
 }
 
 // PredictColocatedContext is PredictColocated bounded by ctx and its budget;
-// the contention-model fit (once per target, memoized) and every per-tenant
-// pipeline stage honor cancellation with typed errors.
+// the contention-model fit (memoized per built-in target) and every
+// per-tenant pipeline stage honor cancellation with typed errors.
 func PredictColocatedContext(ctx context.Context, nfs []*NF, weights []float64, t *Target, wls []Workload) ([]*Prediction, error) {
 	if len(nfs) != len(weights) || len(nfs) != len(wls) {
 		return nil, fmt.Errorf("clara: co-location wants parallel slices, got %d NFs, %d weights, %d workloads",
@@ -669,7 +524,6 @@ func PredictColocatedContext(ctx context.Context, nfs []*NF, weights []float64, 
 	}
 	tenants := make([]predict.ColocTenant, len(nfs))
 	names := make([]string, 0, len(nfs))
-	activeCount := 0
 	for i, nf := range nfs {
 		tenants[i] = predict.ColocTenant{Weight: weights[i], Workload: wls[i]}
 		if weights[i] <= 0 {
@@ -678,30 +532,21 @@ func PredictColocatedContext(ctx context.Context, nfs []*NF, weights []float64, 
 		if nf == nil {
 			return nil, fmt.Errorf("clara: co-located tenant %d is nil", i)
 		}
-		classes, err := nf.enumerate(ctx)
-		if err != nil {
-			return nil, err
-		}
-		tenants[i].Prog = nf.Program
-		tenants[i].Classes = classes
+		tenants[i].NF = nf.pipe
 		names = append(names, nf.Name())
-		activeCount++
 	}
 	// The fitted model only matters once resources are actually shared;
 	// the single-tenant path degenerates to the solo pipeline without it.
 	var model *ContentionModel
-	if activeCount > 1 {
+	if len(names) > 1 {
 		var err error
 		if model, err = contentionModelFor(ctx, t); err != nil {
 			return nil, err
 		}
 	}
-	if err := budget.Canceled(ctx, "predict", strings.Join(names, "+")); err != nil {
-		return nil, err
-	}
 	defer obs.From(ctx).StageTimer("colocate")()
 	return budget.Guard1("predict", strings.Join(names, "+"), func() ([]*Prediction, error) {
-		return predict.PredictColocated(tenants, t, model, PredictOptions{})
+		return predict.PredictColocated(ctx, tenants, t, model, PredictOptions{})
 	})
 }
 
@@ -776,7 +621,7 @@ func AnalyzePartialParallel(nf *NF, t *Target, wl Workload, pcie PCIe, parallel 
 // AnalyzePartialContext is AnalyzePartialParallel bounded by ctx: the cut
 // sweep stops promptly on cancellation with a typed CanceledError.
 func AnalyzePartialContext(ctx context.Context, nf *NF, t *Target, wl Workload, pcie PCIe, parallel int) (*PartialAnalysis, error) {
-	g, err := nf.annotatedGraph(ctx, wl)
+	g, err := nf.pipe.Annotated(ctx, wl)
 	if err != nil {
 		return nil, err
 	}
@@ -820,7 +665,7 @@ func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Ad
 	defer obs.From(ctx).StageTimer("advise")()
 	// Warm the shared memoizations once so the workers don't duplicate the
 	// enumeration and annotation work.
-	if _, err := nf.annotatedGraph(ctx, wl); err != nil {
+	if _, err := nf.pipe.Annotated(ctx, wl); err != nil {
 		return nil, err
 	}
 	targets := builtinTargets()
@@ -829,7 +674,7 @@ func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Ad
 			name, t := targets[i].name, targets[i].target
 			pred, err := nf.PredictContext(cctx, t, wl, Hints{})
 			if err != nil {
-				if retryable(err) {
+				if budget.Retryable(err) {
 					return Advice{}, err
 				}
 				return Advice{Target: name, Feasible: false, Reason: err.Error()}, nil

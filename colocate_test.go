@@ -1,11 +1,16 @@
 package clara
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"clara/internal/lnic"
 	"clara/internal/nf"
+	"clara/internal/predict"
 )
 
 func colocNFs(t *testing.T, names ...string) []*NF {
@@ -157,6 +162,98 @@ func TestPredictColocatedDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(got, baseline) {
 			t.Fatalf("GOMAXPROCS=%d: co-located predictions changed", procs)
 		}
+	}
+}
+
+// TestPredictColocatedRefitsModifiedTarget pins the contention-model memo
+// to unmodified built-in profiles: a NewTarget copy with slower hubs and
+// units keeps the profile's name, but must be predicted with a model fitted
+// for itself, not the one memoized for the pristine profile.
+func TestPredictColocatedRefitsModifiedTarget(t *testing.T) {
+	nfs := colocNFs(t, "firewall", "nat")
+	wls := colocWorkloads(t, 2)
+	weights := []float64{1, 1}
+	pristine, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PredictColocated(nfs, weights, pristine, wls); err != nil {
+		t.Fatal(err)
+	}
+	slow, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range slow.Hubs {
+		slow.Hubs[i].ServiceCycles *= 4
+	}
+	for i := range slow.Units {
+		slow.Units[i].FixedCycles *= 4
+	}
+	got, err := PredictColocated(nfs, weights, slow, wls)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	model, err := FitContention(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := make([]predict.ColocTenant, len(nfs))
+	for i, n := range nfs {
+		tenants[i] = predict.ColocTenant{NF: n.pipe, Weight: weights[i], Workload: wls[i]}
+	}
+	want, err := predict.PredictColocated(context.Background(), tenants, slow, model, PredictOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].MeanCycles != want[i].MeanCycles {
+			t.Errorf("tenant %d on the modified target: %.0f cycles, want %.0f from its own fitted model",
+				i, got[i].MeanCycles, want[i].MeanCycles)
+		}
+	}
+	contModelMu.Lock()
+	memo := contModels[pristine.Name]
+	contModelMu.Unlock()
+	if fresh, err := FitContention(lnic.Netronome()); err != nil || !reflect.DeepEqual(memo, fresh) {
+		t.Errorf("memoized model is not the pristine profile's fit (fit error %v)", err)
+	}
+}
+
+// cancelAfterFirstCheck is a context whose Err reports nothing on its first
+// call and context.Canceled on every later one: a caller that checks it once
+// up front and never again runs to completion.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPredictColocatedHonorsContextPerStage checks that co-location polls the
+// caller's context at each tenant stage, not only once before it starts.
+// Enumerations and the contention model are warmed first, so no memoized
+// step consumes the first check.
+func TestPredictColocatedHonorsContextPerStage(t *testing.T) {
+	nfs := colocNFs(t, "firewall", "nat")
+	wls := colocWorkloads(t, 2)
+	target, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := []float64{1, 1}
+	if _, err := PredictColocated(nfs, weights, target, wls); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &cancelAfterFirstCheck{Context: context.Background()}
+	if _, err := PredictColocatedContext(ctx, nfs, weights, target, wls); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PredictColocatedContext(canceled after first check) = %v, want context.Canceled", err)
 	}
 }
 

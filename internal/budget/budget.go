@@ -338,6 +338,15 @@ func (l Limits) ResourceLimit(resource string) int64 {
 	return 0
 }
 
+// Retryable reports whether err reflects the caller's context or budget
+// rather than the analyzed NF itself, in which case the result must not be
+// memoized: a later call with a looser budget or live context may succeed.
+func Retryable(err error) bool {
+	return errors.Is(err, Exceeded) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
 // Transient partitions pipeline errors by retryability against an operator
 // ceiling. Worth retrying: explicitly marked TransientError values (injected
 // faults), Guard-recovered panics (the invariant violation may be

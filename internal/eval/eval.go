@@ -13,7 +13,6 @@ import (
 	"math"
 	"strings"
 
-	"clara/internal/cir"
 	"clara/internal/lnic"
 	"clara/internal/mapper"
 	"clara/internal/microbench"
@@ -23,7 +22,6 @@ import (
 	"clara/internal/partial"
 	"clara/internal/predict"
 	"clara/internal/runner"
-	"clara/internal/symexec"
 	"clara/internal/workload"
 )
 
@@ -65,44 +63,14 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// prepared is one NF compiled and enumerated, with its dataflow graph
-// annotated by the behaviour-class weights of one workload: the steps
-// clara.NF.MapContext runs before it solves. Every experiment maps through
-// it, so eval prices the workload the production pipeline prices.
-type prepared struct {
-	prog    *cir.Program
-	classes []symexec.Class
-	g       *cir.Graph // annotated for wl
-	wl      mapper.Workload
-}
-
-// prepare compiles spec, enumerates its behaviour classes and annotates its
-// dataflow graph for wl.
-func prepare(ctx context.Context, spec nf.Spec, wl mapper.Workload) (*prepared, error) {
+// compile builds spec's analysis pipeline. Every experiment maps and
+// predicts through it, so eval runs the stages clara.NF runs.
+func compile(spec nf.Spec) (*predict.Pipeline, error) {
 	prog, err := spec.Compile()
 	if err != nil {
 		return nil, err
 	}
-	g, err := cir.BuildGraph(prog)
-	if err != nil {
-		return nil, err
-	}
-	classes, err := symexec.EnumerateContext(ctx, prog)
-	if err != nil {
-		return nil, err
-	}
-	symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
-	return &prepared{prog: prog, classes: classes, g: g, wl: wl}, nil
-}
-
-// mapOn solves the annotated graph's mapping onto nic.
-func (p *prepared) mapOn(nic *lnic.LNIC, h mapper.Hints) (*mapper.Mapping, error) {
-	return mapper.Map(p.g, nic, p.wl, h)
-}
-
-// predict predicts the NF under mapping m on nic for the prepared workload.
-func (p *prepared) predict(m *mapper.Mapping, nic *lnic.LNIC, opts predict.Options) (*predict.Prediction, error) {
-	return predict.PredictWithClasses(p.prog, p.classes, m, nic, p.wl, opts)
+	return predict.NewPipeline(prog)
 }
 
 // run maps (with hints), simulates, and optionally predicts one
@@ -116,7 +84,7 @@ type run struct {
 }
 
 type runResult struct {
-	NF        *prepared
+	NF        *predict.Pipeline
 	Mapping   *mapper.Mapping
 	Pred      *predict.Prediction
 	Sim       *nicsim.Result
@@ -132,17 +100,18 @@ func (r run) executeContext(ctx context.Context, predictToo bool) (*runResult, e
 	mtr := obs.From(ctx)
 	mtr.Counter("clara_eval_cells_total").Add(1)
 	defer mtr.StageTimer("eval_cell")()
-	p, err := prepare(ctx, r.spec, mapper.FromProfile(r.prof))
+	p, err := compile(r.spec)
 	if err != nil {
 		return nil, err
 	}
-	m, err := p.mapOn(r.nic, r.hints)
+	wl := mapper.FromProfile(r.prof)
+	m, err := p.Map(ctx, r.nic, wl, r.hints)
 	if err != nil {
 		return nil, err
 	}
 	out := &runResult{NF: p, Mapping: m}
 	if predictToo {
-		pred, err := p.predict(m, r.nic, predict.Options{})
+		pred, err := p.PredictMapped(ctx, r.nic, m, wl, predict.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +123,7 @@ func (r run) executeContext(ctx context.Context, predictToo bool) (*runResult, e
 		return nil, err
 	}
 	sim, err := nicsim.NewContext(ctx, nicsim.Config{
-		NIC: r.nic, Prog: p.prog, Place: nicsim.PlacementOf(m),
+		NIC: r.nic, Prog: p.Program, Place: nicsim.PlacementOf(m),
 		Preload: r.spec.PreloadEntries, Seed: r.cfg.seed(),
 	})
 	if err != nil {
@@ -524,27 +493,23 @@ func Interference(cfg Config) ([]InterferenceRow, error) {
 	solos := make([]*predict.Prediction, len(specs))
 	tenants := make([]predict.ColocTenant, len(specs))
 	for i, s := range specs {
-		p, err := prepare(ctx, s, wl)
+		p, err := compile(s)
 		if err != nil {
 			return nil, err
 		}
-		m, err := p.mapOn(nic, mapper.Hints{})
-		if err != nil {
+		if solos[i], err = p.Predict(ctx, nic, wl, mapper.Hints{}, predict.Options{}); err != nil {
 			return nil, err
 		}
-		if solos[i], err = p.predict(m, nic, predict.Options{}); err != nil {
-			return nil, err
-		}
-		tenants[i] = predict.ColocTenant{Prog: p.prog, Classes: p.classes, Weight: 1, Workload: half}
+		tenants[i] = predict.ColocTenant{NF: p, Weight: 1, Workload: half}
 	}
-	shared, err := predict.PredictColocated(tenants, nic, nil, predict.Options{})
+	shared, err := predict.PredictColocated(ctx, tenants, nic, nil, predict.Options{})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]InterferenceRow, len(specs))
 	for i := range specs {
 		rows[i] = InterferenceRow{
-			NF:             tenants[i].Prog.Name,
+			NF:             tenants[i].NF.Program.Name,
 			SoloCycles:     solos[i].MeanCycles,
 			SharedCycles:   shared[i].MeanCycles,
 			SoloThroughput: solos[i].ThroughputPPS,
@@ -588,17 +553,17 @@ func Colocate(cfg Config) ([]ColocateRow, error) {
 	tenants := make([]predict.ColocTenant, len(specs))
 	naive := make([]*predict.Prediction, len(specs))
 	for i, s := range specs {
-		p, err := prepare(ctx, s, wl)
+		p, err := compile(s)
 		if err != nil {
 			return nil, err
 		}
-		m, err := p.mapOn(nic, mapper.Hints{})
+		m, err := p.Map(ctx, nic, wl, mapper.Hints{})
 		if err != nil {
 			return nil, err
 		}
 		// The naive model: the tenant alone on the full NIC, under the
 		// mapping the simulator runs.
-		if naive[i], err = p.predict(m, nic, predict.Options{}); err != nil {
+		if naive[i], err = p.PredictMapped(ctx, nic, m, wl, predict.Options{}); err != nil {
 			return nil, err
 		}
 		tp := prof
@@ -608,10 +573,10 @@ func Colocate(cfg Config) ([]ColocateRow, error) {
 			return nil, err
 		}
 		ccfg.Tenants = append(ccfg.Tenants, nicsim.Tenant{
-			Prog: p.prog, Place: nicsim.PlacementOf(m),
+			Prog: p.Program, Place: nicsim.PlacementOf(m),
 			Preload: s.PreloadEntries, Weight: 1, Trace: tr,
 		})
-		tenants[i] = predict.ColocTenant{Prog: p.prog, Classes: p.classes, Weight: 1, Workload: wl}
+		tenants[i] = predict.ColocTenant{NF: p, Weight: 1, Workload: wl}
 	}
 	res, err := nicsim.RunColocatedContext(ctx, ccfg, nicsim.ShardOpts{})
 	if err != nil {
@@ -621,7 +586,7 @@ func Colocate(cfg Config) ([]ColocateRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	aware, err := predict.PredictColocated(tenants, nic, model, predict.Options{})
+	aware, err := predict.PredictColocated(ctx, tenants, nic, model, predict.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -688,19 +653,19 @@ func ILPvsGreedy(cfg Config) ([]AblationRow, error) {
 	specs := []nf.Spec{nf.LPM(20000), nf.NAT(true), nf.Firewall(65536), nf.VNFChain()}
 	return runner.Map(cfg.ctx(), cfg.parallel(), len(specs),
 		func(cctx context.Context, i int) (AblationRow, error) {
-			p, err := prepare(cctx, specs[i], wl)
+			p, err := compile(specs[i])
 			if err != nil {
 				return AblationRow{}, err
 			}
-			opt, err := p.mapOn(nic, mapper.Hints{})
+			opt, err := p.Map(cctx, nic, wl, mapper.Hints{})
 			if err != nil {
 				return AblationRow{}, err
 			}
-			gr, err := mapper.Greedy(p.g, nic, wl, mapper.Hints{})
+			gr, err := p.Greedy(cctx, nic, wl, mapper.Hints{})
 			if err != nil {
 				return AblationRow{}, err
 			}
-			return AblationRow{NF: p.prog.Name, ILPCycles: opt.CostCycles, GreedyCycles: gr.CostCycles}, nil
+			return AblationRow{NF: p.Program.Name, ILPCycles: opt.CostCycles, GreedyCycles: gr.CostCycles}, nil
 		})
 }
 
@@ -726,7 +691,7 @@ func QueueAware(cfg Config) (*QueueAblation, error) {
 	if err != nil {
 		return nil, err
 	}
-	noQ, err := res.NF.predict(res.Mapping, r.nic, predict.Options{NoQueueing: true})
+	noQ, err := res.NF.PredictMapped(r.cfg.ctx(), r.nic, res.Mapping, mapper.FromProfile(prof), predict.Options{NoQueueing: true})
 	if err != nil {
 		return nil, err
 	}
@@ -760,16 +725,20 @@ func Partial(cfg Config) ([]PartialRow, error) {
 	specs := []nf.Spec{nf.Firewall(65536), nf.DPI(), nf.NAT(true), nf.VNFChain()}
 	return runner.Map(cfg.ctx(), cfg.parallel(), len(specs),
 		func(cctx context.Context, i int) (PartialRow, error) {
-			p, err := prepare(cctx, specs[i], wl)
+			p, err := compile(specs[i])
 			if err != nil {
 				return PartialRow{}, err
 			}
-			an, err := partial.AnalyzeContext(cctx, p.g, nic, host, wl, partial.DefaultPCIe(), 0)
+			g, err := p.Annotated(cctx, wl)
+			if err != nil {
+				return PartialRow{}, err
+			}
+			an, err := partial.AnalyzeContext(cctx, g, nic, host, wl, partial.DefaultPCIe(), 0)
 			if err != nil {
 				return PartialRow{}, err
 			}
 			return PartialRow{
-				NF:            p.prog.Name,
+				NF:            p.Program.Name,
 				BestCut:       an.Best.Index,
 				TotalCuts:     len(an.Cuts) - 1,
 				FullNICNanos:  an.FullNIC.TotalNanos,

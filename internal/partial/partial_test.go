@@ -1,6 +1,7 @@
 package partial
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func analyzed(t *testing.T, spec nf.Spec, nic *lnic.LNIC, mutate func(*workload.
 		mutate(&prof)
 	}
 	wl := mapper.FromProfile(prof)
-	classes, err := symexec.Enumerate(prog)
+	classes, err := symexec.EnumerateContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

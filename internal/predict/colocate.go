@@ -1,12 +1,11 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 
-	"clara/internal/cir"
 	"clara/internal/lnic"
 	"clara/internal/mapper"
-	"clara/internal/symexec"
 )
 
 // This file predicts performance under multi-tenant co-location. The model
@@ -27,10 +26,9 @@ import (
 
 // ColocTenant is one NF in a co-location scenario.
 type ColocTenant struct {
-	Prog *cir.Program
-	// Classes optionally supplies the behaviour enumeration (must come from
-	// symexec.Enumerate on Prog); nil enumerates here.
-	Classes []symexec.Class
+	// NF is the tenant's prepared pipeline; co-location reuses its classes,
+	// annotated graphs and engines.
+	NF *Pipeline
 	// Weight is the tenant's share of the partitioned resources; a weight
 	// ≤ 0 deactivates the tenant (its prediction slot stays nil).
 	Weight float64
@@ -40,28 +38,20 @@ type ColocTenant struct {
 
 // PredictColocated predicts every active tenant's performance profile when
 // co-located on nic. With a single active tenant the result is exactly the
-// solo pipeline on the full NIC (no slicing, no inflation), so co-location
-// analysis degrades gracefully to a solo prediction. model may be nil,
-// selecting the analytic fallback curves; fit one with
-// microbench.FitContention for simulator-calibrated slowdowns.
-func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.ContentionModel, opts Options) ([]*Prediction, error) {
+// tenant's solo Predict on the full NIC (no slicing, no inflation), so
+// co-location analysis degrades gracefully to a solo prediction. model may
+// be nil, selecting the analytic fallback curves; fit one with
+// microbench.FitContention for simulator-calibrated slowdowns. Every
+// tenant stage runs through the tenant's Pipeline, under ctx.
+func PredictColocated(ctx context.Context, tenants []ColocTenant, nic *lnic.LNIC, model *lnic.ContentionModel, opts Options) ([]*Prediction, error) {
 	var active []int
 	total := 0.0
-	cls := make([][]symexec.Class, len(tenants))
 	for i, t := range tenants {
 		if t.Weight <= 0 {
 			continue
 		}
-		if t.Prog == nil {
-			return nil, fmt.Errorf("predict: co-located tenant %d has no program", i)
-		}
-		cls[i] = t.Classes
-		if cls[i] == nil {
-			var err error
-			cls[i], err = symexec.Enumerate(t.Prog)
-			if err != nil {
-				return nil, fmt.Errorf("predict: co-located tenant %d: %w", i, err)
-			}
+		if t.NF == nil {
+			return nil, fmt.Errorf("predict: co-located tenant %d has no NF", i)
 		}
 		active = append(active, i)
 		total += t.Weight
@@ -74,12 +64,12 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 	// One active tenant: the full NIC, the plain pipeline, byte-identical
 	// to a solo prediction.
 	if len(active) == 1 {
-		i := active[0]
-		p, _, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, nic, mapper.Hints{}, opts)
+		t := tenants[active[0]]
+		p, err := t.NF.Predict(ctx, nic, t.Workload, mapper.Hints{}, opts)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = p
+		out[active[0]] = p
 		return out, nil
 	}
 
@@ -98,8 +88,13 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 	soloOpts := opts
 	soloOpts.ResourceLoad = true
 	for _, i := range active {
-		sl := nic.Slice(tenants[i].Weight / total)
-		p, m, err := soloPredict(tenants[i].Prog, cls[i], tenants[i].Workload, sl, mapper.Hints{}, soloOpts)
+		t := tenants[i]
+		sl := nic.Slice(t.Weight / total)
+		m, err := t.NF.Map(ctx, sl, t.Workload, mapper.Hints{})
+		if err != nil {
+			return nil, fmt.Errorf("predict: co-located tenant %d: mapping %s on %s: %w", i, t.NF.Program.Name, sl.Name, err)
+		}
+		p, err := t.NF.PredictMapped(ctx, sl, m, t.Workload, soloOpts)
 		if err != nil {
 			return nil, fmt.Errorf("predict: co-located tenant %d: %w", i, err)
 		}
@@ -120,41 +115,13 @@ func PredictColocated(tenants []ColocTenant, nic *lnic.LNIC, model *lnic.Content
 			}
 		}
 		infl := inflate(solos[i].sl, model, other)
-		p, err := PredictWithClasses(tenants[i].Prog, cls[i], solos[i].m, infl, tenants[i].Workload, opts)
+		p, err := tenants[i].NF.PredictMapped(ctx, infl, solos[i].m, tenants[i].Workload, opts)
 		if err != nil {
 			return nil, fmt.Errorf("predict: co-located tenant %d contended: %w", i, err)
 		}
 		out[i] = p
 	}
 	return out, nil
-}
-
-// soloPredict runs the standard pipeline (annotate → map → predict) for one
-// program against the given NIC view, returning the mapping for reuse by the
-// contended pass. The steps and their inputs match NF.PredictContext, so a
-// single-active-tenant co-location equals the solo prediction exactly.
-func soloPredict(prog *cir.Program, classes []symexec.Class, wl mapper.Workload, nic *lnic.LNIC, h mapper.Hints, opts Options) (*Prediction, *mapper.Mapping, error) {
-	if classes == nil {
-		var err error
-		classes, err = symexec.Enumerate(prog)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := cir.BuildGraph(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	ag := symexec.AnnotatedGraph(g, classes, symexec.WeightsFor(wl))
-	m, err := mapper.Map(ag, nic, wl, h)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mapping %s on %s: %w", prog.Name, nic.Name, err)
-	}
-	p, err := PredictWithClasses(prog, classes, m, nic, wl, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, m, nil
 }
 
 // inflate clones the tenant's NIC view with shared service times scaled by

@@ -106,9 +106,9 @@ func (p *Prediction) String() string {
 }
 
 // PredictWithClasses computes the performance profile of prog mapped by m
-// onto nic under workload wl. The classes must come from symexec.Enumerate
-// on the same program; they are read, never modified, so one enumeration
-// can serve concurrent predictions.
+// onto nic under workload wl. The classes must come from
+// symexec.EnumerateContext on the same program; they are read, never
+// modified, so one enumeration can serve concurrent predictions.
 func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
 	// A program the engine cannot execute is refused here with the compile
 	// error.
@@ -116,14 +116,13 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)
 	}
-	return PredictCompiled(comp, classes, m, nic, wl, opts)
+	return predictCompiled(comp, classes, m, nic, wl, opts)
 }
 
-// PredictCompiled is PredictWithClasses on an engine compiled from the
-// program, which callers that predict one program repeatedly keep between
-// calls. The engine runs every class of this call, so it must not run
-// anything else until the call returns.
-func PredictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
+// predictCompiled is PredictWithClasses on an engine compiled from the
+// program, which a Pipeline keeps between calls. The engine runs every class
+// of this call, so it must not run anything else until the call returns.
+func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
 	prog := comp.Program()
 	w := symexec.WeightsFor(wl)
 	if opts.DPIMatchRate > 0 {

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,17 +14,25 @@ import (
 	"clara/internal/workload"
 )
 
-// pipeline runs the production workflow for a spec: compile, then
-// soloPredict's enumerate → annotate → map → predict, the steps of
+// pipeline runs the production workflow for a spec through a Pipeline:
+// compile, enumerate → annotate → map → predict, the steps of
 // NF.PredictContext. It returns the prediction, the mapping and the program.
 func pipeline(tb testing.TB, spec nf.Spec, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*Prediction, *mapper.Mapping, *cir.Program) {
 	tb.Helper()
-	prog := spec.MustCompile()
-	p, m, err := soloPredict(prog, nil, wl, nic, h, Options{})
+	ctx := context.Background()
+	p, err := NewPipeline(spec.MustCompile())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return p, m, prog
+	m, err := p.Map(ctx, nic, wl, h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pred, err := p.PredictMapped(ctx, nic, m, wl, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pred, m, p.Program
 }
 
 // measure runs the simulator for the same spec and mapping.
@@ -179,7 +188,11 @@ func TestQueueingGrowsWithRate(t *testing.T) {
 
 func TestNoQueueingOption(t *testing.T) {
 	wl := mapper.FromProfile(workload.DefaultProfile())
-	p, _, err := soloPredict(nf.Firewall(65536).MustCompile(), nil, wl, lnic.Netronome(), mapper.Hints{}, Options{NoQueueing: true})
+	pl, err := NewPipeline(nf.Firewall(65536).MustCompile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pl.Predict(context.Background(), lnic.Netronome(), wl, mapper.Hints{}, Options{NoQueueing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +240,7 @@ func BenchmarkPredictVNF(b *testing.B) {
 	wl := mapper.FromProfile(workload.DefaultProfile())
 	nic := lnic.Netronome()
 	_, m, prog := pipeline(b, nf.VNFChain(), nic, wl, mapper.Hints{})
-	classes, err := symexec.Enumerate(prog)
+	classes, err := symexec.EnumerateContext(context.Background(), prog)
 	if err != nil {
 		b.Fatal(err)
 	}

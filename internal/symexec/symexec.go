@@ -83,13 +83,8 @@ type Class struct {
 // Name renders a stable identifier for the class.
 func (c *Class) Name() string { return c.Attrs.String() }
 
-// Enumerate runs the program across the attribute lattice and returns the
-// distinct behaviour classes, ordered deterministically.
-func Enumerate(prog *cir.Program) ([]Class, error) {
-	return EnumerateContext(context.Background(), prog)
-}
-
-// EnumerateContext is Enumerate under a cancellable, budgeted context. The
+// EnumerateContext runs the program across the attribute lattice and
+// returns the distinct behaviour classes, ordered deterministically. The
 // per-class CIR step cap and the lattice-point cap come from the
 // budget.Limits carried on ctx (safe defaults otherwise). On cancellation it
 // returns a *budget.CanceledError wrapping ctx.Err(); on a tripped budget a

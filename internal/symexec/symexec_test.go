@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func classesFor(t *testing.T, spec nf.Spec) []Class {
 	t.Helper()
-	cls, err := Enumerate(spec.MustCompile())
+	cls, err := EnumerateContext(context.Background(), spec.MustCompile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestHeavyHitterClasses(t *testing.T) {
 
 func TestAllNFsEnumerate(t *testing.T) {
 	for name, spec := range nf.All() {
-		cls, err := Enumerate(spec.MustCompile())
+		cls, err := EnumerateContext(context.Background(), spec.MustCompile())
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -144,7 +145,7 @@ func TestAnnotateGraphSkewsBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := Enumerate(prog)
+	cls, err := EnumerateContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +200,9 @@ func TestEnumerateRejectsUncompilableProgram(t *testing.T) {
 		Instrs: []cir.Instr{{Op: cir.OpAdd, Dst: 0, Args: []cir.Reg{0, 5}}},
 		Term:   cir.Terminator{Kind: cir.TermReturn, Ret: 0},
 	}}}
-	_, err := Enumerate(prog)
+	_, err := EnumerateContext(context.Background(), prog)
 	want := `symexec: cir: compile: block 0 instr 0 (r0 = add r0 r5): register r5 out of range (NumRegs=1)`
 	if err == nil || err.Error() != want {
-		t.Fatalf("Enumerate(malformed) error = %v, want %q", err, want)
+		t.Fatalf("EnumerateContext(malformed) error = %v, want %q", err, want)
 	}
 }
