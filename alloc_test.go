@@ -148,6 +148,21 @@ func TestAdviseAllocBudget(t *testing.T) {
 	checkBytesBudget(t, "vnfchain warm advise", BenchmarkAdviseSerial, adviseBytesBudget)
 }
 
+// colocBytesBudget bounds the bytes one BenchmarkSimRunColocated call
+// allocates: two tenants' simulators built for the call's one window, the
+// merged arrival order and two tenants' Results. With the region caches
+// allocated whole (786 KB of EMEM tags and recency counters per simulator)
+// and the arrival order grown by appends, a call allocated about 3.59 MB;
+// with cache storage per touched set and the arrival order sized once, about
+// 1.95 MB. The budget leaves about 23% headroom.
+const colocBytesBudget = 2_400_000
+
+// TestColocAllocBudget keeps a co-located run's set-up proportional to the
+// packets it simulates rather than to the NIC's cache capacity.
+func TestColocAllocBudget(t *testing.T) {
+	checkBytesBudget(t, "firewall+NAT co-located run", BenchmarkSimRunColocated, colocBytesBudget)
+}
+
 // checkBytesBudget runs bench and fails t when an op allocates more than
 // budget bytes.
 func checkBytesBudget(t *testing.T, what string, bench func(*testing.B), budget int64) {

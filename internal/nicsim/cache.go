@@ -24,12 +24,18 @@ type cache struct {
 	setsMask uint64
 	setsM    uint64
 	setsL    uint
-	// tags and lru are flat [sets*ways] arrays indexed set*ways+way — one
-	// backing allocation and one bounds check per set scan instead of a
-	// pointer chase through per-set slices. Valid tag entries are ≥ 0;
-	// lru holds recency counters (higher = more recent).
-	tags  []int64
-	lru   []uint64
+	// Storage exists only for the sets a run touches. block[set] is 1 + the
+	// offset of the set's ways in the slots arena, or 0 while the set is
+	// untouched since construction or reset; the first touch appends the
+	// set's ways, all invalid (tag −1, lru 0) — the state a never-touched
+	// set of a fully allocated cache is in — so hit/miss answers and LRU
+	// victims do not depend on when storage appeared. A set's ways are
+	// contiguous (one bounds check per set scan) and each keeps its tag next
+	// to its recency counter, so a hit reads and writes one memory line.
+	// Construction costs 4 bytes per set instead of 16 per line, and reset
+	// clears the index and truncates the arena.
+	block []int32
+	slots []cacheWay
 	clock uint64
 	// mruLine and mruSlot remember the most recent access (mruSlot < 0 when
 	// there is none). Nothing can evict a line between two accesses, so
@@ -77,12 +83,39 @@ func newCache(capacityBytes int64, lineBytes int) *cache {
 		q, _ := bits.Div64(1<<c.setsL, 0, uint64(sets))
 		c.setsM = q + 1
 	}
-	c.tags = make([]int64, sets*ways)
-	c.lru = make([]uint64, sets*ways)
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
+	c.block = make([]int32, sets)
 	return c
+}
+
+// cacheWay is one way of a set: its tag (≥ 0 when valid, −1 when not) and
+// its recency counter (higher = more recent).
+type cacheWay struct {
+	tag int64
+	lru uint64
+}
+
+// touch appends set's ways to the arena, all invalid, and returns their
+// offset. The arena doubles when full, from 16 sets up to the whole
+// capacity, so a run that touches every set allocates under twice the
+// whole-capacity arrays (append's 1.25x steps for large slices allocate
+// several times that). touch runs once per set per run, so it stays out of
+// line: inlined, it gave access a larger frame and slowed every hit
+// (BenchmarkCacheAccessHit).
+//
+//go:noinline
+func (c *cache) touch(set int) int {
+	base := len(c.slots)
+	n := base + c.ways
+	if n > cap(c.slots) {
+		size := min(max(2*cap(c.slots), 16*c.ways), c.sets*c.ways)
+		c.slots = append(make([]cacheWay, 0, size), c.slots...)
+	}
+	c.slots = c.slots[:n]
+	for w := base; w < n; w++ {
+		c.slots[w] = cacheWay{tag: -1}
+	}
+	c.block[set] = int32(base + 1)
+	return base
 }
 
 // access looks up addr, installing its line on miss. It reports whether the
@@ -96,7 +129,7 @@ func (c *cache) access(addr uint64) bool {
 		line = addr / uint64(c.lineBytes)
 	}
 	if line == c.mruLine && c.mruSlot >= 0 {
-		c.lru[c.mruSlot] = c.clock
+		c.slots[c.mruSlot].lru = c.clock
 		c.hits++
 		return true
 	}
@@ -117,11 +150,14 @@ func (c *cache) access(addr uint64) bool {
 		set = int(line % uint64(c.sets))
 		tag = int64(line / uint64(c.sets))
 	}
-	base := set * c.ways
-	row := c.tags[base : base+c.ways]
-	for w, t := range row {
-		if t == tag {
-			c.lru[base+w] = c.clock
+	base := int(c.block[set]) - 1
+	if base < 0 {
+		base = c.touch(set)
+	}
+	row := c.slots[base : base+c.ways]
+	for w := range row {
+		if row[w].tag == tag {
+			row[w].lru = c.clock
 			c.hits++
 			c.mruLine, c.mruSlot = line, base+w
 			return true
@@ -129,29 +165,25 @@ func (c *cache) access(addr uint64) bool {
 	}
 	c.misses++
 	// Evict LRU way.
-	victim := base
-	oldest := c.lru[base]
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
+	v := 0
+	oldest := row[0].lru
+	for w := 1; w < len(row); w++ {
+		if row[w].lru < oldest {
+			oldest = row[w].lru
+			v = w
 		}
 	}
-	c.tags[victim] = tag
-	c.lru[victim] = c.clock
-	c.mruLine, c.mruSlot = line, victim
+	row[v] = cacheWay{tag: tag, lru: c.clock}
+	c.mruLine, c.mruSlot = line, base+v
 	return false
 }
 
-// reset restores the cache to its freshly constructed state (all lines
-// invalid, counters zeroed) without reallocating; the Sim pool relies on it.
+// reset restores the cache to its freshly constructed state (every set
+// untouched, counters zeroed), keeping the arena's capacity for the next run;
+// the Sim pool relies on it.
 func (c *cache) reset() {
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	for i := range c.lru {
-		c.lru[i] = 0
-	}
+	clear(c.block)
+	c.slots = c.slots[:0]
 	c.clock = 0
 	c.mruSlot = -1
 	c.hits = 0

@@ -1,10 +1,12 @@
 package nicsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"clara/internal/budget"
@@ -74,6 +76,73 @@ type colocEvent struct {
 	tenant int // index into ColocConfig.Tenants
 	idx    int // index into that tenant's Trace.Packets
 }
+
+// mergeArrivals merges the active tenants' packets into one deterministic
+// arrival order: by timestamp, ties broken by tenant then packet index. Each
+// tenant's packets are first put in arrival order — a generated or
+// well-formed capture already is, and keeps its index order; any other gets
+// a stable sort of its indices, so equal timestamps stay in index order —
+// and the per-tenant streams are then merged k ways, the lowest tenant
+// winning a timestamp tie. The result is sized once: n packets over k
+// tenants cost O(n·k), with no comparison sort over the whole sequence.
+func mergeArrivals(tenants []Tenant, active []int) []colocEvent {
+	type stream struct {
+		tenant int
+		pkts   []workload.TracePacket
+		order  []int // pkts' indices in arrival order; nil when already sorted
+		pos    int   // next position in arrival order
+		idx    int   // packet index at pos
+		ns     float64
+	}
+	streams := make([]stream, 0, len(active))
+	n := 0
+	for _, t := range active {
+		pkts := tenants[t].Trace.Packets
+		if len(pkts) == 0 {
+			continue
+		}
+		n += len(pkts)
+		st := stream{tenant: t, pkts: pkts}
+		if !slices.IsSortedFunc(pkts, cmpArrival) {
+			st.order = make([]int, len(pkts))
+			for i := range st.order {
+				st.order[i] = i
+			}
+			slices.SortStableFunc(st.order, func(a, b int) int { return cmpArrival(pkts[a], pkts[b]) })
+			st.idx = st.order[0]
+		}
+		st.ns = pkts[st.idx].ArrivalNs
+		streams = append(streams, st)
+	}
+	events := make([]colocEvent, 0, n)
+	for len(streams) > 0 {
+		// Streams stay in tenant order, so a strict < leaves a timestamp
+		// tie with the lowest tenant.
+		best := 0
+		for k := 1; k < len(streams); k++ {
+			if streams[k].ns < streams[best].ns {
+				best = k
+			}
+		}
+		st := &streams[best]
+		events = append(events, colocEvent{tenant: st.tenant, idx: st.idx})
+		st.pos++
+		switch {
+		case st.pos == len(st.pkts):
+			streams = slices.Delete(streams, best, best+1)
+			continue
+		case st.order != nil:
+			st.idx = st.order[st.pos]
+		default:
+			st.idx = st.pos
+		}
+		st.ns = st.pkts[st.idx].ArrivalNs
+	}
+	return events
+}
+
+// cmpArrival orders trace packets by arrival time.
+func cmpArrival(a, b workload.TracePacket) int { return cmp.Compare(a.ArrivalNs, b.ArrivalNs) }
 
 // colocShared is the arbitration state the co-located Sims of one window
 // share: last-owner tags per hub/unit server (for contention attribution)
@@ -348,28 +417,9 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 		return nil, err
 	}
 
-	// Merge every active tenant's packets into one deterministic arrival
-	// order: by timestamp, ties broken by tenant then packet index. The
-	// decomposition into windows depends only on this sequence and the
-	// window size — never on the worker count.
-	var events []colocEvent
-	for _, t := range active {
-		for i := range cfg.Tenants[t].Trace.Packets {
-			events = append(events, colocEvent{tenant: t, idx: i})
-		}
-	}
-	sort.Slice(events, func(a, b int) bool {
-		ea, eb := events[a], events[b]
-		ta := cfg.Tenants[ea.tenant].Trace.Packets[ea.idx].ArrivalNs
-		tb := cfg.Tenants[eb.tenant].Trace.Packets[eb.idx].ArrivalNs
-		if ta != tb {
-			return ta < tb
-		}
-		if ea.tenant != eb.tenant {
-			return ea.tenant < eb.tenant
-		}
-		return ea.idx < eb.idx
-	})
+	// The decomposition into windows depends only on the merged sequence
+	// and the window size — never on the worker count.
+	events := mergeArrivals(cfg.Tenants, active)
 
 	window := opts.window()
 	n := len(events)

@@ -3,6 +3,7 @@ package nicsim
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"clara/internal/benchguard"
@@ -146,6 +147,39 @@ func TestNewContextAllocs(t *testing.T) {
 	t.Logf("NewContext on LPM-10k: %.0f allocations", n)
 	if n > newContextAllocsLPM10k {
 		t.Errorf("NewContext on LPM-10k allocates %.0f times, want <= %d", n, newContextAllocsLPM10k)
+	}
+}
+
+// newContextBytesFirewall bounds the bytes NewContext allocates for the
+// Netronome firewall. Its EMEM cache used to be allocated whole at
+// construction — 786 KB of tags and recency counters, 794 KB per build in
+// all; with storage appended per touched set, construction keeps only the
+// cache's 24 KB per-set block index and measures 32.6 KB. The figure is
+// deterministic; the bound leaves about 23% headroom.
+const newContextBytesFirewall = 40_000
+
+// TestNewContextBytes keeps simulator construction from allocating cache
+// storage for sets no run has touched yet.
+func TestNewContextBytes(t *testing.T) {
+	cfg := newContextConfig(t, nf.Firewall(65536))
+	ctx := context.Background()
+	build := func() {
+		if _, err := NewContext(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("NewContext on firewall: %d B/op", perRun)
+	if perRun > newContextBytesFirewall {
+		t.Errorf("NewContext on firewall allocates %d B/op, want <= %d", perRun, newContextBytesFirewall)
 	}
 }
 

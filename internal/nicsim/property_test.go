@@ -134,8 +134,8 @@ func TestCacheRepeatShortcutIsExact(t *testing.T) {
 		if fast.hits != scan.hits || fast.misses != scan.misses || fast.clock != scan.clock {
 			t.Fatalf("geometry %+v: counters diverged", geom)
 		}
-		for i := range fast.tags {
-			if fast.tags[i] != scan.tags[i] || fast.lru[i] != scan.lru[i] {
+		for i := range fast.slots {
+			if fast.slots[i] != scan.slots[i] {
 				t.Fatalf("geometry %+v: slot %d diverged", geom, i)
 			}
 		}

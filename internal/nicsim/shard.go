@@ -296,6 +296,26 @@ produce:
 // sequential run of the shards would have produced.
 func mergeShards(ctx context.Context, cfg Config, runs []shardRun) (*Result, error) {
 	merged := &Result{NFName: cfg.Prog.Name, CacheHitRate: map[string]float64{}}
+	// Size the packet slice once for the windows the loop below absorbs:
+	// finished windows up to the first erroring or skipped one, plus an
+	// erroring window's partial prefix. It stays nil when there are no
+	// packets: reflect.DeepEqual tells nil from empty.
+	n := 0
+	for _, sr := range runs {
+		if sr.err != nil {
+			if r := partialResult(sr.err); r != nil {
+				n += len(r.Packets)
+			}
+			break
+		}
+		if sr.res == nil {
+			break
+		}
+		n += len(sr.res.Packets)
+	}
+	if n > 0 {
+		merged.Packets = make([]PacketResult, 0, n)
+	}
 	if cfg.Timeline {
 		merged.Timeline = &Timeline{NF: cfg.Prog.Name, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
 	}

@@ -89,9 +89,10 @@ type TracePacket struct {
 //
 // A Trace is replayed far more often than it is built: every simulator run,
 // eval sweep point and serving request walks the same frames, so the first
-// call to Decoded parses the whole trace once and caches the result for the
-// process lifetime. Packets must not be mutated after that first call, and a
-// Trace must not be copied by value once in use (the cache rides the struct).
+// call to Decoded parses the whole trace once, and the first call to Stats
+// summarizes it once, each cached for the process lifetime. Packets must not
+// be mutated after the first of those calls, and a Trace must not be copied
+// by value once in use (the caches ride the struct).
 type Trace struct {
 	Name    string
 	Packets []TracePacket
@@ -105,6 +106,11 @@ type Trace struct {
 	decodeOnce sync.Once
 	decoded    []packet.Packet
 	decodeErrs []bool
+
+	// statsOnce guards the summary Stats returns, computed on first use
+	// under the same read-only contract as the decode cache.
+	statsOnce sync.Once
+	stats     Stats
 }
 
 // Decoded returns the trace's frames decoded once and cached: decoded[i] is
@@ -283,10 +289,21 @@ func GenerateContext(ctx context.Context, p Profile) (*Trace, error) {
 	return tr, nil
 }
 
-// Stats computes trace summary statistics. It consumes the shared decoded
-// cache (Decoded), so a trace that has already been simulated pays no second
+// Stats returns the trace's summary statistics. They are computed once, on
+// the first call, and cached for the process lifetime under the same
+// contract as Decoded: Packets must not be mutated after that first call,
+// and concurrent callers are safe. The computation consumes the shared
+// decoded cache, so a trace that has already been simulated pays no second
 // parse and a Stats call warms the cache for the simulator.
 func (t *Trace) Stats() Stats {
+	t.statsOnce.Do(func() { t.stats = t.computeStats() })
+	return t.stats
+}
+
+// computeStats summarizes the trace. The duration spans the earliest to the
+// latest arrival, so a capture whose timestamps go backwards still reports
+// its true span.
+func (t *Trace) computeStats() Stats {
 	var s Stats
 	s.Packets = len(t.Packets)
 	if s.Packets == 0 {
@@ -296,7 +313,10 @@ func (t *Trace) Stats() Stats {
 	seen := map[packet.Flow4]bool{}
 	var tcp, syn, hits int
 	var payloadSum, wireSum float64
+	first, last := t.Packets[0].ArrivalNs, t.Packets[0].ArrivalNs
 	for i := range t.Packets {
+		first = min(first, t.Packets[i].ArrivalNs)
+		last = max(last, t.Packets[i].ArrivalNs)
 		if decodeErr[i] {
 			s.DecodeErrors++
 			continue
@@ -326,7 +346,7 @@ func (t *Trace) Stats() Stats {
 		s.AvgWire = wireSum / float64(s.Decoded)
 		s.FlowHitFraction = float64(hits) / float64(s.Decoded)
 	}
-	s.DurationNs = t.Packets[len(t.Packets)-1].ArrivalNs - t.Packets[0].ArrivalNs
+	s.DurationNs = last - first
 	if s.DurationNs > 0 {
 		s.RatePPS = float64(s.Packets-1) / (s.DurationNs / 1e9)
 	}

@@ -364,6 +364,69 @@ func TestEmptyTraceStats(t *testing.T) {
 	}
 }
 
+// TestStatsOutOfOrderCapture: a capture whose timestamps go backwards spans
+// its earliest to its latest arrival, not last minus first (which read
+// negative here, with RatePPS 0).
+func TestStatsOutOfOrderCapture(t *testing.T) {
+	p := DefaultProfile()
+	p.Packets = 5
+	gen, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{Name: "reordered"}
+	for i, ns := range []float64{3000, 1000, 5000, 0, 2000} {
+		tr.Packets = append(tr.Packets, TracePacket{Data: gen.Packets[i].Data, ArrivalNs: ns})
+	}
+	s := tr.Stats()
+	if s.DurationNs != 5000 {
+		t.Errorf("duration = %v ns, want 5000 (max - min arrival)", s.DurationNs)
+	}
+	if math.Abs(s.RatePPS-800000) > 1e-3 {
+		t.Errorf("rate = %v pps, want 800000 (4 gaps over 5 µs)", s.RatePPS)
+	}
+	// The sorted capture of the same arrivals reports the same span.
+	sorted := &Trace{Name: "sorted"}
+	for i, ns := range []float64{0, 1000, 2000, 3000, 5000} {
+		sorted.Packets = append(sorted.Packets, TracePacket{Data: gen.Packets[i].Data, ArrivalNs: ns})
+	}
+	if got := sorted.Stats(); got.DurationNs != s.DurationNs || got.RatePPS != s.RatePPS {
+		t.Errorf("sorted capture: duration %v rate %v, reordered: %v %v", got.DurationNs, got.RatePPS, s.DurationNs, s.RatePPS)
+	}
+}
+
+// TestStatsComputedOnce pins the Stats memo: concurrent first calls agree,
+// and a later call returns the first result even though (against the
+// read-only contract) the packets were mutated in between.
+func TestStatsComputedOnce(t *testing.T) {
+	p := DefaultProfile()
+	p.Packets = 300
+	tr, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	got := make([]Stats, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = tr.Stats()
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d: %+v, goroutine 0: %+v", g, got[g], got[0])
+		}
+	}
+	tr.Packets = tr.Packets[:10]
+	if s := tr.Stats(); s != got[0] {
+		t.Errorf("second call recomputed: %+v, first %+v", s, got[0])
+	}
+}
+
 // TestDecodedCache pins the decode-cache contract: Decoded parses each frame
 // exactly once, returns the same shared slices on every call (including
 // concurrent ones), and matches a fresh per-frame Decode bit for bit.
