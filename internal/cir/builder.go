@@ -150,21 +150,21 @@ func (b *Builder) Store(addr, val Reg, size int) {
 }
 
 // VCall emits a virtual call returning a value.
-func (b *Builder) VCall(name, state string, args ...Reg) Reg {
-	if _, ok := VCalls[name]; !ok {
-		b.fail("cir: unknown vcall %q", name)
+func (b *Builder) VCall(vc VCall, state string, args ...Reg) Reg {
+	if !vc.Valid() {
+		b.fail("cir: unknown vcall %q", vc)
 		return b.newReg()
 	}
-	return b.emit(Instr{Op: OpVCall, Dst: b.newReg(), Callee: name, State: state, Args: args})
+	return b.emit(Instr{Op: OpVCall, Dst: b.newReg(), Callee: vc, State: state, Args: args})
 }
 
 // VCallVoid emits a virtual call that produces no value.
-func (b *Builder) VCallVoid(name, state string, args ...Reg) {
-	if _, ok := VCalls[name]; !ok {
-		b.fail("cir: unknown vcall %q", name)
+func (b *Builder) VCallVoid(vc VCall, state string, args ...Reg) {
+	if !vc.Valid() {
+		b.fail("cir: unknown vcall %q", vc)
 		return
 	}
-	b.emit(Instr{Op: OpVCall, Dst: NoReg, Callee: name, State: state, Args: args})
+	b.emit(Instr{Op: OpVCall, Dst: NoReg, Callee: vc, State: state, Args: args})
 }
 
 // Jump seals the current block with an unconditional jump.

@@ -74,8 +74,8 @@ const (
 	// (element index scaled by the front end), Args[1] the value for stores.
 	OpLoad
 	OpStore
-	// OpVCall invokes the virtual call named by Callee with Args; see the
-	// VCall ABI constants below.
+	// OpVCall invokes the virtual call Callee with Args; see the VCall
+	// constants below.
 	OpVCall
 )
 
@@ -158,7 +158,7 @@ type Instr struct {
 	Dst    Reg   // NoReg when the instruction produces no value
 	Args   []Reg // operand registers
 	Imm    uint64
-	Callee string // vcall name, OpVCall only
+	Callee VCall  // OpVCall only; zero elsewhere
 	State  string // referenced state object, when the vcall addresses one
 	// Slot is State's index in Program.State, resolved when the program is
 	// built (Builder.Program) and checked by Verify, so an Env can bind a
@@ -360,36 +360,53 @@ const (
 	VerdictDrop uint64 = 1
 )
 
-// Virtual call names — the vcall ABI. The front end substitutes framework
-// API calls with these (§3.3's 'network_header' → 'vcall_get_hdr' example);
-// the mapper binds each to LNIC components and the simulator implements
-// their semantics.
+// VCall names a virtual call — the vcall ABI. The front end substitutes
+// framework API calls with these (§3.3's 'network_header' → 'vcall_get_hdr'
+// example); the mapper binds each to LNIC components and the simulator
+// implements their semantics. The zero value names no vcall: it is what
+// every other instruction carries in Instr.Callee.
+type VCall uint8
+
+// Virtual calls; VCalls holds each one's source name and static properties.
 const (
-	VCGetHdr      = "get_hdr"      // (proto) → 1 if header present; marks it parsed
-	VCHdrField    = "hdr_field"    // (proto, field) → field value
-	VCSetField    = "set_field"    // (proto, field, value); metadata/header modification
-	VCPayloadLen  = "payload_len"  // () → payload byte count
-	VCPayloadByte = "payload_byte" // (i) → payload[i]
-	VCChecksum    = "checksum_pkt" // (proto) → recompute L4 checksum over payload
-	VCCksumUpdate = "cksum_update" // (proto, old, new) → incremental checksum fix
-	VCFlowKey     = "flow_key"     // () → opaque key handle for the packet 5-tuple
-	VCMapLookup   = "map_lookup"   // [state](key) → 1 if found; latches entry
-	VCMapGet      = "map_get"      // [state](fieldIdx) → field of latched entry
-	VCMapPut      = "map_put"      // [state](key, v0, v1) → insert/update
-	VCMapDelete   = "map_delete"   // [state](key)
-	VCMapIncr     = "map_incr"     // [state](key, fieldIdx, delta) → new value
-	VCLPMLookup   = "lpm_lookup"   // [state](ipv4) → next hop, or ^0 on miss
-	VCArrRead     = "arr_read"     // [state](idx) → element value
-	VCArrWrite    = "arr_write"    // [state](idx, v)
-	VCSketchAdd   = "sketch_add"   // [state](key) → estimated count after add
-	VCSketchRead  = "sketch_read"  // [state](key) → estimated count
-	VCDPIScan     = "dpi_scan"     // [state]() → number of pattern matches in payload
-	VCCrypto      = "crypto"       // (op, len) → 0; AES-class work over len bytes
-	VCHash        = "hash"         // (x) → 64-bit mix; priced as ALU burst
-	VCNow         = "now"          // () → current time in cycles
-	VCRandom      = "random"       // () → pseudo-random value (deterministic per packet)
-	VCEmit        = "emit"         // (port); queue packet to egress port
+	VCGetHdr      VCall = iota + 1 // (proto) → 1 if header present; marks it parsed
+	VCHdrField                     // (proto, field) → field value
+	VCSetField                     // (proto, field, value); metadata/header modification
+	VCPayloadLen                   // () → payload byte count
+	VCPayloadByte                  // (i) → payload[i]
+	VCChecksum                     // (proto) → recompute L4 checksum over payload
+	VCCksumUpdate                  // (proto, old, new) → incremental checksum fix
+	VCFlowKey                      // () → opaque key handle for the packet 5-tuple
+	VCMapLookup                    // [state](key) → 1 if found; latches entry
+	VCMapGet                       // [state](fieldIdx) → field of latched entry
+	VCMapPut                       // [state](key, v0, v1) → insert/update
+	VCMapDelete                    // [state](key)
+	VCMapIncr                      // [state](key, fieldIdx, delta) → new value
+	VCLPMLookup                    // [state](ipv4) → next hop, or ^0 on miss
+	VCArrRead                      // [state](idx) → element value
+	VCArrWrite                     // [state](idx, v)
+	VCSketchAdd                    // [state](key) → estimated count after add
+	VCSketchRead                   // [state](key) → estimated count
+	VCDPIScan                      // [state]() → number of pattern matches in payload
+	VCCrypto                       // (op, len) → 0; AES-class work over len bytes
+	VCHash                         // (x) → 64-bit mix; priced as ALU burst
+	VCNow                          // () → current time in cycles
+	VCRandom                       // () → pseudo-random value (deterministic per packet)
+	VCEmit                         // (port); queue packet to egress port
+	// NumVCalls bounds the vocabulary: valid vcalls lie in [1, NumVCalls).
+	NumVCalls
 )
+
+// Valid reports whether v names a vcall of the vocabulary.
+func (v VCall) Valid() bool { return v > 0 && v < NumVCalls }
+
+// String returns the vcall's source name, the one IR text prints.
+func (v VCall) String() string {
+	if v.Valid() {
+		return VCalls[v].Name
+	}
+	return fmt.Sprintf("vcall(%d)", uint8(v))
+}
 
 // Header protocol identifiers used by VCGetHdr/VCHdrField/VCSetField.
 const (
@@ -422,41 +439,46 @@ const (
 
 // VCallInfo captures static properties of a vcall the mapper needs.
 type VCallInfo struct {
-	// StateRef is true when the call addresses a state object (table ops).
+	// Name is the vcall's name in IR text.
+	Name string
+	// StateRef is true when the call addresses a state object (table ops),
+	// which must be of kind State.
 	StateRef bool
+	State    StateKind
 	// PayloadScaled is true when the call's cost grows with payload size.
 	PayloadScaled bool
-	// Parse is true for header-parsing calls.
-	Parse bool
+	// Node is the kind a dataflow node containing the call takes, unless
+	// another of its calls ranks higher.
+	Node NodeKind
 	// Accelerable names the accelerator class that can execute this call
 	// natively ("" when only general-purpose cores can).
 	Accelerable string
 }
 
-// VCalls is the vcall catalog.
-var VCalls = map[string]VCallInfo{
-	VCGetHdr:      {Parse: true},
-	VCHdrField:    {},
-	VCSetField:    {},
-	VCPayloadLen:  {},
-	VCPayloadByte: {},
-	VCChecksum:    {PayloadScaled: true, Accelerable: "checksum"},
-	VCCksumUpdate: {},
-	VCFlowKey:     {},
-	VCMapLookup:   {StateRef: true, Accelerable: "flowcache"},
-	VCMapGet:      {StateRef: true},
-	VCMapPut:      {StateRef: true},
-	VCMapDelete:   {StateRef: true},
-	VCMapIncr:     {StateRef: true},
-	VCLPMLookup:   {StateRef: true, Accelerable: "flowcache"},
-	VCArrRead:     {StateRef: true},
-	VCArrWrite:    {StateRef: true},
-	VCSketchAdd:   {StateRef: true},
-	VCSketchRead:  {StateRef: true},
-	VCDPIScan:     {StateRef: true, PayloadScaled: true},
-	VCCrypto:      {Accelerable: "crypto"},
-	VCHash:        {},
-	VCNow:         {},
-	VCRandom:      {},
-	VCEmit:        {},
+// VCalls is the vcall catalog, indexed by VCall; entry 0 is empty.
+var VCalls = [NumVCalls]VCallInfo{
+	VCGetHdr:      {Name: "get_hdr", Node: NodeParse},
+	VCHdrField:    {Name: "hdr_field"},
+	VCSetField:    {Name: "set_field"},
+	VCPayloadLen:  {Name: "payload_len"},
+	VCPayloadByte: {Name: "payload_byte"},
+	VCChecksum:    {Name: "checksum_pkt", Node: NodeChecksum, PayloadScaled: true, Accelerable: "checksum"},
+	VCCksumUpdate: {Name: "cksum_update"},
+	VCFlowKey:     {Name: "flow_key"},
+	VCMapLookup:   {Name: "map_lookup", Node: NodeTableOp, StateRef: true, Accelerable: "flowcache"},
+	VCMapGet:      {Name: "map_get", Node: NodeTableOp, StateRef: true},
+	VCMapPut:      {Name: "map_put", Node: NodeTableOp, StateRef: true},
+	VCMapDelete:   {Name: "map_delete", Node: NodeTableOp, StateRef: true},
+	VCMapIncr:     {Name: "map_incr", Node: NodeTableOp, StateRef: true},
+	VCLPMLookup:   {Name: "lpm_lookup", Node: NodeTableOp, StateRef: true, State: StateLPM, Accelerable: "flowcache"},
+	VCArrRead:     {Name: "arr_read", Node: NodeTableOp, StateRef: true, State: StateArray},
+	VCArrWrite:    {Name: "arr_write", Node: NodeTableOp, StateRef: true, State: StateArray},
+	VCSketchAdd:   {Name: "sketch_add", Node: NodeTableOp, StateRef: true, State: StateSketch},
+	VCSketchRead:  {Name: "sketch_read", Node: NodeTableOp, StateRef: true, State: StateSketch},
+	VCDPIScan:     {Name: "dpi_scan", Node: NodePayloadLoop, StateRef: true, State: StatePattern, PayloadScaled: true},
+	VCCrypto:      {Name: "crypto", Node: NodeCrypto, Accelerable: "crypto"},
+	VCHash:        {Name: "hash"},
+	VCNow:         {Name: "now"},
+	VCRandom:      {Name: "random"},
+	VCEmit:        {Name: "emit", Node: NodeEmit},
 }

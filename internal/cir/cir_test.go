@@ -89,8 +89,8 @@ func buildLoop(t *testing.T) *Program {
 }
 
 type stubEnv struct {
-	calls []string
-	ret   map[string]uint64
+	calls []VCall
+	ret   map[VCall]uint64
 }
 
 func (e *stubEnv) VCall(in *Instr, args []uint64) (uint64, error) {
@@ -115,7 +115,7 @@ func TestInterpLinear(t *testing.T) {
 
 func TestInterpBranchTaken(t *testing.T) {
 	p := buildBranchy(t)
-	env := &stubEnv{ret: map[string]uint64{VCHdrField: 6}}
+	env := &stubEnv{ret: map[VCall]uint64{VCHdrField: 6}}
 	v, err := NewInterp(p).Run(env, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestInterpBranchTaken(t *testing.T) {
 	if v != VerdictDrop {
 		t.Errorf("verdict = %d, want drop", v)
 	}
-	env2 := &stubEnv{ret: map[string]uint64{VCHdrField: 17}}
+	env2 := &stubEnv{ret: map[VCall]uint64{VCHdrField: 17}}
 	v, err = NewInterp(p).Run(env2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestInterpHooks(t *testing.T) {
 		Meter:   &Meter{Steps: &instrs},
 		OnBlock: func(int) { blocks++ },
 	}
-	if _, err := NewInterp(p).Run(&stubEnv{ret: map[string]uint64{VCHdrField: 6}}, h); err != nil {
+	if _, err := NewInterp(p).Run(&stubEnv{ret: map[VCall]uint64{VCHdrField: 6}}, h); err != nil {
 		t.Fatal(err)
 	}
 	if instrs == 0 || blocks != 2 {
@@ -321,12 +321,12 @@ func TestVerifyCatchesUnknownVCall(t *testing.T) {
 		NumRegs: 1,
 		Blocks: []Block{
 			{
-				Instrs: []Instr{{Op: OpVCall, Dst: 0, Callee: "bogus"}},
+				Instrs: []Instr{{Op: OpVCall, Dst: 0, Callee: NumVCalls}},
 				Term:   Terminator{Kind: TermReturn, Ret: NoReg},
 			},
 		},
 	}
-	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = vcall bogus): unknown vcall "bogus"`)
+	wantVerifyError(t, p, `cir: block 0 instr 0 (r0 = vcall vcall(25)): unknown vcall "vcall(25)"`)
 }
 
 func TestVerifyCatchesRegisterOutOfRange(t *testing.T) {
@@ -433,5 +433,30 @@ func TestStateObjBytes(t *testing.T) {
 	empty := StateObj{Capacity: 64}
 	if empty.Bytes() != 64 {
 		t.Errorf("zero-size entries should count 1 byte each, got %d", empty.Bytes())
+	}
+}
+
+// TestVCallNames pins each vcall's source name, which IR text prints: the
+// typed vocabulary must read exactly as the name strings it replaced.
+func TestVCallNames(t *testing.T) {
+	want := []string{
+		"get_hdr", "hdr_field", "set_field", "payload_len", "payload_byte",
+		"checksum_pkt", "cksum_update", "flow_key", "map_lookup", "map_get",
+		"map_put", "map_delete", "map_incr", "lpm_lookup", "arr_read",
+		"arr_write", "sketch_add", "sketch_read", "dpi_scan", "crypto",
+		"hash", "now", "random", "emit",
+	}
+	if len(want) != int(NumVCalls)-1 {
+		t.Fatalf("vocabulary has %d vcalls, want %d", NumVCalls-1, len(want))
+	}
+	for i, name := range want {
+		if vc := VCall(i + 1); !vc.Valid() || vc.String() != name {
+			t.Errorf("VCall(%d) = %q (valid %v), want %q", i+1, vc, vc.Valid(), name)
+		}
+	}
+	for _, vc := range []VCall{0, NumVCalls} {
+		if vc.Valid() {
+			t.Errorf("%s is valid", vc)
+		}
 	}
 }

@@ -26,7 +26,7 @@ var fuzzBinOps = []Op{
 // fuzzCallees mixes stateless vcalls with table ops against the one declared
 // state object, so the generator covers the whole OpVCall shape space.
 var fuzzCallees = []struct {
-	name  string
+	name  VCall
 	state string
 }{
 	{VCGetHdr, ""}, {VCHdrField, ""}, {VCPayloadLen, ""}, {VCPayloadByte, ""},

@@ -527,7 +527,7 @@ func TestCompiledRunDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", prog.Name, err)
 		}
-		env := &stubEnv{ret: map[string]uint64{VCGetHdr: 1}}
+		env := &stubEnv{ret: map[VCall]uint64{VCGetHdr: 1}}
 		run := func(h *Hooks) {
 			env.calls = env.calls[:0]
 			if _, err := comp.Run(env, h); err != nil {

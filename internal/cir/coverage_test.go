@@ -110,10 +110,10 @@ func TestBuilderMisuse(t *testing.T) {
 	})
 	t.Run("unknown vcall", func(t *testing.T) {
 		b := NewBuilder("x")
-		b.VCall("bogus", "")
-		b.VCallVoid("bogus2", "")
+		b.VCall(NumVCalls, "")
+		b.VCallVoid(NumVCalls+1, "")
 		b.ReturnConst(0)
-		if _, err := b.Program(); err == nil || !strings.Contains(err.Error(), `unknown vcall "bogus"`) {
+		if _, err := b.Program(); err == nil || !strings.Contains(err.Error(), `unknown vcall "vcall(25)"`) {
 			t.Errorf("err = %v, want first unknown-vcall diagnostic", err)
 		}
 	})

@@ -11,7 +11,7 @@ import (
 // branches and mapping them to match/action engines as a whole (§3.3).
 type NodeKind uint8
 
-// Dataflow node kinds, in classification priority order.
+// Dataflow node kinds.
 const (
 	NodeCompute NodeKind = iota
 	NodeParse
@@ -21,6 +21,11 @@ const (
 	NodePayloadLoop
 	NodeEmit
 )
+
+// kindRank orders node kinds by classification priority: a node takes the
+// highest-ranked kind among its vcalls' (VCallInfo.Node).
+var kindRank = [...]int{NodeCompute: 0, NodeEmit: 1, NodeParse: 2, NodeTableOp: 3,
+	NodeCrypto: 4, NodeChecksum: 5, NodePayloadLoop: 6}
 
 func (k NodeKind) String() string {
 	switch k {
@@ -217,6 +222,7 @@ func (g *Graph) summarize() {
 		n := &g.Nodes[i]
 		n.ClassCount = map[Class]int{}
 		states := map[string]bool{}
+		scans := false // reads payload bytes one by one
 		for _, bi := range n.Blocks {
 			for _, in := range g.Prog.Blocks[bi].Instrs {
 				if in.Op == OpVCall {
@@ -225,9 +231,8 @@ func (g *Graph) summarize() {
 					if in.State != "" {
 						states[in.State] = true
 					}
-					if info.PayloadScaled {
-						n.PayloadScaled = true
-					}
+					n.PayloadScaled = n.PayloadScaled || info.PayloadScaled
+					scans = scans || in.Callee == VCPayloadByte
 					if info.Accelerable != "" {
 						n.Accel = info.Accelerable
 					}
@@ -238,22 +243,13 @@ func (g *Graph) summarize() {
 		}
 		n.States = sortedKeys(states)
 		if n.Loop {
-			if loopScansPayload(n) {
+			if n.PayloadScaled || scans {
 				n.PayloadScaled = true
 			} else {
 				n.Trip = DefaultLoopTrip
 			}
 		}
 	}
-}
-
-func loopScansPayload(n *Node) bool {
-	for _, vc := range n.VCalls {
-		if vc.Callee == VCPayloadByte || VCalls[vc.Callee].PayloadScaled {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeChains repeatedly fuses edges A→B where A has out-degree 1, B has
@@ -368,41 +364,16 @@ func (g *Graph) removeNode(idx int) {
 func (g *Graph) classify() {
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		var parse, cksum, crypto, table, emit, dpi bool
-		for _, vc := range n.VCalls {
-			info := VCalls[vc.Callee]
-			switch {
-			case info.Parse:
-				parse = true
-			case vc.Callee == VCChecksum:
-				cksum = true
-			case vc.Callee == VCCrypto:
-				crypto = true
-			case vc.Callee == VCDPIScan:
-				dpi = true
-			case info.StateRef:
-				table = true
-			case vc.Callee == VCEmit:
-				emit = true
-			}
-		}
-		switch {
-		case dpi || (n.Loop && n.PayloadScaled):
+		n.Kind = NodeCompute
+		if n.Loop && n.PayloadScaled {
 			// Per-byte payload work (explicit loops or DPI scans) needs a
 			// general-purpose core; match-action stages cannot host it.
 			n.Kind = NodePayloadLoop
-		case cksum:
-			n.Kind = NodeChecksum
-		case crypto:
-			n.Kind = NodeCrypto
-		case table:
-			n.Kind = NodeTableOp
-		case parse:
-			n.Kind = NodeParse
-		case emit:
-			n.Kind = NodeEmit
-		default:
-			n.Kind = NodeCompute
+		}
+		for _, vc := range n.VCalls {
+			if k := VCalls[vc.Callee].Node; kindRank[k] > kindRank[n.Kind] {
+				n.Kind = k
+			}
 		}
 	}
 }

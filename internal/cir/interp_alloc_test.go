@@ -50,7 +50,7 @@ func buildCountedLoop(t *testing.T) *Program {
 func TestInterpRunDoesNotAllocate(t *testing.T) {
 	for _, prog := range []*Program{buildLinear(t), buildBranchy(t), buildCountedLoop(t)} {
 		it := NewInterp(prog)
-		env := &stubEnv{ret: map[string]uint64{VCGetHdr: 1}}
+		env := &stubEnv{ret: map[VCall]uint64{VCGetHdr: 1}}
 		run := func(h *Hooks) {
 			env.calls = env.calls[:0]
 			if _, err := it.Run(env, h); err != nil {

@@ -6,8 +6,9 @@ import (
 )
 
 // Verify checks structural invariants of a program: branch targets in range,
-// registers within NumRegs, vcalls known, state references declared and bound
-// to their slots (Instr.Slot), and the argument arity rules of each opcode.
+// registers within NumRegs, vcalls known, state references declared, bound
+// to their slots (Instr.Slot) and of the kind their vcall addresses, and the
+// argument arity rules of each opcode.
 // It is run on every program produced by the builder and the front end.
 func Verify(p *Program) error {
 	if len(p.Blocks) == 0 {
@@ -26,7 +27,7 @@ func Verify(p *Program) error {
 	for bi, blk := range p.Blocks {
 		for ii := range blk.Instrs {
 			in := &blk.Instrs[ii]
-			if err := verifyInstr(in, p.NumRegs, states); err != nil {
+			if err := verifyInstr(in, p.NumRegs, states, p.State); err != nil {
 				return fmt.Errorf("cir: block %d instr %d (%s): %w", bi, ii, *in, err)
 			}
 		}
@@ -62,7 +63,7 @@ func Verify(p *Program) error {
 
 // verifyInstr checks one instruction's registers, arity and vcall/state
 // references. The error carries no location; Verify prefixes it.
-func verifyInstr(in *Instr, numRegs int, states map[string]int) error {
+func verifyInstr(in *Instr, numRegs int, states map[string]int, objs []StateObj) error {
 	if err := checkReg(in.Dst, numRegs); err != nil {
 		return err
 	}
@@ -78,11 +79,10 @@ func verifyInstr(in *Instr, numRegs int, states map[string]int) error {
 		return err
 	}
 	if in.Op == OpVCall {
-		info, ok := VCalls[in.Callee]
-		if !ok {
+		if !in.Callee.Valid() {
 			return fmt.Errorf("unknown vcall %q", in.Callee)
 		}
-		if info.StateRef {
+		if VCalls[in.Callee].StateRef {
 			if in.State == "" {
 				return fmt.Errorf("vcall %s requires a state reference", in.Callee)
 			}
@@ -93,10 +93,13 @@ func verifyInstr(in *Instr, numRegs int, states map[string]int) error {
 			if in.Slot != slot {
 				return fmt.Errorf("vcall state %q bound to slot %d, declared at %d", in.State, in.Slot, slot)
 			}
+			if want := VCalls[in.Callee].State; objs[slot].Kind != want {
+				return fmt.Errorf("vcall %s addresses %s state, %s is %s", in.Callee, want, in.State, objs[slot].Kind)
+			}
 		} else if in.State != "" {
 			return fmt.Errorf("vcall %s must not reference state", in.Callee)
 		}
-	} else if in.Callee != "" || in.State != "" {
+	} else if in.Callee != 0 || in.State != "" {
 		return errors.New("non-vcall carries callee/state")
 	}
 	return nil

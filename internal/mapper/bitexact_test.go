@@ -142,7 +142,7 @@ func hashMapping(h hash.Hash, m *mapper.Mapping, err error) {
 // solving every LP; any change to a mapping, its objective bits or its
 // branch-and-bound node count changes a digest.
 var mapperDigests = map[string]string{
-	"dpi":          "d05378b418a3099bb4a96e6d88d936e379383de875674ed38fbb2fdb84d0971b",
+	"dpi":          "a2bf98f5c7fee3e296fd0df0073a246e22201b3e55dd586dce6bf42149777cc1",
 	"firewall":     "196aaf1b3dd64726f095b711be83c2189be8535f3c1cbae6ceebef472c8ec58a",
 	"flowstats":    "869f7da0ca4252dd1afcf3c66b8a1a080e7f2e6eb2021755868dda6c49873e59",
 	"heavyhitter":  "8cc6a28c9e3d0d27a34d13792f15c0edf7c151723a6a6d25bc7b351fcaba9f56",
@@ -150,15 +150,15 @@ var mapperDigests = map[string]string{
 	"lpm":          "c4e1d665d7b4854514577ea456ac640b1f74ab4266d86ba25d1b38106797fe12",
 	"metering":     "3a129855d6ce7811937d9465acf6b04247e7de53666a1405fa49561b241d1b5e",
 	"nat":          "1fc1071f64318d19bc02fc2c18023376bd3620beff0b4ec7595a1ff5437f7aa8",
-	"nat-full":     "d0dcae57c61ccd4ade8e6f004cba2b0bb4fbcc43b26ca5625ab2d1ce3c3a403b",
+	"nat-full":     "f92c66866d9968e4062df3d433cbc34d64afdfa947e9430b482cdf30c1e1c3cf",
 	"ratelimiter":  "727ed9a6fb5cbafe84ced916c0c7a0194c0d95654fef68c727b912de4a15bb3f",
-	"syncookie":    "11ee56fe028850c59af64a5c90130c1642098dc4550d0d512254e10e37eab555",
-	"vnfchain":     "6baa363f4ebb720cb1cfcd42b7887a5893061e3138cd71a21327986a5fbb544d",
+	"syncookie":    "9c1b5a1c48c2185e5642261da2fb496608012edb0d880e4dea5ae1460b5544e6",
+	"vnfchain":     "b2baf4a8101ba21d15ab64840d0545dd20ed150058ea8e106187f93f439684cd",
 }
 
 // adviseDigest pins AdviseParallel(…, 1) over every corpus NF × workload,
 // recorded alongside mapperDigests.
-const adviseDigest = "8b3efdb3682543b66c1c5218a3a32025438ced88272f25d50a1d0fff683ab21d"
+const adviseDigest = "177eb2ac815c5cf7483c45d4cc4d63526a18415c707b2b27d297de2dba013784"
 
 // TestMapperBitExact checks that the ILP mappings and advise rankings are
 // bit-identical to the recorded ones.
@@ -224,7 +224,7 @@ func TestMapperBitExact(t *testing.T) {
 // modelTextDigest pins Model.String over every corpus model, recorded
 // alongside mapperDigests: the names built on demand must print exactly
 // as the eagerly formatted ones did.
-const modelTextDigest = "02c2e23072cb7a8c540eb700a0f7d89f499866380825897a6d2ae90dfe986440"
+const modelTextDigest = "46a6fc1ece72c9754575f465346098e445592e9e3c899a8769e2b3bf62008039"
 
 func TestModelTextUnchanged(t *testing.T) {
 	h := sha256.New()

@@ -43,16 +43,6 @@ func (cm *CostModel) PktAccess() float64 {
 	return resident*(1-spilledFrac) + spill*spilledFrac
 }
 
-// perByteRead prices one payload byte read on a core: sequential accesses
-// amortize over the memory line.
-func (cm *CostModel) PerByteRead() float64 {
-	line := float64(cm.nic.Mems[cm.nic.PktMem].LineBytes)
-	if line <= 0 {
-		line = 64
-	}
-	return 1 + cm.PktAccess()/line
-}
-
 // constArg extracts a vcall argument when the defining instruction in the
 // same node is a constant (e.g. crypto length).
 func constArg(n *cir.Node, g *cir.Graph, vc cir.Instr, idx int) (uint64, bool) {
@@ -87,83 +77,81 @@ func (cm *CostModel) NodeMultiplier(n *cir.Node) float64 {
 	return float64(cir.DefaultLoopTrip)
 }
 
-// nodeCost prices one execution of node n on unit j, excluding
+// nodeCost prices one execution of node n of g on unit j, excluding
 // state-placement-dependent table costs (priced by appendStateOptions).
-func (cm *CostModel) NodeCost(n *cir.Node, j int) float64 {
+func (cm *CostModel) NodeCost(g *cir.Graph, n *cir.Node, j int) float64 {
 	u := &cm.nic.Units[j]
 	switch u.Kind {
 	case lnic.UnitParser, lnic.UnitEgress:
 		return u.FixedCycles
 	case lnic.UnitAccel:
-		switch u.AccelClass {
-		case "checksum":
-			return u.FixedCycles + u.PerByteCycles*cm.L4SegLen()
-		case "crypto":
-			return u.FixedCycles + u.PerByteCycles*64
-		default:
-			return u.FixedCycles
+		// One visit for the node's call of the unit's class.
+		for _, vc := range n.VCalls {
+			if cir.VCalls[vc.Callee].Accelerable == u.AccelClass {
+				in := cm.vcallIn(g, n, vc)
+				in.OnAccel = true
+				return u.ServiceCycles(cm.nic.VCallPrice(u, vc.Callee, in).AccelBytes)
+			}
 		}
+		return u.FixedCycles
 	}
-	// General core: instruction classes plus software vcall costs.
+	// General core: instruction classes plus software vcall costs. An LPM
+	// lookup's scan is priced with its table's placement (LookupCost).
 	mult := cm.NodeMultiplier(n)
 	cost := 0.0
 	for cl, count := range n.ClassCount {
 		cost += cm.nic.InstrCycles(u, cl) * float64(count)
 	}
 	for _, vc := range n.VCalls {
-		cost += cm.VCallSoftwareCost(vc)
+		if vc.Callee != cir.VCLPMLookup {
+			cost += cm.softwareCost(u, g, n, vc)
+		}
 	}
 	return cost * mult
 }
 
-// vcallCoreCost prices one software vcall execution on a general core,
-// excluding table-access components.
-func (cm *CostModel) VCallSoftwareCost(vc cir.Instr) float64 {
-	nic := cm.nic
+// vcallIn is the static expectation of vc's price inputs: the literal
+// crypto length when n defines it (the average payload otherwise), the
+// average L4 segment and payload, and cold calls, except that a map_incr
+// is taken to follow a lookup of its entry.
+func (cm *CostModel) vcallIn(g *cir.Graph, n *cir.Node, vc cir.Instr) lnic.VCallIn {
+	in := lnic.VCallIn{Offset: cm.wl.AvgWire - cm.wl.AvgPayload}
 	switch vc.Callee {
-	case cir.VCGetHdr:
-		return nic.ParseCycles
-	case cir.VCHdrField, cir.VCSetField, cir.VCEmit:
-		return nic.MetadataCycles
-	case cir.VCPayloadLen:
-		return 1
-	case cir.VCPayloadByte:
-		return cm.PerByteRead()
 	case cir.VCChecksum:
-		seg := cm.L4SegLen()
-		line := float64(nic.Mems[nic.PktMem].LineBytes)
-		if line <= 0 {
-			line = 64
-		}
-		return 100 + seg + seg/line*cm.PktAccess()
-	case cir.VCCksumUpdate:
-		return 2*nic.MetadataCycles + 4
-	case cir.VCFlowKey, cir.VCHash:
-		return nic.HashCycles
+		in.Bytes = cm.L4SegLen()
 	case cir.VCCrypto:
-		// Software crypto: key schedule plus ~30 ALU per byte.
-		return 200 + 64*30
-	case cir.VCNow:
-		return 1
-	case cir.VCRandom:
-		return 2
-	case cir.VCDPIScan:
-		// Payload-read and per-byte ALU share; the automaton fetch is priced
-		// with the pattern state's placement.
-		return cm.wl.AvgPayload * (cm.PerByteRead() + 2)
-	case cir.VCMapGet:
-		return 1
-	default:
-		// Table ops: hashing here, memory in appendStateOptions.
-		if cir.VCalls[vc.Callee].StateRef {
-			switch vc.Callee {
-			case cir.VCMapLookup, cir.VCMapPut, cir.VCMapDelete, cir.VCSketchAdd, cir.VCSketchRead:
-				return nic.HashCycles
-			}
-			return 0
+		in.Bytes = cm.wl.AvgPayload
+		if v, ok := constArg(n, g, vc, 1); ok {
+			in.Bytes = float64(v)
 		}
-		return 0
+	case cir.VCDPIScan:
+		in.Bytes = cm.wl.AvgPayload
+	case cir.VCMapIncr:
+		in.Warm = true
 	}
+	return in
+}
+
+// softwareCost prices one vcall on general core u: its compute and its
+// packet-memory line reads, its table accesses left to the state's
+// placement. payload_byte reads run through the payload in sequence, so
+// only the first byte on each line reads memory.
+func (cm *CostModel) softwareCost(u *lnic.ComputeUnit, g *cir.Graph, n *cir.Node, vc cir.Instr) float64 {
+	in := cm.vcallIn(g, n, vc)
+	cost := func(in lnic.VCallIn) float64 {
+		p := cm.nic.VCallPrice(u, vc.Callee, in)
+		if p.PktLines == 0 {
+			return p.Compute
+		}
+		return p.Compute + p.PktLines*cm.PktAccess()
+	}
+	if vc.Callee != cir.VCPayloadByte || cm.wl.AvgPayload < 1 {
+		return cost(in)
+	}
+	fresh := cm.nic.PayloadLines(in.Offset, cm.wl.AvgPayload) / cm.wl.AvgPayload
+	cold := cost(in)
+	in.Warm = true
+	return fresh*cold + (1-fresh)*cost(in)
 }
 
 // workingSet estimates a state's hot footprint in bytes: flow-keyed tables
@@ -194,22 +182,20 @@ func (cm *CostModel) StateAccess(obj cir.StateObj, region int) float64 {
 
 // lpmScanCost prices one software LPM match/action scan in region m.
 func (cm *CostModel) LPMScanCost(obj cir.StateObj, region int) float64 {
-	entry := obj.KeySize + obj.ValueSize
-	if entry <= 0 {
-		entry = 8
-	}
-	line := cm.nic.Mems[region].LineBytes
-	if line <= 0 {
-		line = 64
-	}
-	lines := math.Ceil(float64(obj.Capacity*entry) / float64(line))
-	// Sequential scan of the whole table hits its cache steadily once warm.
+	p := cm.nic.VCallPrice(&cm.nic.Units[cm.npu], cir.VCLPMLookup,
+		lnic.VCallIn{Region: region, Entries: obj.Capacity, EntryBytes: lnic.EntryBytes(obj)})
+	return p.Touches*cm.ScanAccess(obj, region) + p.Compute
+}
+
+// ScanAccess is the expected cycles of one line read of a scan over obj's
+// table in region: a sequential scan of the whole table hits its cache
+// steadily once warm.
+func (cm *CostModel) ScanAccess(obj cir.StateObj, region int) float64 {
 	acc, ok := cm.nic.CachedAccessCycles(cm.npu, region, false, int64(obj.Bytes()))
 	if !ok {
 		acc = cm.nic.Mems[region].LoadCycles
 	}
-	alu := cm.nic.Units[cm.npu].ClassCycles[cir.ClassALU]
-	return lines*acc + float64(obj.Capacity)*2*alu
+	return acc
 }
 
 // appendStateOptions appends obj's Γ placements (region × flow-cache),
@@ -242,19 +228,22 @@ func (cm *CostModel) appendStateOptions(out []stateOption, obj cir.StateObj, use
 			out = append(out, stateOption{region: region, cost: base, bytes: obj.Bytes()})
 		}
 		if fcAvail {
-			// Flow-cache hits skip the software lookup entirely; misses pay
-			// both the accelerator visit and the software path.
-			miss := 1 - cm.wl.FlowReuse
-			swLookup := cm.LookupCost(obj, region)
-			fcCost := use.Lookups*(fcFixed+miss*swLookup) +
-				cm.StateCost(obj, use, region) - use.Lookups*swLookup
 			out = append(out, stateOption{
-				region: region, flowCache: true, cost: fcCost,
+				region: region, flowCache: true, cost: cm.fcStateCost(obj, use, region, fcFixed),
 				bytes: obj.Bytes(), fcEntries: fcEntries,
 			})
 		}
 	}
 	return out
+}
+
+// fcStateCost is StateCost with obj's lookups fronted by the flow cache,
+// whose visit costs fcFixed: hits skip the software lookup entirely; misses
+// pay both the accelerator visit and the software path.
+func (cm *CostModel) fcStateCost(obj cir.StateObj, use Usage, region int, fcFixed float64) float64 {
+	miss := 1 - cm.wl.FlowReuse
+	sw := cm.LookupCost(obj, region)
+	return use.Lookups*(fcFixed+miss*sw) + cm.StateCost(obj, use, region) - use.Lookups*sw
 }
 
 // lookupCost is the software cost of one lookup against region.
@@ -271,11 +260,15 @@ func (cm *CostModel) LookupCost(obj cir.StateObj, region int) float64 {
 // placed in region, without the flow cache.
 func (cm *CostModel) StateCost(obj cir.StateObj, use Usage, region int) float64 {
 	acc := cm.StateAccess(obj, region)
+	accesses := func(vc cir.VCall) float64 { // per op; map_delete counts as map_put
+		p := cm.nic.VCallPrice(nil, vc, lnic.VCallIn{Warm: true})
+		return p.Probes + p.Touches
+	}
 	cost := use.Lookups * cm.LookupCost(obj, region)
-	cost += use.Puts * 2 * acc
-	cost += use.Incrs * 2 * acc
-	cost += use.ArrOps * acc
-	cost += use.Sketch * 4 * acc
+	cost += use.Puts * accesses(cir.VCMapPut) * acc
+	cost += use.Incrs * accesses(cir.VCMapIncr) * acc
+	cost += use.ArrOps * accesses(cir.VCArrRead) * acc
+	cost += use.Sketch * accesses(cir.VCSketchAdd) * acc
 	if use.DPI > 0 {
 		// One automaton transition fetch per payload byte.
 		cost += use.DPI * cm.wl.AvgPayload * acc
@@ -288,7 +281,7 @@ func (cm *CostModel) StateCost(obj cir.StateObj, use Usage, region int) float64 
 func (cm *CostModel) mappingCost(g *cir.Graph, visits []float64, m *Mapping, uses map[string]Usage) float64 {
 	total := 0.0
 	for i := range g.Nodes {
-		total += visits[i] * cm.NodeCost(&g.Nodes[i], m.NodeUnit[i])
+		total += visits[i] * cm.NodeCost(g, &g.Nodes[i], m.NodeUnit[i])
 	}
 	for _, obj := range g.Prog.State {
 		region, ok := m.StateMem[obj.Name]
@@ -302,9 +295,7 @@ func (cm *CostModel) mappingCost(g *cir.Graph, visits []float64, m *Mapping, use
 			if len(fcs) > 0 {
 				fcFixed = cm.nic.Units[fcs[0]].FixedCycles
 			}
-			miss := 1 - cm.wl.FlowReuse
-			sw := cm.LookupCost(obj, region)
-			total += use.Lookups*(fcFixed+miss*sw) + cm.StateCost(obj, use, region) - use.Lookups*sw
+			total += cm.fcStateCost(obj, use, region, fcFixed)
 		} else {
 			total += cm.StateCost(obj, use, region)
 		}

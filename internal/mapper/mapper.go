@@ -280,7 +280,7 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 		for _, j := range enc.units[enc.xOff[i]:enc.xOff[i+1]] {
 			v := enc.model.Binary("")
 			terms = append(terms, ilp.Term{Var: v, Coef: 1})
-			enc.model.SetObjectiveTerm(v, enc.visits[i]*enc.cm.NodeCost(&g.Nodes[i], j))
+			enc.model.SetObjectiveTerm(v, enc.visits[i]*enc.cm.NodeCost(g, &g.Nodes[i], j))
 		}
 		enc.model.AddConstraint("", terms, ilp.EQ, 1)
 	}
@@ -343,7 +343,7 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 				continue
 			}
 			terms = terms[:0]
-			svc := u.FixedCycles + u.PerByteCycles*wl.AvgPayload
+			svc := u.ServiceCycles(wl.AvgPayload)
 			for i := range g.Nodes {
 				if k := enc.xVar(i, j); k >= 0 {
 					terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: enc.visits[i] * svc * wl.RatePPS / cyclesPerSec})
@@ -549,7 +549,7 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 			if nic.Units[j].Stage < minStage {
 				continue
 			}
-			c := cm.NodeCost(node, j)
+			c := cm.NodeCost(g, node, j)
 			if c < bestCost {
 				best, bestCost = j, c
 			}
@@ -558,7 +558,7 @@ func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error
 			// Fall back to ignoring stage order (greedy is allowed to be
 			// wrong; the benchmark shows the difference).
 			for _, j := range allowed {
-				c := cm.NodeCost(node, j)
+				c := cm.NodeCost(g, node, j)
 				if c < bestCost {
 					best, bestCost = j, c
 				}

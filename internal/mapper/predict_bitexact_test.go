@@ -16,7 +16,7 @@ import (
 // ResourceLoad on. adviseDigest covers only the three fields a ranking
 // shows; this covers the per-class rows, the cycle components, the
 // bottleneck and the energy figures too.
-const predictDigest = "9f5b358f98f92b4a33e4c23c46fb13c87e339ad40ee0404a54ed271d76d90d67"
+const predictDigest = "c81fb7f95febbfacfff14b58707848194d7c2cfd0ee827fad63c7b77990e82ee"
 
 // hashPrediction folds every field of p (or the error text) into h.
 func hashPrediction(h hash.Hash, p *clara.Prediction, err error) {

@@ -180,7 +180,7 @@ func contProbes(nic *lnic.LNIC) []contProbe {
 	} else if ids := nic.Accelerators("checksum"); len(ids) > 0 {
 		u := nic.Units[ids[0]]
 		servers := float64(len(ids) * u.Threads)
-		demand := u.FixedCycles + u.PerByteCycles*84 // 64 B payload + L4 header
+		demand := u.ServiceCycles(84) // 64 B payload + L4 header
 		b := cir.NewBuilder("probe-cont-cksum")
 		proto := b.Const(cir.ProtoTCP)
 		b.VCall(cir.VCGetHdr, "", proto)

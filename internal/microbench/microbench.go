@@ -83,7 +83,7 @@ func RunParallel(nic *lnic.LNIC, workers int) (*Report, error) {
 // probe simulation inherits ctx, so cancelling mid-suite aborts in-flight
 // probes promptly and returns a *budget.CanceledError.
 func RunContext(ctx context.Context, nic *lnic.LNIC, workers int) (*Report, error) {
-	core := representativeCore(nic)
+	core := &nic.Units[representativeCoreID(nic)]
 	param := func(name string, v float64, unit string, book float64) []Param {
 		return []Param{{Name: name, Value: v, Unit: unit, Databook: book}}
 	}
@@ -139,7 +139,7 @@ func RunContext(ctx context.Context, nic *lnic.LNIC, workers int) (*Report, erro
 			var out []Param
 			if ids := nic.Accelerators("checksum"); len(ids) > 0 {
 				u := nic.Units[ids[0]]
-				hwBook := u.FixedCycles + u.PerByteCycles*1020
+				hwBook := u.ServiceCycles(1020)
 				out = append(out, param("checksum-accel-1000B", cksumHW, "cycles", hwBook)...)
 			}
 			return append(out, param("checksum-sw-1000B", cksumSW, "cycles", 0)...), nil
@@ -194,10 +194,6 @@ func RunContext(ctx context.Context, nic *lnic.LNIC, workers int) (*Report, erro
 		rep.Params = append(rep.Params, g...)
 	}
 	return rep, nil
-}
-
-func representativeCore(nic *lnic.LNIC) *lnic.ComputeUnit {
-	return &nic.Units[representativeCoreID(nic)]
 }
 
 func representativeCoreID(nic *lnic.LNIC) int {

@@ -53,7 +53,7 @@ func TestLPMSpec(t *testing.T) {
 func TestNATVariantsDiffer(t *testing.T) {
 	inc := NAT(false).MustCompile()
 	full := NAT(true).MustCompile()
-	countVC := func(p *cir.Program, name string) int {
+	countVC := func(p *cir.Program, name cir.VCall) int {
 		n := 0
 		for _, b := range p.Blocks {
 			for _, in := range b.Instrs {

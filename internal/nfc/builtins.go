@@ -44,7 +44,7 @@ const (
 // builtinSig describes one DSL builtin. Variadic builtins set varTail: the
 // last argKind repeats.
 type builtinSig struct {
-	vcall     string
+	vcall     cir.VCall
 	args      []argKind
 	varTail   int // extra argExpr args allowed beyond len(args); -1 = none
 	stateKind string

@@ -9,7 +9,7 @@ import (
 
 // stubEnv implements cir.Env with canned vcall results.
 type stubEnv struct {
-	ret   map[string]uint64
+	ret   map[cir.VCall]uint64
 	calls []cir.Instr
 }
 
@@ -179,7 +179,7 @@ func TestForLoopWithBreakContinue(t *testing.T) {
 }
 
 func TestShortCircuitAnd(t *testing.T) {
-	env := &stubEnv{ret: map[string]uint64{cir.VCPayloadLen: 0}}
+	env := &stubEnv{ret: map[cir.VCall]uint64{cir.VCPayloadLen: 0}}
 	// payload_len() is 0, so map_lookup must never run.
 	run(t, `nf sc {
 		state m : map<4, 4>[16];
@@ -197,7 +197,7 @@ func TestShortCircuitAnd(t *testing.T) {
 }
 
 func TestShortCircuitOr(t *testing.T) {
-	env := &stubEnv{ret: map[string]uint64{cir.VCPayloadLen: 7}}
+	env := &stubEnv{ret: map[cir.VCall]uint64{cir.VCPayloadLen: 7}}
 	run(t, `nf sc {
 		state m : map<4, 4>[16];
 		handler(pkt) {
@@ -240,7 +240,7 @@ func TestLocalArray(t *testing.T) {
 }
 
 func TestProtoAndFieldKeywords(t *testing.T) {
-	env := &stubEnv{ret: map[string]uint64{cir.VCGetHdr: 1, cir.VCHdrField: 99}}
+	env := &stubEnv{ret: map[cir.VCall]uint64{cir.VCGetHdr: 1, cir.VCHdrField: 99}}
 	v := run(t, `nf p { handler(pkt) {
 		if (!parse(ipv4)) { return pass; }
 		return field(ipv4, ttl);

@@ -56,9 +56,6 @@ func newCache(capacityBytes int64, lineBytes int) *cache {
 	if capacityBytes <= 0 {
 		return nil
 	}
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
 	ways := 8
 	lines := int(capacityBytes) / lineBytes
 	if lines < 8 {

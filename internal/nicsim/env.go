@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clara/internal/cir"
+	"clara/internal/lnic"
 	"clara/internal/packet"
 )
 
@@ -79,9 +80,7 @@ func (e *exec) reset(wire []byte, pktIndex int) {
 func (e *exec) payloadRead(i int) {
 	region, addr, line, _ := e.payloadLine(len(e.wire) - len(e.pkt.Payload) + i)
 	if line == e.lastLine {
-		// Same line as the previous byte: register-file speed.
-		e.now++
-		e.bd.Compute++
+		e.charge(e.s.vcCycles[1][cir.VCPayloadByte])
 		return
 	}
 	e.lastLine = line
@@ -138,47 +137,39 @@ func (e *exec) l4SegmentLen() int {
 	}
 }
 
-// VCall implements cir.Env.
+// VCall implements cir.Env. Charges come from the price rule: vcCycles for
+// the fixed ones, lnic.VCallPrice per call for the byte-dependent ones.
 func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	s := e.s
 	switch in.Callee {
 	case cir.VCGetHdr:
-		proto := args[0]
-		present := e.hasProto(proto)
+		proto, warm := args[0], 1
 		if proto < uint64(len(e.parsed)) && !e.parsed[proto] {
-			e.parsed[proto] = true
-			if s.cfg.Place.ParseOnEngine {
-				// Headers were extracted at the ingress engine; the core
-				// only reads parsed metadata.
-				e.charge(s.nic.MetadataCycles)
-			} else {
-				e.charge(s.nic.ParseCycles)
-			}
-		} else {
-			e.charge(s.nic.MetadataCycles)
+			e.parsed[proto], warm = true, 0
 		}
-		if present {
+		e.charge(s.vcCycles[warm][cir.VCGetHdr])
+		if e.hasProto(proto) {
 			return 1, nil
 		}
 		return 0, nil
 
 	case cir.VCHdrField:
-		e.charge(s.nic.MetadataCycles)
+		e.charge(s.vcCycles[0][cir.VCHdrField])
 		return e.readField(args[0], args[1]), nil
 
 	case cir.VCSetField:
-		e.charge(s.nic.MetadataCycles)
+		e.charge(s.vcCycles[0][cir.VCSetField])
 		e.writeField(args[0], args[1], args[2])
 		return 0, nil
 
 	case cir.VCPayloadLen:
-		e.charge(1)
+		e.charge(s.vcCycles[0][cir.VCPayloadLen])
 		return uint64(len(e.pkt.Payload)), nil
 
 	case cir.VCPayloadByte:
 		i := int(args[0])
 		if i < 0 || i >= len(e.pkt.Payload) {
-			e.charge(1)
+			e.charge(s.vcCycles[1][cir.VCPayloadByte])
 			return 0, nil
 		}
 		e.payloadRead(i)
@@ -186,36 +177,25 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCChecksum:
 		seg := e.l4SegmentLen()
-		if s.cfg.Place.ChecksumOnAccel && s.cksumUnit >= 0 {
-			if s.accelDown("checksum") {
-				s.noteFallback("checksum") // outage: software path below
-			} else if t, ok := s.accelVisit(s.cksumUnit, seg, e.now, &e.bd); ok {
-				e.now = t
-				return 0, nil
-			} else {
-				s.noteFallback("checksum") // queue overflow
-			}
+		if !e.offload(s.cfg.Place.ChecksumOnAccel, s.cksumUnit, "checksum", seg) {
+			e.charge(s.nic.VCallPrice(s.npu, cir.VCChecksum, lnic.VCallIn{Bytes: float64(seg)}).Compute)
+			e.checksumReads(seg)
 		}
-		// Software checksum on the core: fixed setup plus one ALU per byte
-		// plus packet-memory reads line by line (the ~1700-extra-cycles
-		// path of §2.1).
-		e.charge(100 + float64(seg))
-		e.checksumReads(seg)
 		return 0, nil
 
 	case cir.VCCksumUpdate:
-		e.charge(2*s.nic.MetadataCycles + 4)
+		e.charge(s.vcCycles[0][cir.VCCksumUpdate])
 		return 0, nil
 
 	case cir.VCFlowKey:
-		e.charge(s.nic.HashCycles)
+		e.charge(s.vcCycles[0][cir.VCFlowKey])
 		return e.flowHash(), nil
 
 	case cir.VCMapLookup:
 		return e.mapLookup(in.Slot, args[0])
 
 	case cir.VCMapGet:
-		e.charge(1)
+		e.charge(s.vcCycles[0][cir.VCMapGet])
 		if ent := e.latched[in.Slot]; ent != nil {
 			idx := int(args[0]) & 1
 			return ent.v[idx], nil
@@ -227,10 +207,7 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCMapDelete:
 		m := s.slots[in.Slot].m
-		if m == nil {
-			return 0, s.kindErr(in.Slot, "a map")
-		}
-		e.charge(s.nic.HashCycles)
+		e.charge(s.vcCycles[0][cir.VCMapDelete])
 		e.now += s.memAccess(m.region, m.bucketAddr(args[0]), true, &e.bd)
 		m.del(args[0])
 		e.latched[in.Slot] = nil
@@ -247,18 +224,12 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCArrRead:
 		a := s.slots[in.Slot].a
-		if a == nil {
-			return 0, s.kindErr(in.Slot, "an array")
-		}
 		i := a.idx(args[0])
 		e.now += s.memAccess(a.region, a.addr(i), false, &e.bd)
 		return a.vals[i], nil
 
 	case cir.VCArrWrite:
 		a := s.slots[in.Slot].a
-		if a == nil {
-			return 0, s.kindErr(in.Slot, "an array")
-		}
 		i := a.idx(args[0])
 		e.now += s.memAccess(a.region, a.addr(i), true, &e.bd)
 		a.vals[i] = args[1]
@@ -266,10 +237,7 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCSketchAdd, cir.VCSketchRead:
 		sk := s.slots[in.Slot].sk
-		if sk == nil {
-			return 0, s.kindErr(in.Slot, "a sketch")
-		}
-		e.charge(s.nic.HashCycles)
+		e.charge(s.vcCycles[0][in.Callee])
 		for r := 0; r < sk.rows; r++ {
 			slot := sk.slot(r, args[0])
 			e.now += s.memAccess(sk.region, sk.slotAddr(r, slot), in.Callee == cir.VCSketchAdd, &e.bd)
@@ -284,42 +252,51 @@ func (e *exec) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 
 	case cir.VCCrypto:
 		n := int(args[1])
-		if s.cfg.Place.CryptoOnAccel && s.cryptoUnit >= 0 {
-			if s.accelDown("crypto") {
-				s.noteFallback("crypto") // outage: software path below
-			} else if t, ok := s.accelVisit(s.cryptoUnit, n, e.now, &e.bd); ok {
-				e.now = t
-				return 0, nil
-			} else {
-				s.noteFallback("crypto") // queue overflow
-			}
+		if !e.offload(s.cfg.Place.CryptoOnAccel, s.cryptoUnit, "crypto", n) {
+			e.charge(s.nic.VCallPrice(s.npu, cir.VCCrypto, lnic.VCallIn{Bytes: float64(n)}).Compute)
 		}
-		// Software crypto: ~30 ALU ops per byte plus key schedule.
-		e.charge(200 + float64(n)*30*s.npu.ClassCycles[cir.ClassALU])
 		return 0, nil
 
 	case cir.VCHash:
-		e.charge(s.nic.HashCycles)
+		e.charge(s.vcCycles[0][cir.VCHash])
 		h := args[0] * 0x9e3779b97f4a7c15
 		h ^= h >> 32
 		return h, nil
 
 	case cir.VCNow:
-		e.charge(1)
+		e.charge(s.vcCycles[0][cir.VCNow])
 		return uint64(e.now), nil
 
 	case cir.VCRandom:
-		e.charge(2)
+		e.charge(s.vcCycles[0][cir.VCRandom])
 		return s.random(), nil
 
 	case cir.VCEmit:
-		e.charge(s.nic.MetadataCycles)
+		e.charge(s.vcCycles[0][cir.VCEmit])
 		e.emitted = true
 		return 0, nil
 
 	default:
 		return 0, fmt.Errorf("nicsim: unimplemented vcall %s", in.Callee)
 	}
+}
+
+// offload serves a call of bytes bytes at accelerator unit of class when the
+// placement puts it there, reporting whether the unit served it. An outage
+// or a queue overflow falls back to the caller's software path.
+func (e *exec) offload(placed bool, unit int, class string, bytes int) bool {
+	if !placed || unit < 0 {
+		return false
+	}
+	s := e.s
+	if !s.accelDown(class) {
+		if t, ok := s.accelVisit(unit, bytes, e.now, &e.bd); ok {
+			e.now = t
+			return true
+		}
+	}
+	s.noteFallback(class)
+	return false
 }
 
 // stateSlot binds one state object of the program: the table of its kind
@@ -334,11 +311,6 @@ type stateSlot struct {
 	fc bool
 }
 
-// kindErr reports a vcall addressing state slot of the wrong kind.
-func (s *Sim) kindErr(slot int, kind string) error {
-	return fmt.Errorf("nicsim: %s is not %s state", s.prog.State[slot].Name, kind)
-}
-
 // fcOwner is the flow-cache owner of state slot: co-resident tenants share
 // one flow cache, so entries are keyed by tenant as well as slot.
 func (s *Sim) fcOwner(slot int) fcOwner {
@@ -349,9 +321,6 @@ func (e *exec) mapLookup(slot int, key uint64) (uint64, error) {
 	s := e.s
 	sl := &s.slots[slot]
 	m := sl.m
-	if m == nil {
-		return 0, s.kindErr(slot, "a map")
-	}
 	useFC := sl.fc && s.fc != nil
 	if useFC && s.accelDown("flowcache") {
 		s.noteFallback("flowcache") // outage: direct memory lookup
@@ -371,7 +340,7 @@ func (e *exec) mapLookup(slot int, key uint64) (uint64, error) {
 			useFC = false
 		}
 	}
-	e.charge(s.nic.HashCycles)
+	e.charge(s.vcCycles[0][cir.VCMapLookup])
 	e.now += s.memAccess(m.region, m.bucketAddr(key), false, &e.bd)
 	ent, found := m.lookup(key)
 	if !found {
@@ -390,9 +359,6 @@ func (e *exec) mapPut(slot int, args []uint64) (uint64, error) {
 	s := e.s
 	sl := &s.slots[slot]
 	m := sl.m
-	if m == nil {
-		return 0, s.kindErr(slot, "a map")
-	}
 	var v0, v1 uint64
 	if len(args) > 1 {
 		v0 = args[1]
@@ -400,7 +366,7 @@ func (e *exec) mapPut(slot int, args []uint64) (uint64, error) {
 	if len(args) > 2 {
 		v1 = args[2]
 	}
-	e.charge(s.nic.HashCycles)
+	e.charge(s.vcCycles[0][cir.VCMapPut])
 	e.now += s.memAccess(m.region, m.bucketAddr(args[0]), false, &e.bd)
 	ent := m.put(args[0], v0, v1)
 	e.now += s.memAccess(m.region, m.entryAddr(ent.idx), true, &e.bd)
@@ -414,13 +380,10 @@ func (e *exec) mapPut(slot int, args []uint64) (uint64, error) {
 func (e *exec) mapIncr(slot int, args []uint64) (uint64, error) {
 	s := e.s
 	m := s.slots[slot].m
-	if m == nil {
-		return 0, s.kindErr(slot, "a map")
-	}
 	key, idx, delta := args[0], int(args[1])&1, args[2]
 	ent := e.latched[slot]
 	if ent == nil || m.entries[key] != ent {
-		e.charge(s.nic.HashCycles)
+		e.charge(s.vcCycles[0][cir.VCMapIncr])
 		e.now += s.memAccess(m.region, m.bucketAddr(key), false, &e.bd)
 		var found bool
 		ent, found = m.lookup(key)
@@ -440,9 +403,6 @@ func (e *exec) lpmLookup(slot int, addr uint32) (uint64, error) {
 	s := e.s
 	sl := &s.slots[slot]
 	l := sl.l
-	if l == nil {
-		return 0, s.kindErr(slot, "an lpm")
-	}
 	if sl.fc && s.fc != nil {
 		if s.accelDown("flowcache") {
 			s.noteFallback("flowcache") // outage: software scan
@@ -469,13 +429,11 @@ func (e *exec) lpmLookup(slot int, addr uint32) (uint64, error) {
 // memory — the expensive path the flow cache short-circuits (§2.1).
 func (e *exec) lpmScan(l *lpmState, addr uint32) uint64 {
 	s := e.s
-	entrySize := l.obj.KeySize + l.obj.ValueSize
-	if entrySize <= 0 {
-		entrySize = 8
-	}
-	e.loadLines(l.region, l.base, l.entries()*entrySize, int(s.lines[l.region].bytes))
-	// Two compare/mask ALU ops per rule.
-	e.charge(float64(l.entries()) * 2 * s.npu.ClassCycles[cir.ClassALU])
+	p := s.nic.VCallPrice(s.npu, cir.VCLPMLookup, lnic.VCallIn{
+		Region: l.region, Entries: l.entries(), EntryBytes: lnic.EntryBytes(l.obj)})
+	line := int(s.lines[l.region].bytes)
+	e.loadLines(l.region, l.base, int(p.Touches)*line, line)
+	e.charge(p.Compute)
 	return l.lookup(addr)
 }
 
@@ -544,7 +502,7 @@ func (e *exec) loadLines(region int, base uint64, n, step int) {
 
 // dpiScan walks the pattern automaton over the payload (up to the run's DPI
 // byte budget). Each byte costs a payload read, one fetch of the next
-// state's DFA row and two ALU ops.
+// state's DFA row and lnic.DPIByteCycles of compute.
 //
 // The payload is walked one memory line at a time (see payloadLine): only a
 // line's first byte can price an access, and only when the line differs
@@ -555,9 +513,6 @@ func (e *exec) loadLines(region int, base uint64, n, step int) {
 func (e *exec) dpiScan(slot int) (uint64, error) {
 	s := e.s
 	p := s.slots[slot].p
-	if p == nil {
-		return 0, s.kindErr(slot, "a pattern")
-	}
 	payload := e.pkt.Payload
 	hdr := len(e.wire) - len(payload)
 	if m := s.runDPI; m > 0 && int64(len(payload)) > m {
@@ -566,6 +521,7 @@ func (e *exec) dpiScan(slot int) (uint64, error) {
 	}
 	rows := s.loadPort(p.region)
 	memCycles := s.memCycles
+	warm := s.vcCycles[1][cir.VCPayloadByte]
 	next, outputs := p.ac.next, p.ac.outputs
 	now, compute, mem, lastLine := e.now, e.bd.Compute, e.bd.Mem, e.lastLine
 	matches := 0
@@ -591,9 +547,8 @@ func (e *exec) dpiScan(slot int) (uint64, error) {
 				mem += cost
 				now += cost
 			} else {
-				// Same line as the previous byte: register-file speed.
-				now++
-				compute++
+				now += warm
+				compute += warm
 			}
 			cost := rows.load
 			if rows.c != nil && rows.c.access(p.base+uint64(state)*1024) {
@@ -605,8 +560,8 @@ func (e *exec) dpiScan(slot int) (uint64, error) {
 			}
 			mem += cost
 			now += cost
-			now += 2
-			compute += 2
+			now += lnic.DPIByteCycles
+			compute += lnic.DPIByteCycles
 			matches += int(outputs[state])
 		}
 	}

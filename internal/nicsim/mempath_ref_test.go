@@ -83,9 +83,6 @@ func (e *exec) refLoadLines(region int, base uint64, n, step int) {
 func (e *exec) refDPIScan(slot int) (uint64, error) {
 	s := e.s
 	p := s.slots[slot].p
-	if p == nil {
-		return 0, s.kindErr(slot, "a pattern")
-	}
 	payload := e.pkt.Payload
 	if m := s.runDPI; m > 0 && int64(len(payload)) > m {
 		// DPI byte budget: scan only the first m payload bytes.

@@ -274,6 +274,10 @@ type Sim struct {
 	// (lnic.InstrPrices: class lookup, FPU emulation and local-memory
 	// override folded in), which the compiled engine's meter books from.
 	costByOp cir.Prices
+	// vcCycles does the same for vcalls by lnic.VCallPrice, cold then warm,
+	// under this Sim's placement; byte-dependent charges (software checksum
+	// and crypto, the LPM scan) are priced through the rule per call.
+	vcCycles [2][cir.NumVCalls]float64
 	// memCost does the same for memory: one access from the representative
 	// core into each region, indexed by region ID (see memPrice). lines
 	// holds each region's line geometry and pktSpanMod the modulus of the
@@ -443,12 +447,18 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	s.compiled = compiled
 
 	s.costByOp = s.nic.InstrPrices(s.npu)
+	for w := range s.vcCycles {
+		for vc := range s.vcCycles[w] {
+			in := lnic.VCallIn{Warm: w == 1, ParseOnEngine: cfg.Place.ParseOnEngine}
+			s.vcCycles[w][vc] = s.nic.VCallPrice(s.npu, cir.VCall(vc), in).Compute
+		}
+	}
 
 	s.memCost = make([]memPrice, len(s.nic.Mems))
 	s.lines = make([]lineGeom, len(s.nic.Mems))
 	for r := range s.nic.Mems {
 		s.memCost[r] = priceRegion(s.nic, s.npuUnit, r)
-		s.lines[r] = newLineGeom(s.nic.Mems[r].LineBytes)
+		s.lines[r] = newLineGeom(s.nic.Mems[r].LineSize())
 	}
 	span := uint64(s.nic.Mems[s.nic.PktMem].Bytes)
 	if span < 4096 {
@@ -469,7 +479,7 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	for i := range s.nic.Mems {
 		m := &s.nic.Mems[i]
 		if m.CacheBytes > 0 {
-			s.caches[m.ID] = newCache(m.CacheBytes, m.LineBytes)
+			s.caches[m.ID] = newCache(m.CacheBytes, m.LineSize())
 		}
 	}
 	s.ownCaches = s.caches
@@ -984,16 +994,13 @@ func priceRegion(nic *lnic.LNIC, unit, region int) memPrice {
 
 // lineGeom numbers a region's memory lines: shift is log2(bytes) when the
 // line size is a power of two (every shipped profile), -1 when a true
-// division is needed. Line size 0 means the 64-byte default.
+// division is needed.
 type lineGeom struct {
 	bytes int64
 	shift int
 }
 
 func newLineGeom(lineBytes int) lineGeom {
-	if lineBytes <= 0 {
-		lineBytes = 64
-	}
 	g := lineGeom{bytes: int64(lineBytes), shift: -1}
 	if lineBytes&(lineBytes-1) == 0 {
 		g.shift = bits.TrailingZeros(uint(lineBytes))
@@ -1059,7 +1066,7 @@ func (s *Sim) faultRetry(region int, rate, cost float64) float64 {
 // caller's software path (ok = false, nothing booked).
 func (s *Sim) accelVisit(unit int, bytes int, now float64, bd *Breakdown) (float64, bool) {
 	u := &s.nic.Units[unit]
-	svc := u.FixedCycles + u.PerByteCycles*float64(bytes)
+	svc := u.ServiceCycles(float64(bytes))
 	if f := s.faults; f != nil {
 		if mult := f.Degrade[u.AccelClass]; mult > 1 {
 			s.noteDegrade(u.AccelClass, svc*(mult-1))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"clara/internal/cir"
+	"clara/internal/lnic"
 )
 
 // mapEntry is one exact-match table entry. Index is stable from insertion
@@ -223,7 +224,7 @@ func mask(addr uint32, plen uint8) uint32 {
 	return addr &^ (1<<(32-uint32(plen)) - 1)
 }
 
-// sketchState is a count-min sketch with 4 rows.
+// sketchState is a count-min sketch with lnic.SketchRows rows.
 type sketchState struct {
 	obj    cir.StateObj
 	region int
@@ -234,7 +235,7 @@ type sketchState struct {
 }
 
 func newSketchState(obj cir.StateObj, region int, base uint64) *sketchState {
-	rows := 4
+	rows := lnic.SketchRows
 	width := obj.Capacity / rows
 	if width < 16 {
 		width = 16

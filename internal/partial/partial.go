@@ -213,7 +213,7 @@ func evalCut(g *cir.Graph, visits []float64, onNIC map[int]bool, nicNodes, hostN
 		}
 		best := math.Inf(1)
 		for _, j := range units {
-			if cost := nicCM.NodeCost(node, j); cost < best {
+			if cost := nicCM.NodeCost(g, node, j); cost < best {
 				best = cost
 			}
 		}
@@ -229,7 +229,7 @@ func evalCut(g *cir.Graph, visits []float64, onNIC map[int]bool, nicNodes, hostN
 		}
 		best := math.Inf(1)
 		for _, j := range units {
-			if cost := hostCM.NodeCost(node, j); cost < best {
+			if cost := hostCM.NodeCost(g, node, j); cost < best {
 				best = cost
 			}
 		}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"math"
 
 	"clara/internal/cir"
 	"clara/internal/lnic"
@@ -28,13 +29,15 @@ type costEnv struct {
 
 	// states binds each state slot (cir.Instr.Slot) to its placement;
 	// accels holds the first unit of each accelerator class, nil when the
-	// NIC has none, and accelUnits how many units the class has; pktLine
-	// and pktAccess price packet-memory reads.
+	// NIC has none, and accelUnits how many units the class has. pktAccess
+	// prices a packet-memory line read; pktLine is the line size and hdr
+	// the average header length, which place payload bytes on lines.
 	states     []boundState
 	accels     [numAccels]*lnic.ComputeUnit
 	accelUnits [numAccels]int
 	pktLine    float64
 	pktAccess  float64
+	hdr        float64
 
 	cycles float64
 	// Energy accounting (the §6 E3-style extension): compute holds active
@@ -48,7 +51,9 @@ type costEnv struct {
 	memStall    float64
 	memAccesses []float64 // per region
 	memCycles   []float64 // per region; nil unless Options.ResourceLoad
-	parsed      []uint64  // headers parsed so far
+	parsed      [8]bool   // by proto constant, as the simulator's; larger protos never parse
+	latched     []bool    // per state slot: the class latched a map entry
+	lastLine    float64   // packet line of the last payload_byte read, -1 before any
 	accelUses   [numAccels]float64
 	accelSvc    [numAccels]float64
 }
@@ -71,26 +76,15 @@ type boundState struct {
 	access    float64 // expected cycles of one access (CostModel.StateAccess)
 }
 
-// pricingUnit is the representative general core that prices instruction
-// execution, with MAU stages standing in on core-less ASICs; nil when the NIC
-// has neither.
-func pricingUnit(nic *lnic.LNIC) *lnic.ComputeUnit {
-	if id, ok := nic.PricingUnit(); ok {
-		return &nic.Units[id]
-	}
-	return nil
-}
-
 func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.ComputeUnit, wl mapper.Workload, cm *mapper.CostModel, resourceLoad bool) *costEnv {
 	e := &costEnv{
 		m: m, nic: nic, wl: wl, cm: cm, npu: npu,
 		states:      make([]boundState, len(prog.State)),
+		latched:     make([]bool, len(prog.State)),
 		memAccesses: make([]float64, len(nic.Mems)),
-		pktLine:     float64(nic.Mems[nic.PktMem].LineBytes),
+		pktLine:     float64(nic.Mems[nic.PktMem].LineSize()),
 		pktAccess:   cm.PktAccess(),
-	}
-	if e.pktLine <= 0 {
-		e.pktLine = 64
+		hdr:         wl.AvgWire - wl.AvgPayload,
 	}
 	if resourceLoad {
 		e.memCycles = make([]float64, len(nic.Mems))
@@ -124,7 +118,9 @@ func (e *costEnv) reset(a symexec.Attrs) {
 	e.cycles, e.compute, e.memStall = 0, 0, 0
 	clear(e.memAccesses)
 	clear(e.memCycles)
-	e.parsed = e.parsed[:0]
+	e.parsed = [8]bool{}
+	clear(e.latched)
+	e.lastLine = -1
 	e.accelUses = [numAccels]float64{}
 	e.accelSvc = [numAccels]float64{}
 }
@@ -133,13 +129,6 @@ func (e *costEnv) reset(a symexec.Attrs) {
 // compute: the active core cycles the energy model charges at full power.
 func (e *costEnv) meter(prices *cir.Prices) cir.Meter {
 	return cir.Meter{Prices: prices, Clock: &e.cycles, Compute: &e.compute}
-}
-
-// accel books one visit of svc cycles to accelerator class k.
-func (e *costEnv) accel(k int, svc float64) {
-	e.cycles += svc
-	e.accelUses[k]++
-	e.accelSvc[k] += svc
 }
 
 // chargeCompute books active core cycles.
@@ -190,14 +179,7 @@ func (e *costEnv) newEntryAccess(s *boundState) float64 {
 	if m.CacheBytes == 0 {
 		return m.LoadCycles
 	}
-	line := m.LineBytes
-	if line <= 0 {
-		line = 64
-	}
-	f := float64(s.obj.KeySize+s.obj.ValueSize) / float64(line)
-	if f > 1 {
-		f = 1
-	}
+	f := min(float64(s.obj.KeySize+s.obj.ValueSize)/float64(m.LineSize()), 1)
 	return f*m.LoadCycles + (1-f)*s.access
 }
 
@@ -220,182 +202,92 @@ func (e *costEnv) state(in *cir.Instr) (*boundState, error) {
 	return nil, fmt.Errorf("predict: unknown state %q", in.State)
 }
 
-// parse reports whether header proto was already parsed for this class,
-// and marks it parsed.
-func (e *costEnv) parse(proto uint64) bool {
-	for _, p := range e.parsed {
-		if p == proto {
-			return true
-		}
-	}
-	e.parsed = append(e.parsed, proto)
-	return false
-}
-
-// VCall charges the expected cost of the call and delegates its value to
-// the symbolic environment.
+// VCall prices the call through the rule (lnic.VCallPrice) at this class's
+// expectations and delegates its value to the symbolic environment. Byte
+// arguments are the symbolic ones (crypto length, payload index) or the
+// workload's averages (L4 segment, DPI scan); flags come from the class's
+// path (headers parsed, entries latched) and its attributes (flow seen).
 func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
-	nic := e.nic
+	q := lnic.VCallIn{ParseOnEngine: e.m.ParseOnEngine}
+	var s *boundState
+	var probe, touch float64 // expected cycles of one probe and one touch
+	if cir.VCalls[in.Callee].StateRef {
+		var err error
+		if s, err = e.state(in); err != nil {
+			return 0, err
+		}
+		q.Region, q.Entries, q.EntryBytes = s.region, s.obj.Capacity, lnic.EntryBytes(*s.obj)
+		q.OnAccel = s.flowCache && e.accels[accelFlowCache] != nil
+		probe, touch = s.access, s.access
+	}
 	seen := e.sem.Attrs().FlowSeen
-	pktLine := e.pktLine
+	w := 1.0
 	switch in.Callee {
 	case cir.VCGetHdr:
-		if !e.parse(args[0]) {
-			if e.m.ParseOnEngine {
-				e.chargeCompute(nic.MetadataCycles)
-			} else {
-				e.chargeCompute(nic.ParseCycles)
-			}
-		} else {
-			e.chargeCompute(nic.MetadataCycles)
+		p := args[0]
+		if q.Warm = p >= uint64(len(e.parsed)) || e.parsed[p]; !q.Warm {
+			e.parsed[p] = true
 		}
-
-	case cir.VCHdrField, cir.VCSetField, cir.VCEmit:
-		e.chargeCompute(nic.MetadataCycles)
-
-	case cir.VCPayloadLen, cir.VCNow:
-		e.chargeCompute(1)
-
-	case cir.VCRandom:
-		e.chargeCompute(2)
-
 	case cir.VCPayloadByte:
-		e.chargeCompute(1)
-		e.chargeMem(nic.PktMem, 1/pktLine, e.pktAccess)
-
+		// A byte past the payload, or on the line the last read fetched
+		// (payload bytes sit behind hdr header bytes), reads no line.
+		line := math.Floor((e.hdr + float64(args[0])) / e.pktLine)
+		if q.Warm = args[0] >= uint64(e.sem.Attrs().PayloadLen); !q.Warm {
+			q.Warm, e.lastLine = line == e.lastLine, line
+		}
 	case cir.VCChecksum:
-		if u := e.accels[accelChecksum]; e.m.ChecksumOnAccel && u != nil {
-			e.accel(accelChecksum, u.FixedCycles+u.PerByteCycles*e.cm.L4SegLen())
-			break
-		}
-		seg := e.cm.L4SegLen()
-		e.chargeCompute(100 + seg)
-		e.chargeMem(nic.PktMem, seg/pktLine, e.pktAccess)
-
-	case cir.VCCksumUpdate:
-		e.chargeCompute(2*nic.MetadataCycles + 4)
-
-	case cir.VCFlowKey, cir.VCHash:
-		e.chargeCompute(nic.HashCycles)
-
+		q.Bytes, q.OnAccel = e.cm.L4SegLen(), e.m.ChecksumOnAccel && e.accels[accelChecksum] != nil
 	case cir.VCCrypto:
-		n := float64(args[1])
-		if u := e.accels[accelCrypto]; e.m.CryptoOnAccel && u != nil {
-			e.accel(accelCrypto, u.FixedCycles+u.PerByteCycles*n)
-			break
-		}
-		e.chargeCompute(200 + n*30)
-
+		q.Bytes, q.OnAccel = float64(args[1]), e.m.CryptoOnAccel && e.accels[accelCrypto] != nil
 	case cir.VCMapLookup:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		acc := s.access
-		if !seen {
+		if q.Warm = seen; !seen {
 			// First packet of a flow probes a partially-warm bucket region.
-			acc = e.missProbeAccess(s)
+			probe = e.missProbeAccess(s)
 		}
-		if u := e.accels[accelFlowCache]; s.flowCache && u != nil {
-			e.accel(accelFlowCache, u.FixedCycles)
-			if !seen {
-				e.chargeCompute(nic.HashCycles)
-				e.chargeMem(s.region, 1, acc) // software miss probe
-			}
-			break
-		}
-		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(s.region, 1, acc)
-		if seen {
-			e.chargeMem(s.region, 1, acc) // entry fetch on hit
-		}
-
-	case cir.VCMapGet:
-		e.chargeCompute(1)
-
+		e.latched[in.Slot] = seen
 	case cir.VCMapPut:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeCompute(nic.HashCycles)
 		if !seen {
 			// Fresh entry: the bucket line was just pulled in by the failed
 			// lookup (warm); the entry itself is a compulsory first touch.
-			e.chargeMem(s.region, 1, s.access)
-			e.chargeMem(s.region, 1, e.newEntryAccess(s))
-			break
+			touch = e.newEntryAccess(s)
 		}
-		e.chargeMem(s.region, 2, s.access)
-
+		e.latched[in.Slot] = true
 	case cir.VCMapDelete:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(s.region, 1, s.access)
-
+		e.latched[in.Slot] = false
 	case cir.VCMapIncr:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeMem(s.region, 2, s.access)
-
+		q.Warm = e.latched[in.Slot]
+		e.latched[in.Slot] = true
 	case cir.VCLPMLookup:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		entry := s.obj.KeySize + s.obj.ValueSize
-		if entry <= 0 {
-			entry = 8
-		}
-		line := nic.Mems[s.region].LineBytes
-		if line <= 0 {
-			line = 64
-		}
-		lines := float64((s.obj.Capacity*entry + line - 1) / line)
-		alu := float64(s.obj.Capacity) * 2
-		perLine := (e.cm.LPMScanCost(*s.obj, s.region) - alu) / lines
-		if u := e.accels[accelFlowCache]; s.flowCache && u != nil {
+		touch = e.cm.ScanAccess(*s.obj, s.region)
+		if q.OnAccel {
 			// Unlike stateful map lookups, the LPM's control flow does not
 			// branch on flow history, so cache hits are not a path property
-			// — price the expected miss share directly.
-			e.accel(accelFlowCache, u.FixedCycles)
-			miss := 1 - e.wl.FlowReuse
-			e.chargeCompute(miss * alu)
-			e.chargeMem(s.region, miss*lines, perLine)
-			break
+			// — price the expected hit share directly.
+			q.Warm = true
+			e.book(e.nic.VCallPrice(e.npu, in.Callee, q), e.wl.FlowReuse, q.Region, probe, touch)
+			q.Warm, w = false, 1-e.wl.FlowReuse
 		}
-		e.chargeCompute(alu)
-		e.chargeMem(s.region, lines, perLine)
-
-	case cir.VCArrRead, cir.VCArrWrite:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeMem(s.region, 1, s.access)
-
-	case cir.VCSketchAdd, cir.VCSketchRead:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeCompute(nic.HashCycles)
-		e.chargeMem(s.region, 4, s.access)
-
 	case cir.VCDPIScan:
-		s, err := e.state(in)
-		if err != nil {
-			return 0, err
-		}
-		n := e.wl.AvgPayload
-		e.chargeCompute(n * 3) // per-byte ALU + payload-read compute share
-		e.chargeMem(nic.PktMem, n/pktLine, e.pktAccess)
-		e.chargeMem(s.region, n, s.access)
+		q.Bytes, q.Offset = e.wl.AvgPayload, e.hdr
 	}
+	e.book(e.nic.VCallPrice(e.npu, in.Callee, q), w, q.Region, probe, touch)
 	return e.sem.VCall(in, args)
+}
+
+// book charges w times price p: the accelerator visit, the compute, packet
+// lines at pktAccess, and probes and touches into region at the given
+// expected cycles each.
+func (e *costEnv) book(p lnic.VCallPrice, w float64, region int, probe, touch float64) {
+	for k := range accelClass {
+		if accelClass[k] == p.Accel {
+			svc := e.accels[k].ServiceCycles(p.AccelBytes)
+			e.cycles += w * svc
+			e.accelUses[k] += w
+			e.accelSvc[k] += w * svc
+		}
+	}
+	e.chargeCompute(w * p.Compute)
+	e.chargeMem(e.nic.PktMem, w*p.PktLines, e.pktAccess)
+	e.chargeMem(region, w*p.Probes, probe)
+	e.chargeMem(region, w*p.Touches, touch)
 }

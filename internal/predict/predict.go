@@ -137,8 +137,9 @@ func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapp
 	// Instructions are priced on the representative core; a NIC without one
 	// prices them at zero.
 	var prices cir.Prices
-	npu := pricingUnit(nic)
-	if npu != nil {
+	var npu *lnic.ComputeUnit
+	if id, ok := nic.PricingUnit(); ok {
+		npu = &nic.Units[id]
 		prices = nic.InstrPrices(npu)
 	}
 	env := newCostEnv(prog, m, nic, npu, wl, cm, opts.ResourceLoad)

@@ -74,10 +74,8 @@ type Class struct {
 	Verdict  uint64
 	// BlockTrace is the sequence of basic blocks executed.
 	BlockTrace []int
-	// BlockCount tallies executions per block.
-	BlockCount map[int]int
-	// VCalls tallies vcall invocations by callee name.
-	VCalls map[string]int
+	// VCalls tallies vcall invocations by callee.
+	VCalls map[cir.VCall]int
 }
 
 // Name renders a stable identifier for the class.
@@ -215,11 +213,7 @@ func traceKey(blocks []int) string {
 // valuation. meter, when non-nil, counts the instructions executed (step
 // accounting).
 func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, meter *cir.Meter) (*Class, error) {
-	cl := &Class{
-		Attrs:      a,
-		BlockCount: map[int]int{},
-		VCalls:     map[string]int{},
-	}
+	cl := &Class{Attrs: a, VCalls: map[cir.VCall]int{}}
 	env := NewEnv(a)
 	hooks := &cir.Hooks{
 		Meter: meter,
@@ -228,12 +222,11 @@ func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, me
 			if len(cl.BlockTrace) < 4096 {
 				cl.BlockTrace = append(cl.BlockTrace, b)
 			}
-			cl.BlockCount[b]++
 		},
 		MaxSteps: maxSteps,
 		Ctx:      ctx,
 	}
-	env.onVCall = func(name string) { cl.VCalls[name]++ }
+	env.onVCall = func(vc cir.VCall) { cl.VCalls[vc]++ }
 	v, err := comp.Run(env, hooks)
 	if err != nil {
 		return nil, err
@@ -246,7 +239,7 @@ func runClass(ctx context.Context, comp *cir.Compiled, a Attrs, maxSteps int, me
 // predictor wraps it to attach expected costs to the same semantics.
 type Env struct {
 	a       Attrs
-	onVCall func(string)
+	onVCall func(cir.VCall)
 	counter uint64
 }
 
@@ -306,7 +299,7 @@ func (e *Env) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 		e.counter++
 		return 0x0a000000 + e.counter, nil
 	case cir.VCSetField, cir.VCEmit, cir.VCCksumUpdate, cir.VCChecksum,
-		cir.VCCrypto, cir.VCMapPut, cir.VCMapDelete, cir.VCArrWrite:
+		cir.VCCrypto, cir.VCMapPut, cir.VCMapDelete, cir.VCArrRead, cir.VCArrWrite:
 		return 0, nil
 	case cir.VCPayloadLen:
 		return uint64(a.PayloadLen), nil
@@ -323,7 +316,7 @@ func (e *Env) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 			return 0, nil
 		}
 		return 1 << 20, nil
-	case cir.VCMapIncr:
+	case cir.VCMapIncr, cir.VCSketchAdd, cir.VCSketchRead:
 		if a.Heavy {
 			return 1 << 30, nil
 		}
@@ -338,13 +331,6 @@ func (e *Env) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 			return ^uint64(0), nil
 		}
 		return 0, nil
-	case cir.VCArrRead:
-		return 0, nil
-	case cir.VCSketchAdd, cir.VCSketchRead:
-		if a.Heavy {
-			return 1 << 30, nil
-		}
-		return 1, nil
 	case cir.VCDPIScan:
 		return b2u(a.DPIMatch), nil
 	case cir.VCHash:
