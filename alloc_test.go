@@ -1,6 +1,7 @@
 package clara
 
 import (
+	"context"
 	"testing"
 
 	"clara/internal/lnic"
@@ -18,7 +19,7 @@ func simRunFixture(tb testing.TB) (*nicsim.Sim, *workload.Trace) {
 	spec := nf.Firewall(65536)
 	prog := spec.MustCompile()
 	nic := lnic.Netronome()
-	sim, err := nicsim.New(nicsim.Config{
+	sim, err := nicsim.NewContext(context.Background(), nicsim.Config{
 		NIC: nic, Prog: prog, Place: nicsim.DefaultPlacement(nic, prog),
 		Preload: spec.PreloadEntries, Seed: 11,
 	})
@@ -28,7 +29,7 @@ func simRunFixture(tb testing.TB) (*nicsim.Sim, *workload.Trace) {
 	prof := workload.DefaultProfile()
 	prof.Packets = 512
 	prof.Flows = 64
-	tr, err := workload.Generate(prof)
+	tr, err := workload.GenerateContext(context.Background(), prof)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,14 +62,14 @@ func simScanFixture(tb testing.TB, name string) (*nicsim.Sim, *workload.Trace) {
 	}
 	prog := spec.MustCompile()
 	nic := lnic.Netronome()
-	sim, err := nicsim.New(nicsim.Config{
+	sim, err := nicsim.NewContext(context.Background(), nicsim.Config{
 		NIC: nic, Prog: prog, Place: nicsim.DefaultPlacement(nic, prog),
 		Preload: spec.PreloadEntries, Seed: 11,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr, err := workload.Generate(prof)
+	tr, err := workload.GenerateContext(context.Background(), prof)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestAllocBudget(t *testing.T) {
 	check := func(t *testing.T, sim *nicsim.Sim, tr *workload.Trace) {
 		// One warm run fills flow tables and lazy server pools so the
 		// measured runs are steady-state.
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			t.Fatal(err)
 		}
 		perRun := testing.AllocsPerRun(10, func() {
-			if _, err := sim.Run(tr); err != nil {
+			if _, err := sim.RunContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
 		})

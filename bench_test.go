@@ -10,6 +10,7 @@ package clara
 // arbitrary scale.
 
 import (
+	"context"
 	"testing"
 
 	"clara/internal/eval"
@@ -236,7 +237,7 @@ func BenchmarkSimRunColocated(b *testing.B) {
 		prof.Packets = 4096
 		prof.Flows = 256
 		prof.Seed = int64(100 + i)
-		tr, err := workload.Generate(prof)
+		tr, err := workload.GenerateContext(context.Background(), prof)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,14 +248,14 @@ func BenchmarkSimRunColocated(b *testing.B) {
 		})
 	}
 	opts := nicsim.ShardOpts{Workers: -1}
-	if _, err := nicsim.RunColocated(cfg, opts); err != nil {
+	if _, err := nicsim.RunColocatedContext(context.Background(), cfg, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(2 * 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nicsim.RunColocated(cfg, opts); err != nil {
+		if _, err := nicsim.RunColocatedContext(context.Background(), cfg, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,14 +366,14 @@ func BenchmarkSimRun(b *testing.B) {
 // benchmarkSteadyRuns times repeated runs of tr on one reused Sim, after a
 // warm-up run has filled its flow tables and lazy server pools.
 func benchmarkSteadyRuns(b *testing.B, sim *nicsim.Sim, tr *workload.Trace) {
-	if _, err := sim.Run(tr); err != nil {
+	if _, err := sim.RunContext(context.Background(), tr); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(tr.Packets)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(tr); err != nil {
+		if _, err := sim.RunContext(context.Background(), tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -408,7 +409,7 @@ func simShardFixture(tb testing.TB) (nicsim.Config, *workload.Trace) {
 	prof := workload.DefaultProfile()
 	prof.Packets = 262144
 	prof.Flows = 1024
-	tr, err := workload.Generate(prof)
+	tr, err := workload.GenerateContext(context.Background(), prof)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -426,14 +427,14 @@ func simShardFixture(tb testing.TB) (nicsim.Config, *workload.Trace) {
 func BenchmarkSimRunSharded(b *testing.B) {
 	cfg, tr := simShardFixture(b)
 	opts := nicsim.ShardOpts{Workers: -1}
-	if _, err := nicsim.RunSharded(cfg, tr, opts); err != nil {
+	if _, err := nicsim.RunShardedContext(context.Background(), cfg, tr, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(tr.Packets)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nicsim.RunSharded(cfg, tr, opts); err != nil {
+		if _, err := nicsim.RunShardedContext(context.Background(), cfg, tr, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

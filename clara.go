@@ -276,7 +276,9 @@ func WorkloadFromPcapContext(ctx context.Context, r io.Reader) (Workload, *Trace
 }
 
 // GenerateTrace synthesizes a packet trace from a profile.
-func GenerateTrace(p TrafficProfile) (*Trace, error) { return workload.Generate(p) }
+func GenerateTrace(p TrafficProfile) (*Trace, error) {
+	return GenerateTraceContext(context.Background(), p)
+}
 
 // GenerateTraceContext is GenerateTrace bounded by ctx and its budget.
 func GenerateTraceContext(ctx context.Context, p TrafficProfile) (*Trace, error) {
@@ -372,12 +374,14 @@ type MeasureOptions struct {
 	// classic single-threaded loop; N >= 1 runs the sharded engine with N
 	// parallel workers; negative values run it with GOMAXPROCS workers.
 	// Shard decomposition is fixed by ShardWindow alone, so on a fixed seed
-	// the Measurement is identical for every worker count.
+	// the Measurement is identical for every non-zero worker count. The
+	// sharded engine restarts simulator state every window, so on a trace
+	// longer than one window it differs from the classic loop.
 	Shards int
 	// ShardWindow is the packets-per-shard window for the sharded engine
 	// (values < 1 select nicsim.DefaultShardWindow). Changing the window
 	// changes where per-shard simulator state restarts, and therefore the
-	// results; changing Shards never does.
+	// results; changing Shards between non-zero counts never does.
 	ShardWindow int
 }
 
@@ -434,12 +438,14 @@ func NewTraceReader(r io.Reader, name string) (*workload.TraceReader, error) {
 // Microbench recovers the target's performance parameters by running the
 // §3.2 probe suite on the simulator. Probes run concurrently; use
 // MicrobenchParallel to control the pool width.
-func Microbench(t *Target) (*BenchReport, error) { return microbench.Run(t) }
+func Microbench(t *Target) (*BenchReport, error) {
+	return MicrobenchContext(context.Background(), t, 0)
+}
 
 // MicrobenchParallel is Microbench with an explicit worker count (values < 1
 // select GOMAXPROCS, 1 forces sequential probing).
 func MicrobenchParallel(t *Target, parallel int) (*BenchReport, error) {
-	return microbench.RunParallel(t, parallel)
+	return MicrobenchContext(context.Background(), t, parallel)
 }
 
 // MicrobenchContext is MicrobenchParallel bounded by ctx: cancellation stops

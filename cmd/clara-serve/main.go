@@ -11,9 +11,10 @@
 // Endpoints: POST /v1/advise, /v1/predict, /v1/partial, /v1/measure (JSON
 // bodies, see README "clara-serve"), POST/GET /v1/jobs for asynchronous
 // submissions with retries, GET /v1/nfs, /metrics, /healthz and /readyz.
-// /v1/measure runs the sharded cycle-level simulator; the worker count
-// ("shards") never changes results on a fixed seed, so the result cache
-// deliberately ignores it. Per-endpoint circuit breakers and queue/latency
+// /v1/measure runs the cycle-level simulator; among non-zero worker counts
+// ("shards") results never change on a fixed seed, so the result cache
+// ignores which one ran, but keys the classic loop (0) apart from the
+// windowed engine. Per-endpoint circuit breakers and queue/latency
 // load shedding answer 503 + Retry-After under overload. SIGINT/SIGTERM
 // triggers a graceful drain: queued jobs cancel, in-flight analyses finish
 // (up to -drain-timeout), then the listener closes; /readyz reports
@@ -51,7 +52,7 @@ func run() error {
 		maxTimeout  = flag.Duration("max-timeout", 30*time.Second, "per-request wall-clock ceiling; client timeouts are clamped to this")
 		maxBudget   = flag.String("max-budget", "", "per-request resource ceiling, same syntax as -budget: "+cliutil.BudgetFlagDoc)
 		parallel    = flag.Int("parallel", 0, "worker-pool width inside each analysis (default GOMAXPROCS)")
-		simShards   = flag.Int("sim-shards", -1, "default /v1/measure simulator workers: -1 = all cores, 0 = classic single-threaded engine, N = N sharded workers (never changes results, only latency)")
+		simShards   = flag.Int("sim-shards", -1, "default /v1/measure simulator workers: -1 = all cores, 0 = classic single-threaded engine, N = N sharded workers (results match across N >= 1, not between 0 and N)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent analyses admitted (default 2x GOMAXPROCS)")
 		nfCache     = flag.Int("nf-cache", 128, "compiled-NF LRU capacity")
 		resultCache = flag.Int("result-cache", 1024, "result LRU capacity")

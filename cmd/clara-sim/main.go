@@ -50,7 +50,7 @@ func run() (err error) {
 		timelineOut = flag.String("timeline", "", "record the first target's per-packet timeline and write it here as Chrome trace_event JSON (load in chrome://tracing or Perfetto)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running, e.g. localhost:6060")
 		faultsSpec  = flag.String("faults", "", "fault injection, e.g. outage=crypto,degrade=checksum:4,queuecap=8,memfault=emem:0.001,corrupt=0.02,seed=7")
-		shards      = flag.Int("shards", 0, "simulation engine: 0 = classic single-threaded loop, N>=1 = sharded engine with N workers, -1 = all cores; results are identical for every worker count on a fixed seed")
+		shards      = flag.Int("shards", 0, "simulation engine: 0 = classic single-threaded loop, N>=1 = sharded engine with N workers, -1 = all cores; results are identical for every sharded worker count on a fixed seed, but differ from 0 on traces longer than one window")
 		shardWindow = flag.Int("shard-window", 0, "packets per shard window for -shards (default 16384); the window defines where per-shard state restarts, so changing it changes results")
 		stream      = flag.Bool("stream", false, "with -pcap and -workload: stream the capture through the sharded engine window by window instead of loading it into memory (implies -shards, bounds ingestion memory by the shard window)")
 		noFlowCache = flag.Bool("no-flowcache", false, "hint: never use the flow cache")

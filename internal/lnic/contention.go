@@ -14,7 +14,7 @@ import (
 // curves: service time multipliers as a function of the *competing* load, in
 // the same utilization units the predictor computes (rate × demand /
 // (servers × clock)). Curves are fit empirically by microbench probes run
-// under synthetic contender load; see microbench.FitContention.
+// under synthetic contender load; see microbench.FitContentionContext.
 
 // CurvePoint is one sample of a slowdown curve: at competing load Load, the
 // resource's effective service time is Slowdown × its uncontended value.

@@ -260,12 +260,13 @@ func (cm *CostModel) LookupCost(obj cir.StateObj, region int) float64 {
 // placed in region, without the flow cache.
 func (cm *CostModel) StateCost(obj cir.StateObj, use Usage, region int) float64 {
 	acc := cm.StateAccess(obj, region)
-	accesses := func(vc cir.VCall) float64 { // per op; map_delete counts as map_put
+	accesses := func(vc cir.VCall) float64 { // table accesses per op
 		p := cm.nic.VCallPrice(nil, vc, lnic.VCallIn{Warm: true})
 		return p.Probes + p.Touches
 	}
 	cost := use.Lookups * cm.LookupCost(obj, region)
 	cost += use.Puts * accesses(cir.VCMapPut) * acc
+	cost += use.Deletes * accesses(cir.VCMapDelete) * acc
 	cost += use.Incrs * accesses(cir.VCMapIncr) * acc
 	cost += use.ArrOps * accesses(cir.VCArrRead) * acc
 	cost += use.Sketch * accesses(cir.VCSketchAdd) * acc

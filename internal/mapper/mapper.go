@@ -434,7 +434,8 @@ func appendAllowedUnits(dst []int, nic *lnic.LNIC, n *cir.Node, h Hints) []int {
 // weighted by node visit frequency.
 type Usage struct {
 	Lookups float64 // map_lookup / lpm_lookup
-	Puts    float64 // map_put / map_delete
+	Puts    float64 // map_put
+	Deletes float64 // map_delete
 	Incrs   float64 // map_incr
 	ArrOps  float64
 	Sketch  float64
@@ -467,8 +468,10 @@ func StateUsage(g *cir.Graph, visits []float64, include func(node int) bool) map
 			switch vc.Callee {
 			case cir.VCMapLookup, cir.VCLPMLookup:
 				u.Lookups += w
-			case cir.VCMapPut, cir.VCMapDelete:
+			case cir.VCMapPut:
 				u.Puts += w
+			case cir.VCMapDelete:
+				u.Deletes += w
 			case cir.VCMapIncr:
 				u.Incrs += w
 			case cir.VCArrRead, cir.VCArrWrite:

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -246,7 +247,7 @@ func TestFromProfileDerivation(t *testing.T) {
 func TestFromStatsMatchesGenerated(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 5000
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +280,38 @@ func BenchmarkMapVNFChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Map(g, nic, wl, Hints{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestMapDeleteStateCost prices a one-delete program: map_delete is one
+// bucket store under the vcall price rule (and in the simulator), so the
+// state's expected cost is one access, not the two of a map_put.
+func TestMapDeleteStateCost(t *testing.T) {
+	b := cir.NewBuilder("delete-one")
+	st := b.DeclareState(cir.StateObj{Name: "t", Kind: cir.StateMap, KeySize: 13, ValueSize: 8, Capacity: 1024})
+	k := b.VCall(cir.VCFlowKey, "")
+	b.VCallVoid(cir.VCMapDelete, st, k)
+	b.ReturnConst(cir.VerdictPass)
+	g, err := cir.BuildGraph(b.MustProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nic := lnic.Netronome()
+	cm := NewCostModel(nic, defaultWL())
+	obj := g.Prog.State[0]
+	use := StateUsage(g, g.ExpectedVisits(), nil)["t"]
+	p := nic.VCallPrice(nil, cir.VCMapDelete, lnic.VCallIn{Warm: true})
+	if p.Probes+p.Touches != 1 {
+		t.Fatalf("rule prices map_delete at %v accesses, want 1", p.Probes+p.Touches)
+	}
+	for region := range nic.Mems {
+		if _, ok := nic.AccessCycles(cm.npu, region, false); !ok {
+			continue
+		}
+		want := cm.StateAccess(obj, region)
+		if got := cm.StateCost(obj, use, region); got != want {
+			t.Errorf("region %s: one map_delete costs %v, want one access %v", nic.Mems[region].Name, got, want)
 		}
 	}
 }

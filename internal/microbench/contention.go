@@ -43,17 +43,12 @@ type contProbe struct {
 	rate float64
 }
 
-// FitContention fits a contention model for the NIC by probing its shared
-// resources under synthetic contender load.
-func FitContention(nic *lnic.LNIC) (*lnic.ContentionModel, error) {
-	return FitContentionContext(context.Background(), nic)
-}
-
-// FitContentionContext is FitContention bounded by ctx and its budget: every
-// probe simulation inherits ctx, so cancellation mid-fit returns promptly
-// with a typed error. The fit is fully deterministic — fixed seeds, and the
-// co-located engine's results are worker-count invariant — so one model per
-// profile can be memoized.
+// FitContentionContext fits a contention model for the NIC by probing its
+// shared resources under synthetic contender load, bounded by ctx and its
+// budget: every probe simulation inherits ctx, so cancellation mid-fit
+// returns promptly with a typed error. The fit is fully deterministic —
+// fixed seeds, and the co-located engine's results are worker-count
+// invariant — so one model per profile can be memoized.
 func FitContentionContext(ctx context.Context, nic *lnic.LNIC) (*lnic.ContentionModel, error) {
 	model := &lnic.ContentionModel{NIC: nic.Name, Curves: map[string]lnic.SlowdownCurve{}}
 	for _, probe := range contProbes(nic) {

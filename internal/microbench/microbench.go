@@ -63,25 +63,14 @@ func (r *Report) Get(name string) (Param, bool) {
 	return Param{}, false
 }
 
-// Run executes the probe suite against the NIC and returns the recovered
-// parameters. Probes run concurrently on the shared worker pool; use
-// RunParallel to control the width.
-func Run(nic *lnic.LNIC) (*Report, error) {
-	return RunContext(context.Background(), nic, 0)
-}
-
-// RunParallel is Run with an explicit worker count (values < 1 select
-// GOMAXPROCS, 1 forces sequential probing). Every probe owns its simulator
-// instance and only reads the LNIC profile, so the recovered parameter
-// sheet is identical at any width: results are flattened in the fixed probe
-// order, not completion order.
-func RunParallel(nic *lnic.LNIC, workers int) (*Report, error) {
-	return RunContext(context.Background(), nic, workers)
-}
-
-// RunContext is RunParallel under a cancellable, budgeted context: every
-// probe simulation inherits ctx, so cancelling mid-suite aborts in-flight
-// probes promptly and returns a *budget.CanceledError.
+// RunContext executes the probe suite against the NIC and returns the
+// recovered parameters. Probes run concurrently on workers (values < 1
+// select GOMAXPROCS, 1 forces sequential probing). Every probe owns its
+// simulator instance and only reads the LNIC profile, so the recovered
+// parameter sheet is identical at any width: results are flattened in the
+// fixed probe order, not completion order. Every probe simulation inherits
+// ctx, so cancelling mid-suite aborts in-flight probes promptly and returns
+// a *budget.CanceledError.
 func RunContext(ctx context.Context, nic *lnic.LNIC, workers int) (*Report, error) {
 	core := &nic.Units[representativeCoreID(nic)]
 	param := func(name string, v float64, unit string, book float64) []Param {
@@ -201,27 +190,38 @@ func representativeCoreID(nic *lnic.LNIC) int {
 	return id
 }
 
-// meanLatency runs a probe program over a small fixed trace and returns the
-// mean packet latency in cycles.
-func meanLatency(ctx context.Context, nic *lnic.LNIC, prog *cir.Program, place nicsim.Placement) (float64, error) {
+// runProbe is how every probe of the suite runs: prog under place on a
+// fresh seed-42 simulator, over a trace generated from wp's packet count,
+// flows, TCP share and payload size at 1000 pps with seed 9. A probe whose
+// packets fault measures nothing, so any execution error fails it.
+func runProbe(ctx context.Context, nic *lnic.LNIC, prog *cir.Program, place nicsim.Placement, wp workload.Profile) (*nicsim.Result, error) {
 	sim, err := nicsim.NewContext(ctx, nicsim.Config{NIC: nic, Prog: prog, Place: place, Seed: 42})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	p := workload.Profile{
-		Name: "probe", Packets: 64, RatePPS: 1000, Flows: 8,
-		TCPFraction: 1, PayloadBytes: 64, Seed: 9,
-	}
-	tr, err := workload.GenerateContext(ctx, p)
+	wp.Name, wp.RatePPS, wp.Seed = "probe", 1000, 9
+	tr, err := workload.GenerateContext(ctx, wp)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	res, err := sim.RunContext(ctx, tr)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if res.Errors > 0 {
-		return 0, fmt.Errorf("microbench: %d probe errors", res.Errors)
+		return nil, fmt.Errorf("microbench: %s (%dB payloads): %d probe errors", prog.Name, wp.PayloadBytes, res.Errors)
+	}
+	return res, nil
+}
+
+// meanLatency runs a probe program over 64 small TCP packets and returns
+// the mean packet latency in cycles.
+func meanLatency(ctx context.Context, nic *lnic.LNIC, prog *cir.Program, place nicsim.Placement) (float64, error) {
+	res, err := runProbe(ctx, nic, prog, place, workload.Profile{
+		Packets: 64, Flows: 8, TCPFraction: 1, PayloadBytes: 64,
+	})
+	if err != nil {
+		return 0, err
 	}
 	return res.MeanLatency(), nil
 }
@@ -307,19 +307,9 @@ func checksumCost(ctx context.Context, nic *lnic.LNIC) (hw, sw float64, err erro
 	run := func(p *cir.Program, accel bool) (float64, error) {
 		pl := nicsim.DefaultPlacement(nic, p)
 		pl.ChecksumOnAccel = accel
-		sim, err := nicsim.NewContext(ctx, nicsim.Config{NIC: nic, Prog: p, Place: pl, Seed: 42})
-		if err != nil {
-			return 0, err
-		}
-		wp := workload.Profile{
-			Name: "probe", Packets: 64, RatePPS: 1000, Flows: 8,
-			TCPFraction: 1, PayloadBytes: 1000, Seed: 9,
-		}
-		tr, err := workload.GenerateContext(ctx, wp)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.RunContext(ctx, tr)
+		res, err := runProbe(ctx, nic, p, pl, workload.Profile{
+			Packets: 64, Flows: 8, TCPFraction: 1, PayloadBytes: 1000,
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -360,20 +350,10 @@ func flowCacheCost(ctx context.Context, nic *lnic.LNIC) (float64, error) {
 	}()
 	pl := nicsim.DefaultPlacement(nic, prog)
 	pl.UseFlowCache = map[string]bool{"t": true}
-	sim, err := nicsim.NewContext(ctx, nicsim.Config{NIC: nic, Prog: prog, Place: pl, Seed: 42})
-	if err != nil {
-		return 0, err
-	}
 	// One flow, many packets: everything after the first is a pure hit.
-	wp := workload.Profile{
-		Name: "probe", Packets: 512, RatePPS: 1000, Flows: 1,
-		TCPFraction: 1, PayloadBytes: 64, Seed: 9,
-	}
-	tr, err := workload.GenerateContext(ctx, wp)
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.RunContext(ctx, tr)
+	res, err := runProbe(ctx, nic, prog, pl, workload.Profile{
+		Packets: 512, Flows: 1, TCPFraction: 1, PayloadBytes: 64,
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -432,17 +412,13 @@ type LatencyPoint struct {
 	Cycles    float64 // per-byte access cost at this size
 }
 
-// PacketCurve probes per-byte payload access latency across packet sizes —
-// the §3.2 latency-curve technique ("memory accesses to <2 kB regions have
-// near constant latency, but it dramatically increases beyond that as
-// memory is spilled to the next level of hierarchy"). On the Netronome
-// profile the knee sits at the CTM residency threshold: packets under 1 kB
-// live in the CTM entirely, larger packets spill their tails to the EMEM.
-func PacketCurve(nic *lnic.LNIC, sizes []int) ([]LatencyPoint, error) {
-	return PacketCurveContext(context.Background(), nic, sizes)
-}
-
-// PacketCurveContext is PacketCurve under a cancellable context.
+// PacketCurveContext probes per-byte payload access latency across packet
+// sizes under a cancellable context — the §3.2 latency-curve technique
+// ("memory accesses to <2 kB regions have near constant latency, but it
+// dramatically increases beyond that as memory is spilled to the next level
+// of hierarchy"). On the Netronome profile the knee sits at the CTM
+// residency threshold: packets under 1 kB live in the CTM entirely, larger
+// packets spill their tails to the EMEM.
 func PacketCurveContext(ctx context.Context, nic *lnic.LNIC, sizes []int) ([]LatencyPoint, error) {
 	// A payload scan: one payload_byte read per byte.
 	prog := func() *cir.Program {
@@ -476,26 +452,11 @@ func PacketCurveContext(ctx context.Context, nic *lnic.LNIC, sizes []int) ([]Lat
 		if size < 1 {
 			size = 1
 		}
-		sim, err := nicsim.NewContext(ctx, nicsim.Config{
-			NIC: nic, Prog: prog, Place: nicsim.DefaultPlacement(nic, prog), Seed: 42,
+		res, err := runProbe(ctx, nic, prog, nicsim.DefaultPlacement(nic, prog), workload.Profile{
+			Packets: 16, Flows: 4, PayloadBytes: size,
 		})
 		if err != nil {
 			return nil, err
-		}
-		wp := workload.Profile{
-			Name: "probe", Packets: 16, RatePPS: 1000, Flows: 4,
-			TCPFraction: 0, PayloadBytes: size, Seed: 9,
-		}
-		tr, err := workload.GenerateContext(ctx, wp)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunContext(ctx, tr)
-		if err != nil {
-			return nil, err
-		}
-		if res.Errors > 0 {
-			return nil, fmt.Errorf("microbench: packet-curve probe failed at %dB", size)
 		}
 		out = append(out, LatencyPoint{SizeBytes: int64(size), Cycles: res.MeanLatency() / float64(size)})
 	}

@@ -1,6 +1,7 @@
 package microbench
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestMicrobenchRecoversDatabook(t *testing.T) {
-	rep, err := Run(lnic.Netronome())
+	rep, err := RunContext(context.Background(), lnic.Netronome(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestMicrobenchRecoversDatabook(t *testing.T) {
 func TestChecksumSoftwareVsAccelGap(t *testing.T) {
 	// E7: ~300 cycles at the accelerator vs ~1700 extra on the NPU for a
 	// 1000-byte packet (§2.1).
-	rep, err := Run(lnic.Netronome())
+	rep, err := RunContext(context.Background(), lnic.Netronome(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestChecksumSoftwareVsAccelGap(t *testing.T) {
 func TestPacketCurveKneeAtResidency(t *testing.T) {
 	nic := lnic.Netronome()
 	sizes := []int{128, 256, 512, 768, 1024, 1536, 2048, 3072, 4096}
-	points, err := PacketCurve(nic, sizes)
+	points, err := PacketCurveContext(context.Background(), nic, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestKneeEdgeCases(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep, err := Run(lnic.ARMSoC())
+	rep, err := RunContext(context.Background(), lnic.ARMSoC(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestReportString(t *testing.T) {
 
 func TestRunOnAllProfiles(t *testing.T) {
 	for name, mk := range lnic.Profiles() {
-		if _, err := Run(mk()); err != nil {
+		if _, err := RunContext(context.Background(), mk(), 0); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

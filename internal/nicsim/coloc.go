@@ -3,7 +3,6 @@ package nicsim
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -43,8 +42,10 @@ import (
 //
 // A run with a single active tenant never builds shared state (coloc stays
 // nil, the tenant keeps the full thread pool and a zero address base), so it
-// is DeepEqual to RunShardedContext of that tenant alone — the degenerate
-// case tests pin.
+// is DeepEqual to RunShardedContext of that tenant's trace after a stable
+// sort by arrival time — the order mergeArrivals steps it in, where the solo
+// engine steps in index order; on a trace already in arrival order the two
+// are the same run. TestColocSingleTenantMatchesSharded pins both cases.
 
 // Tenant is one co-resident NF: its compiled program, placement, preloads,
 // the traffic it receives, and its weighted share of the general cores.
@@ -364,7 +365,7 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 		default:
 			// The run stopped mid-window for every tenant; seal the others
 			// with the same typed error around their own partial prefix.
-			sr.err = rewrapShardErr(stepErr, states[t].finish())
+			sr.err = rewrapPartial(stepErr, states[t].finish())
 		}
 		captureCounters(sims[t], &sr)
 		sruns[t] = sr
@@ -375,11 +376,6 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 		}
 	}
 	return sruns
-}
-
-// RunColocated is RunColocatedContext under default limits.
-func RunColocated(cfg ColocConfig, opts ShardOpts) ([]*Result, error) {
-	return RunColocatedContext(context.Background(), cfg, opts)
 }
 
 // RunColocatedContext simulates all tenants concurrently on cfg.NIC and
@@ -485,7 +481,7 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 		}
 	}
 	if firstErr != nil {
-		return nil, rewrapColocErr(firstErr, results)
+		return nil, rewrapPartial(firstErr, results)
 	}
 	return results, nil
 }
@@ -502,23 +498,4 @@ func totalNPUThreads(nic *lnic.LNIC) int {
 		total += nic.Units[id].Threads
 	}
 	return total
-}
-
-// rewrapColocErr re-issues a tenant's typed error with the per-tenant
-// partial slice as its Partial; untyped errors pass through unchanged.
-func rewrapColocErr(err error, partials []*Result) error {
-	var ee *budget.ExceededError
-	if errors.As(err, &ee) {
-		return &budget.ExceededError{
-			Resource: ee.Resource, Limit: ee.Limit,
-			Stage: ee.Stage, NF: ee.NF, Partial: partials,
-		}
-	}
-	var ce *budget.CanceledError
-	if errors.As(err, &ce) {
-		return &budget.CanceledError{
-			Stage: ce.Stage, NF: ce.NF, Err: ce.Err, Partial: partials,
-		}
-	}
-	return err
 }

@@ -1,10 +1,12 @@
 package nicsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +27,7 @@ func colocTrace(t testing.TB, packets int, seed int64, rate float64) *workload.T
 	if rate > 0 {
 		p.RatePPS = rate
 	}
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,32 +129,48 @@ func TestColocInvariance(t *testing.T) {
 // TestColocSingleTenantMatchesSharded pins the degenerate case the predict
 // layer leans on: one active tenant (alone, or beside zero-weight ones) sees
 // no shared arbitration state, the full thread pool and a zero address base,
-// so its Result is DeepEqual to a solo sharded run — and the zero-weight
-// tenant's Result is empty (the no-op contract).
+// so its Result is DeepEqual to a solo sharded run of its trace after a
+// stable sort by arrival — the order the merged sequence steps it in — and
+// the zero-weight tenant's Result is empty (the no-op contract). The
+// out-of-order case swaps two arrivals that straddle a window boundary.
 func TestColocSingleTenantMatchesSharded(t *testing.T) {
-	cfg := colocTestConfig(t, []string{"firewall", "nat"}, []float64{1, 0}, nil, false)
 	ctx := context.Background()
+	for _, swap := range []bool{false, true} {
+		cfg := colocTestConfig(t, []string{"firewall", "nat"}, []float64{1, 0}, nil, false)
+		tr := cfg.Tenants[0].Trace
+		sorted := tr
+		if swap {
+			pk := slices.Clone(tr.Packets)
+			pk[60].ArrivalNs, pk[70].ArrivalNs = pk[70].ArrivalNs, pk[60].ArrivalNs
+			cfg.Tenants[0].Trace = &workload.Trace{Name: tr.Name, Packets: pk}
+			pk = slices.Clone(pk)
+			slices.SortStableFunc(pk, func(a, b workload.TracePacket) int {
+				return cmp.Compare(a.ArrivalNs, b.ArrivalNs)
+			})
+			sorted = &workload.Trace{Name: tr.Name, Packets: pk}
+		}
 
-	res, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: 4, Window: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := Config{
-		NIC: cfg.NIC, Prog: cfg.Tenants[0].Prog, Place: cfg.Tenants[0].Place,
-		Preload: cfg.Tenants[0].Preload, Seed: cfg.Seed,
-	}
-	want, err := RunShardedContext(ctx, solo, cfg.Tenants[0].Trace, ShardOpts{Workers: 4, Window: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeResult(res[0]), normalizeResult(want)) {
-		t.Fatalf("single-active-tenant co-located run differs from the solo sharded run")
-	}
-	if res[0].Contention != nil {
-		t.Fatalf("single-active-tenant run reported contention: %+v", res[0].Contention)
-	}
-	if len(res[1].Packets) != 0 || res[1].Errors != 0 {
-		t.Fatalf("zero-weight tenant was simulated: %d packets, %d errors", len(res[1].Packets), res[1].Errors)
+		res, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: 4, Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo := Config{
+			NIC: cfg.NIC, Prog: cfg.Tenants[0].Prog, Place: cfg.Tenants[0].Place,
+			Preload: cfg.Tenants[0].Preload, Seed: cfg.Seed,
+		}
+		want, err := RunShardedContext(ctx, solo, sorted, ShardOpts{Workers: 4, Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(normalizeResult(res[0]), normalizeResult(want)) {
+			t.Fatalf("out of order %v: single-active-tenant co-located run differs from the solo sharded run of the arrival-sorted trace", swap)
+		}
+		if res[0].Contention != nil {
+			t.Fatalf("single-active-tenant run reported contention: %+v", res[0].Contention)
+		}
+		if len(res[1].Packets) != 0 || res[1].Errors != 0 {
+			t.Fatalf("zero-weight tenant was simulated: %d packets, %d errors", len(res[1].Packets), res[1].Errors)
+		}
 	}
 }
 
@@ -162,7 +180,7 @@ func TestColocSingleTenantMatchesSharded(t *testing.T) {
 // and cycles consistent, and nowhere on a solo run.
 func TestColocContentionAccounted(t *testing.T) {
 	cfg := colocTestConfig(t, []string{"firewall", "nat"}, []float64{1, 1}, nil, false)
-	res, err := RunColocated(cfg, ShardOpts{Workers: 2, Window: 96})
+	res, err := RunColocatedContext(context.Background(), cfg, ShardOpts{Workers: 2, Window: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +315,7 @@ func TestColocFlowCacheIsPerTenant(t *testing.T) {
 			}
 			cfg.Tenants = append(cfg.Tenants, Tenant{Prog: prog, Place: pl, Weight: 1, Trace: tr})
 		}
-		res, err := RunColocated(cfg, ShardOpts{Workers: 1, Window: len(tr.Packets)})
+		res, err := RunColocatedContext(context.Background(), cfg, ShardOpts{Workers: 1, Window: len(tr.Packets)})
 		if err != nil {
 			t.Fatal(err)
 		}

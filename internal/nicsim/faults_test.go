@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,11 +20,11 @@ func simulateFaults(t *testing.T, spec nf.Spec, faults *Faults, place func(*lnic
 	if place != nil {
 		pl = place(nic, pl)
 	}
-	sim, err := New(Config{NIC: nic, Prog: prog, Place: pl, Preload: spec.PreloadEntries, Seed: 7, Faults: faults})
+	sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: pl, Preload: spec.PreloadEntries, Seed: 7, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(smallTrace(t, mutate))
+	res, err := sim.RunContext(context.Background(), smallTrace(t, mutate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFaultsValidateRegion(t *testing.T) {
 	if err := f.Validate(lnic.Netronome()); err == nil {
 		t.Fatal("Validate accepted unknown memory region")
 	}
-	if _, err := New(Config{NIC: lnic.Netronome(), Prog: nf.Firewall(1024).MustCompile(),
+	if _, err := NewContext(context.Background(), Config{NIC: lnic.Netronome(), Prog: nf.Firewall(1024).MustCompile(),
 		Place: DefaultPlacement(lnic.Netronome(), nf.Firewall(1024).MustCompile()), Faults: f}); err == nil {
 		t.Fatal("New accepted invalid faults")
 	}

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -167,7 +168,7 @@ func newScanWalkPair(t testing.TB, nic func() *lnic.LNIC, faults, timeline bool)
 				cfg.Faults.MemFault[m.Name] = 0.1
 			}
 		}
-		s, err := New(cfg)
+		s, err := NewContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

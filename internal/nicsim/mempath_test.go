@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -205,7 +206,7 @@ func TestMemoryPathBitExact(t *testing.T) {
 			if c.place != nil {
 				pl = c.place(nic, pl)
 			}
-			sim, err := New(Config{NIC: nic, Prog: prog, Place: pl, Preload: c.spec.PreloadEntries,
+			sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: pl, Preload: c.spec.PreloadEntries,
 				Seed: 7, Faults: c.faults, Timeline: c.timeline})
 			if err != nil {
 				t.Fatal(err)
@@ -216,11 +217,11 @@ func TestMemoryPathBitExact(t *testing.T) {
 			if c.prof != nil {
 				c.prof(&p)
 			}
-			tr, err := workload.Generate(p)
+			tr, err := workload.GenerateContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run(tr)
+			res, err := sim.RunContext(context.Background(), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +271,7 @@ func TestMemCostMatchesAccessCycles(t *testing.T) {
 	prog := spec.MustCompile()
 	p := workload.DefaultProfile()
 	p.Packets = 200
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestMemCostMatchesAccessCycles(t *testing.T) {
 	for _, c := range nics {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{NIC: c.nic, Prog: prog, Place: DefaultPlacement(c.nic, prog), Seed: 3}
-			sim, err := New(cfg)
+			sim, err := NewContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +312,7 @@ func TestMemCostMatchesAccessCycles(t *testing.T) {
 				}
 			}
 			check("after New")
-			if _, err := sim.Run(tr); err != nil {
+			if _, err := sim.RunContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
 			next := cfg
@@ -333,7 +334,7 @@ func TestDPIScanMatchesAutomaton(t *testing.T) {
 	spec := nf.DPI()
 	prog := spec.MustCompile()
 	nic := lnic.Netronome()
-	sim, err := New(Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 5})
+	sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestPayloadReadPricesFirstLine(t *testing.T) {
 	nic.PktMem = 0
 	nic.Mems[0].LineBytes = 64
 	prog := nf.DPI().MustCompile()
-	sim, err := New(Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 5})
+	sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,16 +367,15 @@ type ContentionReport struct {
 	WaitCycles map[string]float64
 }
 
-// New validates the configuration and builds a simulator with preloaded
-// state under default resource limits.
-func New(cfg Config) (*Sim, error) {
-	return NewContext(context.Background(), cfg)
-}
-
-// NewContext is New under a budgeted context: the declared capacity of every
+// NewContext validates the configuration and builds a simulator with
+// preloaded state under ctx's budget: the declared capacity of every
 // simulated state object is checked against the context's flow-entry limit
 // (a safe default applies with no budget), so a hostile `array<8>[1e9]`
 // declaration is rejected here rather than allocating gigabytes.
+//
+// NewContext builds what depends on the config alone — the compiled engine,
+// price tables, caches, state tables and LPM/DPI contents — and then hands
+// the per-run fields to initRun, the initialiser Sim.reset shares.
 func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	if cfg.NIC == nil || cfg.Prog == nil {
 		return nil, fmt.Errorf("nicsim: nil NIC or program")
@@ -394,35 +393,11 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	}
 	lim := budget.From(ctx)
 	s := &Sim{
-		cfg:      cfg,
-		nic:      cfg.NIC,
-		prog:     cfg.Prog,
-		slots:    make([]stateSlot, len(cfg.Prog.State)),
-		latch:    make([]*mapEntry, len(cfg.Prog.State)),
-		caches:   make([]*cache, len(cfg.NIC.Mems)),
-		unitFree: make([][]float64, len(cfg.NIC.Units)),
-		rngState: uint64(cfg.Seed)*2862933555777941757 + 3037000493,
-		faults:   cfg.Faults,
-	}
-	if s.rngState == 0 {
-		// The affine seed map has exactly one pre-image of 0; without this
-		// guard that seed would freeze the xorshift at 0 forever. Mirrors the
-		// fault RNG's guard below so derived per-shard streams inherit both.
-		s.rngState = 0x2545F4914F6CDD1D
-	}
-	if cfg.Timeline {
-		s.tl = &Timeline{NF: cfg.Prog.Name, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
-		s.memCycles = make([]float64, len(cfg.NIC.Mems))
-	}
-	if s.faults != nil {
-		seed := s.faults.Seed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		s.frngState = uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-		if s.frngState == 0 {
-			s.frngState = 0x9E3779B97F4A7C15
-		}
+		nic:    cfg.NIC,
+		prog:   cfg.Prog,
+		slots:  make([]stateSlot, len(cfg.Prog.State)),
+		latch:  make([]*mapEntry, len(cfg.Prog.State)),
+		caches: make([]*cache, len(cfg.NIC.Mems)),
 	}
 	// One representative general core prices instruction execution; MAU
 	// stages stand in on core-less ASICs.
@@ -472,9 +447,6 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 		total += s.nic.Units[id].Threads
 	}
 	s.nThreads = total
-	s.threadFree = make([]float64, total)
-	s.threads = newThreadHeap(s.threadFree)
-	s.hubFree = make([][]float64, len(s.nic.Hubs))
 
 	for i := range s.nic.Mems {
 		m := &s.nic.Mems[i]
@@ -490,14 +462,8 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 	s.ownFC = s.fc
 
 	// Place state: allocate simulated addresses region by region. Contents
-	// of synthesized state (LPM rules, array preloads) derive from the state
-	// seed — cfg.StateSeed when set, cfg.Seed otherwise — hashed with the
-	// object's name so two objects never share a stream (they did when the
-	// derivation used len(name); see stateSeed).
-	stSeed := cfg.StateSeed
-	if stSeed == 0 {
-		stSeed = cfg.Seed
-	}
+	// of synthesized state (LPM rules here, array preloads in initRun) derive
+	// from the state seed (see Config.objSeed).
 	alloc := map[int]uint64{}
 	nextAddr := func(region int, bytes int) uint64 {
 		base := alloc[region]
@@ -528,14 +494,11 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 			if entries <= 0 {
 				entries = obj.Capacity
 			}
-			sl.l = newLPMState(obj, region, nextAddr(region, obj.Bytes()), entries, stateSeed(stSeed, obj.Name))
+			sl.l = newLPMState(obj, region, nextAddr(region, obj.Bytes()), entries, cfg.objSeed(obj.Name))
 		case cir.StateSketch:
 			sl.sk = newSketchState(obj, region, nextAddr(region, obj.Bytes()))
 		case cir.StateArray:
 			sl.a = newArrayState(obj, region, nextAddr(region, obj.Bytes()))
-			if n := cfg.Preload[obj.Name]; n > 0 {
-				sl.a.preload(n, stateSeed(stSeed, obj.Name))
-			}
 		case cir.StatePattern:
 			ac := buildAC(s.prog.Patterns[obj.Name])
 			sl.p = &patternState{
@@ -545,16 +508,76 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 			}
 		}
 	}
+	s.initRun(cfg)
 	return s, nil
 }
 
-// Run replays the trace through the NF and returns per-packet results,
-// under default resource limits.
-func (s *Sim) Run(tr *workload.Trace) (*Result, error) {
-	return s.RunContext(context.Background(), tr)
+// initRun sets every per-run field from cfg: the runtime and fault RNG
+// streams, the fault report and timeline, the thread, hub and unit free
+// times, solo (co-location undone) resource wiring and the array preloads.
+// NewContext calls it on a fresh build and Sim.reset on a recycled Sim
+// whose tables and caches it has already cleared, so the two cannot drift.
+func (s *Sim) initRun(cfg Config) {
+	s.cfg = cfg
+	s.faults = cfg.Faults
+	s.rngState = uint64(cfg.Seed)*2862933555777941757 + 3037000493
+	if s.rngState == 0 {
+		// The affine seed map has exactly one pre-image of 0; without this
+		// guard that seed would freeze the xorshift at 0 forever. Mirrors the
+		// fault RNG's guard below so derived per-shard streams inherit both.
+		s.rngState = 0x2545F4914F6CDD1D
+	}
+	s.frngState = 0
+	if s.faults != nil {
+		seed := s.faults.Seed
+		if seed == 0 {
+			seed = cfg.Seed
+		}
+		s.frngState = uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
+		if s.frngState == 0 {
+			s.frngState = 0x9E3779B97F4A7C15
+		}
+	}
+	s.report = FaultReport{}
+	s.pktFaulted = false
+	s.runDPI = 0
+	s.svcSum, s.svcCount = 0, 0
+	s.tl, s.memCycles, s.curPkt = nil, nil, 0
+	if cfg.Timeline {
+		s.tl = &Timeline{NF: cfg.Prog.Name, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
+		s.memCycles = make([]float64, len(cfg.NIC.Mems))
+	}
+
+	// Solo wiring: this Sim's own caches and flow cache, no arbitration
+	// state (shareIslands rewires a co-located run after this).
+	s.tenant, s.coloc = 0, nil
+	s.contStall, s.contWaits, s.contCycles = 0, nil, nil
+	s.caches, s.fc = s.ownCaches, s.ownFC
+
+	// Server free times: the full thread pool (shareIslands may have shrunk
+	// threadFree to a tenant share, so rebuild when the length drifted), and
+	// empty hub/unit tables (inner slices are built lazily on first visit).
+	if len(s.threadFree) == s.nThreads {
+		clear(s.threadFree)
+	} else {
+		s.threadFree = make([]float64, s.nThreads)
+	}
+	s.threads.init(s.threadFree)
+	s.hubFree = make([][]float64, len(s.nic.Hubs))
+	s.unitFree = make([][]float64, len(s.nic.Units))
+
+	for i := range s.slots {
+		if a := s.slots[i].a; a != nil {
+			name := s.prog.State[i].Name
+			if n := cfg.Preload[name]; n > 0 {
+				a.preload(n, cfg.objSeed(name))
+			}
+		}
+	}
 }
 
-// RunContext is Run under a cancellable, budgeted context. The per-packet
+// RunContext replays the trace through the NF and returns per-packet
+// results, under a cancellable, budgeted context. The per-packet
 // CIR step cap and the total packet (event) cap come from the
 // budget.Limits on ctx; a tripped budget returns a *budget.ExceededError and
 // a cancellation a *budget.CanceledError, both carrying the *Result covering
@@ -1182,6 +1205,16 @@ func (s *Sim) noteContention(resource string, cycles float64) {
 	}
 	s.contWaits[resource]++
 	s.contCycles[resource] += cycles
+}
+
+// objSeed is the seed of the named state object's synthesized contents:
+// the state seed (StateSeed when set, Seed otherwise) hashed with the name.
+func (c *Config) objSeed(name string) int64 {
+	seed := c.StateSeed
+	if seed == 0 {
+		seed = c.Seed
+	}
+	return stateSeed(seed, name)
 }
 
 // stateSeed derives the RNG seed for one named state object: an FNV-1a hash

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func smallTrace(t *testing.T, mutate func(*workload.Profile)) *workload.Trace {
 	if mutate != nil {
 		mutate(&p)
 	}
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +34,11 @@ func simulate(t *testing.T, spec nf.Spec, place func(*lnic.LNIC, Placement) Plac
 	if place != nil {
 		pl = place(nic, pl)
 	}
-	sim, err := New(Config{NIC: nic, Prog: prog, Place: pl, Preload: spec.PreloadEntries, Seed: 7})
+	sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: pl, Preload: spec.PreloadEntries, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(smallTrace(t, mutate))
+	res, err := sim.RunContext(context.Background(), smallTrace(t, mutate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +145,21 @@ func TestDPILatencyGrowsWithPayload(t *testing.T) {
 func TestDPIDropsMatchingPayload(t *testing.T) {
 	nic := lnic.Netronome()
 	prog := nf.DPI().MustCompile()
-	sim, err := New(Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 1})
+	sim, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Build a trace with a malicious payload.
 	p := workload.DefaultProfile()
 	p.Packets = 1
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inject the signature into the payload bytes.
 	data := tr.Packets[0].Data
 	copy(data[len(data)-20:], []byte("attack_in_progress!!"))
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,14 +448,14 @@ func TestFlowCacheLRU(t *testing.T) {
 }
 
 func TestSimRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := NewContext(context.Background(), Config{}); err == nil {
 		t.Error("want error for nil config")
 	}
 	nic := lnic.Netronome()
 	prog := nf.Firewall(10).MustCompile()
 	pl := DefaultPlacement(nic, prog)
 	pl.StateMem["conns"] = 99
-	if _, err := New(Config{NIC: nic, Prog: prog, Place: pl}); err == nil {
+	if _, err := NewContext(context.Background(), Config{NIC: nic, Prog: prog, Place: pl}); err == nil {
 		t.Error("want error for out-of-range region")
 	}
 }

@@ -11,8 +11,10 @@ import (
 // above all the compiled CIR engine — dominated the allocation profile
 // of a sharded run. The pool recycles a finished window's Sim for the next
 // window of the same stream, replacing construction with reset(), which
-// restores every piece of mutable state to what NewContext would have built
-// and re-derives the RNG streams from the new window's config.
+// clears the tables and caches a run dirtied and then runs initRun, the
+// per-run initialiser a fresh NewContext build runs too: RNG streams, fault
+// report, timeline, server free times and array preloads are derived from
+// the new window's config by one piece of code either way.
 //
 // The contract that makes recycling sound: every Config handed to one pool
 // shares the same NIC, Prog, Place, Preload and resolved state seed — only
@@ -27,75 +29,21 @@ import (
 // regardless of which worker (and hence which recycled Sim) ran it.
 
 // reset restores s to the state NewContext(ctx, cfg) would have produced,
-// reusing every allocation whose shape is config-invariant. cfg must agree
-// with the Sim's original config on everything except Seed and Faults (see
-// the file comment); the caller is responsible for that invariant.
+// reusing every allocation whose shape is config-invariant: it clears the
+// tables and caches a run dirtied, then runs the per-run initialiser a fresh
+// build runs. LPM rules and DPI automata derive solely from the resolved
+// state seed, which the pool contract pins, so they are already identical to
+// what a fresh build would synthesize. cfg must agree with the Sim's original
+// config on everything except Seed and Faults (see the file comment); the
+// caller is responsible for that invariant.
 func (s *Sim) reset(cfg Config) {
-	s.cfg = cfg
-	s.faults = cfg.Faults
-	s.rngState = uint64(cfg.Seed)*2862933555777941757 + 3037000493
-	if s.rngState == 0 {
-		s.rngState = 0x2545F4914F6CDD1D
-	}
-	s.frngState = 0
-	if s.faults != nil {
-		seed := s.faults.Seed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		s.frngState = uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-		if s.frngState == 0 {
-			s.frngState = 0x9E3779B97F4A7C15
-		}
-	}
-	s.report = FaultReport{}
-	s.pktFaulted = false
-	s.runDPI = 0
-	s.svcSum, s.svcCount = 0, 0
-	s.tl = nil
-	s.memCycles = nil
-	if cfg.Timeline {
-		s.tl = &Timeline{NF: cfg.Prog.Name, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
-		s.memCycles = make([]float64, len(cfg.NIC.Mems))
-	}
-	s.curPkt = 0
-
-	// Undo any co-location rewiring: point the shared-resource fields back
-	// at this Sim's own instances and clear the arbitration state.
-	s.tenant, s.coloc = 0, nil
-	s.contStall, s.contWaits, s.contCycles = 0, nil, nil
-	s.caches = s.ownCaches
-	for _, c := range s.caches {
+	for _, c := range s.ownCaches {
 		if c != nil {
 			c.reset()
 		}
 	}
-	s.fc = s.ownFC
-	if s.fc != nil {
-		s.fc.reset()
-	}
-
-	// Server free times: the full thread pool (shareIslands may have shrunk
-	// threadFree to a tenant share, so rebuild when the length drifted), and
-	// empty hub/unit tables (inner slices are built lazily on first visit).
-	if len(s.threadFree) == s.nThreads {
-		for i := range s.threadFree {
-			s.threadFree[i] = 0
-		}
-	} else {
-		s.threadFree = make([]float64, s.nThreads)
-	}
-	s.threads.init(s.threadFree)
-	s.hubFree = make([][]float64, len(s.nic.Hubs))
-	s.unitFree = make([][]float64, len(s.nic.Units))
-
-	// State objects: tables and counters return to their preloaded image.
-	// LPM rules and DPI automata derive solely from the resolved state seed,
-	// which the pool contract pins, so they are already identical to what a
-	// fresh build would synthesize.
-	stSeed := cfg.StateSeed
-	if stSeed == 0 {
-		stSeed = cfg.Seed
+	if s.ownFC != nil {
+		s.ownFC.reset()
 	}
 	clear(s.latch)
 	for i := range s.slots {
@@ -107,12 +55,9 @@ func (s *Sim) reset(cfg Config) {
 			sl.sk.reset()
 		case sl.a != nil:
 			sl.a.reset()
-			name := s.prog.State[i].Name
-			if n := cfg.Preload[name]; n > 0 {
-				sl.a.preload(n, stateSeed(stSeed, name))
-			}
 		}
 	}
+	s.initRun(cfg)
 }
 
 // simPool recycles Sims across the windows of one sharded or co-located

@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestSimResetEquivalence(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 160
 	p.Flows = 24
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +44,17 @@ func TestSimResetEquivalence(t *testing.T) {
 			cfgB.Seed = 1007
 			cfgB.Faults.Seed = 77
 
-			dirty, err := New(cfgA)
+			dirty, err := NewContext(context.Background(), cfgA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := dirty.Run(tr); err != nil {
+			if _, err := dirty.RunContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
 			// Adversarial extra: rewire the dirty Sim the way a co-located
 			// window would (shrunken thread pool, resources aliased to a lead
 			// tenant), so reset must also undo island sharing.
-			lead, err := New(cfgA)
+			lead, err := NewContext(context.Background(), cfgA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,16 +62,16 @@ func TestSimResetEquivalence(t *testing.T) {
 			shareIslands([]*Sim{lead, dirty}, []int{0, 1}, []int{(n + 1) / 2, n / 2})
 
 			dirty.reset(cfgB)
-			got, err := dirty.Run(tr)
+			got, err := dirty.RunContext(context.Background(), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			fresh, err := New(cfgB)
+			fresh, err := NewContext(context.Background(), cfgB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Run(tr)
+			want, err := fresh.RunContext(context.Background(), tr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -226,7 +226,7 @@ func diffSim(t *testing.T, spec nf.Spec, faults *Faults, timeline bool) *Sim {
 		cp := *faults
 		f = &cp
 	}
-	sim, err := New(Config{
+	sim, err := NewContext(context.Background(), Config{
 		NIC: nic, Prog: prog, Place: pl, Preload: spec.PreloadEntries,
 		Seed: 42, Faults: f, Timeline: timeline,
 	})
@@ -301,7 +301,7 @@ func benchSim(b *testing.B) (*Sim, *workload.Trace) {
 	spec := nf.Firewall(65536)
 	prog := spec.MustCompile()
 	nic := lnic.Netronome()
-	sim, err := New(Config{
+	sim, err := NewContext(context.Background(), Config{
 		NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog),
 		Preload: spec.PreloadEntries, Seed: 11,
 	})
@@ -311,7 +311,7 @@ func benchSim(b *testing.B) (*Sim, *workload.Trace) {
 	p := workload.DefaultProfile()
 	p.Packets = 512
 	p.Flows = 64
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestRunContextMatchesReference(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 256
 	p.Flows = 48
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

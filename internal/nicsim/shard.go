@@ -123,11 +123,6 @@ func runShard(ctx context.Context, cfg Config, tr *workload.Trace, base, lo, hi,
 	return sr
 }
 
-// RunSharded is RunShardedContext under default limits.
-func RunSharded(cfg Config, tr *workload.Trace, opts ShardOpts) (*Result, error) {
-	return RunShardedContext(context.Background(), cfg, tr, opts)
-}
-
 // RunShardedContext simulates tr through cfg's NF across opts.Workers
 // parallel shards of opts.Window packets each and returns the merged Result,
 // ordered by trace index. On a fixed seed the Result is invariant across
@@ -279,7 +274,7 @@ produce:
 		return nil, err
 	}
 	if readerErr != nil {
-		return nil, rewrapShardErr(readerErr, res)
+		return nil, rewrapPartial(readerErr, res)
 	}
 	return res, nil
 }
@@ -371,7 +366,7 @@ func mergeShards(ctx context.Context, cfg Config, runs []shardRun) (*Result, err
 			if r := partialResult(sr.err); r != nil {
 				absorb(r, sr)
 			}
-			return nil, rewrapShardErr(sr.err, seal())
+			return nil, rewrapPartial(sr.err, seal())
 		}
 		if sr.res == nil {
 			// The runner skipped this window: the parent context was
@@ -454,10 +449,11 @@ func partialResult(err error) *Result {
 	return nil
 }
 
-// rewrapShardErr re-issues a shard's typed error with the merged prefix as
-// its Partial; untyped errors (simulator construction failures, raw reader
-// I/O errors) pass through unchanged.
-func rewrapShardErr(err error, partial *Result) error {
+// rewrapPartial re-issues a typed budget/cancel error with partial as its
+// Partial: the merged prefix of a sharded run, or the per-tenant slice of a
+// co-located one. Untyped errors (simulator construction failures, raw
+// reader I/O errors) pass through unchanged.
+func rewrapPartial(err error, partial any) error {
 	var ee *budget.ExceededError
 	if errors.As(err, &ee) {
 		return &budget.ExceededError{

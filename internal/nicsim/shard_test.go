@@ -115,7 +115,7 @@ func TestShardInvariance(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 300
 	p.Flows = 48
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestShardedSingleWindowMatchesUnsharded(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 128
 	p.Flows = 16
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestMergedStatisticsMatchUnsharded(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 300
 	p.Flows = 32
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRNGZeroSeedGuard(t *testing.T) {
 	spec := nf.All()[nf.Names()[0]]
 	cfg := shardTestConfig(t, spec, nil, false)
 	cfg.Seed = badSeed
-	sim, err := New(cfg)
+	sim, err := NewContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestShardedStreamMatchesInMemory(t *testing.T) {
 	p := workload.DefaultProfile()
 	p.Packets = 300
 	p.Flows = 32
-	gen, err := workload.Generate(p)
+	gen, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestShardedStreamMatchesInMemory(t *testing.T) {
 	pcapBytes := buf.Bytes()
 	// The in-memory side reads the same pcap bytes, so both sides see
 	// identical (pcap-quantized) arrival times.
-	tr, err := workload.ReadPcap(bytes.NewReader(pcapBytes), "stream-test")
+	tr, err := workload.ReadPcapContext(context.Background(), bytes.NewReader(pcapBytes), "stream-test")
 	if err != nil {
 		t.Fatal(err)
 	}

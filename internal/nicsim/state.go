@@ -310,8 +310,8 @@ func newArrayState(obj cir.StateObj, region int, base uint64) *arrayState {
 func (a *arrayState) idx(i uint64) int { return int(i % uint64(len(a.vals))) }
 
 // preload deterministically pre-installs n values (backend IDs, weights)
-// from the state-seed stream; NewContext and Sim.reset both call it so a
-// recycled array is value-identical to a fresh one.
+// from the state-seed stream; Sim.initRun calls it on fresh and recycled
+// arrays alike, so a recycled array is value-identical to a fresh one.
 func (a *arrayState) preload(n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n && i < len(a.vals); i++ {

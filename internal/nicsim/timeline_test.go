@@ -2,6 +2,7 @@ package nicsim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func simulateTimeline(t *testing.T, packets int) *Result {
 	t.Helper()
 	nic := lnic.Netronome()
 	prog := nf.Firewall(65536).MustCompile()
-	sim, err := New(Config{
+	sim, err := NewContext(context.Background(), Config{
 		NIC: nic, Prog: prog, Place: DefaultPlacement(nic, prog),
 		Seed: 7, Timeline: true,
 	})
@@ -26,11 +27,11 @@ func simulateTimeline(t *testing.T, packets int) *Result {
 	p := workload.DefaultProfile()
 	p.Packets = packets
 	p.Flows = 32
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

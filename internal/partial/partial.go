@@ -112,24 +112,14 @@ func (a *Analysis) String() string {
 	return b.String()
 }
 
-// Analyze evaluates every topological prefix cut of g between nic and host.
-// Cuts are evaluated concurrently on the shared worker pool; use
-// AnalyzeParallel to control the width. g is read, never modified.
-func Analyze(g *cir.Graph, nic, host *lnic.LNIC, wl mapper.Workload, pcie PCIe) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), g, nic, host, wl, pcie, 0)
-}
-
-// AnalyzeParallel is Analyze with an explicit worker count (values < 1
-// select GOMAXPROCS, 1 forces the sequential sweep). Each cut is an
-// independent evaluation against shared read-only cost models, and results
-// land at their cut index, so the analysis is identical at any width.
-func AnalyzeParallel(g *cir.Graph, nic, host *lnic.LNIC, wl mapper.Workload, pcie PCIe, parallel int) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), g, nic, host, wl, pcie, parallel)
-}
-
-// AnalyzeContext is AnalyzeParallel under a cancellable context: a cancelled
-// sweep stops promptly (the worker pool aborts on first error) and returns a
-// *budget.CanceledError wrapping ctx.Err().
+// AnalyzeContext evaluates every topological prefix cut of g between nic
+// and host; g is read, never modified. Cuts are evaluated concurrently on
+// parallel workers (values < 1 select GOMAXPROCS, 1 forces the sequential
+// sweep). Each cut is an independent evaluation against shared read-only
+// cost models, and results land at their cut index, so the analysis is
+// identical at any width. A cancelled sweep stops promptly (the worker pool
+// aborts on first error) and returns a *budget.CanceledError wrapping
+// ctx.Err().
 func AnalyzeContext(ctx context.Context, g *cir.Graph, nic, host *lnic.LNIC, wl mapper.Workload, pcie PCIe, parallel int) (*Analysis, error) {
 	if err := nic.Validate(); err != nil {
 		return nil, err
@@ -347,7 +337,7 @@ func evalCut(g *cir.Graph, visits []float64, onNIC map[int]bool, nicNodes, hostN
 // remoting it is priced per byte — which is exactly why pattern state gets
 // replicated instead.
 func opCount(u mapper.Usage, wl mapper.Workload) float64 {
-	return u.Lookups + u.Puts + u.Incrs + u.ArrOps + u.Sketch + u.DPI*wl.AvgPayload
+	return u.Lookups + u.Puts + u.Deletes + u.Incrs + u.ArrOps + u.Sketch + u.DPI*wl.AvgPayload
 }
 
 func mustRegion(cm *mapper.CostModel, obj cir.StateObj) int {

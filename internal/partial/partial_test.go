@@ -31,7 +31,7 @@ func analyzed(t *testing.T, spec nf.Spec, nic *lnic.LNIC, mutate func(*workload.
 		t.Fatal(err)
 	}
 	symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
-	an, err := Analyze(g, nic, lnic.HostX86(), wl, DefaultPCIe())
+	an, err := AnalyzeContext(context.Background(), g, nic, lnic.HostX86(), wl, DefaultPCIe(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +191,14 @@ func TestHostX86Valid(t *testing.T) {
 	if h.Units[cores[0]].NJPerCycle < 10*npu.NJPerCycle {
 		t.Errorf("host %v nJ/cyc vs NPU %v — efficiency gap too small",
 			h.Units[cores[0]].NJPerCycle, npu.NJPerCycle)
+	}
+}
+
+// TestOpCountIncludesDeletes requires a remoted state's map_delete to cross
+// PCIe like every other table operation.
+func TestOpCountIncludesDeletes(t *testing.T) {
+	wl := mapper.FromProfile(workload.DefaultProfile())
+	if got := opCount(mapper.Usage{Deletes: 1}, wl); got != 1 {
+		t.Fatalf("opCount of one delete = %v, want 1", got)
 	}
 }

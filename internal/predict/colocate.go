@@ -41,7 +41,7 @@ type ColocTenant struct {
 // tenant's solo Predict on the full NIC (no slicing, no inflation), so
 // co-location analysis degrades gracefully to a solo prediction. model may
 // be nil, selecting the analytic fallback curves; fit one with
-// microbench.FitContention for simulator-calibrated slowdowns. Every
+// microbench.FitContentionContext for simulator-calibrated slowdowns. Every
 // tenant stage runs through the tenant's Pipeline, under ctx.
 func PredictColocated(ctx context.Context, tenants []ColocTenant, nic *lnic.LNIC, model *lnic.ContentionModel, opts Options) ([]*Prediction, error) {
 	var active []int

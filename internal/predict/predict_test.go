@@ -38,18 +38,18 @@ func pipeline(tb testing.TB, spec nf.Spec, nic *lnic.LNIC, wl mapper.Workload, h
 // measure runs the simulator for the same spec and mapping.
 func measure(t *testing.T, spec nf.Spec, prog *cir.Program, nic *lnic.LNIC, m *mapper.Mapping, p workload.Profile) *nicsim.Result {
 	t.Helper()
-	sim, err := nicsim.New(nicsim.Config{
+	sim, err := nicsim.NewContext(context.Background(), nicsim.Config{
 		NIC: nic, Prog: prog, Place: nicsim.PlacementOf(m),
 		Preload: spec.PreloadEntries, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -303,19 +304,19 @@ func checkVCallCase(t *testing.T, c vcallCase) bool {
 			preload[obj.Name] = obj.Capacity
 		}
 	}
-	tr, err := workload.Generate(workload.Profile{Packets: c.packets(), RatePPS: 1000, Flows: 1,
+	tr, err := workload.GenerateContext(context.Background(), workload.Profile{Packets: c.packets(), RatePPS: 1000, Flows: 1,
 		TCPFraction: 1, PayloadBytes: c.payload, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rule := c.ruleCharge(nic, region)
 
-	sim, err := nicsim.New(nicsim.Config{NIC: nic, Prog: prog, Place: nicsim.PlacementOf(m),
+	sim, err := nicsim.NewContext(context.Background(), nicsim.Config{NIC: nic, Prog: prog, Place: nicsim.PlacementOf(m),
 		Preload: preload, Seed: 1, Timeline: true})
 	if err != nil {
 		t.Fatalf("%s: %v", c, err)
 	}
-	res, err := sim.Run(tr)
+	res, err := sim.RunContext(context.Background(), tr)
 	if err != nil || res.Errors > 0 {
 		t.Fatalf("%s: simulate: %v (%d errors)", c, err, res.Errors)
 	}

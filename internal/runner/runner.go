@@ -1,7 +1,8 @@
 // Package runner is the shared bounded worker pool behind Clara's
 // embarrassingly parallel loops: clara.Advise fans out per target,
-// partial.Analyze per cut, the eval accuracy grid per NF×target×workload
-// cell, and microbench.Run per probe. It provides index-based fan-out with
+// partial.AnalyzeContext per cut, the eval accuracy grid per
+// NF×target×workload cell, and microbench.RunContext per probe. It provides
+// index-based fan-out with
 //
 //   - deterministic result ordering: results land at the index of the work
 //     item that produced them, so parallel runs are byte-identical to the

@@ -125,7 +125,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
 	}
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
-	key := resultKey(req.Kind, hash, &req)
+	key := s.resultKey(req.Kind, hash, &req)
 	kind := req.Kind
 	reqCopy := req
 	id, err := s.engine.Submit(kind, req.Tenant, func(ctx context.Context) ([]byte, error) {

@@ -69,9 +69,11 @@ type Config struct {
 	Parallel int
 	// SimShards is the default worker count for /v1/measure simulations
 	// when the request doesn't set "shards": 0 runs the classic
-	// single-threaded simulator, N >= 1 the sharded engine with N workers,
-	// negative values GOMAXPROCS workers. Shard workers never change
-	// results, only latency, which is why the result cache ignores them.
+	// single-threaded simulator, N >= 1 the windowed (sharded) engine with
+	// N workers, negative values GOMAXPROCS workers. Among worker counts
+	// other than 0 results never change, only latency; the classic loop and
+	// the windowed engine differ on traces longer than one window, so the
+	// result cache keys them apart.
 	SimShards int
 	// MaxInflight bounds concurrently executing analyses (not connections);
 	// excess computations queue on the semaphore. < 1 selects
@@ -401,10 +403,12 @@ type Request struct {
 	Seed   int64  `json:"seed,omitempty"`
 	Faults string `json:"faults,omitempty"`
 	// Shards picks the /v1/measure simulation engine's worker count
-	// (0 = the server's default). Worker count never changes the
-	// measurement on a fixed seed — shard decomposition is fixed — so it
-	// is deliberately NOT part of the result cache key: a request with
+	// (0 = the server's default). Among non-zero counts the measurement
+	// on a fixed seed never changes — shard decomposition is fixed — so
+	// the count is not part of the result cache key: a request with
 	// shards=8 is answered from a cached shards=1 run, byte for byte.
+	// Whether the effective count is 0 (the classic loop) or not (the
+	// windowed engine, which restarts state every window) is part of it.
 	Shards int `json:"shards,omitempty"`
 	// Kind and Tenant apply to POST /v1/jobs only: Kind picks the deferred
 	// computation ("advise", "predict", "partial", "measure" or "sweep" —
@@ -612,12 +616,28 @@ func (s *Server) compiledNF(hash, source string) (*clara.NF, error) {
 
 // resultKey is the rendered-result cache identity: endpoint + NF hash +
 // every input that changes the answer. Seed and Faults are simulation
-// inputs (measure); Shards is excluded on purpose — shard-count invariance
-// makes it a pure scheduling knob. Timeout is excluded too: a rendered
+// inputs (measure), and so is the measure engine: the windowed engine
+// (effective shards ≠ 0) restarts simulator state every window, so its
+// answer differs from the classic loop's on a trace longer than one window.
+// The worker count beyond that is excluded — every count ≥ 1 decomposes
+// the trace into the same windows. Timeout is excluded too: a rendered
 // body is valid for any deadline.
-func resultKey(endpoint, hash string, req *Request) string {
-	return strings.Join([]string{endpoint, hash, req.Target, req.Workload, req.Budget,
+func (s *Server) resultKey(endpoint, hash string, req *Request) string {
+	key := strings.Join([]string{endpoint, hash, req.Target, req.Workload, req.Budget,
 		strconv.FormatInt(req.Seed, 10), req.Faults}, "\x00")
+	if endpoint == "measure" && s.simShards(req) != 0 {
+		key += "\x00windowed"
+	}
+	return key
+}
+
+// simShards is the /v1/measure engine worker count a request runs with:
+// its own "shards" when set, the server's SimShards otherwise.
+func (s *Server) simShards(req *Request) int {
+	if req.Shards != 0 {
+		return req.Shards
+	}
+	return s.cfg.SimShards
 }
 
 // computeBody runs one full analysis — bounded concurrency, clamped
@@ -681,7 +701,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string
 	}
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
-	key := resultKey(endpoint, hash, &req)
+	key := s.resultKey(endpoint, hash, &req)
 	return s.cachedFlight(w, endpoint, key, req.Timeout, func() ([]byte, error) {
 		return s.computeBody(s.base, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
 	})
@@ -842,10 +862,11 @@ type measureResponse struct {
 
 // handleMeasure runs the NF on the cycle-level simulator — the "Actual"
 // side of the validation — against a synthetic trace generated from the
-// workload spec. The simulation runs on the sharded engine with the
-// server's (or the request's) worker count; on a fixed seed the response is
-// identical for every worker count, so cached results are shared across
-// requests that differ only in "shards".
+// workload spec. The simulation runs with the request's (or the server's)
+// worker count: 0 selects the classic loop, any other count the windowed
+// engine. On a fixed seed the windowed response is identical for every
+// non-zero count, so cached results are shared across requests that differ
+// only in which non-zero "shards" they ask for.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) int {
 	return s.analyze(w, r, "measure", s.measureCompute)
 }
@@ -875,12 +896,8 @@ func (s *Server) measureCompute(ctx context.Context, nf *clara.NF, req *Request)
 	if err != nil {
 		return nil, err
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.SimShards
-	}
 	res, err := nf.MeasureOptionsContext(ctx, t, m, tr, req.Seed, clara.MeasureOptions{
-		Faults: faults, Shards: shards,
+		Faults: faults, Shards: s.simShards(req),
 	})
 	if err != nil {
 		return nil, err

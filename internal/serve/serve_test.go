@@ -741,3 +741,48 @@ func TestMeasureEndpoint(t *testing.T) {
 		t.Error("fault spec ignored by the cache key")
 	}
 }
+
+// TestMeasureCacheKeysEngine pins that the result cache tells the classic
+// simulator loop (effective shards 0, the default) from the windowed engine
+// (any other count), whose state restarts every 16384 packets: on a 20000-
+// packet trace the two measure different things, so a shards:1 repeat of a
+// classic run must be computed, not served the classic body, by the
+// synchronous endpoint and by a measure job alike. Among non-zero counts
+// the answer is shared.
+func TestMeasureCacheKeysEngine(t *testing.T) {
+	s, ts := newTestServer(t, Config{JobWorkers: 1})
+	req := Request{NF: "firewall", Target: "netronome",
+		Workload: "packets=20000,flows=4096,rate=60000,size=300", Seed: 7}
+
+	resp1, classic := post(t, ts.URL+"/v1/measure", req)
+	if resp1.StatusCode != 200 {
+		t.Fatalf("classic measure: %d %s", resp1.StatusCode, classic)
+	}
+	req.Shards = 1
+	resp2, windowed := post(t, ts.URL+"/v1/measure", req)
+	if resp2.StatusCode != 200 {
+		t.Fatalf("windowed measure: %d %s", resp2.StatusCode, windowed)
+	}
+	if got := resp2.Header.Get("X-Clara-Cache"); got != "miss" {
+		t.Errorf("shards:1 after a classic run X-Clara-Cache = %q, want miss", got)
+	}
+	if bytes.Equal(classic, windowed) {
+		t.Error("classic and windowed runs of a 20000-packet trace gave the same body")
+	}
+	req.Shards = 2
+	resp3, body3 := post(t, ts.URL+"/v1/measure", req)
+	if got := resp3.Header.Get("X-Clara-Cache"); got != "hit" || !bytes.Equal(body3, windowed) {
+		t.Errorf("shards:2 after shards:1: cache %q, same body %v; want a byte-identical hit",
+			got, bytes.Equal(body3, windowed))
+	}
+
+	// A classic measure job reads the classic entry, not the windowed one.
+	req.Shards, req.Kind = 0, "measure"
+	if _, resp := submitJSON(t, ts.URL, req); resp.StatusCode != 202 {
+		t.Fatalf("submit measure job: status %d", resp.StatusCode)
+	}
+	snaps := waitAllTerminal(t, s)
+	if len(snaps) != 1 || !bytes.Equal(snaps[0].Result, classic) {
+		t.Errorf("classic measure job result differs from the classic sync body")
+	}
+}

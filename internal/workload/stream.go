@@ -42,9 +42,10 @@ func (e *IngestError) Unwrap() error { return e.Err }
 // instead of materializing the whole capture: each NextWindow call holds at
 // most one window of wire bytes (plus whatever decode cache the consumer
 // builds), so peak ingestion memory is set by the window size, not the
-// capture length. Packet timestamps are normalized exactly as ReadPcap's:
-// ArrivalNs is relative to the capture's first record, across all windows,
-// so a streamed capture and an in-memory one describe identical traces.
+// capture length. ArrivalNs is relative to the capture's first record,
+// across all windows, so a streamed capture and an in-memory one describe
+// identical traces: ReadPcapContext is this reader's single unbounded
+// window.
 //
 // A TraceReader is single-use and not safe for concurrent NextWindow calls;
 // the sharded simulator's single producer goroutine is the intended caller.
@@ -58,7 +59,7 @@ type TraceReader struct {
 }
 
 // NewTraceReader starts streaming a pcap capture from r. The name labels
-// budget errors, mirroring ReadPcapContext's.
+// budget and ingest errors.
 func NewTraceReader(r io.Reader, name string) (*TraceReader, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
@@ -70,9 +71,10 @@ func NewTraceReader(r io.Reader, name string) (*TraceReader, error) {
 // NextWindow reads up to max packets and returns them as a Trace alongside
 // the global trace index of the window's first packet. Exhaustion is
 // (nil, n, io.EOF). The context's event budget caps total ingested records
-// exactly as ReadPcapContext's does (resource "trace-packets", stage
-// "ingest"); budget and cancellation errors return the partial window read
-// before the trip so the caller can still simulate those packets.
+// (resource "trace-packets", stage "ingest"); budget and cancellation errors
+// return the partial window read before the trip so the caller can still
+// simulate those packets. Every window read, tripped or not, is added to
+// the context's budget usage.
 func (t *TraceReader) NextWindow(ctx context.Context, max int) (*Trace, int, error) {
 	start := t.delivered
 	if t.done {

@@ -17,7 +17,7 @@ func pcapFixture(t *testing.T, packets int) ([]byte, *Trace) {
 	p := DefaultProfile()
 	p.Packets = packets
 	p.Flows = 16
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func pcapFixture(t *testing.T, packets int) ([]byte, *Trace) {
 	}
 	// The reference trace re-reads the same bytes so both sides carry the
 	// identical pcap-quantized timestamps.
-	want, err := ReadPcap(bytes.NewReader(buf.Bytes()), "fixture")
+	want, err := ReadPcapContext(context.Background(), bytes.NewReader(buf.Bytes()), "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func pcapFixture(t *testing.T, packets int) ([]byte, *Trace) {
 }
 
 // TestTraceReaderWindows streams a capture in ragged windows and requires
-// the concatenation to reproduce ReadPcap exactly: same bytes, same
+// the concatenation to reproduce ReadPcapContext exactly: same bytes, same
 // first-record-relative arrival times across window boundaries, contiguous
 // start indices, io.EOF exactly once at the end.
 func TestTraceReaderWindows(t *testing.T) {
@@ -69,7 +69,7 @@ func TestTraceReaderWindows(t *testing.T) {
 		t.Fatalf("Delivered = %d, want %d", rd.Delivered(), len(want.Packets))
 	}
 	if !reflect.DeepEqual(got, want.Packets) {
-		t.Fatalf("streamed packets differ from ReadPcap (%d vs %d)", len(got), len(want.Packets))
+		t.Fatalf("streamed packets differ from ReadPcapContext (%d vs %d)", len(got), len(want.Packets))
 	}
 	// Exhausted readers keep returning io.EOF.
 	if _, _, err := rd.NextWindow(ctx, 7); err != io.EOF {
@@ -179,5 +179,77 @@ func TestTraceReaderUsageAccounting(t *testing.T) {
 	snap := u.Snapshot(budget.Limits{})
 	if snap.TracePackets != int64(total) || total != 40 {
 		t.Fatalf("usage trace-packets = %d, delivered %d, want 40", snap.TracePackets, total)
+	}
+}
+
+// TestReadPcapContextBudget pins what ReadPcapContext returns on an
+// ingestion budget trip: no trace, a typed trace-packets/ingest error whose
+// Partial holds exactly the records read up to the cap, and those records
+// added to the context's budget usage.
+func TestReadPcapContextBudget(t *testing.T) {
+	raw, want := pcapFixture(t, 100)
+	var u budget.Usage
+	ctx := budget.WithUsage(budget.With(context.Background(), budget.Limits{SimEvents: 60}), &u)
+	tr, err := ReadPcapContext(ctx, bytes.NewReader(raw), "fixture")
+	if tr != nil {
+		t.Fatal("a tripped read must not return a trace")
+	}
+	var ee *budget.ExceededError
+	if !errors.As(err, &ee) {
+		t.Fatalf("want budget trip, got %T: %v", err, err)
+	}
+	if ee.Resource != "trace-packets" || ee.Stage != "ingest" || ee.Limit != 60 || ee.NF != "fixture" {
+		t.Fatalf("trip = %+v, want trace-packets/ingest limit 60 for fixture", ee)
+	}
+	part, ok := ee.Partial.(*Trace)
+	if !ok || len(part.Packets) != 60 {
+		t.Fatalf("Partial = %T, want the 60 records read before the trip", ee.Partial)
+	}
+	if !reflect.DeepEqual(part.Packets, want.Packets[:60]) {
+		t.Fatal("partial records differ from the capture's first 60")
+	}
+	if got := u.Snapshot(budget.Limits{}).TracePackets; got != 60 {
+		t.Fatalf("usage trace-packets = %d, want the 60 records read", got)
+	}
+}
+
+// TestReadPcapContextCanceled requires a cancelled read to return a typed
+// cancellation carrying the (empty) trace read so far.
+func TestReadPcapContextCanceled(t *testing.T) {
+	raw, _ := pcapFixture(t, 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tr, err := ReadPcapContext(ctx, bytes.NewReader(raw), "fixture")
+	if tr != nil {
+		t.Fatal("a cancelled read must not return a trace")
+	}
+	var ce *budget.CanceledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want *budget.CanceledError wrapping context.Canceled, got %T: %v", err, err)
+	}
+	if ce.Stage != "ingest" || ce.NF != "fixture" {
+		t.Fatalf("cancellation = %+v, want stage ingest for fixture", ce)
+	}
+	if part, ok := ce.Partial.(*Trace); !ok || len(part.Packets) != 0 {
+		t.Fatalf("Partial = %#v, want an empty trace", ce.Partial)
+	}
+}
+
+// TestReadPcapContextTruncated requires a capture cut mid-record to fail
+// with an error that unwraps to pcap.ErrTruncated, and an empty capture to
+// read as an empty named trace.
+func TestReadPcapContextTruncated(t *testing.T) {
+	raw, _ := pcapFixture(t, 20)
+	tr, err := ReadPcapContext(context.Background(), bytes.NewReader(raw[:len(raw)-3]), "fixture")
+	if tr != nil || !errors.Is(err, pcap.ErrTruncated) {
+		t.Fatalf("truncated capture: trace %v, err %v; want nil and pcap.ErrTruncated", tr, err)
+	}
+	var buf bytes.Buffer
+	if err := (&Trace{}).WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err = ReadPcapContext(context.Background(), &buf, "empty")
+	if err != nil || tr == nil || tr.Name != "empty" || len(tr.Packets) != 0 {
+		t.Fatalf("empty capture: trace %+v, err %v; want an empty trace named empty", tr, err)
 	}
 }

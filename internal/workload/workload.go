@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -153,15 +154,11 @@ type Stats struct {
 	FlowHitFraction float64
 }
 
-// Generate synthesizes a trace from the profile.
-func Generate(p Profile) (*Trace, error) {
-	return GenerateContext(context.Background(), p)
-}
-
-// GenerateContext is Generate under a cancellable, budgeted context: the
-// context's event budget caps the packet count (a hostile "packets=1e9"
-// profile trips it instead of allocating gigabytes), and cancellation aborts
-// synthesis mid-trace with the packets generated so far attached.
+// GenerateContext synthesizes a trace from the profile under a cancellable,
+// budgeted context: the context's event budget caps the packet count (a
+// hostile "packets=1e9" profile trips it instead of allocating gigabytes),
+// and cancellation aborts synthesis mid-trace with the packets generated so
+// far attached.
 func GenerateContext(ctx context.Context, p Profile) (*Trace, error) {
 	if lim := budget.From(ctx); lim.SimEvents > 0 && int64(p.Packets) > lim.SimEvents {
 		return nil, &budget.ExceededError{
@@ -368,57 +365,27 @@ func (t *Trace) WritePcap(w io.Writer) error {
 	return nil
 }
 
-// ReadPcap loads a trace from pcap data.
-func ReadPcap(r io.Reader, name string) (*Trace, error) {
-	return ReadPcapContext(context.Background(), r, name)
-}
-
-// ReadPcapContext is ReadPcap under a cancellable, budgeted context: the
-// context's event budget caps how many records are ingested (pcap files
-// carry no record count up front, so an unbounded file otherwise streams
-// into memory), and both budget and cancellation errors carry the trace
-// read so far.
+// ReadPcapContext loads a trace from pcap data under a cancellable,
+// budgeted context. It is one unbounded TraceReader window: the context's
+// event budget caps how many records are ingested (pcap files carry no
+// record count up front, so an unbounded file otherwise streams into
+// memory), and both budget and cancellation errors carry the trace read so
+// far, which is also added to the context's budget usage. A capture that
+// fails mid-record returns an *IngestError that unwraps to the cause (e.g.
+// pcap.ErrTruncated).
 func ReadPcapContext(ctx context.Context, r io.Reader, name string) (*Trace, error) {
-	pr, err := pcap.NewReader(r)
+	rd, err := NewTraceReader(r, name)
 	if err != nil {
 		return nil, err
 	}
-	lim := budget.From(ctx)
-	tr := &Trace{Name: name}
-	var t0 time.Time
-	first := true
-	for {
-		if len(tr.Packets)&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, &budget.CanceledError{
-					Stage: "ingest", NF: name, Err: err, Partial: tr,
-				}
-			}
-		}
-		if lim.SimEvents > 0 && int64(len(tr.Packets)) >= lim.SimEvents {
-			return nil, &budget.ExceededError{
-				Resource: "trace-packets", Limit: lim.SimEvents,
-				Stage: "ingest", NF: name, Partial: tr,
-			}
-		}
-		rec, err := pr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if first {
-			t0 = rec.Timestamp
-			first = false
-		}
-		tr.Packets = append(tr.Packets, TracePacket{
-			Data:      rec.Data,
-			ArrivalNs: float64(rec.Timestamp.Sub(t0)),
-		})
+	win, _, err := rd.NextWindow(ctx, math.MaxInt)
+	switch {
+	case err == io.EOF:
+		return &Trace{Name: name}, nil
+	case err != nil:
+		return nil, err
 	}
-	budget.UsageFrom(ctx).AddTracePackets(int64(len(tr.Packets)))
-	return tr, nil
+	return win, nil
 }
 
 // ParseProfile parses a compact key=value spec such as

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -13,7 +14,7 @@ import (
 func TestGenerateBasic(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 2000
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func TestGenerateBasic(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 500
-	a, err := Generate(p)
+	a, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p)
+	b, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	p.Seed = 99
-	c, err := Generate(p)
+	c, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestTCPFlowsOpenWithSYN(t *testing.T) {
 	p.Packets = 3000
 	p.Flows = 100
 	p.TCPFraction = 1.0
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestZipfSkew(t *testing.T) {
 	p.Flows = 1000
 	p.FlowDist = DistZipf
 	p.ZipfS = 1.5
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestZipfSkew(t *testing.T) {
 	}
 	// Uniform control: top flow near the mean.
 	p.FlowDist = DistUniform
-	tru, err := Generate(p)
+	tru, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestPayloadJitter(t *testing.T) {
 	p.Packets = 1000
 	p.PayloadBytes = 300
 	p.PayloadJitter = 100
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestPoissonArrivals(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 5000
 	p.Poisson = true
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestGenerateValidation(t *testing.T) {
 		{Packets: 1, Flows: 1, RatePPS: 1, FlowDist: DistZipf, ZipfS: 0.5},
 	}
 	for i, p := range bad {
-		if _, err := Generate(p); err == nil {
+		if _, err := GenerateContext(context.Background(), p); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
@@ -222,12 +223,12 @@ func TestGenerateNegativePayload(t *testing.T) {
 	// panic with "makeslice: cap out of range"; now it's a plain error.
 	p := DefaultProfile()
 	p.PayloadBytes = -300
-	if _, err := Generate(p); err == nil {
+	if _, err := GenerateContext(context.Background(), p); err == nil {
 		t.Error("want error for negative payload size")
 	}
 	p = DefaultProfile()
 	p.PayloadJitter = -8
-	if _, err := Generate(p); err == nil {
+	if _, err := GenerateContext(context.Background(), p); err == nil {
 		t.Error("want error for negative payload jitter")
 	}
 }
@@ -235,7 +236,7 @@ func TestGenerateNegativePayload(t *testing.T) {
 func TestPcapRoundTrip(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 200
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestPcapRoundTrip(t *testing.T) {
 	if err := tr.WritePcap(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := ReadPcap(&buf, "reread")
+	tr2, err := ReadPcapContext(context.Background(), &buf, "reread")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestStatsSYNFraction(t *testing.T) {
 	p.Packets = 1000
 	p.Flows = 100
 	p.TCPFraction = 1.0
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestStatsSkipsUndecodablePackets(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 1000
 	p.TCPFraction = 1.0
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestEmptyTraceStats(t *testing.T) {
 func TestStatsOutOfOrderCapture(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 5
-	gen, err := Generate(p)
+	gen, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestStatsOutOfOrderCapture(t *testing.T) {
 func TestStatsComputedOnce(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 300
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func TestStatsComputedOnce(t *testing.T) {
 func TestDecodedCache(t *testing.T) {
 	p := DefaultProfile()
 	p.Packets = 500
-	tr, err := Generate(p)
+	tr, err := GenerateContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +486,7 @@ func BenchmarkGenerate(b *testing.B) {
 	p.Packets = 10000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(p); err != nil {
+		if _, err := GenerateContext(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

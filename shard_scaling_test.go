@@ -40,7 +40,7 @@ func TestShardWindowsSplitEvenly(t *testing.T) {
 	var work []int64
 	for lo := 0; lo < n; lo += window {
 		hi := min(lo+window, n)
-		sim, err := nicsim.New(probe.Config)
+		sim, err := nicsim.NewContext(context.Background(), probe.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
