@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clara/internal/lnic"
+	"clara/internal/mapper"
 	"clara/internal/nf"
 	"clara/internal/nicsim"
 	"clara/internal/workload"
@@ -120,7 +121,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 }
 
-// mapBytesBudget bounds the bytes one BenchmarkMapILP solve allocates
+// mapBytesBudget bounds the bytes one cold BenchmarkMapILP solve allocates
 // (vnfchain on netronome). The dense tableau allocated 778 KB per solve and
 // the sparse one 118 KB; with the tableau storage pooled across solves and
 // the constraint terms in one arena, a solve allocates about 29 KB. The
@@ -134,6 +135,74 @@ const mapBytesBudget = 44_000
 // "ILP solve").
 func TestMapAllocBudget(t *testing.T) {
 	checkBytesBudget(t, "vnfchain/netronome ILP mapping", BenchmarkMapILP, mapBytesBudget)
+}
+
+// mapWarmBytesBudget bounds the bytes one BenchmarkMapILPWarm map
+// allocates: the model, the solution and the mapping, as a cold solve does,
+// with the tableau loaded from the recorded phase 1 into pooled storage,
+// so no snapshot is copied out. Measured about 29 KB.
+const mapWarmBytesBudget = 40_000
+
+// TestMapWarmAllocBudget keeps a map that reuses phase 1 from allocating
+// what it skips.
+func TestMapWarmAllocBudget(t *testing.T) {
+	checkBytesBudget(t, "vnfchain/netronome warm ILP mapping", BenchmarkMapILPWarm, mapWarmBytesBudget)
+}
+
+// TestMapPhase1NilSinkAllocs: with no metrics registry in the context, the
+// pipeline's phase-1 bookkeeping (the slot lookup and the hit counter)
+// allocates nothing. A map that reuses phase 1 must allocate what
+// mapper.MapFrom allocates from the same snapshot plus the map stage's own
+// overhead, measured as Greedy through the pipeline less mapper.Greedy.
+func TestMapPhase1NilSinkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	ctx := context.Background()
+	nfo, err := CompileNF(nf.VNFChain().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := lnic.Netronome()
+	wl, err := ParseWorkload("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := nfo.pipe.Annotated(ctx, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := mapper.MapFrom(g, target, wl, Hints{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // admit the target, then record
+		if _, err := nfo.MapContext(ctx, target, wl, Hints{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(f func() error) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	pipeMap := allocs(func() error { _, err := nfo.MapContext(ctx, target, wl, Hints{}); return err })
+	mapFrom := allocs(func() error {
+		_, got, err := mapper.MapFrom(g, target, wl, Hints{}, snap)
+		if err == nil && got != snap {
+			t.Fatal("mapper.MapFrom missed its own snapshot")
+		}
+		return err
+	})
+	pipeGreedy := allocs(func() error { _, err := nfo.MapGreedyContext(ctx, target, wl, Hints{}); return err })
+	greedy := allocs(func() error { _, err := mapper.Greedy(g, target, wl, Hints{}); return err })
+	t.Logf("allocs/op: pipeline map %.0f, mapper.MapFrom %.0f, pipeline greedy %.0f, mapper.Greedy %.0f",
+		pipeMap, mapFrom, pipeGreedy, greedy)
+	if extra := pipeMap - mapFrom - (pipeGreedy - greedy); extra != 0 {
+		t.Errorf("the phase-1 bookkeeping allocates %.0f per map on a nil sink, want 0", extra)
+	}
 }
 
 // adviseBytesBudget bounds the bytes one warm BenchmarkAdviseSerial call

@@ -165,7 +165,10 @@ func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float6
 	start := len(m.terms)
 	m.terms = append(m.terms, terms...)
 	t := m.terms[start:]
-	slices.SortStableFunc(t, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	byVar := func(a, b Term) int { return cmp.Compare(a.Var, b.Var) }
+	if !slices.IsSortedFunc(t, byVar) {
+		slices.SortStableFunc(t, byVar)
+	}
 	merged := t[:0]
 	for _, tm := range t {
 		if n := len(merged); n > 0 && merged[n-1].Var == tm.Var {
@@ -275,12 +278,44 @@ func (m *Model) SolveWithLimit(maxNodes int) (*Solution, error) {
 	return m.solve(maxNodes, solveLP)
 }
 
+// SolveFrom is Solve that also returns the root LP's tableau after simplex
+// phase 1, for a later SolveFrom of a model with the same rows and bounds.
+// When prev was taken from a root with this model's rows and bounds, bit
+// for bit, the root skips phase 1 and starts from prev, and the returned
+// snapshot is prev; otherwise it is a new one, or nil when the root LP is
+// infeasible. Either way the solution, its Objective bits and Nodes are
+// exactly those of Solve: only the objective may differ between the two
+// models, and phase 1 never reads it. Branch-and-bound children solve cold.
+func (m *Model) SolveFrom(prev *Phase1) (*Solution, *Phase1, error) {
+	return m.solveFrom(2_000_000, prev)
+}
+
+// solveFrom is SolveFrom with an explicit branch-and-bound node budget.
+func (m *Model) solveFrom(maxNodes int, prev *Phase1) (*Solution, *Phase1, error) {
+	var snap *Phase1
+	root := func(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
+		vals, objv, status, s := solveLPFrom(m, obj, lo, hi, prev, true)
+		snap = s
+		return vals, objv, status
+	}
+	sol, err := m.solveRoot(maxNodes, root, solveLP)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sol, snap, nil
+}
+
 // lpSolver solves the LP relaxation of m minimizing obj under the bounds
 // lo ≤ x ≤ hi, returning the values, the objective and the status.
 type lpSolver func(m *Model, obj, lo, hi []float64) ([]float64, float64, Status)
 
 // solve runs branch and bound with lp solving each node's relaxation.
 func (m *Model) solve(maxNodes int, lp lpSolver) (*Solution, error) {
+	return m.solveRoot(maxNodes, lp, lp)
+}
+
+// solveRoot is solve with root solving the root node's relaxation.
+func (m *Model) solveRoot(maxNodes int, root, lp lpSolver) (*Solution, error) {
 	// Internally always minimize.
 	obj := make([]float64, len(m.vars))
 	for v, c := range m.obj {
@@ -293,7 +328,7 @@ func (m *Model) solve(maxNodes int, lp lpSolver) (*Solution, error) {
 			obj[v] = c
 		}
 	}
-	bb := &bnb{m: m, lp: lp, obj: obj, best: math.Inf(1), maxNodes: maxNodes}
+	bb := &bnb{m: m, root: root, lp: lp, obj: obj, best: math.Inf(1), maxNodes: maxNodes}
 	lo := make([]float64, len(m.vars))
 	hi := make([]float64, len(m.vars))
 	for i, v := range m.vars {
@@ -314,7 +349,7 @@ func (m *Model) solve(maxNodes int, lp lpSolver) (*Solution, error) {
 
 type bnb struct {
 	m        *Model
-	lp       lpSolver
+	root, lp lpSolver
 	obj      []float64
 	best     float64
 	bestVals []float64
@@ -327,7 +362,11 @@ func (b *bnb) search(lo, hi []float64) error {
 	if b.nodes > b.maxNodes {
 		return ErrNodeLimit
 	}
-	vals, objv, status := b.lp(b.m, b.obj, lo, hi)
+	lp := b.lp
+	if b.nodes == 1 {
+		lp = b.root
+	}
+	vals, objv, status := lp(b.m, b.obj, lo, hi)
 	switch status {
 	case StatusInfeasible:
 		return nil

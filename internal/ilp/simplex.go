@@ -22,15 +22,76 @@ import (
 // The tableau's storage comes from tableauPool and goes back to it when the
 // solve returns; only the returned values are allocated per call.
 func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
+	vals, objv, status, _ := solveLPFrom(m, obj, lo, hi, nil, false)
+	return vals, objv, status
+}
+
+// solveLPFrom is solveLP starting from prev: when prev was taken from an LP
+// with the same rows and bounds as this one, bit for bit, the tableau is
+// loaded from it and phase 1 is skipped. Phase 1 never reads the objective,
+// so the tableau phase 2 starts from, and everything after, is the one a
+// cold solve reaches. With record set it also returns the LP's tableau after
+// phase 1: prev itself on a hit, a new snapshot otherwise, and nil when the
+// LP is infeasible.
+func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]float64, float64, Status, *Phase1) {
 	n := len(m.vars)
 	for i := 0; i < n; i++ {
 		if hi[i] < lo[i]-feasTol {
-			return nil, 0, StatusInfeasible
+			return nil, 0, StatusInfeasible, nil
 		}
 	}
 	t := tableauPool.Get().(*tableau)
 	defer t.release()
+	var snap *Phase1
+	if prev.matches(m, lo, hi) {
+		prev.load(t)
+		snap = prev
+	} else {
+		if !t.phase1(m, lo, hi) {
+			return nil, 0, StatusInfeasible, nil
+		}
+		if record {
+			snap = t.snapshot(m, lo, hi)
+		}
+	}
+	nSlack, mRows := t.nSlack, len(t.rows)
 
+	// Phase 2: real objective over structural columns; artificials barred.
+	clear(t.obj)
+	copy(t.obj, obj[:n])
+	// Reduce objective row against the current basis.
+	for i := 0; i < mRows; i++ {
+		if f := t.obj[t.basis[i]]; f != 0 {
+			t.subRow(f, i)
+		}
+	}
+	if t.simplex(n+nSlack) == StatusUnbounded {
+		return nil, 0, StatusUnbounded, snap
+	}
+
+	// Extract solution (shift lower bounds back in).
+	vals := make([]float64, n)
+	for i := 0; i < mRows; i++ {
+		if t.basis[i] < n {
+			vals[t.basis[i]] = t.rhs[i]
+		}
+	}
+	objv := 0.0
+	for i := 0; i < n; i++ {
+		vals[i] += lo[i]
+		if vals[i] < lo[i] {
+			vals[i] = lo[i]
+		}
+		objv += obj[i] * vals[i]
+	}
+	return vals, objv, StatusOptimal, snap
+}
+
+// phase1 builds the tableau of m's LP relaxation under the bounds lo/hi
+// and drives its artificials out of the basis. It reads no objective. It
+// reports false when the LP is infeasible.
+func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
+	n := len(m.vars)
 	// Shifted right-hand sides: model rows, then one upper-bound row per
 	// finitely bounded variable. A negative one flips its row's sense,
 	// which decides the column layout before any row is written.
@@ -88,7 +149,7 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 	t.obj = resize(t.obj, total+1)
 	clear(t.obj)
 	t.basis = resize(t.basis, mRows)
-	t.total = total
+	t.n, t.nSlack, t.total = n, nSlack, total
 	t.prow = resize(t.prow, total)
 	clear(t.prow)
 	// Every row's initial entries go into one slab; a row that outgrows
@@ -147,10 +208,10 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 			}
 		}
 		if st := t.simplex(total); st != StatusOptimal {
-			return nil, 0, StatusInfeasible
+			return false
 		}
 		if -t.obj[total] > 1e-6 { // phase-1 optimum is -obj[rhs]
-			return nil, 0, StatusInfeasible
+			return false
 		}
 		// Pivot remaining basic artificials out where possible, on the
 		// first structural or slack column with a usable entry.
@@ -169,36 +230,7 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 			}
 		}
 	}
-
-	// Phase 2: real objective over structural columns; artificials barred.
-	clear(t.obj)
-	copy(t.obj, obj[:n])
-	// Reduce objective row against the current basis.
-	for i := 0; i < mRows; i++ {
-		if f := t.obj[t.basis[i]]; f != 0 {
-			t.subRow(f, i)
-		}
-	}
-	if t.simplex(n+nSlack) == StatusUnbounded {
-		return nil, 0, StatusUnbounded
-	}
-
-	// Extract solution (shift lower bounds back in).
-	vals := make([]float64, n)
-	for i := 0; i < mRows; i++ {
-		if t.basis[i] < n {
-			vals[t.basis[i]] = t.rhs[i]
-		}
-	}
-	objv := 0.0
-	for i := 0; i < n; i++ {
-		vals[i] += lo[i]
-		if vals[i] < lo[i] {
-			vals[i] = lo[i]
-		}
-		objv += obj[i] * vals[i]
-	}
-	return vals, objv, StatusOptimal
+	return true
 }
 
 // tableau is the simplex tableau: one row per constraint, model rows first,
@@ -212,14 +244,16 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 // x_k enters the basis, and most never change. The objective row, which
 // Bland's rule scans in full, is dense.
 type tableau struct {
-	rows  [][]entry
-	rhs   []float64 // the rhs column
-	cols  []uint64  // the rows' column sets, words uint64s each (colsOf)
-	words int
-	obj   []float64 // objective row; obj[total] is its rhs entry
-	basis []int     // basic column of each row
-	total int       // column count, and the index of the objective's rhs
-	prow  []float64 // the pivot row over all columns during a pivot, else zero
+	rows   [][]entry
+	rhs    []float64 // the rhs column
+	cols   []uint64  // the rows' column sets, words uint64s each (colsOf)
+	words  int
+	obj    []float64 // objective row; obj[total] is its rhs entry
+	basis  []int     // basic column of each row
+	n      int       // structural columns
+	nSlack int       // slack/surplus columns, after the structural ones
+	total  int       // column count, and the index of the objective's rhs
+	prow   []float64 // the pivot row over all columns during a pivot, else zero
 
 	// Backing storage kept for the next solve: the upper-bounded variables,
 	// the slab holding every row's initial entries, and the spill slab rows

@@ -7,6 +7,7 @@ import (
 
 	"clara/internal/budget"
 	"clara/internal/cir"
+	"clara/internal/ilp"
 	"clara/internal/lnic"
 	"clara/internal/mapper"
 	"clara/internal/obs"
@@ -43,6 +44,16 @@ type Pipeline struct {
 	annMu     sync.Mutex
 	annotated map[symexec.Weights]*cir.Graph
 
+	// phase1 holds, per target name, the ILP root tableau after simplex
+	// phase 1 of the latest map on a target of that name
+	// (mapper.MapFrom). A name is admitted by its first map, which records
+	// nothing, so a one-off analysis holds no snapshot; from the second map
+	// on, each map starts from the slot and leaves its own snapshot there.
+	// Snapshots are immutable and checked bit for bit against the ILP, so
+	// a stale slot only misses.
+	p1Mu   sync.Mutex
+	phase1 map[string]*ilp.Phase1
+
 	// engines holds compiled engines for Program that no prediction is
 	// running. An engine keeps its registers inside itself, so concurrent
 	// predictions each take their own; at most cap(engines) wait between
@@ -53,6 +64,11 @@ type Pipeline struct {
 // annotatedCacheCap bounds the annotated-graph cache; sweeps over unbounded
 // workload grids reset it rather than grow without limit.
 const annotatedCacheCap = 64
+
+// phase1CacheCap bounds the target names a Pipeline keeps phase-1
+// snapshots for; co-location's weight-sized slices each have a name of
+// their own, and unbounded weight grids reset the cache.
+const phase1CacheCap = 16
 
 // engineCacheCap bounds the compiled engines a Pipeline keeps: one per
 // target of a concurrent Advise, and one more.
@@ -123,19 +139,68 @@ func (p *Pipeline) Annotated(ctx context.Context, wl mapper.Workload) (*cir.Grap
 }
 
 // Map lowers the program onto nic for the workload (§3.4) by solving the
-// ILP over the workload-annotated graph.
+// ILP over the workload-annotated graph. From the second map on a target
+// name, the solve starts from the previous map's phase 1 when the ILP's
+// rows and bounds are unchanged; the mapping is the same either way.
 func (p *Pipeline) Map(ctx context.Context, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*mapper.Mapping, error) {
-	return p.mapWith(ctx, mapper.Map, nic, wl, h)
+	return p.mapWith(ctx, wl, func(g *cir.Graph) (*mapper.Mapping, error) {
+		prev, admitted := p.phase1Slot(nic.Name)
+		if !admitted {
+			return mapper.Map(g, nic, wl, h)
+		}
+		m, snap, err := mapper.MapFrom(g, nic, wl, h, prev)
+		p.keepPhase1(ctx, nic.Name, prev, snap)
+		return m, err
+	})
+}
+
+// phase1Slot returns the snapshot kept for target name, and whether the
+// name was admitted by an earlier map; it admits the name when not.
+func (p *Pipeline) phase1Slot(name string) (*ilp.Phase1, bool) {
+	p.p1Mu.Lock()
+	defer p.p1Mu.Unlock()
+	prev, ok := p.phase1[name]
+	if !ok {
+		if len(p.phase1) >= phase1CacheCap {
+			p.phase1 = nil
+		}
+		if p.phase1 == nil {
+			p.phase1 = map[string]*ilp.Phase1{}
+		}
+		p.phase1[name] = nil
+	}
+	return prev, ok
+}
+
+// keepPhase1 counts whether a map that started from prev reused it, and
+// keeps snap, when new, as target name's snapshot.
+func (p *Pipeline) keepPhase1(ctx context.Context, name string, prev, snap *ilp.Phase1) {
+	if prev != nil {
+		if snap == prev {
+			obs.From(ctx).Counter("clara_map_phase1_hits_total").Inc()
+			return
+		}
+		obs.From(ctx).Counter("clara_map_phase1_misses_total").Inc()
+	}
+	if snap != nil {
+		p.p1Mu.Lock()
+		if _, ok := p.phase1[name]; ok {
+			p.phase1[name] = snap
+		}
+		p.p1Mu.Unlock()
+	}
 }
 
 // Greedy is the no-solver baseline mapping (ablation), priced against the
 // same annotated graph as Map so the two objectives compare.
 func (p *Pipeline) Greedy(ctx context.Context, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*mapper.Mapping, error) {
-	return p.mapWith(ctx, mapper.Greedy, nic, wl, h)
+	return p.mapWith(ctx, wl, func(g *cir.Graph) (*mapper.Mapping, error) {
+		return mapper.Greedy(g, nic, wl, h)
+	})
 }
 
-func (p *Pipeline) mapWith(ctx context.Context, solve func(*cir.Graph, *lnic.LNIC, mapper.Workload, mapper.Hints) (*mapper.Mapping, error),
-	nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*mapper.Mapping, error) {
+// mapWith runs solve on the graph annotated for wl as the map stage.
+func (p *Pipeline) mapWith(ctx context.Context, wl mapper.Workload, solve func(*cir.Graph) (*mapper.Mapping, error)) (*mapper.Mapping, error) {
 	g, err := p.Annotated(ctx, wl)
 	if err != nil {
 		return nil, err
@@ -145,7 +210,7 @@ func (p *Pipeline) mapWith(ctx context.Context, solve func(*cir.Graph, *lnic.LNI
 	}
 	defer obs.From(ctx).StageTimer("map")()
 	return budget.Guard1("map", p.Program.Name, func() (*mapper.Mapping, error) {
-		return solve(g, nic, wl, h)
+		return solve(g)
 	})
 }
 

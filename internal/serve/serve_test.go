@@ -492,6 +492,36 @@ func TestNFsEndpointAndMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsCountPhase1Reuse advises one library NF under three workloads
+// that differ only in their TCP share, which prices the mapping ILP's
+// objective but leaves its rows alone: the first advise admits each target,
+// the second records its phase 1, and the third reuses it, which /metrics
+// must show.
+func TestMetricsCountPhase1Reuse(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tcp := range []string{"0.2", "0.5", "0.8"} {
+		resp, body := post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload + ",tcp=" + tcp})
+		if resp.StatusCode != 200 {
+			t.Fatalf("advise tcp=%s: %d %s", tcp, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var hits int
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "clara_map_phase1_hits_total "); ok {
+			fmt.Sscan(v, &hits)
+		}
+	}
+	if hits < 1 {
+		t.Errorf("clara_map_phase1_hits_total = %d, want at least 1\n%s", hits, body)
+	}
+}
+
 // TestResultCacheEviction: a result cache of size 1 evicts and recomputes.
 func TestResultCacheEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{ResultCacheSize: 1})
