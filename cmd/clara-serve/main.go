@@ -52,7 +52,7 @@ func run() error {
 		maxTimeout  = flag.Duration("max-timeout", 30*time.Second, "per-request wall-clock ceiling; client timeouts are clamped to this")
 		maxBudget   = flag.String("max-budget", "", "per-request resource ceiling, same syntax as -budget: "+cliutil.BudgetFlagDoc)
 		parallel    = flag.Int("parallel", 0, "worker-pool width inside each analysis (default GOMAXPROCS)")
-		simShards   = flag.Int("sim-shards", -1, "default /v1/measure simulator workers: -1 = all cores, 0 = classic single-threaded engine, N = N sharded workers (results match across N >= 1, not between 0 and N)")
+		simShards   = flag.Int("sim-shards", 0, "default /v1/measure simulator workers: 0 = classic single-threaded engine, N = N sharded workers, -1 = all cores (results match across N >= 1, not between 0 and N)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent analyses admitted (default 2x GOMAXPROCS)")
 		nfCache     = flag.Int("nf-cache", 128, "compiled-NF LRU capacity")
 		resultCache = flag.Int("result-cache", 1024, "result LRU capacity")

@@ -14,7 +14,7 @@
 //   - *CanceledError: the caller's context was cancelled or its deadline
 //     passed. It wraps ctx.Err(), so errors.Is(err, context.Canceled) and
 //     errors.Is(err, context.DeadlineExceeded) keep working.
-//   - *PanicError: an internal invariant panicked mid-stage. Guard converts
+//   - *PanicError: an internal invariant panicked mid-stage. Guard1 converts
 //     the panic into a structured error naming the stage and NF, so one bad
 //     NF cannot take down a server evaluating many.
 package budget
@@ -349,7 +349,7 @@ func Retryable(err error) bool {
 
 // Transient partitions pipeline errors by retryability against an operator
 // ceiling. Worth retrying: explicitly marked TransientError values (injected
-// faults), Guard-recovered panics (the invariant violation may be
+// faults), Guard1-recovered panics (the invariant violation may be
 // load-dependent — and one attempt must never condemn the job), and
 // deadline expiries (a retry runs under a fresh deadline). Fail-fast:
 // plain cancellation (the caller is gone or the server is draining), and
@@ -381,7 +381,7 @@ func Transient(err error, ceiling Limits) bool {
 }
 
 // PanicError is an internal invariant violation converted into a structured
-// error by Guard, carrying the failing stage, the NF under analysis, the
+// error by Guard1, carrying the failing stage, the NF under analysis, the
 // recovered value and the stack.
 type PanicError struct {
 	Stage string
@@ -398,20 +398,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("internal error in stage %s (nf %s): %v", e.Stage, nf, e.Value)
 }
 
-// Guard runs fn, converting a panic into a *PanicError. It is the isolation
-// boundary around each pipeline stage: a compiler or mapper invariant
-// violation on one NF becomes an error the caller can log and skip.
-func Guard(stage, nf string, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Stage: stage, NF: nf, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return fn()
-}
-
-// Guard1 is Guard for a value-returning stage. On panic the zero value and
-// a *PanicError are returned.
+// Guard1 runs fn, converting a panic into the zero value and a
+// *PanicError. It is the isolation boundary around each pipeline stage: a
+// compiler or mapper invariant violation on one NF becomes an error the
+// caller can log and skip.
 func Guard1[T any](stage, nf string, fn func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {

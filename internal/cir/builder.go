@@ -84,9 +84,6 @@ func (b *Builder) SetBlock(idx int) {
 	b.cur = idx
 }
 
-// CurrentBlock returns the index of the block under construction.
-func (b *Builder) CurrentBlock() int { return b.cur }
-
 func (b *Builder) newReg() Reg {
 	r := b.nextReg
 	b.nextReg++
@@ -108,21 +105,11 @@ func (b *Builder) Const(v uint64) Reg {
 	return b.emit(Instr{Op: OpConst, Dst: b.newReg(), Imm: v})
 }
 
-// Copy emits a register copy.
-func (b *Builder) Copy(src Reg) Reg {
-	return b.emit(Instr{Op: OpCopy, Dst: b.newReg(), Args: []Reg{src}})
-}
-
 // CopyInto emits a copy targeting an existing register. CIR is not SSA:
 // front ends bind mutable NF variables to fixed registers and assign through
 // this.
 func (b *Builder) CopyInto(dst, src Reg) {
 	b.emit(Instr{Op: OpCopy, Dst: dst, Args: []Reg{src}})
-}
-
-// ConstInto emits a constant load into an existing register.
-func (b *Builder) ConstInto(dst Reg, v uint64) {
-	b.emit(Instr{Op: OpConst, Dst: dst, Imm: v})
 }
 
 // FreshReg allocates a register without emitting an instruction (variable

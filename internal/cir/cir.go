@@ -322,16 +322,6 @@ func (p *Program) Clone() *Program {
 	return &q
 }
 
-// StateByName returns the named state object.
-func (p *Program) StateByName(name string) (StateObj, bool) {
-	for _, s := range p.State {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return StateObj{}, false
-}
-
 // String renders the program as readable IR assembly.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// copyReg emits a copy of src into a fresh register.
+func copyReg(b *Builder, src Reg) Reg {
+	dst := b.FreshReg()
+	b.CopyInto(dst, src)
+	return dst
+}
+
 // buildLinear returns a trivial straight-line program: r = 2+3, return pass.
 func buildLinear(t *testing.T) *Program {
 	t.Helper()
@@ -56,7 +63,7 @@ func buildLoop(t *testing.T) *Program {
 	addr := b.Const(uint64(off))
 	zero := b.Const(0)
 	b.Store(addr, zero, 8)
-	i := b.Copy(zero)
+	i := copyReg(b, zero)
 	head := b.NewBlock("head")
 	body := b.NewBlock("body")
 	exit := b.NewBlock("exit")

@@ -87,7 +87,7 @@ func TestCompiledUnaryAndConst(t *testing.T) {
 	b.AllocScratch(16)
 	x := b.Const(0x11223344)
 	n := b.Not(x)
-	c := b.Copy(n)
+	c := copyReg(b, n)
 	addr := b.Const(4)
 	b.Store(addr, c, 2) // low 2 bytes only
 	got := b.Load(addr, 4)

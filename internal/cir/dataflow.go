@@ -412,18 +412,6 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// SetEdgeProb overrides the probability of the edge from→to. It returns
-// false if no such edge exists.
-func (g *Graph) SetEdgeProb(from, to int, p float64) bool {
-	for i := range g.Edges {
-		if g.Edges[i].From == from && g.Edges[i].To == to {
-			g.Edges[i].Prob = p
-			return true
-		}
-	}
-	return false
-}
-
 // ExpectedVisits returns, per node, the expected executions per packet given
 // the edge probabilities: entry executes once, and visits propagate through
 // the DAG.
@@ -468,17 +456,6 @@ func (g *Graph) topoOrder() []int {
 		}
 	}
 	return order
-}
-
-// Succs returns the successor node IDs of n.
-func (g *Graph) Succs(n int) []int {
-	var out []int
-	for _, e := range g.Edges {
-		if e.From == n {
-			out = append(out, e.To)
-		}
-	}
-	return out
 }
 
 // String renders the graph for debugging.

@@ -98,7 +98,7 @@ func TestPayloadLoopClassification(t *testing.T) {
 	b := NewBuilder("scan")
 	n := b.VCall(VCPayloadLen, "")
 	zero := b.Const(0)
-	i := b.Copy(zero)
+	i := copyReg(b, zero)
 	head := b.NewBlock("head")
 	body := b.NewBlock("body")
 	exit := b.NewBlock("exit")
@@ -208,8 +208,18 @@ func TestExpectedVisits(t *testing.T) {
 			emitID = n.ID
 		}
 	}
-	if !g.SetEdgeProb(g.Entry, cksumID, 0.8) || !g.SetEdgeProb(g.Entry, tableID, 0.2) {
-		t.Fatal("edges not found")
+	set := 0
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.From == g.Entry && e.To == cksumID {
+			e.Prob = 0.8
+			set++
+		} else if e.From == g.Entry && e.To == tableID {
+			e.Prob = 0.2
+			set++
+		}
+	}
+	if set != 2 {
+		t.Fatalf("set %d of the entry's two branch edges", set)
 	}
 	v := g.ExpectedVisits()
 	if math.Abs(v[cksumID]-0.8) > 1e-9 || math.Abs(v[tableID]-0.2) > 1e-9 {
@@ -217,17 +227,6 @@ func TestExpectedVisits(t *testing.T) {
 	}
 	if math.Abs(v[emitID]-1.0) > 1e-9 {
 		t.Errorf("join visits = %.2f, want 1.0", v[emitID])
-	}
-}
-
-func TestSetEdgeProbMissing(t *testing.T) {
-	p := buildLinear(t)
-	g, err := BuildGraph(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.SetEdgeProb(0, 99, 0.5) {
-		t.Error("SetEdgeProb on missing edge should return false")
 	}
 }
 

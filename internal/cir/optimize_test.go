@@ -140,9 +140,9 @@ func TestOptimizeKeepsVCallsAndStores(t *testing.T) {
 func TestOptimizeCopyPropagation(t *testing.T) {
 	b := NewBuilder("copies")
 	v := b.VCall(VCPayloadLen, "")
-	c1 := b.Copy(v)
-	c2 := b.Copy(c1)
-	c3 := b.Copy(c2)
+	c1 := copyReg(b, v)
+	c2 := copyReg(b, c1)
+	c3 := copyReg(b, c2)
 	two := b.Const(2)
 	r := b.Bin(OpMul, c3, two)
 	b.Return(r)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -75,29 +76,14 @@ func (s *byteSource) coef() float64 {
 	}
 }
 
-// modelFromBytes builds a mixed model: binaries and continuous variables
-// whose bounds include shifted lower bounds, infinite upper bounds and
-// upper bounds a hair below the lower one (which negate the upper-bound
-// row), under LE/GE/EQ rows with right-hand sides of either sign.
+// modelFromBytes builds a binary model under LE/GE/EQ rows with
+// right-hand sides of either sign.
 func modelFromBytes(data []byte) *Model {
 	s := &byteSource{b: data}
 	m := NewModel()
 	nv := 1 + int(s.next()%8)
 	for i := 0; i < nv; i++ {
-		var v VarID
-		name := fmt.Sprintf("x%d", i)
-		switch k := s.next(); k % 5 {
-		case 0, 1:
-			v = m.Binary(name)
-		case 2:
-			v = m.Continuous(name, float64(k%3), float64(k%3)+float64(s.next()%6))
-		case 3:
-			v = m.Continuous(name, float64(k%4)/2, math.Inf(1))
-		default:
-			lo := 1 + float64(k%3)
-			v = m.Continuous(name, lo, lo-5e-8)
-		}
-		m.SetObjectiveTerm(v, s.coef())
+		m.SetObjectiveTerm(m.Binary(fmt.Sprintf("x%d", i)), s.coef())
 	}
 	nc := int(s.next() % 7)
 	for c := 0; c < nc; c++ {
@@ -108,20 +94,49 @@ func modelFromBytes(data []byte) *Model {
 		}
 		m.AddConstraint(fmt.Sprintf("c%d", c), terms, sense, float64(int(s.next())-100)/8)
 	}
-	if s.next()%2 == 1 {
-		m.Maximize()
-	}
 	return m
 }
 
+// maxDepth runs solve and returns the depth of the deepest
+// branch-and-bound node it explored.
+func maxDepth(solve func()) int {
+	deepest := 0
+	depthHook = func(d int) { deepest = max(deepest, d) }
+	defer func() { depthHook = nil }()
+	solve()
+	return deepest
+}
+
 // TestSolveMatchesDense holds Solve to the dense-tableau reference on
-// random mixed models.
+// random binary models, and the search on each to a depth of at most the
+// variable count.
 func TestSolveMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	buf := make([]byte, 96)
 	for trial := 0; trial < 3000; trial++ {
 		rng.Read(buf)
-		checkMatchesDense(t, fmt.Sprintf("trial %d", trial), modelFromBytes(buf))
+		label := fmt.Sprintf("trial %d", trial)
+		m := modelFromBytes(buf)
+		if d := maxDepth(func() { checkMatchesDense(t, label, m) }); d > len(m.names) {
+			t.Fatalf("%s: branch and bound reached depth %d with %d variables\n%s", label, d, len(m.names), m)
+		}
+	}
+}
+
+// TestSolveDepthBoundedOnOverflow solves a model with ±3e300 coefficients,
+// whose pivots overflow and leave a fixed variable fractional, under
+// Solve's own node budget: the search must stay within the variable count
+// in depth and return that as an error. Branching on the fixed variable
+// again, as a floor/ceiling split did, recursed until the node budget,
+// and the stack overflowed first.
+func TestSolveDepthBoundedOnOverflow(t *testing.T) {
+	m := modelFromBytes([]byte("\xff\xd5\xf9\xab\x0e\xff\x8e\xae\xa7\x96\xfab\xfe\xfd1\xcf`\xb8\xb8\xfdid8$\be\xc3\xd2\xe4`\xf8\t\xfd;c\x9d\xb3\xb9}\xfc\xd0&\xfc\xb9\xfe\xb22\xfa\x7f\xf9\x84"))
+	var err error
+	if d := maxDepth(func() { _, err = m.Solve() }); d > len(m.names) {
+		t.Fatalf("branch and bound reached depth %d with %d variables\n%s", d, len(m.names), m)
+	}
+	if err == nil || !strings.Contains(err.Error(), "fixed variable") {
+		t.Fatalf("Solve: err = %v, want the fixed-variable overflow error\n%s", err, m)
 	}
 }
 
@@ -149,10 +164,7 @@ func overflowModel(rng *rand.Rand) *Model {
 	m := NewModel()
 	nv := 2 + rng.Intn(4)
 	for i := 0; i < nv; i++ {
-		v := m.Continuous(fmt.Sprintf("x%d", i), 0, math.Inf(1))
-		if rng.Intn(2) == 0 {
-			v = m.Binary(fmt.Sprintf("b%d", i))
-		}
+		v := m.Binary(fmt.Sprintf("b%d", i))
 		m.SetObjectiveTerm(v, float64(rng.Intn(7)-3)*math.Pow(10, float64(rng.Intn(600)-300)))
 	}
 	for c := 0; c < 1+rng.Intn(4); c++ {
@@ -175,19 +187,24 @@ func overflows(m *Model) bool {
 	return err == nil && s.Status == StatusOptimal && (math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0))
 }
 
-// TestSolveMatchesDenseNegatedBounds pins the negated upper-bound row: a
-// variable with hi a hair below lo must flip its row to ≥ and carry an
-// artificial through phase 1, identically in both solvers.
+// TestSolveMatchesDenseNegatedBounds pins rows negated by the lower-bound
+// shift: a ≤ row whose rhs, less its variables' lower bounds, is negative
+// must flip to ≥ and carry an artificial through phase 1, identically in
+// both solvers. Row c is negative at the root; row d turns negative in the
+// branch that raises x's lower bound to 1.
 func TestSolveMatchesDenseNegatedBounds(t *testing.T) {
 	m := NewModel()
-	x := m.Continuous("x", 2, 2-5e-8)
-	y := m.Continuous("y", 0, 4)
+	x := m.Binary("x")
+	y := m.Binary("y")
 	z := m.Binary("z")
-	m.SetObjectiveTerm(x, -1)
-	m.SetObjectiveTerm(y, 1)
-	m.SetObjectiveTerm(z, -2)
-	m.AddConstraint("c", []Term{{x, 1}, {y, -1}, {z, 2}}, LE, 1)
-	m.AddConstraint("d", []Term{{y, 1}, {z, 1}}, GE, -3)
+	m.SetObjectiveTerm(x, 1)
+	m.SetObjectiveTerm(y, 1.5)
+	m.SetObjectiveTerm(z, -1)
+	m.AddConstraint("c", []Term{{x, -2}, {y, -2}}, LE, -1)
+	m.AddConstraint("d", []Term{{x, 2}, {z, 1}}, LE, 1.5)
+	if s, _ := m.Solve(); s.Nodes < 3 {
+		t.Fatalf("solved in %d nodes; no branch raised a lower bound", s.Nodes)
+	}
 	checkMatchesDense(t, "negated bounds", m)
 }
 

@@ -1,9 +1,11 @@
-// Package ilp implements a small exact solver for the 0/1 integer linear
+// Package ilp implements a small exact solver for the binary minimisation
 // programs Clara's mapper produces (§3.4 of the paper: compute constraints
 // Π, memory constraints Γ and switching constraints Θ solved together to
-// emulate a compilation process). The solver pairs a two-phase primal
-// simplex on a sparse tableau (LP relaxation, Bland's rule) with
-// depth-first branch and bound.
+// emulate a compilation process): every variable is 0/1 and the objective
+// is minimised. The solver pairs a two-phase primal simplex on a sparse
+// tableau (LP relaxation, Bland's rule) with depth-first branch and bound,
+// whose every branch fixes a free variable, so the search is at most as
+// deep as the model has variables.
 // Mapping instances are tiny — tens of dataflow nodes against tens of LNIC
 // units — so exact search is fast and dependency-free.
 package ilp
@@ -43,12 +45,6 @@ func (s Sense) String() string {
 	}
 }
 
-type variable struct {
-	name    string
-	integer bool
-	lo, hi  float64
-}
-
 // Term is one coefficient of a constraint row.
 type Term struct {
 	Var  VarID
@@ -70,17 +66,16 @@ type Namer interface {
 	ConstraintName(index int) string
 }
 
-// Model is an ILP under construction. All variables are non-negative.
+// Model is a binary minimisation ILP under construction.
 type Model struct {
-	vars     []variable
-	cons     []constraint
-	terms    []Term    // arena the constraints' terms are cut from
-	obj      []float64 // objective coefficient per variable
-	maximize bool
-	namer    Namer
+	names []string // variable names
+	cons  []constraint
+	terms []Term    // arena the constraints' terms are cut from
+	obj   []float64 // objective coefficient per variable
+	namer Namer
 }
 
-// NewModel returns an empty minimization model.
+// NewModel returns an empty model.
 func NewModel() *Model {
 	return &Model{}
 }
@@ -90,41 +85,23 @@ func (m *Model) SetNamer(n Namer) { m.namer = n }
 
 // Binary adds a 0/1 variable.
 func (m *Model) Binary(name string) VarID {
-	return m.addVar(variable{name: name, integer: true, lo: 0, hi: 1})
-}
-
-// Continuous adds a bounded continuous variable with 0 ≤ lo ≤ x ≤ hi.
-func (m *Model) Continuous(name string, lo, hi float64) VarID {
-	if lo <= 0 {
-		lo = 0 // also turns −0 into +0
-	}
-	return m.addVar(variable{name: name, lo: lo, hi: hi})
-}
-
-func (m *Model) addVar(v variable) VarID {
-	m.vars = append(m.vars, v)
+	m.names = append(m.names, name)
 	m.obj = append(m.obj, 0)
-	return VarID(len(m.vars) - 1)
+	return VarID(len(m.names) - 1)
 }
 
 // Grow reserves room for vars more variables, and for cons more
 // constraints holding terms terms between them.
 func (m *Model) Grow(vars, cons, terms int) {
-	m.vars = slices.Grow(m.vars, vars)
+	m.names = slices.Grow(m.names, vars)
 	m.obj = slices.Grow(m.obj, vars)
 	m.cons = slices.Grow(m.cons, cons)
 	m.terms = slices.Grow(m.terms, terms)
 }
 
-// NumVars returns the variable count.
-func (m *Model) NumVars() int { return len(m.vars) }
-
-// NumConstraints returns the constraint count.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
 // VarName returns the name of v.
 func (m *Model) VarName(v VarID) string {
-	if name := m.vars[v].name; name != "" || m.namer == nil {
+	if name := m.names[v]; name != "" || m.namer == nil {
 		return name
 	}
 	return m.namer.VarName(v)
@@ -145,20 +122,12 @@ func (m *Model) SetObjectiveTerm(v VarID, coeff float64) {
 	m.obj[v] = coeff
 }
 
-// AddObjectiveTerm adds coeff to v's objective coefficient.
-func (m *Model) AddObjectiveTerm(v VarID, coeff float64) {
-	m.SetObjectiveTerm(v, m.obj[v]+coeff)
-}
-
-// Maximize flips the model to maximization.
-func (m *Model) Maximize() { m.maximize = true }
-
 // AddConstraint adds Σ t.Coef·t.Var  sense  rhs. The terms are copied into
 // the model's term arena, sorted by variable; repeated variables are summed
 // and zero coefficients dropped.
 func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float64) {
 	for _, tm := range terms {
-		if int(tm.Var) < 0 || int(tm.Var) >= len(m.vars) {
+		if int(tm.Var) < 0 || int(tm.Var) >= len(m.names) {
 			panic(fmt.Sprintf("ilp: constraint %q references unknown variable %d", name, tm.Var))
 		}
 	}
@@ -180,12 +149,6 @@ func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float6
 	t = slices.DeleteFunc(merged, func(tm Term) bool { return tm.Coef == 0 })
 	m.terms = m.terms[:start+len(t)]
 	m.cons = append(m.cons, constraint{name: name, terms: t[:len(t):len(t)], sense: sense, rhs: rhs})
-}
-
-// Fix pins a variable to a value via an equality constraint (used by the
-// mapper's strategy hints to emulate hand-tuning decisions).
-func (m *Model) Fix(v VarID, val float64) {
-	m.AddConstraint("fix:"+m.VarName(v), []Term{{v, 1}}, EQ, val)
 }
 
 // Status reports the outcome of a solve.
@@ -220,9 +183,6 @@ type Solution struct {
 	Nodes int
 }
 
-// Value returns the solved value of v.
-func (s *Solution) Value(v VarID) float64 { return s.Values[v] }
-
 // Bool returns whether binary v is set in the solution.
 func (s *Solution) Bool(v VarID) bool { return s.Values[v] > 0.5 }
 
@@ -232,11 +192,7 @@ var ErrNodeLimit = errors.New("ilp: branch-and-bound node limit exceeded")
 // String renders the model for debugging.
 func (m *Model) String() string {
 	var b strings.Builder
-	dir := "min"
-	if m.maximize {
-		dir = "max"
-	}
-	fmt.Fprintf(&b, "%s ", dir)
+	b.WriteString("min ")
 	first := true
 	for v, c := range m.obj {
 		if c == 0 {
@@ -265,29 +221,25 @@ func (m *Model) String() string {
 const (
 	feasTol = 1e-7
 	intTol  = 1e-6
+	// nodeBudget is the branch-and-bound node budget of Solve and SolveFrom.
+	nodeBudget = 2_000_000
 )
 
-// Solve finds an optimal solution respecting integrality, or reports
-// infeasibility/unboundedness.
+// Solve finds an optimal solution, or reports infeasibility.
 func (m *Model) Solve() (*Solution, error) {
-	return m.SolveWithLimit(2_000_000)
-}
-
-// SolveWithLimit is Solve with an explicit branch-and-bound node budget.
-func (m *Model) SolveWithLimit(maxNodes int) (*Solution, error) {
-	return m.solve(maxNodes, solveLP)
+	return m.solve(nodeBudget, solveLP)
 }
 
 // SolveFrom is Solve that also returns the root LP's tableau after simplex
-// phase 1, for a later SolveFrom of a model with the same rows and bounds.
-// When prev was taken from a root with this model's rows and bounds, bit
-// for bit, the root skips phase 1 and starts from prev, and the returned
-// snapshot is prev; otherwise it is a new one, or nil when the root LP is
-// infeasible. Either way the solution, its Objective bits and Nodes are
-// exactly those of Solve: only the objective may differ between the two
-// models, and phase 1 never reads it. Branch-and-bound children solve cold.
+// phase 1, for a later SolveFrom of a model with the same rows. When prev
+// was taken from a root with this model's rows, bit for bit, the root skips
+// phase 1 and starts from prev, and the returned snapshot is prev;
+// otherwise it is a new one, or nil when the root LP is infeasible. Either
+// way the solution, its Objective bits and Nodes are exactly those of
+// Solve: only the objective may differ between the two models, and phase 1
+// never reads it. Branch-and-bound children solve cold.
 func (m *Model) SolveFrom(prev *Phase1) (*Solution, *Phase1, error) {
-	return m.solveFrom(2_000_000, prev)
+	return m.solveFrom(nodeBudget, prev)
 }
 
 // solveFrom is SolveFrom with an explicit branch-and-bound node budget.
@@ -314,78 +266,69 @@ func (m *Model) solve(maxNodes int, lp lpSolver) (*Solution, error) {
 	return m.solveRoot(maxNodes, lp, lp)
 }
 
-// solveRoot is solve with root solving the root node's relaxation.
+// solveRoot is solve with root solving the root node's relaxation, whose
+// bounds are 0 ≤ x ≤ 1 for every variable.
 func (m *Model) solveRoot(maxNodes int, root, lp lpSolver) (*Solution, error) {
-	// Internally always minimize.
-	obj := make([]float64, len(m.vars))
-	for v, c := range m.obj {
-		if c == 0 {
-			continue // leave +0: negating it would give −0
-		}
-		if m.maximize {
-			obj[v] = -c
-		} else {
-			obj[v] = c
-		}
+	bb := &bnb{m: m, root: root, lp: lp, best: math.Inf(1), maxNodes: maxNodes}
+	lo := make([]float64, len(m.names))
+	hi := make([]float64, len(m.names))
+	for i := range hi {
+		hi[i] = 1
 	}
-	bb := &bnb{m: m, root: root, lp: lp, obj: obj, best: math.Inf(1), maxNodes: maxNodes}
-	lo := make([]float64, len(m.vars))
-	hi := make([]float64, len(m.vars))
-	for i, v := range m.vars {
-		lo[i], hi[i] = v.lo, v.hi
-	}
-	if err := bb.search(lo, hi); err != nil {
+	if err := bb.search(lo, hi, 0); err != nil {
 		return nil, err
 	}
 	if bb.bestVals == nil {
 		return &Solution{Status: StatusInfeasible, Nodes: bb.nodes}, nil
 	}
-	objv := bb.best
-	if m.maximize {
-		objv = -objv
-	}
-	return &Solution{Status: StatusOptimal, Objective: objv, Values: bb.bestVals, Nodes: bb.nodes}, nil
+	return &Solution{Status: StatusOptimal, Objective: bb.best, Values: bb.bestVals, Nodes: bb.nodes}, nil
 }
 
 type bnb struct {
 	m        *Model
 	root, lp lpSolver
-	obj      []float64
 	best     float64
 	bestVals []float64
 	nodes    int
 	maxNodes int
 }
 
-func (b *bnb) search(lo, hi []float64) error {
+// depthHook, when set, is called with the depth of every branch-and-bound
+// node, the root's being 0. Only tests set it.
+var depthHook func(depth int)
+
+// search explores the node with bounds lo/hi at the given depth. Each
+// branch fixes a free variable (lo 0, hi 1) to 0 or to 1, so depth never
+// exceeds the variable count.
+func (b *bnb) search(lo, hi []float64, depth int) error {
 	b.nodes++
 	if b.nodes > b.maxNodes {
 		return ErrNodeLimit
+	}
+	if depthHook != nil {
+		depthHook(depth)
 	}
 	lp := b.lp
 	if b.nodes == 1 {
 		lp = b.root
 	}
-	vals, objv, status := lp(b.m, b.obj, lo, hi)
+	vals, objv, status := lp(b.m, b.m.obj, lo, hi)
 	switch status {
 	case StatusInfeasible:
 		return nil
 	case StatusUnbounded:
-		// With bounded variables the relaxation cannot be unbounded unless
-		// a continuous variable has an infinite bound.
+		// Every variable lies in [0, 1], so only overflowing arithmetic
+		// leaves the relaxation unbounded.
 		return errors.New("ilp: LP relaxation unbounded")
 	}
 	if objv >= b.best-1e-9 {
 		return nil // bound: cannot improve on incumbent
 	}
-	// Find the most fractional integer variable.
+	// Find the most fractional variable.
 	frac := -1
 	fracDist := 0.0
-	for i, v := range b.m.vars {
-		if !v.integer {
-			continue
-		}
-		f := vals[i] - math.Floor(vals[i])
+	for i, v := range vals {
+		f := v - math.Floor(v)
 		d := math.Min(f, 1-f)
 		if d > intTol && d > fracDist {
 			fracDist = d
@@ -397,30 +340,32 @@ func (b *bnb) search(lo, hi []float64) error {
 		if objv < b.best {
 			b.best = objv
 			b.bestVals = append([]float64(nil), vals...)
-			// Round integers exactly.
-			for i, v := range b.m.vars {
-				if v.integer {
-					b.bestVals[i] = math.Round(b.bestVals[i])
-				}
+			for i, v := range b.bestVals {
+				b.bestVals[i] = math.Round(v)
 			}
 		}
 		return nil
 	}
-	// Branch: explore the side nearest the fractional value first.
-	floorV := math.Floor(vals[frac])
+	if lo[frac] == hi[frac] {
+		// Only overflowing arithmetic leaves a fixed variable fractional,
+		// and no branch would fix anything new.
+		return errors.New("ilp: fractional value on a fixed variable (numerical overflow)")
+	}
+	// Branch: fix the variable to 0 and to 1, the side nearest its
+	// fractional value first.
 	lo2 := append([]float64(nil), lo...)
 	hi2 := append([]float64(nil), hi...)
 	down := func() error {
-		hi2[frac] = floorV
+		hi2[frac] = 0
 		defer func() { hi2[frac] = hi[frac] }()
-		return b.search(lo2, hi2)
+		return b.search(lo2, hi2, depth+1)
 	}
 	up := func() error {
-		lo2[frac] = floorV + 1
+		lo2[frac] = 1
 		defer func() { lo2[frac] = lo[frac] }()
-		return b.search(lo2, hi2)
+		return b.search(lo2, hi2, depth+1)
 	}
-	if vals[frac]-floorV > 0.5 {
+	if vals[frac] > 0.5 {
 		if err := up(); err != nil {
 			return err
 		}

@@ -3,19 +3,18 @@ package ilp
 import "math"
 
 // Phase1 is an immutable snapshot of a root LP relaxation after simplex
-// phase 1, together with the exact inputs that produced it: the model's
-// constraint rows, held by reference because a model's rows never change
-// once added, and a copy of the root bounds. Phase 1 reads only those
-// inputs, never the objective, so any later root whose every term, sense,
-// rhs and bound equals them bit for bit reaches this very tableau, and
-// SolveFrom starts it at phase 2.
+// phase 1, together with the model's constraint rows that produced it,
+// held by reference because a model's rows never change once added. Phase 1
+// reads only those rows and the root bounds, 0 ≤ x ≤ 1 for every variable,
+// never the objective, so any later root with as many variables whose every
+// term, sense and rhs equals them bit for bit reaches this very tableau,
+// and SolveFrom starts it at phase 2.
 //
 // A snapshot is never written after it is taken: a solve that reuses it
 // copies it into its own workspace, so one snapshot may serve any number of
 // concurrent solves.
 type Phase1 struct {
-	cons   []constraint
-	lo, hi []float64
+	cons []constraint
 
 	n, nSlack, total, words int
 	entries                 []entry // every row's entries, back to back
@@ -25,13 +24,10 @@ type Phase1 struct {
 	basis                   []int
 }
 
-// matches reports whether an LP over m's rows under the bounds lo/hi has
-// the inputs p was taken from, bit for bit. A nil p matches nothing.
-func (p *Phase1) matches(m *Model, lo, hi []float64) bool {
-	if p == nil || len(lo) != p.n || len(m.cons) != len(p.cons) {
-		return false
-	}
-	if !sameBits(lo, p.lo) || !sameBits(hi, p.hi) {
+// matches reports whether the root LP of m has the inputs p was taken
+// from, bit for bit. A nil p matches nothing.
+func (p *Phase1) matches(m *Model) bool {
+	if p == nil || len(m.names) != p.n || len(m.cons) != len(p.cons) {
 		return false
 	}
 	for ci := range m.cons {
@@ -48,30 +44,15 @@ func (p *Phase1) matches(m *Model, lo, hi []float64) bool {
 	return true
 }
 
-func sameBits(a, b []float64) bool {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// snapshot copies t, just after phase 1 of the LP over m's rows under the
-// bounds lo/hi, into a new Phase1.
-func (t *tableau) snapshot(m *Model, lo, hi []float64) *Phase1 {
+// snapshot copies t, just after phase 1 of m's root LP, into a new Phase1.
+func (t *tableau) snapshot(m *Model) *Phase1 {
 	size := 0
 	for _, r := range t.rows {
 		size += len(r)
 	}
-	n := len(lo)
-	bounds := make([]float64, 2*n)
-	copy(bounds, lo)
-	copy(bounds[n:], hi)
 	p := &Phase1{
 		cons: m.cons[:len(m.cons):len(m.cons)],
-		lo:   bounds[:n:n], hi: bounds[n:],
-		n: t.n, nSlack: t.nSlack, total: t.total, words: t.words,
+		n:    t.n, nSlack: t.nSlack, total: t.total, words: t.words,
 		entries: make([]entry, 0, size),
 		rowEnd:  make([]int, len(t.rows)),
 		rhs:     append([]float64(nil), t.rhs...),

@@ -7,26 +7,31 @@ import (
 	"testing"
 )
 
-// phase1Model is assignModel with a continuous variable z ≤ zHi and an
-// extra row coef·x0 + z  sense  rhs, so each input phase 1 reads can be
-// changed on its own. objShift is added to every objective coefficient.
+// phase1Model is assignModel with a binary z and an extra row
+// coef·x0 + z  sense  rhs, so each input phase 1 reads can be changed on
+// its own; with spare set it has one more variable, in no row. objShift is
+// added to every objective coefficient, and negate flips their signs.
 type phase1Model struct {
-	coef, rhs, zHi, objShift float64
-	sense                    Sense
-	maximize                 bool
+	coef, rhs, objShift float64
+	sense               Sense
+	spare, negate       bool
 }
 
 func (p phase1Model) build(nodes, units int) *Model {
 	m := assignModel(int64(nodes*units), nodes, units)
-	z := m.Continuous("z", 0, p.zHi)
+	z := m.Binary("z")
 	m.SetObjectiveTerm(z, 0.5)
-	for v := range m.obj {
-		m.AddObjectiveTerm(VarID(v), p.objShift)
+	if p.spare {
+		m.Binary("spare")
+	}
+	for v, c := range m.obj {
+		c += p.objShift
+		if p.negate {
+			c = -c
+		}
+		m.SetObjectiveTerm(VarID(v), c)
 	}
 	m.AddConstraint("extra", []Term{{0, p.coef}, {z, 1}}, p.sense, p.rhs)
-	if p.maximize {
-		m.Maximize()
-	}
 	return m
 }
 
@@ -47,23 +52,23 @@ func checkSolveFrom(t *testing.T, label string, m *Model, prev *Phase1) (*Phase1
 // TestSolveFromMatchesSolve holds SolveFrom to Solve, bit for bit, when it
 // starts from a snapshot of the same model, of a model whose objective
 // alone differs (which must reuse the snapshot), and of a model with one
-// coefficient, rhs, bound or sense changed (which must not), and on an
-// infeasible root.
+// coefficient, rhs, sense or variable count changed (which must not), and
+// on an infeasible root.
 func TestSolveFromMatchesSolve(t *testing.T) {
-	base := phase1Model{coef: 2, rhs: 5, zHi: 3, sense: LE}
+	base := phase1Model{coef: 2, rhs: 2, sense: LE}
 	variants := []struct {
 		name string
 		p    phase1Model
 		hit  bool
 	}{
 		{"same model", base, true},
-		{"objective only", phase1Model{coef: 2, rhs: 5, zHi: 3, sense: LE, objShift: 1.25}, true},
-		{"maximized", phase1Model{coef: 2, rhs: 5, zHi: 3, sense: LE, maximize: true}, true},
-		{"coefficient", phase1Model{coef: 3, rhs: 5, zHi: 3, sense: LE}, false},
-		{"rhs", phase1Model{coef: 2, rhs: 6, zHi: 3, sense: LE}, false},
-		{"rhs sign of zero", phase1Model{coef: 2, rhs: math.Copysign(0, -1), zHi: 3, sense: GE}, false},
-		{"bound", phase1Model{coef: 2, rhs: 5, zHi: 4, sense: LE}, false},
-		{"sense", phase1Model{coef: 2, rhs: 5, zHi: 3, sense: EQ}, false},
+		{"objective only", phase1Model{coef: 2, rhs: 2, sense: LE, objShift: 1.25}, true},
+		{"negated objective", phase1Model{coef: 2, rhs: 2, sense: LE, negate: true}, true},
+		{"coefficient", phase1Model{coef: 3, rhs: 2, sense: LE}, false},
+		{"rhs", phase1Model{coef: 2, rhs: 3, sense: LE}, false},
+		{"rhs sign of zero", phase1Model{coef: 2, rhs: math.Copysign(0, -1), sense: GE}, false},
+		{"variable count", phase1Model{coef: 2, rhs: 2, sense: LE, spare: true}, false},
+		{"sense", phase1Model{coef: 2, rhs: 2, sense: EQ}, false},
 	}
 	branched := 0
 	for _, size := range [][2]int{{2, 3}, {4, 4}, {6, 5}} {
@@ -95,7 +100,7 @@ func TestSolveFromMatchesSolve(t *testing.T) {
 	}
 
 	t.Run("infeasible root", func(t *testing.T) {
-		infeasible := phase1Model{coef: 2, rhs: 9, zHi: 3, sense: GE}
+		infeasible := phase1Model{coef: 2, rhs: 9, sense: GE}
 		prev, _ := checkSolveFrom(t, "record", base.build(2, 3), nil)
 		if snap, _ := checkSolveFrom(t, "from a feasible snapshot", infeasible.build(2, 3), prev); snap != nil {
 			t.Error("an infeasible root returned a snapshot")
@@ -125,7 +130,7 @@ func TestSolveFromMatchesSolve(t *testing.T) {
 	})
 }
 
-// FuzzSolveFromMatchesSolve holds SolveFrom to Solve on random mixed models
+// FuzzSolveFromMatchesSolve holds SolveFrom to Solve on random binary models
 // (modelFromBytes) started from the snapshot of the same rows under another
 // objective, which must be reused, and of a model built from the input with
 // one byte changed, which may or may not be.

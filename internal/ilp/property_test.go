@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestRandomLPFeasibility builds random LPs that are feasible by
-// construction (constraints derived from a known point) and checks that the
-// solver's optimum satisfies every constraint and is no worse than the
-// known point.
+// TestRandomLPFeasibility builds random models that are feasible by
+// construction (constraints derived from a known 0/1 point) and checks that
+// the solver's optimum is 0/1, satisfies every constraint and is no worse
+// than the known point.
 func TestRandomLPFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
@@ -18,8 +18,8 @@ func TestRandomLPFeasibility(t *testing.T) {
 		vars := make([]VarID, n)
 		known := make([]float64, n)
 		for i := range vars {
-			vars[i] = m.Continuous("x", 0, 10)
-			known[i] = rng.Float64() * 10
+			vars[i] = m.Binary("x")
+			known[i] = float64(rng.Intn(2))
 			m.SetObjectiveTerm(vars[i], rng.Float64()*10-5)
 		}
 		type con struct {
@@ -64,7 +64,7 @@ func TestRandomLPFeasibility(t *testing.T) {
 		for ci, c := range cons {
 			lhs := 0.0
 			for i, cf := range c.coef {
-				lhs += cf * s.Value(vars[i])
+				lhs += cf * s.Values[vars[i]]
 			}
 			switch c.sense {
 			case LE:
@@ -81,11 +81,9 @@ func TestRandomLPFeasibility(t *testing.T) {
 				}
 			}
 		}
-		// Bounds respected.
 		for i := range vars {
-			v := s.Value(vars[i])
-			if v < -1e-6 || v > 10+1e-6 {
-				t.Fatalf("trial %d: x%d = %v out of [0,10]", trial, i, v)
+			if v := s.Values[vars[i]]; v != 0 && v != 1 {
+				t.Fatalf("trial %d: x%d = %v, not 0/1", trial, i, v)
 			}
 		}
 		// Optimal objective cannot exceed the known feasible point's value.
@@ -102,46 +100,35 @@ func TestRandomLPFeasibility(t *testing.T) {
 func objCoeff(m *Model, v VarID) float64 { return m.obj[v] }
 
 // TestMixedIntegerRelaxationBound: the ILP optimum is never better than its
-// LP relaxation (minimization), checked on random mixed models.
+// LP relaxation, the root LP over 0 ≤ x ≤ 1, checked on random models.
 func TestMixedIntegerRelaxationBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
-		build := func(relaxed bool) *Model {
-			r := rand.New(rand.NewSource(int64(trial))) // same structure
-			m := NewModel()
-			n := 2 + r.Intn(4)
-			vars := make([]VarID, n)
-			for i := range vars {
-				if relaxed {
-					vars[i] = m.Continuous("x", 0, 1)
-				} else {
-					vars[i] = m.Binary("x")
-				}
-				m.SetObjectiveTerm(vars[i], float64(r.Intn(19)-9))
-			}
-			var terms []Term
-			for i := range vars {
-				terms = append(terms, Term{vars[i], 1})
-			}
-			// At least one variable must be on.
-			m.AddConstraint("cover", terms, GE, 1)
-			return m
+		r := rand.New(rand.NewSource(int64(trial)))
+		m := NewModel()
+		n := 2 + r.Intn(4)
+		var terms []Term
+		for i := 0; i < n; i++ {
+			v := m.Binary("x")
+			m.SetObjectiveTerm(v, float64(r.Intn(19)-9))
+			terms = append(terms, Term{v, 1 + float64(r.Intn(3))/2})
 		}
-		ilpSol, err := build(false).Solve()
+		// At least a weighted 1.5 must be on.
+		m.AddConstraint("cover", terms, GE, 1.5)
+		ilpSol, err := m.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		lpSol, err := build(true).Solve()
-		if err != nil {
-			t.Fatal(err)
+		lo, hi := make([]float64, n), make([]float64, n)
+		for i := range hi {
+			hi[i] = 1
 		}
-		if ilpSol.Status != StatusOptimal || lpSol.Status != StatusOptimal {
-			t.Fatalf("trial %d: statuses %v/%v", trial, ilpSol.Status, lpSol.Status)
+		_, lpObj, lpStatus := solveLP(m, m.obj, lo, hi)
+		if ilpSol.Status != StatusOptimal || lpStatus != StatusOptimal {
+			t.Fatalf("trial %d: statuses %v/%v", trial, ilpSol.Status, lpStatus)
 		}
-		if ilpSol.Objective < lpSol.Objective-1e-6 {
-			t.Fatalf("trial %d: ILP %v beat its LP relaxation %v", trial, ilpSol.Objective, lpSol.Objective)
+		if ilpSol.Objective < lpObj-1e-6 {
+			t.Fatalf("trial %d: ILP %v beat its LP relaxation %v", trial, ilpSol.Objective, lpObj)
 		}
-		_ = rng
 	}
 }
 
@@ -168,7 +155,7 @@ func TestBinarySolutionsAreBinary(t *testing.T) {
 			continue
 		}
 		for i := range vars {
-			v := s.Value(vars[i])
+			v := s.Values[vars[i]]
 			if math.Abs(v-math.Round(v)) > 1e-9 {
 				t.Fatalf("trial %d: binary var = %v", trial, v)
 			}

@@ -17,7 +17,7 @@ func SolveDense(m *Model) (*Solution, error) {
 // Bland's anti-cycling rule. Variables are shifted by their lower bounds;
 // finite upper bounds become explicit rows.
 func solveLPDense(m *Model, obj []float64, lo, hi []float64) ([]float64, float64, Status) {
-	n := len(m.vars)
+	n := len(m.names)
 	for i := 0; i < n; i++ {
 		if hi[i] < lo[i]-feasTol {
 			return nil, 0, StatusInfeasible

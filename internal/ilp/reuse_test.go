@@ -49,36 +49,28 @@ type reuseCase struct {
 	build func() *Model
 }
 
-// reuseCases returns models of many sizes, with the solver's early exits
-// and its non-finite path among them.
+// reuseCases returns models of many sizes, with an infeasible root and the
+// solver's non-finite path among them.
 func reuseCases(t *testing.T) []reuseCase {
 	var cs []reuseCase
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 40; i++ {
 		data := make([]byte, 8+rng.Intn(88))
 		rng.Read(data)
-		cs = append(cs, reuseCase{fmt.Sprintf("mixed %d", i), func() *Model { return modelFromBytes(data) }})
+		cs = append(cs, reuseCase{fmt.Sprintf("binary %d", i), func() *Model { return modelFromBytes(data) }})
 	}
 	for i, size := range [][2]int{{2, 3}, {4, 4}, {6, 5}, {9, 6}} {
 		nodes, units := size[0], size[1]
 		cs = append(cs, reuseCase{fmt.Sprintf("assign %dx%d", nodes, units),
 			func() *Model { return assignModel(int64(i), nodes, units) }})
 	}
-	cs = append(cs,
-		reuseCase{"bound infeasible", func() *Model {
-			// hi below lo: solveLP returns before it takes a workspace.
-			m := NewModel()
-			m.SetObjectiveTerm(m.Continuous("x", 2, 1), 1)
-			return m
-		}},
-		reuseCase{"phase-1 infeasible", func() *Model {
-			m := NewModel()
-			x, y := m.Binary("x"), m.Continuous("y", 0, 1)
-			m.SetObjectiveTerm(x, 1)
-			m.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 3)
-			return m
-		}},
-	)
+	cs = append(cs, reuseCase{"phase-1 infeasible", func() *Model {
+		m := NewModel()
+		x, y := m.Binary("x"), m.Binary("y")
+		m.SetObjectiveTerm(x, 1)
+		m.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 3)
+		return m
+	}})
 	for seed := int64(1); ; seed++ {
 		if seed > 5000 {
 			t.Fatal("no overflow model found; the sequence would miss the non-finite path")

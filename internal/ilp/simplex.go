@@ -12,7 +12,7 @@ import (
 //
 // The implementation is a two-phase primal simplex on the full tableau with
 // Bland's anti-cycling rule. Variables are shifted by their lower bounds;
-// finite upper bounds become explicit rows x_k + s_k = hi_k − lo_k. The
+// each upper bound becomes an explicit row x_k + s_k = hi_k − lo_k. The
 // tableau stores only nonzero entries, and a pivot computes only the
 // columns where the pivot row is nonzero (see tableau). That skips nothing
 // but subtractions of an exact zero, so every pivot, and every nonzero
@@ -30,20 +30,16 @@ func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
 // with the same rows and bounds as this one, bit for bit, the tableau is
 // loaded from it and phase 1 is skipped. Phase 1 never reads the objective,
 // so the tableau phase 2 starts from, and everything after, is the one a
-// cold solve reaches. With record set it also returns the LP's tableau after
-// phase 1: prev itself on a hit, a new snapshot otherwise, and nil when the
-// LP is infeasible.
+// cold solve reaches. A snapshot holds no bounds, so prev may be given only
+// for a root LP, whose bounds are 0 ≤ x ≤ 1. With record set it also
+// returns the LP's tableau after phase 1: prev itself on a hit, a new
+// snapshot otherwise, and nil when the LP is infeasible.
 func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]float64, float64, Status, *Phase1) {
-	n := len(m.vars)
-	for i := 0; i < n; i++ {
-		if hi[i] < lo[i]-feasTol {
-			return nil, 0, StatusInfeasible, nil
-		}
-	}
+	n := len(m.names)
 	t := tableauPool.Get().(*tableau)
 	defer t.release()
 	var snap *Phase1
-	if prev.matches(m, lo, hi) {
+	if prev.matches(m) {
 		prev.load(t)
 		snap = prev
 	} else {
@@ -51,7 +47,7 @@ func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]
 			return nil, 0, StatusInfeasible, nil
 		}
 		if record {
-			snap = t.snapshot(m, lo, hi)
+			snap = t.snapshot(m)
 		}
 	}
 	nSlack, mRows := t.nSlack, len(t.rows)
@@ -91,10 +87,10 @@ func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]
 // and drives its artificials out of the basis. It reads no objective. It
 // reports false when the LP is infeasible.
 func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
-	n := len(m.vars)
+	n := len(m.names)
 	// Shifted right-hand sides: model rows, then one upper-bound row per
-	// finitely bounded variable. A negative one flips its row's sense,
-	// which decides the column layout before any row is written.
+	// variable. A negative one flips its row's sense, which decides the
+	// column layout before any row is written.
 	nCons := len(m.cons)
 	rhs := slices.Grow(t.rhs[:0], nCons+n)[:nCons]
 	for ci, c := range m.cons {
@@ -104,14 +100,9 @@ func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
 		}
 		rhs[ci] = r
 	}
-	ubVar := slices.Grow(t.ubVar[:0], n)
 	for k := 0; k < n; k++ {
-		if !math.IsInf(hi[k], 1) {
-			ubVar = append(ubVar, k)
-			rhs = append(rhs, hi[k]-lo[k])
-		}
+		rhs = append(rhs, hi[k]-lo[k])
 	}
-	t.ubVar = ubVar
 	mRows := len(rhs)
 	sense := func(i int) Sense {
 		s := LE
@@ -173,7 +164,7 @@ func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
 				slab = append(slab, entry{int(tm.Var), sign * tm.Coef})
 			}
 		} else {
-			slab = append(slab, entry{ubVar[i-nCons], sign})
+			slab = append(slab, entry{i - nCons, sign})
 		}
 		switch s {
 		case LE:
@@ -255,10 +246,9 @@ type tableau struct {
 	total  int       // column count, and the index of the objective's rhs
 	prow   []float64 // the pivot row over all columns during a pivot, else zero
 
-	// Backing storage kept for the next solve: the upper-bounded variables,
-	// the slab holding every row's initial entries, and the spill slab rows
-	// move to when they outgrow their share (carve).
-	ubVar []int
+	// Backing storage kept for the next solve: the slab holding every
+	// row's initial entries, and the spill slab rows move to when they
+	// outgrow their share (carve).
 	slab  []entry
 	spill []entry
 }

@@ -31,7 +31,7 @@ type Chaos struct {
 	// injected transient error instead of running.
 	Fail float64
 	// Panic is the probability in [0,1] that a computation panics (the
-	// caller's budget.Guard boundary is what's under test).
+	// caller's budget.Guard1 boundary is what's under test).
 	Panic float64
 	// Delay is the probability in [0,1] that a computation stalls for a
 	// uniform duration in [0, MaxDelay) before proceeding.
@@ -122,7 +122,7 @@ func ParseChaos(spec string) (*Chaos, error) {
 // (Seed, key, attempt) the computation may be delayed first, then replaced
 // by an injected transient failure, a panic, or allowed to run. A nil
 // receiver runs fn directly. Injected panics are deliberate — the caller is
-// expected to hold a budget.Guard boundary around Do.
+// expected to hold a budget.Guard1 boundary around Do.
 func (c *Chaos) Do(key string, attempt int, fn func() ([]byte, error)) ([]byte, error) {
 	if c == nil {
 		return fn()

@@ -37,13 +37,12 @@ func TestChaosFailAlwaysInjectsTransient(t *testing.T) {
 
 func TestChaosPanicInjectsGuardablePanic(t *testing.T) {
 	c := &Chaos{Panic: 1, Seed: 1}
-	err := budget.Guard("test", "nf", func() error {
-		_, err := c.Do("key", 0, func() ([]byte, error) { return nil, nil })
-		return err
+	_, err := budget.Guard1("test", "nf", func() ([]byte, error) {
+		return c.Do("key", 0, func() ([]byte, error) { return nil, nil })
 	})
 	var pe *budget.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err %v (%T) is not a Guard-recovered panic", err, err)
+		t.Fatalf("err %v (%T) is not a Guard1-recovered panic", err, err)
 	}
 }
 

@@ -296,13 +296,6 @@ func (e *Engine) Running() int {
 // gate in-flight computations on it.
 func (e *Engine) Done() <-chan struct{} { return e.base.Done() }
 
-// Draining reports whether Drain has begun.
-func (e *Engine) Draining() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.draining
-}
-
 // Drain stops admission, cancels everything not yet running, and waits for
 // in-flight attempts to settle. Every accepted job is terminal when Drain
 // returns. If ctx expires first, remaining attempts are hard-canceled via

@@ -361,16 +361,6 @@ func (l *LNIC) MemByName(name string) (int, bool) {
 	return 0, false
 }
 
-// UnitByName finds a unit by name.
-func (l *LNIC) UnitByName(name string) (int, bool) {
-	for _, u := range l.Units {
-		if u.Name == name {
-			return u.ID, true
-		}
-	}
-	return 0, false
-}
-
 // TotalThreads returns the packet-level parallelism of the general cores.
 func (l *LNIC) TotalThreads() int {
 	n := 0

@@ -104,12 +104,22 @@ func TestNetronomeNPUGeometry(t *testing.T) {
 	}
 }
 
+// unitByName returns the ID of l's unit called name, failing t if there is
+// none.
+func unitByName(t *testing.T, l *LNIC, name string) int {
+	t.Helper()
+	for _, u := range l.Units {
+		if u.Name == name {
+			return u.ID
+		}
+	}
+	t.Fatalf("%s has no unit %q", l.Name, name)
+	return 0
+}
+
 func TestAccessCycles(t *testing.T) {
 	l := Netronome()
-	npu, ok := l.UnitByName("npu0")
-	if !ok {
-		t.Fatal("npu0 missing")
-	}
+	npu := unitByName(t, l, "npu0")
 	ctm, _ := l.MemByName("ctm")
 	c, ok := l.AccessCycles(npu, ctm, false)
 	if !ok || c != 50 {
@@ -121,7 +131,7 @@ func TestAccessCycles(t *testing.T) {
 		t.Errorf("npu→local = %v,%v, want 2,true", c, ok)
 	}
 	// The parser cannot reach IMEM.
-	parser, _ := l.UnitByName("ingress-parser")
+	parser := unitByName(t, l, "ingress-parser")
 	imem, _ := l.MemByName("imem")
 	if _, ok := l.AccessCycles(parser, imem, false); ok {
 		t.Error("parser should not reach imem")
@@ -130,7 +140,7 @@ func TestAccessCycles(t *testing.T) {
 
 func TestCachedAccessCycles(t *testing.T) {
 	l := Netronome()
-	npu, _ := l.UnitByName("npu0")
+	npu := unitByName(t, l, "npu0")
 	emem, _ := l.MemByName("emem")
 	// Small working set: all hits.
 	c, ok := l.CachedAccessCycles(npu, emem, false, 1<<20)

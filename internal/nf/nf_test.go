@@ -22,13 +22,23 @@ func TestAllCompile(t *testing.T) {
 	}
 }
 
+// stateByName returns p's state object called name, failing t if there is
+// none.
+func stateByName(t *testing.T, p *cir.Program, name string) cir.StateObj {
+	t.Helper()
+	for _, s := range p.State {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("%s declares no state %q", p.Name, name)
+	return cir.StateObj{}
+}
+
 func TestLPMSpec(t *testing.T) {
 	s := LPM(25000)
 	p := s.MustCompile()
-	st, ok := p.StateByName("routes")
-	if !ok {
-		t.Fatal("no routes state")
-	}
+	st := stateByName(t, p, "routes")
 	if st.Kind != cir.StateLPM || st.Capacity != 25000 {
 		t.Errorf("routes = %+v", st)
 	}
@@ -136,7 +146,7 @@ func TestSyncookieUsesCrypto(t *testing.T) {
 
 func TestFirewallCapacityParameter(t *testing.T) {
 	p := Firewall(10000).MustCompile()
-	st, _ := p.StateByName("conns")
+	st := stateByName(t, p, "conns")
 	if st.Capacity != 10000 {
 		t.Errorf("capacity = %d", st.Capacity)
 	}

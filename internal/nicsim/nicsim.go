@@ -115,11 +115,6 @@ type Breakdown struct {
 	Fixed   float64 // ingress/parse/egress engine service
 }
 
-// Total returns the summed breakdown.
-func (b Breakdown) Total() float64 {
-	return b.Compute + b.Mem + b.Accel + b.Queue + b.Fixed
-}
-
 // PacketResult records one packet's simulated journey.
 type PacketResult struct {
 	ArrivalCycles float64

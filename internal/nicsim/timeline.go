@@ -17,8 +17,8 @@ import (
 // Collection is opt-in (Config.Timeline); a nil tracer costs one pointer
 // check per hop. The trace is deterministic for a fixed seed, so it is
 // covered by the simulator determinism suite, and exports both as plain JSON
-// (WriteJSON) and as Chrome trace_event format (WriteChromeTrace) loadable
-// in chrome://tracing or Perfetto.
+// (encoding/json, through its field tags) and as Chrome trace_event format
+// (WriteChromeTrace) loadable in chrome://tracing or Perfetto.
 type Timeline struct {
 	// NF and NIC name the run; ClockGHz converts cycles to wall time for
 	// the Chrome export.
@@ -54,13 +54,6 @@ func (tl *Timeline) add(h Hop) {
 		return
 	}
 	tl.Hops = append(tl.Hops, h)
-}
-
-// WriteJSON writes the timeline as indented JSON.
-func (tl *Timeline) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tl)
 }
 
 // chromeEvent is one trace_event entry (the subset of fields the format

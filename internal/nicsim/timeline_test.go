@@ -144,12 +144,12 @@ func TestTimelineChromeExport(t *testing.T) {
 // TestTimelineJSONExport sanity-checks the plain JSON form round-trips.
 func TestTimelineJSONExport(t *testing.T) {
 	res := simulateTimeline(t, 20)
-	var buf bytes.Buffer
-	if err := res.Timeline.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(res.Timeline)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Timeline
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Hops) != len(res.Timeline.Hops) {

@@ -53,14 +53,3 @@ func ChecksumL4(src, dst IPv4Addr, proto IPProto, segment []byte) uint16 {
 	}
 	return ck
 }
-
-// ChecksumIncremental updates an existing checksum when a 16-bit word at an
-// even offset changes from old to new (RFC 1624 eqn. 3). This is the
-// operation NAT-style NFs perform when rewriting addresses and ports.
-func ChecksumIncremental(ck, old, new uint16) uint16 {
-	sum := uint32(^ck) + uint32(^old) + uint32(new)
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
-}

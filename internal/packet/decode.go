@@ -149,22 +149,3 @@ func (b *Builder) UDPv4(eth Ethernet, ip IPv4, udp UDP, payload []byte) []byte {
 	b.buf[l4start+7] = byte(ck)
 	return b.buf
 }
-
-// ICMPv4 assembles an Ethernet+IPv4+ICMP frame, computing the ICMP checksum
-// over header and payload.
-func (b *Builder) ICMPv4(eth Ethernet, ip IPv4, ic ICMPv4, payload []byte) []byte {
-	b.Reset()
-	ip.Protocol = ProtoICMP
-	ip.Length = uint16(ip.HeaderLen() + ICMPv4Len + len(payload))
-	eth.Type = EtherTypeIPv4
-	b.buf = eth.Encode(b.buf)
-	b.buf = ip.Encode(b.buf)
-	l4start := len(b.buf)
-	ic.Checksum = 0
-	b.buf = ic.Encode(b.buf)
-	b.buf = append(b.buf, payload...)
-	ck := Checksum(b.buf[l4start:])
-	b.buf[l4start+2] = byte(ck >> 8)
-	b.buf[l4start+3] = byte(ck)
-	return b.buf
-}

@@ -19,27 +19,6 @@ func (f Flow4) String() string {
 	return fmt.Sprintf("%s %s:%d -> %s:%d", f.Proto, f.Src, f.SrcPort, f.Dst, f.DstPort)
 }
 
-// Reverse returns the flow in the opposite direction.
-func (f Flow4) Reverse() Flow4 {
-	return Flow4{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
-}
-
-// FastHash returns a 64-bit non-cryptographic hash of the flow, symmetric in
-// direction (FastHash(f) == FastHash(f.Reverse())) so both directions of a
-// connection land in the same bucket.
-func (f Flow4) FastHash() uint64 {
-	a := uint64(f.Src.Uint32())<<16 | uint64(f.SrcPort)
-	b := uint64(f.Dst.Uint32())<<16 | uint64(f.DstPort)
-	if a > b {
-		a, b = b, a
-	}
-	h := a*0x9e3779b97f4a7c15 ^ b
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h ^ uint64(f.Proto)
-}
-
 // Hash returns a direction-sensitive 64-bit hash of the flow.
 func (f Flow4) Hash() uint64 {
 	h := uint64(f.Src.Uint32())

@@ -18,7 +18,6 @@ type EtherType uint16
 // Supported EtherTypes.
 const (
 	EtherTypeIPv4 EtherType = 0x0800
-	EtherTypeARP  EtherType = 0x0806
 	EtherTypeIPv6 EtherType = 0x86DD
 )
 

@@ -237,27 +237,6 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
-func TestChecksumIncrementalMatchesFull(t *testing.T) {
-	// Property: patching one 16-bit word and recomputing incrementally must
-	// equal a full recompute.
-	f := func(words [8]uint16, idx uint8, repl uint16) bool {
-		i := int(idx) % len(words)
-		buf := make([]byte, len(words)*2)
-		for j, w := range words {
-			buf[2*j] = byte(w >> 8)
-			buf[2*j+1] = byte(w)
-		}
-		full := Checksum(buf)
-		inc := ChecksumIncremental(full, words[i], repl)
-		buf[2*i] = byte(repl >> 8)
-		buf[2*i+1] = byte(repl)
-		return inc == Checksum(buf)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTCPv4BuilderChecksums(t *testing.T) {
 	var b Builder
 	frame := b.TCPv4(sampleEth(), sampleIPv4(), TCP{SrcPort: 1000, DstPort: 80, Flags: FlagSYN}, []byte("payload"))
@@ -298,21 +277,6 @@ func TestUDPv4BuilderChecksums(t *testing.T) {
 	}
 }
 
-func TestICMPv4Builder(t *testing.T) {
-	var b Builder
-	frame := b.ICMPv4(sampleEth(), sampleIPv4(), ICMPv4{Type: 8}, []byte("ping"))
-	var p Packet
-	if err := p.Decode(frame); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !p.HasICMP || p.ICMP.Type != 8 {
-		t.Fatalf("ICMP layer wrong: %+v", p.ICMP)
-	}
-	if Checksum(frame[EthernetLen+IPv4MinLen:]) != 0 {
-		t.Error("ICMP checksum does not verify")
-	}
-}
-
 func TestPacketFlow(t *testing.T) {
 	var b Builder
 	frame := b.TCPv4(sampleEth(), sampleIPv4(), TCP{SrcPort: 1000, DstPort: 80}, nil)
@@ -330,29 +294,10 @@ func TestPacketFlow(t *testing.T) {
 	}
 }
 
-func TestFlowReverseInvolution(t *testing.T) {
-	f := func(src, dst [4]byte, sp, dp uint16, proto uint8) bool {
-		fl := Flow4{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, Proto: IPProto(proto)}
-		return fl.Reverse().Reverse() == fl
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFastHashSymmetric(t *testing.T) {
-	f := func(src, dst [4]byte, sp, dp uint16) bool {
-		fl := Flow4{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, Proto: ProtoTCP}
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHashDirectionSensitive(t *testing.T) {
 	fl := Flow4{Src: IPv4Addr{1, 2, 3, 4}, Dst: IPv4Addr{5, 6, 7, 8}, SrcPort: 10, DstPort: 20, Proto: ProtoTCP}
-	if fl.Hash() == fl.Reverse().Hash() {
+	rev := Flow4{Src: fl.Dst, Dst: fl.Src, SrcPort: fl.DstPort, DstPort: fl.SrcPort, Proto: fl.Proto}
+	if fl.Hash() == rev.Hash() {
 		t.Error("directional Hash collides with reverse (astronomically unlikely unless broken)")
 	}
 }
@@ -386,7 +331,7 @@ func TestStringers(t *testing.T) {
 
 func TestDecodeNonIP(t *testing.T) {
 	e := sampleEth()
-	e.Type = EtherTypeARP
+	e.Type = 0x0806 // ARP
 	wire := e.Encode(nil)
 	wire = append(wire, 1, 2, 3)
 	var p Packet

@@ -121,11 +121,3 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	}
 	return results, nil
 }
-
-// ForEach is Map for work that produces no value.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}

@@ -114,19 +114,6 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 4, 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d, want 45", sum.Load())
-	}
-}
-
 func TestParallelism(t *testing.T) {
 	if Parallelism(0) < 1 || Parallelism(-3) < 1 {
 		t.Error("non-positive requests must resolve to >= 1")

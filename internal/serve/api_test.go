@@ -145,7 +145,7 @@ func TestJobsSweepKind(t *testing.T) {
 	var snap jobs.Snapshot
 	for {
 		var ok bool
-		snap, ok = s.Jobs().Get(v.ID)
+		snap, ok = s.engine.Get(v.ID)
 		if !ok {
 			t.Fatal("sweep job lost")
 		}

@@ -38,7 +38,7 @@ func waitAllTerminal(t *testing.T, s *Server) []jobs.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		snaps := s.Jobs().List()
+		snaps := s.engine.List()
 		done := true
 		for _, snap := range snaps {
 			if !snap.State.Terminal() {
@@ -186,7 +186,9 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 
 	// Heal the fault and wait out the cooldown: the half-open probe runs
 	// for real, succeeds, and closes the breaker.
-	s.SetChaos(nil)
+	s.chaosMu.Lock()
+	s.chaos = nil
+	s.chaosMu.Unlock()
 	time.Sleep(80 * time.Millisecond)
 	resp, body = post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
 	if resp.StatusCode != http.StatusOK {
@@ -253,7 +255,7 @@ func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	if accepted > 5 {
 		t.Fatalf("%d submissions accepted; shedding engaged after the %d-deep early bound", accepted, 4)
 	}
-	if depth := s.Jobs().Depth(); depth > 4 {
+	if depth := s.engine.Depth(); depth > 4 {
 		t.Fatalf("queue depth %d exceeds the shed bound 4", depth)
 	}
 	if n := s.Metrics().Counter("clara_jobs_shed_total", "reason", "queue").Value(); n != int64(shed) {
@@ -313,7 +315,7 @@ func TestChaosDrainLeavesAllJobsTerminal(t *testing.T) {
 	}
 	// The hard contract: every accepted job is terminal after Shutdown.
 	for _, id := range ids {
-		snap, ok := s.Jobs().Get(id)
+		snap, ok := s.engine.Get(id)
 		if !ok {
 			t.Fatalf("job %s lost during drain", id)
 		}
@@ -348,7 +350,7 @@ func waitRunning(t *testing.T, s *Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if snap, ok := s.Jobs().Get(id); ok && snap.State == jobs.StateRunning {
+		if snap, ok := s.engine.Get(id); ok && snap.State == jobs.StateRunning {
 			return
 		}
 		time.Sleep(time.Millisecond)

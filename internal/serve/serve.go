@@ -162,8 +162,8 @@ type Server struct {
 	drained  chan struct{}
 	drainOne sync.Once
 
-	// chaos is swappable at runtime (SetChaos) so tests can switch fault
-	// injection off mid-run and watch the breakers recover.
+	// chaos is swappable at runtime, under chaosMu, so tests can switch
+	// fault injection off mid-run and watch the breakers recover.
 	chaosMu sync.Mutex
 	chaos   *jobs.Chaos
 
@@ -314,20 +314,8 @@ func (s *Server) LibrarySize() int {
 // Metrics returns the registry the server records into.
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
-// Jobs returns the async job engine (tests inspect it; operators use the
-// /v1/jobs API).
-func (s *Server) Jobs() *jobs.Engine { return s.engine }
-
 // Breaker returns the named endpoint's circuit breaker, or nil.
 func (s *Server) Breaker(endpoint string) *jobs.Breaker { return s.breakers[endpoint] }
-
-// SetChaos swaps the fault-injection middleware at runtime. The chaos
-// harness uses it to stop injecting and watch the breakers recover.
-func (s *Server) SetChaos(c *jobs.Chaos) {
-	s.chaosMu.Lock()
-	s.chaos = c
-	s.chaosMu.Unlock()
-}
 
 func (s *Server) currentChaos() *jobs.Chaos {
 	s.chaosMu.Lock()
@@ -739,7 +727,7 @@ func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key, timeout stri
 
 	body, err, shared := s.flight.do(flightKey, func() ([]byte, error) {
 		// With chaos enabled the injected faults (including panics) must
-		// stay inside this flight, so it runs under a Guard boundary; with
+		// stay inside this flight, so it runs under a Guard1 boundary; with
 		// chaos off the path is exactly the production one — a real panic
 		// propagates to net/http's per-connection recover.
 		if ch := s.currentChaos(); ch != nil {

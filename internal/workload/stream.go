@@ -130,10 +130,6 @@ func (t *TraceReader) NextWindow(ctx context.Context, max int) (*Trace, int, err
 	return win, start, nil
 }
 
-// Delivered reports how many packets have been handed out so far — the
-// global index one past the last delivered packet.
-func (t *TraceReader) Delivered() int { return t.delivered }
-
 func (t *TraceReader) account(ctx context.Context, win *Trace) {
 	if n := int64(len(win.Packets)); n > 0 {
 		budget.UsageFrom(ctx).AddTracePackets(n)

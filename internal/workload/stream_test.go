@@ -65,8 +65,8 @@ func TestTraceReaderWindows(t *testing.T) {
 		}
 		got = append(got, win.Packets...)
 	}
-	if rd.Delivered() != len(want.Packets) {
-		t.Fatalf("Delivered = %d, want %d", rd.Delivered(), len(want.Packets))
+	if rd.delivered != len(want.Packets) {
+		t.Fatalf("delivered = %d, want %d", rd.delivered, len(want.Packets))
 	}
 	if !reflect.DeepEqual(got, want.Packets) {
 		t.Fatalf("streamed packets differ from ReadPcapContext (%d vs %d)", len(got), len(want.Packets))
