@@ -149,6 +149,17 @@ func TestMapWarmAllocBudget(t *testing.T) {
 	checkBytesBudget(t, "vnfchain/netronome warm ILP mapping", BenchmarkMapILPWarm, mapWarmBytesBudget)
 }
 
+// mapWarmReplayBytesBudget bounds the bytes one BenchmarkMapILPWarmReplay
+// map allocates: a warm map's, with the replayed rows rebuilt in the pooled
+// tableau's spill slab. Measured about 25 KB.
+const mapWarmReplayBytesBudget = 40_000
+
+// TestMapWarmReplayAllocBudget keeps a map that replays phase 1 on changed
+// rows from allocating more than a map that reuses it as is.
+func TestMapWarmReplayAllocBudget(t *testing.T) {
+	checkBytesBudget(t, "vnfchain/netronome warm ILP mapping, replayed", BenchmarkMapILPWarmReplay, mapWarmReplayBytesBudget)
+}
+
 // TestMapPhase1NilSinkAllocs: with no metrics registry in the context, the
 // pipeline's phase-1 bookkeeping (the slot lookup and the hit counter)
 // allocates nothing. A map that reuses phase 1 must allocate what
@@ -172,7 +183,7 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snap, err := mapper.MapFrom(g, target, wl, Hints{}, nil)
+	_, snap, _, err := mapper.MapFrom(g, target, wl, Hints{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +201,7 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 	}
 	pipeMap := allocs(func() error { _, err := nfo.MapContext(ctx, target, wl, Hints{}); return err })
 	mapFrom := allocs(func() error {
-		_, got, err := mapper.MapFrom(g, target, wl, Hints{}, snap)
+		_, got, _, err := mapper.MapFrom(g, target, wl, Hints{}, snap)
 		if err == nil && got != snap {
 			t.Fatal("mapper.MapFrom missed its own snapshot")
 		}

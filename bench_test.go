@@ -194,6 +194,45 @@ func BenchmarkMapILPWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkMapILPWarmReplay measures the solve a warm analysis pays when
+// the workload moves: the NF's pipeline maps, in turn, the default workload
+// and one with another flow count, rate and packet size. The VNF chain has
+// no accelerator node on netronome, so its ILP has no Θ row; the flow count
+// prices its flow-cache row, a passenger of phase 1. Each root starts from
+// the phase 1 recorded under the default workload, as is or by replaying
+// its pivot log on that row. It fails unless the maps replay.
+func BenchmarkMapILPWarmReplay(b *testing.B) {
+	nfo, target, wl, _ := mapILPFixture(b)
+	moved, err := ParseWorkload("flows=3000,rate=90000,size=700")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wls := [2]Workload{wl, moved}
+	// The first map admits the target, the second records its phase 1.
+	for i := 0; i < 2; i++ {
+		if _, err := nfo.Map(target, wl, Hints{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := NewMetrics()
+	for _, w := range wls {
+		if _, err := nfo.MapContext(WithMetrics(context.Background(), m), target, w, Hints{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hits, replays := m.Counter("clara_map_phase1_hits_total").Value(), m.Counter("clara_map_phase1_replays_total").Value()
+	if hits != 2 || replays != 1 {
+		b.Fatalf("the two warm maps reused phase 1 %d times and replayed it %d times, want 2 and 1", hits, replays)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nfo.Map(target, wls[i%2], Hints{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPredict measures one full per-class prediction.
 func BenchmarkPredict(b *testing.B) {
 	nfo, err := CompileNF(nf.VNFChain().Source)

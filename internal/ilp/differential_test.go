@@ -180,11 +180,19 @@ func overflowModel(rng *rand.Rand) *Model {
 	return m
 }
 
-// overflows reports whether m solves to an optimum with a non-finite
-// objective: its pivots met an infinite or NaN multiplier.
+// overflows reports whether some LP relaxation that solving m meets ends
+// optimal with a non-finite objective: its pivots met an infinite or NaN
+// multiplier.
 func overflows(m *Model) bool {
-	s, err := m.solve(2000, solveLP)
-	return err == nil && s.Status == StatusOptimal && (math.IsNaN(s.Objective) || math.IsInf(s.Objective, 0))
+	nonFinite := false
+	m.solve(2000, func(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
+		vals, objv, status := solveLP(m, obj, lo, hi)
+		if status == StatusOptimal && !finite(objv) {
+			nonFinite = true
+		}
+		return vals, objv, status
+	})
+	return nonFinite
 }
 
 // TestSolveMatchesDenseNegatedBounds pins rows negated by the lower-bound

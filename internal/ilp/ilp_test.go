@@ -404,3 +404,17 @@ func BenchmarkAssignment10x10(b *testing.B) {
 		}
 	}
 }
+
+// TestOverflowRootNotOptimal: pivots on ±3e300 coefficients end phase 1 of
+// this model with a near-zero artificial sum, though its row c3 reads
+// 0 <= -12.5 and no point satisfies it. Branch and bound must not accept
+// an incumbent that breaks a row, so the solve is not optimal.
+func TestOverflowRootNotOptimal(t *testing.T) {
+	m := modelFromBytes([]byte("l\x96\x81\xc7\xd8\xfc\xf2\xfb\xff\xf1X \x8b\xcb\x1a\xae\xfb\xbc\xff\xffv=\xfbt\xfc\xaa\x8d"))
+	sol, err := m.Solve()
+	if err == nil && sol.Status == StatusOptimal {
+		t.Fatalf("Solve: optimal %v at %v, want no optimum\n%s", sol.Objective, sol.Values, m)
+	}
+	checkMatchesDense(t, "overflow root", m)
+	checkSolveFrom(t, "overflow root", m, nil)
+}

@@ -181,6 +181,9 @@ type Solution struct {
 	Values    []float64
 	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
+	// Replayed is set when SolveFrom's root started from its snapshot
+	// after rebuilding at least one passenger row (Phase1).
+	Replayed bool
 }
 
 // Bool returns whether binary v is set in the solution.
@@ -232,12 +235,13 @@ func (m *Model) Solve() (*Solution, error) {
 
 // SolveFrom is Solve that also returns the root LP's tableau after simplex
 // phase 1, for a later SolveFrom of a model with the same rows. When prev
-// was taken from a root with this model's rows, bit for bit, the root skips
-// phase 1 and starts from prev, and the returned snapshot is prev;
-// otherwise it is a new one, or nil when the root LP is infeasible. Either
-// way the solution, its Objective bits and Nodes are exactly those of
-// Solve: only the objective may differ between the two models, and phase 1
-// never reads it. Branch-and-bound children solve cold.
+// was taken from a root whose rows equal this model's bit for bit, or
+// differ only in passenger rows (Phase1), the root skips phase 1 and starts
+// from prev, and the returned snapshot is prev; otherwise it is a new one,
+// or nil when the root LP is infeasible. Either way the solution, its
+// Objective bits and Nodes are exactly those of Solve: phase 1 never reads
+// the objective, and a passenger row changes no other row of its tableau.
+// Branch-and-bound children solve cold.
 func (m *Model) SolveFrom(prev *Phase1) (*Solution, *Phase1, error) {
 	return m.solveFrom(nodeBudget, prev)
 }
@@ -245,15 +249,17 @@ func (m *Model) SolveFrom(prev *Phase1) (*Solution, *Phase1, error) {
 // solveFrom is SolveFrom with an explicit branch-and-bound node budget.
 func (m *Model) solveFrom(maxNodes int, prev *Phase1) (*Solution, *Phase1, error) {
 	var snap *Phase1
+	var replayed bool
 	root := func(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
-		vals, objv, status, s := solveLPFrom(m, obj, lo, hi, prev, true)
-		snap = s
+		vals, objv, status, s, r := solveLPFrom(m, obj, lo, hi, prev, true)
+		snap, replayed = s, r
 		return vals, objv, status
 	}
 	sol, err := m.solveRoot(maxNodes, root, solveLP)
 	if err != nil {
 		return nil, nil, err
 	}
+	sol.Replayed = replayed
 	return sol, snap, nil
 }
 
@@ -282,6 +288,31 @@ func (m *Model) solveRoot(maxNodes int, root, lp lpSolver) (*Solution, error) {
 		return &Solution{Status: StatusInfeasible, Nodes: bb.nodes}, nil
 	}
 	return &Solution{Status: StatusOptimal, Objective: bb.best, Values: bb.bestVals, Nodes: bb.nodes}, nil
+}
+
+// satisfies reports whether x satisfies every row of m within feasTol. A
+// row whose sum is not finite is violated.
+func (m *Model) satisfies(x []float64) bool {
+	for ci := range m.cons {
+		c := &m.cons[ci]
+		sum := 0.0
+		for _, tm := range c.terms {
+			sum += tm.Coef * x[tm.Var]
+		}
+		var ok bool
+		switch c.sense {
+		case LE:
+			ok = sum <= c.rhs+feasTol
+		case GE:
+			ok = sum >= c.rhs-feasTol
+		default:
+			ok = math.Abs(sum-c.rhs) <= feasTol
+		}
+		if !ok || !finite(sum) {
+			return false
+		}
+	}
+	return true
 }
 
 type bnb struct {
@@ -336,12 +367,16 @@ func (b *bnb) search(lo, hi []float64, depth int) error {
 		}
 	}
 	if frac == -1 {
-		// Integral: new incumbent.
+		// Integral: a new incumbent, unless its rounded values break a
+		// row, as they may when overflowing pivots end phase 1 at a point
+		// that is not feasible.
 		if objv < b.best {
-			b.best = objv
-			b.bestVals = append([]float64(nil), vals...)
-			for i, v := range b.bestVals {
-				b.bestVals[i] = math.Round(v)
+			x := make([]float64, len(vals))
+			for i, v := range vals {
+				x[i] = math.Round(v)
+			}
+			if b.m.satisfies(x) {
+				b.best, b.bestVals = objv, x
 			}
 		}
 		return nil

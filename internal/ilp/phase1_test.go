@@ -51,46 +51,76 @@ func checkSolveFrom(t *testing.T, label string, m *Model, prev *Phase1) (*Phase1
 
 // TestSolveFromMatchesSolve holds SolveFrom to Solve, bit for bit, when it
 // starts from a snapshot of the same model, of a model whose objective
-// alone differs (which must reuse the snapshot), and of a model with one
-// coefficient, rhs, sense or variable count changed (which must not), and
-// on an infeasible root.
+// alone differs (which must reuse the snapshot), of a model whose extra row
+// is a passenger with its coefficient or rhs changed, and wins no phase-1
+// ratio test (which must reuse it by replaying the pivot log; one binds in
+// phase 2, so a passenger left uneliminated shows), and of a model with one
+// coefficient, rhs, sense or variable count changed where that cannot be
+// done (which must not), and on an infeasible root.
 func TestSolveFromMatchesSolve(t *testing.T) {
-	base := phase1Model{coef: 2, rhs: 2, sense: LE}
+	base := phase1Model{coef: 2, rhs: 2, sense: LE} // phase 1 pivots on the extra row
+	far := phase1Model{coef: 0.5, rhs: 50, sense: LE}
+	ge := phase1Model{coef: 0.5, rhs: 0, sense: GE}
+	eq := phase1Model{coef: 0.5, rhs: 1, sense: EQ}
 	variants := []struct {
-		name string
-		p    phase1Model
-		hit  bool
+		name     string
+		from, p  phase1Model
+		hit      bool
+		replayed bool
 	}{
-		{"same model", base, true},
-		{"objective only", phase1Model{coef: 2, rhs: 2, sense: LE, objShift: 1.25}, true},
-		{"negated objective", phase1Model{coef: 2, rhs: 2, sense: LE, negate: true}, true},
-		{"coefficient", phase1Model{coef: 3, rhs: 2, sense: LE}, false},
-		{"rhs", phase1Model{coef: 2, rhs: 3, sense: LE}, false},
-		{"rhs sign of zero", phase1Model{coef: 2, rhs: math.Copysign(0, -1), sense: GE}, false},
-		{"variable count", phase1Model{coef: 2, rhs: 2, sense: LE, spare: true}, false},
-		{"sense", phase1Model{coef: 2, rhs: 2, sense: EQ}, false},
+		{"same model", base, base, true, false},
+		{"objective only", base, phase1Model{coef: 2, rhs: 2, sense: LE, objShift: 1.25}, true, false},
+		{"negated objective", base, phase1Model{coef: 2, rhs: 2, sense: LE, negate: true}, true, false},
+		{"coefficient of a pivoted row", base, phase1Model{coef: 3, rhs: 2, sense: LE}, false, false},
+		{"rhs of a pivoted row", base, phase1Model{coef: 2, rhs: 3, sense: LE}, false, false},
+		{"rhs sign of zero", base, phase1Model{coef: 2, rhs: math.Copysign(0, -1), sense: GE}, false, false},
+		{"variable count", base, phase1Model{coef: 2, rhs: 2, sense: LE, spare: true}, false, false},
+		{"sense", base, phase1Model{coef: 2, rhs: 2, sense: EQ}, false, false},
+		{"passenger coefficient", far, phase1Model{coef: 0.75, rhs: 50, sense: LE}, true, true},
+		{"passenger rhs", far, phase1Model{coef: 0.5, rhs: 60, sense: LE, objShift: 0.5}, true, true},
+		{"passenger binding in phase 2", far, phase1Model{coef: 0.5, rhs: 0.75, sense: LE, negate: true}, true, true},
+		{"passenger wins a ratio test", far, phase1Model{coef: 0.5, rhs: 0, sense: LE}, false, false},
+		{"passenger rhs turns negative", far, phase1Model{coef: -0.5, rhs: -0.25, sense: LE}, false, false},
+		{"GE rhs", ge, phase1Model{coef: 0.5, rhs: 0.25, sense: GE}, false, false},
+		{"EQ rhs", eq, phase1Model{coef: 0.5, rhs: 0.5, sense: EQ}, false, false},
 	}
 	branched := 0
 	for _, size := range [][2]int{{2, 3}, {4, 4}, {6, 5}} {
 		nodes, units := size[0], size[1]
-		prev, _ := checkSolveFrom(t, "record", base.build(nodes, units), nil)
-		if prev == nil {
-			t.Fatalf("%dx%d: a feasible root returned no snapshot", nodes, units)
+		snaps := map[phase1Model]*Phase1{}
+		for _, from := range []phase1Model{base, far, ge, eq} {
+			prev, _ := checkSolveFrom(t, "record", from.build(nodes, units), nil)
+			if prev == nil {
+				t.Fatalf("%dx%d: a feasible root returned no snapshot", nodes, units)
+			}
+			snaps[from] = prev
 		}
-		if again, _ := checkSolveFrom(t, "from nil", base.build(nodes, units), nil); again == prev {
+		if again, _ := checkSolveFrom(t, "from nil", base.build(nodes, units), nil); again == snaps[base] {
 			t.Errorf("%dx%d: SolveFrom(nil) returned an earlier snapshot", nodes, units)
+		}
+		extra := len(base.build(nodes, units).cons) - 1
+		if p := snaps[base]; p.passable != nil && p.passable.has(extra) {
+			t.Fatalf("%dx%d: phase 1 never pivoted on the base model's extra row", nodes, units)
+		}
+		if p := snaps[far]; p.passable == nil || !p.passable.has(extra) {
+			t.Fatalf("%dx%d: the far model's extra row is no passenger", nodes, units)
 		}
 		for _, v := range variants {
 			label := fmt.Sprintf("%dx%d %s", nodes, units, v.name)
+			prev := snaps[v.from]
 			m := v.p.build(nodes, units)
-			snap, err := checkSolveFrom(t, label, m, prev)
+			got, snap, err := m.solveFrom(2000, prev)
+			want, werr := m.solve(2000, solveLP)
+			if d := SameSolve(got, err, want, werr); d != "" {
+				t.Fatalf("%s: SolveFrom vs Solve: %s\n%s", label, d, m)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if hit := snap == prev; hit != v.hit {
-				t.Errorf("%s: reused the snapshot = %v, want %v", label, hit, v.hit)
+			if hit := snap == prev; hit != v.hit || got.Replayed != v.replayed {
+				t.Errorf("%s: reused the snapshot = %v, replayed = %v; want %v, %v", label, hit, got.Replayed, v.hit, v.replayed)
 			}
-			if s, _ := m.Solve(); s.Nodes > 1 {
+			if want.Nodes > 1 {
 				branched++
 			}
 		}
@@ -161,5 +191,55 @@ func FuzzSolveFromMatchesSolve(f *testing.F) {
 			changed[int(at)%len(changed)] ^= 0x5a
 			checkSolveFrom(t, "one byte changed", modelFromBytes(changed), prev)
 		}
+	})
+}
+
+// rescaled returns a copy of m whose every LE row with a non-negative rhs
+// has each coefficient and its rhs multiplied by a factor from s, one of
+// 1/4, 2/4, …, 16/4: rows that stay passengers of m's phase 1 where phase 1
+// never pivoted on them.
+func rescaled(m *Model, s *byteSource) *Model {
+	out := NewModel()
+	for v := range m.names {
+		out.SetObjectiveTerm(out.Binary(m.names[v]), m.obj[v])
+	}
+	factor := func() float64 { return float64(1+s.next()%16) / 4 }
+	var terms []Term
+	for _, c := range m.cons {
+		terms = append(terms[:0], c.terms...)
+		rhs := c.rhs
+		if c.sense == LE && rhs >= 0 {
+			for k := range terms {
+				terms[k].Coef *= factor()
+			}
+			rhs *= factor()
+		}
+		out.AddConstraint(c.name, terms, c.sense, rhs)
+	}
+	return out
+}
+
+// FuzzSolveFromReplay holds SolveFrom to Solve on random binary models
+// (modelFromBytes) started from the snapshot of the model the input
+// builds, with every LE row of a non-negative rhs rescaled by factors drawn
+// from the input reversed. The snapshot is reused by replaying its pivot
+// log where those rows are passengers and the replayed ratio tests pick
+// the logged rows, and is missed otherwise; either way the solve must be
+// Solve's, bit for bit.
+func FuzzSolveFromReplay(f *testing.F) {
+	f.Add([]byte{3, 2, 7, 4, 1, 9, 200, 3, 90, 160, 250, 120})
+	f.Add([]byte{7, 0, 70, 1, 80, 2, 3, 90, 4, 100, 5, 230, 6, 2, 1, 0, 66, 77, 88, 99, 111, 222})
+	f.Add([]byte{5, 4, 9, 4, 7, 4, 3, 0, 0, 1, 250, 2, 100, 130, 140, 0, 1, 2, 3, 4, 5})
+	f.Add([]byte("$002000000000\xff00AA010000\xffx00A00ax000AA00"))
+	// Rescaling its LE row c0 replays a log of three pivots.
+	f.Add([]byte("\x7b\xc9\x0e\x9d\xff\x64\x96\xf1\xc9\xc8\x89\xee\xc8\xc7\x95\x4f"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := modelFromBytes(data)
+		prev, _ := checkSolveFrom(t, "record", m, nil)
+		rev := &byteSource{}
+		for i := len(data) - 1; i >= 0; i-- {
+			rev.b = append(rev.b, data[i])
+		}
+		checkSolveFrom(t, "rescaled", rescaled(m, rev), prev)
 	})
 }

@@ -22,32 +22,36 @@ import (
 // The tableau's storage comes from tableauPool and goes back to it when the
 // solve returns; only the returned values are allocated per call.
 func solveLP(m *Model, obj, lo, hi []float64) ([]float64, float64, Status) {
-	vals, objv, status, _ := solveLPFrom(m, obj, lo, hi, nil, false)
+	vals, objv, status, _, _ := solveLPFrom(m, obj, lo, hi, nil, false)
 	return vals, objv, status
 }
 
 // solveLPFrom is solveLP starting from prev: when prev was taken from an LP
-// with the same rows and bounds as this one, bit for bit, the tableau is
-// loaded from it and phase 1 is skipped. Phase 1 never reads the objective,
-// so the tableau phase 2 starts from, and everything after, is the one a
-// cold solve reaches. A snapshot holds no bounds, so prev may be given only
-// for a root LP, whose bounds are 0 ≤ x ≤ 1. With record set it also
-// returns the LP's tableau after phase 1: prev itself on a hit, a new
-// snapshot otherwise, and nil when the LP is infeasible.
-func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]float64, float64, Status, *Phase1) {
+// whose rows equal this one's, or differ only in passenger rows (Phase1),
+// the tableau is loaded from it, its passenger rows are replayed, and phase
+// 1 is skipped. Phase 1 never reads the objective, so the tableau phase 2
+// starts from, and everything after, is the one a cold solve reaches. A
+// snapshot holds no bounds, so prev may be given only for a root LP, whose
+// bounds are 0 ≤ x ≤ 1. With record set it also returns the LP's tableau
+// after phase 1: prev itself on a hit, a new snapshot otherwise, and nil
+// when the LP is infeasible; replayed reports a hit that rebuilt at least
+// one passenger row.
+func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) (vals []float64, objv float64, status Status, snap *Phase1, replayed bool) {
 	n := len(m.names)
 	t := tableauPool.Get().(*tableau)
 	defer t.release()
-	var snap *Phase1
-	if prev.matches(m) {
-		prev.load(t)
-		snap = prev
+	if hit, rebuilt := prev.load(t, m, lo); hit {
+		snap, replayed = prev, rebuilt
 	} else {
-		if !t.phase1(m, lo, hi) {
-			return nil, 0, StatusInfeasible, nil
+		t.rec = record
+		t.log.reset()
+		ok := t.phase1(m, lo, hi)
+		t.rec = false
+		if !ok {
+			return nil, 0, StatusInfeasible, nil, false
 		}
 		if record {
-			snap = t.snapshot(m)
+			snap = t.snapshot(m, lo)
 		}
 	}
 	nSlack, mRows := t.nSlack, len(t.rows)
@@ -62,17 +66,16 @@ func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]
 		}
 	}
 	if t.simplex(n+nSlack) == StatusUnbounded {
-		return nil, 0, StatusUnbounded, snap
+		return nil, 0, StatusUnbounded, snap, replayed
 	}
 
 	// Extract solution (shift lower bounds back in).
-	vals := make([]float64, n)
+	vals = make([]float64, n)
 	for i := 0; i < mRows; i++ {
 		if t.basis[i] < n {
 			vals[t.basis[i]] = t.rhs[i]
 		}
 	}
-	objv := 0.0
 	for i := 0; i < n; i++ {
 		vals[i] += lo[i]
 		if vals[i] < lo[i] {
@@ -80,7 +83,7 @@ func solveLPFrom(m *Model, obj, lo, hi []float64, prev *Phase1, record bool) ([]
 		}
 		objv += obj[i] * vals[i]
 	}
-	return vals, objv, StatusOptimal, snap
+	return vals, objv, StatusOptimal, snap, replayed
 }
 
 // phase1 builds the tableau of m's LP relaxation under the bounds lo/hi
@@ -93,12 +96,8 @@ func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
 	// column layout before any row is written.
 	nCons := len(m.cons)
 	rhs := slices.Grow(t.rhs[:0], nCons+n)[:nCons]
-	for ci, c := range m.cons {
-		r := c.rhs
-		for _, t := range c.terms {
-			r -= t.Coef * lo[t.Var]
-		}
-		rhs[ci] = r
+	for ci := range m.cons {
+		rhs[ci] = m.cons[ci].shiftedRHS(lo)
 	}
 	for k := 0; k < n; k++ {
 		rhs = append(rhs, hi[k]-lo[k])
@@ -218,10 +217,23 @@ func (t *tableau) phase1(m *Model, lo, hi []float64) bool {
 			}
 			if pc != -1 {
 				t.pivot(i, pc)
+				if t.rec {
+					t.log.record(t, i, pc, true)
+				}
 			}
 		}
 	}
 	return true
+}
+
+// shiftedRHS returns c's right-hand side less its terms at the lower bounds
+// lo, the rhs phase 1 builds c's row with.
+func (c *constraint) shiftedRHS(lo []float64) float64 {
+	r := c.rhs
+	for _, t := range c.terms {
+		r -= t.Coef * lo[t.Var]
+	}
+	return r
 }
 
 // tableau is the simplex tableau: one row per constraint, model rows first,
@@ -251,6 +263,13 @@ type tableau struct {
 	// outgrow their share (carve).
 	slab  []entry
 	spill []entry
+
+	// rec is set while phase 1 of a root that will be snapshot runs; its
+	// pivots and ratio tests then go to log. pass lists the passenger rows
+	// of a replay (Phase1.load).
+	rec  bool
+	log  pivotLog
+	pass []int
 }
 
 // tableauPool recycles tableaux across solves. Branch and bound solves one
@@ -351,7 +370,7 @@ func (t *tableau) pivot(pr, pc int) {
 	for i := range t.rows {
 		if i != pr && t.has(i, pc) {
 			if f := t.at(i, pc); f != 0 {
-				t.eliminate(i, f, pr)
+				t.eliminate(i, f, p, t.rhs[pr])
 			}
 		}
 	}
@@ -364,13 +383,14 @@ func (t *tableau) pivot(pr, pc int) {
 	t.basis[pr] = pc
 }
 
-// eliminate subtracts f times the normalized pivot row pr from row i.
-// Where the pivot row has no entry the dense update subtracts f·0, an
-// exact zero, so only its columns are computed — unless f is infinite or
-// NaN, when every column is. Entries that cancel to zero are dropped; the
-// dense tableau would keep them as ±0.
-func (t *tableau) eliminate(i int, f float64, pr int) {
-	r, p, cols := t.rows[i], t.rows[pr], t.colsOf(i)
+// eliminate subtracts f times the normalized pivot row, entries p and rhs
+// prhs, from row i; t.prow holds p over all columns. Where the pivot row
+// has no entry the dense update subtracts f·0, an exact zero, so only its
+// columns are computed — unless f is infinite or NaN, when every column
+// is. Entries that cancel to zero are dropped; the dense tableau would keep
+// them as ±0.
+func (t *tableau) eliminate(i int, f float64, p []entry, prhs float64) {
+	r, cols := t.rows[i], t.colsOf(i)
 	if finite(f) {
 		for k := range r {
 			if pv := t.prow[r[k].j]; pv != 0 {
@@ -412,12 +432,14 @@ func (t *tableau) eliminate(i int, f float64, pr int) {
 		}
 	}
 	t.rows[i] = kept
-	t.rhs[i] -= f * t.rhs[pr]
+	t.rhs[i] -= f * prhs
 }
 
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // simplex pivots until optimality; only columns below limit may enter.
+// While the tableau records, each ratio test's candidates and each pivot go
+// to its log.
 func (t *tableau) simplex(limit int) Status {
 	for iter := 0; iter < 100000; iter++ {
 		// Bland: entering = smallest index with negative reduced cost.
@@ -431,26 +453,50 @@ func (t *tableau) simplex(limit int) Status {
 		if pc == -1 {
 			return StatusOptimal
 		}
-		// Ratio test, Bland tie-break on basis index.
-		pr := -1
-		bestRatio := math.Inf(1)
+		sc := newRatioScan()
 		for i := range t.rows {
-			if !t.has(i, pc) {
-				continue
-			}
-			if a := t.at(i, pc); a > feasTol {
-				ratio := t.rhs[i] / a
-				if ratio < bestRatio-feasTol ||
-					(ratio < bestRatio+feasTol && (pr == -1 || t.basis[i] < t.basis[pr])) {
-					bestRatio = ratio
-					pr = i
+			if ratio, ok := t.ratio(i, pc); ok {
+				if t.rec {
+					t.log.cand = append(t.log.cand, candidate{int32(i), int32(t.basis[i]), ratio})
 				}
+				sc.offer(i, ratio, t.basis[i])
 			}
 		}
-		if pr == -1 {
+		if sc.row == -1 {
 			return StatusUnbounded
 		}
-		t.pivot(pr, pc)
+		t.pivot(sc.row, pc)
+		if t.rec {
+			t.log.record(t, sc.row, pc, false)
+		}
 	}
 	return StatusUnbounded // cycling guard tripped; treat as failure
+}
+
+// ratio returns row i's ratio-test ratio for entering column pc, and false
+// when row i is no candidate: its entry in pc is not above feasTol.
+func (t *tableau) ratio(i, pc int) (float64, bool) {
+	if t.has(i, pc) {
+		if a := t.at(i, pc); a > feasTol {
+			return t.rhs[i] / a, true
+		}
+	}
+	return 0, false
+}
+
+// ratioScan is a ratio test in progress: the row chosen so far, its ratio
+// and its basic column. Candidates are offered in row order.
+type ratioScan struct {
+	row, basis int
+	best       float64
+}
+
+func newRatioScan() ratioScan { return ratioScan{row: -1, best: math.Inf(1)} }
+
+// offer applies Bland's rule under tolerance: a ratio clearly below the
+// best wins, and one within feasTol of it wins on a lower basic column.
+func (s *ratioScan) offer(row int, ratio float64, basis int) {
+	if ratio < s.best-feasTol || (ratio < s.best+feasTol && (s.row == -1 || basis < s.basis)) {
+		s.row, s.best, s.basis = row, ratio, basis
+	}
 }

@@ -150,24 +150,26 @@ func (e *ErrInfeasible) Error() string { return "mapper: infeasible: " + e.Reaso
 
 // Map solves the §3.4 ILP for graph g on nic under the workload and hints.
 func Map(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
-	m, _, err := mapFrom(g, nic, wl, h, nil, false)
+	m, _, _, err := mapFrom(g, nic, wl, h, nil, false)
 	return m, err
 }
 
 // MapFrom is Map that also returns the ILP root's tableau after simplex
 // phase 1 (ilp.Model.SolveFrom), and starts from prev when the ILP's rows
-// and bounds equal those prev was taken from, bit for bit. The workload
-// prices the objective, so many workloads share one phase 1; the mapping
-// is exactly Map's either way.
-func MapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1) (*Mapping, *ilp.Phase1, error) {
+// equal those prev was taken from, bit for bit, or differ only in
+// passenger rows such as the workload-priced Θ and flow-cache rows. The
+// workload prices the objective, so many workloads share one phase 1; the
+// mapping is exactly Map's either way. replayed reports a start from prev
+// that rebuilt passenger rows (ilp.Solution.Replayed).
+func MapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1) (m *Mapping, snap *ilp.Phase1, replayed bool, err error) {
 	return mapFrom(g, nic, wl, h, prev, true)
 }
 
 // mapFrom is Map, and MapFrom when record is set.
-func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1, record bool) (*Mapping, *ilp.Phase1, error) {
+func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1, record bool) (*Mapping, *ilp.Phase1, bool, error) {
 	enc, err := newEncoding(g, nic, wl, h)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	var sol *ilp.Solution
 	var snap *ilp.Phase1
@@ -177,12 +179,12 @@ func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase
 		sol, err = enc.model.Solve()
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("mapper: %w", err)
+		return nil, nil, false, fmt.Errorf("mapper: %w", err)
 	}
 	if sol.Status != ilp.StatusOptimal {
-		return nil, snap, &ErrInfeasible{Reason: fmt.Sprintf("ILP is %s (capacity or pipeline-order conflict)", sol.Status)}
+		return nil, snap, sol.Replayed, &ErrInfeasible{Reason: fmt.Sprintf("ILP is %s (capacity or pipeline-order conflict)", sol.Status)}
 	}
-	return enc.decode(sol), snap, nil
+	return enc.decode(sol), snap, sol.Replayed, nil
 }
 
 // Encode returns the §3.4 ILP that Map solves for g on nic, unsolved.

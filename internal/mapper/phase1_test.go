@@ -63,12 +63,13 @@ func pipelineCases(t testing.TB, p *predict.Pipeline) ([]pipelineCase, []string)
 
 // TestPipelineMapMatchesColdMap maps every corpus NF × target × hint
 // variant under the 8 corpusWorkloads through one Pipeline per NF, forward
-// and then backward, so most solves start from the previous workload's
-// phase 1 and every hint change replaces a slot. Each Mapping must be bit
-// for bit the cold mapper.Map of the same inputs.
+// and then backward, so most solves start from an earlier workload's phase
+// 1, some of them replaying its log on changed Θ or flow-cache rows, and
+// every hint change replaces a slot. Each Mapping must be bit for bit the
+// cold mapper.Map of the same inputs.
 func TestPipelineMapMatchesColdMap(t *testing.T) {
 	all := nf.All()
-	var hits, misses int64
+	var hits, misses, replays int64
 	for _, name := range nf.Names() {
 		p, err := predict.NewPipeline(all[name].MustCompile())
 		if err != nil {
@@ -93,10 +94,11 @@ func TestPipelineMapMatchesColdMap(t *testing.T) {
 		}
 		hits += m.Counter("clara_map_phase1_hits_total").Value()
 		misses += m.Counter("clara_map_phase1_misses_total").Value()
+		replays += m.Counter("clara_map_phase1_replays_total").Value()
 	}
-	t.Logf("phase-1 hits %d, misses %d", hits, misses)
-	if hits == 0 || misses == 0 {
-		t.Errorf("hits %d, misses %d: the corpus no longer covers both paths", hits, misses)
+	t.Logf("phase-1 hits %d (replays %d), misses %d", hits, replays, misses)
+	if hits == 0 || misses == 0 || replays == 0 {
+		t.Errorf("hits %d, replays %d, misses %d: the corpus no longer covers every path", hits, replays, misses)
 	}
 }
 

@@ -48,9 +48,9 @@ type Pipeline struct {
 	// phase 1 of the latest map on a target of that name
 	// (mapper.MapFrom). A name is admitted by its first map, which records
 	// nothing, so a one-off analysis holds no snapshot; from the second map
-	// on, each map starts from the slot and leaves its own snapshot there.
-	// Snapshots are immutable and checked bit for bit against the ILP, so
-	// a stale slot only misses.
+	// on, each map starts from the slot and leaves its own snapshot there
+	// on a miss. Snapshots are immutable and checked against the ILP row by
+	// row, so a stale slot only misses.
 	p1Mu   sync.Mutex
 	phase1 map[string]*ilp.Phase1
 
@@ -140,16 +140,17 @@ func (p *Pipeline) Annotated(ctx context.Context, wl mapper.Workload) (*cir.Grap
 
 // Map lowers the program onto nic for the workload (§3.4) by solving the
 // ILP over the workload-annotated graph. From the second map on a target
-// name, the solve starts from the previous map's phase 1 when the ILP's
-// rows and bounds are unchanged; the mapping is the same either way.
+// name, the solve starts from the slot's phase 1 when the ILP's rows are
+// unchanged or differ only in passenger rows (ilp.Phase1); the mapping is
+// the same either way.
 func (p *Pipeline) Map(ctx context.Context, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*mapper.Mapping, error) {
 	return p.mapWith(ctx, wl, func(g *cir.Graph) (*mapper.Mapping, error) {
 		prev, admitted := p.phase1Slot(nic.Name)
 		if !admitted {
 			return mapper.Map(g, nic, wl, h)
 		}
-		m, snap, err := mapper.MapFrom(g, nic, wl, h, prev)
-		p.keepPhase1(ctx, nic.Name, prev, snap)
+		m, snap, replayed, err := mapper.MapFrom(g, nic, wl, h, prev)
+		p.keepPhase1(ctx, nic.Name, prev, snap, replayed)
 		return m, err
 	})
 }
@@ -173,11 +174,15 @@ func (p *Pipeline) phase1Slot(name string) (*ilp.Phase1, bool) {
 }
 
 // keepPhase1 counts whether a map that started from prev reused it, and
-// keeps snap, when new, as target name's snapshot.
-func (p *Pipeline) keepPhase1(ctx context.Context, name string, prev, snap *ilp.Phase1) {
+// whether the reuse replayed passenger rows, and keeps snap, when new, as
+// target name's snapshot.
+func (p *Pipeline) keepPhase1(ctx context.Context, name string, prev, snap *ilp.Phase1, replayed bool) {
 	if prev != nil {
 		if snap == prev {
 			obs.From(ctx).Counter("clara_map_phase1_hits_total").Inc()
+			if replayed {
+				obs.From(ctx).Counter("clara_map_phase1_replays_total").Inc()
+			}
 			return
 		}
 		obs.From(ctx).Counter("clara_map_phase1_misses_total").Inc()

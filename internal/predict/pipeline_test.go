@@ -7,15 +7,19 @@ import (
 	"clara/internal/lnic"
 	"clara/internal/mapper"
 	"clara/internal/nf"
+	"clara/internal/obs"
 	"clara/internal/workload"
 )
 
 // TestPipelinePhase1Admission: a Pipeline holds no phase-1 snapshot for a
-// target name until that name's second map, then one per name; a modified
-// target of the same name replaces it; and the slots stay bounded when
-// co-location's slices bring a name per weight.
+// target name until that name's second map, then one per name; a target of
+// the same name whose memory capacities alone are halved changes only
+// passenger rows and replays the snapshot, while one whose pipeline stages
+// change replaces it; and the slots stay bounded when co-location's slices
+// bring a name per weight.
 func TestPipelinePhase1Admission(t *testing.T) {
-	ctx := context.Background()
+	m := obs.New()
+	ctx := obs.With(context.Background(), m)
 	p, err := NewPipeline(nf.Firewall(65536).MustCompile())
 	if err != nil {
 		t.Fatal(err)
@@ -51,13 +55,26 @@ func TestPipelinePhase1Admission(t *testing.T) {
 	if p.phase1[nic.Name] != first {
 		t.Error("a repeated map replaced the snapshot it reused")
 	}
-	mod := lnic.Netronome()
-	for i := range mod.Mems {
-		mod.Mems[i].Bytes /= 2 // halves every capacity row's rhs
+	halved := lnic.Netronome()
+	for i := range halved.Mems {
+		halved.Mems[i].Bytes /= 2 // halves every capacity row's rhs
 	}
-	mapOn(mod)
+	mapOn(halved)
+	if n, s := held(), p.phase1[nic.Name]; n != 1 || s != first {
+		t.Errorf("after a map on %s with halved capacities: %d snapshots held, replaced %v; want 1, kept", nic.Name, n, s != first)
+	}
+	if r := m.Counter("clara_map_phase1_replays_total").Value(); r != 1 {
+		t.Errorf("halved capacities replayed the snapshot %d times, want 1", r)
+	}
+	staged := lnic.Netronome()
+	for i := range staged.Units {
+		if staged.Units[i].Kind == lnic.UnitEgress {
+			staged.Units[i].Stage++ // changes the Π ordering rows
+		}
+	}
+	mapOn(staged)
 	if n, s := held(), p.phase1[nic.Name]; n != 1 || s == first {
-		t.Errorf("after a map on a modified %s: %d snapshots held, replaced %v; want 1, replaced", nic.Name, n, s != first)
+		t.Errorf("after a map on %s with a later egress stage: %d snapshots held, replaced %v; want 1, replaced", nic.Name, n, s != first)
 	}
 
 	for i := 1; i <= 2*phase1CacheCap; i++ {

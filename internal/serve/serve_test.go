@@ -505,20 +505,46 @@ func TestMetricsCountPhase1Reuse(t *testing.T) {
 			t.Fatalf("advise tcp=%s: %d %s", tcp, resp.StatusCode, body)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	if hits := metricValue(t, ts.URL, "clara_map_phase1_hits_total"); hits < 1 {
+		t.Errorf("clara_map_phase1_hits_total = %d, want at least 1", hits)
+	}
+}
+
+// metricValue reads the unlabelled metric name from the server's /metrics.
+func metricValue(t *testing.T, url, name string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var hits int
+	var v int
 	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "clara_map_phase1_hits_total "); ok {
-			fmt.Sscan(v, &hits)
+		if s, ok := strings.CutPrefix(line, name+" "); ok {
+			fmt.Sscan(s, &v)
 		}
 	}
-	if hits < 1 {
-		t.Errorf("clara_map_phase1_hits_total = %d, want at least 1\n%s", hits, body)
+	return v
+}
+
+// TestMetricsCountPhase1Replay advises one library NF under three
+// workloads that differ only in their flow count, which prices the
+// mapping ILP's flow-cache row, a passenger of its phase 1 (the library
+// firewall has no accelerator node, so its ILP has no rate-priced Θ row):
+// the first advise admits each target, the second records its phase 1, and
+// the third starts from it by replaying its pivot log on the changed row,
+// which /metrics must show.
+func TestMetricsCountPhase1Replay(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, flows := range []string{"1000", "2000", "4000"} {
+		resp, body := post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: "flows=" + flows + ",rate=60000,size=300"})
+		if resp.StatusCode != 200 {
+			t.Fatalf("advise flows=%s: %d %s", flows, resp.StatusCode, body)
+		}
+	}
+	if replays := metricValue(t, ts.URL, "clara_map_phase1_replays_total"); replays < 1 {
+		t.Errorf("clara_map_phase1_replays_total = %d, want at least 1", replays)
 	}
 }
 
