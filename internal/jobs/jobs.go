@@ -1,7 +1,9 @@
-// Package jobs is the resilience layer under clara-serve: a bounded async
-// job engine with per-tenant weighted-fair scheduling, transient-failure
-// retries with deterministic backoff jitter, circuit breaking, adaptive
-// load shedding, and a seeded chaos middleware for fault-injection tests.
+// Package jobs is the resilience layer under clara-serve: a bounded engine
+// that admits and runs every computation, async jobs (Submit) and
+// synchronous calls (Do) alike, with per-tenant weighted-fair scheduling,
+// transient-failure retries with deterministic backoff jitter, circuit
+// breaking, adaptive load shedding, and a seeded chaos middleware for
+// fault-injection tests.
 //
 // The engine's contract is that every accepted job reaches exactly one
 // terminal state — done, failed, canceled, or expired — no matter what the
@@ -50,6 +52,14 @@ var (
 	ErrDraining  = errors.New("jobs: engine draining")
 )
 
+// ShedError is the third "not accepted" answer, with the shedder's hint.
+type ShedError struct {
+	Reason     string
+	RetryAfter time.Duration
+}
+
+func (e *ShedError) Error() string { return "shedding load (" + e.Reason + ")" }
+
 // Compute is the unit of deferred work. It must honor ctx cancellation;
 // panics are recovered at the engine's guard boundary and treated as
 // transient failures.
@@ -73,8 +83,9 @@ type Snapshot struct {
 type Config struct {
 	// Workers is the worker-pool size (default 2).
 	Workers int
-	// QueueDepth bounds jobs admitted but not yet terminal; submissions
-	// beyond it fail with ErrQueueFull (default 256).
+	// QueueDepth bounds computations admitted but not yet terminal, jobs
+	// and Do calls alike; admissions beyond it fail with ErrQueueFull
+	// (default 256).
 	QueueDepth int
 	// MaxAttempts bounds executions per job, first try included (default 3).
 	MaxAttempts int
@@ -96,6 +107,8 @@ type Config struct {
 	// Chaos, when non-nil, returns the current fault-injection middleware;
 	// consulted per attempt so tests can switch chaos off mid-run.
 	Chaos func() *Chaos
+	// Shed, when non-nil, refuses admissions before the queue saturates.
+	Shed *Shedder
 	// Metrics receives engine counters and gauges; nil is fine.
 	Metrics *obs.Metrics
 	// Now is the clock (tests inject a fake; default time.Now).
@@ -121,6 +134,11 @@ type job struct {
 	// canceled marks a running job whose cancellation was requested; the
 	// attempt outcome is overridden to canceled when it settles.
 	canceled bool
+	// done, non-nil for a computation run through Do, closes when it
+	// settles. Its id is only its kind, a label for errors; key names it to
+	// the chaos middleware.
+	done chan struct{}
+	key  string
 }
 
 // Engine runs submitted computations on a bounded worker pool with
@@ -188,35 +206,60 @@ func NewEngine(parent context.Context, cfg Config) *Engine {
 }
 
 // Submit accepts a computation and returns its job ID, or ErrQueueFull /
-// ErrDraining when it cannot be accepted. IDs are sequential, so a fixed
-// submission order yields a fixed ID assignment — the anchor for the chaos
-// harness's determinism checks.
+// ErrDraining / *ShedError when it cannot be accepted. IDs are sequential,
+// so a fixed submission order yields a fixed ID assignment — the anchor for
+// the chaos harness's determinism checks.
 func (e *Engine) Submit(kind, tenant string, fn Compute) (string, error) {
+	j := &job{kind: kind, tenant: tenant, fn: fn}
+	if err := e.admit(j); err != nil {
+		return "", err
+	}
+	return j.id, nil
+}
+
+// Do runs fn as a synchronous computation and waits for its outcome. It is
+// admitted and queued (under the "" tenant) exactly as Submit's jobs are,
+// but consumes no job ID, is never listed, and makes one attempt, which
+// the chaos middleware sees as key's attempt 0.
+func (e *Engine) Do(kind, key string, fn Compute) ([]byte, error) {
+	j := &job{id: kind, kind: kind, key: key, fn: fn, done: make(chan struct{})}
+	if err := e.admit(j); err != nil {
+		return nil, err
+	}
+	<-j.done
+	return j.result, j.err
+}
+
+// admit is the engine's one admission path, for Submit and Do alike: shed
+// check, drain check, QueueDepth bound, then the weighted-fair queue.
+func (e *Engine) admit(j *job) error {
+	// The shedder reads Depth, which takes e.mu, so it runs before the lock.
+	if shed, reason, retry := e.cfg.Shed.Check(); shed {
+		e.cfg.Metrics.Counter("clara_jobs_shed_total", "reason", reason).Inc()
+		return &ShedError{Reason: reason, RetryAfter: retry}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
-		return "", ErrDraining
+		return ErrDraining
 	}
 	if e.pending >= e.cfg.QueueDepth {
-		return "", ErrQueueFull
+		return ErrQueueFull
 	}
-	e.seq++
-	j := &job{
-		id:      fmt.Sprintf("j-%06d", e.seq),
-		kind:    kind,
-		tenant:  tenant,
-		fn:      fn,
-		state:   StateQueued,
-		created: e.cfg.Now(),
+	j.state = StateQueued
+	j.created = e.cfg.Now()
+	if j.done == nil {
+		e.seq++
+		j.id = fmt.Sprintf("j-%06d", e.seq)
+		e.jobs[j.id] = j
+		e.order = append(e.order, j.id)
+		e.cfg.Metrics.Counter("clara_jobs_submitted_total", "kind", j.kind).Inc()
 	}
-	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
 	e.pending++
 	e.sched.push(j)
-	e.cfg.Metrics.Counter("clara_jobs_submitted_total", "kind", kind).Inc()
 	e.cfg.Metrics.Gauge("clara_jobs_queue_depth").Set(int64(e.sched.len()))
 	e.cond.Signal()
-	return j.id, nil
+	return nil
 }
 
 // Get returns the snapshot for id. Terminal jobs age out TTL after
@@ -276,8 +319,8 @@ func (e *Engine) Cancel(id string) bool {
 	return true
 }
 
-// Depth reports the number of jobs queued for dispatch (excluding running
-// and retry-waiting jobs); it drives the shedder's queue signal.
+// Depth reports the number of computations queued for dispatch (excluding
+// running and retry-waiting ones); it drives the shedder's queue signal.
 func (e *Engine) Depth() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -291,11 +334,6 @@ func (e *Engine) Running() int {
 	return e.running
 }
 
-// Done exposes the engine base context's done channel; it closes when the
-// engine is hard-stopped (parent canceled or drain deadline hit). Tests
-// gate in-flight computations on it.
-func (e *Engine) Done() <-chan struct{} { return e.base.Done() }
-
 // Drain stops admission, cancels everything not yet running, and waits for
 // in-flight attempts to settle. Every accepted job is terminal when Drain
 // returns. If ctx expires first, remaining attempts are hard-canceled via
@@ -305,13 +343,11 @@ func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if !e.draining {
 		e.draining = true
+		for j := e.sched.next(); j != nil; j = e.sched.next() {
+			e.finalizeLocked(j, StateCanceled, ErrDraining)
+		}
 		for _, id := range e.order {
-			j := e.jobs[id]
-			switch j.state {
-			case StateQueued:
-				e.sched.remove(j)
-				e.finalizeLocked(j, StateCanceled, ErrDraining)
-			case StateRetrying:
+			if j := e.jobs[id]; j.state == StateRetrying {
 				if j.retry != nil {
 					j.retry.Stop()
 					j.retry = nil
@@ -373,7 +409,8 @@ func (e *Engine) worker() {
 	}
 }
 
-// attempt executes one guarded, chaos-wrapped run of the job function.
+// attempt executes one guarded, chaos-wrapped run of the job function. It
+// is the engine's one chaos and panic boundary, for jobs and Do alike.
 func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (result []byte, err error) {
 	start := time.Now()
 	defer func() {
@@ -383,8 +420,12 @@ func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (result []byt
 	if e.cfg.Chaos != nil {
 		ch = e.cfg.Chaos()
 	}
+	key := j.id
+	if j.done != nil {
+		key, attempt = j.key, 0
+	}
 	return budget.Guard1("job", j.id, func() ([]byte, error) {
-		return ch.Do(j.id, attempt, func() ([]byte, error) { return j.fn(ctx) })
+		return ch.Do(key, attempt, func() ([]byte, error) { return j.fn(ctx) })
 	})
 }
 
@@ -411,7 +452,7 @@ func (e *Engine) settle(j *job, attempt int, result []byte, err error) {
 		} else {
 			e.finalizeLocked(j, StateFailed, err)
 		}
-	case e.cfg.Transient(err) && attempt < e.cfg.MaxAttempts:
+	case j.done == nil && e.cfg.Transient(err) && attempt < e.cfg.MaxAttempts:
 		j.state = StateRetrying
 		j.err = err
 		e.cfg.Metrics.Counter("clara_jobs_retries_total").Inc()
@@ -461,8 +502,8 @@ func (e *Engine) backoffFor(id string, attempt int) time.Duration {
 	return d/2 + time.Duration(r.float()*float64(d/2))
 }
 
-// finalizeLocked moves a job to a terminal state exactly once. Caller
-// holds e.mu.
+// finalizeLocked moves a job to a terminal state exactly once, and wakes
+// the caller of Do. Caller holds e.mu.
 func (e *Engine) finalizeLocked(j *job, s State, err error) {
 	if j.state.Terminal() {
 		return
@@ -471,6 +512,10 @@ func (e *Engine) finalizeLocked(j *job, s State, err error) {
 	j.err = err
 	j.finished = e.cfg.Now()
 	e.pending--
+	if j.done != nil {
+		close(j.done)
+		return
+	}
 	e.cfg.Metrics.Counter("clara_jobs_completed_total", "state", string(s)).Inc()
 }
 

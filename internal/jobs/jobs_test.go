@@ -202,7 +202,16 @@ func TestEngineQueueFull(t *testing.T) {
 }
 
 func TestEngineTTLExpiresStaleQueuedJob(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, TTL: 5 * time.Millisecond})
+	// A fake clock that only the test moves: the stale job ages past the TTL
+	// in one step, and nothing finished after that step can age out.
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	e := newTestEngine(t, Config{Workers: 1, TTL: time.Minute, Now: clock})
 	gate := make(chan struct{})
 	blocker, _ := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
 		<-gate
@@ -215,12 +224,61 @@ func TestEngineTTLExpiresStaleQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
 	close(gate)
 	waitTerminal(t, e, blocker)
 	s := waitTerminal(t, e, stale)
 	if s.State != StateExpired || s.Attempts != 0 {
 		t.Fatalf("got state=%s attempts=%d, want expired before any attempt", s.State, s.Attempts)
+	}
+}
+
+// TestEngineDoRunsOnceUnlisted pins the synchronous entry point: a Do call
+// makes exactly one attempt even when that attempt fails transiently,
+// consumes no job ID and never shows in List, and is refused at admission
+// like a job once the queue bound is reached.
+func TestEngineDoRunsOnceUnlisted(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2, MaxAttempts: 3})
+	calls := 0
+	_, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) {
+		calls++
+		return nil, &budget.TransientError{Err: errors.New("flaky")}
+	})
+	var te *budget.TransientError
+	if !errors.As(err, &te) || calls != 1 {
+		t.Fatalf("Do: err=%v after %d attempts, want the transient error after 1", err, calls)
+	}
+	body, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("Do: got (%q, %v), want (ok, nil)", body, err)
+	}
+	if n := len(e.List()); n != 0 {
+		t.Fatalf("List holds %d entries after two Do calls, want 0", n)
+	}
+	gate := make(chan struct{})
+	defer close(gate)
+	id, err := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
+		<-gate
+		return nil, nil
+	})
+	if err != nil || id != "j-000001" {
+		t.Fatalf("first Submit after Do: (%q, %v), want j-000001", id, err)
+	}
+	go e.Do("advise", "queued", func(ctx context.Context) ([]byte, error) { return nil, nil })
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Running() < 1 || e.Depth() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("Do call never queued behind the running job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := e.Do("advise", "over", func(ctx context.Context) ([]byte, error) {
+		t.Error("Do past the queue bound must not run")
+		return nil, nil
+	}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Do past QueueDepth: got %v, want ErrQueueFull", err)
 	}
 }
 

@@ -309,13 +309,19 @@ func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding,
 	}
 
 	// Π ordering: dataflow edges must not run backwards in pipeline stage.
+	// The lower-indexed node's variables go first, so the row arrives in
+	// variable order and AddConstraint has nothing to sort.
 	for _, e := range g.Edges {
-		terms = terms[:0]
-		for k := enc.xOff[e.To]; k < enc.xOff[e.To+1]; k++ {
-			terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: float64(nic.Units[enc.units[k]].Stage)})
+		lo, hi, sign := e.From, e.To, -1.0
+		if lo > hi {
+			lo, hi, sign = hi, lo, 1
 		}
-		for k := enc.xOff[e.From]; k < enc.xOff[e.From+1]; k++ {
-			terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: -float64(nic.Units[enc.units[k]].Stage)})
+		terms = terms[:0]
+		for _, n := range [2]int{lo, hi} {
+			for k := enc.xOff[n]; k < enc.xOff[n+1]; k++ {
+				terms = append(terms, ilp.Term{Var: ilp.VarID(k), Coef: sign * float64(nic.Units[enc.units[k]].Stage)})
+			}
+			sign = -sign
 		}
 		enc.model.AddConstraint("", terms, ilp.GE, 0)
 	}

@@ -39,7 +39,7 @@ func TestOversizedBodyRejectedWith413(t *testing.T) {
 }
 
 func TestJobsAPILifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobWorkers: 2})
+	_, ts := newTestServer(t, Config{MaxInflight: 2})
 
 	// Submit an advise job and poll it to completion over HTTP.
 	v, resp := submitJSON(t, ts.URL, Request{Kind: "advise", NF: "firewall", Workload: testWorkload})
@@ -136,7 +136,7 @@ func TestJobsAPILifecycle(t *testing.T) {
 }
 
 func TestJobsSweepKind(t *testing.T) {
-	s, ts := newTestServer(t, Config{JobWorkers: 2})
+	s, ts := newTestServer(t, Config{MaxInflight: 2})
 	v, resp := submitJSON(t, ts.URL, Request{Kind: "sweep", NF: "firewall", Workload: testWorkload})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
@@ -208,7 +208,7 @@ func TestReadyzReportsOpenBreaker(t *testing.T) {
 			Workload: fmt.Sprintf("flows=%d,rate=60000,size=300", 600+i),
 		})
 	}
-	if got := s.Breaker("predict").State(); got != jobs.BreakerOpen {
+	if got := s.breakers["predict"].State(); got != jobs.BreakerOpen {
 		t.Fatalf("predict breaker %s, want open", got)
 	}
 	code, body := getReady(t, ts.URL)

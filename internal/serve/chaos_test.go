@@ -57,7 +57,7 @@ func waitAllTerminal(t *testing.T, s *Server) []jobs.Snapshot {
 
 func TestChaosJobsAllReachTerminalState(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		JobWorkers:     4,
+		MaxInflight:    4,
 		JobBackoff:     time.Millisecond,
 		JobMaxAttempts: 3,
 		Chaos:          &jobs.Chaos{Fail: 0.2, Panic: 0.05, Delay: 0.1, MaxDelay: 2 * time.Millisecond, Seed: 42},
@@ -113,7 +113,7 @@ func TestChaosOutcomesDeterministic(t *testing.T) {
 	}
 	run := func() []outcome {
 		s, ts := newTestServer(t, Config{
-			JobWorkers:     3,
+			MaxInflight:    3,
 			JobBackoff:     time.Millisecond,
 			JobMaxAttempts: 3,
 			JobSeed:        7,
@@ -163,11 +163,11 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: status %d, want 503 from injected fault", i, resp.StatusCode)
 		}
-		if i < 3 && s.Breaker("advise").State() != jobs.BreakerClosed {
+		if i < 3 && s.breakers["advise"].State() != jobs.BreakerClosed {
 			t.Fatalf("breaker tripped after only %d failures", i+1)
 		}
 	}
-	if got := s.Breaker("advise").State(); got != jobs.BreakerOpen {
+	if got := s.breakers["advise"].State(); got != jobs.BreakerOpen {
 		t.Fatalf("breaker state %s after 4/4 failures, want open", got)
 	}
 	// While open the request is rejected before any computation, with a
@@ -179,7 +179,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("open-breaker rejection %q lacks Retry-After", body)
 	}
-	computed := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "advise").Value()
+	computed := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value()
 	if computed != 0 {
 		t.Fatalf("%d computations ran; injected failures should precede compute", computed)
 	}
@@ -194,11 +194,11 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("probe request: status %d (%s), want 200", resp.StatusCode, body)
 	}
-	if got := s.Breaker("advise").State(); got != jobs.BreakerClosed {
+	if got := s.breakers["advise"].State(); got != jobs.BreakerClosed {
 		t.Fatalf("breaker state %s after successful probe, want closed", got)
 	}
 	for _, to := range []string{"open", "half-open", "closed"} {
-		if n := s.Metrics().Counter("clara_breaker_transitions_total",
+		if n := s.metrics.Counter("clara_breaker_transitions_total",
 			"endpoint", "advise", "to", to).Value(); n < 1 {
 			t.Errorf("no recorded transition to %s", to)
 		}
@@ -207,7 +207,7 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 
 func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	s, err := New(Config{
-		JobWorkers:    1,
+		MaxInflight:   1,
 		JobQueueDepth: 8,
 		ShedQueue:     4,
 	})
@@ -216,7 +216,7 @@ func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	}
 	s.AddNF("firewall", firewallSrc)
 	// Pin the lone worker's computation so submissions pile up behind it.
-	s.testComputeGate = func() { <-s.engine.Done() }
+	s.testComputeGate = func() { <-s.base.Done() }
 	ts := newHTTPServer(t, s)
 	defer shutdownServer(t, s)
 
@@ -258,19 +258,19 @@ func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	if depth := s.engine.Depth(); depth > 4 {
 		t.Fatalf("queue depth %d exceeds the shed bound 4", depth)
 	}
-	if n := s.Metrics().Counter("clara_jobs_shed_total", "reason", "queue").Value(); n != int64(shed) {
+	if n := s.metrics.Counter("clara_jobs_shed_total", "reason", "queue").Value(); n != int64(shed) {
 		t.Fatalf("shed counter %d, want %d", n, shed)
 	}
 }
 
 func TestChaosDrainLeavesAllJobsTerminal(t *testing.T) {
-	s, err := New(Config{JobWorkers: 2})
+	s, err := New(Config{MaxInflight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.AddNF("firewall", firewallSrc)
 	// Pin both workers: their jobs only unblock when drain hard-cancels.
-	s.testComputeGate = func() { <-s.engine.Done() }
+	s.testComputeGate = func() { <-s.base.Done() }
 	ts := newHTTPServer(t, s)
 
 	ids := make([]string, 0, 6)

@@ -19,10 +19,9 @@ import (
 // client that cannot hold a connection open for a long advise or sweep
 // POSTs the same Request body plus a "kind", gets a job ID back
 // immediately (202), and polls GET /v1/jobs/{id} until the job reaches a
-// terminal state. Job attempts run through the exact same compute core as
-// the synchronous endpoints — same caches, same budget clamps, same
-// cancellation plumbing — with retries and weighted-fair scheduling
-// layered on top by internal/jobs.
+// terminal state. Jobs and synchronous misses share one engine and one
+// compute core — same admission, caches, budget clamps and cancellation
+// plumbing — and only jobs are retried.
 
 // jobComputeFn maps a job kind to its compute function; nil for unknown
 // kinds. "sweep" is jobs-only: a predict across every known target.
@@ -103,13 +102,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
-	// Shed before reading the body: under overload the cheapest possible
-	// rejection is the point.
-	if shed, reason, retry := s.shed.Check(); shed {
-		s.metrics.Counter("clara_jobs_shed_total", "reason", reason).Inc()
-		return writeRetryError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("shedding load (%s)", reason), retry)
-	}
 	var req Request
 	if err := decode(w, r, &req); err != nil {
 		return writeError(w, decodeStatus(err), err)
@@ -139,9 +131,9 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
 		return s.computeBody(ctx, kind, key, reqCopy.NF, &reqCopy, s.withNF(hash, source, &reqCopy, compute))
 	})
 	if err != nil {
-		// Queue full or draining: not accepted, try again later (or on
-		// another replica — /readyz is already reporting not-ready).
-		return writeRetryError(w, http.StatusServiceUnavailable, err, time.Second)
+		// Shed, queue full or draining: not accepted, try again later (or
+		// on another replica — /readyz is already reporting not-ready).
+		return writeComputeError(w, err)
 	}
 	snap, _ := s.engine.Get(id)
 	return writeJSON(w, http.StatusAccepted, viewOf(snap))

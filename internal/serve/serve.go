@@ -13,10 +13,10 @@
 //     byte for byte identical;
 //   - singleflight: concurrent identical requests share one computation
 //     instead of racing N copies of it;
-//   - bounded concurrency: at most MaxInflight analyses run at once
-//     (each internally parallel via internal/runner), and every request's
-//     timeout and budget are clamped by operator-configured ceilings
-//     (cliutil.RequestContext), so no client can monopolize the box;
+//   - one admission path: every computation, sync or async, is admitted by
+//     the internal/jobs engine and runs on its MaxInflight workers, and
+//     every request's timeout and budget are clamped by operator-configured
+//     ceilings (cliutil.RequestContext), so no client can monopolize the box;
 //   - graceful shutdown: Shutdown stops admitting work, drains in-flight
 //     analyses, and past the drain deadline aborts them through the same
 //     cancellation plumbing the CLIs use (typed errors, partial results);
@@ -75,9 +75,9 @@ type Config struct {
 	// the windowed engine differ on traces longer than one window, so the
 	// result cache keys them apart.
 	SimShards int
-	// MaxInflight bounds concurrently executing analyses (not connections);
-	// excess computations queue on the semaphore. < 1 selects
-	// 2×GOMAXPROCS.
+	// MaxInflight sizes the job engine's worker pool, which runs every
+	// computation, sync or async; excess computations queue in the engine.
+	// < 1 selects 2×GOMAXPROCS.
 	MaxInflight int
 	// NFCacheSize bounds the compiled-NF LRU (default 128 entries).
 	NFCacheSize int
@@ -88,10 +88,8 @@ type Config struct {
 	// fresh registry (exposed at /metrics either way).
 	Metrics *obs.Metrics
 
-	// JobWorkers is the async job engine's worker-pool size (default 4).
-	JobWorkers int
-	// JobQueueDepth bounds jobs admitted but not yet terminal; POST /v1/jobs
-	// beyond it returns 503 (default 256).
+	// JobQueueDepth bounds computations, sync or async, admitted but not
+	// yet terminal; admissions beyond it answer 503 (default 256).
 	JobQueueDepth int
 	// JobMaxAttempts bounds executions per job, first try included
 	// (default 3).
@@ -106,13 +104,13 @@ type Config struct {
 	// the chaos harness's determinism contract).
 	JobSeed int64
 	// TenantWeights maps the "tenant" request field to a weighted-fair
-	// share of the job workers; absent tenants weigh 1.
+	// share of the workers; absent tenants (and sync requests) weigh 1.
 	TenantWeights map[string]float64
-	// ShedQueue sheds new job submissions once the dispatch queue reaches
-	// this depth — an early-warning bound below the hard JobQueueDepth
-	// (default 3/4 of it; negative disables).
+	// ShedQueue sheds new computations, sync or async, once the dispatch
+	// queue reaches this depth — an early-warning bound below the hard
+	// JobQueueDepth (default 3/4 of it; negative disables).
 	ShedQueue int
-	// ShedP99 sheds new job submissions while the windowed p99 request
+	// ShedP99 sheds new computations while the windowed p99 request
 	// latency exceeds it (0 disables the latency signal).
 	ShedP99 time.Duration
 	// Breaker parameterizes the per-endpoint circuit breakers; the zero
@@ -144,14 +142,12 @@ type Server struct {
 	nfs     *lru[string, *clara.NF]
 	results *lru[string, []byte]
 	flight  flightGroup
-	sem     chan struct{}
 
-	// engine runs deferred work submitted via POST /v1/jobs; breakers trip
-	// per analysis endpoint when computations start failing; shed rejects
-	// job submissions before the queue saturates.
+	// engine admits and runs every computation: synchronous misses through
+	// Do, POST /v1/jobs through Submit. breakers trip per analysis endpoint
+	// when computations start failing.
 	engine   *jobs.Engine
 	breakers map[string]*jobs.Breaker
-	shed     *jobs.Shedder
 
 	library map[string]string // NF name → source
 	mux     *http.ServeMux
@@ -174,7 +170,7 @@ type Server struct {
 	readyErr error
 
 	// testComputeGate, when non-nil, runs at the start of every computation
-	// (after semaphore admission); tests use it to pin work in flight.
+	// (inside an engine attempt); tests use it to pin work in flight.
 	testComputeGate func()
 }
 
@@ -191,9 +187,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ResultCacheSize < 1 {
 		cfg.ResultCacheSize = 1024
-	}
-	if cfg.JobWorkers < 1 {
-		cfg.JobWorkers = 4
 	}
 	if cfg.JobQueueDepth < 1 {
 		cfg.JobQueueDepth = 256
@@ -220,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		baseCancel: cancel,
 		nfs:        newLRU[string, *clara.NF](cfg.NFCacheSize),
 		results:    newLRU[string, []byte](cfg.ResultCacheSize),
-		sem:        make(chan struct{}, cfg.MaxInflight),
 		library:    map[string]string{},
 		drained:    make(chan struct{}),
 		chaos:      cfg.Chaos,
@@ -231,8 +223,15 @@ func New(cfg Config) (*Server, error) {
 	s.results.onEvict = func(string, []byte) {
 		m.Counter("clara_serve_result_cache_evictions_total").Inc()
 	}
+	var shed *jobs.Shedder
+	if cfg.ShedQueue > 0 || cfg.ShedP99 > 0 {
+		shed = jobs.NewShedder(jobs.ShedConfig{
+			MaxDepth: cfg.ShedQueue,
+			P99:      cfg.ShedP99,
+		}, m.Histogram("clara_http_request_nanos", "endpoint", "jobs"), func() int { return s.engine.Depth() })
+	}
 	s.engine = jobs.NewEngine(base, jobs.Config{
-		Workers:     cfg.JobWorkers,
+		Workers:     cfg.MaxInflight,
 		QueueDepth:  cfg.JobQueueDepth,
 		MaxAttempts: cfg.JobMaxAttempts,
 		Backoff:     cfg.JobBackoff,
@@ -241,6 +240,7 @@ func New(cfg Config) (*Server, error) {
 		Weights:     cfg.TenantWeights,
 		Transient:   func(err error) bool { return budget.Transient(err, cfg.MaxBudget) },
 		Chaos:       s.currentChaos,
+		Shed:        shed,
 		Metrics:     m,
 	})
 	s.breakers = map[string]*jobs.Breaker{}
@@ -251,12 +251,6 @@ func New(cfg Config) (*Server, error) {
 			m.Counter("clara_breaker_transitions_total", "endpoint", endpoint, "to", to).Inc()
 		}
 		s.breakers[endpoint] = jobs.NewBreaker(bc)
-	}
-	if cfg.ShedQueue > 0 || cfg.ShedP99 > 0 {
-		s.shed = jobs.NewShedder(jobs.ShedConfig{
-			MaxDepth: cfg.ShedQueue,
-			P99:      cfg.ShedP99,
-		}, m.Histogram("clara_http_request_nanos", "endpoint", "jobs"), s.engine.Depth)
 	}
 	if cfg.NFDir != "" {
 		paths, err := filepath.Glob(filepath.Join(cfg.NFDir, "*.nf"))
@@ -311,20 +305,14 @@ func (s *Server) LibrarySize() int {
 	return len(s.library)
 }
 
-// Metrics returns the registry the server records into.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics }
-
-// Breaker returns the named endpoint's circuit breaker, or nil.
-func (s *Server) Breaker(endpoint string) *jobs.Breaker { return s.breakers[endpoint] }
-
 func (s *Server) currentChaos() *jobs.Chaos {
 	s.chaosMu.Lock()
 	defer s.chaosMu.Unlock()
 	return s.chaos
 }
 
-// Shutdown drains the server: new requests are refused with 503
-// immediately, in-flight analyses run to completion, and if ctx expires
+// Shutdown drains the server: new requests and queued computations get
+// 503 immediately, running ones run to completion, and if ctx expires
 // first they are hard-aborted through the pipeline's cancellation plumbing
 // (each unwinds with a typed CanceledError and its requester gets a 503).
 // Shutdown returns once no request is active; the error is ctx's when the
@@ -336,19 +324,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.drainOne.Do(func() { close(s.drained) })
 	}
 	s.mu.Unlock()
-	// Drain the job engine first: queued and retry-waiting jobs settle as
-	// canceled immediately, in-flight attempts get until the deadline.
+	// The one hard-abort lever: at the deadline the base context, from
+	// which the engine's derives, is canceled.
+	defer context.AfterFunc(ctx, s.baseCancel)()
+	defer s.baseCancel()
 	// Every accepted job is terminal when Drain returns, deadline or not.
-	engineErr := s.engine.Drain(ctx)
-	select {
-	case <-s.drained:
-		s.baseCancel()
-		return engineErr
-	case <-ctx.Done():
-		s.baseCancel()
-		<-s.drained
-		return ctx.Err()
-	}
+	err := s.engine.Drain(ctx)
+	<-s.drained
+	return err
 }
 
 // enter admits one request unless the server is draining; leave is its
@@ -456,9 +439,6 @@ func (s *Server) admit(endpoint string, w http.ResponseWriter, r *http.Request,
 	if !s.enter() {
 		return writeError(w, http.StatusServiceUnavailable, errors.New("server is shutting down"))
 	}
-	// leave is deferred so the active count is released even if the
-	// handler panics (net/http recovers per connection); otherwise
-	// Shutdown's active==0 drain condition could never be met.
 	defer s.leave()
 	br := s.breakers[endpoint]
 	if br == nil {
@@ -468,16 +448,9 @@ func (s *Server) admit(endpoint string, w http.ResponseWriter, r *http.Request,
 		return writeRetryError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("endpoint %s shedding load: circuit breaker %s", endpoint, br.State()), retry)
 	}
-	// An admitted request must record exactly one outcome, or half-open
-	// probe accounting leaks; a panicking handler records a failure.
-	recorded := false
-	defer func() {
-		if !recorded {
-			br.Record(true)
-		}
-	}()
+	// Computations run inside the job engine's panic guard, so the handler
+	// returns and records exactly one outcome, as half-open probes need.
 	code := h(w, r)
-	recorded = true
 	br.Record(code >= http.StatusInternalServerError)
 	return code
 }
@@ -506,6 +479,19 @@ func writeBody(w http.ResponseWriter, cache string, body []byte) int {
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 	return http.StatusOK
+}
+
+// writeComputeError answers a failed computation: a refusal at the job
+// engine's admission is 503 with Retry-After, anything else statusFor's.
+func writeComputeError(w http.ResponseWriter, err error) int {
+	var shed *jobs.ShedError
+	switch {
+	case errors.As(err, &shed):
+		return writeRetryError(w, http.StatusServiceUnavailable, err, shed.RetryAfter)
+	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining):
+		return writeRetryError(w, http.StatusServiceUnavailable, err, time.Second)
+	}
+	return writeError(w, statusFor(err), err)
 }
 
 // statusFor maps pipeline errors to HTTP codes: tripped budgets are the
@@ -628,25 +614,14 @@ func (s *Server) simShards(req *Request) int {
 	return s.cfg.SimShards
 }
 
-// computeBody runs one full analysis — bounded concurrency, clamped
-// per-request context — and renders and caches the result body. compute
-// resolves its NFs (compiled or cached) and runs under the clamped context;
-// name labels a rendering failure. It is the shared execution core under
-// the synchronous endpoints (via singleflight), /v1/colocate and async job
-// attempts; parent is s.base for the synchronous ones and the attempt
-// context for jobs, so job cancellation and drain aborts flow through the
-// same plumbing.
+// computeBody runs one full analysis and renders and caches the result
+// body. compute resolves its NFs (compiled or cached) and runs under the
+// clamped per-request context; name labels a rendering failure. It runs
+// only inside a job-engine attempt, for sync and async requests alike, and
+// parent is the attempt context, so cancellation and drain aborts flow
+// through one plumbing.
 func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, name string, req *Request,
 	compute func(ctx context.Context) (any, error)) ([]byte, error) {
-
-	// Bounded concurrency: at most MaxInflight computations execute; the
-	// rest queue here unless the computation is already aborted.
-	select {
-	case s.sem <- struct{}{}:
-	case <-parent.Done():
-		return nil, &budget.CanceledError{Stage: "serve", Err: parent.Err()}
-	}
-	defer func() { <-s.sem }()
 
 	if s.testComputeGate != nil {
 		s.testComputeGate()
@@ -674,8 +649,8 @@ func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, name st
 
 // analyze is the shared request path behind the synchronous analysis
 // endpoints: resolve + hash the NF, consult the result cache, and on a
-// miss run compute under singleflight, bounded concurrency, and the
-// clamped per-request context, caching the rendered body on success.
+// miss run compute under singleflight, engine admission and the clamped
+// per-request context, caching the rendered body on success.
 func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string,
 	compute func(ctx context.Context, nf *clara.NF, req *Request) (any, error)) int {
 
@@ -690,13 +665,13 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
 	key := s.resultKey(endpoint, hash, &req)
-	return s.cachedFlight(w, endpoint, key, req.Timeout, func() ([]byte, error) {
-		return s.computeBody(s.base, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
+	return s.cachedFlight(w, endpoint, key, req.Timeout, func(ctx context.Context) ([]byte, error) {
+		return s.computeBody(ctx, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
 	})
 }
 
 // withNF adapts a single-NF analysis to computeBody: the NF is compiled, or
-// taken from the cache, inside the computation's admission slot.
+// taken from the cache, inside the computation's engine attempt.
 func (s *Server) withNF(hash, source string, req *Request,
 	compute func(ctx context.Context, nf *clara.NF, req *Request) (any, error)) func(context.Context) (any, error) {
 	return func(ctx context.Context) (any, error) {
@@ -708,15 +683,14 @@ func (s *Server) withNF(hash, source string, req *Request,
 	}
 }
 
-// cachedFlight is the result-cache + singleflight + chaos-guard machinery
-// shared by analyze and the multi-tenant colocate endpoint: consult the
-// rendered-result cache under key, and on a miss run compute at most once
-// per flight. The computation runs under the flight leader's clamped
-// deadline, so sharing is scoped to requests with an identical timeout spec
-// — a generous request must not inherit a 504 from a 1ms leader. The result
-// cache stays timeout-agnostic: a rendered body is valid for any deadline,
-// whichever flight produced it.
-func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key, timeout string, compute func() ([]byte, error)) int {
+// cachedFlight is the result cache → singleflight → engine admission
+// pipeline shared by analyze and the multi-tenant colocate endpoint: on a
+// cache miss the flight leader runs compute through the engine's Do, whose
+// attempt is the one chaos and panic boundary. The computation runs under
+// the leader's clamped deadline, so sharing is scoped to requests with an
+// identical timeout spec — a generous request must not inherit a 504 from
+// a 1ms leader. The result cache stays timeout-agnostic.
+func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key, timeout string, compute jobs.Compute) int {
 	flightKey := key + "\x00" + timeout
 
 	if body, ok := s.results.get(key); ok {
@@ -726,22 +700,13 @@ func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key, timeout stri
 	s.metrics.Counter("clara_serve_cache_misses_total", "endpoint", endpoint).Inc()
 
 	body, err, shared := s.flight.do(flightKey, func() ([]byte, error) {
-		// With chaos enabled the injected faults (including panics) must
-		// stay inside this flight, so it runs under a Guard1 boundary; with
-		// chaos off the path is exactly the production one — a real panic
-		// propagates to net/http's per-connection recover.
-		if ch := s.currentChaos(); ch != nil {
-			return budget.Guard1("serve", endpoint, func() ([]byte, error) {
-				return ch.Do(flightKey, 0, compute)
-			})
-		}
-		return compute()
+		return s.engine.Do(endpoint, flightKey, compute)
 	})
 	if shared {
 		s.metrics.Counter("clara_serve_singleflight_shared_total", "endpoint", endpoint).Inc()
 	}
 	if err != nil {
-		return writeError(w, statusFor(err), err)
+		return writeComputeError(w, err)
 	}
 	cacheState := "miss"
 	if shared {
@@ -965,8 +930,8 @@ func (s *Server) handleColocate(w http.ResponseWriter, r *http.Request) int {
 	}
 	key := strings.Join(keyParts, "\x00")
 
-	return s.cachedFlight(w, "colocate", key, req.Timeout, func() ([]byte, error) {
-		return s.computeBody(s.base, "colocate", key, "colocate", &req, func(ctx context.Context) (any, error) {
+	return s.cachedFlight(w, "colocate", key, req.Timeout, func(ctx context.Context) ([]byte, error) {
+		return s.computeBody(ctx, "colocate", key, "colocate", &req, func(ctx context.Context) (any, error) {
 			nfs := make([]*clara.NF, len(req.Tenants))
 			weights := make([]float64, len(req.Tenants))
 			wls := make([]clara.Workload, len(req.Tenants))

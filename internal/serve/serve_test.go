@@ -95,13 +95,13 @@ func TestAdviseCacheHitIsByteIdenticalAndFree(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Errorf("cache hit body differs from cold body:\n%s\nvs\n%s", body1, body2)
 	}
-	if n := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 1 {
 		t.Errorf("computations after 2 identical requests = %d, want 1", n)
 	}
-	if n := s.Metrics().Counter("clara_serve_cache_hits_total", "endpoint", "advise").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_cache_hits_total", "endpoint", "advise").Value(); n != 1 {
 		t.Errorf("cache hits = %d, want 1", n)
 	}
-	if n := s.Metrics().Counter("clara_serve_cache_misses_total", "endpoint", "advise").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_cache_misses_total", "endpoint", "advise").Value(); n != 1 {
 		t.Errorf("cache misses = %d, want 1", n)
 	}
 
@@ -161,7 +161,7 @@ func TestSingleflightCollapsesConcurrentRequests(t *testing.T) {
 			t.Errorf("request %d body differs under singleflight", i)
 		}
 	}
-	if got := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "advise").Value(); got != 1 {
+	if got := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); got != 1 {
 		t.Errorf("computations for %d concurrent identical requests = %d, want 1", n, got)
 	}
 }
@@ -205,7 +205,7 @@ func TestTimeoutScopesFlightSharing(t *testing.T) {
 	if code := <-loose; code != http.StatusOK {
 		t.Errorf("generous request got %d, want 200 (must not inherit the tight leader's deadline)", code)
 	}
-	if n := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 2 {
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 2 {
 		t.Errorf("computations = %d, want 2 (one per timeout spec)", n)
 	}
 }
@@ -223,8 +223,8 @@ func TestPanicReleasesActiveCount(t *testing.T) {
 		}
 	}
 
-	// The panicking request fails at the transport level: the server
-	// recovers the panic and aborts the connection.
+	// The panicking request is answered 500 by the job engine's panic guard;
+	// an aborted connection would be tolerated here too.
 	body, err := json.Marshal(Request{NF: "firewall", Workload: testWorkload})
 	if err != nil {
 		t.Fatal(err)
@@ -557,14 +557,14 @@ func TestResultCacheEviction(t *testing.T) {
 	post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: wl2}) // evicts the first
 	post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
 
-	if n := s.Metrics().Counter("clara_serve_result_cache_evictions_total").Value(); n < 1 {
+	if n := s.metrics.Counter("clara_serve_result_cache_evictions_total").Value(); n < 1 {
 		t.Errorf("evictions = %d, want ≥ 1", n)
 	}
-	if n := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 3 {
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 3 {
 		t.Errorf("computations = %d, want 3 (every request missed a size-1 cache)", n)
 	}
 	// The compiled NF survived the result-cache churn: one compile only.
-	if n := s.Metrics().Counter("clara_serve_nf_cache_misses_total").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_nf_cache_misses_total").Value(); n != 1 {
 		t.Errorf("NF compiles = %d, want 1 (NF cache is independent of result cache)", n)
 	}
 }
@@ -586,7 +586,7 @@ func TestInlineSourceRequests(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("predict after inline advise: %d %s", resp.StatusCode, body)
 	}
-	if n := s.Metrics().Counter("clara_serve_nf_cache_hits_total").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_nf_cache_hits_total").Value(); n != 1 {
 		t.Errorf("NF cache hits = %d, want 1 (same source hash across endpoints)", n)
 	}
 }
@@ -643,7 +643,7 @@ func TestColocateEndpoint(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Errorf("cache hit body differs from cold body")
 	}
-	if n := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "colocate").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "colocate").Value(); n != 1 {
 		t.Errorf("computations after 2 identical requests = %d, want 1", n)
 	}
 
@@ -701,7 +701,7 @@ func TestColocateCountsAgainstMaxInflight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := len(s.sem); n != 1 {
+	if n := s.engine.Running(); n != 1 {
 		t.Fatalf("admission slots taken by the gated colocate = %d, want 1", n)
 	}
 
@@ -768,7 +768,7 @@ func TestMeasureEndpoint(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Errorf("shards-only change altered the response body")
 	}
-	if n := s.Metrics().Counter("clara_serve_computations_total", "endpoint", "measure").Value(); n != 1 {
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "measure").Value(); n != 1 {
 		t.Errorf("computations after shards-only change = %d, want 1", n)
 	}
 
@@ -806,7 +806,7 @@ func TestMeasureEndpoint(t *testing.T) {
 // synchronous endpoint and by a measure job alike. Among non-zero counts
 // the answer is shared.
 func TestMeasureCacheKeysEngine(t *testing.T) {
-	s, ts := newTestServer(t, Config{JobWorkers: 1})
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	req := Request{NF: "firewall", Target: "netronome",
 		Workload: "packets=20000,flows=4096,rate=60000,size=300", Seed: 7}
 

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // flightGroup deduplicates concurrent identical computations: while one
 // caller runs fn for a key, later callers with the same key block and share
@@ -41,22 +38,13 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, err
 	g.m[key] = c
 	g.mu.Unlock()
 
-	// Cleanup is deferred so a panicking fn still removes the flight and
-	// releases joiners — otherwise later identical requests would join a
-	// flight that never completes. The panic propagates to the leader;
-	// joiners see an error rather than a silent nil result.
-	completed := false
-	defer func() {
-		if !completed {
-			c.err = errors.New("singleflight: computation panicked")
-		}
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-		close(c.done)
-	}()
+	// fn does not panic: the server's flights run in a job-engine attempt,
+	// whose guard turns a panic into an error.
 	c.val, c.err = fn()
-	completed = true
+	g.mu.Lock()
+	delete(g.m, key)
+	g.mu.Unlock()
+	close(c.done)
 	return c.val, c.err, false
 }
 
