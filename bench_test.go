@@ -322,7 +322,7 @@ func BenchmarkSimRunColocated(b *testing.B) {
 			Preload: spec.PreloadEntries, Weight: 1, Trace: tr,
 		})
 	}
-	opts := nicsim.ShardOpts{Workers: -1}
+	opts := nicsim.ShardOpts{Workers: -1, Window: nicsim.DefaultShardWindow}
 	if _, err := nicsim.RunColocatedContext(context.Background(), cfg, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func simShardFixture(tb testing.TB) (nicsim.Config, *workload.Trace) {
 // re-baselining.
 func BenchmarkSimRunSharded(b *testing.B) {
 	cfg, tr := simShardFixture(b)
-	opts := nicsim.ShardOpts{Workers: -1}
+	opts := nicsim.ShardOpts{Workers: -1, Window: nicsim.DefaultShardWindow}
 	if _, err := nicsim.RunShardedContext(context.Background(), cfg, tr, opts); err != nil {
 		b.Fatal(err)
 	}

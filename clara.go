@@ -370,62 +370,50 @@ type MeasureOptions struct {
 	// accelerators, memory, egress) with cycle timestamps and queue depths
 	// into Measurement.Timeline.
 	Timeline bool
-	// Shards selects the simulation engine: 0 (the default) runs the
-	// classic single-threaded loop; N >= 1 runs the sharded engine with N
-	// parallel workers; negative values run it with GOMAXPROCS workers.
-	// Shard decomposition is fixed by ShardWindow alone, so on a fixed seed
-	// the Measurement is identical for every non-zero worker count. The
-	// sharded engine restarts simulator state every window, so on a trace
-	// longer than one window it differs from the classic loop.
+	// Shards is the simulator's parallel worker count; values < 1 select
+	// GOMAXPROCS. It is pure scheduling: on a fixed seed the Measurement is
+	// the same at every count.
 	Shards int
-	// ShardWindow is the packets-per-shard window for the sharded engine
-	// (values < 1 select nicsim.DefaultShardWindow). Changing the window
-	// changes where per-shard simulator state restarts, and therefore the
-	// results; changing Shards between non-zero counts never does.
+	// ShardWindow is the packets-per-shard window, the one option that
+	// shapes the result: simulator state restarts cold at every window
+	// boundary. Values < 1 select the whole trace for an in-memory run (one
+	// window, the classic single-threaded loop) and
+	// nicsim.DefaultShardWindow (16384) for a streamed one. A smaller
+	// window lets Shards run windows in parallel.
 	ShardWindow int
 }
 
 // MeasureOptionsContext is MeasureContext with per-run options: fault
-// injection and per-packet timeline tracing.
+// injection, per-packet timeline tracing and the shard window.
 func (nf *NF) MeasureOptionsContext(ctx context.Context, t *Target, m *Mapping, tr *Trace, seed int64, opts MeasureOptions) (*Measurement, error) {
 	defer obs.From(ctx).StageTimer("simulate")()
 	return budget.Guard1("simulate", nf.Program.Name, func() (*Measurement, error) {
-		cfg := nicsim.Config{
-			NIC: t, Prog: nf.Program, Place: PlacementOf(m),
-			Preload: nf.Preload, Seed: seed, Faults: opts.Faults,
-			Timeline: opts.Timeline,
-		}
-		if opts.Shards != 0 {
-			return nicsim.RunShardedContext(ctx, cfg, tr, nicsim.ShardOpts{
-				Workers: opts.Shards, Window: opts.ShardWindow,
-			})
-		}
-		sim, err := nicsim.NewContext(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sim.RunContext(ctx, tr)
+		cfg, sopts := nf.simConfig(t, m, seed, opts)
+		return nicsim.RunShardedContext(ctx, cfg, tr, sopts)
 	})
+}
+
+// simConfig is the simulator configuration and shard options of one run.
+func (nf *NF) simConfig(t *Target, m *Mapping, seed int64, opts MeasureOptions) (nicsim.Config, nicsim.ShardOpts) {
+	cfg := nicsim.Config{
+		NIC: t, Prog: nf.Program, Place: PlacementOf(m),
+		Preload: nf.Preload, Seed: seed, Faults: opts.Faults,
+		Timeline: opts.Timeline,
+	}
+	return cfg, nicsim.ShardOpts{Workers: opts.Shards, Window: opts.ShardWindow}
 }
 
 // MeasureStreamContext is MeasureOptionsContext over a streamed trace: the
 // sharded engine pulls bounded windows from src (a NewTraceReader over a
 // pcap, or any nicsim.WindowSource) and simulates them as they arrive, so
 // peak ingestion memory is set by the shard window rather than the capture
-// length. Results match an in-memory sharded run of the same packets with
-// the same window size exactly. opts.Shards <= 0 selects GOMAXPROCS workers
-// (streaming always uses the sharded engine).
+// length. Results match an in-memory run of the same packets with the same
+// window size exactly.
 func (nf *NF) MeasureStreamContext(ctx context.Context, t *Target, m *Mapping, src nicsim.WindowSource, seed int64, opts MeasureOptions) (*Measurement, error) {
 	defer obs.From(ctx).StageTimer("simulate")()
 	return budget.Guard1("simulate", nf.Program.Name, func() (*Measurement, error) {
-		cfg := nicsim.Config{
-			NIC: t, Prog: nf.Program, Place: PlacementOf(m),
-			Preload: nf.Preload, Seed: seed, Faults: opts.Faults,
-			Timeline: opts.Timeline,
-		}
-		return nicsim.RunShardedStreamContext(ctx, cfg, src, nicsim.ShardOpts{
-			Workers: opts.Shards, Window: opts.ShardWindow,
-		})
+		cfg, sopts := nf.simConfig(t, m, seed, opts)
+		return nicsim.RunShardedStreamContext(ctx, cfg, src, sopts)
 	})
 }
 
@@ -566,8 +554,8 @@ func MeasureColocated(nfs []*NF, weights []float64, t *Target, traces []*Trace, 
 }
 
 // MeasureColocatedContext is MeasureColocated bounded by ctx and its budget,
-// with per-run options (fault injection, timelines, shard worker count — the
-// co-located engine is worker-count invariant like the sharded solo engine).
+// with per-run options (fault injection, timelines, shard window and worker
+// count; by default the whole merged event sequence is one window).
 func MeasureColocatedContext(ctx context.Context, nfs []*NF, weights []float64, t *Target, traces []*Trace, seed int64, opts MeasureOptions) ([]*Measurement, error) {
 	if len(nfs) != len(weights) || len(nfs) != len(traces) {
 		return nil, fmt.Errorf("clara: co-location wants parallel slices, got %d NFs, %d weights, %d traces",

@@ -11,15 +11,14 @@
 // Endpoints: POST /v1/advise, /v1/predict, /v1/partial, /v1/measure (JSON
 // bodies, see README "clara-serve"), POST/GET /v1/jobs for asynchronous
 // submissions with retries, GET /v1/nfs, /metrics, /healthz and /readyz.
-// /v1/measure runs the cycle-level simulator; among non-zero worker counts
-// ("shards") results never change on a fixed seed, so the result cache
-// ignores which one ran, but keys the classic loop (0) apart from the
-// windowed engine. Every computation, sync or async, is admitted by one job
-// engine whose -max-inflight workers run it; per-endpoint circuit breakers
-// and queue/latency load shedding answer 503 + Retry-After under overload. SIGINT/SIGTERM
-// triggers a graceful drain: queued jobs cancel, in-flight analyses finish
-// (up to -drain-timeout), then the listener closes; /readyz reports
-// not-ready for the duration.
+// /v1/measure runs the cycle-level simulator on a generated in-memory
+// trace, as one window (the classic loop). Every computation, sync or
+// async, is admitted by one job engine whose -max-inflight workers run it;
+// per-endpoint circuit breakers and queue/latency load shedding answer
+// 503 + Retry-After under overload. SIGINT/SIGTERM triggers a graceful
+// drain: queued jobs cancel, in-flight analyses finish (up to
+// -drain-timeout), then the listener closes; /readyz reports not-ready for
+// the duration.
 package main
 
 import (
@@ -53,7 +52,6 @@ func run() error {
 		maxTimeout  = flag.Duration("max-timeout", 30*time.Second, "per-request wall-clock ceiling; client timeouts are clamped to this")
 		maxBudget   = flag.String("max-budget", "", "per-request resource ceiling, same syntax as -budget: "+cliutil.BudgetFlagDoc)
 		parallel    = flag.Int("parallel", 0, "worker-pool width inside each analysis (default GOMAXPROCS)")
-		simShards   = flag.Int("sim-shards", 0, "default /v1/measure simulator workers: 0 = classic single-threaded engine, N = N sharded workers, -1 = all cores (results match across N >= 1, not between 0 and N)")
 		maxInflight = flag.Int("max-inflight", 0, "workers running analyses, synchronous and /v1/jobs alike; excess computations queue (default 2x GOMAXPROCS)")
 		nfCache     = flag.Int("nf-cache", 128, "compiled-NF LRU capacity")
 		resultCache = flag.Int("result-cache", 1024, "result LRU capacity")
@@ -62,7 +60,7 @@ func run() error {
 		jobRetries  = flag.Int("job-retries", 3, "attempts per async job before a transient failure becomes permanent")
 		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "how long finished async jobs stay pollable (queued jobs older than this expire unrun)")
 		shedQueue   = flag.Int("shed-queue", 0, "dispatch queue depth that sheds sync misses and job submissions (0 = 3/4 of -job-queue, negative disables)")
-		shedP99     = flag.Duration("shed-p99", 0, "windowed p99 latency on the jobs endpoint that triggers load shedding (0 disables)")
+		shedP99     = flag.Duration("shed-p99", 0, "windowed p99 duration of job-engine attempts (every computation, sync or async) that triggers load shedding (0 disables)")
 		chaosSpec   = flag.String("chaos", "", "deterministic fault injection for resilience testing, e.g. 'fail=0.2,panic=0.05,delay=0.1,maxdelay=5ms,seed=42' (empty disables)")
 	)
 	flag.Parse()
@@ -84,7 +82,6 @@ func run() error {
 		MaxTimeout:      *maxTimeout,
 		MaxBudget:       ceiling,
 		Parallel:        *parallel,
-		SimShards:       *simShards,
 		MaxInflight:     *maxInflight,
 		NFCacheSize:     *nfCache,
 		ResultCacheSize: *resultCache,

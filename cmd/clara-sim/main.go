@@ -50,9 +50,8 @@ func run() (err error) {
 		timelineOut = flag.String("timeline", "", "record the first target's per-packet timeline and write it here as Chrome trace_event JSON (load in chrome://tracing or Perfetto)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running, e.g. localhost:6060")
 		faultsSpec  = flag.String("faults", "", "fault injection, e.g. outage=crypto,degrade=checksum:4,queuecap=8,memfault=emem:0.001,corrupt=0.02,seed=7")
-		shards      = flag.Int("shards", 0, "simulation engine: 0 = classic single-threaded loop, N>=1 = sharded engine with N workers, -1 = all cores; results are identical for every sharded worker count on a fixed seed, but differ from 0 on traces longer than one window")
-		shardWindow = flag.Int("shard-window", 0, "packets per shard window for -shards (default 16384); the window defines where per-shard state restarts, so changing it changes results")
-		stream      = flag.Bool("stream", false, "with -pcap and -workload: stream the capture through the sharded engine window by window instead of loading it into memory (implies -shards, bounds ingestion memory by the shard window)")
+		shardWindow = flag.Int("shard-window", 0, "packets per simulation window (default: the whole trace; 16384 with -stream); simulator state restarts at every window boundary, so the window changes results, and windows run in parallel on all cores")
+		stream      = flag.Bool("stream", false, "with -pcap and -workload: stream the capture window by window instead of loading it into memory (bounds ingestion memory by -shard-window)")
 		noFlowCache = flag.Bool("no-flowcache", false, "hint: never use the flow cache")
 		noCksum     = flag.Bool("no-cksum-accel", false, "hint: checksum in software")
 		preload     preloadFlags
@@ -145,7 +144,7 @@ func run() (err error) {
 	// view, and one file holds one run.
 	job := simJob{
 		wl: wl, tr: tr, hints: hints, seed: *seed, faults: faults,
-		shards: *shards, shardWindow: *shardWindow,
+		shardWindow: *shardWindow,
 	}
 	if *stream {
 		job.streamPcap = *pcapPath
@@ -187,8 +186,8 @@ type simOut struct {
 }
 
 // simJob carries one target run's shared inputs. With streamPcap set, the
-// trace is streamed from that file through the sharded engine instead of
-// being read from tr; each target opens its own reader, since a TraceReader
+// trace is streamed from that file window by window instead of being read
+// from tr; each target opens its own reader, since a TraceReader
 // is single-use.
 type simJob struct {
 	wl          clara.Workload
@@ -197,7 +196,6 @@ type simJob struct {
 	seed        int64
 	faults      *clara.Faults
 	timeline    bool
-	shards      int
 	shardWindow int
 	streamPcap  string
 }
@@ -213,8 +211,7 @@ func simulate(ctx context.Context, nf *clara.NF, target string, j simJob) (simOu
 		return simOut{}, err
 	}
 	opts := clara.MeasureOptions{
-		Faults: j.faults, Timeline: j.timeline,
-		Shards: j.shards, ShardWindow: j.shardWindow,
+		Faults: j.faults, Timeline: j.timeline, ShardWindow: j.shardWindow,
 	}
 	var res *clara.Measurement
 	if j.streamPcap != "" {

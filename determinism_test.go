@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"clara/internal/nicsim"
 )
 
 // measureOnce runs one seeded firewall simulation with faults and timeline
@@ -105,5 +107,68 @@ func TestSimulatorDeterminism(t *testing.T) {
 	other := measureOnce(t, nfo, target, m, tr, 12)
 	if reflect.DeepEqual(base, other) {
 		t.Error("seeds 11 and 12 produced identical Results; fault RNG ignores the seed")
+	}
+}
+
+// TestMeasureShardsNeverChangeResults pins that the simulator's answer
+// depends on the window alone: with the default window an in-memory trace
+// is one window, so every worker count measures exactly what the classic
+// loop does — here on a 20000-packet trace, longer than the streamed
+// engine's 16384-packet window, where restarting state would show.
+func TestMeasureShardsNeverChangeResults(t *testing.T) {
+	ctx := context.Background()
+	nfo, err := LoadNF("examples/firewall.nf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewTarget("netronome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spec = "packets=20000,flows=4096,rate=60000,size=300"
+	wl, err := ParseWorkload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nfo.Map(target, wl, Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := ParseTrafficProfile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := GenerateTraceContext(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 7
+	sim, err := nicsim.NewContext(ctx, nicsim.Config{
+		NIC: target, Prog: nfo.Program, Place: PlacementOf(m),
+		Preload: nfo.Preload, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunContext(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NaN != NaN under DeepEqual; normalize the one field that may hold it.
+	if math.IsNaN(want.FlowCacheHitRate) {
+		want.FlowCacheHitRate = -1
+	}
+	for _, shards := range []int{0, 1, 2, 8, -1} {
+		got, err := nfo.MeasureOptionsContext(ctx, target, m, tr, seed, MeasureOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(got.FlowCacheHitRate) {
+			got.FlowCacheHitRate = -1
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("Shards %d: mean %.1f cycles over %d packets, classic loop %.1f over %d",
+				shards, got.MeanLatency(), len(got.Packets), want.MeanLatency(), len(want.Packets))
+		}
 	}
 }

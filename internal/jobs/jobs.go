@@ -52,6 +52,11 @@ var (
 	ErrDraining  = errors.New("jobs: engine draining")
 )
 
+// ErrExpired is wrapped by the error of a computation that waited past TTL
+// to (re)start and never ran: an overload outcome, not a client error, so
+// it too should surface as 503.
+var ErrExpired = errors.New("jobs: expired")
+
 // ShedError is the third "not accepted" answer, with the shedder's hint.
 type ShedError struct {
 	Reason     string
@@ -390,7 +395,7 @@ func (e *Engine) worker() {
 		j := e.sched.next()
 		e.cfg.Metrics.Gauge("clara_jobs_queue_depth").Set(int64(e.sched.len()))
 		if age := e.cfg.Now().Sub(j.created); age > e.cfg.TTL {
-			e.finalizeLocked(j, StateExpired, fmt.Errorf("jobs: job %s expired after %s in queue", j.id, age.Round(time.Millisecond)))
+			e.finalizeLocked(j, StateExpired, fmt.Errorf("%w: job %s waited %s in queue", ErrExpired, j.id, age.Round(time.Millisecond)))
 			e.mu.Unlock()
 			continue
 		}
@@ -414,7 +419,9 @@ func (e *Engine) worker() {
 func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (result []byte, err error) {
 	start := time.Now()
 	defer func() {
-		e.cfg.Metrics.Histogram("clara_jobs_attempt_nanos", "kind", j.kind).Observe(time.Since(start).Nanoseconds())
+		d := time.Since(start).Nanoseconds()
+		e.cfg.Metrics.Histogram("clara_jobs_attempt_nanos", "kind", j.kind).Observe(d)
+		AttemptNanos(e.cfg.Metrics).Observe(d)
 	}()
 	var ch *Chaos
 	if e.cfg.Chaos != nil {
@@ -427,6 +434,12 @@ func (e *Engine) attempt(ctx context.Context, j *job, attempt int) (result []byt
 	return budget.Guard1("job", j.id, func() ([]byte, error) {
 		return ch.Do(key, attempt, func() ([]byte, error) { return j.fn(ctx) })
 	})
+}
+
+// AttemptNanos is the histogram in m of every attempt's duration, all
+// kinds together: the computation latency a Shedder's p99 signal reads.
+func AttemptNanos(m *obs.Metrics) *obs.Histogram {
+	return m.Histogram("clara_jobs_attempt_all_nanos")
 }
 
 // settle records an attempt outcome: terminal success/failure, a scheduled
@@ -478,7 +491,7 @@ func (e *Engine) requeue(j *job) {
 		return
 	}
 	if age := e.cfg.Now().Sub(j.created); age > e.cfg.TTL {
-		e.finalizeLocked(j, StateExpired, fmt.Errorf("jobs: job %s expired after %s", j.id, age.Round(time.Millisecond)))
+		e.finalizeLocked(j, StateExpired, fmt.Errorf("%w: job %s was %s old at its retry", ErrExpired, j.id, age.Round(time.Millisecond)))
 		return
 	}
 	j.state = StateQueued

@@ -235,6 +235,79 @@ func TestEngineTTLExpiresStaleQueuedJob(t *testing.T) {
 	}
 }
 
+// TestEngineExpiryIsErrExpired pins both TTL-expiry sites — a queued
+// computation reaching a worker and a job's retry coming due — to an error
+// that wraps ErrExpired, so the serving layer answers it as overload (503),
+// not as a client error. Only the test moves the fake clock.
+func TestEngineExpiryIsErrExpired(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	advance := func() {
+		mu.Lock()
+		now = now.Add(2 * time.Minute)
+		mu.Unlock()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	e := newTestEngine(t, Config{Workers: 1, TTL: time.Minute, MaxAttempts: 2,
+		Backoff: 200 * time.Millisecond, MaxBackoff: 200 * time.Millisecond, Now: clock})
+
+	// A synchronous computation queued behind a blocked worker.
+	gate := make(chan struct{})
+	blocker, _ := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
+		<-gate
+		return nil, nil
+	})
+	waitFor("the blocker never started", func() bool { return e.Running() == 1 })
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) {
+			t.Error("expired computation must not run")
+			return nil, nil
+		})
+		errc <- err
+	}()
+	waitFor("the Do call never queued", func() bool { return e.Depth() == 1 })
+	advance()
+	close(gate)
+	if err := <-errc; !errors.Is(err, ErrExpired) {
+		t.Fatalf("expired Do returned %v, want an error wrapping ErrExpired", err)
+	}
+	waitTerminal(t, e, blocker)
+
+	// A job whose retry comes due after the TTL.
+	id, _ := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
+		return nil, &budget.TransientError{Err: errors.New("flaky")}
+	})
+	waitFor("the job never reached its retry", func() bool {
+		s, _ := e.Get(id)
+		return s.State == StateRetrying
+	})
+	advance()
+	if s := waitTerminal(t, e, id); s.State != StateExpired {
+		t.Fatalf("job state %s after its retry came due past the TTL, want expired", s.State)
+	}
+	e.mu.Lock()
+	err := e.jobs[id].err
+	e.mu.Unlock()
+	if !errors.Is(err, ErrExpired) {
+		t.Fatalf("expired job's error %v does not wrap ErrExpired", err)
+	}
+}
+
 // TestEngineDoRunsOnceUnlisted pins the synchronous entry point: a Do call
 // makes exactly one attempt even when that attempt fails transiently,
 // consumes no job ID and never shows in List, and is refused at admission

@@ -383,7 +383,8 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 // tenants come back with an empty Result. Budget and cancellation semantics
 // match RunShardedContext, with the SimEvents cap applying to the merged
 // event sequence; a typed budget/cancel error carries []*Result (every
-// tenant's partial, same alignment) as its Partial.
+// tenant's partial, same alignment) as its Partial. By default the whole
+// merged event sequence is one window.
 func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) ([]*Result, error) {
 	if cfg.NIC == nil {
 		return nil, fmt.Errorf("nicsim: co-location needs a NIC")
@@ -417,8 +418,8 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 	// and the window size — never on the worker count.
 	events := mergeArrivals(cfg.Tenants, active)
 
-	window := opts.window()
 	n := len(events)
+	window := opts.window(n)
 	windows := (n + window - 1) / window
 	if windows == 0 {
 		windows = 1

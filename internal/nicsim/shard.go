@@ -35,7 +35,8 @@ import (
 // seed unchanged, so a single-window sharded run is bit-identical to the
 // classic unsharded RunContext.
 
-// DefaultShardWindow is the default packets-per-shard window. It trades
+// DefaultShardWindow is the streamed engine's default packets-per-shard
+// window, and the window to pass for a parallel in-memory run. It trades
 // shard-setup amortization (state preloading runs once per shard) against
 // parallelism granularity and, in streaming mode, peak ingestion memory.
 const DefaultShardWindow = 16384
@@ -45,17 +46,23 @@ type ShardOpts struct {
 	// Workers is the parallel worker count; values < 1 select GOMAXPROCS.
 	// Workers never affects results, only wall-clock time.
 	Workers int
-	// Window is the packets-per-shard window; values < 1 select
-	// DefaultShardWindow. Changing the window changes where per-shard state
-	// restarts, and therefore the results.
+	// Window is the packets-per-shard window. Values < 1 select the whole
+	// input for an in-memory run (one window: the classic loop) and
+	// DefaultShardWindow for a streamed one. Changing the window changes
+	// where per-shard state restarts, and therefore the results.
 	Window int
 }
 
-func (o ShardOpts) window() int {
-	if o.Window < 1 {
-		return DefaultShardWindow
+// window resolves the packets-per-shard window, falling back to whole
+// (never below 1) when opts leave it unset.
+func (o ShardOpts) window(whole int) int {
+	switch {
+	case o.Window >= 1:
+		return o.Window
+	case whole >= 1:
+		return whole
 	}
-	return o.Window
+	return 1
 }
 
 // shardSeed derives shard w's stream seed from the run seed. Shard 0 is the
@@ -126,8 +133,9 @@ func runShard(ctx context.Context, cfg Config, tr *workload.Trace, base, lo, hi,
 // RunShardedContext simulates tr through cfg's NF across opts.Workers
 // parallel shards of opts.Window packets each and returns the merged Result,
 // ordered by trace index. On a fixed seed the Result is invariant across
-// worker counts; a trace that fits one window runs the classic unsharded
-// loop and is bit-identical to (&Sim).RunContext.
+// worker counts; a trace that fits one window — by default the whole trace
+// is one — runs the classic unsharded loop and is bit-identical to
+// (&Sim).RunContext.
 //
 // Budget and cancellation semantics match RunContext: the SimEvents cap
 // applies to global trace indices and trips in whichever shard holds the
@@ -138,8 +146,8 @@ func runShard(ctx context.Context, cfg Config, tr *workload.Trace, base, lo, hi,
 // outcomes are deterministic across worker counts; genuinely asynchronous
 // cancellation is inherently timing-dependent, exactly as it is unsharded.
 func RunShardedContext(ctx context.Context, cfg Config, tr *workload.Trace, opts ShardOpts) (*Result, error) {
-	window := opts.window()
 	n := len(tr.Packets)
+	window := opts.window(n)
 	if n <= window {
 		sim, err := NewContext(ctx, cfg)
 		if err != nil {
@@ -190,14 +198,16 @@ type WindowSource interface {
 // decoded frames rather than the trace length (the merged Result still
 // accumulates one PacketResult per packet). Window w of the stream is shard
 // w: on identical packets, a streamed run merges to exactly the same Result
-// as an in-memory RunShardedContext with the same window size.
+// as an in-memory RunShardedContext with the same window size. Its default
+// window is DefaultShardWindow, not the whole trace, since the window bounds
+// ingestion memory.
 //
 // A reader error ends production; shards already in flight finish and the
 // error is returned re-wrapped with the merged prefix Result as its Partial
 // (budget trips during ingestion report resource "trace-packets", matching
 // workload.ReadPcapContext).
 func RunShardedStreamContext(ctx context.Context, cfg Config, src WindowSource, opts ShardOpts) (*Result, error) {
-	window := opts.window()
+	window := opts.window(DefaultShardWindow)
 	workers := runner.Parallelism(opts.Workers)
 
 	type job struct {

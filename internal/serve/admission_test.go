@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,5 +119,71 @@ func TestSyncPanicAnswers500(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 		t.Fatalf("500 body %q is not the JSON error envelope (err=%v)", body, err)
+	}
+}
+
+// TestSyncMissesShedOnAttemptLatency pins the shedder's latency signal to
+// the job engine's attempt durations: once a window of computations ran
+// slower than ShedP99, the next synchronous miss is refused, 503 with
+// Retry-After, for reason "latency". The shedder's window rolls at most
+// once a second, so each round runs 16 slow misses (its MinSamples) and
+// probes one interval after the round began; a round slow enough to straddle
+// a roll proves nothing and is repeated.
+func TestSyncMissesShedOnAttemptLatency(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 16, ShedQueue: -1, ShedP99: time.Millisecond})
+	s.testComputeGate = func() { time.Sleep(5 * time.Millisecond) }
+	var seed atomic.Int64
+	// measure sends a distinct miss and reports whether it was shed for
+	// latency; any other answer but 200 fails the test.
+	measure := func() bool {
+		resp, body := post(t, ts.URL+"/v1/measure", Request{NF: "firewall", Target: "netronome",
+			Workload: "packets=32,flows=8,rate=60000,size=300", Seed: seed.Add(1)})
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" &&
+			strings.Contains(string(body), "shedding load (latency)") {
+			return true
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("miss: status %d (%s), want 200 or a latency shed", resp.StatusCode, body)
+		}
+		return false
+	}
+	for round := 0; round < 5; round++ {
+		start := time.Now()
+		var wg sync.WaitGroup
+		var shed atomic.Bool
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if measure() {
+					shed.Store(true)
+				}
+			}()
+		}
+		wg.Wait()
+		fast := time.Since(start) < time.Second
+		time.Sleep(time.Second + 50*time.Millisecond - time.Since(start))
+		if measure() || shed.Load() {
+			if n := s.metrics.Counter("clara_jobs_shed_total", "reason", "latency").Value(); n < 1 {
+				t.Errorf("latency sheds counted %d, want at least 1", n)
+			}
+			return
+		}
+		if fast {
+			t.Fatal("16 misses slower than ShedP99 within one window, and the next miss was admitted")
+		}
+	}
+	t.Fatal("no round of slow misses fit in one shedder window")
+}
+
+// TestExpiredComputationAnswers503: a computation that expired in the job
+// engine's queue was never run, so the answer is overload with
+// Retry-After, not a client error.
+func TestExpiredComputationAnswers503(t *testing.T) {
+	rec := httptest.NewRecorder()
+	code := writeComputeError(rec, fmt.Errorf("%w: job advise waited 16m in queue", jobs.ErrExpired))
+	if code != http.StatusServiceUnavailable || rec.Code != code || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("expired computation: status %d (recorded %d), Retry-After %q; want 503 with Retry-After",
+			code, rec.Code, rec.Header().Get("Retry-After"))
 	}
 }

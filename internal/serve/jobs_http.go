@@ -117,7 +117,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
 	}
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
-	key := s.resultKey(req.Kind, hash, &req)
+	key := resultKey(req.Kind, hash, &req)
 	kind := req.Kind
 	reqCopy := req
 	id, err := s.engine.Submit(kind, req.Tenant, func(ctx context.Context) ([]byte, error) {

@@ -67,14 +67,6 @@ type Config struct {
 	// Parallel is the internal/runner pool width each analysis fans out
 	// with (advise targets, partial cuts); < 1 selects GOMAXPROCS.
 	Parallel int
-	// SimShards is the default worker count for /v1/measure simulations
-	// when the request doesn't set "shards": 0 runs the classic
-	// single-threaded simulator, N >= 1 the windowed (sharded) engine with
-	// N workers, negative values GOMAXPROCS workers. Among worker counts
-	// other than 0 results never change, only latency; the classic loop and
-	// the windowed engine differ on traces longer than one window, so the
-	// result cache keys them apart.
-	SimShards int
 	// MaxInflight sizes the job engine's worker pool, which runs every
 	// computation, sync or async; excess computations queue in the engine.
 	// < 1 selects 2×GOMAXPROCS.
@@ -110,8 +102,9 @@ type Config struct {
 	// queue reaches this depth — an early-warning bound below the hard
 	// JobQueueDepth (default 3/4 of it; negative disables).
 	ShedQueue int
-	// ShedP99 sheds new computations while the windowed p99 request
-	// latency exceeds it (0 disables the latency signal).
+	// ShedP99 sheds new computations while the windowed p99 duration of
+	// job-engine attempts (every computation, sync or async) exceeds it
+	// (0 disables the latency signal).
 	ShedP99 time.Duration
 	// Breaker parameterizes the per-endpoint circuit breakers; the zero
 	// value selects the jobs.BreakerConfig defaults.
@@ -228,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 		shed = jobs.NewShedder(jobs.ShedConfig{
 			MaxDepth: cfg.ShedQueue,
 			P99:      cfg.ShedP99,
-		}, m.Histogram("clara_http_request_nanos", "endpoint", "jobs"), func() int { return s.engine.Depth() })
+		}, jobs.AttemptNanos(m), func() int { return s.engine.Depth() })
 	}
 	s.engine = jobs.NewEngine(base, jobs.Config{
 		Workers:     cfg.MaxInflight,
@@ -373,14 +366,6 @@ type Request struct {
 	// of the result identity (and the cache key).
 	Seed   int64  `json:"seed,omitempty"`
 	Faults string `json:"faults,omitempty"`
-	// Shards picks the /v1/measure simulation engine's worker count
-	// (0 = the server's default). Among non-zero counts the measurement
-	// on a fixed seed never changes — shard decomposition is fixed — so
-	// the count is not part of the result cache key: a request with
-	// shards=8 is answered from a cached shards=1 run, byte for byte.
-	// Whether the effective count is 0 (the classic loop) or not (the
-	// windowed engine, which restarts state every window) is part of it.
-	Shards int `json:"shards,omitempty"`
 	// Kind and Tenant apply to POST /v1/jobs only: Kind picks the deferred
 	// computation ("advise", "predict", "partial", "measure" or "sweep" —
 	// a predict across every known target) and Tenant names the
@@ -482,13 +467,14 @@ func writeBody(w http.ResponseWriter, cache string, body []byte) int {
 }
 
 // writeComputeError answers a failed computation: a refusal at the job
-// engine's admission is 503 with Retry-After, anything else statusFor's.
+// engine's admission, or expiry in its queue, is 503 with Retry-After,
+// anything else statusFor's.
 func writeComputeError(w http.ResponseWriter, err error) int {
 	var shed *jobs.ShedError
 	switch {
 	case errors.As(err, &shed):
 		return writeRetryError(w, http.StatusServiceUnavailable, err, shed.RetryAfter)
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining):
+	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining), errors.Is(err, jobs.ErrExpired):
 		return writeRetryError(w, http.StatusServiceUnavailable, err, time.Second)
 	}
 	return writeError(w, statusFor(err), err)
@@ -590,28 +576,11 @@ func (s *Server) compiledNF(hash, source string) (*clara.NF, error) {
 
 // resultKey is the rendered-result cache identity: endpoint + NF hash +
 // every input that changes the answer. Seed and Faults are simulation
-// inputs (measure), and so is the measure engine: the windowed engine
-// (effective shards ≠ 0) restarts simulator state every window, so its
-// answer differs from the classic loop's on a trace longer than one window.
-// The worker count beyond that is excluded — every count ≥ 1 decomposes
-// the trace into the same windows. Timeout is excluded too: a rendered
-// body is valid for any deadline.
-func (s *Server) resultKey(endpoint, hash string, req *Request) string {
-	key := strings.Join([]string{endpoint, hash, req.Target, req.Workload, req.Budget,
+// inputs (measure). Timeout is excluded: a rendered body is valid for any
+// deadline.
+func resultKey(endpoint, hash string, req *Request) string {
+	return strings.Join([]string{endpoint, hash, req.Target, req.Workload, req.Budget,
 		strconv.FormatInt(req.Seed, 10), req.Faults}, "\x00")
-	if endpoint == "measure" && s.simShards(req) != 0 {
-		key += "\x00windowed"
-	}
-	return key
-}
-
-// simShards is the /v1/measure engine worker count a request runs with:
-// its own "shards" when set, the server's SimShards otherwise.
-func (s *Server) simShards(req *Request) int {
-	if req.Shards != 0 {
-		return req.Shards
-	}
-	return s.cfg.SimShards
 }
 
 // computeBody runs one full analysis and renders and caches the result
@@ -664,7 +633,7 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string
 	}
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
-	key := s.resultKey(endpoint, hash, &req)
+	key := resultKey(endpoint, hash, &req)
 	return s.cachedFlight(w, endpoint, key, req.Timeout, func(ctx context.Context) ([]byte, error) {
 		return s.computeBody(ctx, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
 	})
@@ -815,11 +784,8 @@ type measureResponse struct {
 
 // handleMeasure runs the NF on the cycle-level simulator — the "Actual"
 // side of the validation — against a synthetic trace generated from the
-// workload spec. The simulation runs with the request's (or the server's)
-// worker count: 0 selects the classic loop, any other count the windowed
-// engine. On a fixed seed the windowed response is identical for every
-// non-zero count, so cached results are shared across requests that differ
-// only in which non-zero "shards" they ask for.
+// workload spec. The generated trace is in memory, so it runs as one
+// window: the classic loop.
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) int {
 	return s.analyze(w, r, "measure", s.measureCompute)
 }
@@ -849,9 +815,7 @@ func (s *Server) measureCompute(ctx context.Context, nf *clara.NF, req *Request)
 	if err != nil {
 		return nil, err
 	}
-	res, err := nf.MeasureOptionsContext(ctx, t, m, tr, req.Seed, clara.MeasureOptions{
-		Faults: faults, Shards: s.simShards(req),
-	})
+	res, err := nf.MeasureContext(ctx, t, m, tr, req.Seed, faults)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"clara"
 	"clara/internal/budget"
+	"clara/internal/nicsim"
 )
 
 const firewallSrc = `nf firewall {
@@ -732,11 +734,10 @@ func TestColocateCountsAgainstMaxInflight(t *testing.T) {
 }
 
 // TestMeasureEndpoint exercises POST /v1/measure: a simulator run with an
-// explicit seed, a second request differing only in worker count answered
-// from the cache (shard-count invariance makes "shards" a scheduling knob,
-// not a result key), and a different seed forcing a fresh computation.
+// explicit seed, its repeat answered from the cache, and a different seed
+// forcing a fresh computation.
 func TestMeasureEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{SimShards: 2})
+	s, ts := newTestServer(t, Config{})
 	req := Request{NF: "firewall", Target: "netronome",
 		Workload: "packets=256,flows=64,rate=60000,size=300", Seed: 7}
 
@@ -755,21 +756,19 @@ func TestMeasureEndpoint(t *testing.T) {
 		t.Errorf("seed echoed = %d, want 7", parsed.Seed)
 	}
 
-	// Same measurement, different worker count: must be a cache hit with a
-	// byte-identical body.
-	req.Shards = 8
+	// The same measurement again: a cache hit with a byte-identical body.
 	resp2, body2 := post(t, ts.URL+"/v1/measure", req)
 	if resp2.StatusCode != 200 {
 		t.Fatalf("warm measure: %d %s", resp2.StatusCode, body2)
 	}
 	if got := resp2.Header.Get("X-Clara-Cache"); got != "hit" {
-		t.Errorf("shards-only change X-Clara-Cache = %q, want hit", got)
+		t.Errorf("repeat X-Clara-Cache = %q, want hit", got)
 	}
 	if !bytes.Equal(body1, body2) {
-		t.Errorf("shards-only change altered the response body")
+		t.Errorf("repeat altered the response body")
 	}
 	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "measure").Value(); n != 1 {
-		t.Errorf("computations after shards-only change = %d, want 1", n)
+		t.Errorf("computations after the repeat = %d, want 1", n)
 	}
 
 	// A different seed is a different measurement.
@@ -798,47 +797,95 @@ func TestMeasureEndpoint(t *testing.T) {
 	}
 }
 
-// TestMeasureCacheKeysEngine pins that the result cache tells the classic
-// simulator loop (effective shards 0, the default) from the windowed engine
-// (any other count), whose state restarts every 16384 packets: on a 20000-
-// packet trace the two measure different things, so a shards:1 repeat of a
-// classic run must be computed, not served the classic body, by the
-// synchronous endpoint and by a measure job alike. Among non-zero counts
-// the answer is shared.
-func TestMeasureCacheKeysEngine(t *testing.T) {
+// TestMeasureLongTraceIsOneWindow pins that /v1/measure simulates its
+// generated trace as one window: on a 20000-packet trace, longer than the
+// streamed engine's 16384-packet window, the body reports the classic
+// loop's run (simulator state never restarts), its repeat is a cache hit,
+// and a measure job reads the same entry.
+func TestMeasureLongTraceIsOneWindow(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	req := Request{NF: "firewall", Target: "netronome",
 		Workload: "packets=20000,flows=4096,rate=60000,size=300", Seed: 7}
 
-	resp1, classic := post(t, ts.URL+"/v1/measure", req)
+	resp1, body := post(t, ts.URL+"/v1/measure", req)
 	if resp1.StatusCode != 200 {
-		t.Fatalf("classic measure: %d %s", resp1.StatusCode, classic)
+		t.Fatalf("measure: %d %s", resp1.StatusCode, body)
 	}
-	req.Shards = 1
-	resp2, windowed := post(t, ts.URL+"/v1/measure", req)
-	if resp2.StatusCode != 200 {
-		t.Fatalf("windowed measure: %d %s", resp2.StatusCode, windowed)
+	var got measureResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("measure body not JSON: %v\n%s", err, body)
 	}
-	if got := resp2.Header.Get("X-Clara-Cache"); got != "miss" {
-		t.Errorf("shards:1 after a classic run X-Clara-Cache = %q, want miss", got)
+	want := classicMeasure(t, req)
+	drops := 0
+	for i := range want.Packets {
+		if want.Packets[i].Verdict != 0 {
+			drops++
+		}
 	}
-	if bytes.Equal(classic, windowed) {
-		t.Error("classic and windowed runs of a 20000-packet trace gave the same body")
-	}
-	req.Shards = 2
-	resp3, body3 := post(t, ts.URL+"/v1/measure", req)
-	if got := resp3.Header.Get("X-Clara-Cache"); got != "hit" || !bytes.Equal(body3, windowed) {
-		t.Errorf("shards:2 after shards:1: cache %q, same body %v; want a byte-identical hit",
-			got, bytes.Equal(body3, windowed))
+	if got.Packets != len(want.Packets) || got.Drops != drops || got.MeanCycles != want.MeanLatency() ||
+		got.P99Cycles != want.Percentile(99) {
+		t.Errorf("measure body: %d packets, %d drops, mean %.1f, p99 %.1f; classic loop: %d, %d, %.1f, %.1f",
+			got.Packets, got.Drops, got.MeanCycles, got.P99Cycles,
+			len(want.Packets), drops, want.MeanLatency(), want.Percentile(99))
 	}
 
-	// A classic measure job reads the classic entry, not the windowed one.
-	req.Shards, req.Kind = 0, "measure"
+	resp2, repeat := post(t, ts.URL+"/v1/measure", req)
+	if got := resp2.Header.Get("X-Clara-Cache"); got != "hit" || !bytes.Equal(repeat, body) {
+		t.Errorf("repeat: cache %q, same body %v; want a byte-identical hit", got, bytes.Equal(repeat, body))
+	}
+
+	req.Kind = "measure"
 	if _, resp := submitJSON(t, ts.URL, req); resp.StatusCode != 202 {
 		t.Fatalf("submit measure job: status %d", resp.StatusCode)
 	}
 	snaps := waitAllTerminal(t, s)
-	if len(snaps) != 1 || !bytes.Equal(snaps[0].Result, classic) {
-		t.Errorf("classic measure job result differs from the classic sync body")
+	if len(snaps) != 1 || !bytes.Equal(snaps[0].Result, body) {
+		t.Errorf("measure job result differs from the sync body")
 	}
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "measure").Value(); n != 1 {
+		t.Errorf("measure computations = %d, want 1", n)
+	}
+}
+
+// classicMeasure runs req's measurement on the classic simulator loop,
+// bypassing the server and the clara facade's measure path.
+func classicMeasure(t *testing.T, req Request) *nicsim.Result {
+	t.Helper()
+	ctx := context.Background()
+	nf, err := clara.CompileNF(firewallSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := clara.NewTarget(req.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := clara.ParseTrafficProfile(req.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := clara.ParseWorkload(req.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := clara.GenerateTraceContext(ctx, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nf.MapContext(ctx, tgt, wl, clara.Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := nicsim.NewContext(ctx, nicsim.Config{
+		NIC: tgt, Prog: nf.Program, Place: clara.PlacementOf(m),
+		Preload: nf.Preload, Seed: req.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunContext(ctx, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
