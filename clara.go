@@ -225,6 +225,18 @@ func NewTarget(name string) (*Target, error) {
 	return mk(), nil
 }
 
+// BuiltinTarget returns the shared instance of a built-in SmartNIC profile,
+// the one Advise uses. Nothing may write to it; NewTarget returns a copy
+// the caller owns.
+func BuiltinTarget(name string) (*Target, error) {
+	for _, b := range builtinTargets() {
+		if b.name == name {
+			return b.target, nil
+		}
+	}
+	return nil, fmt.Errorf("clara: unknown target %q (have %v)", name, Targets())
+}
+
 // builtinTarget is one built-in profile and its registry name.
 type builtinTarget struct {
 	name   string

@@ -13,9 +13,11 @@
 // submissions with retries, GET /v1/nfs, /metrics, /healthz and /readyz.
 // /v1/measure runs the cycle-level simulator on a generated in-memory
 // trace, as one window (the classic loop). Every computation, sync or
-// async, is admitted by one job engine whose -max-inflight workers run it;
-// per-endpoint circuit breakers and queue/latency load shedding answer
-// 503 + Retry-After under overload. SIGINT/SIGTERM triggers a graceful
+// async, is admitted by one job engine whose -max-inflight workers run it.
+// A sync request's clamped timeout starts before admission, so it bounds
+// the queue wait too (504 when it ends there). Under overload the
+// -job-queue bound, -shed-p99 latency shedding and per-endpoint circuit
+// breakers answer 503 + Retry-After. SIGINT/SIGTERM triggers a graceful
 // drain: queued jobs cancel, in-flight analyses finish (up to
 // -drain-timeout), then the listener closes; /readyz reports not-ready for
 // the duration.
@@ -56,10 +58,9 @@ func run() error {
 		nfCache     = flag.Int("nf-cache", 128, "compiled-NF LRU capacity")
 		resultCache = flag.Int("result-cache", 1024, "result LRU capacity")
 		drain       = flag.Duration("drain-timeout", 15*time.Second, "how long a shutdown waits for in-flight analyses before aborting them")
-		jobQueue    = flag.Int("job-queue", 256, "computations (sync misses and async jobs) admitted but unfinished before 503")
+		jobQueue    = flag.Int("job-queue", 256, "computations (sync misses and async jobs) admitted but unfinished before 503 + Retry-After")
 		jobRetries  = flag.Int("job-retries", 3, "attempts per async job before a transient failure becomes permanent")
-		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "how long finished async jobs stay pollable (queued jobs older than this expire unrun)")
-		shedQueue   = flag.Int("shed-queue", 0, "dispatch queue depth that sheds sync misses and job submissions (0 = 3/4 of -job-queue, negative disables)")
+		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "how long finished async jobs stay pollable (queued async jobs older than this expire unrun)")
 		shedP99     = flag.Duration("shed-p99", 0, "windowed p99 duration of job-engine attempts (every computation, sync or async) that triggers load shedding (0 disables)")
 		chaosSpec   = flag.String("chaos", "", "deterministic fault injection for resilience testing, e.g. 'fail=0.2,panic=0.05,delay=0.1,maxdelay=5ms,seed=42' (empty disables)")
 	)
@@ -88,7 +89,6 @@ func run() error {
 		JobQueueDepth:   *jobQueue,
 		JobMaxAttempts:  *jobRetries,
 		JobTTL:          *jobTTL,
-		ShedQueue:       *shedQueue,
 		ShedP99:         *shedP99,
 		Chaos:           chaos,
 	})

@@ -150,6 +150,17 @@ func (b *Breaker) Record(failure bool) {
 	}
 }
 
+// Release gives back an admission that will record no outcome, because
+// its request was answered without a computation running. A half-open
+// breaker frees the probe slot, so it cannot stick with every slot taken.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen && b.probesOut > 0 {
+		b.probesOut--
+	}
+}
+
 // State reports "closed", "open" or "half-open".
 func (b *Breaker) State() string {
 	b.mu.Lock()

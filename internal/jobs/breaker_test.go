@@ -174,3 +174,33 @@ func TestBreakerWindowSlides(t *testing.T) {
 		t.Fatalf("state %s at windowed rate 4/8, want open", got)
 	}
 }
+
+// TestBreakerReleaseFreesHalfOpenProbe: a half-open probe that records no
+// outcome gives its slot back, so the next request can probe; Release in
+// the closed state changes nothing.
+func TestBreakerReleaseFreesHalfOpenProbe(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	b := newTestBreaker(clk, nil)
+	b.Release()
+	for i := 0; i < 4; i++ {
+		b.Record(true)
+	}
+	clk.advance(2 * time.Second)
+	if ok, _ := b.Allow(); !ok {
+		t.Fatal("breaker rejected the half-open probe")
+	}
+	if ok, _ := b.Allow(); ok {
+		t.Fatal("breaker admitted a second probe while the first is out")
+	}
+	b.Release()
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("state %s after a released probe, want half-open", got)
+	}
+	if ok, _ := b.Allow(); !ok {
+		t.Fatal("released probe slot was not given back")
+	}
+	b.Record(false)
+	if got := b.State(); got != BreakerClosed {
+		t.Fatalf("state %s after a successful probe, want closed", got)
+	}
+}

@@ -45,19 +45,14 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Submission errors. Both mean "not accepted": the caller should surface
-// 503 and the client should retry elsewhere or later.
-var (
-	ErrQueueFull = errors.New("jobs: queue full")
-	ErrDraining  = errors.New("jobs: engine draining")
-)
+// ErrDraining refuses an admission, and settles a queued computation,
+// once the engine drains: the caller should surface 503 and the client
+// should retry elsewhere or later.
+var ErrDraining = errors.New("jobs: engine draining")
 
-// ErrExpired is wrapped by the error of a computation that waited past TTL
-// to (re)start and never ran: an overload outcome, not a client error, so
-// it too should surface as 503.
-var ErrExpired = errors.New("jobs: expired")
-
-// ShedError is the third "not accepted" answer, with the shedder's hint.
+// ShedError is the overload answer to an admission, with a Retry-After
+// hint: the QueueDepth bound is reached (reason "queue") or the shedder's
+// latency signal fired ("latency").
 type ShedError struct {
 	Reason     string
 	RetryAfter time.Duration
@@ -89,8 +84,8 @@ type Config struct {
 	// Workers is the worker-pool size (default 2).
 	Workers int
 	// QueueDepth bounds computations admitted but not yet terminal, jobs
-	// and Do calls alike; admissions beyond it fail with ErrQueueFull
-	// (default 256).
+	// and Do calls alike; admissions beyond it are refused with a
+	// *ShedError for reason "queue" (default 256).
 	QueueDepth int
 	// MaxAttempts bounds executions per job, first try included (default 3).
 	MaxAttempts int
@@ -100,7 +95,8 @@ type Config struct {
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// TTL is how long a terminal job's snapshot stays pollable, and the
-	// maximum age at which a queued job may still start (default 15m).
+	// maximum age at which a queued job may still start (default 15m). A
+	// Do call's wait is bounded by its context instead.
 	TTL time.Duration
 	// Seed fixes the backoff jitter pattern.
 	Seed int64
@@ -112,7 +108,7 @@ type Config struct {
 	// Chaos, when non-nil, returns the current fault-injection middleware;
 	// consulted per attempt so tests can switch chaos off mid-run.
 	Chaos func() *Chaos
-	// Shed, when non-nil, refuses admissions before the queue saturates.
+	// Shed, when non-nil, refuses admissions while computations run slow.
 	Shed *Shedder
 	// Metrics receives engine counters and gauges; nil is fine.
 	Metrics *obs.Metrics
@@ -144,6 +140,9 @@ type job struct {
 	// the chaos middleware.
 	done chan struct{}
 	key  string
+	// ctx bounds the wait in the queue and every attempt: a Do caller's
+	// context, or the engine's base for a job.
+	ctx context.Context
 }
 
 // Engine runs submitted computations on a bounded worker pool with
@@ -210,12 +209,12 @@ func NewEngine(parent context.Context, cfg Config) *Engine {
 	return e
 }
 
-// Submit accepts a computation and returns its job ID, or ErrQueueFull /
-// ErrDraining / *ShedError when it cannot be accepted. IDs are sequential,
+// Submit accepts a computation and returns its job ID, or ErrDraining /
+// *ShedError when it cannot be accepted. IDs are sequential,
 // so a fixed submission order yields a fixed ID assignment — the anchor for
 // the chaos harness's determinism checks.
 func (e *Engine) Submit(kind, tenant string, fn Compute) (string, error) {
-	j := &job{kind: kind, tenant: tenant, fn: fn}
+	j := &job{kind: kind, tenant: tenant, fn: fn, ctx: e.base}
 	if err := e.admit(j); err != nil {
 		return "", err
 	}
@@ -225,31 +224,38 @@ func (e *Engine) Submit(kind, tenant string, fn Compute) (string, error) {
 // Do runs fn as a synchronous computation and waits for its outcome. It is
 // admitted and queued (under the "" tenant) exactly as Submit's jobs are,
 // but consumes no job ID, is never listed, and makes one attempt, which
-// the chaos middleware sees as key's attempt 0.
-func (e *Engine) Do(kind, key string, fn Compute) ([]byte, error) {
-	j := &job{id: kind, kind: kind, key: key, fn: fn, done: make(chan struct{})}
+// the chaos middleware sees as key's attempt 0. ctx bounds the whole call:
+// if it ends while the computation queues, the computation leaves the
+// queue unrun and Do returns ctx.Err(). ran reports whether it ran.
+func (e *Engine) Do(ctx context.Context, kind, key string, fn Compute) (result []byte, ran bool, err error) {
+	j := &job{id: kind, kind: kind, key: key, fn: fn, ctx: ctx, done: make(chan struct{})}
 	if err := e.admit(j); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	<-j.done
-	return j.result, j.err
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		e.mu.Lock()
+		if j.state == StateQueued {
+			e.dequeueLocked(j, ctx.Err())
+		}
+		e.mu.Unlock()
+		<-j.done
+	}
+	return j.result, j.attempts > 0, j.err
 }
 
-// admit is the engine's one admission path, for Submit and Do alike: shed
-// check, drain check, QueueDepth bound, then the weighted-fair queue.
+// admit is the engine's one admission path, for Submit and Do alike: the
+// refusal rules, then the weighted-fair queue.
 func (e *Engine) admit(j *job) error {
-	// The shedder reads Depth, which takes e.mu, so it runs before the lock.
-	if shed, reason, retry := e.cfg.Shed.Check(); shed {
-		e.cfg.Metrics.Counter("clara_jobs_shed_total", "reason", reason).Inc()
-		return &ShedError{Reason: reason, RetryAfter: retry}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.draining {
-		return ErrDraining
-	}
-	if e.pending >= e.cfg.QueueDepth {
-		return ErrQueueFull
+	if err := e.refusalLocked(); err != nil {
+		var shed *ShedError
+		if errors.As(err, &shed) {
+			e.cfg.Metrics.Counter("clara_jobs_shed_total", "reason", shed.Reason).Inc()
+		}
+		return err
 	}
 	j.state = StateQueued
 	j.created = e.cfg.Now()
@@ -264,6 +270,21 @@ func (e *Engine) admit(j *job) error {
 	e.sched.push(j)
 	e.cfg.Metrics.Gauge("clara_jobs_queue_depth").Set(int64(e.sched.len()))
 	e.cond.Signal()
+	return nil
+}
+
+// refusalLocked is the error the next admission would be refused with, or
+// nil. Caller holds e.mu.
+func (e *Engine) refusalLocked() error {
+	if e.draining {
+		return ErrDraining
+	}
+	if e.pending >= e.cfg.QueueDepth {
+		return &ShedError{Reason: "queue", RetryAfter: time.Second}
+	}
+	if shed, reason, retry := e.cfg.Shed.Check(); shed {
+		return &ShedError{Reason: reason, RetryAfter: retry}
+	}
 	return nil
 }
 
@@ -307,8 +328,7 @@ func (e *Engine) Cancel(id string) bool {
 	}
 	switch j.state {
 	case StateQueued:
-		e.sched.remove(j)
-		e.finalizeLocked(j, StateCanceled, context.Canceled)
+		e.dequeueLocked(j, context.Canceled)
 	case StateRetrying:
 		if j.retry != nil {
 			j.retry.Stop()
@@ -324,12 +344,21 @@ func (e *Engine) Cancel(id string) bool {
 	return true
 }
 
-// Depth reports the number of computations queued for dispatch (excluding
-// running and retry-waiting ones); it drives the shedder's queue signal.
-func (e *Engine) Depth() int {
+// dequeueLocked settles a queued computation as canceled, unrun. Caller
+// holds e.mu.
+func (e *Engine) dequeueLocked(j *job, err error) {
+	e.sched.remove(j)
+	e.cfg.Metrics.Gauge("clara_jobs_queue_depth").Set(int64(e.sched.len()))
+	e.finalizeLocked(j, StateCanceled, err)
+}
+
+// Admission reports the computations admitted but not yet terminal, the
+// count QueueDepth bounds, and the error the next admission would be
+// refused with, or nil.
+func (e *Engine) Admission() (pending int, refusal error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sched.len()
+	return e.pending, e.refusalLocked()
 }
 
 // Running reports in-flight attempts.
@@ -394,21 +423,30 @@ func (e *Engine) worker() {
 		}
 		j := e.sched.next()
 		e.cfg.Metrics.Gauge("clara_jobs_queue_depth").Set(int64(e.sched.len()))
-		if age := e.cfg.Now().Sub(j.created); age > e.cfg.TTL {
-			e.finalizeLocked(j, StateExpired, fmt.Errorf("%w: job %s waited %s in queue", ErrExpired, j.id, age.Round(time.Millisecond)))
+		if err := j.ctx.Err(); err != nil {
+			e.finalizeLocked(j, StateCanceled, err)
+			e.mu.Unlock()
+			continue
+		}
+		if age := e.cfg.Now().Sub(j.created); j.done == nil && age > e.cfg.TTL {
+			e.finalizeLocked(j, StateExpired, fmt.Errorf("job %s waited %s in queue", j.id, age.Round(time.Millisecond)))
 			e.mu.Unlock()
 			continue
 		}
 		j.state = StateRunning
 		j.attempts++
 		attempt := j.attempts
-		ctx, cancel := context.WithCancel(e.base)
+		// The drain's hard stop cancels the engine's base, which a Do
+		// caller's context does not derive from.
+		ctx, cancel := context.WithCancel(j.ctx)
+		stop := context.AfterFunc(e.base, cancel)
 		j.runCancel = cancel
 		e.running++
 		e.cfg.Metrics.Gauge("clara_jobs_running").Set(int64(e.running))
 		e.mu.Unlock()
 
 		result, err := e.attempt(ctx, j, attempt)
+		stop()
 		cancel()
 		e.settle(j, attempt, result, err)
 	}
@@ -491,7 +529,7 @@ func (e *Engine) requeue(j *job) {
 		return
 	}
 	if age := e.cfg.Now().Sub(j.created); age > e.cfg.TTL {
-		e.finalizeLocked(j, StateExpired, fmt.Errorf("%w: job %s was %s old at its retry", ErrExpired, j.id, age.Round(time.Millisecond)))
+		e.finalizeLocked(j, StateExpired, fmt.Errorf("job %s was %s old at its retry", j.id, age.Round(time.Millisecond)))
 		return
 	}
 	j.state = StateQueued

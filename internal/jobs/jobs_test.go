@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,8 +197,9 @@ func TestEngineQueueFull(t *testing.T) {
 	if _, err := e.Submit("advise", "", block); err != nil {
 		t.Fatalf("submit 2: %v", err)
 	}
-	if _, err := e.Submit("advise", "", block); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("submit 3: got %v, want ErrQueueFull", err)
+	var shed *ShedError
+	if _, err := e.Submit("advise", "", block); !errors.As(err, &shed) || shed.Reason != "queue" {
+		t.Fatalf("submit 3: got %v, want a queue ShedError", err)
 	}
 }
 
@@ -235,10 +237,10 @@ func TestEngineTTLExpiresStaleQueuedJob(t *testing.T) {
 	}
 }
 
-// TestEngineExpiryIsErrExpired pins both TTL-expiry sites — a queued
-// computation reaching a worker and a job's retry coming due — to an error
-// that wraps ErrExpired, so the serving layer answers it as overload (503),
-// not as a client error. Only the test moves the fake clock.
+// TestEngineExpiryIsErrExpired pins the TTL expiry of a job whose retry
+// comes due past the TTL: it settles as expired, never run again. A Do
+// call has no TTL expiry; its context bounds its wait. Only the test moves
+// the fake clock.
 func TestEngineExpiryIsErrExpired(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
@@ -247,64 +249,85 @@ func TestEngineExpiryIsErrExpired(t *testing.T) {
 		defer mu.Unlock()
 		return now
 	}
-	advance := func() {
-		mu.Lock()
-		now = now.Add(2 * time.Minute)
-		mu.Unlock()
-	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatal(what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	e := newTestEngine(t, Config{Workers: 1, TTL: time.Minute, MaxAttempts: 2,
 		Backoff: 200 * time.Millisecond, MaxBackoff: 200 * time.Millisecond, Now: clock})
-
-	// A synchronous computation queued behind a blocked worker.
-	gate := make(chan struct{})
-	blocker, _ := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
-		<-gate
-		return nil, nil
-	})
-	waitFor("the blocker never started", func() bool { return e.Running() == 1 })
-	errc := make(chan error, 1)
-	go func() {
-		_, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) {
-			t.Error("expired computation must not run")
-			return nil, nil
-		})
-		errc <- err
-	}()
-	waitFor("the Do call never queued", func() bool { return e.Depth() == 1 })
-	advance()
-	close(gate)
-	if err := <-errc; !errors.Is(err, ErrExpired) {
-		t.Fatalf("expired Do returned %v, want an error wrapping ErrExpired", err)
-	}
-	waitTerminal(t, e, blocker)
-
-	// A job whose retry comes due after the TTL.
+	var calls atomic.Int32
 	id, _ := e.Submit("advise", "", func(ctx context.Context) ([]byte, error) {
+		calls.Add(1)
 		return nil, &budget.TransientError{Err: errors.New("flaky")}
 	})
-	waitFor("the job never reached its retry", func() bool {
+	waitFor(t, "the job never reached its retry", func() bool {
 		s, _ := e.Get(id)
 		return s.State == StateRetrying
 	})
-	advance()
-	if s := waitTerminal(t, e, id); s.State != StateExpired {
-		t.Fatalf("job state %s after its retry came due past the TTL, want expired", s.State)
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+	if s := waitTerminal(t, e, id); s.State != StateExpired || s.Attempts != 1 {
+		t.Fatalf("job state %s after %d attempts, its retry due past the TTL; want expired after 1",
+			s.State, s.Attempts)
 	}
-	e.mu.Lock()
-	err := e.jobs[id].err
-	e.mu.Unlock()
-	if !errors.Is(err, ErrExpired) {
-		t.Fatalf("expired job's error %v does not wrap ErrExpired", err)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the expired job ran %d times, want 1", n)
+	}
+}
+
+// TestEngineDoLeavesQueueWhenContextEnds: a Do call whose context ends
+// while it is still queued returns ctx.Err() at once, never runs, and
+// frees its QueueDepth slot for the next admission.
+func TestEngineDoLeavesQueueWhenContextEnds(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2})
+	gate := make(chan struct{})
+	defer close(gate)
+	block := func(ctx context.Context) ([]byte, error) {
+		<-gate
+		return nil, nil
+	}
+	if _, err := e.Submit("advise", "", block); err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		ran bool
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		_, ran, err := e.Do(ctx, "advise", "k", func(ctx context.Context) ([]byte, error) {
+			t.Error("a Do call that left the queue must not run")
+			return nil, nil
+		})
+		done <- outcome{ran, err}
+	}()
+	waitFor(t, "the Do call never queued behind the blocker", func() bool {
+		pending, _ := e.Admission()
+		return pending == 2 && e.Running() == 1
+	})
+	var shed *ShedError
+	if _, err := e.Submit("advise", "", block); !errors.As(err, &shed) {
+		t.Fatalf("Submit with the queue full: got %v, want a ShedError", err)
+	}
+	cancel()
+	if o := <-done; !errors.Is(o.err, context.Canceled) || o.ran {
+		t.Fatalf("Do after its context ended: (ran %v, %v), want (false, context.Canceled)", o.ran, o.err)
+	}
+	if pending, _ := e.Admission(); pending != 1 {
+		t.Fatalf("%d computations pending after the Do left the queue, want 1", pending)
+	}
+	if _, err := e.Submit("advise", "", block); err != nil {
+		t.Fatalf("Submit into the freed slot: %v", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -315,15 +338,16 @@ func TestEngineExpiryIsErrExpired(t *testing.T) {
 func TestEngineDoRunsOnceUnlisted(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2, MaxAttempts: 3})
 	calls := 0
-	_, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) {
+	ctx := context.Background()
+	_, ran, err := e.Do(ctx, "advise", "k", func(ctx context.Context) ([]byte, error) {
 		calls++
 		return nil, &budget.TransientError{Err: errors.New("flaky")}
 	})
 	var te *budget.TransientError
-	if !errors.As(err, &te) || calls != 1 {
-		t.Fatalf("Do: err=%v after %d attempts, want the transient error after 1", err, calls)
+	if !errors.As(err, &te) || calls != 1 || !ran {
+		t.Fatalf("Do: err=%v after %d attempts (ran %v), want the transient error after 1", err, calls, ran)
 	}
-	body, err := e.Do("advise", "k", func(ctx context.Context) ([]byte, error) { return []byte("ok"), nil })
+	body, _, err := e.Do(ctx, "advise", "k", func(ctx context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("Do: got (%q, %v), want (ok, nil)", body, err)
 	}
@@ -339,19 +363,17 @@ func TestEngineDoRunsOnceUnlisted(t *testing.T) {
 	if err != nil || id != "j-000001" {
 		t.Fatalf("first Submit after Do: (%q, %v), want j-000001", id, err)
 	}
-	go e.Do("advise", "queued", func(ctx context.Context) ([]byte, error) { return nil, nil })
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Running() < 1 || e.Depth() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("Do call never queued behind the running job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := e.Do("advise", "over", func(ctx context.Context) ([]byte, error) {
+	go e.Do(ctx, "advise", "queued", func(ctx context.Context) ([]byte, error) { return nil, nil })
+	waitFor(t, "Do call never queued behind the running job", func() bool {
+		pending, _ := e.Admission()
+		return e.Running() == 1 && pending == 2
+	})
+	var shed *ShedError
+	if _, ran, err := e.Do(ctx, "advise", "over", func(ctx context.Context) ([]byte, error) {
 		t.Error("Do past the queue bound must not run")
 		return nil, nil
-	}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Do past QueueDepth: got %v, want ErrQueueFull", err)
+	}); !errors.As(err, &shed) || shed.Reason != "queue" || ran {
+		t.Fatalf("Do past QueueDepth: got (ran %v, %v), want a queue ShedError", ran, err)
 	}
 }
 

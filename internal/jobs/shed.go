@@ -9,9 +9,6 @@ import (
 
 // ShedConfig parameterizes adaptive load shedding for job admission.
 type ShedConfig struct {
-	// MaxDepth sheds when the queue depth reaches it; 0 disables the
-	// depth signal.
-	MaxDepth int
 	// P99 sheds when the windowed 99th-percentile latency exceeds it; 0
 	// disables the latency signal.
 	P99 time.Duration
@@ -22,21 +19,18 @@ type ShedConfig struct {
 	// Between rolls the same windowed snapshot is reused, so a burst of
 	// Check calls costs one histogram scan per interval.
 	Interval time.Duration
-	// RetryAfter is the hint returned with a shed decision (default 1s).
-	RetryAfter time.Duration
 	// Now is the clock (tests inject a fake; default time.Now).
 	Now func() time.Time
 }
 
-// Shedder decides whether to reject new work before it enters the queue.
-// It watches two signals: instantaneous queue depth (cheap, checked every
-// time) and windowed p99 latency from an obs.Histogram (sampled by diffing
+// Shedder decides whether to reject new work before it enters the queue,
+// on the windowed p99 latency of an obs.Histogram (sampled by diffing
 // cumulative snapshots, so a bad spike ages out instead of latching the
-// shedder open forever). Safe for concurrent use.
+// shedder open forever). The queue's length is the engine's own QueueDepth
+// bound. Safe for concurrent use.
 type Shedder struct {
-	cfg   ShedConfig
-	hist  *obs.Histogram
-	depth func() int
+	cfg  ShedConfig
+	hist *obs.Histogram
 
 	mu     sync.Mutex
 	prev   obs.HistSnapshot
@@ -45,37 +39,31 @@ type Shedder struct {
 }
 
 // NewShedder builds a Shedder. hist may be nil (disables the latency
-// signal); depth may be nil (disables the depth signal).
-func NewShedder(cfg ShedConfig, hist *obs.Histogram, depth func() int) *Shedder {
+// signal).
+func NewShedder(cfg ShedConfig, hist *obs.Histogram) *Shedder {
 	if cfg.MinSamples < 1 {
 		cfg.MinSamples = 16
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Shedder{cfg: cfg, hist: hist, depth: depth}
+	return &Shedder{cfg: cfg, hist: hist}
 }
 
 // Check reports whether the next request should be shed, with the reason
-// ("queue" or "latency") and a Retry-After hint.
+// ("latency") and a Retry-After hint (1s, as for the engine's queue bound).
 func (s *Shedder) Check() (shed bool, reason string, retryAfter time.Duration) {
 	if s == nil {
 		return false, "", 0
-	}
-	if s.cfg.MaxDepth > 0 && s.depth != nil && s.depth() >= s.cfg.MaxDepth {
-		return true, "queue", s.cfg.RetryAfter
 	}
 	if s.cfg.P99 > 0 && s.hist != nil {
 		win := s.latencyWindow()
 		if win.Count >= int64(s.cfg.MinSamples) {
 			if p99 := win.Quantile(0.99); p99 > float64(s.cfg.P99) {
-				return true, "latency", s.cfg.RetryAfter
+				return true, "latency", time.Second
 			}
 		}
 	}

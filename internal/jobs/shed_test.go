@@ -7,23 +7,6 @@ import (
 	"clara/internal/obs"
 )
 
-func TestShedderQueueDepthSignal(t *testing.T) {
-	depth := 0
-	s := NewShedder(ShedConfig{MaxDepth: 4, RetryAfter: 2 * time.Second}, nil, func() int { return depth })
-	if shed, _, _ := s.Check(); shed {
-		t.Fatal("shed at depth 0")
-	}
-	depth = 4
-	shed, reason, retry := s.Check()
-	if !shed || reason != "queue" || retry != 2*time.Second {
-		t.Fatalf("got (%v, %q, %s), want queue shed with 2s hint", shed, reason, retry)
-	}
-	depth = 1
-	if shed, _, _ := s.Check(); shed {
-		t.Fatal("still shedding after the queue recovered")
-	}
-}
-
 func TestShedderLatencySignalIsWindowed(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	hist := &obs.Histogram{}
@@ -32,7 +15,7 @@ func TestShedderLatencySignalIsWindowed(t *testing.T) {
 		MinSamples: 4,
 		Interval:   time.Second,
 		Now:        clk.now,
-	}, hist, nil)
+	}, hist)
 
 	// Slow observations: p99 far above the threshold.
 	for i := 0; i < 32; i++ {
@@ -63,7 +46,7 @@ func TestShedderLatencySignalIsWindowed(t *testing.T) {
 func TestShedderTooFewSamplesStaysOpen(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	hist := &obs.Histogram{}
-	s := NewShedder(ShedConfig{P99: 1, MinSamples: 16, Now: clk.now}, hist, nil)
+	s := NewShedder(ShedConfig{P99: 1, MinSamples: 16, Now: clk.now}, hist)
 	for i := 0; i < 8; i++ {
 		hist.Observe(1 << 30)
 	}
@@ -77,7 +60,7 @@ func TestShedderNilIsInert(t *testing.T) {
 	if shed, _, _ := s.Check(); shed {
 		t.Fatal("nil shedder shed")
 	}
-	s2 := NewShedder(ShedConfig{}, nil, nil)
+	s2 := NewShedder(ShedConfig{}, nil)
 	if shed, _, _ := s2.Check(); shed {
 		t.Fatal("shedder with no signals shed")
 	}

@@ -205,11 +205,13 @@ func TestChaosBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
+// TestChaosSheddingEngagesBeforeSaturation: the job queue's one bound,
+// JobQueueDepth, sheds submissions once that many computations are
+// admitted but unfinished, with Retry-After and a reason="queue" count.
 func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	s, err := New(Config{
 		MaxInflight:   1,
-		JobQueueDepth: 8,
-		ShedQueue:     4,
+		JobQueueDepth: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +252,13 @@ func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 	if firstShed.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response lacks Retry-After")
 	}
-	// Shedding must engage at ShedQueue (4 queued + 1 running = 5
-	// accepted), well before the hard bound of 8.
-	if accepted > 5 {
-		t.Fatalf("%d submissions accepted; shedding engaged after the %d-deep early bound", accepted, 4)
+	// Shedding must engage at JobQueueDepth: 4 queued + 1 running = 5
+	// accepted.
+	if accepted != 5 {
+		t.Fatalf("%d submissions accepted, want 5: shedding must engage at the 5-deep bound", accepted)
 	}
-	if depth := s.engine.Depth(); depth > 4 {
-		t.Fatalf("queue depth %d exceeds the shed bound 4", depth)
+	if n := pending(s); n != 5 {
+		t.Fatalf("%d computations pending, want the bound 5", n)
 	}
 	if n := s.metrics.Counter("clara_jobs_shed_total", "reason", "queue").Value(); n != int64(shed) {
 		t.Fatalf("shed counter %d, want %d", n, shed)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"clara"
+	"clara/internal/cliutil"
 	"clara/internal/jobs"
 )
 
@@ -128,11 +129,18 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) int {
 			return body, nil
 		}
 		s.metrics.Counter("clara_serve_cache_misses_total", "endpoint", kind).Inc()
-		return s.computeBody(ctx, kind, key, reqCopy.NF, &reqCopy, s.withNF(hash, source, &reqCopy, compute))
+		// Each attempt clamps afresh, so a retry runs under a fresh deadline.
+		ctx, cancel, err := cliutil.RequestContext(ctx, reqCopy.Timeout, reqCopy.Budget, s.cfg.MaxTimeout, s.cfg.MaxBudget)
+		if err != nil {
+			return nil, err
+		}
+		defer cancel()
+		return s.computeBody(ctx, kind, key, reqCopy.NF, s.withNF(hash, source, &reqCopy, compute))
 	})
 	if err != nil {
-		// Shed, queue full or draining: not accepted, try again later (or
-		// on another replica — /readyz is already reporting not-ready).
+		// Shed (queue bound or latency) or draining: not accepted, try again
+		// later (or on another replica — /readyz is already reporting
+		// not-ready).
 		return writeComputeError(w, err)
 	}
 	snap, _ := s.engine.Get(id)

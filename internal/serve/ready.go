@@ -26,7 +26,8 @@ const probeSrc = `nf readyprobe {
 }`
 
 // readyResponse is the GET /readyz body. Ready is the verdict; the rest is
-// the evidence.
+// the evidence. QueueDepth counts the computations admitted but not yet
+// finished, the count QueueBound (JobQueueDepth) limits.
 type readyResponse struct {
 	Ready      bool              `json:"ready"`
 	Draining   bool              `json:"draining"`
@@ -49,24 +50,23 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	library := len(s.library)
 	s.mu.Unlock()
 
+	pending, refusal := s.engine.Admission()
 	resp := readyResponse{
 		Draining:   draining,
 		Library:    library,
-		QueueDepth: s.engine.Depth(),
+		QueueDepth: pending,
 		QueueBound: s.cfg.JobQueueDepth,
 		Running:    s.engine.Running(),
 		Breakers:   map[string]string{},
 	}
-	ready := !draining
+	// Not ready whenever the next admission would be refused.
+	ready := !draining && refusal == nil
 	for name, br := range s.breakers {
 		state := br.State()
 		resp.Breakers[name] = state
 		if state == jobs.BreakerOpen {
 			ready = false
 		}
-	}
-	if s.cfg.ShedQueue > 0 && resp.QueueDepth >= s.cfg.ShedQueue {
-		ready = false
 	}
 	if draining {
 		// The pipeline is being torn down; probing it now proves nothing.
@@ -115,7 +115,7 @@ func (s *Server) runProbe() error {
 	if len(targets) == 0 {
 		return errors.New("no prediction targets registered")
 	}
-	t, err := clara.NewTarget(targets[0])
+	t, err := clara.BuiltinTarget(targets[0])
 	if err != nil {
 		return err
 	}

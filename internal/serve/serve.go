@@ -16,7 +16,8 @@
 //   - one admission path: every computation, sync or async, is admitted by
 //     the internal/jobs engine and runs on its MaxInflight workers, and
 //     every request's timeout and budget are clamped by operator-configured
-//     ceilings (cliutil.RequestContext), so no client can monopolize the box;
+//     ceilings (cliutil.RequestContext), a sync request's deadline from
+//     before admission, so no client can monopolize the box;
 //   - graceful shutdown: Shutdown stops admitting work, drains in-flight
 //     analyses, and past the drain deadline aborts them through the same
 //     cancellation plumbing the CLIs use (typed errors, partial results);
@@ -90,7 +91,8 @@ type Config struct {
 	// deterministic jitter (default 50ms).
 	JobBackoff time.Duration
 	// JobTTL is how long terminal job results stay pollable and how stale a
-	// queued job may grow before it expires unrun (default 15m).
+	// queued async job may grow before it expires unrun (default 15m); a
+	// sync request's wait is bounded by its deadline instead.
 	JobTTL time.Duration
 	// JobSeed fixes the retry-jitter pattern (and pairs with Chaos.Seed in
 	// the chaos harness's determinism contract).
@@ -98,10 +100,6 @@ type Config struct {
 	// TenantWeights maps the "tenant" request field to a weighted-fair
 	// share of the workers; absent tenants (and sync requests) weigh 1.
 	TenantWeights map[string]float64
-	// ShedQueue sheds new computations, sync or async, once the dispatch
-	// queue reaches this depth — an early-warning bound below the hard
-	// JobQueueDepth (default 3/4 of it; negative disables).
-	ShedQueue int
 	// ShedP99 sheds new computations while the windowed p99 duration of
 	// job-engine attempts (every computation, sync or async) exceeds it
 	// (0 disables the latency signal).
@@ -184,9 +182,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobQueueDepth < 1 {
 		cfg.JobQueueDepth = 256
 	}
-	if cfg.ShedQueue == 0 {
-		cfg.ShedQueue = 3 * cfg.JobQueueDepth / 4
-	}
 	if cfg.SelfCheckEvery <= 0 {
 		cfg.SelfCheckEvery = 15 * time.Second
 	}
@@ -217,11 +212,8 @@ func New(cfg Config) (*Server, error) {
 		m.Counter("clara_serve_result_cache_evictions_total").Inc()
 	}
 	var shed *jobs.Shedder
-	if cfg.ShedQueue > 0 || cfg.ShedP99 > 0 {
-		shed = jobs.NewShedder(jobs.ShedConfig{
-			MaxDepth: cfg.ShedQueue,
-			P99:      cfg.ShedP99,
-		}, jobs.AttemptNanos(m), func() int { return s.engine.Depth() })
+	if cfg.ShedP99 > 0 {
+		shed = jobs.NewShedder(jobs.ShedConfig{P99: cfg.ShedP99}, jobs.AttemptNanos(m))
 	}
 	s.engine = jobs.NewEngine(base, jobs.Config{
 		Workers:     cfg.MaxInflight,
@@ -402,42 +394,24 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// instrument wraps an endpoint with admission control and the per-endpoint
+// instrument wraps an endpoint with drain gating and the per-endpoint
 // metrics: clara_http_requests_total{endpoint,code} and the latency
 // histogram clara_http_request_nanos{endpoint}.
 func (s *Server) instrument(endpoint string, h func(w http.ResponseWriter, r *http.Request) int) http.Handler {
 	hist := s.metrics.Histogram("clara_http_request_nanos", "endpoint", endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		code := s.admit(endpoint, w, r, h)
+		var code int
+		if s.enter() {
+			defer s.leave()
+			code = h(w, r)
+		} else {
+			code = writeError(w, http.StatusServiceUnavailable, errors.New("server is shutting down"))
+		}
 		hist.ObserveSince(start)
 		s.metrics.Counter("clara_http_requests_total",
 			"endpoint", endpoint, "code", strconv.Itoa(code)).Inc()
 	})
-}
-
-// admit runs drain gating and the endpoint's circuit breaker (when it has
-// one) around the handler.
-func (s *Server) admit(endpoint string, w http.ResponseWriter, r *http.Request,
-	h func(w http.ResponseWriter, r *http.Request) int) int {
-
-	if !s.enter() {
-		return writeError(w, http.StatusServiceUnavailable, errors.New("server is shutting down"))
-	}
-	defer s.leave()
-	br := s.breakers[endpoint]
-	if br == nil {
-		return h(w, r)
-	}
-	if ok, retry := br.Allow(); !ok {
-		return writeRetryError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("endpoint %s shedding load: circuit breaker %s", endpoint, br.State()), retry)
-	}
-	// Computations run inside the job engine's panic guard, so the handler
-	// returns and records exactly one outcome, as half-open probes need.
-	code := h(w, r)
-	br.Record(code >= http.StatusInternalServerError)
-	return code
 }
 
 func writeError(w http.ResponseWriter, code int, err error) int {
@@ -467,14 +441,14 @@ func writeBody(w http.ResponseWriter, cache string, body []byte) int {
 }
 
 // writeComputeError answers a failed computation: a refusal at the job
-// engine's admission, or expiry in its queue, is 503 with Retry-After,
-// anything else statusFor's.
+// engine's admission (queue bound, latency shedding, drain) is 503 with
+// Retry-After, anything else statusFor's.
 func writeComputeError(w http.ResponseWriter, err error) int {
 	var shed *jobs.ShedError
 	switch {
 	case errors.As(err, &shed):
 		return writeRetryError(w, http.StatusServiceUnavailable, err, shed.RetryAfter)
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining), errors.Is(err, jobs.ErrExpired):
+	case errors.Is(err, jobs.ErrDraining):
 		return writeRetryError(w, http.StatusServiceUnavailable, err, time.Second)
 	}
 	return writeError(w, statusFor(err), err)
@@ -584,22 +558,17 @@ func resultKey(endpoint, hash string, req *Request) string {
 }
 
 // computeBody runs one full analysis and renders and caches the result
-// body. compute resolves its NFs (compiled or cached) and runs under the
-// clamped per-request context; name labels a rendering failure. It runs
-// only inside a job-engine attempt, for sync and async requests alike, and
-// parent is the attempt context, so cancellation and drain aborts flow
-// through one plumbing.
-func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, name string, req *Request,
+// body. compute resolves its NFs (compiled or cached); name labels a
+// rendering failure. It runs only inside a job-engine attempt, for sync and
+// async requests alike, and ctx is the attempt context, which already
+// carries the request's clamped deadline and budget, so cancellation and
+// drain aborts flow through one plumbing.
+func (s *Server) computeBody(ctx context.Context, endpoint, cacheKey, name string,
 	compute func(ctx context.Context) (any, error)) ([]byte, error) {
 
 	if s.testComputeGate != nil {
 		s.testComputeGate()
 	}
-	ctx, cancel, err := cliutil.RequestContext(parent, req.Timeout, req.Budget, s.cfg.MaxTimeout, s.cfg.MaxBudget)
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
 	ctx = obs.With(ctx, s.metrics)
 	ctx = budget.WithUsage(ctx, s.usage)
 
@@ -618,8 +587,8 @@ func (s *Server) computeBody(parent context.Context, endpoint, cacheKey, name st
 
 // analyze is the shared request path behind the synchronous analysis
 // endpoints: resolve + hash the NF, consult the result cache, and on a
-// miss run compute under singleflight, engine admission and the clamped
-// per-request context, caching the rendered body on success.
+// miss run compute under the clamped per-request context, singleflight and
+// engine admission, caching the rendered body on success.
 func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string,
 	compute func(ctx context.Context, nf *clara.NF, req *Request) (any, error)) int {
 
@@ -634,8 +603,8 @@ func (s *Server) analyze(w http.ResponseWriter, r *http.Request, endpoint string
 	sum := sha256.Sum256([]byte(source))
 	hash := hex.EncodeToString(sum[:])
 	key := resultKey(endpoint, hash, &req)
-	return s.cachedFlight(w, endpoint, key, req.Timeout, func(ctx context.Context) ([]byte, error) {
-		return s.computeBody(ctx, endpoint, key, req.NF, &req, s.withNF(hash, source, &req, compute))
+	return s.cachedFlight(w, endpoint, key, &req, func(ctx context.Context) ([]byte, error) {
+		return s.computeBody(ctx, endpoint, key, req.NF, s.withNF(hash, source, &req, compute))
 	})
 }
 
@@ -652,24 +621,48 @@ func (s *Server) withNF(hash, source string, req *Request,
 	}
 }
 
-// cachedFlight is the result cache → singleflight → engine admission
-// pipeline shared by analyze and the multi-tenant colocate endpoint: on a
-// cache miss the flight leader runs compute through the engine's Do, whose
-// attempt is the one chaos and panic boundary. The computation runs under
-// the leader's clamped deadline, so sharing is scoped to requests with an
-// identical timeout spec — a generous request must not inherit a 504 from
-// a 1ms leader. The result cache stays timeout-agnostic.
-func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key, timeout string, compute jobs.Compute) int {
-	flightKey := key + "\x00" + timeout
-
+// cachedFlight is the result cache → breaker → singleflight → engine
+// admission pipeline shared by analyze and the multi-tenant colocate
+// endpoint: on a cache miss the flight leader clamps the request's timeout
+// and budget, then runs compute through the engine's Do, whose attempt is
+// the one chaos and panic boundary. The deadline starts before admission,
+// so it bounds the queue wait as well as the run, and sharing is scoped to
+// requests with an identical timeout spec — a generous request must not
+// inherit a 504 from a 1ms leader. The result cache stays timeout-agnostic.
+func (s *Server) cachedFlight(w http.ResponseWriter, endpoint, key string, req *Request, compute jobs.Compute) (code int) {
 	if body, ok := s.results.get(key); ok {
 		s.metrics.Counter("clara_serve_cache_hits_total", "endpoint", endpoint).Inc()
 		return writeBody(w, "hit", body)
 	}
 	s.metrics.Counter("clara_serve_cache_misses_total", "endpoint", endpoint).Inc()
+	// A hit is answered in any breaker state; only a miss asks the breaker.
+	br := s.breakers[endpoint]
+	if ok, retry := br.Allow(); !ok {
+		return writeRetryError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("endpoint %s shedding load: circuit breaker %s", endpoint, br.State()), retry)
+	}
 
+	// The breaker sees each computation that ran once, through its leader.
+	// A refusal, a drain or a deadline spent in the queue says nothing about
+	// the endpoint's health, and a joiner's outcome is its leader's.
+	ran := false
+	defer func() {
+		if ran {
+			br.Record(code >= http.StatusInternalServerError)
+		} else {
+			br.Release()
+		}
+	}()
+	flightKey := key + "\x00" + req.Timeout
 	body, err, shared := s.flight.do(flightKey, func() ([]byte, error) {
-		return s.engine.Do(endpoint, flightKey, compute)
+		ctx, cancel, err := cliutil.RequestContext(s.base, req.Timeout, req.Budget, s.cfg.MaxTimeout, s.cfg.MaxBudget)
+		if err != nil {
+			return nil, err
+		}
+		defer cancel()
+		var body []byte
+		body, ran, err = s.engine.Do(ctx, endpoint, flightKey, compute)
+		return body, err
 	})
 	if shared {
 		s.metrics.Counter("clara_serve_singleflight_shared_total", "endpoint", endpoint).Inc()
@@ -718,7 +711,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) predictCompute(ctx context.Context, nf *clara.NF, req *Request) (any, error) {
-	t, err := clara.NewTarget(req.Target)
+	t, err := clara.BuiltinTarget(req.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -745,7 +738,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) partialCompute(ctx context.Context, nf *clara.NF, req *Request) (any, error) {
-	t, err := clara.NewTarget(req.Target)
+	t, err := clara.BuiltinTarget(req.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -791,7 +784,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (s *Server) measureCompute(ctx context.Context, nf *clara.NF, req *Request) (any, error) {
-	t, err := clara.NewTarget(req.Target)
+	t, err := clara.BuiltinTarget(req.Target)
 	if err != nil {
 		return nil, err
 	}
@@ -894,8 +887,8 @@ func (s *Server) handleColocate(w http.ResponseWriter, r *http.Request) int {
 	}
 	key := strings.Join(keyParts, "\x00")
 
-	return s.cachedFlight(w, "colocate", key, req.Timeout, func(ctx context.Context) ([]byte, error) {
-		return s.computeBody(ctx, "colocate", key, "colocate", &req, func(ctx context.Context) (any, error) {
+	return s.cachedFlight(w, "colocate", key, &req, func(ctx context.Context) ([]byte, error) {
+		return s.computeBody(ctx, "colocate", key, "colocate", func(ctx context.Context) (any, error) {
 			nfs := make([]*clara.NF, len(req.Tenants))
 			weights := make([]float64, len(req.Tenants))
 			wls := make([]clara.Workload, len(req.Tenants))
@@ -910,7 +903,7 @@ func (s *Server) handleColocate(w http.ResponseWriter, r *http.Request) int {
 				}
 				nfs[i], weights[i], wls[i] = nf, req.Tenants[i].weight(), wl
 			}
-			t, err := clara.NewTarget(req.Target)
+			t, err := clara.BuiltinTarget(req.Target)
 			if err != nil {
 				return nil, err
 			}
@@ -951,7 +944,7 @@ func (s *Server) sweepCompute(ctx context.Context, nf *clara.NF, req *Request) (
 	out := sweepResponse{NF: nf.Name(), Workload: req.Workload,
 		Predictions: make([]sweepPrediction, 0, len(targets))}
 	for _, name := range targets {
-		t, err := clara.NewTarget(name)
+		t, err := clara.BuiltinTarget(name)
 		if err != nil {
 			return nil, err
 		}

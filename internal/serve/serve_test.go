@@ -71,6 +71,27 @@ func post(t *testing.T, url string, req Request) (*http.Response, []byte) {
 	return resp, out
 }
 
+// postFromGoroutine is post for a goroutine other than the test's: a
+// transport error is reported with t.Error and answers status 0.
+func postFromGoroutine(t *testing.T, url string, req Request) (int, []byte) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Error(err)
+		return 0, nil
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0, nil
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp.StatusCode, out
+}
+
 // TestAdviseCacheHitIsByteIdenticalAndFree is the acceptance criterion: the
 // second identical request is served from the result cache — zero
 // additional computations (the counter-based stand-in for the ≥10x wall
@@ -169,46 +190,42 @@ func TestSingleflightCollapsesConcurrentRequests(t *testing.T) {
 }
 
 // TestTimeoutScopesFlightSharing: concurrent requests that differ only in
-// their timeout spec must NOT share a flight — the computation runs under
-// the leader's clamped deadline, so a generous request joining a 1ns
-// leader would inherit its DeadlineExceeded. With timeout in the flight
-// key, both run (the gate counter proves two computations entered), the
-// tight one gets 504 and the generous one still succeeds.
+// their timeout spec must NOT share a flight — a flight runs under its
+// leader's clamped deadline, so a joiner with another timeout would get the
+// leader's answer instead of its own. Here a generous request leads a
+// pinned computation; an identical request with a 1ns timeout must lead
+// its own flight, whose deadline ends before it can run (504), instead of
+// joining the pinned one and answering 200 once it is released.
 func TestTimeoutScopesFlightSharing(t *testing.T) {
 	var entered atomic.Int32
 	gate := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{})
+	t.Cleanup(open)
 	s.testComputeGate = func() { entered.Add(1); <-gate }
 
-	tight := make(chan int, 1)
 	loose := make(chan int, 1)
 	go func() {
-		resp, _ := post(t, ts.URL+"/v1/advise",
-			Request{NF: "firewall", Workload: testWorkload, Timeout: "1ns"})
-		tight <- resp.StatusCode
+		code, _ := postFromGoroutine(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
+		loose <- code
 	}()
-	go func() {
-		resp, _ := post(t, ts.URL+"/v1/advise",
-			Request{NF: "firewall", Workload: testWorkload})
-		loose <- resp.StatusCode
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for entered.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/2 computations started: different timeouts shared one flight", entered.Load())
-		}
-		time.Sleep(time.Millisecond)
+	waitFor(t, s, "the generous request never started computing", func() bool { return entered.Load() == 1 })
+	// A tight request that joined the pinned flight would wait for the
+	// gate; the watchdog releases it so the test fails instead of hanging.
+	watchdog := time.AfterFunc(10*time.Second, open)
+	defer watchdog.Stop()
+	resp, body := post(t, ts.URL+"/v1/advise",
+		Request{NF: "firewall", Workload: testWorkload, Timeout: "1ns"})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("1ns-timeout request got %d (%s), want 504 (must not join the generous flight)", resp.StatusCode, body)
 	}
-	close(gate)
-
-	if code := <-tight; code != http.StatusGatewayTimeout {
-		t.Errorf("1ns-timeout request got %d, want 504", code)
-	}
+	open()
 	if code := <-loose; code != http.StatusOK {
-		t.Errorf("generous request got %d, want 200 (must not inherit the tight leader's deadline)", code)
+		t.Errorf("generous request got %d, want 200", code)
 	}
-	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 2 {
-		t.Errorf("computations = %d, want 2 (one per timeout spec)", n)
+	if n := s.metrics.Counter("clara_serve_computations_total", "endpoint", "advise").Value(); n != 1 || entered.Load() != 1 {
+		t.Errorf("computations = %d (entered %d), want 1: the 1ns request's deadline ended before it ran", n, entered.Load())
 	}
 }
 
@@ -888,4 +905,49 @@ func classicMeasure(t *testing.T, req Request) *nicsim.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestSyncRequestsShareOneTarget: predict, partial, measure and colocate
+// misses all compute on the one shared built-in netronome instance. Run
+// concurrently (under -race, this checks that none of them writes to it),
+// each answers byte for byte as it does computed alone on a fresh server.
+func TestSyncRequestsShareOneTarget(t *testing.T) {
+	type call struct {
+		path string
+		req  Request
+	}
+	var calls []call
+	for i := 0; i < 3; i++ {
+		wl := fmt.Sprintf("packets=256,flows=%d,rate=60000,size=300", 64+i)
+		calls = append(calls,
+			call{"/v1/predict", Request{NF: "firewall", Target: "netronome", Workload: wl}},
+			call{"/v1/partial", Request{NF: "firewall", Target: "netronome", Workload: wl}},
+			call{"/v1/measure", Request{NF: "firewall", Target: "netronome", Workload: wl, Seed: 7}},
+			call{"/v1/colocate", Request{Target: "netronome", Workload: wl,
+				Tenants: []TenantSpec{{NF: "firewall"}, {NF: "firewall", Weight: 2}}}})
+	}
+	_, alone := newTestServer(t, Config{})
+	want := make([][]byte, len(calls))
+	for i, c := range calls {
+		resp, body := post(t, alone.URL+c.path, c.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s alone: status %d (%s)", c.path, resp.StatusCode, body)
+		}
+		want[i] = body
+	}
+
+	_, ts := newTestServer(t, Config{MaxInflight: len(calls)})
+	var wg sync.WaitGroup
+	for i, c := range calls {
+		wg.Add(1)
+		go func(i int, c call) {
+			defer wg.Done()
+			code, body := postFromGoroutine(t, ts.URL+c.path, c.req)
+			if code != http.StatusOK || !bytes.Equal(body, want[i]) {
+				t.Errorf("%s %s concurrently: status %d, body differs from the lone answer: %v",
+					c.path, c.req.Workload, code, !bytes.Equal(body, want[i]))
+			}
+		}(i, c)
+	}
+	wg.Wait()
 }
