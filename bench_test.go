@@ -301,8 +301,8 @@ func BenchmarkPredictColocated(b *testing.B) {
 }
 
 // BenchmarkSimRunColocated measures the multi-tenant engine end to end: two
-// tenants sharing one Netronome, 4096 packets each, merged-order stepping on
-// GOMAXPROCS window workers, per-tenant merges included. bench_guard pins
+// tenants sharing one Netronome, 4096 packets each, the merged sequence
+// stepped once on one goroutine, per-tenant seals included. bench_guard pins
 // ns/op and allocs/op (testdata/bench_baseline.json).
 func BenchmarkSimRunColocated(b *testing.B) {
 	cfg := nicsim.ColocConfig{NIC: lnic.Netronome(), Seed: 11}
@@ -322,7 +322,7 @@ func BenchmarkSimRunColocated(b *testing.B) {
 			Preload: spec.PreloadEntries, Weight: 1, Trace: tr,
 		})
 	}
-	opts := nicsim.ShardOpts{Workers: -1, Window: nicsim.DefaultShardWindow}
+	opts := nicsim.ShardOpts{}
 	if _, err := nicsim.RunColocatedContext(context.Background(), cfg, opts); err != nil {
 		b.Fatal(err)
 	}

@@ -384,7 +384,8 @@ type MeasureOptions struct {
 	Timeline bool
 	// Shards is the simulator's parallel worker count; values < 1 select
 	// GOMAXPROCS. It is pure scheduling: on a fixed seed the Measurement is
-	// the same at every count.
+	// the same at every count. Like ShardWindow, it applies to solo runs
+	// only: a co-located run is always one window.
 	Shards int
 	// ShardWindow is the packets-per-shard window, the one option that
 	// shapes the result: simulator state restarts cold at every window
@@ -566,8 +567,9 @@ func MeasureColocated(nfs []*NF, weights []float64, t *Target, traces []*Trace, 
 }
 
 // MeasureColocatedContext is MeasureColocated bounded by ctx and its budget,
-// with per-run options (fault injection, timelines, shard window and worker
-// count; by default the whole merged event sequence is one window).
+// with per-run options (fault injection and timelines). The whole merged
+// event sequence runs as one window, so opts.Shards and opts.ShardWindow do
+// not apply.
 func MeasureColocatedContext(ctx context.Context, nfs []*NF, weights []float64, t *Target, traces []*Trace, seed int64, opts MeasureOptions) ([]*Measurement, error) {
 	if len(nfs) != len(weights) || len(nfs) != len(traces) {
 		return nil, fmt.Errorf("clara: co-location wants parallel slices, got %d NFs, %d weights, %d traces",
@@ -595,9 +597,7 @@ func MeasureColocatedContext(ctx context.Context, nfs []*NF, weights []float64, 
 	}
 	defer obs.From(ctx).StageTimer("simulate")()
 	return budget.Guard1("simulate", strings.Join(names, "+"), func() ([]*Measurement, error) {
-		return nicsim.RunColocatedContext(ctx, cfg, nicsim.ShardOpts{
-			Workers: opts.Shards, Window: opts.ShardWindow,
-		})
+		return nicsim.RunColocatedContext(ctx, cfg, nicsim.ShardOpts{})
 	})
 }
 

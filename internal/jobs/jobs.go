@@ -50,12 +50,11 @@ func (s State) Terminal() bool {
 // should retry elsewhere or later.
 var ErrDraining = errors.New("jobs: engine draining")
 
-// ShedError is the overload answer to an admission, with a Retry-After
-// hint: the QueueDepth bound is reached (reason "queue") or the shedder's
-// latency signal fired ("latency").
+// ShedError is the overload answer to an admission: the QueueDepth bound
+// is reached (reason "queue") or the shedder's latency signal fired
+// ("latency"). Either way the caller should retry after a second.
 type ShedError struct {
-	Reason     string
-	RetryAfter time.Duration
+	Reason string
 }
 
 func (e *ShedError) Error() string { return "shedding load (" + e.Reason + ")" }
@@ -280,10 +279,10 @@ func (e *Engine) refusalLocked() error {
 		return ErrDraining
 	}
 	if e.pending >= e.cfg.QueueDepth {
-		return &ShedError{Reason: "queue", RetryAfter: time.Second}
+		return &ShedError{Reason: "queue"}
 	}
-	if shed, reason, retry := e.cfg.Shed.Check(); shed {
-		return &ShedError{Reason: reason, RetryAfter: retry}
+	if e.cfg.Shed.Check() {
+		return &ShedError{Reason: "latency"}
 	}
 	return nil
 }

@@ -7,18 +7,20 @@ import (
 	"clara/internal/obs"
 )
 
+// shedMinSamples is how many observations the latency window needs before
+// its p99 is trusted.
+const shedMinSamples = 16
+
+// shedInterval is how often the latency window rolls forward. Between rolls
+// the same windowed snapshot is reused, so a burst of Check calls costs one
+// histogram scan per interval.
+const shedInterval = time.Second
+
 // ShedConfig parameterizes adaptive load shedding for job admission.
 type ShedConfig struct {
 	// P99 sheds when the windowed 99th-percentile latency exceeds it; 0
 	// disables the latency signal.
 	P99 time.Duration
-	// MinSamples is how many observations the latency window needs before
-	// its p99 is trusted (default 16).
-	MinSamples int
-	// Interval is how often the latency window rolls forward (default 1s).
-	// Between rolls the same windowed snapshot is reused, so a burst of
-	// Check calls costs one histogram scan per interval.
-	Interval time.Duration
 	// Now is the clock (tests inject a fake; default time.Now).
 	Now func() time.Time
 }
@@ -41,42 +43,29 @@ type Shedder struct {
 // NewShedder builds a Shedder. hist may be nil (disables the latency
 // signal).
 func NewShedder(cfg ShedConfig, hist *obs.Histogram) *Shedder {
-	if cfg.MinSamples < 1 {
-		cfg.MinSamples = 16
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	return &Shedder{cfg: cfg, hist: hist}
 }
 
-// Check reports whether the next request should be shed, with the reason
-// ("latency") and a Retry-After hint (1s, as for the engine's queue bound).
-func (s *Shedder) Check() (shed bool, reason string, retryAfter time.Duration) {
-	if s == nil {
-		return false, "", 0
+// Check reports whether the next request should be shed: the windowed p99
+// latency, over at least shedMinSamples observations, exceeds P99.
+func (s *Shedder) Check() bool {
+	if s == nil || s.cfg.P99 <= 0 || s.hist == nil {
+		return false
 	}
-	if s.cfg.P99 > 0 && s.hist != nil {
-		win := s.latencyWindow()
-		if win.Count >= int64(s.cfg.MinSamples) {
-			if p99 := win.Quantile(0.99); p99 > float64(s.cfg.P99) {
-				return true, "latency", time.Second
-			}
-		}
-	}
-	return false, "", 0
+	win := s.latencyWindow()
+	return win.Count >= shedMinSamples && win.Quantile(0.99) > float64(s.cfg.P99)
 }
 
 // latencyWindow returns the histogram delta covering roughly the last
-// Interval, rolling the window forward when it has aged out.
+// shedInterval, rolling the window forward when it has aged out.
 func (s *Shedder) latencyWindow() obs.HistSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.cfg.Now()
-	if s.rolled.IsZero() || now.Sub(s.rolled) >= s.cfg.Interval {
+	if s.rolled.IsZero() || now.Sub(s.rolled) >= shedInterval {
 		cur := s.hist.Snapshot()
 		s.window = cur.Sub(s.prev)
 		s.prev = cur

@@ -47,8 +47,8 @@ type contProbe struct {
 // shared resources under synthetic contender load, bounded by ctx and its
 // budget: every probe simulation inherits ctx, so cancellation mid-fit
 // returns promptly with a typed error. The fit is fully deterministic —
-// fixed seeds, and the co-located engine's results are worker-count
-// invariant — so one model per profile can be memoized.
+// fixed seeds, and the co-located engine steps each run on one goroutine —
+// so one model per profile can be memoized.
 func FitContentionContext(ctx context.Context, nic *lnic.LNIC) (*lnic.ContentionModel, error) {
 	model := &lnic.ContentionModel{NIC: nic.Name, Curves: map[string]lnic.SlowdownCurve{}}
 	for _, probe := range contProbes(nic) {

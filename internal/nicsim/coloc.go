@@ -8,11 +8,9 @@ import (
 	"slices"
 	"sort"
 
-	"clara/internal/budget"
 	"clara/internal/cir"
 	"clara/internal/lnic"
 	"clara/internal/obs"
-	"clara/internal/runner"
 	"clara/internal/workload"
 )
 
@@ -31,14 +29,13 @@ import (
 //     earliest-free server was last held by a different tenant — the wait is
 //     accounted in the requesting tenant's Result.Contention.
 //
-// Determinism follows the sharded engine's contract: the merged event
-// sequence (all tenants' packets ordered by arrival time, ties broken by
-// tenant then packet index) is decomposed into fixed windows independent of
-// the worker count; every window runs on fresh per-tenant Sims with
-// splitmix64-derived streams (window w, tenant t), stepped by ONE goroutine
-// in merged order; per-tenant Results merge window-by-window exactly like
-// shards. Same seed ⇒ reflect.DeepEqual per-tenant Results across any
-// worker count.
+// Determinism: the merged event sequence (all tenants' packets ordered by
+// arrival time, ties broken by tenant then packet index) runs once, as one
+// window, on fresh per-tenant Sims stepped by ONE goroutine in merged order.
+// Tenant t's runtime streams derive from the run seed through tenantSeed,
+// and its state-table contents from the shared state seed, as in a solo
+// run. Nothing is scheduled across goroutines, so the same seed gives
+// reflect.DeepEqual per-tenant Results on every run.
 //
 // A run with a single active tenant never builds shared state (coloc stays
 // nil, the tenant keeps the full thread pool and a zero address base), so it
@@ -145,9 +142,9 @@ func mergeArrivals(tenants []Tenant, active []int) []colocEvent {
 // cmpArrival orders trace packets by arrival time.
 func cmpArrival(a, b workload.TracePacket) int { return cmp.Compare(a.ArrivalNs, b.ArrivalNs) }
 
-// colocShared is the arbitration state the co-located Sims of one window
+// colocShared is the arbitration state the co-located Sims of one run
 // share: last-owner tags per hub/unit server (for contention attribution)
-// and a resource-name cache. It is touched only by the window's single
+// and a resource-name cache. It is touched only by the run's single
 // stepping goroutine.
 type colocShared struct {
 	hubOwner  [][]int       // [hub][server] → last tenant, -1 when never used
@@ -170,7 +167,7 @@ func (c *colocShared) resName(nic *lnic.LNIC, unit int) string {
 	return n
 }
 
-// tenantSeed decorrelates tenant t's stream from the window seed. Tenant 0
+// tenantSeed decorrelates tenant t's stream from the run seed. Tenant 0
 // keeps the seed unchanged so a single-tenant co-located run reproduces the
 // solo sharded engine bit for bit.
 func tenantSeed(seed int64, t int) int64 {
@@ -184,8 +181,8 @@ func tenantSeed(seed int64, t int) int64 {
 // apart) so co-resident NFs' state never aliases onto identical cache lines.
 func tenantAddrBase(t int) uint64 { return uint64(t) << 40 }
 
-// colocTenantConfig builds the simulator Config for tenant t in window w.
-func colocTenantConfig(cfg ColocConfig, w, t int) Config {
+// colocTenantConfig builds the simulator Config for tenant t.
+func colocTenantConfig(cfg ColocConfig, t int) Config {
 	ten := cfg.Tenants[t]
 	base := Config{
 		NIC: cfg.NIC, Prog: ten.Prog, Place: ten.Place, Preload: ten.Preload,
@@ -193,7 +190,9 @@ func colocTenantConfig(cfg ColocConfig, w, t int) Config {
 		Faults: cfg.Faults, Timeline: cfg.Timeline,
 		addrBase: tenantAddrBase(t),
 	}
-	sc := shardConfig(base, w)
+	// Window 0's config resolves the state and fault seeds as a solo run
+	// of one window does.
+	sc := shardConfig(base, 0)
 	if t != 0 {
 		sc.Seed = tenantSeed(sc.Seed, t)
 		if sc.Faults != nil {
@@ -287,7 +286,7 @@ func emptyResult(name string) *Result {
 
 // captureCounters extracts the raw cache counters the shard merge needs from
 // a finished Sim. Co-located tenants share one set of caches, so each
-// tenant's shardRun reports the shared (whole-NIC) counters for its window.
+// tenant's shardRun reports the shared (whole-NIC) counters.
 func captureCounters(sim *Sim, sr *shardRun) {
 	sr.fcPresent = sim.fc != nil
 	sr.cacheHits = make(map[string]uint64, len(sim.caches))
@@ -305,32 +304,27 @@ func captureCounters(sim *Sim, sr *shardRun) {
 	}
 }
 
-// runColocWindow simulates one window of the merged event sequence
-// (events, whose first entry has global index start) for window seed index
-// w, and returns one shardRun per tenant (zero-valued for inactive slots).
+// runColoc steps the merged event sequence once, on fresh per-tenant Sims,
+// and returns one shardRun per tenant (zero-valued for inactive slots).
 // Events run on a single goroutine in merged order — the Sims share
 // mutable arbitration state by design. A budget/cancel trip seals every
 // active tenant with the same typed error, each carrying that tenant's own
 // partial Result.
-func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares []int, events []colocEvent, start, w int, pools []*simPool) []shardRun {
+func runColoc(ctx context.Context, cfg ColocConfig, active []int, shares []int, events []colocEvent) []shardRun {
 	sruns := make([]shardRun, len(cfg.Tenants))
-	fail := func(err error) []shardRun {
-		for _, t := range active {
-			sruns[t] = shardRun{err: err}
-		}
+	if ctx.Err() != nil {
+		// Canceled before the run: mergeShards reports a zero shardRun as
+		// a run that never started.
 		return sruns
 	}
 	sims := make([]*Sim, len(cfg.Tenants))
 	for _, t := range active {
-		// One pool per tenant: a tenant's windows share program, placement
-		// and address base, which is exactly the pool's reset contract.
-		var pool *simPool
-		if pools != nil {
-			pool = pools[t]
-		}
-		sim, err := pool.get(ctx, colocTenantConfig(cfg, w, t))
+		sim, err := NewContext(ctx, colocTenantConfig(cfg, t))
 		if err != nil {
-			return fail(err)
+			for _, t := range active {
+				sruns[t] = shardRun{err: err}
+			}
+			return sruns
 		}
 		sims[t] = sim
 	}
@@ -350,7 +344,7 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 	var stepErr error
 	erred := -1
 	for k, ev := range events {
-		if err := states[ev.tenant].step(ev.idx, start+k); err != nil {
+		if err := states[ev.tenant].step(ev.idx, k); err != nil {
 			stepErr, erred = err, ev.tenant
 			break
 		}
@@ -363,17 +357,12 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 		case t == erred:
 			sr.err = stepErr
 		default:
-			// The run stopped mid-window for every tenant; seal the others
-			// with the same typed error around their own partial prefix.
+			// The run stopped for every tenant; seal the others with the
+			// same typed error around their own partial prefix.
 			sr.err = rewrapPartial(stepErr, states[t].finish())
 		}
 		captureCounters(sims[t], &sr)
 		sruns[t] = sr
-	}
-	if pools != nil {
-		for _, t := range active {
-			pools[t].put(sims[t])
-		}
 	}
 	return sruns
 }
@@ -381,10 +370,11 @@ func runColocWindow(ctx context.Context, cfg ColocConfig, active []int, shares [
 // RunColocatedContext simulates all tenants concurrently on cfg.NIC and
 // returns one Result per tenant, index-aligned with cfg.Tenants. Weight<=0
 // tenants come back with an empty Result. Budget and cancellation semantics
-// match RunShardedContext, with the SimEvents cap applying to the merged
-// event sequence; a typed budget/cancel error carries []*Result (every
-// tenant's partial, same alignment) as its Partial. By default the whole
-// merged event sequence is one window.
+// match RunContext, with the SimEvents cap applying to the merged event
+// sequence; a typed budget/cancel error carries []*Result (every tenant's
+// partial, same alignment) as its Partial. The merged sequence always runs
+// as one window, so opts is ignored: it stays only because the benchmark
+// harness still passes it, and goes once the harness stops.
 func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) ([]*Result, error) {
 	if cfg.NIC == nil {
 		return nil, fmt.Errorf("nicsim: co-location needs a NIC")
@@ -413,42 +403,10 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 	if err != nil {
 		return nil, err
 	}
+	sruns := runColoc(ctx, cfg, active, shares, mergeArrivals(cfg.Tenants, active))
 
-	// The decomposition into windows depends only on the merged sequence
-	// and the window size — never on the worker count.
-	events := mergeArrivals(cfg.Tenants, active)
-
-	n := len(events)
-	window := opts.window(n)
-	windows := (n + window - 1) / window
-	if windows == 0 {
-		windows = 1
-	}
-	// Mirror RunShardedContext: windows wholly past the SimEvents cap are
-	// never dispatched — the boundary window raises the trip.
-	dispatch := windows
-	if lim := budget.From(ctx); lim.SimEvents > 0 && lim.SimEvents < int64(n) {
-		dispatch = int(lim.SimEvents/int64(window)) + 1
-		if dispatch > windows {
-			dispatch = windows
-		}
-	}
-	pools := make([]*simPool, len(cfg.Tenants))
-	for _, t := range active {
-		pools[t] = &simPool{}
-	}
-	runs, _ := runner.Map(ctx, opts.Workers, dispatch,
-		func(cctx context.Context, w int) ([]shardRun, error) {
-			lo := w * window
-			hi := lo + window
-			if hi > n {
-				hi = n
-			}
-			return runColocWindow(cctx, cfg, active, shares, events[lo:hi], lo, w, pools), nil
-		})
-
-	// Merge each tenant's windows exactly like shards; the first erroring
-	// tenant (lowest index) decides the overall outcome.
+	// Seal each tenant's run as the solo engine seals a window's; the first
+	// erroring tenant (lowest index) decides the overall outcome.
 	results := make([]*Result, len(cfg.Tenants))
 	var firstErr error
 	for t := range cfg.Tenants {
@@ -461,17 +419,8 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 			results[t] = emptyResult(name)
 			continue
 		}
-		truns := make([]shardRun, len(runs))
-		for w := range runs {
-			if runs[w] == nil {
-				// The runner skipped the window (parent cancellation);
-				// leave the zero shardRun for mergeShards to classify.
-				continue
-			}
-			truns[w] = runs[w][t]
-		}
 		mcfg := Config{NIC: cfg.NIC, Prog: ten.Prog, Timeline: cfg.Timeline}
-		res, err := mergeShards(ctx, mcfg, truns)
+		res, err := mergeShards(ctx, mcfg, sruns[t:t+1])
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

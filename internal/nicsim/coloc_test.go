@@ -82,11 +82,12 @@ func colocOutcome(res []*Result, err error) []outcome {
 	return out
 }
 
-// TestColocInvariance is the co-located engine's determinism contract: with
-// two tenants sharing one NIC — healthy, fault-injected, and with the
-// SimEvents budget tripping mid-sequence — per-tenant Results must be
-// reflect.DeepEqual (and typed errors identical) at 1, 2, 4 and 8 workers.
-func TestColocInvariance(t *testing.T) {
+// TestColocDeterminism is the co-located engine's determinism contract:
+// with two tenants sharing one NIC — healthy, fault-injected, with the
+// SimEvents budget tripping mid-sequence, and canceled before the run — two
+// runs of one configuration give reflect.DeepEqual per-tenant Results and
+// identical typed errors, whose Partial holds one Result per tenant.
+func TestColocDeterminism(t *testing.T) {
 	faults := &Faults{
 		Corrupt:  0.05,
 		Degrade:  map[string]float64{"checksum": 2},
@@ -94,32 +95,42 @@ func TestColocInvariance(t *testing.T) {
 		Seed:     9,
 	}
 	scenarios := []struct {
-		name   string
-		faults *Faults
-		lim    budget.Limits
+		name     string
+		faults   *Faults
+		lim      budget.Limits
+		canceled bool
+		wantErr  error
 	}{
-		{"healthy", nil, budget.Limits{}},
-		{"faults", faults, budget.Limits{}},
-		// 360 merged events at window 96: 200 trips inside window 2.
-		{"events-trip", nil, budget.Limits{SimEvents: 200}},
+		{"healthy", nil, budget.Limits{}, false, nil},
+		{"faults", faults, budget.Limits{}, false, nil},
+		// 360 merged events: the cap trips at event 200.
+		{"events-trip", nil, budget.Limits{SimEvents: 200}, false, budget.Exceeded},
+		{"canceled", nil, budget.Limits{}, true, context.Canceled},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := colocTestConfig(t, []string{"firewall", "nat"}, []float64{2, 1}, sc.faults, true)
 			ctx := budget.With(context.Background(), sc.lim)
-			res, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: 1, Window: 96})
-			want := colocOutcome(res, err)
-			if len(want) != len(cfg.Tenants) {
-				t.Fatalf("got %d outcomes, want %d", len(want), len(cfg.Tenants))
+			if sc.canceled {
+				cctx, cancel := context.WithCancel(ctx)
+				cancel()
+				ctx = cctx
 			}
-			for _, workers := range []int{2, 4, 8} {
-				res, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: workers, Window: 96})
-				got := colocOutcome(res, err)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(got), len(want))
+			run := func() []outcome {
+				res, err := RunColocatedContext(ctx, cfg, ShardOpts{})
+				if !errors.Is(err, sc.wantErr) {
+					t.Fatalf("got error %v, want %v", err, sc.wantErr)
 				}
-				for ten := range want {
-					requireSameOutcome(t, sc.name, want[ten], got[ten], workers)
+				return colocOutcome(res, err)
+			}
+			want, got := run(), run()
+			if len(want) != len(cfg.Tenants) || len(got) != len(want) {
+				t.Fatalf("got %d and %d outcomes, want %d", len(want), len(got), len(cfg.Tenants))
+			}
+			for ten := range want {
+				if !reflect.DeepEqual(want[ten], got[ten]) {
+					t.Fatalf("tenant %d: the second run differs from the first (errors %q, %q)",
+						ten, want[ten].errDesc, got[ten].errDesc)
 				}
 			}
 		})
@@ -132,7 +143,8 @@ func TestColocInvariance(t *testing.T) {
 // so its Result is DeepEqual to a solo sharded run of its trace after a
 // stable sort by arrival — the order the merged sequence steps it in — and
 // the zero-weight tenant's Result is empty (the no-op contract). The
-// out-of-order case swaps two arrivals that straddle a window boundary.
+// out-of-order case swaps two arrivals, so the merged sequence steps the
+// tenant's packets out of index order.
 func TestColocSingleTenantMatchesSharded(t *testing.T) {
 	ctx := context.Background()
 	for _, swap := range []bool{false, true} {
@@ -150,7 +162,7 @@ func TestColocSingleTenantMatchesSharded(t *testing.T) {
 			sorted = &workload.Trace{Name: tr.Name, Packets: pk}
 		}
 
-		res, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: 4, Window: 64})
+		res, err := RunColocatedContext(ctx, cfg, ShardOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +170,7 @@ func TestColocSingleTenantMatchesSharded(t *testing.T) {
 			NIC: cfg.NIC, Prog: cfg.Tenants[0].Prog, Place: cfg.Tenants[0].Place,
 			Preload: cfg.Tenants[0].Preload, Seed: cfg.Seed,
 		}
-		want, err := RunShardedContext(ctx, solo, sorted, ShardOpts{Workers: 4, Window: 64})
+		want, err := RunShardedContext(ctx, solo, sorted, ShardOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,31 +222,27 @@ func TestColocContentionAccounted(t *testing.T) {
 	}
 }
 
-// TestUsageSharedAcrossColocatedSims pins the budget.Usage concurrency
-// contract the co-located engine leans on: N tenant Sims stepping on
-// parallel window workers all accumulate into ONE context-carried Usage.
-// Every counter is an atomic, so this must be race-free (the CI matrix runs
-// this under -race) and the totals must be exact — both tenants' packets
-// counted once each, independent of worker count.
+// TestUsageSharedAcrossColocatedSims pins the budget.Usage contract the
+// co-located engine leans on: the N tenant Sims of one run all accumulate
+// into ONE context-carried Usage, and the totals are exact — both tenants'
+// packets counted once each.
 func TestUsageSharedAcrossColocatedSims(t *testing.T) {
 	cfg := colocTestConfig(t, []string{"firewall", "nat"}, []float64{1, 1}, nil, false)
 	var want int64
 	for _, ten := range cfg.Tenants {
 		want += int64(len(ten.Trace.Packets))
 	}
-	for _, workers := range []int{1, 4, 8} {
-		usage := &budget.Usage{}
-		ctx := budget.WithUsage(context.Background(), usage)
-		if _, err := RunColocatedContext(ctx, cfg, ShardOpts{Workers: workers, Window: 48}); err != nil {
-			t.Fatal(err)
-		}
-		snap := usage.Snapshot(budget.Limits{})
-		if snap.SimEvents != want {
-			t.Fatalf("workers=%d: shared usage counted %d sim events, want %d", workers, snap.SimEvents, want)
-		}
-		if snap.SimSteps <= 0 {
-			t.Fatalf("workers=%d: no sim steps accumulated", workers)
-		}
+	usage := &budget.Usage{}
+	ctx := budget.WithUsage(context.Background(), usage)
+	if _, err := RunColocatedContext(ctx, cfg, ShardOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	snap := usage.Snapshot(budget.Limits{})
+	if snap.SimEvents != want {
+		t.Fatalf("shared usage counted %d sim events, want %d", snap.SimEvents, want)
+	}
+	if snap.SimSteps <= 0 {
+		t.Fatal("no sim steps accumulated")
 	}
 }
 

@@ -290,14 +290,10 @@ type Sim struct {
 	latch []*mapEntry
 
 	// caches is indexed by memory region ID (Validate pins ID == index);
-	// nil entries are uncached regions. ownCaches always points at this
-	// Sim's own instances: shareIslands aims caches at the lead tenant's,
-	// and reset restores the original aliasing from ownCaches (likewise
-	// ownFC for fc and nThreads for the full thread-pool size).
-	caches    []*cache
-	ownCaches []*cache
-	ownFC     *flowCache
-	nThreads  int
+	// nil entries are uncached regions. nThreads is the full thread-pool
+	// size initRun sizes threadFree to.
+	caches   []*cache
+	nThreads int
 
 	threadFree []float64
 	// threads keeps the earliest-free NPU thread at its root (running-minimum
@@ -449,12 +445,10 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 			s.caches[m.ID] = newCache(m.CacheBytes, m.LineSize())
 		}
 	}
-	s.ownCaches = s.caches
 	s.cksumUnit, s.cryptoUnit = firstAccel(s.nic, "checksum"), firstAccel(s.nic, "crypto")
 	if s.fcUnit = firstAccel(s.nic, "flowcache"); s.fcUnit >= 0 {
 		s.fc = newFlowCache(s.nic.Units[s.fcUnit].TableEntries)
 	}
-	s.ownFC = s.fc
 
 	// Place state: allocate simulated addresses region by region. Contents
 	// of synthesized state (LPM rules here, array preloads in initRun) derive
@@ -509,7 +503,7 @@ func NewContext(ctx context.Context, cfg Config) (*Sim, error) {
 
 // initRun sets every per-run field from cfg: the runtime and fault RNG
 // streams, the fault report and timeline, the thread, hub and unit free
-// times, solo (co-location undone) resource wiring and the array preloads.
+// times and the array preloads.
 // NewContext calls it on a fresh build and Sim.reset on a recycled Sim
 // whose tables and caches it has already cleared, so the two cannot drift.
 func (s *Sim) initRun(cfg Config) {
@@ -543,19 +537,13 @@ func (s *Sim) initRun(cfg Config) {
 		s.memCycles = make([]float64, len(cfg.NIC.Mems))
 	}
 
-	// Solo wiring: this Sim's own caches and flow cache, no arbitration
-	// state (shareIslands rewires a co-located run after this).
-	s.tenant, s.coloc = 0, nil
-	s.contStall, s.contWaits, s.contCycles = 0, nil, nil
-	s.caches, s.fc = s.ownCaches, s.ownFC
-
-	// Server free times: the full thread pool (shareIslands may have shrunk
-	// threadFree to a tenant share, so rebuild when the length drifted), and
-	// empty hub/unit tables (inner slices are built lazily on first visit).
-	if len(s.threadFree) == s.nThreads {
-		clear(s.threadFree)
-	} else {
+	// Server free times: the full thread pool (built on a fresh Sim, cleared
+	// on a recycled one), and empty hub/unit tables (inner slices are built
+	// lazily on first visit).
+	if s.threadFree == nil {
 		s.threadFree = make([]float64, s.nThreads)
+	} else {
+		clear(s.threadFree)
 	}
 	s.threads.init(s.threadFree)
 	s.hubFree = make([][]float64, len(s.nic.Hubs))

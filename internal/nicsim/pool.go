@@ -5,23 +5,22 @@ import (
 	"sync"
 )
 
-// This file is the Sim pool behind the sharded and co-located engines. Both
-// engines build one fully fresh simulator per window (per tenant, when
-// co-located): the construction itself — state-table maps, cache arrays and
-// above all the compiled CIR engine — dominated the allocation profile
-// of a sharded run. The pool recycles a finished window's Sim for the next
-// window of the same stream, replacing construction with reset(), which
-// clears the tables and caches a run dirtied and then runs initRun, the
-// per-run initialiser a fresh NewContext build runs too: RNG streams, fault
-// report, timeline, server free times and array preloads are derived from
-// the new window's config by one piece of code either way.
+// This file is the Sim pool behind the sharded engine, which builds one
+// fully fresh simulator per window: the construction itself — state-table
+// maps, cache arrays and above all the compiled CIR engine — dominated the
+// allocation profile of a sharded run. The pool recycles a finished
+// window's Sim for the next window of the same stream, replacing
+// construction with reset(), which clears the tables and caches a run
+// dirtied and then runs initRun, the per-run initialiser a fresh NewContext
+// build runs too: RNG streams, fault report, timeline, server free times
+// and array preloads are derived from the new window's config by one piece
+// of code either way.
 //
 // The contract that makes recycling sound: every Config handed to one pool
 // shares the same NIC, Prog, Place, Preload and resolved state seed — only
-// Seed and Faults.Seed vary per window. shardConfig guarantees this for the
-// sharded engine (it pins StateSeed before deriving the window seed) and
-// colocTenantConfig for the co-located one (one pool per tenant). Contents
-// derived from the state seed (LPM rule tables, DPI automata) are therefore
+// Seed and Faults.Seed vary per window. shardConfig guarantees this (it
+// pins StateSeed before deriving the window seed). Contents derived from
+// the state seed (LPM rule tables, DPI automata) are therefore
 // bit-identical across the pool's windows and survive reset untouched;
 // everything mutable is cleared or rebuilt. TestSimResetEquivalence pins
 // reset-vs-fresh equality end to end, and the shard/worker-invariance suite
@@ -37,13 +36,13 @@ import (
 // config on everything except Seed and Faults (see the file comment); the
 // caller is responsible for that invariant.
 func (s *Sim) reset(cfg Config) {
-	for _, c := range s.ownCaches {
+	for _, c := range s.caches {
 		if c != nil {
 			c.reset()
 		}
 	}
-	if s.ownFC != nil {
-		s.ownFC.reset()
+	if s.fc != nil {
+		s.fc.reset()
 	}
 	clear(s.latch)
 	for i := range s.slots {
@@ -60,10 +59,9 @@ func (s *Sim) reset(cfg Config) {
 	s.initRun(cfg)
 }
 
-// simPool recycles Sims across the windows of one sharded or co-located
-// run. A nil pool degrades to plain construction. The zero value is ready
-// to use; one pool must only ever see configs that are reset-compatible
-// (see the file comment).
+// simPool recycles Sims across the windows of one sharded run. The zero
+// value is ready to use; one pool must only ever see configs that are
+// reset-compatible (see the file comment).
 type simPool struct {
 	p sync.Pool
 }
@@ -71,12 +69,10 @@ type simPool struct {
 // get returns a simulator for cfg: a recycled one reset to cfg when the
 // pool has one, a freshly built one otherwise.
 func (sp *simPool) get(ctx context.Context, cfg Config) (*Sim, error) {
-	if sp != nil {
-		if v := sp.p.Get(); v != nil {
-			s := v.(*Sim)
-			s.reset(cfg)
-			return s, nil
-		}
+	if v := sp.p.Get(); v != nil {
+		s := v.(*Sim)
+		s.reset(cfg)
+		return s, nil
 	}
 	return NewContext(ctx, cfg)
 }
@@ -84,7 +80,5 @@ func (sp *simPool) get(ctx context.Context, cfg Config) (*Sim, error) {
 // put returns a finished window's Sim to the pool. The caller must be done
 // reading it (captureCounters runs before put).
 func (sp *simPool) put(s *Sim) {
-	if sp != nil && s != nil {
-		sp.p.Put(s)
-	}
+	sp.p.Put(s)
 }

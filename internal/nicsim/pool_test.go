@@ -11,9 +11,8 @@ import (
 
 // TestSimResetEquivalence pins the Sim pool's core contract: a simulator
 // that already ran a full window (mutating its tables, caches, heaps and
-// RNG streams), was rewired by the co-location engine, and is then reset to
-// a new window config must behave exactly like a freshly constructed Sim of
-// that config — DeepEqual Results, identical cache and flow-cache counters.
+// RNG streams) and is then reset to a new window config must behave exactly
+// like a freshly constructed Sim of that config — DeepEqual Results, identical cache and flow-cache counters.
 // The full NF corpus runs so every state-object kind (map, LPM, sketch,
 // array, pattern) crosses a reset.
 func TestSimResetEquivalence(t *testing.T) {
@@ -51,16 +50,6 @@ func TestSimResetEquivalence(t *testing.T) {
 			if _, err := dirty.RunContext(context.Background(), tr); err != nil {
 				t.Fatal(err)
 			}
-			// Adversarial extra: rewire the dirty Sim the way a co-located
-			// window would (shrunken thread pool, resources aliased to a lead
-			// tenant), so reset must also undo island sharing.
-			lead, err := NewContext(context.Background(), cfgA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := dirty.nThreads
-			shareIslands([]*Sim{lead, dirty}, []int{0, 1}, []int{(n + 1) / 2, n / 2})
-
 			dirty.reset(cfgB)
 			got, err := dirty.RunContext(context.Background(), tr)
 			if err != nil {

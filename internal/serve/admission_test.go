@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -23,7 +24,7 @@ func TestSyncMissesAreShed(t *testing.T) {
 	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{MaxInflight: 1, JobQueueDepth: 3})
 	t.Cleanup(open) // runs before the server closes, so a failed check cannot hang it
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 
 	codes := make(chan int, 3)
 	advise := func(i int) {
@@ -100,7 +101,7 @@ func TestSyncComputationsAreNotJobs(t *testing.T) {
 // the engine's attempt boundary and answered with the JSON error envelope.
 func TestSyncPanicAnswers500(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testComputeGate = func() { panic("boom") }
+	s.testComputeGate = func(context.Context) { panic("boom") }
 	resp, body := post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking sync advise: status %d (%s), want 500", resp.StatusCode, body)
@@ -120,7 +121,7 @@ func TestSyncPanicAnswers500(t *testing.T) {
 // a roll proves nothing and is repeated.
 func TestSyncMissesShedOnAttemptLatency(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 16, ShedP99: time.Millisecond})
-	s.testComputeGate = func() { time.Sleep(5 * time.Millisecond) }
+	s.testComputeGate = func(context.Context) { time.Sleep(5 * time.Millisecond) }
 	var seed atomic.Int64
 	// measure sends a distinct miss and reports whether it was shed for
 	// latency; any other answer but 200 fails the test.
@@ -193,7 +194,7 @@ func TestDeadlineBoundsQueueWait(t *testing.T) {
 	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	t.Cleanup(open)
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 	// Were the wait unbounded, the queued miss would answer only once the
 	// worker is released; the watchdog does that so the test fails instead
 	// of hanging.
@@ -236,7 +237,7 @@ func TestBreakerIgnoresEngineRefusals(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1, JobQueueDepth: 1,
 		Breaker: jobs.BreakerConfig{Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Minute}})
 	t.Cleanup(open)
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 
 	if _, resp := submitJSON(t, ts.URL, Request{Kind: "advise", NF: "firewall", Workload: testWorkload}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("pinning job: status %d, want 202", resp.StatusCode)
@@ -270,7 +271,7 @@ func TestBreakerRefusedProbeGivesSlotBack(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1, JobQueueDepth: 1,
 		Breaker: jobs.BreakerConfig{Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Minute, Now: clk.now}})
 	t.Cleanup(open)
-	s.testComputeGate = func() {
+	s.testComputeGate = func(context.Context) {
 		if pin.Load() {
 			<-gate
 		}
@@ -340,7 +341,7 @@ func TestReadyzAgreesWithAdmission(t *testing.T) {
 	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{MaxInflight: 1, JobQueueDepth: 2})
 	t.Cleanup(open)
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 	submit := func(flows int) (jobView, int) {
 		v, resp := submitJSON(t, ts.URL, Request{Kind: "advise", NF: "firewall",
 			Workload: fmt.Sprintf("flows=%d,rate=60000,size=300", flows)})

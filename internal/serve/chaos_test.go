@@ -217,10 +217,13 @@ func TestChaosSheddingEngagesBeforeSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AddNF("firewall", firewallSrc)
-	// Pin the lone worker's computation so submissions pile up behind it.
-	s.testComputeGate = func() { <-s.base.Done() }
+	// Pin the lone worker's computation so submissions pile up behind it,
+	// and release it before the shutdown so the drain need not time out.
+	gate := make(chan struct{})
+	s.testComputeGate = func(context.Context) { <-gate }
 	ts := newHTTPServer(t, s)
 	defer shutdownServer(t, s)
+	defer close(gate)
 
 	var accepted, shed int
 	var firstShed *http.Response
@@ -272,7 +275,7 @@ func TestChaosDrainLeavesAllJobsTerminal(t *testing.T) {
 	}
 	s.AddNF("firewall", firewallSrc)
 	// Pin both workers: their jobs only unblock when drain hard-cancels.
-	s.testComputeGate = func() { <-s.base.Done() }
+	s.testComputeGate = func(context.Context) { <-s.base.Done() }
 	ts := newHTTPServer(t, s)
 
 	ids := make([]string, 0, 6)

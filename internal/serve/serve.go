@@ -161,8 +161,9 @@ type Server struct {
 	readyErr error
 
 	// testComputeGate, when non-nil, runs at the start of every computation
-	// (inside an engine attempt); tests use it to pin work in flight.
-	testComputeGate func()
+	// (inside an engine attempt) with the attempt's context; tests use it to
+	// pin work in flight.
+	testComputeGate func(ctx context.Context)
 }
 
 // New builds a Server, loading the NF library from cfg.NFDir when set.
@@ -445,10 +446,7 @@ func writeBody(w http.ResponseWriter, cache string, body []byte) int {
 // Retry-After, anything else statusFor's.
 func writeComputeError(w http.ResponseWriter, err error) int {
 	var shed *jobs.ShedError
-	switch {
-	case errors.As(err, &shed):
-		return writeRetryError(w, http.StatusServiceUnavailable, err, shed.RetryAfter)
-	case errors.Is(err, jobs.ErrDraining):
+	if errors.As(err, &shed) || errors.Is(err, jobs.ErrDraining) {
 		return writeRetryError(w, http.StatusServiceUnavailable, err, time.Second)
 	}
 	return writeError(w, statusFor(err), err)
@@ -567,7 +565,7 @@ func (s *Server) computeBody(ctx context.Context, endpoint, cacheKey, name strin
 	compute func(ctx context.Context) (any, error)) ([]byte, error) {
 
 	if s.testComputeGate != nil {
-		s.testComputeGate()
+		s.testComputeGate(ctx)
 	}
 	ctx = obs.With(ctx, s.metrics)
 	ctx = budget.WithUsage(ctx, s.usage)

@@ -143,7 +143,7 @@ func TestAdviseCacheHitIsByteIdenticalAndFree(t *testing.T) {
 func TestSingleflightCollapsesConcurrentRequests(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := newTestServer(t, Config{})
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 
 	const n = 6
 	var (
@@ -203,7 +203,7 @@ func TestTimeoutScopesFlightSharing(t *testing.T) {
 	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{})
 	t.Cleanup(open)
-	s.testComputeGate = func() { entered.Add(1); <-gate }
+	s.testComputeGate = func(context.Context) { entered.Add(1); <-gate }
 
 	loose := make(chan int, 1)
 	go func() {
@@ -236,7 +236,7 @@ func TestTimeoutScopesFlightSharing(t *testing.T) {
 func TestPanicReleasesActiveCount(t *testing.T) {
 	var fired atomic.Bool
 	s, ts := newTestServer(t, Config{})
-	s.testComputeGate = func() {
+	s.testComputeGate = func(context.Context) {
 		if fired.CompareAndSwap(false, true) {
 			panic("boom")
 		}
@@ -284,7 +284,7 @@ func TestPanicReleasesActiveCount(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := newTestServer(t, Config{})
-	s.testComputeGate = func() { <-gate }
+	s.testComputeGate = func(context.Context) { <-gate }
 
 	inflightDone := make(chan int, 1)
 	go func() {
@@ -339,27 +339,24 @@ func TestShutdownDrains(t *testing.T) {
 // TestShutdownAbortsPastDeadline: when the drain context expires, in-flight
 // analyses are cancelled through the budget plumbing and their requesters
 // get an error status, but Shutdown still returns. The gate blocks the
-// computation on the server's base context, so it can only proceed once the
-// hard abort has fired — the drain deadline is guaranteed to trip.
+// computation on its own attempt context, so it can only proceed once the
+// hard abort has reached it — the drain deadline is guaranteed to trip, and
+// the computation then runs canceled.
 func TestShutdownAbortsPastDeadline(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.testComputeGate = func() { <-s.base.Done() }
+	s.testComputeGate = func(ctx context.Context) { <-ctx.Done() }
 
 	inflightDone := make(chan int, 1)
 	go func() {
 		resp, _ := post(t, ts.URL+"/v1/advise", Request{NF: "firewall", Workload: testWorkload})
 		inflightDone <- resp.StatusCode
 	}()
+	// Wait for the computation itself to run: a request counted active can
+	// still be short of the job engine, and a drain would refuse it there.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s.mu.Lock()
-		active := s.active
-		s.mu.Unlock()
-		if active > 0 {
-			break
-		}
+	for s.engine.Running() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
+			t.Fatal("computation never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -705,7 +702,7 @@ func TestColocateCountsAgainstMaxInflight(t *testing.T) {
 	open := func() { release.Do(func() { close(gate) }) }
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	t.Cleanup(open) // runs before the server closes, so a failed check cannot hang it
-	s.testComputeGate = func() { entered.Add(1); <-gate }
+	s.testComputeGate = func(context.Context) { entered.Add(1); <-gate }
 
 	codes := make(chan int, 2)
 	go func() {
