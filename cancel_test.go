@@ -1,6 +1,7 @@
 package clara
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -96,6 +97,50 @@ func TestCancelMidSimRun(t *testing.T) {
 	}
 	if _, ok := ce.Partial.(*Measurement); !ok {
 		t.Errorf("Partial is %T, want *Measurement", ce.Partial)
+	}
+}
+
+// TestCancelMeasureStream: a streamed measurement under a context that
+// ended before the run simulates nothing, so it must fail with the
+// cancellation rather than report an empty Measurement.
+func TestCancelMeasureStream(t *testing.T) {
+	nfo, err := CompileNF(fwSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := mustTarget(t)
+	m, err := nfo.Map(target, testWorkload(t), Hints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := ParseTrafficProfile("packets=500,rate=60000,flows=50,tcp=1.0,size=300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := GenerateTrace(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewTraceReader(&buf, "canceled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = nfo.MeasureStreamContext(ctx, target, m, src, 7, MeasureOptions{ShardWindow: 64})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("MeasureStreamContext(canceled) = %v, want context.Canceled", err)
+	}
+	var ce *CanceledError
+	if !errors.As(err, &ce) || ce.Stage != "simulate" {
+		t.Fatalf("error %v is not a simulate-stage *CanceledError", err)
+	}
+	if p, ok := ce.Partial.(*Measurement); !ok || len(p.Packets) != 0 {
+		t.Errorf("Partial = %#v, want an empty *Measurement", ce.Partial)
 	}
 }
 

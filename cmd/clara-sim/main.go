@@ -202,7 +202,7 @@ type simJob struct {
 
 // simulate maps and runs the NF on one target, returning the rendered report.
 func simulate(ctx context.Context, nf *clara.NF, target string, j simJob) (simOut, error) {
-	t, err := clara.NewTarget(target)
+	t, err := clara.BuiltinTarget(target)
 	if err != nil {
 		return simOut{}, err
 	}

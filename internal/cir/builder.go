@@ -72,9 +72,6 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
-// Err returns the first latched misuse diagnostic, if any.
-func (b *Builder) Err() error { return b.err }
-
 // SetBlock switches emission to block idx.
 func (b *Builder) SetBlock(idx int) {
 	if idx < 0 || idx >= len(b.prog.Blocks) {

@@ -299,29 +299,6 @@ type Program struct {
 	Patterns map[string][]string
 }
 
-// Clone returns a deep copy of the program (optimization passes mutate in
-// place; callers wanting before/after comparisons copy first).
-func (p *Program) Clone() *Program {
-	q := *p
-	q.Blocks = make([]Block, len(p.Blocks))
-	for i, b := range p.Blocks {
-		nb := b
-		nb.Instrs = make([]Instr, len(b.Instrs))
-		for j, in := range b.Instrs {
-			ni := in
-			ni.Args = append([]Reg(nil), in.Args...)
-			nb.Instrs[j] = ni
-		}
-		q.Blocks[i] = nb
-	}
-	q.State = append([]StateObj(nil), p.State...)
-	q.Patterns = map[string][]string{}
-	for k, v := range p.Patterns {
-		q.Patterns[k] = append([]string(nil), v...)
-	}
-	return &q
-}
-
 // String renders the program as readable IR assembly.
 func (p *Program) String() string {
 	var b strings.Builder

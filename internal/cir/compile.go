@@ -392,10 +392,6 @@ func opVCall(st *state, r *rec, in *Instr) error {
 	return nil
 }
 
-// Reg returns the current value of a register (for tests), mirroring
-// Interp.Reg.
-func (c *Compiled) Reg(r Reg) uint64 { return c.st.regs[r] }
-
 // Program returns the program c was compiled from.
 func (c *Compiled) Program() *Program { return c.prog }
 

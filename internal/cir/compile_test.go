@@ -386,8 +386,8 @@ func TestCompiledMatchesInterp(t *testing.T) {
 			}
 		}
 		for r := 0; r < prog.NumRegs; r++ {
-			if it.Reg(Reg(r)) != comp.Reg(Reg(r)) {
-				t.Errorf("%s: r%d = %d interp, %d compiled", prog.Name, r, it.Reg(Reg(r)), comp.Reg(Reg(r)))
+			if it.Reg(Reg(r)) != comp.st.regs[r] {
+				t.Errorf("%s: r%d = %d interp, %d compiled", prog.Name, r, it.Reg(Reg(r)), comp.st.regs[r])
 			}
 		}
 

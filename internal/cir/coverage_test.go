@@ -93,8 +93,8 @@ func TestBuilderMisuse(t *testing.T) {
 		b := NewBuilder("x")
 		b.ReturnConst(0)
 		b.Const(1)
-		if err := b.Err(); err == nil || !strings.Contains(err.Error(), "sealed block") {
-			t.Errorf("Err() = %v, want sealed-block diagnostic", err)
+		if err := b.err; err == nil || !strings.Contains(err.Error(), "sealed block") {
+			t.Errorf("latched err = %v, want sealed-block diagnostic", err)
 		}
 		if _, err := b.Program(); err == nil {
 			t.Error("Program accepted a builder with latched misuse")

@@ -53,16 +53,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Get returns the named parameter.
-func (r *Report) Get(name string) (Param, bool) {
-	for _, p := range r.Params {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Param{}, false
-}
-
 // RunContext executes the probe suite against the NIC and returns the
 // recovered parameters. Probes run concurrently on workers (values < 1
 // select GOMAXPROCS, 1 forces sequential probing). Every probe owns its

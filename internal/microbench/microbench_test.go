@@ -8,6 +8,16 @@ import (
 	"clara/internal/lnic"
 )
 
+// Get returns the named parameter.
+func (r *Report) Get(name string) (Param, bool) {
+	for _, p := range r.Params {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Param{}, false
+}
+
 func TestMicrobenchRecoversDatabook(t *testing.T) {
 	rep, err := RunContext(context.Background(), lnic.Netronome(), 0)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 
+	"clara/internal/budget"
 	"clara/internal/cir"
 	"clara/internal/lnic"
 	"clara/internal/obs"
@@ -31,11 +32,12 @@ import (
 //
 // Determinism: the merged event sequence (all tenants' packets ordered by
 // arrival time, ties broken by tenant then packet index) runs once, as one
-// window, on fresh per-tenant Sims stepped by ONE goroutine in merged order.
-// Tenant t's runtime streams derive from the run seed through tenantSeed,
-// and its state-table contents from the shared state seed, as in a solo
-// run. Nothing is scheduled across goroutines, so the same seed gives
-// reflect.DeepEqual per-tenant Results on every run.
+// window, on fresh per-tenant Sims stepped by ONE goroutine in merged order,
+// and each tenant's Result is sealed as a solo run's is, by runState.finish:
+// there is no window merge. Tenant t's runtime streams derive from the run
+// seed through tenantSeed, and its state-table contents from the shared
+// state seed, as in a solo run. Nothing is scheduled across goroutines, so
+// the same seed gives reflect.DeepEqual per-tenant Results on every run.
 //
 // A run with a single active tenant never builds shared state (coloc stays
 // nil, the tenant keeps the full thread pool and a zero address base), so it
@@ -279,52 +281,35 @@ func shareIslands(sims []*Sim, active []int, shares []int) {
 }
 
 // emptyResult is the Result of a tenant that was never simulated (zero
-// weight, or an empty merged sequence before its first packet).
+// weight, or a run canceled before it started).
 func emptyResult(name string) *Result {
 	return &Result{NFName: name, CacheHitRate: map[string]float64{}, FlowCacheHitRate: math.NaN()}
 }
 
-// captureCounters extracts the raw cache counters the shard merge needs from
-// a finished Sim. Co-located tenants share one set of caches, so each
-// tenant's shardRun reports the shared (whole-NIC) counters.
-func captureCounters(sim *Sim, sr *shardRun) {
-	sr.fcPresent = sim.fc != nil
-	sr.cacheHits = make(map[string]uint64, len(sim.caches))
-	sr.cacheTotal = make(map[string]uint64, len(sim.caches))
-	for id, c := range sim.caches {
-		if c == nil {
-			continue
-		}
-		name := sim.nic.Mems[id].Name
-		sr.cacheHits[name] = c.hits
-		sr.cacheTotal[name] = c.hits + c.misses
-	}
-	if sim.fc != nil {
-		sr.fcHits, sr.fcTotal = sim.fc.hits, sim.fc.hits+sim.fc.misses
-	}
-}
-
 // runColoc steps the merged event sequence once, on fresh per-tenant Sims,
-// and returns one shardRun per tenant (zero-valued for inactive slots).
-// Events run on a single goroutine in merged order — the Sims share
-// mutable arbitration state by design. A budget/cancel trip seals every
-// active tenant with the same typed error, each carrying that tenant's own
-// partial Result.
-func runColoc(ctx context.Context, cfg ColocConfig, active []int, shares []int, events []colocEvent) []shardRun {
-	sruns := make([]shardRun, len(cfg.Tenants))
-	if ctx.Err() != nil {
-		// Canceled before the run: mergeShards reports a zero shardRun as
-		// a run that never started.
-		return sruns
+// and seals every active tenant's Result into results. Events run on a
+// single goroutine in merged order — the Sims share mutable arbitration
+// state by design. A budget/cancel trip stops the run for every tenant: each
+// is sealed around its own partial prefix, and the trip's typed error is
+// returned for the caller to re-issue around results. A tenant that
+// completed no packet reports nil Packets, as an inactive one does.
+func runColoc(ctx context.Context, cfg ColocConfig, active, shares []int, events []colocEvent, results []*Result) error {
+	if err := ctx.Err(); err != nil && len(active) > 0 {
+		// Canceled before the run: no Sim is built and no tenant stepped.
+		for _, t := range active {
+			res := emptyResult(cfg.Tenants[t].Prog.Name)
+			if cfg.Timeline {
+				res.Timeline = &Timeline{NF: res.NFName, NIC: cfg.NIC.Name, ClockGHz: cfg.NIC.ClockGHz}
+			}
+			results[t] = res
+		}
+		return &budget.CanceledError{Stage: "simulate", NF: cfg.Tenants[active[0]].Prog.Name, Err: err}
 	}
 	sims := make([]*Sim, len(cfg.Tenants))
 	for _, t := range active {
 		sim, err := NewContext(ctx, colocTenantConfig(cfg, t))
 		if err != nil {
-			for _, t := range active {
-				sruns[t] = shardRun{err: err}
-			}
-			return sruns
+			return err
 		}
 		sims[t] = sim
 	}
@@ -350,21 +335,18 @@ func runColoc(ctx context.Context, cfg ColocConfig, active []int, shares []int, 
 		}
 	}
 	for _, t := range active {
-		var sr shardRun
-		switch {
-		case stepErr == nil:
-			sr.res = states[t].finish()
-		case t == erred:
-			sr.err = stepErr
-		default:
-			// The run stopped for every tenant; seal the others with the
-			// same typed error around their own partial prefix.
-			sr.err = rewrapPartial(stepErr, states[t].finish())
+		var res *Result
+		if t == erred {
+			res = partialResult(stepErr) // step sealed it
+		} else {
+			res = states[t].finish()
 		}
-		captureCounters(sims[t], &sr)
-		sruns[t] = sr
+		if len(res.Packets) == 0 {
+			res.Packets = nil
+		}
+		results[t] = res
 	}
-	return sruns
+	return stepErr
 }
 
 // RunColocatedContext simulates all tenants concurrently on cfg.NIC and
@@ -385,10 +367,16 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 	if err := cfg.NIC.Validate(); err != nil {
 		return nil, err
 	}
+	results := make([]*Result, len(cfg.Tenants))
 	var active []int
 	for t := range cfg.Tenants {
 		ten := &cfg.Tenants[t]
 		if ten.Weight <= 0 {
+			name := ""
+			if ten.Prog != nil {
+				name = ten.Prog.Name
+			}
+			results[t] = emptyResult(name)
 			continue
 		}
 		if ten.Prog == nil {
@@ -403,35 +391,8 @@ func RunColocatedContext(ctx context.Context, cfg ColocConfig, opts ShardOpts) (
 	if err != nil {
 		return nil, err
 	}
-	sruns := runColoc(ctx, cfg, active, shares, mergeArrivals(cfg.Tenants, active))
-
-	// Seal each tenant's run as the solo engine seals a window's; the first
-	// erroring tenant (lowest index) decides the overall outcome.
-	results := make([]*Result, len(cfg.Tenants))
-	var firstErr error
-	for t := range cfg.Tenants {
-		ten := &cfg.Tenants[t]
-		if ten.Weight <= 0 {
-			name := ""
-			if ten.Prog != nil {
-				name = ten.Prog.Name
-			}
-			results[t] = emptyResult(name)
-			continue
-		}
-		mcfg := Config{NIC: cfg.NIC, Prog: ten.Prog, Timeline: cfg.Timeline}
-		res, err := mergeShards(ctx, mcfg, sruns[t:t+1])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			results[t] = partialResult(err)
-		} else {
-			results[t] = res
-		}
-	}
-	if firstErr != nil {
-		return nil, rewrapPartial(firstErr, results)
+	if err := runColoc(ctx, cfg, active, shares, mergeArrivals(cfg.Tenants, active), results); err != nil {
+		return nil, rewrapPartial(err, results)
 	}
 	return results, nil
 }

@@ -574,11 +574,11 @@ func (s *Sim) RunContext(ctx context.Context, tr *workload.Trace) (*Result, erro
 // tr.Packets[i] the global trace index base+i — the index the budget's
 // SimEvents cap, the timeline's Packet field and the packet-memory rotation
 // all see. RunContext is runRange over the whole trace with base 0; the
-// sharded engine runs one window per call, either as a sub-range of a shared
-// in-memory trace (base 0) or as a streamed window trace whose own indices
-// start at 0 (base = the window's global start). The co-location engine
-// drives the same runState a packet at a time, interleaving the steps of
-// several tenants' Sims in merged arrival order.
+// windowed engine's driver, runWindows, runs one window per call, either as
+// a sub-range of a shared in-memory trace (base 0) or as a streamed window
+// trace whose own indices start at 0 (base = the window's global start).
+// The co-location engine drives the same runState a packet at a time,
+// interleaving the steps of several tenants' Sims in merged arrival order.
 func (s *Sim) runRange(ctx context.Context, tr *workload.Trace, base, lo, hi int) (*Result, error) {
 	var rs runState
 	s.initRunState(&rs, ctx, tr, hi-lo)

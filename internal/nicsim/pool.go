@@ -9,7 +9,7 @@ import (
 // fully fresh simulator per window: the construction itself — state-table
 // maps, cache arrays and above all the compiled CIR engine — dominated the
 // allocation profile of a sharded run. The pool recycles a finished
-// window's Sim for the next window of the same stream, replacing
+// window's Sim for the next window of the same run, replacing
 // construction with reset(), which clears the tables and caches a run
 // dirtied and then runs initRun, the per-run initialiser a fresh NewContext
 // build runs too: RNG streams, fault report, timeline, server free times

@@ -5,18 +5,19 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 
 	"clara/internal/budget"
 	"clara/internal/obs"
-	"clara/internal/runner"
 	"clara/internal/workload"
 )
 
 // This file is the sharded simulation engine: it splits a trace into
 // fixed-size contiguous windows, simulates every window on an independent
 // simulator instance with deterministically derived RNG streams, and merges
-// the per-window Results in trace-index order.
+// the per-window Results in trace-index order. In-memory and streamed runs
+// share one driver, runWindows, and so one end-of-run rule.
 //
 // The load-bearing design decision is that the window decomposition depends
 // only on the trace length and the window size — never on the worker count.
@@ -25,20 +26,21 @@ import (
 // exact same order, so Results are reflect.DeepEqual across any worker
 // count on a fixed seed (the shard-invariance suite enforces this).
 //
-// Each shard gets a fresh Sim: state tables, caches, queue occupancies and
-// thread bookings restart cold at the window boundary. State *contents*
-// (LPM rules, array preloads) are seeded identically across shards via
-// Config.StateSeed, so every shard routes against the same tables; only the
-// runtime streams (base RNG behind vc_random, fault RNG) are per-shard,
-// derived from the run seed and the shard index through splitmix64 — never
-// additive offsets, which would alias across seeds. Shard 0 keeps the base
-// seed unchanged, so a single-window sharded run is bit-identical to the
-// classic unsharded RunContext.
+// Each shard gets a fresh Sim (or a pooled one reset to fresh; see
+// pool.go): state tables, caches, queue occupancies and thread bookings
+// restart cold at the window boundary. State *contents* (LPM rules, array
+// preloads) are seeded identically across shards via Config.StateSeed, so
+// every shard routes against the same tables; only the runtime streams
+// (base RNG behind vc_random, fault RNG) are per-shard, derived from the run
+// seed and the shard index through splitmix64 — never additive offsets,
+// which would alias across seeds. Shard 0 keeps the base seed unchanged, so
+// a single-window sharded run is bit-identical to the classic unsharded
+// RunContext.
 
-// DefaultShardWindow is the streamed engine's default packets-per-shard
-// window, and the window to pass for a parallel in-memory run. It trades
-// shard-setup amortization (state preloading runs once per shard) against
-// parallelism granularity and, in streaming mode, peak ingestion memory.
+// DefaultShardWindow is the packets-per-shard window of a streamed run that
+// leaves ShardOpts.Window unset. It trades shard-setup amortization (state
+// preloading runs once per shard) against parallelism granularity and peak
+// ingestion memory.
 const DefaultShardWindow = 16384
 
 // ShardOpts configures a sharded run.
@@ -115,6 +117,25 @@ type shardRun struct {
 	fcPresent             bool
 }
 
+// captureCounters extracts the raw cache counters the shard merge needs from
+// a finished Sim.
+func captureCounters(sim *Sim, sr *shardRun) {
+	sr.fcPresent = sim.fc != nil
+	sr.cacheHits = make(map[string]uint64, len(sim.caches))
+	sr.cacheTotal = make(map[string]uint64, len(sim.caches))
+	for id, c := range sim.caches {
+		if c == nil {
+			continue
+		}
+		name := sim.nic.Mems[id].Name
+		sr.cacheHits[name] = c.hits
+		sr.cacheTotal[name] = c.hits + c.misses
+	}
+	if sim.fc != nil {
+		sr.fcHits, sr.fcTotal = sim.fc.hits, sim.fc.hits+sim.fc.misses
+	}
+}
+
 // runShard builds (or recycles from pool) shard w's simulator and runs
 // tr.Packets[lo:hi] attributed to global indices base+lo..base+hi.
 func runShard(ctx context.Context, cfg Config, tr *workload.Trace, base, lo, hi, w int, pool *simPool) shardRun {
@@ -139,12 +160,12 @@ func runShard(ctx context.Context, cfg Config, tr *workload.Trace, base, lo, hi,
 //
 // Budget and cancellation semantics match RunContext: the SimEvents cap
 // applies to global trace indices and trips in whichever shard holds the
-// boundary (shards past it are never dispatched), the per-packet SimSteps
-// cap trips deterministically inside a shard, and the returned
-// *budget.ExceededError / *budget.CanceledError carries the merged Result
-// covering the contiguous prefix of packets that completed. Budget-tripped
-// outcomes are deterministic across worker counts; genuinely asynchronous
-// cancellation is inherently timing-dependent, exactly as it is unsharded.
+// boundary, the per-packet SimSteps cap trips deterministically inside a
+// shard, and the returned *budget.ExceededError / *budget.CanceledError
+// carries the merged Result covering the contiguous prefix of packets that
+// completed. Budget-tripped outcomes are deterministic across worker counts;
+// genuinely asynchronous cancellation is inherently timing-dependent,
+// exactly as it is unsharded.
 func RunShardedContext(ctx context.Context, cfg Config, tr *workload.Trace, opts ShardOpts) (*Result, error) {
 	n := len(tr.Packets)
 	window := opts.window(n)
@@ -155,31 +176,16 @@ func RunShardedContext(ctx context.Context, cfg Config, tr *workload.Trace, opts
 		}
 		return sim.RunContext(ctx, tr)
 	}
-	windows := (n + window - 1) / window
-	// Don't dispatch shards wholly past the SimEvents cap: the first shard
-	// at or beyond the boundary raises the trip (with the prefix merged into
-	// Partial), so later windows could only ever be discarded.
-	dispatch := windows
-	if lim := budget.From(ctx); lim.SimEvents > 0 && lim.SimEvents < int64(n) {
-		dispatch = int(lim.SimEvents/int64(window)) + 1
-		if dispatch > windows {
-			dispatch = windows
+	// Windows are sub-ranges of tr itself, so they share its decode cache.
+	lo := 0
+	return runWindows(ctx, cfg, opts.Workers, window, func(max int) (span, error) {
+		sp := span{tr: tr, lo: lo, hi: min(lo+max, n)}
+		lo = sp.hi
+		if lo == n {
+			return sp, io.EOF
 		}
-	}
-	pool := &simPool{}
-	runs, _ := runner.Map(ctx, opts.Workers, dispatch,
-		func(cctx context.Context, w int) (shardRun, error) {
-			lo := w * window
-			hi := lo + window
-			if hi > n {
-				hi = n
-			}
-			// Errors stay inside the shardRun: the merge resolves the
-			// winning error by shard index, deterministically, rather than
-			// by whichever worker failed first on the clock.
-			return runShard(cctx, cfg, tr, 0, lo, hi, w, pool), nil
-		})
-	return mergeShards(ctx, cfg, runs)
+		return sp, nil
+	})
 }
 
 // WindowSource yields successive contiguous windows of one logical trace:
@@ -198,21 +204,51 @@ type WindowSource interface {
 // decoded frames rather than the trace length (the merged Result still
 // accumulates one PacketResult per packet). Window w of the stream is shard
 // w: on identical packets, a streamed run merges to exactly the same Result
-// as an in-memory RunShardedContext with the same window size. Its default
-// window is DefaultShardWindow, not the whole trace, since the window bounds
-// ingestion memory.
+// as an in-memory RunShardedContext with the same window size, and ends by
+// the same rule (see runWindows). Its default window is DefaultShardWindow,
+// not the whole trace, since the window bounds ingestion memory.
 //
-// A reader error ends production; shards already in flight finish and the
-// error is returned re-wrapped with the merged prefix Result as its Partial
-// (budget trips during ingestion report resource "trace-packets", matching
-// workload.ReadPcapContext).
+// A reader error ends production and is returned re-wrapped with the merged
+// prefix Result as its Partial (budget trips during ingestion report
+// resource "trace-packets", matching workload.ReadPcapContext).
 func RunShardedStreamContext(ctx context.Context, cfg Config, src WindowSource, opts ShardOpts) (*Result, error) {
-	window := opts.window(DefaultShardWindow)
-	workers := runner.Parallelism(opts.Workers)
+	return runWindows(ctx, cfg, opts.Workers, opts.window(DefaultShardWindow), func(max int) (span, error) {
+		win, start, err := src.NextWindow(ctx, max)
+		if win == nil {
+			return span{}, err
+		}
+		// The window's packets carry global indices start..start+len-1;
+		// its own slice indices restart at 0, hence base = start.
+		return span{tr: win, base: start, hi: len(win.Packets)}, err
+	})
+}
 
+// span is one window of a run: tr.Packets[lo:hi], attributed the global
+// trace indices base+lo..base+hi.
+type span struct {
+	tr           *workload.Trace
+	base, lo, hi int
+}
+
+// runWindows is the windowed engine's one driver. next hands out the run's
+// windows in trace order, at most window packets each, and reports io.EOF
+// with or after the last one; window w runs as shard w on one of workers
+// goroutines (values < 1 select GOMAXPROCS), recycling Sims through one
+// pool, while the calling goroutine produces the next window.
+//
+// The end-of-run rule: production stops at the first failed window, at an
+// error from next, or when ctx ends before next is exhausted. Windows
+// already produced still run, and their merge decides the outcome by window
+// index: the first failed window's typed error, else the reason production
+// stopped early — next's error, or a *budget.CanceledError for the ended
+// context — each carrying the merged prefix as its Partial.
+func runWindows(ctx context.Context, cfg Config, workers, window int, next func(max int) (span, error)) (*Result, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	type job struct {
-		w, base int
-		tr      *workload.Trace
+		span
+		w int
 	}
 	jobs := make(chan job)
 	var (
@@ -228,7 +264,7 @@ func RunShardedStreamContext(ctx context.Context, cfg Config, src WindowSource, 
 		mu.Unlock()
 	}
 	// stop tells the producer a shard already failed: everything past the
-	// lowest failed index is discarded by the merge, so reading further
+	// lowest failed index is discarded by the merge, so producing further
 	// windows is pure waste. In-flight shards still drain.
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -239,7 +275,7 @@ func RunShardedStreamContext(ctx context.Context, cfg Config, src WindowSource, 
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				sr := runShard(ctx, cfg, j.tr, j.base, 0, len(j.tr.Packets), j.w, pool)
+				sr := runShard(ctx, cfg, j.tr, j.base, j.lo, j.hi, j.w, pool)
 				record(j.w, sr)
 				if sr.err != nil {
 					stopOnce.Do(func() { close(stop) })
@@ -248,7 +284,7 @@ func RunShardedStreamContext(ctx context.Context, cfg Config, src WindowSource, 
 		}()
 	}
 
-	var readerErr error
+	var end error
 	produced := 0
 produce:
 	for {
@@ -258,33 +294,29 @@ produce:
 		default:
 		}
 		if err := ctx.Err(); err != nil {
+			end = &budget.CanceledError{Stage: "simulate", NF: cfg.Prog.Name, Err: err}
 			break
 		}
-		win, start, err := src.NextWindow(ctx, window)
-		if win != nil && len(win.Packets) > 0 {
-			// The window's packets carry global indices start..start+len-1;
-			// its own slice indices restart at 0, hence base = start.
-			jobs <- job{w: produced, base: start, tr: win}
+		sp, err := next(window)
+		if sp.hi > sp.lo {
+			jobs <- job{span: sp, w: produced}
 			produced++
 		}
 		if err != nil {
 			if err != io.EOF {
-				readerErr = err
+				end = err
 			}
 			break
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	for len(runs) < produced {
-		runs = append(runs, shardRun{})
-	}
-	res, err := mergeShards(ctx, cfg, runs[:produced])
+	res, err := mergeShards(ctx, cfg, runs)
 	if err != nil {
 		return nil, err
 	}
-	if readerErr != nil {
-		return nil, rewrapPartial(readerErr, res)
+	if end != nil {
+		return nil, rewrapPartial(end, res)
 	}
 	return res, nil
 }
@@ -295,25 +327,23 @@ produce:
 // reuse would poison merged percentiles — and it recomputes aggregate rates
 // from summed hit/access counts rather than averaging per-shard rates.
 //
-// The first shard (by index) that errored decides the merged outcome: its
-// typed budget/cancel error is re-issued with the merged contiguous prefix
-// as Partial, and later shards' results are discarded — the same packets a
-// sequential run of the shards would have produced.
-func mergeShards(ctx context.Context, cfg Config, runs []shardRun) (*Result, error) {
+// Every run must hold a Result or an error. The first shard (by index) that
+// errored decides the merged outcome: its typed budget/cancel error is
+// re-issued with the merged contiguous prefix as Partial, and later shards'
+// results are discarded — the same packets a sequential run of the shards
+// would have produced.
+func mergeShards(_ context.Context, cfg Config, runs []shardRun) (*Result, error) {
 	merged := &Result{NFName: cfg.Prog.Name, CacheHitRate: map[string]float64{}}
 	// Size the packet slice once for the windows the loop below absorbs:
-	// finished windows up to the first erroring or skipped one, plus an
-	// erroring window's partial prefix. It stays nil when there are no
-	// packets: reflect.DeepEqual tells nil from empty.
+	// finished windows up to the first erroring one, plus its partial
+	// prefix. It stays nil when there are no packets: reflect.DeepEqual
+	// tells nil from empty.
 	n := 0
 	for _, sr := range runs {
 		if sr.err != nil {
 			if r := partialResult(sr.err); r != nil {
 				n += len(r.Packets)
 			}
-			break
-		}
-		if sr.res == nil {
 			break
 		}
 		n += len(sr.res.Packets)
@@ -377,17 +407,6 @@ func mergeShards(ctx context.Context, cfg Config, runs []shardRun) (*Result, err
 				absorb(r, sr)
 			}
 			return nil, rewrapPartial(sr.err, seal())
-		}
-		if sr.res == nil {
-			// The runner skipped this window: the parent context was
-			// cancelled before it was claimed.
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, &budget.CanceledError{
-				Stage: "simulate", NF: cfg.Prog.Name, Err: err, Partial: seal(),
-			}
 		}
 		absorb(sr.res, sr)
 	}

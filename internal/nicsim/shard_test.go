@@ -422,3 +422,42 @@ func TestShardedStreamMatchesInMemory(t *testing.T) {
 		}
 	})
 }
+
+// TestShardedStreamCanceledMatchesInMemory pins the windowed engine's one
+// end-of-run rule on a context that ended before the run: the streamed and
+// the in-memory windowed run both return a *budget.CanceledError carrying
+// the same empty merged Result, at any worker count.
+func TestShardedStreamCanceledMatchesInMemory(t *testing.T) {
+	p := workload.DefaultProfile()
+	p.Packets = 200
+	p.Flows = 16
+	tr, err := workload.GenerateContext(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg := shardTestConfig(t, nf.All()[nf.Names()[0]], nil, true)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		opts := ShardOpts{Workers: workers, Window: 64}
+		_, err := RunShardedContext(ctx, cfg, tr, opts)
+		var ce *budget.CanceledError
+		if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: in-memory error = %v, want *budget.CanceledError", workers, err)
+		}
+		want := outcomeOf(nil, err)
+		if want.res == nil || len(want.res.Packets) != 0 {
+			t.Fatalf("workers=%d: in-memory Partial = %+v, want an empty Result", workers, want.res)
+		}
+		src, err := workload.NewTraceReader(bytes.NewReader(buf.Bytes()), "canceled")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunShardedStreamContext(ctx, cfg, src, opts)
+		requireSameOutcome(t, "canceled", want, outcomeOf(res, err), workers)
+	}
+}

@@ -71,17 +71,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add increments the gauge by n (negative n decrements); a nil receiver is
-// a no-op. Level-style gauges (queue depth, in-flight work) use it so
-// concurrent up/down transitions never lose updates the way read-modify-Set
-// would.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -123,22 +112,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 		return
 	}
 	h.Observe(time.Since(start).Nanoseconds())
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // series identifies one labeled time series within a family.
@@ -389,13 +362,6 @@ func upperBound(i int) string {
 	return fmt.Sprintf("%d", (uint64(1)<<uint(i))-1)
 }
 
-// Quantile estimates the q-th (0..1) quantile of a histogram by log-linear
-// interpolation inside the winning bucket — good enough for operator-facing
-// summaries; exact values need the raw events.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
 // HistSnapshot is a point-in-time copy of a histogram's counts. Histograms
 // are cumulative over the process lifetime; windowed views — "p99 over the
 // last second", the signal adaptive load shedding needs — come from diffing
@@ -441,9 +407,10 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return d
 }
 
-// Quantile estimates the q-th (0..1) quantile of the snapshot, with the
-// same interpolation Histogram.Quantile uses. NaN on an empty snapshot or
-// out-of-range q.
+// Quantile estimates the q-th (0..1) quantile of the snapshot by
+// log-linear interpolation inside the winning bucket — good enough for
+// operator-facing summaries; exact values need the raw events. NaN on an
+// empty snapshot or out-of-range q.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		return math.NaN()

@@ -27,7 +27,7 @@ func TestNilSinkIsNoOp(t *testing.T) {
 	if v := m.Counter("clara_x_total").Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
-	if !math.IsNaN(m.Histogram("clara_h_nanos").Quantile(0.5)) {
+	if !math.IsNaN(m.Histogram("clara_h_nanos").Snapshot().Quantile(0.5)) {
 		t.Fatal("nil histogram quantile should be NaN")
 	}
 }
@@ -62,13 +62,14 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 		h.Observe(v)
 	}
 	h.Observe(-5) // clamps to 0
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
+	s := h.Snapshot()
+	if s.Count != 7 {
+		t.Fatalf("count = %d, want 7", s.Count)
 	}
-	if h.Sum() != 1+2+3+100+1000+(1<<20) {
-		t.Fatalf("sum = %d", h.Sum())
+	if s.Sum != 1+2+3+100+1000+(1<<20) {
+		t.Fatalf("sum = %d", s.Sum)
 	}
-	q := h.Quantile(0.5)
+	q := s.Quantile(0.5)
 	if math.IsNaN(q) || q < 0 || q > 200 {
 		t.Fatalf("median estimate %v implausible", q)
 	}
@@ -174,7 +175,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := m.Counter("clara_total").Value(); got != 8000 {
 		t.Fatalf("concurrent counter = %d, want 8000", got)
 	}
-	if got := m.Histogram("clara_nanos").Count(); got != 8000 {
+	if got := m.Histogram("clara_nanos").Snapshot().Count; got != 8000 {
 		t.Fatalf("concurrent histogram count = %d, want 8000", got)
 	}
 }
@@ -220,10 +221,10 @@ func TestHistogramZeroAndNegativeSamples(t *testing.T) {
 	h.Observe(0)
 	h.Observe(-5)
 	h.Observe(math.MinInt64)
-	if got := h.Count(); got != 3 {
+	if got := h.Snapshot().Count; got != 3 {
 		t.Fatalf("count = %d, want 3", got)
 	}
-	if got := h.Sum(); got != 0 {
+	if got := h.Snapshot().Sum; got != 0 {
 		t.Fatalf("sum = %d, want 0 (negatives clamp)", got)
 	}
 	var b strings.Builder
@@ -234,7 +235,7 @@ func TestHistogramZeroAndNegativeSamples(t *testing.T) {
 	if !strings.Contains(out, `edge_nanos_bucket{le="0"} 3`) {
 		t.Errorf("zero/negative samples not all in the le=\"0\" bucket:\n%s", out)
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.Snapshot().Quantile(0.5); q != 0 {
 		t.Errorf("Quantile(0.5) over zeros = %v, want 0", q)
 	}
 }
@@ -258,22 +259,9 @@ func TestHistogramHugeSampleExposition(t *testing.T) {
 	if !strings.Contains(out, `le="9223372036854775807"`) {
 		t.Errorf("bucket 63 should expose its finite bound 2^63-1:\n%s", out)
 	}
-	if q := h.Quantile(1); math.IsNaN(q) || q < 0 {
+	if q := h.Snapshot().Quantile(1); math.IsNaN(q) || q < 0 {
 		t.Errorf("Quantile(1) with a max-int64 sample = %v", q)
 	}
-}
-
-func TestGaugeAdd(t *testing.T) {
-	m := New()
-	g := m.Gauge("clara_jobs_queue_depth")
-	g.Add(5)
-	g.Add(3)
-	g.Add(-6)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge after +5+3-6 = %d, want 2", got)
-	}
-	// Add on a nil sink's gauge is a no-op, like every other instrument.
-	(*Metrics)(nil).Gauge("clara_jobs_queue_depth").Add(7)
 }
 
 // TestHistogramSnapshotWindow exercises the Snapshot/Sub machinery the load
@@ -298,7 +286,7 @@ func TestHistogramSnapshotWindow(t *testing.T) {
 		t.Fatalf("windowed p99 = %v still sees the slow epoch", q)
 	}
 	// The cumulative view still covers both epochs.
-	if q := h.Quantile(0.99); q < 1<<19 {
+	if q := h.Snapshot().Quantile(0.99); q < 1<<19 {
 		t.Fatalf("cumulative p99 = %v lost the slow epoch", q)
 	}
 	// An empty window has no quantile.

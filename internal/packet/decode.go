@@ -107,10 +107,6 @@ type Builder struct {
 // Reset clears the builder for a new frame.
 func (b *Builder) Reset() { b.buf = b.buf[:0] }
 
-// Bytes returns the assembled frame. The slice is invalidated by the next
-// Reset.
-func (b *Builder) Bytes() []byte { return b.buf }
-
 // TCPv4 assembles an Ethernet+IPv4+TCP frame with the given payload,
 // computing both the IPv4 header checksum and the TCP checksum.
 func (b *Builder) TCPv4(eth Ethernet, ip IPv4, tcp TCP, payload []byte) []byte {

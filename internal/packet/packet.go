@@ -274,15 +274,6 @@ func (ip *IPv6) Decode(data []byte) ([]byte, error) {
 	return rest, nil
 }
 
-// Encode appends the wire form of the header to b.
-func (ip *IPv6) Encode(b []byte) []byte {
-	b = append(b, 6<<4|ip.TrafficClass>>4,
-		ip.TrafficClass<<4|byte(ip.FlowLabel>>16), byte(ip.FlowLabel>>8), byte(ip.FlowLabel))
-	b = append(b, byte(ip.Length>>8), byte(ip.Length), byte(ip.NextHeader), ip.HopLimit)
-	b = append(b, ip.Src[:]...)
-	return append(b, ip.Dst[:]...)
-}
-
 // TCP is a decoded TCP header. Options are preserved verbatim.
 type TCP struct {
 	SrcPort  uint16
@@ -404,12 +395,6 @@ func (ic *ICMPv4) Decode(data []byte) ([]byte, error) {
 	ic.Checksum = be16(data[2:])
 	ic.Rest = be32(data[4:])
 	return data[ICMPv4Len:], nil
-}
-
-// Encode appends the wire form of the header to b.
-func (ic *ICMPv4) Encode(b []byte) []byte {
-	b = append(b, ic.Type, ic.Code, byte(ic.Checksum>>8), byte(ic.Checksum))
-	return append(b, byte(ic.Rest>>24), byte(ic.Rest>>16), byte(ic.Rest>>8), byte(ic.Rest))
 }
 
 func be16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }

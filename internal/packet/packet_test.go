@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// Encode appends the wire form of the header to b.
+func (ip *IPv6) Encode(b []byte) []byte {
+	b = append(b, 6<<4|ip.TrafficClass>>4,
+		ip.TrafficClass<<4|byte(ip.FlowLabel>>16), byte(ip.FlowLabel>>8), byte(ip.FlowLabel))
+	b = append(b, byte(ip.Length>>8), byte(ip.Length), byte(ip.NextHeader), ip.HopLimit)
+	b = append(b, ip.Src[:]...)
+	return append(b, ip.Dst[:]...)
+}
+
+// Encode appends the wire form of the header to b.
+func (ic *ICMPv4) Encode(b []byte) []byte {
+	b = append(b, ic.Type, ic.Code, byte(ic.Checksum>>8), byte(ic.Checksum))
+	return append(b, byte(ic.Rest>>24), byte(ic.Rest>>16), byte(ic.Rest>>8), byte(ic.Rest))
+}
+
 func sampleEth() Ethernet {
 	return Ethernet{
 		Dst:  MAC{0x00, 0x11, 0x22, 0x33, 0x44, 0x55},

@@ -101,9 +101,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-// Header returns the parsed global header.
-func (rd *Reader) Header() Header { return rd.hdr }
-
 // Next returns the next record, or io.EOF at a clean end of file. The
 // record's Data is freshly allocated and safe to retain.
 func (rd *Reader) Next() (Record, error) {

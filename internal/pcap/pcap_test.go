@@ -28,7 +28,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := r.Header()
+	h := r.hdr
 	if h.LinkType != LinkTypeEthernet || h.SnapLen != 65535 || !h.Nanosecond {
 		t.Errorf("header = %+v", h)
 	}
@@ -118,7 +118,7 @@ func TestBigEndianMicrosecond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Header().Nanosecond {
+	if r.hdr.Nanosecond {
 		t.Error("should be microsecond resolution")
 	}
 	got, err := r.Next()

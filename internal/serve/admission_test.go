@@ -78,7 +78,7 @@ func TestSyncComputationsAreNotJobs(t *testing.T) {
 	if n := s.metrics.Counter("clara_jobs_retries_total").Value(); n != 0 {
 		t.Errorf("sync advise caused %d retries, want 0", n)
 	}
-	if n := s.metrics.Histogram("clara_jobs_attempt_nanos", "kind", "advise").Count(); n != 1 {
+	if n := s.metrics.Histogram("clara_jobs_attempt_nanos", "kind", "advise").Snapshot().Count; n != 1 {
 		t.Errorf("sync advise ran %d engine attempts, want 1", n)
 	}
 	lresp, err := http.Get(ts.URL + "/v1/jobs")

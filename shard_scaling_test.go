@@ -23,10 +23,10 @@ const (
 // TestShardWindowsSplitEvenly is the deterministic half of the sharded
 // engine's scaling claim, checked in every run: the throughput probe's
 // trace splits into windows that carry equal simulated work (packets and
-// CIR steps), so handing them out in index order to two workers, as
-// runner.Map does, finishes in at most 1/minShardSpeedup of the serial
-// work. Whether the host then delivers that speedup in wall-clock time is
-// TestShardScaling's question.
+// CIR steps), so handing them out in index order to two workers, as the
+// windowed engine's driver does, finishes in at most 1/minShardSpeedup of
+// the serial work. Whether the host then delivers that speedup in
+// wall-clock time is TestShardScaling's question.
 func TestShardWindowsSplitEvenly(t *testing.T) {
 	ctx := context.Background()
 	probe, err := microbench.NewThroughputProbe(ctx, lnic.Netronome(), scalingPackets)
