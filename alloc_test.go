@@ -124,10 +124,11 @@ func TestAllocBudget(t *testing.T) {
 // mapBytesBudget bounds the bytes one cold BenchmarkMapILP solve allocates
 // (vnfchain on netronome). The dense tableau allocated 778 KB per solve and
 // the sparse one 118 KB; with the tableau storage pooled across solves and
-// the constraint terms in one arena, a solve allocates about 29 KB. The
-// figure is deterministic for the fixed input, so the budget needs no slack
-// for timing.
-const mapBytesBudget = 44_000
+// the constraint terms in one arena, a solve allocated about 29 KB; with
+// one column per class of interchangeable cores (28 variables, not 133), it
+// allocates about 10.4 KB. The figure is deterministic for the fixed input,
+// so the budget needs no slack for timing.
+const mapBytesBudget = 16_000
 
 // TestMapAllocBudget keeps the ILP solve's transient allocation down: with
 // a live heap of about 1.2 MB under the runtime's 4 MB heap goal, the bytes
@@ -140,8 +141,8 @@ func TestMapAllocBudget(t *testing.T) {
 // mapWarmBytesBudget bounds the bytes one BenchmarkMapILPWarm map
 // allocates: the model, the solution and the mapping, as a cold solve does,
 // with the tableau loaded from the recorded phase 1 into pooled storage,
-// so no snapshot is copied out. Measured about 29 KB.
-const mapWarmBytesBudget = 40_000
+// so no snapshot is copied out. Measured about 10.4 KB.
+const mapWarmBytesBudget = 16_000
 
 // TestMapWarmAllocBudget keeps a map that reuses phase 1 from allocating
 // what it skips.
@@ -151,8 +152,8 @@ func TestMapWarmAllocBudget(t *testing.T) {
 
 // mapWarmReplayBytesBudget bounds the bytes one BenchmarkMapILPWarmReplay
 // map allocates: a warm map's, with the replayed rows rebuilt in the pooled
-// tableau's spill slab. Measured about 25 KB.
-const mapWarmReplayBytesBudget = 40_000
+// tableau's spill slab. Measured about 10.4 KB.
+const mapWarmReplayBytesBudget = 16_000
 
 // TestMapWarmReplayAllocBudget keeps a map that replays phase 1 on changed
 // rows from allocating more than a map that reuses it as is.
@@ -219,8 +220,9 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 // adviseBytesBudget bounds the bytes one warm BenchmarkAdviseSerial call
 // allocates: three mappings and three predictions of the VNF chain. Built
 // fresh per call (targets, engines, tableaux, per-class tallies) they came
-// to about 230 KB; reused, about 66 KB.
-const adviseBytesBudget = 100_000
+// to about 230 KB; reused, about 57 KB; with the mapping ILPs over classes
+// of interchangeable cores, about 28 KB.
+const adviseBytesBudget = 42_000
 
 // TestAdviseAllocBudget keeps a warm advise call from rebuilding what it
 // already has: the built-in targets, the NF's compiled engines, the LP

@@ -9,6 +9,7 @@ package lnic
 
 import (
 	"fmt"
+	"maps"
 
 	"clara/internal/cir"
 )
@@ -338,6 +339,57 @@ func (l *LNIC) PricingUnit() (id int, ok bool) {
 		}
 	}
 	return 0, false
+}
+
+// Representatives maps every unit to its representative: the lowest-ID
+// unit interchangeable with it. Two units are interchangeable when they
+// agree in every ComputeUnit field but ID and Name, ClassCycles by content,
+// and in their compute-memory edges, so they have the same capability,
+// stage, prices and reachability. Accelerators are never interchangeable:
+// each has a utilization row of its own.
+func (l *LNIC) Representatives() []int {
+	rep := make([]int, len(l.Units))
+	for j := range l.Units {
+		rep[j] = j
+		for k := 0; k < j; k++ {
+			if rep[k] == k && l.interchangeable(k, j) {
+				rep[j] = k
+				break
+			}
+		}
+	}
+	return rep
+}
+
+// interchangeable reports whether units a and b are interchangeable (see
+// Representatives).
+func (l *LNIC) interchangeable(a, b int) bool {
+	u, v := &l.Units[a], &l.Units[b]
+	if u.Kind == UnitAccel || u.Kind != v.Kind || u.Stage != v.Stage || u.Threads != v.Threads ||
+		u.AccelClass != v.AccelClass || u.HasFPU != v.HasFPU || u.FloatEmulation != v.FloatEmulation ||
+		u.FixedCycles != v.FixedCycles || u.PerByteCycles != v.PerByteCycles ||
+		u.TableEntries != v.TableEntries || u.QueueCap != v.QueueCap || u.LocalMem != v.LocalMem ||
+		u.NJPerCycle != v.NJPerCycle || !maps.Equal(u.ClassCycles, v.ClassCycles) {
+		return false
+	}
+	// The two units' edges, in CompMem order, must agree pairwise.
+	i, k := 0, 0
+	for {
+		for i < len(l.CompMem) && l.CompMem[i].Unit != a {
+			i++
+		}
+		for k < len(l.CompMem) && l.CompMem[k].Unit != b {
+			k++
+		}
+		if i == len(l.CompMem) || k == len(l.CompMem) {
+			return i == len(l.CompMem) && k == len(l.CompMem)
+		}
+		if l.CompMem[i].Mem != l.CompMem[k].Mem || l.CompMem[i].ExtraCycles != l.CompMem[k].ExtraCycles {
+			return false
+		}
+		i++
+		k++
+	}
 }
 
 // Accelerators returns IDs of accelerator units of the given class.

@@ -242,9 +242,10 @@ func newDomains(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, 
 		xOff:   make([]int, 1, len(g.Nodes)+1),
 		yOff:   make([]int, 1, len(g.Prog.State)+1),
 	}
+	rep := nic.Representatives()
 	for i := range g.Nodes {
 		node := &g.Nodes[i]
-		enc.units = appendAllowedUnits(enc.units, nic, node, h)
+		enc.units = appendAllowedUnits(enc.units, nic, rep, node, h)
 		enc.xOff = append(enc.xOff, len(enc.units))
 		if enc.xOff[i] == enc.xOff[i+1] {
 			return nil, &ErrInfeasible{Reason: fmt.Sprintf(
@@ -425,14 +426,21 @@ func (enc *encoding) ConstraintName(c int) string {
 }
 
 // AllowedUnits filters LNIC units by node capability (the typed compute
-// units of §3.1) and hints.
+// units of §3.1) and hints, one unit per class of interchangeable units
+// (lnic.Representatives).
 func AllowedUnits(nic *lnic.LNIC, n *cir.Node, h Hints) []int {
-	return appendAllowedUnits(nil, nic, n, h)
+	return appendAllowedUnits(nil, nic, nic.Representatives(), n, h)
 }
 
-// appendAllowedUnits appends n's allowed units to dst in unit order.
-func appendAllowedUnits(dst []int, nic *lnic.LNIC, n *cir.Node, h Hints) []int {
+// appendAllowedUnits appends n's allowed units to dst in unit order,
+// skipping every unit that is not its own representative in rep: a twin
+// offers the same choice at the same price as its representative, and no
+// row limits it alone, so its column could only tie.
+func appendAllowedUnits(dst []int, nic *lnic.LNIC, rep []int, n *cir.Node, h Hints) []int {
 	for j := range nic.Units {
+		if rep[j] != j {
+			continue
+		}
 		u := &nic.Units[j]
 		ok := false
 		switch n.Kind {

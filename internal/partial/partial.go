@@ -134,6 +134,8 @@ func AnalyzeContext(ctx context.Context, g *cir.Graph, nic, host *lnic.LNIC, wl 
 	visits := g.ExpectedVisits()
 	nicCM := mapper.NewCostModel(nic, wl)
 	hostCM := mapper.NewCostModel(host, wl)
+	nicBest := bestUnitCosts(g, nic, nicCM)
+	hostBest := bestUnitCosts(g, host, hostCM)
 
 	an := &Analysis{NFName: g.Prog.Name}
 	cuts, err := runner.Map(ctx, parallel, len(order)+1,
@@ -151,7 +153,7 @@ func AnalyzeContext(ctx context.Context, g *cir.Graph, nic, host *lnic.LNIC, wl 
 					hostNodes = append(hostNodes, n)
 				}
 			}
-			c := evalCut(g, visits, onNIC, nicNodes, hostNodes, nic, host, nicCM, hostCM, wl, pcie)
+			c := evalCut(g, visits, onNIC, nicNodes, hostNodes, nic, host, nicCM, hostCM, nicBest, hostBest, wl, pcie)
 			c.Index = cut
 			return *c, nil
 		})
@@ -186,44 +188,51 @@ func AnalyzeContext(ctx context.Context, g *cir.Graph, nic, host *lnic.LNIC, wl 
 	return an, nil
 }
 
+// bestUnitCosts prices every node of g on its cheapest capable unit of
+// nic, NaN when no unit of nic can run it (a cheapest price is never NaN).
+// A node's price does not depend on the cut, so every cut reads one table.
+func bestUnitCosts(g *cir.Graph, nic *lnic.LNIC, cm *mapper.CostModel) []float64 {
+	best := make([]float64, len(g.Nodes))
+	for i := range g.Nodes {
+		node := &g.Nodes[i]
+		units := mapper.AllowedUnits(nic, node, mapper.Hints{})
+		if len(units) == 0 {
+			best[i] = math.NaN()
+			continue
+		}
+		best[i] = math.Inf(1)
+		for _, j := range units {
+			if cost := cm.NodeCost(g, node, j); cost < best[i] {
+				best[i] = cost
+			}
+		}
+	}
+	return best
+}
+
 func evalCut(g *cir.Graph, visits []float64, onNIC map[int]bool, nicNodes, hostNodes []int,
-	nic, host *lnic.LNIC, nicCM, hostCM *mapper.CostModel, wl mapper.Workload, pcie PCIe) *Cut {
+	nic, host *lnic.LNIC, nicCM, hostCM *mapper.CostModel, nicBest, hostBest []float64,
+	wl mapper.Workload, pcie PCIe) *Cut {
 
 	c := &Cut{NICNodes: nicNodes, HostNodes: hostNodes, Feasible: true}
 
 	// Node compute costs, each on the best capable unit of its side.
 	nicCycles, hostCycles := 0.0, 0.0
 	for _, i := range nicNodes {
-		node := &g.Nodes[i]
-		units := mapper.AllowedUnits(nic, node, mapper.Hints{})
-		if len(units) == 0 {
+		if math.IsNaN(nicBest[i]) {
 			c.Feasible = false
-			c.Reason = fmt.Sprintf("node n%d (%s) has no capable NIC unit", i, node.Kind)
+			c.Reason = fmt.Sprintf("node n%d (%s) has no capable NIC unit", i, g.Nodes[i].Kind)
 			return c
 		}
-		best := math.Inf(1)
-		for _, j := range units {
-			if cost := nicCM.NodeCost(g, node, j); cost < best {
-				best = cost
-			}
-		}
-		nicCycles += visits[i] * best
+		nicCycles += visits[i] * nicBest[i]
 	}
 	for _, i := range hostNodes {
-		node := &g.Nodes[i]
-		units := mapper.AllowedUnits(host, node, mapper.Hints{})
-		if len(units) == 0 {
+		if math.IsNaN(hostBest[i]) {
 			c.Feasible = false
-			c.Reason = fmt.Sprintf("node n%d (%s) has no capable host unit", i, node.Kind)
+			c.Reason = fmt.Sprintf("node n%d (%s) has no capable host unit", i, g.Nodes[i].Kind)
 			return c
 		}
-		best := math.Inf(1)
-		for _, j := range units {
-			if cost := hostCM.NodeCost(g, node, j); cost < best {
-				best = cost
-			}
-		}
-		hostCycles += visits[i] * best
+		hostCycles += visits[i] * hostBest[i]
 	}
 
 	// State placement: each state goes to the side that uses it; split use
