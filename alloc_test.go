@@ -184,7 +184,7 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, snap, _, err := mapper.MapFrom(g, target, wl, Hints{}, nil)
+	_, snap, _, err := mapper.MapFrom(g, target, wl, Hints{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 	}
 	pipeMap := allocs(func() error { _, err := nfo.MapContext(ctx, target, wl, Hints{}); return err })
 	mapFrom := allocs(func() error {
-		_, got, _, err := mapper.MapFrom(g, target, wl, Hints{}, snap)
+		_, got, _, err := mapper.MapFrom(g, target, wl, Hints{}, snap, nil)
 		if err == nil && got != snap {
 			t.Fatal("mapper.MapFrom missed its own snapshot")
 		}
@@ -221,14 +221,31 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 // allocates: three mappings and three predictions of the VNF chain. Built
 // fresh per call (targets, engines, tableaux, per-class tallies) they came
 // to about 230 KB; reused, about 57 KB; with the mapping ILPs over classes
-// of interchangeable cores, about 28 KB.
-const adviseBytesBudget = 42_000
+// of interchangeable cores, about 28 KB; with each prediction's cost
+// environment kept with its engine and the shared targets' tables kept
+// per NF, about 20.4 KB. The budget leaves about 50% headroom.
+const adviseBytesBudget = 30_000
 
 // TestAdviseAllocBudget keeps a warm advise call from rebuilding what it
 // already has: the built-in targets, the NF's compiled engines, the LP
 // workspace and the predictor's cost environment.
 func TestAdviseAllocBudget(t *testing.T) {
 	checkBytesBudget(t, "vnfchain warm advise", BenchmarkAdviseSerial, adviseBytesBudget)
+}
+
+// adviseWarmBytesBudget bounds the bytes one BenchmarkAdviseWarm call
+// allocates: an annotated graph, three mappings and three predictions under
+// a workload the NF has not seen. With each annotated graph a deep copy of
+// the NF's graph and node domains, target tables and cost environments
+// built per call, it allocated about 36 KB; with annotated graphs sharing
+// their nodes and those kept, about 22.4 KB. The budget leaves about 25%
+// headroom.
+const adviseWarmBytesBudget = 28_000
+
+// TestAdviseWarmAllocBudget keeps a warm advise under a new workload from
+// rebuilding what only the NF and the target decide.
+func TestAdviseWarmAllocBudget(t *testing.T) {
+	checkBytesBudget(t, "corpus warm advise, fresh workloads", BenchmarkAdviseWarm, adviseWarmBytesBudget)
 }
 
 // colocBytesBudget bounds the bytes one BenchmarkSimRunColocated call

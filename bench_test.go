@@ -11,6 +11,9 @@ package clara
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"clara/internal/cir"
@@ -389,6 +392,58 @@ func benchmarkAdvise(b *testing.B, width int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAdviseWarm measures advise as a user repeats it for NFs already
+// analyzed under other workloads: every corpus NF in turn, each call under
+// a workload spec no earlier call used, at the default pool width. The
+// specs are drawn the way perfbench's advise stream draws them. Unlike
+// BenchmarkAdviseSerial, which repeats one workload and so hits every
+// cache, each call annotates the graph, encodes and solves the three ILPs
+// and prices the predictions anew; what it reuses is what a warm analysis
+// may keep (DESIGN.md "Warm analysis").
+func BenchmarkAdviseWarm(b *testing.B) {
+	all := nf.All()
+	var nfs []*NF
+	for _, name := range nf.Names() {
+		nfo, err := CompileNF(all[name].Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nfs = append(nfs, nfo)
+	}
+	r := rand.New(rand.NewSource(1))
+	advise := func(nfo *NF) {
+		wl, err := ParseWorkload(warmSpec(r))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := AdviseContext(context.Background(), nfo, wl, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first advise of an NF is its cold one; the second records each
+	// target's phase 1.
+	for k := 0; k < 2; k++ {
+		for _, nfo := range nfs {
+			advise(nfo)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		advise(nfs[i%len(nfs)])
+	}
+}
+
+// warmSpec draws a workload spec as perfbench's advise stream does: flow
+// count log-uniform in 100..100k, offered rate, TCP share and payload size.
+func warmSpec(r *rand.Rand) string {
+	flows := int(math.Round(math.Pow(10, 2+3*r.Float64())))
+	rate := 10000 + 1000*r.Intn(191)
+	tcp := 0.05 + 0.9*r.Float64()
+	size := 64 + r.Intn(1337)
+	return fmt.Sprintf("flows=%d,rate=%d,tcp=%.3f,size=%d", flows, rate, tcp, size)
 }
 
 // BenchmarkSimulate measures simulator throughput (packets per iteration).

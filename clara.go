@@ -225,36 +225,18 @@ func NewTarget(name string) (*Target, error) {
 	return mk(), nil
 }
 
-// BuiltinTarget returns the shared instance of a built-in SmartNIC profile,
-// the one Advise uses. Nothing may write to it; NewTarget returns a copy
-// the caller owns.
+// BuiltinTarget returns the shared instance of a built-in SmartNIC profile
+// (lnic.Shared), the one Advise uses. Advise shares them across calls and
+// goroutines, so nothing may write to them: the mapper and the predictor
+// only read a target. NewTarget returns a copy the caller owns.
 func BuiltinTarget(name string) (*Target, error) {
-	for _, b := range builtinTargets() {
-		if b.name == name {
-			return b.target, nil
+	for i, n := range Targets() {
+		if n == name {
+			return lnic.Shared()[i], nil
 		}
 	}
 	return nil, fmt.Errorf("clara: unknown target %q (have %v)", name, Targets())
 }
-
-// builtinTarget is one built-in profile and its registry name.
-type builtinTarget struct {
-	name   string
-	target *Target
-}
-
-// builtinTargets returns one instance of every built-in profile, in
-// registry order, built on first use. Advise shares them across calls and
-// goroutines, so nothing may write to them: the mapper and the predictor
-// only read a target.
-var builtinTargets = sync.OnceValue(func() []builtinTarget {
-	names := Targets()
-	out := make([]builtinTarget, len(names))
-	for i, name := range names {
-		out[i] = builtinTarget{name, lnic.Profiles()[name]()}
-	}
-	return out
-})
 
 // ParseWorkload parses an abstract workload spec such as
 // "packets=20000,rate=60000,flows=10000,tcp=0.8,size=300" into expectations.
@@ -485,9 +467,9 @@ var (
 
 func contentionModelFor(ctx context.Context, t *Target) (*ContentionModel, error) {
 	builtin := false
-	for _, b := range builtinTargets() {
-		if b.target.Name == t.Name {
-			builtin = reflect.DeepEqual(b.target, t)
+	for _, s := range lnic.Shared() {
+		if s.Name == t.Name {
+			builtin = reflect.DeepEqual(s, t)
 			break
 		}
 	}
@@ -674,10 +656,10 @@ func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Ad
 	if _, err := nf.pipe.Annotated(ctx, wl); err != nil {
 		return nil, err
 	}
-	targets := builtinTargets()
+	names, targets := Targets(), lnic.Shared()
 	out, err := runner.Map(ctx, parallel, len(targets),
 		func(cctx context.Context, i int) (Advice, error) {
-			name, t := targets[i].name, targets[i].target
+			name, t := names[i], targets[i]
 			pred, err := nf.PredictContext(cctx, t, wl, Hints{})
 			if err != nil {
 				if budget.Retryable(err) {

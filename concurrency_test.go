@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"clara/internal/cir"
 	"clara/internal/lnic"
 	"clara/internal/nf"
 )
@@ -122,8 +123,10 @@ func TestParallelWidthInvariance(t *testing.T) {
 // TestSharedTargetsStayReadOnly checks the contract that lets Advise share
 // one instance of each built-in target across calls and goroutines: after
 // concurrent Advise calls over every corpus NF, each shared target still
-// equals a freshly built profile. NewTarget keeps handing out copies the
-// caller owns: mutating one changes no Advise ranking.
+// equals a freshly built profile, and each NF's dataflow graph, whose
+// nodes every annotated graph shares, still equals a freshly built one.
+// NewTarget keeps handing out copies the caller owns: mutating one changes
+// no Advise ranking.
 func TestSharedTargetsStayReadOnly(t *testing.T) {
 	wl, err := ParseWorkload("flows=2000,size=600,rate=400000,tcp=1")
 	if err != nil {
@@ -132,11 +135,13 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 	all := nf.All()
 	var wg sync.WaitGroup
 	errs := make(chan error, len(all))
+	var nfos []*NF
 	for _, name := range nf.Names() {
 		nfo, err := CompileNF(all[name].Source)
 		if err != nil {
 			t.Fatal(err)
 		}
+		nfos = append(nfos, nfo)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -153,9 +158,22 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for _, bt := range builtinTargets() {
-		if fresh := lnic.Profiles()[bt.name](); !reflect.DeepEqual(bt.target, fresh) {
-			t.Errorf("shared target %s differs from a fresh profile after concurrent Advise", bt.name)
+	for _, name := range Targets() {
+		bt, err := BuiltinTarget(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh := lnic.Profiles()[name](); !reflect.DeepEqual(bt, fresh) {
+			t.Errorf("shared target %s differs from a fresh profile after concurrent Advise", name)
+		}
+	}
+	for _, nfo := range nfos {
+		fresh, err := cir.BuildGraph(nfo.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(nfo.pipe.Graph, fresh) {
+			t.Errorf("%s: the dataflow graph differs from a freshly built one after concurrent Advise", nfo.Name())
 		}
 	}
 
@@ -178,8 +196,8 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 	if a == b {
 		t.Fatal("two NewTarget calls returned the same target")
 	}
-	for _, bt := range builtinTargets() {
-		if bt.target == a || bt.target == b {
+	for _, bt := range lnic.Shared() {
+		if bt == a || bt == b {
 			t.Fatal("NewTarget returned the target Advise shares")
 		}
 	}

@@ -229,6 +229,29 @@ func TestStringMethods(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy of the graph sharing only the immutable
+// Program. Annotated graphs share their nodes (symexec.Annotator), so only
+// tests deep-copy a graph.
+func (g *Graph) Clone() *Graph {
+	out := &Graph{Prog: g.Prog, Entry: g.Entry}
+	out.Nodes = make([]Node, len(g.Nodes))
+	for i := range g.Nodes {
+		n := g.Nodes[i] // value copy of scalar fields
+		n.Blocks = append([]int(nil), g.Nodes[i].Blocks...)
+		n.VCalls = append([]Instr(nil), g.Nodes[i].VCalls...)
+		n.States = append([]string(nil), g.Nodes[i].States...)
+		if g.Nodes[i].ClassCount != nil {
+			n.ClassCount = make(map[Class]int, len(g.Nodes[i].ClassCount))
+			for k, v := range g.Nodes[i].ClassCount {
+				n.ClassCount[k] = v
+			}
+		}
+		out.Nodes[i] = n
+	}
+	out.Edges = append([]Edge(nil), g.Edges...)
+	return out
+}
+
 // TestGraphCloneAndSuccs: Clone must be deep for all annotation-mutable
 // fields, and copy the edge list, successors included.
 func TestGraphCloneAndSuccs(t *testing.T) {

@@ -389,29 +389,6 @@ func (g *Graph) defaultProbs() {
 	}
 }
 
-// Clone returns a deep copy of the graph sharing only the immutable
-// Program. Annotation passes (edge-probability refinement) work on clones so
-// a graph built once can serve concurrent analyses without mutation.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{Prog: g.Prog, Entry: g.Entry}
-	out.Nodes = make([]Node, len(g.Nodes))
-	for i := range g.Nodes {
-		n := g.Nodes[i] // value copy of scalar fields
-		n.Blocks = append([]int(nil), g.Nodes[i].Blocks...)
-		n.VCalls = append([]Instr(nil), g.Nodes[i].VCalls...)
-		n.States = append([]string(nil), g.Nodes[i].States...)
-		if g.Nodes[i].ClassCount != nil {
-			n.ClassCount = make(map[Class]int, len(g.Nodes[i].ClassCount))
-			for k, v := range g.Nodes[i].ClassCount {
-				n.ClassCount[k] = v
-			}
-		}
-		out.Nodes[i] = n
-	}
-	out.Edges = append([]Edge(nil), g.Edges...)
-	return out
-}
-
 // ExpectedVisits returns, per node, the expected executions per packet given
 // the edge probabilities: entry executes once, and visits propagate through
 // the DAG.

@@ -267,10 +267,17 @@ func (l *LNIC) InstrCycles(u *ComputeUnit, cl cir.Class) float64 {
 // themselves, and so do opcodes past the catalog, which cir.Compile refuses.
 func (l *LNIC) InstrPrices(u *ComputeUnit) cir.Prices {
 	var p cir.Prices
+	l.FillInstrPrices(u, &p)
+	return p
+}
+
+// FillInstrPrices writes InstrPrices(u) into p, every entry of it, without
+// a copy of the vector on the stack.
+func (l *LNIC) FillInstrPrices(u *ComputeUnit, p *cir.Prices) {
 	for op := cir.OpNop; op < cir.OpVCall; op++ {
 		p[op] = l.InstrCycles(u, cir.ClassOf(op))
 	}
-	return p
+	clear(p[cir.OpVCall:])
 }
 
 // AccessCycles returns the latency of one load or store from unit into mem,

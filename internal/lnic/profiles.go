@@ -3,7 +3,9 @@ package lnic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"clara/internal/cir"
 )
@@ -207,8 +209,12 @@ func Profiles() map[string]func() *LNIC {
 	}
 }
 
-// ProfileNames returns the registry keys in sorted order.
-func ProfileNames() []string {
+// ProfileNames returns the registry keys in sorted order, in a slice the
+// caller owns.
+func ProfileNames() []string { return slices.Clone(profileNames()) }
+
+// profileNames is the registry keys in sorted order, read-only.
+var profileNames = sync.OnceValue(func() []string {
 	m := Profiles()
 	names := make([]string, 0, len(m))
 	for n := range m {
@@ -216,6 +222,34 @@ func ProfileNames() []string {
 	}
 	sort.Strings(names)
 	return names
+})
+
+// Shared returns one instance of every built-in profile, in ProfileNames
+// order, built on first use. Analyses on every goroutine share them, so
+// nothing may write to them. Because they never change, what an analysis
+// derives from one of them once it may keep and reuse; SharedIndex tells
+// them apart by pointer. Every other LNIC, a fresh profile, a Slice or a
+// Clone included, is its owner's to change between calls, so nothing
+// derived from it is kept.
+var Shared = sync.OnceValue(func() []*LNIC {
+	names := profileNames()
+	profiles := Profiles()
+	out := make([]*LNIC, len(names))
+	for i, name := range names {
+		out[i] = profiles[name]()
+	}
+	return out
+})
+
+// SharedIndex returns l's index in Shared, or -1 when l is not one of the
+// shared instances.
+func SharedIndex(l *LNIC) int {
+	for i, s := range Shared() {
+		if s == l {
+			return i
+		}
+	}
+	return -1
 }
 
 // Slice returns a copy of the LNIC scaled down to a fraction of its general

@@ -150,7 +150,7 @@ func (e *ErrInfeasible) Error() string { return "mapper: infeasible: " + e.Reaso
 
 // Map solves the §3.4 ILP for graph g on nic under the workload and hints.
 func Map(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
-	m, _, _, err := mapFrom(g, nic, wl, h, nil, false)
+	m, _, _, err := mapFrom(g, nic, wl, h, nil, nil, false)
 	return m, err
 }
 
@@ -161,13 +161,16 @@ func Map(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
 // workload prices the objective, so many workloads share one phase 1; the
 // mapping is exactly Map's either way. replayed reports a start from prev
 // that rebuilt passenger rows (ilp.Solution.Replayed).
-func MapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1) (m *Mapping, snap *ilp.Phase1, replayed bool, err error) {
-	return mapFrom(g, nic, wl, h, prev, true)
+//
+// dom, when not nil, must be NodeDomains(g, nic, h.Domain()), kept from an
+// earlier map of a graph with the same nodes; nil computes them.
+func MapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1, dom *Domains) (m *Mapping, snap *ilp.Phase1, replayed bool, err error) {
+	return mapFrom(g, nic, wl, h, prev, dom, true)
 }
 
 // mapFrom is Map, and MapFrom when record is set.
-func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1, record bool) (*Mapping, *ilp.Phase1, bool, error) {
-	enc, err := newEncoding(g, nic, wl, h)
+func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase1, dom *Domains, record bool) (*Mapping, *ilp.Phase1, bool, error) {
+	enc, err := newEncoding(g, nic, wl, h, dom)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -189,7 +192,7 @@ func mapFrom(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, prev *ilp.Phase
 
 // Encode returns the §3.4 ILP that Map solves for g on nic, unsolved.
 func Encode(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*ilp.Model, error) {
-	enc, err := newEncoding(g, nic, wl, h)
+	enc, err := newEncoding(g, nic, wl, h, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +218,7 @@ type encoding struct {
 	visits []float64
 	// units lists every node's allowed units back to back: node i may run
 	// on units[xOff[i]:xOff[i+1]], and variable ilp.VarID(k) assigns it to
-	// units[k].
+	// units[k]. Both are a Domains' own, which the encoding only reads.
 	units []int
 	xOff  []int
 	// opts lists every state's Γ options back to back, in g.Prog.State
@@ -228,29 +231,74 @@ type encoding struct {
 // yVar is the variable selecting state option opts[k].
 func (enc *encoding) yVar(k int) ilp.VarID { return ilp.VarID(len(enc.units) + k) }
 
-// newDomains computes every node's allowed units and every state's Γ
-// options — the decisions a mapping chooses among — without building the
-// ILP over them.
-func newDomains(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, error) {
+// Domains are the Π decisions of a graph's nodes on a target: each node's
+// allowed units, one per class of interchangeable units. They read the
+// nodes, the target and the DomainHints, never the workload or the edge
+// probabilities, so every graph annotated from one base graph, which
+// shares its nodes (symexec.Annotator), has the same domains.
+type Domains struct {
+	// units lists every node's allowed units back to back: node i may run
+	// on units[xOff[i]:xOff[i+1]].
+	units []int
+	xOff  []int
+	// err is why there are none: the target fails validation, or a node has
+	// no capable unit (*ErrInfeasible).
+	err error
+}
+
+// DomainHints are the hints node domains depend on.
+type DomainHints struct {
+	SoftwareParse        bool
+	DisableChecksumAccel bool
+	DisableCryptoAccel   bool
+}
+
+// Domain returns the part of h that node domains depend on.
+func (h Hints) Domain() DomainHints {
+	return DomainHints{
+		SoftwareParse:        h.SoftwareParse,
+		DisableChecksumAccel: h.DisableChecksumAccel,
+		DisableCryptoAccel:   h.DisableCryptoAccel,
+	}
+}
+
+// NodeDomains validates nic and computes every node of g's allowed units
+// on it under h.
+func NodeDomains(g *cir.Graph, nic *lnic.LNIC, h DomainHints) *Domains {
 	if err := nic.Validate(); err != nil {
-		return nil, err
+		return &Domains{err: err}
+	}
+	d := &Domains{xOff: make([]int, 1, len(g.Nodes)+1)}
+	rep := nic.Representatives()
+	for i := range g.Nodes {
+		node := &g.Nodes[i]
+		d.units = appendAllowedUnits(d.units, nic, rep, node, h)
+		d.xOff = append(d.xOff, len(d.units))
+		if d.xOff[i] == d.xOff[i+1] {
+			return &Domains{err: &ErrInfeasible{Reason: fmt.Sprintf(
+				"node n%d (%s) has no capable compute unit on %s", node.ID, node.Kind, nic.Name)}}
+		}
+	}
+	return d
+}
+
+// newDomains computes every state's Γ options and takes every node's
+// allowed units from dom, computing them when dom is nil — the decisions a
+// mapping chooses among — without building the ILP over them.
+func newDomains(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, dom *Domains) (*encoding, error) {
+	if dom == nil {
+		dom = NodeDomains(g, nic, h.Domain())
+	}
+	if dom.err != nil {
+		return nil, dom.err
 	}
 	enc := &encoding{
 		g: g, nic: nic,
 		cm:     NewCostModel(nic, wl),
 		visits: g.ExpectedVisits(),
-		xOff:   make([]int, 1, len(g.Nodes)+1),
+		units:  dom.units,
+		xOff:   dom.xOff,
 		yOff:   make([]int, 1, len(g.Prog.State)+1),
-	}
-	rep := nic.Representatives()
-	for i := range g.Nodes {
-		node := &g.Nodes[i]
-		enc.units = appendAllowedUnits(enc.units, nic, rep, node, h)
-		enc.xOff = append(enc.xOff, len(enc.units))
-		if enc.xOff[i] == enc.xOff[i+1] {
-			return nil, &ErrInfeasible{Reason: fmt.Sprintf(
-				"node n%d (%s) has no capable compute unit on %s", node.ID, node.Kind, nic.Name)}
-		}
 	}
 	stateUse := enc.stateUsage()
 	for s, obj := range g.Prog.State {
@@ -272,9 +320,10 @@ func newDomains(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, 
 	return enc, nil
 }
 
-// newEncoding builds the §3.4 ILP over the domains of g on nic.
-func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*encoding, error) {
-	enc, err := newDomains(g, nic, wl, h)
+// newEncoding builds the §3.4 ILP over the domains of g on nic; dom is as
+// for newDomains.
+func newEncoding(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints, dom *Domains) (*encoding, error) {
+	enc, err := newDomains(g, nic, wl, h, dom)
 	if err != nil {
 		return nil, err
 	}
@@ -429,14 +478,14 @@ func (enc *encoding) ConstraintName(c int) string {
 // units of §3.1) and hints, one unit per class of interchangeable units
 // (lnic.Representatives).
 func AllowedUnits(nic *lnic.LNIC, n *cir.Node, h Hints) []int {
-	return appendAllowedUnits(nil, nic, nic.Representatives(), n, h)
+	return appendAllowedUnits(nil, nic, nic.Representatives(), n, h.Domain())
 }
 
 // appendAllowedUnits appends n's allowed units to dst in unit order,
 // skipping every unit that is not its own representative in rep: a twin
 // offers the same choice at the same price as its representative, and no
 // row limits it alone, so its column could only tie.
-func appendAllowedUnits(dst []int, nic *lnic.LNIC, rep []int, n *cir.Node, h Hints) []int {
+func appendAllowedUnits(dst []int, nic *lnic.LNIC, rep []int, n *cir.Node, h DomainHints) []int {
 	for j := range nic.Units {
 		if rep[j] != j {
 			continue
@@ -568,7 +617,7 @@ func (enc *encoding) decode(sol *ilp.Solution) *Mapping {
 // states go to the fastest region with spare capacity; accelerators are
 // used whenever available.
 func Greedy(g *cir.Graph, nic *lnic.LNIC, wl Workload, h Hints) (*Mapping, error) {
-	enc, err := newDomains(g, nic, wl, h)
+	enc, err := newDomains(g, nic, wl, h, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func analyzed(t *testing.T, spec nf.Spec, nic *lnic.LNIC, mutate func(*workload.
 	if err != nil {
 		t.Fatal(err)
 	}
-	symexec.AnnotateGraph(g, classes, symexec.WeightsFor(wl))
+	g = symexec.AnnotatedGraph(g, classes, symexec.WeightsFor(wl))
 	an, err := AnalyzeContext(context.Background(), g, nic, lnic.HostX86(), wl, DefaultPCIe(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -17,27 +17,30 @@ import (
 // expected values instead of concrete microarchitectural state.
 //
 // One costEnv serves every class of a prediction: what depends only on the
-// program, the mapping and the NIC is resolved when it is built, and reset
-// clears the per-class tallies before each class runs.
+// program, the mapping, the NIC and the workload is resolved by init, and
+// reset clears the per-class tallies before each class runs. A Pipeline
+// keeps each costEnv with its engine, so the next prediction reuses its
+// storage.
 type costEnv struct {
 	sem symexec.Env
 	m   *mapper.Mapping
 	nic *lnic.LNIC
 	wl  mapper.Workload
 	cm  *mapper.CostModel
-	npu *lnic.ComputeUnit
+	t   *targetTables
 
-	// states binds each state slot (cir.Instr.Slot) to its placement;
-	// accels holds the first unit of each accelerator class, nil when the
-	// NIC has none, and accelUnits how many units the class has. pktAccess
-	// prices a packet-memory line read; pktLine is the line size and hdr
-	// the average header length, which place payload bytes on lines.
-	states     []boundState
-	accels     [numAccels]*lnic.ComputeUnit
-	accelUnits [numAccels]int
-	pktLine    float64
-	pktAccess  float64
-	hdr        float64
+	// states binds each state slot (cir.Instr.Slot) to its placement.
+	// sites numbers the program's (vcall, state slot) pairs, and prices
+	// holds each one's price, cold at 2k and warm at 2k+1 for site k.
+	// pktAccess prices a packet-memory line read; pktLine is the line size
+	// and hdr the average header length, which place payload bytes on
+	// lines.
+	states    []boundState
+	sites     *callSites
+	prices    []lnic.VCallPrice
+	pktLine   float64
+	pktAccess float64
+	hdr       float64
 
 	cycles float64
 	// Energy accounting (the §6 E3-style extension): compute holds active
@@ -76,27 +79,25 @@ type boundState struct {
 	access    float64 // expected cycles of one access (CostModel.StateAccess)
 }
 
-func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.ComputeUnit, wl mapper.Workload, cm *mapper.CostModel, resourceLoad bool) *costEnv {
-	e := &costEnv{
-		m: m, nic: nic, wl: wl, cm: cm, npu: npu,
-		states:      make([]boundState, len(prog.State)),
-		latched:     make([]bool, len(prog.State)),
-		memAccesses: make([]float64, len(nic.Mems)),
-		pktLine:     float64(nic.Mems[nic.PktMem].LineSize()),
-		pktAccess:   cm.PktAccess(),
-		hdr:         wl.AvgWire - wl.AvgPayload,
-	}
+// init readies e for one prediction of prog, mapped by m onto nic, whose
+// tables are t, under the workload, reusing e's storage. It prices every
+// vcall site of prog, cold and warm, except crypto's, whose price depends
+// on the call's own length argument.
+func (e *costEnv) init(t *targetTables, sites *callSites, prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, cm *mapper.CostModel, resourceLoad bool) {
+	// Field by field, keeping the storage: the per-class tallies are reset
+	// before every class.
+	e.m, e.nic, e.wl, e.cm, e.t, e.sites = m, nic, wl, cm, t, sites
+	e.states = resized(e.states, len(prog.State))
+	e.prices = resized(e.prices, 2*len(sites.list))
+	e.latched = resized(e.latched, len(prog.State))
+	e.memAccesses = resized(e.memAccesses, len(nic.Mems))
+	e.pktLine = float64(nic.Mems[nic.PktMem].LineSize())
+	e.pktAccess = cm.PktAccess()
+	e.hdr = wl.AvgWire - wl.AvgPayload
 	if resourceLoad {
-		e.memCycles = make([]float64, len(nic.Mems))
-	}
-	for k := range e.accels {
-		for j := range nic.Units {
-			if u := &nic.Units[j]; u.Kind == lnic.UnitAccel && u.AccelClass == accelClass[k] {
-				if e.accelUnits[k]++; e.accels[k] == nil {
-					e.accels[k] = u
-				}
-			}
-		}
+		e.memCycles = resized(e.memCycles, len(nic.Mems))
+	} else {
+		e.memCycles = nil
 	}
 	for si := range prog.State {
 		obj := &prog.State[si]
@@ -109,7 +110,30 @@ func newCostEnv(prog *cir.Program, m *mapper.Mapping, nic *lnic.LNIC, npu *lnic.
 			access: cm.StateAccess(*obj, region),
 		}
 	}
-	return e
+	for k, site := range sites.list {
+		if site.vc == cir.VCCrypto {
+			continue
+		}
+		var s *boundState
+		if site.slot >= 0 {
+			s = &e.states[site.slot]
+		}
+		q := e.vcallIn(site.vc, s)
+		e.prices[2*k] = nic.VCallPrice(t.npu, site.vc, q)
+		q.Warm = true
+		e.prices[2*k+1] = nic.VCallPrice(t.npu, site.vc, q)
+	}
+}
+
+// resized returns s with length n, every element zero, reusing its storage
+// when it has room.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // reset readies e for the next class, with attribute valuation a.
@@ -154,8 +178,8 @@ func (e *costEnv) chargeMem(region int, n, perAccess float64) {
 // summed in index order.
 func (e *costEnv) energyNJ() float64 {
 	coreNJ := 0.0
-	if e.npu != nil {
-		coreNJ = e.npu.NJPerCycle
+	if e.t.npu != nil {
+		coreNJ = e.t.npu.NJPerCycle
 	}
 	total := e.compute*coreNJ + e.memStall*0.1*coreNJ
 	for region, n := range e.memAccesses {
@@ -165,7 +189,7 @@ func (e *costEnv) energyNJ() float64 {
 	}
 	for k, uses := range e.accelUses {
 		if uses > 0 {
-			total += e.accelSvc[k] * e.accels[k].NJPerCycle
+			total += e.accelSvc[k] * e.t.accels[k].NJPerCycle
 		}
 	}
 	return total
@@ -202,45 +226,75 @@ func (e *costEnv) state(in *cir.Instr) (*boundState, error) {
 	return nil, fmt.Errorf("predict: unknown state %q", in.State)
 }
 
-// VCall prices the call through the rule (lnic.VCallPrice) at this class's
-// expectations and delegates its value to the symbolic environment. Byte
-// arguments are the symbolic ones (crypto length, payload index) or the
-// workload's averages (L4 segment, DPI scan); flags come from the class's
-// path (headers parsed, entries latched) and its attributes (flow seen).
-func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
+// vcallIn is what a call of vc on state s (nil for a call that addresses
+// none) is priced at besides its warm flag, and besides the length of a
+// crypto call. Byte arguments are the workload's averages (L4 segment, DPI
+// scan); placements come from the mapping.
+func (e *costEnv) vcallIn(vc cir.VCall, s *boundState) lnic.VCallIn {
 	q := lnic.VCallIn{ParseOnEngine: e.m.ParseOnEngine}
+	if s != nil {
+		q.Region, q.Entries, q.EntryBytes = s.region, s.obj.Capacity, lnic.EntryBytes(*s.obj)
+		q.OnAccel = e.onFlowCache(s)
+	}
+	switch vc {
+	case cir.VCChecksum:
+		q.Bytes, q.OnAccel = e.cm.L4SegLen(), e.m.ChecksumOnAccel && e.t.accels[accelChecksum] != nil
+	case cir.VCCrypto:
+		q.OnAccel = e.m.CryptoOnAccel && e.t.accels[accelCrypto] != nil
+	case cir.VCDPIScan:
+		q.Bytes, q.Offset = e.wl.AvgPayload, e.hdr
+	}
+	return q
+}
+
+// onFlowCache reports whether the flow cache fronts state s's lookups.
+func (e *costEnv) onFlowCache(s *boundState) bool {
+	return s.flowCache && e.t.accels[accelFlowCache] != nil
+}
+
+// VCall prices the call through the rule (lnic.VCallPrice) at this class's
+// expectations and delegates its value to the symbolic environment. The
+// price is the call's site's, cold or warm, which init resolved; only a
+// crypto call is priced here, at its symbolic length. The warm flag comes
+// from the class's path (headers parsed, entries latched) and its
+// attributes (flow seen).
+func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
+	site := e.sites.site(in)
+	if site < 0 {
+		return 0, fmt.Errorf("predict: %s is not a vcall site of the program", in)
+	}
 	var s *boundState
+	var region int
 	var probe, touch float64 // expected cycles of one probe and one touch
 	if cir.VCalls[in.Callee].StateRef {
 		var err error
 		if s, err = e.state(in); err != nil {
 			return 0, err
 		}
-		q.Region, q.Entries, q.EntryBytes = s.region, s.obj.Capacity, lnic.EntryBytes(*s.obj)
-		q.OnAccel = s.flowCache && e.accels[accelFlowCache] != nil
-		probe, touch = s.access, s.access
+		region, probe, touch = s.region, s.access, s.access
 	}
 	seen := e.sem.Attrs().FlowSeen
-	w := 1.0
+	warm, w := false, 1.0
 	switch in.Callee {
 	case cir.VCGetHdr:
 		p := args[0]
-		if q.Warm = p >= uint64(len(e.parsed)) || e.parsed[p]; !q.Warm {
+		if warm = p >= uint64(len(e.parsed)) || e.parsed[p]; !warm {
 			e.parsed[p] = true
 		}
 	case cir.VCPayloadByte:
 		// A byte past the payload, or on the line the last read fetched
 		// (payload bytes sit behind hdr header bytes), reads no line.
 		line := math.Floor((e.hdr + float64(args[0])) / e.pktLine)
-		if q.Warm = args[0] >= uint64(e.sem.Attrs().PayloadLen); !q.Warm {
-			q.Warm, e.lastLine = line == e.lastLine, line
+		if warm = args[0] >= uint64(e.sem.Attrs().PayloadLen); !warm {
+			warm, e.lastLine = line == e.lastLine, line
 		}
-	case cir.VCChecksum:
-		q.Bytes, q.OnAccel = e.cm.L4SegLen(), e.m.ChecksumOnAccel && e.accels[accelChecksum] != nil
 	case cir.VCCrypto:
-		q.Bytes, q.OnAccel = float64(args[1]), e.m.CryptoOnAccel && e.accels[accelCrypto] != nil
+		q := e.vcallIn(in.Callee, nil)
+		q.Bytes = float64(args[1])
+		e.book(e.nic.VCallPrice(e.t.npu, in.Callee, q), w, region, probe, touch)
+		return e.sem.VCall(in, args)
 	case cir.VCMapLookup:
-		if q.Warm = seen; !seen {
+		if warm = seen; !seen {
 			// First packet of a flow probes a partially-warm bucket region.
 			probe = e.missProbeAccess(s)
 		}
@@ -255,22 +309,23 @@ func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 	case cir.VCMapDelete:
 		e.latched[in.Slot] = false
 	case cir.VCMapIncr:
-		q.Warm = e.latched[in.Slot]
+		warm = e.latched[in.Slot]
 		e.latched[in.Slot] = true
 	case cir.VCLPMLookup:
 		touch = e.cm.ScanAccess(*s.obj, s.region)
-		if q.OnAccel {
+		if e.onFlowCache(s) {
 			// Unlike stateful map lookups, the LPM's control flow does not
 			// branch on flow history, so cache hits are not a path property
 			// — price the expected hit share directly.
-			q.Warm = true
-			e.book(e.nic.VCallPrice(e.npu, in.Callee, q), e.wl.FlowReuse, q.Region, probe, touch)
-			q.Warm, w = false, 1-e.wl.FlowReuse
+			e.book(e.prices[2*site+1], e.wl.FlowReuse, region, probe, touch)
+			w = 1 - e.wl.FlowReuse
 		}
-	case cir.VCDPIScan:
-		q.Bytes, q.Offset = e.wl.AvgPayload, e.hdr
 	}
-	e.book(e.nic.VCallPrice(e.npu, in.Callee, q), w, q.Region, probe, touch)
+	p := &e.prices[2*site]
+	if warm {
+		p = &e.prices[2*site+1]
+	}
+	e.book(*p, w, region, probe, touch)
 	return e.sem.VCall(in, args)
 }
 
@@ -280,7 +335,7 @@ func (e *costEnv) VCall(in *cir.Instr, args []uint64) (uint64, error) {
 func (e *costEnv) book(p lnic.VCallPrice, w float64, region int, probe, touch float64) {
 	for k := range accelClass {
 		if accelClass[k] == p.Accel {
-			svc := e.accels[k].ServiceCycles(p.AccelBytes)
+			svc := e.t.accels[k].ServiceCycles(p.AccelBytes)
 			e.cycles += w * svc
 			e.accelUses[k] += w
 			e.accelSvc[k] += w * svc

@@ -16,8 +16,9 @@ import (
 
 // Pipeline is one compiled NF's analysis pipeline below the source
 // compiler: enumerate → annotate → map → predict, the paper's Figure 2. It
-// keeps what repeated analyses of the NF share: the behaviour enumeration,
-// workload-annotated clones of the dataflow graph, and compiled engines.
+// keeps what repeated analyses of the NF share: the behaviour enumeration
+// and what it derives from it once, workload-annotated graphs, what it
+// derives once from each shared built-in target, and compiled engines.
 // Every stage runs under ctx and its budget inside a panic-isolation
 // boundary, and records its wall time into the registry ctx carries.
 //
@@ -25,21 +26,26 @@ import (
 // method is safe to call from multiple goroutines.
 type Pipeline struct {
 	Program *cir.Program
-	// Graph is the dataflow graph before annotation; stages annotate clones.
+	// Graph is the dataflow graph before annotation. Annotated graphs share
+	// its nodes and own their edges.
 	Graph *cir.Graph
 
-	// classMu guards the memoized behaviour enumeration (§3.5); classes are
-	// read-only once published. A canceled or budget-exceeded enumeration is
-	// not memoized, so a retry under a healthier context can still succeed;
-	// real failures are latched.
+	// classMu guards the memoized behaviour enumeration (§3.5) and what is
+	// derived from it once: the annotator, which turns a workload into
+	// edge probabilities, and the predictor's tables of the classes and the
+	// program. All are read-only once published. A canceled or
+	// budget-exceeded enumeration is not memoized, so a retry under a
+	// healthier context can still succeed; real failures are latched.
 	classMu   sync.Mutex
 	classDone bool
 	classes   []symexec.Class
 	classErr  error
+	annot     *symexec.Annotator
+	tables    *nfTables
 
-	// annotated caches workload-annotated clones of Graph keyed by the
-	// weight vector, so repeated analyses of the same workload (Advise over
-	// many targets, co-location's slices, eval grids) share one read-only
+	// annotated caches workload-annotated graphs keyed by the weight
+	// vector, so repeated analyses of the same workload (Advise over many
+	// targets, co-location's slices, eval grids) share one read-only
 	// annotated graph.
 	annMu     sync.Mutex
 	annotated map[symexec.Weights]*cir.Graph
@@ -54,11 +60,27 @@ type Pipeline struct {
 	p1Mu   sync.Mutex
 	phase1 map[string]*ilp.Phase1
 
-	// engines holds compiled engines for Program that no prediction is
-	// running. An engine keeps its registers inside itself, so concurrent
-	// predictions each take their own; at most cap(engines) wait between
-	// calls, and they go away with the Pipeline.
-	engines chan *cir.Compiled
+	// shared holds the NF's node domains on each shared built-in target
+	// (lnic.Shared, by index), per hint set, next to the phase-1
+	// snapshots. Only the shared instances qualify, recognised by pointer:
+	// any other target, though it may bear a built-in's name, is its
+	// owner's to change between calls, so every map derives them anew for
+	// it.
+	shared []sharedTarget
+
+	// engines holds compiled engines for Program, with their predictions'
+	// storage, that no prediction is running. An engine keeps its registers
+	// inside itself, so concurrent predictions each take their own; at most
+	// cap(engines) wait between calls, and they go away with the Pipeline.
+	engines chan *engine
+}
+
+// sharedTarget is what a Pipeline keeps for one shared built-in target.
+// Domains are kept once a map on the target is admitted to its phase-1
+// slot, so a one-off analysis keeps none.
+type sharedTarget struct {
+	mu      sync.Mutex
+	domains map[mapper.DomainHints]*mapper.Domains
 }
 
 // annotatedCacheCap bounds the annotated-graph cache; sweeps over unbounded
@@ -80,7 +102,11 @@ func NewPipeline(prog *cir.Program) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{Program: prog, Graph: g, engines: make(chan *cir.Compiled, engineCacheCap)}, nil
+	return &Pipeline{
+		Program: prog, Graph: g,
+		shared:  make([]sharedTarget, len(lnic.Shared())),
+		engines: make(chan *engine, engineCacheCap),
+	}, nil
 }
 
 // Classes returns the program's behaviour classes, running symbolic
@@ -89,12 +115,19 @@ func NewPipeline(prog *cir.Program) (*Pipeline, error) {
 // Partial field carries the classes enumerated so far, and nothing is
 // memoized.
 func (p *Pipeline) Classes(ctx context.Context) ([]symexec.Class, error) {
+	classes, _, _, err := p.enumerated(ctx)
+	return classes, err
+}
+
+// enumerated is Classes that also returns the annotator and the
+// predictor's tables derived from the classes, built once with them.
+func (p *Pipeline) enumerated(ctx context.Context) ([]symexec.Class, *symexec.Annotator, *nfTables, error) {
 	m := obs.From(ctx)
 	p.classMu.Lock()
 	defer p.classMu.Unlock()
 	if p.classDone {
 		m.Counter("clara_enum_cache_hits_total").Inc()
-		return p.classes, p.classErr
+		return p.classes, p.annot, p.tables, p.classErr
 	}
 	m.Counter("clara_enum_cache_misses_total").Inc()
 	defer m.StageTimer("enumerate")()
@@ -102,18 +135,23 @@ func (p *Pipeline) Classes(ctx context.Context) ([]symexec.Class, error) {
 		return symexec.EnumerateContext(ctx, p.Program)
 	})
 	if err != nil && budget.Retryable(err) {
-		return classes, err
+		return classes, nil, nil, err
 	}
 	p.classDone = true
 	p.classes, p.classErr = classes, err
-	return p.classes, p.classErr
+	if err == nil {
+		p.annot = symexec.NewAnnotator(p.Graph, classes)
+		p.tables = newNFTables(p.Program, classes)
+	}
+	return p.classes, p.annot, p.tables, p.classErr
 }
 
-// Annotated returns a read-only clone of Graph with edge probabilities
-// refined for the workload. Clones are cached per weight vector; Graph
-// itself is never mutated, which is what makes the pipeline re-entrant.
+// Annotated returns Graph with edge probabilities refined for the workload,
+// read-only: it shares Graph's nodes and owns its edges. Annotated graphs
+// are cached per weight vector; Graph itself is never mutated, which is
+// what makes the pipeline re-entrant.
 func (p *Pipeline) Annotated(ctx context.Context, wl mapper.Workload) (*cir.Graph, error) {
-	classes, err := p.Classes(ctx)
+	_, annot, _, err := p.enumerated(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +165,7 @@ func (p *Pipeline) Annotated(ctx context.Context, wl mapper.Workload) (*cir.Grap
 	}
 	m.Counter("clara_annot_cache_misses_total").Inc()
 	defer m.StageTimer("annotate")()
-	g := symexec.AnnotatedGraph(p.Graph, classes, w)
+	g := annot.Graph(w)
 	if len(p.annotated) >= annotatedCacheCap {
 		p.annotated = nil
 	}
@@ -141,18 +179,40 @@ func (p *Pipeline) Annotated(ctx context.Context, wl mapper.Workload) (*cir.Grap
 // Map lowers the program onto nic for the workload (§3.4) by solving the
 // ILP over the workload-annotated graph. From the second map on a target
 // name, the solve starts from the slot's phase 1 when the ILP's rows are
-// unchanged or differ only in passenger rows (ilp.Phase1); the mapping is
-// the same either way.
+// unchanged or differ only in passenger rows (ilp.Phase1), and, on a
+// shared built-in target, from the node domains kept for it; the mapping
+// is the same either way.
 func (p *Pipeline) Map(ctx context.Context, nic *lnic.LNIC, wl mapper.Workload, h mapper.Hints) (*mapper.Mapping, error) {
 	return p.mapWith(ctx, wl, func(g *cir.Graph) (*mapper.Mapping, error) {
 		prev, admitted := p.phase1Slot(nic.Name)
 		if !admitted {
 			return mapper.Map(g, nic, wl, h)
 		}
-		m, snap, replayed, err := mapper.MapFrom(g, nic, wl, h, prev)
+		m, snap, replayed, err := mapper.MapFrom(g, nic, wl, h, prev, p.domains(nic, h.Domain()))
 		p.keepPhase1(ctx, nic.Name, prev, snap, replayed)
 		return m, err
 	})
+}
+
+// domains returns the NF's node domains on nic under h, computed on first
+// use and kept, when nic is a shared built-in target; nil otherwise.
+func (p *Pipeline) domains(nic *lnic.LNIC, h mapper.DomainHints) *mapper.Domains {
+	i := lnic.SharedIndex(nic)
+	if i < 0 {
+		return nil
+	}
+	s := &p.shared[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.domains[h]
+	if !ok {
+		d = mapper.NodeDomains(p.Graph, nic, h)
+		if s.domains == nil {
+			s.domains = map[mapper.DomainHints]*mapper.Domains{}
+		}
+		s.domains[h] = d
+	}
+	return d
 }
 
 // phase1Slot returns the snapshot kept for target name, and whether the
@@ -222,7 +282,7 @@ func (p *Pipeline) mapWith(ctx context.Context, wl mapper.Workload, solve func(*
 // PredictMapped produces the performance profile of an existing mapping on
 // nic, running the classes on one of the pipeline's compiled engines.
 func (p *Pipeline) PredictMapped(ctx context.Context, nic *lnic.LNIC, m *mapper.Mapping, wl mapper.Workload, opts Options) (*Prediction, error) {
-	classes, err := p.Classes(ctx)
+	classes, _, nt, err := p.enumerated(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -231,12 +291,12 @@ func (p *Pipeline) PredictMapped(ctx context.Context, nic *lnic.LNIC, m *mapper.
 	}
 	defer obs.From(ctx).StageTimer("predict")()
 	return budget.Guard1("predict", p.Program.Name, func() (*Prediction, error) {
-		comp, err := p.engine()
+		eng, err := p.engine()
 		if err != nil {
 			return nil, err
 		}
-		pred, err := predictCompiled(comp, classes, m, nic, wl, opts)
-		p.putEngine(comp)
+		pred, err := predictCompiled(eng, classes, nt, m, nic, wl, opts)
+		p.putEngine(eng)
 		return pred, err
 	})
 }
@@ -252,24 +312,26 @@ func (p *Pipeline) Predict(ctx context.Context, nic *lnic.LNIC, wl mapper.Worklo
 
 // engine returns a compiled engine for Program that no one else is running,
 // compiling one when none is free. Hand it back with putEngine.
-func (p *Pipeline) engine() (*cir.Compiled, error) {
+func (p *Pipeline) engine() (*engine, error) {
 	select {
-	case c := <-p.engines:
-		return c, nil
+	case e := <-p.engines:
+		return e, nil
 	default:
 	}
 	c, err := cir.Compile(p.Program)
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)
 	}
-	return c, nil
+	return &engine{comp: c}, nil
 }
 
-// putEngine returns c to the free engines, or drops it when enough are
-// waiting.
-func (p *Pipeline) putEngine(c *cir.Compiled) {
+// putEngine returns e to the free engines, or drops it when enough are
+// waiting. What its last prediction priced against is let go.
+func (p *Pipeline) putEngine(e *engine) {
+	e.env.m, e.env.nic, e.env.cm, e.env.t = nil, nil, nil, nil
+	e.tables.npu, e.tables.parser, e.tables.egress, e.tables.accels = nil, nil, nil, [numAccels]*lnic.ComputeUnit{}
 	select {
-	case p.engines <- c:
+	case p.engines <- e:
 	default:
 	}
 }

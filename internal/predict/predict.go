@@ -12,7 +12,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"clara/internal/cir"
@@ -116,14 +115,35 @@ func PredictWithClasses(prog *cir.Program, classes []symexec.Class, m *mapper.Ma
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)
 	}
-	return predictCompiled(comp, classes, m, nic, wl, opts)
+	return predictCompiled(&engine{comp: comp}, classes, nil, m, nic, wl, opts)
 }
 
-// predictCompiled is PredictWithClasses on an engine compiled from the
-// program, which a Pipeline keeps between calls. The engine runs every class
-// of this call, so it must not run anything else until the call returns.
-func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
+// engine is a compiled engine for a program and the storage its predictions
+// price in: the cost environment, and the tables of a target that is not
+// shared. A Pipeline keeps engines between calls.
+type engine struct {
+	comp   *cir.Compiled
+	env    costEnv
+	tables targetTables
+}
+
+// predictCompiled is PredictWithClasses on eng, whose engine was compiled
+// from the program. The engine runs every class of this call, so it must
+// not run anything else until the call returns. nt is the program's tables
+// when the caller keeps them; nil builds them for the call. nic's tables
+// are the kept ones when nic is a shared built-in target, else built for
+// the call in the engine's storage.
+func predictCompiled(eng *engine, classes []symexec.Class, nt *nfTables, m *mapper.Mapping, nic *lnic.LNIC, wl mapper.Workload, opts Options) (*Prediction, error) {
+	comp := eng.comp
 	prog := comp.Program()
+	if nt == nil {
+		nt = newNFTables(prog, classes)
+	}
+	tt := sharedTargetTables(nic)
+	if tt == nil {
+		eng.tables.init(nic)
+		tt = &eng.tables
+	}
 	w := symexec.WeightsFor(wl)
 	if opts.DPIMatchRate > 0 {
 		w.DPIMatch = opts.DPIMatchRate
@@ -136,16 +156,13 @@ func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapp
 
 	// Instructions are priced on the representative core; a NIC without one
 	// prices them at zero.
-	var prices cir.Prices
-	var npu *lnic.ComputeUnit
-	if id, ok := nic.PricingUnit(); ok {
-		npu = &nic.Units[id]
-		prices = nic.InstrPrices(npu)
-	}
-	env := newCostEnv(prog, m, nic, npu, wl, cm, opts.ResourceLoad)
-	meter := env.meter(&prices)
+	env := &eng.env
+	env.init(tt, nt.sites, prog, m, nic, wl, cm, opts.ResourceLoad)
+	meter := env.meter(&tt.prices)
 	hooks := cir.Hooks{Meter: &meter, MaxSteps: 2_000_000}
-	pred := &Prediction{NFName: prog.Name, NICName: nic.Name, PerClass: make([]ClassPrediction, 0, len(classes))}
+	// Each class's profile goes where sorting the profiles by name would
+	// put it, while the sums below run in class order.
+	pred := &Prediction{NFName: prog.Name, NICName: nic.Name, PerClass: make([]ClassPrediction, len(classes))}
 	var meanExec float64
 	var accelUse [numAccels]float64 // expected visits/packet per accel class
 	var accelSvc [numAccels]float64 // expected service/visit per accel class
@@ -159,17 +176,17 @@ func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapp
 		env.reset(attrs)
 		verdict, err := comp.Run(env, &hooks)
 		if err != nil {
-			return nil, fmt.Errorf("predict: class %s: %w", classes[ci].Name(), err)
+			return nil, fmt.Errorf("predict: class %s: %w", nt.names[ci], err)
 		}
 		energy := env.energyNJ()
-		pred.PerClass = append(pred.PerClass, ClassPrediction{
-			Name:     classes[ci].Name(),
+		pred.PerClass[nt.rank[ci]] = ClassPrediction{
+			Name:     nt.names[ci],
 			Attrs:    classes[ci].Attrs,
 			Prob:     probs[ci],
 			Cycles:   env.cycles,
 			EnergyNJ: energy,
 			Verdict:  verdict,
-		})
+		}
 		meanExec += probs[ci] * env.cycles
 		pred.EnergyNJ += probs[ci] * energy
 		for k, uses := range env.accelUses {
@@ -184,21 +201,17 @@ func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapp
 			}
 		}
 	}
-	sort.Slice(pred.PerClass, func(i, j int) bool { return pred.PerClass[i].Name < pred.PerClass[j].Name })
-
 	// Fixed ingress/egress overhead, mirroring the datapath stages.
 	fixed := 0.0
 	if len(nic.Hubs) > 0 {
 		fixed += nic.Hubs[0].ServiceCycles
 	}
 	fixed += wl.AvgWire/64 + 1 // DMA
-	if m.ParseOnEngine {
-		if parsers := nic.UnitsOfKind(lnic.UnitParser); len(parsers) > 0 {
-			fixed += nic.Units[parsers[0]].FixedCycles
-		}
+	if m.ParseOnEngine && tt.parser != nil {
+		fixed += tt.parser.FixedCycles
 	}
-	if eg := nic.UnitsOfKind(lnic.UnitEgress); len(eg) > 0 {
-		fixed += nic.Units[eg[0]].FixedCycles
+	if tt.egress != nil {
+		fixed += tt.egress.FixedCycles
 	}
 	if len(nic.Hubs) > 1 {
 		fixed += nic.Hubs[1].ServiceCycles
@@ -231,16 +244,16 @@ func predictCompiled(comp *cir.Compiled, classes []symexec.Class, m *mapper.Mapp
 		}
 	}
 	resources := make([]resource, 0, 1+numAccels+len(nic.Hubs))
-	resources = append(resources, resource{"cores", "cores", float64(coreServers(nic)), meanExec - accelCycles})
+	resources = append(resources, resource{"cores", "cores", float64(tt.coreServers), meanExec - accelCycles})
 	for k, uses := range accelUse {
-		u := env.accels[k]
+		u := tt.accels[k]
 		if uses <= 0 || u == nil {
 			continue
 		}
 		resources = append(resources, resource{
 			name:    u.Name,
 			key:     rlKey("accel:", accelClass[k]),
-			servers: float64(env.accelUnits[k] * u.Threads),
+			servers: float64(tt.accelUnits[k] * u.Threads),
 			demand:  uses * accelSvc[k],
 		})
 	}
@@ -340,17 +353,4 @@ func erlangC(c int, a float64) float64 {
 	}
 	rho := a / float64(c)
 	return b / (1 - rho + rho*b)
-}
-
-func coreServers(nic *lnic.LNIC) int {
-	n := nic.TotalThreads()
-	if n == 0 {
-		for _, id := range nic.UnitsOfKind(lnic.UnitMAU) {
-			n += nic.Units[id].Threads
-		}
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
 }

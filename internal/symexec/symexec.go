@@ -457,57 +457,106 @@ func Normalize(classes []Class, w Weights) []float64 {
 	return probs
 }
 
-// AnnotatedGraph returns a clone of g with edge probabilities refined by the
-// classes under the workload weights. The input graph is not modified, so a
-// graph built once can serve concurrent analyses; callers that own their
-// graph exclusively can use AnnotateGraph to skip the copy.
-func AnnotatedGraph(g *cir.Graph, classes []Class, w Weights) *cir.Graph {
-	out := g.Clone()
-	AnnotateGraph(out, classes, w)
-	return out
+// Annotator refines a dataflow graph's edge probabilities from the NF's
+// behaviour classes under a workload (§3.5's bridge from behaviours to the
+// performance model). What does not depend on the workload it does once:
+// the block → node map, and each class's node transitions, read off its
+// block trace. Annotating for a workload is then one pass that adds every
+// class's probability over its transitions.
+type Annotator struct {
+	g       *cir.Graph
+	classes []Class
+	// moves lists every class's node transitions back to back, in trace
+	// order: class ci makes moves[off[ci]:off[ci+1]].
+	moves []move
+	off   []int
+	// pairs counts the distinct (from, to) node pairs the edges join, and
+	// edgePair holds each edge's.
+	pairs    int
+	edgePair []int
 }
 
-// AnnotateGraph sets dataflow edge probabilities from the classes' block
-// traces weighted by the workload, replacing the uniform default (§3.5's
-// bridge from behaviours to the performance model). It mutates g in place:
-// use AnnotatedGraph when the graph is shared.
-func AnnotateGraph(g *cir.Graph, classes []Class, w Weights) {
-	probs := Normalize(classes, w)
-	// Map block → node.
+// move is one transition between nodes: from is the node left, and pair
+// the index of the (from, to) node pair among the edges', or -1 when no
+// edge joins the two.
+type move struct{ from, pair int }
+
+// NewAnnotator returns g's annotator for the classes, which must come from
+// enumerating g's program. Neither g nor the classes are modified, and the
+// annotator only reads them.
+func NewAnnotator(g *cir.Graph, classes []Class) *Annotator {
+	a := &Annotator{g: g, classes: classes, off: make([]int, 1, len(classes)+1), edgePair: make([]int, len(g.Edges))}
+	pairOf := map[[2]int]int{}
+	for i, e := range g.Edges {
+		k := [2]int{e.From, e.To}
+		id, ok := pairOf[k]
+		if !ok {
+			id = len(pairOf)
+			pairOf[k] = id
+		}
+		a.edgePair[i] = id
+	}
+	a.pairs = len(pairOf)
 	blockNode := map[int]int{}
 	for _, n := range g.Nodes {
 		for _, b := range n.Blocks {
 			blockNode[b] = n.ID
 		}
 	}
-	// Accumulate weighted node→node transition counts.
-	trans := map[[2]int]float64{}
-	visits := map[int]float64{}
 	for ci := range classes {
-		p := probs[ci]
-		if p == 0 {
-			continue
-		}
-		trace := classes[ci].BlockTrace
 		prev := -1
-		for _, b := range trace {
+		for _, b := range classes[ci].BlockTrace {
 			n, ok := blockNode[b]
 			if !ok {
 				continue
 			}
 			if prev != -1 && n != prev {
-				trans[[2]int{prev, n}] += p
-				visits[prev] += p
+				pair, ok := pairOf[[2]int{prev, n}]
+				if !ok {
+					pair = -1
+				}
+				a.moves = append(a.moves, move{from: prev, pair: pair})
 			}
 			prev = n
 		}
+		a.off = append(a.off, len(a.moves))
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		out := visits[e.From]
-		if out <= 0 {
+	return a
+}
+
+// Graph returns the graph annotated for the workload weights: each edge's
+// probability is the weighted share of its source node's transitions that
+// take it, and an edge whose source no class leaves keeps its default. The
+// result shares the nodes of the annotator's graph, which nothing may
+// write, and owns only its edges; the annotator's graph is not modified.
+func (a *Annotator) Graph(w Weights) *cir.Graph {
+	probs := Normalize(a.classes, w)
+	sums := make([]float64, a.pairs+len(a.g.Nodes))
+	trans, visits := sums[:a.pairs], sums[a.pairs:]
+	for ci, p := range probs {
+		if p == 0 {
 			continue
 		}
-		e.Prob = trans[[2]int{e.From, e.To}] / out
+		for _, mv := range a.moves[a.off[ci]:a.off[ci+1]] {
+			if mv.pair >= 0 {
+				trans[mv.pair] += p
+			}
+			visits[mv.from] += p
+		}
 	}
+	out := &cir.Graph{Prog: a.g.Prog, Nodes: a.g.Nodes, Edges: append([]cir.Edge(nil), a.g.Edges...), Entry: a.g.Entry}
+	for i := range out.Edges {
+		e := &out.Edges[i]
+		if n := visits[e.From]; n > 0 {
+			e.Prob = trans[a.edgePair[i]] / n
+		}
+	}
+	return out
+}
+
+// AnnotatedGraph returns g annotated for the classes under the workload
+// weights: NewAnnotator(g, classes).Graph(w). A caller that annotates one
+// graph for many workloads keeps the Annotator instead.
+func AnnotatedGraph(g *cir.Graph, classes []Class, w Weights) *cir.Graph {
+	return NewAnnotator(g, classes).Graph(w)
 }
