@@ -208,7 +208,7 @@ func TestMapPhase1NilSinkAllocs(t *testing.T) {
 		}
 		return err
 	})
-	pipeGreedy := allocs(func() error { _, err := nfo.MapGreedyContext(ctx, target, wl, Hints{}); return err })
+	pipeGreedy := allocs(func() error { _, err := nfo.pipe.Greedy(ctx, target, wl, Hints{}); return err })
 	greedy := allocs(func() error { _, err := mapper.Greedy(g, target, wl, Hints{}); return err })
 	t.Logf("allocs/op: pipeline map %.0f, mapper.MapFrom %.0f, pipeline greedy %.0f, mapper.Greedy %.0f",
 		pipeMap, mapFrom, pipeGreedy, greedy)

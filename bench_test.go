@@ -80,7 +80,7 @@ func BenchmarkMicrobench(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Microbench(t); err != nil {
+		if _, err := MicrobenchContext(context.Background(), t, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func BenchmarkMapILPWarm(b *testing.B) {
 	nfo, target, wl, _ := mapILPFixture(b)
 	// The first map admits the target, the second records its phase 1.
 	for i := 0; i < 2; i++ {
-		if _, err := nfo.Map(target, wl, Hints{}); err != nil {
+		if _, err := nfo.MapContext(context.Background(), target, wl, Hints{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func BenchmarkMapILPWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nfo.Map(target, wl, Hints{}); err != nil {
+		if _, err := nfo.MapContext(context.Background(), target, wl, Hints{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkMapILPWarmReplay(b *testing.B) {
 	wls := [2]Workload{wl, moved}
 	// The first map admits the target, the second records its phase 1.
 	for i := 0; i < 2; i++ {
-		if _, err := nfo.Map(target, wl, Hints{}); err != nil {
+		if _, err := nfo.MapContext(context.Background(), target, wl, Hints{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func BenchmarkMapILPWarmReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nfo.Map(target, wls[i%2], Hints{}); err != nil {
+		if _, err := nfo.MapContext(context.Background(), target, wls[i%2], Hints{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,13 +250,13 @@ func BenchmarkPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nfo.PredictMapped(target, m, wl, PredictOptions{}); err != nil {
+		if _, err := nfo.PredictMappedContext(context.Background(), target, m, wl, PredictOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,13 +291,13 @@ func BenchmarkPredictColocated(b *testing.B) {
 	weights := []float64{1, 1}
 	wls := []Workload{wl, wl}
 	// Warm the memoized contention model and the per-NF enumerations.
-	if _, err := PredictColocated(nfs, weights, target, wls); err != nil {
+	if _, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PredictColocated(nfs, weights, target, wls); err != nil {
+		if _, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +343,7 @@ func BenchmarkSimRunColocated(b *testing.B) {
 // each call pays the full class-enumeration + annotation cost. Contrast
 // with BenchmarkPredict above, whose NF serves every call from the memoized
 // enumeration — the gap is the redundant symbolic-execution pass that
-// Advise/Predict used to repeat per call.
+// AdviseContext/PredictContext used to repeat per call.
 func BenchmarkPredictColdNF(b *testing.B) {
 	src := nf.VNFChain().Source
 	target, err := NewTarget("netronome")
@@ -360,7 +360,7 @@ func BenchmarkPredictColdNF(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nfo.Predict(target, wl, Hints{}); err != nil {
+		if _, err := nfo.PredictContext(context.Background(), target, wl, Hints{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func benchmarkAdvise(b *testing.B, width int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AdviseParallel(nfo, wl, width); err != nil {
+		if _, err := AdviseContext(context.Background(), nfo, wl, width); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,7 +460,7 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -468,14 +468,14 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := GenerateTrace(prof)
+	tr, err := GenerateTraceContext(context.Background(), prof)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(tr.Packets)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nfo.Measure(target, m, tr, int64(i)); err != nil {
+		if _, err := nfo.MeasureOptionsContext(context.Background(), target, m, tr, int64(i), MeasureOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

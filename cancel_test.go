@@ -41,7 +41,7 @@ func TestCancelMidPredict(t *testing.T) {
 	}
 	// The canceled enumeration must not be memoized: the same NF analyzed
 	// again with a live context succeeds.
-	if _, err := nfo.Predict(mustTarget(t), testWorkload(t), Hints{}); err != nil {
+	if _, err := nfo.PredictContext(context.Background(), mustTarget(t), testWorkload(t), Hints{}); err != nil {
 		t.Fatalf("Predict after canceled attempt = %v", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestCancelMidSimRun(t *testing.T) {
 	}
 	wl := testWorkload(t)
 	target := mustTarget(t)
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,13 @@ func TestCancelMidSimRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := GenerateTrace(prof)
+	tr, err := GenerateTraceContext(context.Background(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = nfo.MeasureContext(ctx, target, m, tr, 7, nil)
+	_, err = nfo.MeasureOptionsContext(ctx, target, m, tr, 7, MeasureOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureContext(canceled) = %v, want context.Canceled", err)
 	}
@@ -109,7 +109,7 @@ func TestCancelMeasureStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := mustTarget(t)
-	m, err := nfo.Map(target, testWorkload(t), Hints{})
+	m, err := nfo.MapContext(context.Background(), target, testWorkload(t), Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCancelMeasureStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := GenerateTrace(prof)
+	tr, err := GenerateTraceContext(context.Background(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBudgetExceededPartialResult(t *testing.T) {
 		t.Errorf("Partial = %T %v, want non-empty []Class", ee.Partial, ee.Partial)
 	}
 	// The failed-budget run must not poison the cache.
-	classes, err := nfo.Classes()
+	classes, err := nfo.ClassesContext(context.Background())
 	if err != nil || len(classes) == 0 {
 		t.Fatalf("Classes after budget trip = %v, %v", classes, err)
 	}
@@ -237,7 +237,7 @@ func TestBudgetFlowEntriesCapsSimulatorAllocation(t *testing.T) {
 	}
 	wl := testWorkload(t)
 	target := mustTarget(t)
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +245,12 @@ func TestBudgetFlowEntriesCapsSimulatorAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := GenerateTrace(prof)
+	tr, err := GenerateTraceContext(context.Background(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := WithBudget(context.Background(), Budget{FlowEntries: 1024})
-	_, err = nfo.MeasureContext(ctx, target, m, tr, 7, nil)
+	_, err = nfo.MeasureOptionsContext(ctx, target, m, tr, 7, MeasureOptions{})
 	var ee *BudgetExceededError
 	if !errors.As(err, &ee) || ee.Resource != "flow-entries" {
 		t.Fatalf("MeasureContext(16M-entry table, 1k budget) = %v, want flow-entries trip", err)

@@ -19,11 +19,17 @@
 //
 // A minimal session:
 //
+//	ctx := context.Background()
 //	nf, _ := clara.CompileNF(src)
 //	target, _ := clara.NewTarget("netronome")
 //	wl, _ := clara.ParseWorkload("flows=10000,rate=60000,size=300")
-//	pred, _ := nf.Predict(target, wl, clara.Hints{})
+//	pred, _ := nf.PredictContext(ctx, target, wl, clara.Hints{})
 //	fmt.Println(pred)
+//
+// Each job has one entry, and it takes a context: MapContext,
+// PredictContext, PredictMappedContext, ClassesContext,
+// MeasureOptionsContext, MicrobenchContext, AdviseContext and so on. The
+// context carries cancellation, deadlines, a Budget and a Metrics registry.
 package clara
 
 import (
@@ -165,8 +171,9 @@ func WithBudgetUsage(ctx context.Context, u *BudgetUsage) context.Context {
 // NF is a compiled, analyzed network function.
 //
 // Concurrency contract: after CompileNF returns, Source, Program and Graph
-// are immutable and every analysis method (Map, Predict, PredictMapped,
-// Classes, Advise, AnalyzePartial, Measure) is safe to call from multiple
+// are immutable and every analysis entry (MapContext, PredictContext,
+// PredictMappedContext, ClassesContext, MeasureOptionsContext,
+// AdviseContext, AnalyzePartialContext) is safe to call from multiple
 // goroutines. Behaviour enumeration is memoized on first use; workload
 // annotation never mutates Graph — each distinct workload gets its own
 // annotated clone, cached per weight vector. Preload is the one mutable
@@ -226,9 +233,10 @@ func NewTarget(name string) (*Target, error) {
 }
 
 // BuiltinTarget returns the shared instance of a built-in SmartNIC profile
-// (lnic.Shared), the one Advise uses. Advise shares them across calls and
-// goroutines, so nothing may write to them: the mapper and the predictor
-// only read a target. NewTarget returns a copy the caller owns.
+// (lnic.Shared), the one AdviseContext uses. AdviseContext shares them
+// across calls and goroutines, so nothing may write to them: the mapper and
+// the predictor only read a target. NewTarget returns a copy the caller
+// owns.
 func BuiltinTarget(name string) (*Target, error) {
 	for i, n := range Targets() {
 		if n == name {
@@ -253,14 +261,9 @@ func ParseTrafficProfile(spec string) (TrafficProfile, error) {
 	return workload.ParseProfile(spec)
 }
 
-// WorkloadFromPcap derives expectations from a recorded trace.
-func WorkloadFromPcap(r io.Reader) (Workload, *Trace, error) {
-	return WorkloadFromPcapContext(context.Background(), r)
-}
-
-// WorkloadFromPcapContext is WorkloadFromPcap bounded by ctx: ingestion
-// honors cancellation and the SimEvents budget, and hostile record headers
-// produce errors rather than allocations.
+// WorkloadFromPcapContext derives expectations from a recorded trace.
+// Ingestion honors ctx's cancellation and its SimEvents budget, and hostile
+// record headers produce errors rather than allocations.
 func WorkloadFromPcapContext(ctx context.Context, r io.Reader) (Workload, *Trace, error) {
 	tr, err := workload.ReadPcapContext(ctx, r, "pcap")
 	if err != nil {
@@ -269,92 +272,54 @@ func WorkloadFromPcapContext(ctx context.Context, r io.Reader) (Workload, *Trace
 	return mapper.FromStats(tr.Stats()), tr, nil
 }
 
-// GenerateTrace synthesizes a packet trace from a profile.
-func GenerateTrace(p TrafficProfile) (*Trace, error) {
-	return GenerateTraceContext(context.Background(), p)
-}
-
-// GenerateTraceContext is GenerateTrace bounded by ctx and its budget.
+// GenerateTraceContext synthesizes a packet trace from a profile, bounded by
+// ctx and its budget.
 func GenerateTraceContext(ctx context.Context, p TrafficProfile) (*Trace, error) {
 	return workload.GenerateContext(ctx, p)
 }
 
-// Map lowers the NF onto the target for the workload (§3.4). The dataflow
-// graph's edge probabilities are first refined by behaviour enumeration;
-// the refinement happens on a per-workload clone, so Map is safe to call
-// concurrently on one NF.
-func (nf *NF) Map(t *Target, wl Workload, h Hints) (*Mapping, error) {
-	return nf.MapContext(context.Background(), t, wl, h)
-}
-
-// MapContext is Map bounded by ctx and its budget; the solve runs inside a
-// panic-isolation boundary.
+// MapContext lowers the NF onto the target for the workload (§3.4),
+// bounded by ctx and its budget; the solve runs inside a panic-isolation
+// boundary. The dataflow graph's edge probabilities are first refined by
+// behaviour enumeration; the refinement happens on a per-workload clone, so
+// MapContext is safe to call concurrently on one NF.
 func (nf *NF) MapContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Mapping, error) {
 	return nf.pipe.Map(ctx, t, wl, h)
 }
 
-// MapGreedy is the no-solver baseline mapping (ablation). It prices against
-// the same workload-annotated graph as Map so the two objectives compare.
-func (nf *NF) MapGreedy(t *Target, wl Workload, h Hints) (*Mapping, error) {
-	return nf.MapGreedyContext(context.Background(), t, wl, h)
-}
-
-// MapGreedyContext is MapGreedy bounded by ctx and its budget.
-func (nf *NF) MapGreedyContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Mapping, error) {
-	return nf.pipe.Greedy(ctx, t, wl, h)
-}
-
-// PredictMapped produces the performance profile for an existing mapping,
-// reusing the NF's memoized behaviour enumeration.
-func (nf *NF) PredictMapped(t *Target, m *Mapping, wl Workload, opts PredictOptions) (*Prediction, error) {
-	return nf.PredictMappedContext(context.Background(), t, m, wl, opts)
-}
-
-// PredictMappedContext is PredictMapped bounded by ctx and its budget; the
-// prediction runs inside a panic-isolation boundary.
+// PredictMappedContext produces the performance profile for an existing
+// mapping, reusing the NF's memoized behaviour enumeration. It is bounded
+// by ctx and its budget; the prediction runs inside a panic-isolation
+// boundary.
 func (nf *NF) PredictMappedContext(ctx context.Context, t *Target, m *Mapping, wl Workload, opts PredictOptions) (*Prediction, error) {
 	return nf.pipe.PredictMapped(ctx, t, m, wl, opts)
 }
 
-// Predict runs the full workflow: map, then predict.
+// Predict is PredictContext without a context.
+//
+// Deprecated: use PredictContext. Only the benchmark module (perfbench)
+// still calls this shim; it goes when that module moves to PredictContext.
 func (nf *NF) Predict(t *Target, wl Workload, h Hints) (*Prediction, error) {
 	return nf.PredictContext(context.Background(), t, wl, h)
 }
 
-// PredictContext is Predict bounded by ctx and its budget: cancellation or a
-// tripped budget aborts whichever stage (enumerate, map, predict) is running
-// with a typed error.
+// PredictContext runs the full workflow, map then predict, bounded by ctx
+// and its budget: cancellation or a tripped budget aborts whichever stage
+// (enumerate, map, predict) is running with a typed error.
 func (nf *NF) PredictContext(ctx context.Context, t *Target, wl Workload, h Hints) (*Prediction, error) {
 	return nf.pipe.Predict(ctx, t, wl, h, PredictOptions{})
 }
 
-// Classes enumerates the NF's distinct behaviours (§3.5). The enumeration
-// runs once per NF and is cached; the returned slice is shared — treat it as
-// read-only.
-func (nf *NF) Classes() ([]Class, error) { return nf.pipe.Classes(context.Background()) }
-
-// ClassesContext is Classes bounded by ctx and its budget. On cancellation
-// or a tripped budget the typed error's Partial field carries the classes
+// ClassesContext enumerates the NF's distinct behaviours (§3.5), bounded by
+// ctx and its budget. The enumeration runs once per NF and is cached; the
+// returned slice is shared — treat it as read-only. On cancellation or a
+// tripped budget the typed error's Partial field carries the classes
 // enumerated so far, and the enumeration is not memoized (a retry with a
 // looser budget can complete it).
 func (nf *NF) ClassesContext(ctx context.Context) ([]Class, error) { return nf.pipe.Classes(ctx) }
 
 // PlacementOf converts a mapping into the simulator's placement form.
 func PlacementOf(m *Mapping) Placement { return nicsim.PlacementOf(m) }
-
-// Measure executes the NF under the mapping on the cycle-level simulator
-// against a concrete trace — the "Actual" side of the paper's validation.
-func (nf *NF) Measure(t *Target, m *Mapping, tr *Trace, seed int64) (*Measurement, error) {
-	return nf.MeasureContext(context.Background(), t, m, tr, seed, nil)
-}
-
-// MeasureContext is Measure bounded by ctx and its budget, optionally under
-// fault injection (pass nil faults for a healthy run). Cancellation and the
-// SimSteps/SimEvents budgets return a typed error whose Partial field holds
-// the Measurement covering the packets that did run.
-func (nf *NF) MeasureContext(ctx context.Context, t *Target, m *Mapping, tr *Trace, seed int64, faults *Faults) (*Measurement, error) {
-	return nf.MeasureOptionsContext(ctx, t, m, tr, seed, MeasureOptions{Faults: faults})
-}
 
 // MeasureOptions tunes one simulator run beyond the mapping itself.
 type MeasureOptions struct {
@@ -378,8 +343,12 @@ type MeasureOptions struct {
 	ShardWindow int
 }
 
-// MeasureOptionsContext is MeasureContext with per-run options: fault
-// injection, per-packet timeline tracing and the shard window.
+// MeasureOptionsContext executes the NF under the mapping on the
+// cycle-level simulator against a concrete trace — the "Actual" side of the
+// paper's validation — with per-run options: fault injection, per-packet
+// timeline tracing and the shard window. Cancellation and the
+// SimSteps/SimEvents budgets return a typed error whose Partial field holds
+// the Measurement covering the packets that did run.
 func (nf *NF) MeasureOptionsContext(ctx context.Context, t *Target, m *Mapping, tr *Trace, seed int64, opts MeasureOptions) (*Measurement, error) {
 	defer obs.From(ctx).StageTimer("simulate")()
 	return budget.Guard1("simulate", nf.Program.Name, func() (*Measurement, error) {
@@ -418,21 +387,11 @@ func NewTraceReader(r io.Reader, name string) (*workload.TraceReader, error) {
 	return workload.NewTraceReader(r, name)
 }
 
-// Microbench recovers the target's performance parameters by running the
-// §3.2 probe suite on the simulator. Probes run concurrently; use
-// MicrobenchParallel to control the pool width.
-func Microbench(t *Target) (*BenchReport, error) {
-	return MicrobenchContext(context.Background(), t, 0)
-}
-
-// MicrobenchParallel is Microbench with an explicit worker count (values < 1
-// select GOMAXPROCS, 1 forces sequential probing).
-func MicrobenchParallel(t *Target, parallel int) (*BenchReport, error) {
-	return MicrobenchContext(context.Background(), t, parallel)
-}
-
-// MicrobenchContext is MicrobenchParallel bounded by ctx: cancellation stops
-// in-flight probes promptly with a typed CanceledError.
+// MicrobenchContext recovers the target's performance parameters by running
+// the §3.2 probe suite on the simulator. Probes run concurrently on parallel
+// workers (values < 1 select GOMAXPROCS, 1 forces sequential probing);
+// cancellation of ctx stops in-flight probes promptly with a typed
+// CanceledError.
 func MicrobenchContext(ctx context.Context, t *Target, parallel int) (*BenchReport, error) {
 	defer obs.From(ctx).StageTimer("microbench")()
 	return budget.Guard1("microbench", t.Name, func() (*BenchReport, error) {
@@ -440,15 +399,21 @@ func MicrobenchContext(ctx context.Context, t *Target, parallel int) (*BenchRepo
 	})
 }
 
-// FitContention fits the target's multi-tenant slowdown curves by running
-// microbenchmark probes under synthetic contender load on the co-located
-// simulator. The fit is deterministic per target.
+// FitContention fits the target's multi-tenant slowdown curves afresh.
+//
+// Deprecated: use PredictColocatedContext, which fits the model it needs
+// and memoizes it per built-in target. Only the benchmark module
+// (perfbench) still calls this shim; it goes when that module stops
+// timing a fit of its own.
 func FitContention(t *Target) (*ContentionModel, error) {
-	return FitContentionContext(context.Background(), t)
+	return fitContention(context.Background(), t)
 }
 
-// FitContentionContext is FitContention bounded by ctx and its budget.
-func FitContentionContext(ctx context.Context, t *Target) (*ContentionModel, error) {
+// fitContention fits the target's multi-tenant slowdown curves by running
+// microbenchmark probes under synthetic contender load on the co-located
+// simulator, bounded by ctx and its budget. The fit is deterministic per
+// target.
+func fitContention(ctx context.Context, t *Target) (*ContentionModel, error) {
 	defer obs.From(ctx).StageTimer("microbench")()
 	return budget.Guard1("microbench", t.Name, func() (*ContentionModel, error) {
 		return microbench.FitContentionContext(ctx, t)
@@ -474,7 +439,7 @@ func contentionModelFor(ctx context.Context, t *Target) (*ContentionModel, error
 		}
 	}
 	if !builtin {
-		return FitContentionContext(ctx, t)
+		return fitContention(ctx, t)
 	}
 	contModelMu.Lock()
 	if m, ok := contModels[t.Name]; ok {
@@ -482,7 +447,7 @@ func contentionModelFor(ctx context.Context, t *Target) (*ContentionModel, error
 		return m, nil
 	}
 	contModelMu.Unlock()
-	m, err := FitContentionContext(ctx, t)
+	m, err := fitContention(ctx, t)
 	if err != nil {
 		return nil, err
 	}
@@ -492,18 +457,23 @@ func contentionModelFor(ctx context.Context, t *Target) (*ContentionModel, error
 	return m, nil
 }
 
-// PredictColocated predicts each NF's performance profile when the NFs are
-// co-located on one target with weighted resource shares — cores partitioned
-// by weight, accelerators/hubs/memories shared with contention-aware service
-// inflation (the fitted ContentionModel). nfs, weights and wls run in
-// parallel: weights[i] ≤ 0 deactivates nfs[i] (its slot returns nil), and
-// wls[i] is that tenant's own traffic. With a single active tenant the
-// result is byte-identical to that NF's solo Predict on the full target.
+// PredictColocated is PredictColocatedContext without a context.
+//
+// Deprecated: use PredictColocatedContext. Only the benchmark module
+// (perfbench) still calls this shim; it goes when that module moves to
+// PredictColocatedContext.
 func PredictColocated(nfs []*NF, weights []float64, t *Target, wls []Workload) ([]*Prediction, error) {
 	return PredictColocatedContext(context.Background(), nfs, weights, t, wls)
 }
 
-// PredictColocatedContext is PredictColocated bounded by ctx and its budget;
+// PredictColocatedContext predicts each NF's performance profile when the
+// NFs are co-located on one target with weighted resource shares — cores
+// partitioned by weight, accelerators/hubs/memories shared with
+// contention-aware service inflation (the fitted ContentionModel). nfs,
+// weights and wls run in parallel: weights[i] ≤ 0 deactivates nfs[i] (its
+// slot returns nil), and wls[i] is that tenant's own traffic. With a single
+// active tenant the result is byte-identical to that NF's solo
+// PredictContext on the full target. It is bounded by ctx and its budget;
 // the contention-model fit (memoized per built-in target) and every
 // per-tenant pipeline stage honor cancellation with typed errors.
 func PredictColocatedContext(ctx context.Context, nfs []*NF, weights []float64, t *Target, wls []Workload) ([]*Prediction, error) {
@@ -539,19 +509,14 @@ func PredictColocatedContext(ctx context.Context, nfs []*NF, weights []float64, 
 	})
 }
 
-// MeasureColocated runs the NFs concurrently on the multi-tenant simulator —
-// the ground-truth side of co-location analysis. Each active NF is mapped
-// onto the full target (the simulator partitions threads by weight at run
-// time) and replays its own trace; results align with the input slices, with
-// empty Measurements for deactivated tenants.
-func MeasureColocated(nfs []*NF, weights []float64, t *Target, traces []*Trace, seed int64) ([]*Measurement, error) {
-	return MeasureColocatedContext(context.Background(), nfs, weights, t, traces, seed, MeasureOptions{})
-}
-
-// MeasureColocatedContext is MeasureColocated bounded by ctx and its budget,
-// with per-run options (fault injection and timelines). The whole merged
-// event sequence runs as one window, so opts.Shards and opts.ShardWindow do
-// not apply.
+// MeasureColocatedContext runs the NFs concurrently on the multi-tenant
+// simulator — the ground-truth side of co-location analysis — bounded by
+// ctx and its budget, with per-run options (fault injection and
+// timelines). Each active NF is mapped onto the full target (the simulator
+// partitions threads by weight at run time) and replays its own trace;
+// results align with the input slices, with empty Measurements for
+// deactivated tenants. The whole merged event sequence runs as one window,
+// so opts.Shards and opts.ShardWindow do not apply.
 func MeasureColocatedContext(ctx context.Context, nfs []*NF, weights []float64, t *Target, traces []*Trace, seed int64, opts MeasureOptions) ([]*Measurement, error) {
 	if len(nfs) != len(weights) || len(nfs) != len(traces) {
 		return nil, fmt.Errorf("clara: co-location wants parallel slices, got %d NFs, %d weights, %d traces",
@@ -590,24 +555,13 @@ func HostTarget() *Target { return lnic.HostX86() }
 // DefaultPCIe models a PCIe 3.0 x8 host/NIC interconnect.
 func DefaultPCIe() PCIe { return partial.DefaultPCIe() }
 
-// AnalyzePartial sweeps every NIC-prefix/host-suffix partition of the NF
-// (§6's partial-offloading extension), reporting latency, throughput and
-// energy per cut plus the latency- and energy-optimal choices. Cuts are
-// evaluated on the shared worker pool at GOMAXPROCS width; use
-// AnalyzePartialParallel to control the width.
-func AnalyzePartial(nf *NF, t *Target, wl Workload, pcie PCIe) (*PartialAnalysis, error) {
-	return AnalyzePartialParallel(nf, t, wl, pcie, 0)
-}
-
-// AnalyzePartialParallel is AnalyzePartial with an explicit worker count
-// (values < 1 select GOMAXPROCS, 1 forces the sequential sweep). Results are
-// identical at any width.
-func AnalyzePartialParallel(nf *NF, t *Target, wl Workload, pcie PCIe, parallel int) (*PartialAnalysis, error) {
-	return AnalyzePartialContext(context.Background(), nf, t, wl, pcie, parallel)
-}
-
-// AnalyzePartialContext is AnalyzePartialParallel bounded by ctx: the cut
-// sweep stops promptly on cancellation with a typed CanceledError.
+// AnalyzePartialContext sweeps every NIC-prefix/host-suffix partition of
+// the NF (§6's partial-offloading extension), reporting latency, throughput
+// and energy per cut plus the latency- and energy-optimal choices. Cuts are
+// evaluated on the shared worker pool at width parallel (values < 1 select
+// GOMAXPROCS, 1 forces the sequential sweep); results are identical at any
+// width. The sweep stops promptly on cancellation of ctx with a typed
+// CanceledError.
 func AnalyzePartialContext(ctx context.Context, nf *NF, t *Target, wl Workload, pcie PCIe, parallel int) (*PartialAnalysis, error) {
 	g, err := nf.pipe.Annotated(ctx, wl)
 	if err != nil {
@@ -629,26 +583,22 @@ type Advice struct {
 	Throughput float64
 }
 
-// Advise predicts the NF on every built-in target and ranks the feasible
-// ones by latency — the "which SmartNIC model is best suited for her
-// workloads" use case from §1. Targets are evaluated concurrently on the
-// shared worker pool; use AdviseParallel to control the width.
-func Advise(nf *NF, wl Workload) ([]Advice, error) {
-	return AdviseParallel(nf, wl, 0)
-}
-
-// AdviseParallel is Advise with an explicit worker count (values < 1 select
-// GOMAXPROCS, 1 forces the sequential loop). The ranking is identical at any
-// width: per-target results land in registry order before the final sort,
-// and an infeasible prediction is data, not an error — only cancellation
-// and tripped budgets abort the sweep.
+// AdviseParallel is AdviseContext without a context.
+//
+// Deprecated: use AdviseContext. Only the benchmark module (perfbench)
+// still calls this shim; it goes when that module moves to AdviseContext.
 func AdviseParallel(nf *NF, wl Workload, parallel int) ([]Advice, error) {
 	return AdviseContext(context.Background(), nf, wl, parallel)
 }
 
-// AdviseContext is AdviseParallel bounded by ctx: cancellation or a tripped
-// budget aborts the whole sweep with a typed error, while a per-target
-// infeasibility remains data in the ranking.
+// AdviseContext predicts the NF on every built-in target and ranks the
+// feasible ones by latency — the "which SmartNIC model is best suited for
+// her workloads" use case from §1. Targets are evaluated concurrently on
+// the shared worker pool at width parallel (values < 1 select GOMAXPROCS, 1
+// forces the sequential loop). The ranking is identical at any width:
+// per-target results land in registry order before the final sort, and an
+// infeasible prediction is data, not an error — only cancellation of ctx
+// and tripped budgets abort the sweep, with a typed error.
 func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Advice, error) {
 	defer obs.From(ctx).StageTimer("advise")()
 	// Warm the shared memoizations once so the workers don't duplicate the
@@ -687,7 +637,7 @@ func AdviseContext(ctx context.Context, nf *NF, wl Workload, parallel int) ([]Ad
 	return out, nil
 }
 
-// FormatAdvice renders an Advise ranking exactly as cmd/clara prints it —
+// FormatAdvice renders an AdviseContext ranking exactly as cmd/clara prints it —
 // shared so golden tests pin the CLI output without shelling out.
 func FormatAdvice(nfName string, advice []Advice) string {
 	var b strings.Builder

@@ -2,6 +2,7 @@ package clara
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -43,11 +44,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := nfo.PredictMapped(target, m, wl, PredictOptions{})
+	pred, err := nfo.PredictMappedContext(context.Background(), target, m, wl, PredictOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := GenerateTrace(tp)
+	tr, err := GenerateTraceContext(context.Background(), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := nfo.Measure(target, m, tr, 3)
+	meas, err := nfo.MeasureOptionsContext(context.Background(), target, m, tr, 3, MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := nfo.Classes()
+	cls, err := nfo.ClassesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestClasses(t *testing.T) {
 
 func TestWorkloadFromPcap(t *testing.T) {
 	tp, _ := ParseTrafficProfile("packets=500,flows=50")
-	tr, err := GenerateTrace(tp)
+	tr, err := GenerateTraceContext(context.Background(), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestWorkloadFromPcap(t *testing.T) {
 	if err := tr.WritePcap(&buf); err != nil {
 		t.Fatal(err)
 	}
-	wl, tr2, err := WorkloadFromPcap(&buf)
+	wl, tr2, err := WorkloadFromPcapContext(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestAdvise(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl, _ := ParseWorkload("size=600")
-	advice, err := Advise(nfo, wl)
+	advice, err := AdviseContext(context.Background(), nfo, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestAdvise(t *testing.T) {
 
 func TestMicrobenchFacade(t *testing.T) {
 	target, _ := NewTarget("netronome")
-	rep, err := Microbench(target)
+	rep, err := MicrobenchContext(context.Background(), target, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +197,11 @@ func TestGreedyFacade(t *testing.T) {
 	}
 	target, _ := NewTarget("netronome")
 	wl, _ := ParseWorkload("")
-	opt, err := nfo.Map(target, wl, Hints{})
+	opt, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := nfo.MapGreedy(target, wl, Hints{})
+	gr, err := nfo.pipe.Greedy(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestAnalyzePartial(t *testing.T) {
 	}
 	target, _ := NewTarget("netronome")
 	wl, _ := ParseWorkload("size=800")
-	an, err := AnalyzePartial(nfo, target, wl, DefaultPCIe())
+	an, err := AnalyzePartialContext(context.Background(), nfo, target, wl, DefaultPCIe(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestPredictionEnergy(t *testing.T) {
 	}
 	target, _ := NewTarget("netronome")
 	wl, _ := ParseWorkload("rate=60000")
-	pred, err := nfo.Predict(target, wl, Hints{})
+	pred, err := nfo.PredictContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}

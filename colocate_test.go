@@ -64,7 +64,7 @@ func TestPredictColocatedSingleTenantIdentity(t *testing.T) {
 	}
 
 	for _, weights := range [][]float64{{1, 0}, {3.5, -2}} {
-		got, err := PredictColocated(nfs, weights, target, wls)
+		got, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls)
 		if err != nil {
 			t.Fatalf("weights %v: %v", weights, err)
 		}
@@ -77,10 +77,10 @@ func TestPredictColocatedSingleTenantIdentity(t *testing.T) {
 		}
 	}
 
-	if _, err := PredictColocated(nfs, []float64{0, 0}, target, wls); err == nil {
+	if _, err := PredictColocatedContext(context.Background(), nfs, []float64{0, 0}, target, wls); err == nil {
 		t.Fatal("all-zero weights should be an error")
 	}
-	if _, err := PredictColocated(nfs, []float64{1}, target, wls); err == nil {
+	if _, err := PredictColocatedContext(context.Background(), nfs, []float64{1}, target, wls); err == nil {
 		t.Fatal("mismatched slice lengths should be an error")
 	}
 }
@@ -96,7 +96,7 @@ func TestPredictColocatedContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := PredictColocated(nfs, []float64{1, 1}, target, wls)
+	got, err := PredictColocatedContext(context.Background(), nfs, []float64{1, 1}, target, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPredictColocatedDeterminism(t *testing.T) {
 	}
 	weights := []float64{2, 1}
 
-	baseline, err := PredictColocated(nfs, weights, target, wls)
+	baseline, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPredictColocatedDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(model, memo) {
 			t.Fatalf("GOMAXPROCS=%d: refit contention model differs from memoized fit", procs)
 		}
-		got, err := PredictColocated(nfs, weights, target, wls)
+		got, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -177,7 +177,7 @@ func TestPredictColocatedRefitsModifiedTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PredictColocated(nfs, weights, pristine, wls); err != nil {
+	if _, err := PredictColocatedContext(context.Background(), nfs, weights, pristine, wls); err != nil {
 		t.Fatal(err)
 	}
 	slow, err := NewTarget("netronome")
@@ -190,7 +190,7 @@ func TestPredictColocatedRefitsModifiedTarget(t *testing.T) {
 	for i := range slow.Units {
 		slow.Units[i].FixedCycles *= 4
 	}
-	got, err := PredictColocated(nfs, weights, slow, wls)
+	got, err := PredictColocatedContext(context.Background(), nfs, weights, slow, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPredictColocatedHonorsContextPerStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	weights := []float64{1, 1}
-	if _, err := PredictColocated(nfs, weights, target, wls); err != nil {
+	if _, err := PredictColocatedContext(context.Background(), nfs, weights, target, wls); err != nil {
 		t.Fatal(err)
 	}
 	ctx := &cancelAfterFirstCheck{Context: context.Background()}
@@ -269,7 +269,7 @@ func TestMeasureColocatedFacade(t *testing.T) {
 	traces := make([]*Trace, 2)
 	for i := range traces {
 		tp.Seed = int64(100 + i)
-		if traces[i], err = GenerateTrace(tp); err != nil {
+		if traces[i], err = GenerateTraceContext(context.Background(), tp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestMeasureColocatedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureColocated(nfs, []float64{1, 1}, target, traces, 42)
+	res, err := MeasureColocatedContext(context.Background(), nfs, []float64{1, 1}, target, traces, 42, MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMeasureColocatedFacade(t *testing.T) {
 		}
 	}
 
-	res, err = MeasureColocated(nfs, []float64{1, 0}, target, traces, 42)
+	res, err = MeasureColocatedContext(context.Background(), nfs, []float64{1, 0}, target, traces, 42, MeasureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

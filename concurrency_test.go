@@ -29,22 +29,23 @@ func newSharedNF(t testing.TB) (*NF, *Target, Workload) {
 	return nfo, target, wl
 }
 
-// TestConcurrentAnalysisMatchesSequential runs Advise, Predict and
-// AnalyzePartial on the same *NF from many goroutines and asserts every
-// result is identical to a sequential baseline computed on a separate NF.
+// TestConcurrentAnalysisMatchesSequential runs AdviseContext,
+// PredictContext and AnalyzePartialContext on the same *NF from many
+// goroutines and asserts every result is identical to a sequential baseline
+// computed on a separate NF.
 // Run under -race this also proves the analysis pipeline is re-entrant:
 // no call mutates nf.Graph or any other shared structure.
 func TestConcurrentAnalysisMatchesSequential(t *testing.T) {
 	base, target, wl := newSharedNF(t)
-	wantAdvice, err := AdviseParallel(base, wl, 1)
+	wantAdvice, err := AdviseContext(context.Background(), base, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPred, err := base.Predict(target, wl, Hints{})
+	wantPred, err := base.PredictContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPartial, err := AnalyzePartialParallel(base, target, wl, DefaultPCIe(), 1)
+	wantPartial, err := AnalyzePartialContext(context.Background(), base, target, wl, DefaultPCIe(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +58,15 @@ func TestConcurrentAnalysisMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			advice, err := Advise(shared, wl)
+			advice, err := AdviseContext(context.Background(), shared, wl, 0)
 			if err != nil {
 				errs <- err
 				return
 			}
 			if !reflect.DeepEqual(advice, wantAdvice) {
-				t.Errorf("concurrent Advise diverged:\n got %+v\nwant %+v", advice, wantAdvice)
+				t.Errorf("concurrent AdviseContext diverged:\n got %+v\nwant %+v", advice, wantAdvice)
 			}
-			pred, err := shared.Predict(target, wl, Hints{})
+			pred, err := shared.PredictContext(context.Background(), target, wl, Hints{})
 			if err != nil {
 				errs <- err
 				return
@@ -73,7 +74,7 @@ func TestConcurrentAnalysisMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(pred, wantPred) {
 				t.Errorf("concurrent Predict diverged:\n got %+v\nwant %+v", pred, wantPred)
 			}
-			an, err := AnalyzePartial(shared, target, wl, DefaultPCIe())
+			an, err := AnalyzePartialContext(context.Background(), shared, target, wl, DefaultPCIe(), 0)
 			if err != nil {
 				errs <- err
 				return
@@ -94,23 +95,23 @@ func TestConcurrentAnalysisMatchesSequential(t *testing.T) {
 // any pool width produces byte-identical results to the sequential path.
 func TestParallelWidthInvariance(t *testing.T) {
 	nfo, target, wl := newSharedNF(t)
-	seqAdvice, err := AdviseParallel(nfo, wl, 1)
+	seqAdvice, err := AdviseContext(context.Background(), nfo, wl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqPartial, err := AnalyzePartialParallel(nfo, target, wl, DefaultPCIe(), 1)
+	seqPartial, err := AnalyzePartialContext(context.Background(), nfo, target, wl, DefaultPCIe(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, width := range []int{0, 2, 7, 32} {
-		advice, err := AdviseParallel(nfo, wl, width)
+		advice, err := AdviseContext(context.Background(), nfo, wl, width)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(advice, seqAdvice) {
-			t.Errorf("width %d: Advise diverged from sequential", width)
+			t.Errorf("width %d: AdviseContext diverged from sequential", width)
 		}
-		an, err := AnalyzePartialParallel(nfo, target, wl, DefaultPCIe(), width)
+		an, err := AnalyzePartialContext(context.Background(), nfo, target, wl, DefaultPCIe(), width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,13 +121,13 @@ func TestParallelWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestSharedTargetsStayReadOnly checks the contract that lets Advise share
-// one instance of each built-in target across calls and goroutines: after
-// concurrent Advise calls over every corpus NF, each shared target still
-// equals a freshly built profile, and each NF's dataflow graph, whose
-// nodes every annotated graph shares, still equals a freshly built one.
-// NewTarget keeps handing out copies the caller owns: mutating one changes
-// no Advise ranking.
+// TestSharedTargetsStayReadOnly checks the contract that lets AdviseContext
+// share one instance of each built-in target across calls and goroutines:
+// after concurrent AdviseContext calls over every corpus NF, each shared
+// target still equals a freshly built profile, and each NF's dataflow
+// graph, whose nodes every annotated graph shares, still equals a freshly
+// built one. NewTarget keeps handing out copies the caller owns: mutating
+// one changes no AdviseContext ranking.
 func TestSharedTargetsStayReadOnly(t *testing.T) {
 	wl, err := ParseWorkload("flows=2000,size=600,rate=400000,tcp=1")
 	if err != nil {
@@ -164,7 +165,7 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fresh := lnic.Profiles()[name](); !reflect.DeepEqual(bt, fresh) {
-			t.Errorf("shared target %s differs from a fresh profile after concurrent Advise", name)
+			t.Errorf("shared target %s differs from a fresh profile after concurrent AdviseContext", name)
 		}
 	}
 	for _, nfo := range nfos {
@@ -173,7 +174,7 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(nfo.pipe.Graph, fresh) {
-			t.Errorf("%s: the dataflow graph differs from a freshly built one after concurrent Advise", nfo.Name())
+			t.Errorf("%s: the dataflow graph differs from a freshly built one after concurrent AdviseContext", nfo.Name())
 		}
 	}
 
@@ -181,7 +182,7 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Advise(nfo, wl)
+	before, err := AdviseContext(context.Background(), nfo, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,18 +199,18 @@ func TestSharedTargetsStayReadOnly(t *testing.T) {
 	}
 	for _, bt := range lnic.Shared() {
 		if bt == a || bt == b {
-			t.Fatal("NewTarget returned the target Advise shares")
+			t.Fatal("NewTarget returned the target AdviseContext shares")
 		}
 	}
 	a.ClockGHz *= 4
 	a.Mems[0].LoadCycles *= 100
 	a.Units[0].Threads = 1
 	a.Hubs = nil
-	after, err := Advise(nfo, wl)
+	after, err := AdviseContext(context.Background(), nfo, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, after) {
-		t.Errorf("mutating a NewTarget copy changed the Advise ranking:\n%v\n%v", before, after)
+		t.Errorf("mutating a NewTarget copy changed the AdviseContext ranking:\n%v\n%v", before, after)
 	}
 }

@@ -51,7 +51,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMeasureShardsNeverChangeResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := nfo.Map(target, wl, Hints{})
+	m, err := nfo.MapContext(context.Background(), target, wl, Hints{})
 	if err != nil {
 		t.Fatal(err)
 	}

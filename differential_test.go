@@ -45,7 +45,7 @@ func adviseFresh(src string, wl Workload, width int) ([]Advice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AdviseParallel(nfo, wl, width)
+	return AdviseContext(context.Background(), nfo, wl, width)
 }
 
 // TestAnalyzePartialParallelDifferential is the same property for the

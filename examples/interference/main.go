@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	target, err := clara.NewTarget("netronome")
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +37,7 @@ func main() {
 
 	fmt.Println("solo predictions (whole NIC each):")
 	for _, n := range []*clara.NF{fw, dpi} {
-		p, err := n.Predict(target, wl, clara.Hints{})
+		p, err := n.PredictContext(ctx, target, wl, clara.Hints{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func main() {
 	half.RatePPS /= 2
 	fmt.Println("co-located predictions (half-NIC slices, shared rate split, contention):")
 	nfs := []*clara.NF{fw, dpi}
-	shared, err := clara.PredictColocated(nfs, []float64{1, 1}, target, []clara.Workload{half, half})
+	shared, err := clara.PredictColocatedContext(ctx, nfs, []float64{1, 1}, target, []clara.Workload{half, half})
 	if err != nil {
 		log.Fatal(err)
 	}

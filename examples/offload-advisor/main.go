@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			advice, err := clara.Advise(compiled, wl)
+			advice, err := clara.AdviseContext(context.Background(), compiled, wl, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

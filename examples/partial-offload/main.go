@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		an, err := clara.AnalyzePartial(nfo, target, wl, pcie)
+		an, err := clara.AnalyzePartialContext(context.Background(), nfo, target, wl, pcie, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,21 +71,22 @@ func compare(nfo *clara.NF, target *clara.Target, wlSpec string, strategies map[
 	if err != nil {
 		log.Fatal(err)
 	}
-	trace, err := clara.GenerateTrace(prof)
+	ctx := context.Background()
+	trace, err := clara.GenerateTraceContext(ctx, prof)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-20s %14s %14s %8s\n", "strategy", "predicted cyc", "measured cyc", "err")
 	for name, hints := range strategies {
-		m, err := nfo.Map(target, wl, hints)
+		m, err := nfo.MapContext(ctx, target, wl, hints)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, err := nfo.PredictMapped(target, m, wl, clara.PredictOptions{})
+		pred, err := nfo.PredictMappedContext(ctx, target, m, wl, clara.PredictOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		meas, err := nfo.Measure(target, m, trace, 5)
+		meas, err := nfo.MeasureOptionsContext(ctx, target, m, trace, 5, clara.MeasureOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

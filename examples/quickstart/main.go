@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,6 +33,10 @@ const firewall = `nf firewall {
 }`
 
 func main() {
+	// Every analysis entry takes a context: it carries cancellation,
+	// deadlines and an optional analysis budget.
+	ctx := context.Background()
+
 	// 1. Compile the unported NF into the Clara IR.
 	nf, err := clara.CompileNF(firewall)
 	if err != nil {
@@ -56,13 +61,13 @@ func main() {
 	}
 
 	// 4. Map (solve the Π/Γ/Θ ILP) and predict.
-	mapping, err := nf.Map(target, wl, clara.Hints{})
+	mapping, err := nf.MapContext(ctx, target, wl, clara.Hints{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(mapping.Describe(nf.Graph, target))
 
-	pred, err := nf.PredictMapped(target, mapping, wl, clara.PredictOptions{})
+	pred, err := nf.PredictMappedContext(ctx, target, mapping, wl, clara.PredictOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,11 +75,11 @@ func main() {
 
 	// 5. Cross-check against the bundled cycle-level simulator ("Actual").
 	prof, _ := clara.ParseTrafficProfile("packets=20000,flows=10000,tcp=0.8,size=300,rate=60000")
-	trace, err := clara.GenerateTrace(prof)
+	trace, err := clara.GenerateTraceContext(ctx, prof)
 	if err != nil {
 		log.Fatal(err)
 	}
-	meas, err := nf.Measure(target, mapping, trace, 1)
+	meas, err := nf.MeasureOptionsContext(ctx, target, mapping, trace, 1, clara.MeasureOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package clara
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -62,9 +63,10 @@ func TestGoldenEval(t *testing.T) {
 }
 
 // TestEvalAblationUsesProductionMapping holds the ILP-vs-greedy ablation to
-// the mappings production solves: each row's costs must equal NF.Map's and
-// NF.MapGreedy's on the same NF and workload, so the table prices the
-// enumerated class weights, not a uniform branch split.
+// the mappings production solves: each row's costs must equal those of
+// NF.MapContext and of the NF pipeline's Greedy on the same NF and
+// workload, so the table prices the enumerated class weights, not a uniform
+// branch split.
 func TestEvalAblationUsesProductionMapping(t *testing.T) {
 	cfg := goldenEvalConfig()
 	rows, err := eval.ILPvsGreedy(cfg)
@@ -90,16 +92,16 @@ func TestEvalAblationUsesProductionMapping(t *testing.T) {
 		if rows[i].NF != n.Name() {
 			t.Fatalf("row %d is %s, want %s", i, rows[i].NF, n.Name())
 		}
-		opt, err := n.Map(target, wl, Hints{})
+		opt, err := n.MapContext(context.Background(), target, wl, Hints{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := n.MapGreedy(target, wl, Hints{})
+		gr, err := n.pipe.Greedy(context.Background(), target, wl, Hints{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rows[i].ILPCycles != opt.CostCycles || rows[i].GreedyCycles != gr.CostCycles {
-			t.Errorf("%s: eval ILP %v greedy %v, production Map %v MapGreedy %v",
+			t.Errorf("%s: eval ILP %v greedy %v, production map %v greedy %v",
 				n.Name(), rows[i].ILPCycles, rows[i].GreedyCycles, opt.CostCycles, gr.CostCycles)
 		}
 	}
@@ -117,7 +119,7 @@ func TestGoldenAdvise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	advice, err := Advise(nfo, wl)
+	advice, err := AdviseContext(context.Background(), nfo, wl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Reg returns the current value of one of the interpreter's registers.
+func (it *Interp) Reg(r Reg) uint64 { return it.regs[r] }
+
 // copyReg emits a copy of src into a fresh register.
 func copyReg(b *Builder, src Reg) Reg {
 	dst := b.FreshReg()

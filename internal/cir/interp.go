@@ -143,9 +143,6 @@ func NewInterp(p *Program) *Interp {
 	}
 }
 
-// Reg returns the current value of a register (for tests).
-func (it *Interp) Reg(r Reg) uint64 { return it.regs[r] }
-
 // Run executes the program for one packet and returns the verdict. The
 // inner loop is chosen once per Run: when no hooks are set (no Meter, no
 // OnBlock callback and no cancellation context) a specialized loop skips the

@@ -1,6 +1,7 @@
 package mapper_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -200,7 +201,7 @@ func TestMapperBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adv, err := clara.AdviseParallel(nfo, wl, 1)
+			adv, err := clara.AdviseContext(context.Background(), nfo, wl, 1)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, spec, err)
 			}

@@ -1,6 +1,7 @@
 package mapper_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
@@ -78,12 +79,12 @@ func TestPredictBitExact(t *testing.T) {
 						t.Fatal(err)
 					}
 					hashString(h, name+"|"+target+"|"+spec)
-					m, err := nfo.Map(nic, wl, clara.Hints{})
+					m, err := nfo.MapContext(context.Background(), nic, wl, clara.Hints{})
 					if err != nil {
 						hashString(h, "map:"+err.Error())
 						continue
 					}
-					p, err := nfo.PredictMapped(nic, m, wl, opts)
+					p, err := nfo.PredictMappedContext(context.Background(), nic, m, wl, opts)
 					hashPrediction(h, p, err)
 				}
 			}

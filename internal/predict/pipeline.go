@@ -44,8 +44,8 @@ type Pipeline struct {
 	tables    *nfTables
 
 	// annotated caches workload-annotated graphs keyed by the weight
-	// vector, so repeated analyses of the same workload (Advise over many
-	// targets, co-location's slices, eval grids) share one read-only
+	// vector, so repeated analyses of the same workload (AdviseContext over
+	// many targets, co-location's slices, eval grids) share one read-only
 	// annotated graph.
 	annMu     sync.Mutex
 	annotated map[symexec.Weights]*cir.Graph
@@ -93,7 +93,7 @@ const annotatedCacheCap = 64
 const phase1CacheCap = 16
 
 // engineCacheCap bounds the compiled engines a Pipeline keeps: one per
-// target of a concurrent Advise, and one more.
+// target of a concurrent AdviseContext, and one more.
 const engineCacheCap = 4
 
 // NewPipeline extracts prog's dataflow graph and returns its pipeline.

@@ -1,5 +1,5 @@
 // Package runner is the shared bounded worker pool behind Clara's
-// embarrassingly parallel loops: clara.Advise fans out per target,
+// embarrassingly parallel loops: clara.AdviseContext fans out per target,
 // partial.AnalyzeContext per cut, the eval accuracy grid per
 // NF×target×workload cell, and microbench.RunContext per probe. It provides
 // index-based fan-out with

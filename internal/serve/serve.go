@@ -806,7 +806,7 @@ func (s *Server) measureCompute(ctx context.Context, nf *clara.NF, req *Request)
 	if err != nil {
 		return nil, err
 	}
-	res, err := nf.MeasureContext(ctx, t, m, tr, req.Seed, faults)
+	res, err := nf.MeasureOptionsContext(ctx, t, m, tr, req.Seed, clara.MeasureOptions{Faults: faults})
 	if err != nil {
 		return nil, err
 	}

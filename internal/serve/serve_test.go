@@ -20,6 +20,18 @@ import (
 	"clara/internal/nicsim"
 )
 
+// waiters reports how many callers are currently inside do across all keys
+// (leaders plus joined duplicates); the tests synchronize on it.
+func (g *flightGroup) waiters() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, c := range g.m {
+		n += 1 + c.dups
+	}
+	return n
+}
+
 const firewallSrc = `nf firewall {
 	state conns : map<13, 8>[65536];
 

@@ -16,7 +16,7 @@ type flightCall struct {
 	done chan struct{}
 	val  []byte
 	err  error
-	// dups counts the callers that joined after the leader (metrics).
+	// dups counts the callers that joined after the leader.
 	dups int
 }
 
@@ -46,16 +46,4 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (val []byte, err
 	g.mu.Unlock()
 	close(c.done)
 	return c.val, c.err, false
-}
-
-// waiters reports how many callers are currently inside do across all keys
-// (leaders plus joined duplicates). Test-only synchronization aid.
-func (g *flightGroup) waiters() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, c := range g.m {
-		n += 1 + c.dups
-	}
-	return n
 }

@@ -54,7 +54,7 @@ func TestSharedStateConcurrentAdvise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := AdviseParallel(fresh, wl, 1)
+			want, err := AdviseContext(context.Background(), fresh, wl, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
